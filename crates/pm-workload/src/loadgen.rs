@@ -13,7 +13,8 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use obs::{Field, Json, Schema};
@@ -26,6 +27,10 @@ use crate::ycsb::{KvOp, KvWorkload};
 /// stall the engine mutex for the whole recovery, so this bounds how
 /// long one client op can be held.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
+/// Cadence at which the recovery watch polls `stats` once the fault is
+/// armed: `recovered_at_us` overshoots the server's own recovery by at
+/// most this, plus one `stats` round trip.
+pub const STATS_POLL: Duration = Duration::from_millis(20);
 /// Tracked-set key namespace: far from the traffic keyspace and from
 /// the server's canary/probe keys.
 const TRACK_BASE: u64 = 500_000;
@@ -59,8 +64,8 @@ pub struct LoadConfig {
     /// Per-connection cadence of tracked sets (0 disables loss
     /// accounting).
     pub tracked_every: u64,
-    /// How long to wait for the server to report a completed
-    /// mitigation after arming.
+    /// How long to wait, past the end of traffic, for the server to
+    /// report a completed mitigation.
     pub recovery_timeout: Duration,
 }
 
@@ -112,7 +117,8 @@ pub struct LoadReport {
     /// When the fault was armed (µs since the run epoch).
     pub fault_armed_at_us: Option<u64>,
     /// When the server first reported the mitigation complete (µs since
-    /// the run epoch; polled, so an upper bound).
+    /// the run epoch; polled every [`STATS_POLL`] from the arm on, while
+    /// traffic runs, so an upper bound by one poll).
     pub recovered_at_us: Option<u64>,
     /// Whether the server reported a completed, verified mitigation.
     pub recovered: bool,
@@ -306,6 +312,9 @@ impl Client {
     }
 }
 
+/// The recovery watch thread; see [`watch_recovery`] for its result.
+type Watch = JoinHandle<Result<Option<u64>, String>>;
+
 #[derive(Default)]
 struct SharedCounters {
     ops: AtomicU64,
@@ -316,6 +325,9 @@ struct SharedCounters {
     io_errors: AtomicU64,
     fault_armed: AtomicBool,
     fault_armed_at_us: AtomicU64,
+    traffic_done: AtomicBool,
+    /// The recovery watch, once the arming worker has started it.
+    watch: Mutex<Option<Watch>>,
 }
 
 /// One latency sample: (µs since epoch, latency µs).
@@ -366,6 +378,7 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> Result<LoadReport, String
         }
     }
     let wall = epoch.elapsed();
+    shared.traffic_done.store(true, Ordering::SeqCst);
 
     let mut report = LoadReport {
         ops_attempted: shared.ops.load(Ordering::Relaxed),
@@ -382,28 +395,18 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> Result<LoadReport, String
     if shared.fault_armed.load(Ordering::SeqCst) {
         report.fault_armed_at_us = Some(shared.fault_armed_at_us.load(Ordering::SeqCst));
     }
-
-    // Control connection: wait out the mitigation (if one was armed),
-    // verify tracked sets, snapshot final stats.
-    let mut ctl = Client::connect(addr, false)?;
-    if report.fault_armed_at_us.is_some() {
-        let deadline = Instant::now() + cfg.recovery_timeout;
-        loop {
-            let stats = fetch_stats(&mut ctl)?;
-            let recovered = stat(&stats, "mitigations_recovered").unwrap_or(0) >= 1
-                && stat(&stats, "mitigating").unwrap_or(1) == 0;
-            if recovered {
-                report.recovered = true;
-                report.recovered_at_us =
-                    Some(epoch.elapsed().as_micros().min(u64::MAX as u128) as u64);
-                break;
-            }
-            if Instant::now() > deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
+    // The arming worker started the recovery watch; it has been polling
+    // `stats` beside the traffic ever since.
+    let watch = shared.watch.lock().expect("watch slot poisoned").take();
+    if let Some(watch) = watch {
+        report.recovered_at_us = watch
+            .join()
+            .map_err(|_| "recovery watch panicked".to_string())??;
+        report.recovered = report.recovered_at_us.is_some();
     }
+
+    // Control connection: verify tracked sets, snapshot final stats.
+    let mut ctl = Client::connect(addr, false)?;
 
     // Loss accounting: every acked tracked set must read back exactly.
     for (key, value) in &tracked {
@@ -442,13 +445,47 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> Result<LoadReport, String
     Ok(report)
 }
 
+/// Started when the fault is armed, so that `recovered_at_us` is when
+/// the server recovered and not when the clients ran out of requests:
+/// polls `stats` on a connection of its own, beside the traffic, until
+/// the server reports a completed, verified mitigation, and returns when
+/// that was (µs since `epoch`). `None` if the server still reports none
+/// `timeout` after the traffic ended.
+fn watch_recovery(
+    addr: SocketAddr,
+    traffic_done: &AtomicBool,
+    timeout: Duration,
+    epoch: Instant,
+) -> Result<Option<u64>, String> {
+    let mut ctl = Client::connect(addr, false)?;
+    let mut deadline = None;
+    loop {
+        let stats = fetch_stats(&mut ctl)?;
+        if stat(&stats, "mitigations_recovered").unwrap_or(0) >= 1
+            && stat(&stats, "mitigating").unwrap_or(1) == 0
+        {
+            return Ok(Some(micros_since(epoch)));
+        }
+        if traffic_done.load(Ordering::SeqCst)
+            && Instant::now() > *deadline.get_or_insert_with(|| Instant::now() + timeout)
+        {
+            return Ok(None);
+        }
+        std::thread::sleep(STATS_POLL);
+    }
+}
+
+fn micros_since(epoch: Instant) -> u64 {
+    epoch.elapsed().as_micros().min(u64::MAX as u128) as u64
+}
+
 fn worker(
     addr: SocketAddr,
     id: u64,
     is_resp: bool,
     ops: u64,
     cfg: &LoadConfig,
-    shared: &SharedCounters,
+    shared: &Arc<SharedCounters>,
     epoch: Instant,
 ) -> WorkerOut {
     let mut out = WorkerOut {
@@ -475,10 +512,18 @@ fn worker(
         // mid-run, while everyone else keeps streaming.
         if let Some(at) = cfg.fault_at {
             if global >= at && !shared.fault_armed.swap(true, Ordering::SeqCst) {
-                let t = epoch.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                shared.fault_armed_at_us.store(t, Ordering::SeqCst);
+                shared
+                    .fault_armed_at_us
+                    .store(micros_since(epoch), Ordering::SeqCst);
                 match client.request(&Cmd::FaultArm) {
-                    Ok(_) => {}
+                    Ok(_) => {
+                        let timeout = cfg.recovery_timeout;
+                        let for_watch = shared.clone();
+                        let watch = std::thread::spawn(move || {
+                            watch_recovery(addr, &for_watch.traffic_done, timeout, epoch)
+                        });
+                        *shared.watch.lock().expect("watch slot poisoned") = Some(watch);
+                    }
                     Err(e) => {
                         count_error(&e, shared);
                         return out;
@@ -524,9 +569,8 @@ fn worker(
             };
         let t0 = Instant::now();
         let result = client.request(&cmd);
-        let lat = t0.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        let t_rel = epoch.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        out.samples.push((t_rel, lat));
+        let lat = micros_since(t0);
+        out.samples.push((micros_since(epoch), lat));
         match result {
             Ok(reply) => match reply {
                 Reply::ServerError(_) => {
@@ -636,5 +680,72 @@ mod tests {
         assert!(report.stat_u64("total_updates").unwrap_or(0) > 0);
         let srv = handle.shutdown();
         assert_eq!(srv.protocol_errors, 0);
+    }
+
+    #[test]
+    fn reported_outage_is_the_servers_not_the_end_of_traffic() {
+        // f10 recovers in tens of milliseconds while the traffic runs on
+        // for many times that: the report must carry the former.
+        let recorder = Arc::new(obs::RingRecorder::new(1 << 16));
+        let handle = serve::Server::start(
+            serve::ServerConfig {
+                workers: 2,
+                engine: serve::EngineConfig {
+                    scenario: "f10".into(),
+                    ..serve::EngineConfig::default()
+                },
+                ..serve::ServerConfig::default()
+            },
+            None,
+            recorder.clone(),
+        )
+        .expect("server starts");
+        let cfg = LoadConfig {
+            conns: 8,
+            ops: 4_000,
+            fault_at: Some(600),
+            ..LoadConfig::default()
+        };
+        let report = run_load(handle.addr(), &cfg).expect("load runs");
+        handle.shutdown();
+        assert!(report.recovered, "{report:?}");
+        let armed_at = report.fault_armed_at_us.expect("armed");
+        let recovered_at = report.recovered_at_us.expect("recovered");
+        let poll = STATS_POLL.as_micros() as u64;
+        assert!(
+            (report.wall.as_micros() as u64) > recovered_at + 3 * poll,
+            "traffic must outlast the recovery for this test to tell the two apart: {report:?}"
+        );
+
+        // The server's own timeline: armed → the `serve.recovered` that
+        // closes the degraded period of the successful mitigation.
+        assert_eq!(recorder.dropped(), 0, "ring too small for the episode");
+        let events = recorder.events();
+        let t_armed = events
+            .iter()
+            .find(|e| e.kind == "serve.fault_armed")
+            .expect("serve.fault_armed")
+            .t_us;
+        let t_recovered = events
+            .iter()
+            .skip_while(|e| {
+                e.kind != "serve.mitigation_end"
+                    || !e
+                        .fields
+                        .iter()
+                        .any(|(k, v)| *k == "recovered" && matches!(v, obs::Value::Bool(true)))
+            })
+            .find(|e| e.kind == "serve.recovered")
+            .expect("serve.recovered after a successful mitigation")
+            .t_us;
+        let server_gap = t_recovered - t_armed;
+        let client_gap = recovered_at - armed_at;
+        // The client stamps the arm before sending it and sees the
+        // recovery at its next poll.
+        assert!(
+            client_gap >= server_gap && client_gap - server_gap <= poll + poll / 2,
+            "client saw {client_gap} us, server took {server_gap} us"
+        );
+        assert!(report.tracked_lost <= report.stat_u64("discarded_updates").unwrap_or(0));
     }
 }

@@ -18,9 +18,13 @@
 //!   directions (server parse/encode and client encode/parse).
 //! * [`engine`] — the single-threaded serving engine: VM + checkpoint
 //!   log + detector + reactor, with the online-mitigation failure path.
-//! * [`server`] — the TCP runtime: listener, worker threads, per-
-//!   connection protocol autodetection, and the degraded-mode fast path.
+//! * [`server`] — the TCP runtime: listener, worker threads blocked in
+//!   a `poll(2)` readiness wait, per-connection protocol autodetection,
+//!   and the degraded-mode fast path.
 //! * [`stats`] — the schema guard over the `stats` reply surface.
+
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod command;
 pub mod engine;
@@ -28,6 +32,10 @@ pub mod memcached;
 pub mod resp;
 pub mod server;
 pub mod stats;
+// The `extern "C"` declaration of `poll(2)` and its one call site: the
+// only module in the workspace allowed to contain `unsafe`.
+#[allow(unsafe_code)]
+mod sys;
 
 pub use command::{key_id, Cmd, Parse, Reply, MAX_KEY_LEN, MAX_VALUE_LEN};
 pub use engine::{BackendKind, Engine, EngineConfig, EngineStats, SERVABLE};

@@ -66,6 +66,10 @@ pub fn stats_schema() -> Schema {
         Field::opt("repl_lag_p50", UInt),
         Field::opt("repl_lag_p99", UInt),
         Field::opt("repl_lag_max", UInt),
+        Field::opt("lock_wait_p50_us", UInt),
+        Field::opt("lock_wait_p99_us", UInt),
+        Field::opt("worker_wakeups", UInt),
+        Field::opt("worker_spurious_wakeups", UInt),
     ])
 }
 
