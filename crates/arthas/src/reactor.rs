@@ -745,7 +745,7 @@ impl<'a> Reactor<'a> {
                 continue;
             };
             let (newest_seq, len) = (newest.seq, newest.data.len());
-            let votes: Vec<&[u8]> = (0..group.n())
+            let votes: Vec<Vec<u8>> = (0..group.n())
                 .filter(|&i| {
                     group
                         .replica(i)
@@ -1805,9 +1805,9 @@ fn mode_name(mode: Mode) -> &'static str {
 }
 
 /// The byte string a strict majority of voters agree on, if any.
-fn majority<'a>(votes: &[&'a [u8]]) -> Option<&'a [u8]> {
-    for &candidate in votes {
-        let agree = votes.iter().filter(|&&v| v == candidate).count();
+fn majority(votes: &[Vec<u8>]) -> Option<&[u8]> {
+    for candidate in votes {
+        let agree = votes.iter().filter(|&v| v == candidate).count();
         if agree * 2 > votes.len() {
             return Some(candidate);
         }

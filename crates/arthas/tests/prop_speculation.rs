@@ -148,7 +148,7 @@ fn mitigate_with(
     cfg: ReactorConfig,
     use_tx: bool,
     puts: &[u64],
-) -> (arthas::MitigationOutcome, Vec<u8>) {
+) -> (arthas::MitigationOutcome, pmemsim::PmImage) {
     let (out, instrumented, log, trace, failure, mut pool) = run_to_failure(use_tx, puts);
     let mut reactor = Reactor::new(&out.analysis, &out.guid_map, cfg);
     let mut target = AppTarget {

@@ -173,7 +173,7 @@ struct Crashed {
     pool: PmPool,
     /// Snapshot taken just before the poisoned put, with its seq — the
     /// lagging hot standby's base.
-    standby: (Vec<u8>, u64),
+    standby: (pmemsim::PmImage, u64),
 }
 
 /// Runs the app to its hard fault on a 4-shard log, capturing a

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use arthas::checkpoint::MAX_VERSIONS;
 use arthas::{ShardedLog, Target};
-use pmemsim::PmPool;
+use pmemsim::{PmImage, PmPool};
 
 /// Outcome of a baseline mitigation.
 #[derive(Debug, Clone)]
@@ -49,7 +49,7 @@ pub struct BaselineOutcome {
 pub struct PmCriu {
     /// Snapshot interval in logical seconds.
     pub interval: u64,
-    snapshots: Vec<(u64, Vec<u8>)>,
+    snapshots: Vec<(u64, PmImage)>,
     last: Option<u64>,
 }
 

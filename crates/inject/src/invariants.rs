@@ -295,11 +295,38 @@ pub fn check_image(
     out
 }
 
-/// One mined run's material: the final image plus log and trace.
-struct PassingRun {
-    pool: PmPool,
+/// One un-injected run's material: the final image plus log and trace.
+pub(crate) struct PassingRun {
+    pub(crate) pool: PmPool,
     log: SharedLog,
     trace: PmTrace,
+}
+
+impl PassingRun {
+    /// Replays the workload un-injected under `seed`, recording the site
+    /// census (a campaign's enumeration reads it off the `base_seed` run).
+    /// Nobody restores a pmCRIU snapshot of such a run, so none are taken.
+    pub(crate) fn replay(scn: &dyn Scenario, setup: &AppSetup, seed: u64) -> Self {
+        let cfg = RunConfig {
+            seed,
+            criu: false,
+            record_sites: true,
+            ..RunConfig::default()
+        };
+        match run_with_injection(scn, setup, &cfg) {
+            InjectionOutcome::Completed(c) => PassingRun {
+                pool: c.pool,
+                log: c.log,
+                trace: c.trace,
+            },
+            InjectionOutcome::HardFailure(p) => PassingRun {
+                pool: p.pool,
+                log: p.log,
+                trace: p.trace,
+            },
+            InjectionOutcome::SiteCrash(_) => unreachable!("no injection is armed"),
+        }
+    }
 }
 
 /// Mines and promotes likely invariants for one scenario.
@@ -316,30 +343,24 @@ pub fn mine(
     base_seed: u64,
     recorder: Option<&dyn Recorder>,
 ) -> MinedInvariants {
-    let mut runs: Vec<PassingRun> = Vec::new();
+    let first = PassingRun::replay(scn, setup, base_seed);
+    mine_from(first, scn, setup, base_seed, recorder)
+}
+
+/// [`mine`] with the `base_seed` run already in hand — a campaign's site
+/// enumeration is that same replay, so it is not run twice.
+pub(crate) fn mine_from(
+    first: PassingRun,
+    scn: &dyn Scenario,
+    setup: &AppSetup,
+    base_seed: u64,
+    recorder: Option<&dyn Recorder>,
+) -> MinedInvariants {
+    let mut runs = vec![first];
     let mut seed = base_seed;
-    for _ in 0..MINING_SEEDS {
-        let cfg = RunConfig {
-            seed,
-            criu: false,
-            ..RunConfig::default()
-        };
-        let run = match run_with_injection(scn, setup, &cfg) {
-            InjectionOutcome::Completed(c) => PassingRun {
-                pool: c.pool,
-                log: c.log,
-                trace: c.trace,
-            },
-            InjectionOutcome::HardFailure(p) => PassingRun {
-                pool: p.pool,
-                log: p.log,
-                trace: p.trace,
-            },
-            // No injection is armed on mining runs.
-            InjectionOutcome::SiteCrash(_) => unreachable!("mining runs arm no injection"),
-        };
-        runs.push(run);
+    for _ in 1..MINING_SEEDS {
         seed = splitmix(seed);
+        runs.push(PassingRun::replay(scn, setup, seed));
     }
 
     // Candidate generation. Persist-order candidates come from the

@@ -838,6 +838,8 @@ fn run_trial(
 ) -> Trial {
     let run_cfg = RunConfig {
         seed: cfg.seed,
+        // The capture keeps pool, log and trace; a snapshot would be dropped.
+        criu: false,
         injection: Some(SiteInjection { site, policy }),
         ..RunConfig::default()
     };
@@ -960,24 +962,15 @@ pub(crate) fn prepare_scenario<'a>(
 ) -> PreparedScenario<'a> {
     let setup = AppSetup::new_with_cache(scn.build_module(), cfg.cache.as_deref());
 
-    // Enumeration: one un-armed run with the site census recorder on.
-    let enum_cfg = RunConfig {
-        seed: cfg.seed,
-        record_sites: true,
-        ..RunConfig::default()
-    };
-    let (sites_total, kinds) = match run_with_injection(scn, &setup, &enum_cfg) {
-        InjectionOutcome::Completed(c) => (c.pool.site_count(), c.pool.site_kinds().to_vec()),
-        InjectionOutcome::HardFailure(p) => (p.pool.site_count(), p.pool.site_kinds().to_vec()),
-        // No injection armed, so a site crash is impossible here.
-        InjectionOutcome::SiteCrash(c) => (c.pool.site_count(), c.pool.site_kinds().to_vec()),
-    };
-
-    // Invariant mining (stage 2): un-injected runs across derived seeds,
-    // promotion of the candidates that survive all of them.
+    // Enumeration: one un-armed run with the site census recorder on. It
+    // doubles as the first mining run (stage 2: un-injected runs across
+    // derived seeds, promotion of the candidates that survive all).
+    let enumerated = invariants::PassingRun::replay(scn, &setup, cfg.seed);
+    let sites_total = enumerated.pool.site_count();
+    let kinds = enumerated.pool.site_kinds().to_vec();
     let mined = cfg
         .invariants
-        .then(|| invariants::mine(scn, &setup, cfg.seed, None));
+        .then(|| invariants::mine_from(enumerated, scn, &setup, cfg.seed, None));
 
     let matrix = build_matrix(sites_total, &kinds, cfg).unwrap_or_else(|e| {
         panic!("{}: {e:?} — enumeration census is broken", scn.id());

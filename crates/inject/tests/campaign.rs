@@ -14,7 +14,7 @@ use proptest::prelude::*;
 
 /// Runs f1 with a crash armed at `site` under `policy` and returns the
 /// raw post-crash image.
-fn crash_image(setup: &AppSetup, site: u64, policy: CrashPolicy) -> Vec<u8> {
+fn crash_image(setup: &AppSetup, site: u64, policy: CrashPolicy) -> pmemsim::PmImage {
     let scn = scenarios::by_id("f1").expect("f1 exists");
     let cfg = RunConfig {
         injection: Some(SiteInjection { site, policy }),

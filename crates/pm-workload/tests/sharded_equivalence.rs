@@ -18,7 +18,7 @@ fn mitigate_with_shards(
     scn: &dyn pm_workload::Scenario,
     setup: &AppSetup,
     log_shards: usize,
-) -> (arthas::MitigationOutcome, Vec<u8>) {
+) -> (arthas::MitigationOutcome, pmemsim::PmImage) {
     let run_cfg = RunConfig {
         log_shards,
         ..RunConfig::default()

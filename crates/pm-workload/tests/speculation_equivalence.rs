@@ -14,7 +14,7 @@ fn mitigate_once(
     scn: &dyn pm_workload::Scenario,
     setup: &AppSetup,
     speculation: Option<usize>,
-) -> (arthas::MitigationOutcome, Vec<u8>) {
+) -> (arthas::MitigationOutcome, pmemsim::PmImage) {
     let run_cfg = RunConfig::default();
     let mut prod = run_production(scn, setup, &run_cfg).expect("scenario reaches a hard failure");
     let mut target = ScenarioTarget::new(

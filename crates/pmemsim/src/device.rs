@@ -9,13 +9,14 @@
 //!
 //! [`crash`]: PmDevice::crash
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use rand::rngs::StdRng;
 use rand::RngExt;
 use rand::SeedableRng;
 
 use crate::error::{PmError, PmResult};
+use crate::image::PmImage;
 
 /// Size of a simulated CPU cache line in bytes.
 pub const CACHE_LINE: u64 = 64;
@@ -51,12 +52,15 @@ pub struct DeviceStats {
     pub lines_written_back: u64,
     /// Number of simulated crashes.
     pub crashes: u64,
+    /// Media pages copied because a write landed on a page another image
+    /// (a fork, snapshot or replica) still shared.
+    pub pages_copied: u64,
 }
 
+/// A line holding stores that have not reached media.
 #[derive(Clone)]
-struct CacheLine64 {
+struct DirtyLine {
     data: [u8; CACHE_LINE as usize],
-    dirty: bool,
     /// Flushed and awaiting a drain.
     staged: bool,
 }
@@ -66,10 +70,19 @@ struct CacheLine64 {
 /// All operations are bounds-checked and return [`PmError::OutOfBounds`] on
 /// violation rather than panicking, so that the interpreter above can turn
 /// them into precise traps.
+///
+/// Every operation costs in proportion to what it touches. The cache holds
+/// dirty lines only — a clean line is byte-identical to media, which `read`
+/// falls through to, so a drain removes what it writes back — and media is
+/// a [`PmImage`], so `clone` copies page pointers and a write-back copies at
+/// most the page it lands on.
 #[derive(Clone)]
 pub struct PmDevice {
-    media: Vec<u8>,
-    cache: BTreeMap<u64, CacheLine64>,
+    media: PmImage,
+    cache: BTreeMap<u64, DirtyLine>,
+    /// Lines flushed since the last drain. A line can appear twice, or have
+    /// been stored to (un-staged) since; the line's own flag decides.
+    staged: Vec<u64>,
     policy: CrashPolicy,
     stats: DeviceStats,
 }
@@ -77,19 +90,15 @@ pub struct PmDevice {
 impl PmDevice {
     /// Creates a zero-filled device of `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
-        PmDevice {
-            media: vec![0; capacity as usize],
-            cache: BTreeMap::new(),
-            policy: CrashPolicy::DropStaged,
-            stats: DeviceStats::default(),
-        }
+        PmDevice::from_image(PmImage::zeroed(capacity as usize))
     }
 
     /// Creates a device whose media is initialised from `image`.
-    pub fn from_image(image: Vec<u8>) -> Self {
+    pub fn from_image(image: PmImage) -> Self {
         PmDevice {
             media: image,
             cache: BTreeMap::new(),
+            staged: Vec::new(),
             policy: CrashPolicy::DropStaged,
             stats: DeviceStats::default(),
         }
@@ -115,43 +124,43 @@ impl PmDevice {
         self.stats
     }
 
-    fn check(&self, offset: u64, len: u64) -> PmResult<()> {
-        let cap = self.capacity();
-        if len == 0 {
-            return Ok(());
-        }
-        if offset.checked_add(len).is_none_or(|end| end > cap) {
-            return Err(PmError::OutOfBounds {
-                offset,
-                len,
-                capacity: cap,
-            });
-        }
-        Ok(())
-    }
-
     fn line_of(offset: u64) -> u64 {
         offset / CACHE_LINE
     }
 
-    fn load_line(&mut self, line: u64) -> &mut CacheLine64 {
+    /// Bytes of `line` that lie inside the device: a full line except at
+    /// the tail of a capacity that is not a line multiple.
+    fn line_len(&self, line: u64) -> usize {
+        u64::min(CACHE_LINE, self.capacity() - line * CACHE_LINE) as usize
+    }
+
+    fn load_line(&mut self, line: u64) -> &mut DirtyLine {
+        let n = self.line_len(line);
         let media = &self.media;
         self.cache.entry(line).or_insert_with(|| {
-            let start = (line * CACHE_LINE) as usize;
             let mut data = [0u8; CACHE_LINE as usize];
-            data.copy_from_slice(&media[start..start + CACHE_LINE as usize]);
-            CacheLine64 {
+            data[..n].copy_from_slice(media.within_page((line * CACHE_LINE) as usize, n));
+            DirtyLine {
                 data,
-                dirty: false,
                 staged: false,
             }
         })
     }
 
+    fn write_back(&mut self, line: u64, data: &[u8; CACHE_LINE as usize]) {
+        let n = self.line_len(line);
+        let copied = self
+            .media
+            .write(line * CACHE_LINE, &data[..n])
+            .expect("a cached line lies inside the device");
+        self.stats.pages_copied += copied as u64;
+        self.stats.lines_written_back += 1;
+    }
+
     /// Stores `bytes` at `offset`. The store is visible to subsequent reads
     /// immediately but is *not* durable until flushed and drained.
     pub fn write(&mut self, offset: u64, bytes: &[u8]) -> PmResult<()> {
-        self.check(offset, bytes.len() as u64)?;
+        self.media.check(offset, bytes.len() as u64)?;
         self.stats.bytes_written += bytes.len() as u64;
         let mut cur = offset;
         let mut rest = bytes;
@@ -161,7 +170,6 @@ impl PmDevice {
             let n = usize::min(rest.len(), CACHE_LINE as usize - in_line);
             let cl = self.load_line(line);
             cl.data[in_line..in_line + n].copy_from_slice(&rest[..n]);
-            cl.dirty = true;
             // A store after a flush but before the drain invalidates the
             // staging: the new value needs its own flush.
             cl.staged = false;
@@ -174,24 +182,19 @@ impl PmDevice {
     /// Reads `len` bytes at `offset`, observing cached (not yet durable)
     /// stores.
     pub fn read(&mut self, offset: u64, len: u64) -> PmResult<Vec<u8>> {
-        self.check(offset, len)?;
+        let mut out = self.media.read(offset, len as usize)?;
         self.stats.bytes_read += len;
-        let mut out = Vec::with_capacity(len as usize);
-        let mut cur = offset;
-        let mut remaining = len;
-        while remaining > 0 {
-            let line = Self::line_of(cur);
-            let in_line = (cur % CACHE_LINE) as usize;
-            let n = u64::min(remaining, CACHE_LINE - in_line as u64) as usize;
-            match self.cache.get(&line) {
-                Some(cl) => out.extend_from_slice(&cl.data[in_line..in_line + n]),
-                None => {
-                    let start = cur as usize;
-                    out.extend_from_slice(&self.media[start..start + n]);
-                }
-            }
-            cur += n as u64;
-            remaining -= n as u64;
+        if len == 0 || self.cache.is_empty() {
+            return Ok(out);
+        }
+        let end = offset + len;
+        let lines = Self::line_of(offset)..=Self::line_of(end - 1);
+        for (&line, cl) in self.cache.range(lines) {
+            let base = line * CACHE_LINE;
+            let lo = base.max(offset);
+            let hi = (base + CACHE_LINE).min(end);
+            out[(lo - offset) as usize..(hi - offset) as usize]
+                .copy_from_slice(&cl.data[(lo - base) as usize..(hi - base) as usize]);
         }
         Ok(out)
     }
@@ -199,35 +202,35 @@ impl PmDevice {
     /// Flushes the cache lines covering `[offset, offset + len)`, staging
     /// them for write-back at the next [`drain`](PmDevice::drain).
     pub fn flush(&mut self, offset: u64, len: u64) -> PmResult<()> {
-        self.check(offset, len)?;
+        self.media.check(offset, len)?;
         self.stats.flushes += 1;
         if len == 0 {
             return Ok(());
         }
-        let first = Self::line_of(offset);
-        let last = Self::line_of(offset + len - 1);
-        for line in first..=last {
-            if let Some(cl) = self.cache.get_mut(&line) {
-                if cl.dirty {
-                    cl.staged = true;
-                }
+        let lines = Self::line_of(offset)..=Self::line_of(offset + len - 1);
+        for (&line, cl) in self.cache.range_mut(lines) {
+            if !cl.staged {
+                cl.staged = true;
+                self.staged.push(line);
             }
         }
         Ok(())
     }
 
-    /// Drains (fences): commits every staged line to media.
+    /// Drains (fences): commits every staged line to media and drops it
+    /// from the cache.
     pub fn drain(&mut self) {
         self.stats.drains += 1;
-        for (line, cl) in self.cache.iter_mut() {
-            if cl.staged {
-                let start = (line * CACHE_LINE) as usize;
-                self.media[start..start + CACHE_LINE as usize].copy_from_slice(&cl.data);
-                cl.staged = false;
-                cl.dirty = false;
-                self.stats.lines_written_back += 1;
+        let mut staged = std::mem::take(&mut self.staged);
+        for line in staged.drain(..) {
+            if let Entry::Occupied(e) = self.cache.entry(line) {
+                if e.get().staged {
+                    let cl = e.remove();
+                    self.write_back(line, &cl.data);
+                }
             }
         }
+        self.staged = staged;
     }
 
     /// Flush + drain for a range: the `pmem_persist` primitive.
@@ -249,6 +252,7 @@ impl PmDevice {
             CrashPolicy::RandomStaged(seed) => Some(StdRng::seed_from_u64(seed)),
             _ => None,
         };
+        self.staged.clear();
         let cache = std::mem::take(&mut self.cache);
         for (line, cl) in cache {
             if !cl.staged {
@@ -263,17 +267,16 @@ impl PmDevice {
                     .unwrap_or(false),
             };
             if survive {
-                let start = (line * CACHE_LINE) as usize;
-                self.media[start..start + CACHE_LINE as usize].copy_from_slice(&cl.data);
-                self.stats.lines_written_back += 1;
+                self.write_back(line, &cl.data);
             }
         }
     }
 
-    /// Returns a point-in-time copy of the durable media contents.
+    /// Returns a point-in-time image of the durable media contents, sharing
+    /// every page with the device until either side writes it.
     ///
     /// Used by the pmCRIU baseline to snapshot a pool.
-    pub fn media_image(&self) -> Vec<u8> {
+    pub fn media_image(&self) -> PmImage {
         self.media.clone()
     }
 
@@ -281,7 +284,7 @@ impl PmDevice {
     ///
     /// Used by the pmCRIU baseline to restore a snapshot. Returns an error
     /// if the image size differs from the device capacity.
-    pub fn restore_image(&mut self, image: &[u8]) -> PmResult<()> {
+    pub fn restore_image(&mut self, image: &PmImage) -> PmResult<()> {
         if image.len() != self.media.len() {
             return Err(PmError::BadHeader(format!(
                 "snapshot image size {} != device capacity {}",
@@ -289,8 +292,9 @@ impl PmDevice {
                 self.media.len()
             )));
         }
-        self.media.copy_from_slice(image);
+        self.media = image.clone();
         self.cache.clear();
+        self.staged.clear();
         Ok(())
     }
 
@@ -300,19 +304,25 @@ impl PmDevice {
     /// Fault-injection helper modelling a hardware bit flip that corrupted
     /// persistent state (the paper's "Hardware Faults" root-cause class).
     pub fn corrupt_bit(&mut self, offset: u64, bit: u8) -> PmResult<()> {
-        self.check(offset, 1)?;
-        let mask = 1u8 << (bit & 7);
-        self.media[offset as usize] ^= mask;
-        let line = Self::line_of(offset);
-        if let Some(cl) = self.cache.get_mut(&line) {
-            cl.data[(offset % CACHE_LINE) as usize] ^= mask;
+        self.stats.pages_copied += self.media.flip_bit(offset, bit)? as u64;
+        if let Some(cl) = self.cache.get_mut(&Self::line_of(offset)) {
+            cl.data[(offset % CACHE_LINE) as usize] ^= 1 << (bit & 7);
         }
         Ok(())
     }
 
     /// Number of dirty (not yet durable) cache lines; diagnostic.
     pub fn dirty_lines(&self) -> usize {
-        self.cache.values().filter(|c| c.dirty).count()
+        self.cache.len()
+    }
+
+    /// Number of lines the cache holds. Equal to [`dirty_lines`] by
+    /// construction (clean lines are never kept), so it is zero once every
+    /// store has been persisted, however many lines the device has seen.
+    ///
+    /// [`dirty_lines`]: PmDevice::dirty_lines
+    pub fn cached_lines(&self) -> usize {
+        self.cache.len()
     }
 }
 
@@ -320,7 +330,6 @@ impl std::fmt::Debug for PmDevice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PmDevice")
             .field("capacity", &self.capacity())
-            .field("cached_lines", &self.cache.len())
             .field("dirty_lines", &self.dirty_lines())
             .finish()
     }
@@ -450,5 +459,87 @@ mod tests {
         assert_eq!(s.flushes, 1);
         assert_eq!(s.drains, 1);
         assert_eq!(s.lines_written_back, 1);
+    }
+
+    #[test]
+    fn a_fence_leaves_nothing_cached_however_much_was_written() {
+        let mut d = PmDevice::new(1 << 20);
+        for i in 0..1000u64 {
+            d.write(i * 100, &[i as u8; 100]).unwrap();
+            d.persist(i * 100, 100).unwrap();
+            assert_eq!(d.cached_lines(), 0);
+        }
+        // An unflushed store stays cached (and dirty) across fences.
+        d.write(7, &[1]).unwrap();
+        d.drain();
+        assert_eq!((d.cached_lines(), d.dirty_lines()), (1, 1));
+        d.crash();
+        assert_eq!(d.cached_lines(), 0);
+        assert_eq!(d.read(0, 8).unwrap(), vec![0; 8]);
+    }
+
+    #[test]
+    fn a_clone_and_its_original_never_see_each_others_later_writes() {
+        let mut a = PmDevice::new(3 * 4096);
+        a.write(0, &[1; 8]).unwrap();
+        a.persist(0, 8).unwrap(); // shared media page
+        a.write(4096, &[2; 8]).unwrap(); // shared-at-clone dirty line
+        let mut b = a.clone();
+        assert_eq!(b.stats(), a.stats());
+
+        // Cache, both directions.
+        a.write(4096, &[3; 8]).unwrap();
+        b.write(4100, &[4; 4]).unwrap();
+        assert_eq!(a.read(4096, 8).unwrap(), vec![3; 8]);
+        assert_eq!(b.read(4096, 8).unwrap(), vec![2, 2, 2, 2, 4, 4, 4, 4]);
+
+        // Media, both directions, on the page they share.
+        a.write(0, &[5; 8]).unwrap();
+        a.persist(0, 8).unwrap();
+        assert_eq!(b.media_image().read(0, 8).unwrap(), vec![1; 8]);
+        b.write(8, &[6; 8]).unwrap();
+        b.persist(8, 8).unwrap();
+        assert_eq!(a.media_image().read(0, 16).unwrap()[8..], [0; 8]);
+        assert_eq!(b.media_image().read(0, 16).unwrap()[..8], [1; 8]);
+        b.corrupt_bit(2 * 4096, 0).unwrap();
+        assert_eq!(a.read(2 * 4096, 1).unwrap(), vec![0]);
+    }
+
+    #[test]
+    fn pages_copied_counts_only_writes_to_shared_pages() {
+        let mut d = PmDevice::new(4 * 4096);
+        d.write(0, &[1; 128]).unwrap();
+        d.persist(0, 128).unwrap();
+        assert_eq!(d.stats().pages_copied, 1, "the shared zero page");
+        d.write(64, &[2; 64]).unwrap();
+        d.persist(64, 64).unwrap();
+        assert_eq!(d.stats().pages_copied, 1, "page 0 is private now");
+
+        let image = d.media_image();
+        d.write(0, &[3; 8]).unwrap();
+        d.persist(0, 8).unwrap();
+        assert_eq!(d.stats().pages_copied, 2, "the image still held page 0");
+        d.corrupt_bit(4096, 1).unwrap();
+        assert_eq!(d.stats().pages_copied, 3);
+        d.restore_image(&image).unwrap();
+        assert_eq!(d.stats().pages_copied, 3, "a restore copies no page");
+        assert_eq!(d.read(0, 8).unwrap(), vec![1; 8]);
+    }
+
+    #[test]
+    fn a_capacity_that_is_no_line_multiple_keeps_its_exact_bounds() {
+        let mut d = PmDevice::new(4097);
+        assert_eq!(d.capacity(), 4097);
+        d.write(4090, &[9; 7]).unwrap();
+        d.persist(4090, 7).unwrap();
+        d.crash();
+        assert_eq!(d.read(4090, 7).unwrap(), vec![9; 7]);
+        assert_eq!(d.media_image().len(), 4097);
+        assert!(matches!(
+            d.write(4096, &[0; 2]),
+            Err(PmError::OutOfBounds { capacity: 4097, .. })
+        ));
+        assert!(d.read(4097, 1).is_err() && d.flush(4096, 2).is_err());
+        assert!(d.corrupt_bit(4097, 0).is_err());
     }
 }

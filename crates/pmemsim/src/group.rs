@@ -1,15 +1,16 @@
 //! Pool-group replication: one primary [`PmPool`] plus N replicas fed
 //! asynchronously by the checkpoint stream.
 //!
-//! A replica is a durable media image plus an **apply cursor** — the
-//! largest checkpoint sequence number it has applied. The checkpoint
-//! stream's `(seq, addr, bytes)` records are exactly media splices
-//! (checkpoint addresses are pool offsets), so replication is
-//! re-applying the primary's persist stream in seq order. Feeding is
-//! pull-based and asynchronous: the owner pumps whatever suffix of the
-//! stream it chooses, whenever it chooses — a hot standby can
-//! deliberately lag so a software fault that travelled through the
-//! stream has not yet reached it.
+//! A replica is a durable media image (a [`PmImage`], sharing every
+//! page with the primary's base snapshot until a record lands on it)
+//! plus an **apply cursor** — the largest checkpoint sequence number it
+//! has applied. The checkpoint stream's `(seq, addr, bytes)` records
+//! are exactly media splices (checkpoint addresses are pool offsets),
+//! so replication is re-applying the primary's persist stream in seq
+//! order. Feeding is pull-based and asynchronous: the owner pumps
+//! whatever suffix of the stream it chooses, whenever it chooses — a
+//! hot standby can deliberately lag so a software fault that travelled
+//! through the stream has not yet reached it.
 //!
 //! The group is deliberately unaware of the log type: any seq-ordered
 //! `(seq, addr, bytes)` iterator feeds it, keeping the dependency
@@ -20,12 +21,13 @@
 //! byte-identical to not having a group at all.
 
 use crate::error::{PmError, PmResult};
+use crate::image::PmImage;
 use crate::pool::PmPool;
 
 /// One replica: a durable media image and its apply cursor.
 #[derive(Debug, Clone)]
 pub struct Replica {
-    image: Vec<u8>,
+    image: PmImage,
     /// Largest seq applied; updates with `seq <= cursor` are skipped.
     cursor: u64,
     /// Total updates applied (lag/throughput accounting).
@@ -143,14 +145,14 @@ impl PoolGroup {
                 // Crash mid-apply: half the record's bytes land, the
                 // cursor does not advance, the replica is failed.
                 let half = bytes.len() / 2;
-                splice(&mut r.image, addr, &bytes[..half]);
+                let _ = r.image.write(addr, &bytes[..half]);
                 r.torn = true;
                 r.faulted = true;
                 r.torn_at = None;
                 return false;
             }
         }
-        if !splice(&mut r.image, addr, bytes) {
+        if r.image.write(addr, bytes).is_err() {
             return false;
         }
         r.cursor = seq;
@@ -228,11 +230,8 @@ impl PoolGroup {
 
     /// Replica `idx`'s bytes over `[addr, addr + len)` — the
     /// cross-check read used to localize corruption on the primary.
-    pub fn replica_bytes(&self, idx: usize, addr: u64, len: usize) -> Option<&[u8]> {
-        let r = self.replicas.get(idx)?;
-        let start = usize::try_from(addr).ok()?;
-        let end = start.checked_add(len)?;
-        r.image.get(start..end)
+    pub fn replica_bytes(&self, idx: usize, addr: u64, len: usize) -> Option<Vec<u8>> {
+        self.replicas.get(idx)?.image.read(addr, len).ok()
     }
 
     /// Promotes replica `idx` into `pool`: the primary's device adopts
@@ -268,15 +267,7 @@ impl PoolGroup {
             .replicas
             .get_mut(idx)
             .ok_or_else(|| PmError::BadHeader(format!("no replica {idx}")))?;
-        let off = usize::try_from(offset)
-            .ok()
-            .filter(|&o| o < r.image.len())
-            .ok_or(PmError::OutOfBounds {
-                offset,
-                len: 1,
-                capacity: r.image.len() as u64,
-            })?;
-        r.image[off] ^= 1 << (bit & 7);
+        r.image.flip_bit(offset, bit)?;
         Ok(())
     }
 
@@ -287,21 +278,6 @@ impl PoolGroup {
             r.torn_at = Some(at_seq);
         }
     }
-}
-
-/// Splices `bytes` into the image at `addr`; false when out of bounds.
-fn splice(image: &mut [u8], addr: u64, bytes: &[u8]) -> bool {
-    let Ok(start) = usize::try_from(addr) else {
-        return false;
-    };
-    let Some(end) = start.checked_add(bytes.len()) else {
-        return false;
-    };
-    if end > image.len() {
-        return false;
-    }
-    image[start..end].copy_from_slice(bytes);
-    true
 }
 
 #[cfg(test)]
@@ -421,5 +397,30 @@ mod tests {
         assert_eq!(g.replica_bytes(0, addr, 1).unwrap(), &[0x08]);
         assert_eq!(g.replica_bytes(1, addr, 1).unwrap(), &[0x00]);
         assert!(g.corrupt_bit(0, u64::MAX, 0).is_err());
+    }
+
+    #[test]
+    fn seeding_replicas_copies_no_page_until_a_record_lands() {
+        let mut p = pool();
+        let addr = layout::HEAP_OFF + 64;
+        p.write(addr, &[0xAB; 16]).unwrap();
+        p.persist(addr, 16).unwrap();
+        let before = p.device().stats().pages_copied;
+        let mut g = PoolGroup::new(&p, 3, 0);
+        assert_eq!(p.device().stats().pages_copied, before);
+        for i in 0..3 {
+            assert_eq!(g.replica(i).unwrap().image, p.snapshot());
+        }
+        // One replica applies a record: only its image diverges.
+        assert!(g.apply(1, 1, addr, &[0xCD; 16]));
+        assert_ne!(g.replica(1).unwrap().image, p.snapshot());
+        assert_eq!(g.replica(0).unwrap().image, p.snapshot());
+        assert_eq!(p.read(addr, 16).unwrap(), vec![0xAB; 16]);
+        // The primary's next write to that page is the copy the sharing
+        // deferred; the replicas keep the base bytes.
+        p.write(addr, &[0xEF; 16]).unwrap();
+        p.persist(addr, 16).unwrap();
+        assert_eq!(p.device().stats().pages_copied, before + 1);
+        assert_eq!(g.replica_bytes(0, addr, 16).unwrap(), vec![0xAB; 16]);
     }
 }

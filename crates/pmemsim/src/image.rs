@@ -1,0 +1,232 @@
+//! Paged copy-on-write byte images: the durable media of a [`PmDevice`],
+//! and the snapshot type every pool copy (fork, snapshot, replica, pmCRIU
+//! dump) is made of.
+//!
+//! [`PmDevice`]: crate::PmDevice
+
+use std::sync::{Arc, OnceLock};
+
+use crate::error::{PmError, PmResult};
+
+/// Bytes per image page. A multiple of the cache-line size, so a line
+/// never straddles two pages.
+pub(crate) const PAGE: usize = 4096;
+
+type Page = [u8; PAGE];
+
+/// The page every fresh image starts from, shared process-wide.
+fn zero_page() -> Arc<Page> {
+    static ZERO: OnceLock<Arc<Page>> = OnceLock::new();
+    ZERO.get_or_init(|| Arc::new([0; PAGE])).clone()
+}
+
+/// A byte image held as reference-counted 4 KiB pages.
+///
+/// Cloning copies page pointers, not bytes; a clone and its original share
+/// every page until one of them writes it, and a write copies only the page
+/// it lands on. Equality is by content (shared pages compare by pointer
+/// first, which `Arc<T: Eq>` does on its own).
+///
+/// Bytes of the last page beyond [`PmImage::len`] are always zero: every
+/// access is bounds-checked against `len`, so derived equality never sees
+/// a stray tail.
+#[derive(Clone, PartialEq, Eq)]
+pub struct PmImage {
+    pages: Vec<Arc<Page>>,
+    len: usize,
+}
+
+impl PmImage {
+    /// A zero-filled image of `len` bytes; allocates no page.
+    pub fn zeroed(len: usize) -> Self {
+        PmImage {
+            pages: vec![zero_page(); len.div_ceil(PAGE)],
+            len,
+        }
+    }
+
+    /// Image size in bytes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True for the zero-length image.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The image as one contiguous buffer (file boundary, byte-wise diffs).
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len);
+        for page in &self.pages {
+            let n = PAGE.min(self.len - out.len());
+            out.extend_from_slice(&page[..n]);
+        }
+        out
+    }
+
+    /// Errs unless `[offset, offset + len)` lies inside the image; an empty
+    /// range is always accepted.
+    pub(crate) fn check(&self, offset: u64, len: u64) -> PmResult<()> {
+        let capacity = self.len as u64;
+        if len != 0 && offset.checked_add(len).is_none_or(|end| end > capacity) {
+            return Err(PmError::OutOfBounds {
+                offset,
+                len,
+                capacity,
+            });
+        }
+        Ok(())
+    }
+
+    /// `n` bytes at `start`; the range must lie inside one page.
+    pub(crate) fn within_page(&self, start: usize, n: usize) -> &[u8] {
+        &self.pages[start / PAGE][start % PAGE..][..n]
+    }
+
+    /// Reads `len` bytes at `offset`.
+    pub fn read(&self, offset: u64, len: usize) -> PmResult<Vec<u8>> {
+        self.check(offset, len as u64)?;
+        let mut out = Vec::with_capacity(len);
+        let mut cur = offset as usize;
+        while out.len() < len {
+            let n = (len - out.len()).min(PAGE - cur % PAGE);
+            out.extend_from_slice(self.within_page(cur, n));
+            cur += n;
+        }
+        Ok(out)
+    }
+
+    /// Writes `bytes` at `offset`, first copying every page it lands on that
+    /// another image still shares. Returns how many pages were copied.
+    pub fn write(&mut self, offset: u64, bytes: &[u8]) -> PmResult<usize> {
+        self.check(offset, bytes.len() as u64)?;
+        let mut copied = 0;
+        let mut cur = offset as usize;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let at = cur % PAGE;
+            let n = rest.len().min(PAGE - at);
+            let page = &mut self.pages[cur / PAGE];
+            if Arc::get_mut(page).is_none() {
+                copied += 1;
+            }
+            Arc::make_mut(page)[at..at + n].copy_from_slice(&rest[..n]);
+            cur += n;
+            rest = &rest[n..];
+        }
+        Ok(copied)
+    }
+
+    /// Flips bit `bit & 7` of the byte at `offset` (a media bit-flip fault).
+    /// Returns how many pages were copied, as [`PmImage::write`] does.
+    pub fn flip_bit(&mut self, offset: u64, bit: u8) -> PmResult<usize> {
+        let byte = self.read(offset, 1)?[0];
+        self.write(offset, &[byte ^ (1 << (bit & 7))])
+    }
+}
+
+impl From<Vec<u8>> for PmImage {
+    fn from(bytes: Vec<u8>) -> Self {
+        let pages = bytes
+            .chunks(PAGE)
+            .map(|chunk| {
+                let mut page = [0; PAGE];
+                page[..chunk.len()].copy_from_slice(chunk);
+                Arc::new(page)
+            })
+            .collect();
+        PmImage {
+            pages,
+            len: bytes.len(),
+        }
+    }
+}
+
+impl std::fmt::Debug for PmImage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PmImage")
+            .field("len", &self.len)
+            .field("pages", &self.pages.len())
+            .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn patterned(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 7 + i / PAGE) as u8).collect()
+    }
+
+    #[test]
+    fn vec_round_trip_at_page_and_non_page_sizes() {
+        for len in [0, 1, 128, PAGE - 1, PAGE, PAGE + 1, 3 * PAGE + 17] {
+            let v = patterned(len);
+            let img = PmImage::from(v.clone());
+            assert_eq!(img.len(), len);
+            assert_eq!(img.is_empty(), len == 0);
+            assert_eq!(img.to_vec(), v);
+            assert_eq!(PmImage::zeroed(len).to_vec(), vec![0; len]);
+        }
+    }
+
+    #[test]
+    fn read_and_write_straddle_pages() {
+        let mut img = PmImage::zeroed(3 * PAGE + 5);
+        let data = patterned(2 * PAGE);
+        let at = PAGE as u64 - 3;
+        assert_eq!(img.write(at, &data).unwrap(), 3, "three zero pages copied");
+        assert_eq!(img.read(at, data.len()).unwrap(), data);
+        assert_eq!(img.write(at, &data).unwrap(), 0, "now private");
+        let mut want = vec![0; 3 * PAGE + 5];
+        want[at as usize..at as usize + data.len()].copy_from_slice(&data);
+        assert_eq!(img.to_vec(), want);
+    }
+
+    #[test]
+    fn equality_is_by_content_across_shared_and_unshared_pages() {
+        let v = patterned(2 * PAGE + 9);
+        let a = PmImage::from(v.clone());
+        let shared = a.clone();
+        let unshared = PmImage::from(v);
+        assert_eq!(a, shared);
+        assert_eq!(a, unshared);
+
+        let mut diverged = a.clone();
+        diverged.write(PAGE as u64 + 1, &[0xEE]).unwrap();
+        assert_ne!(a, diverged);
+        assert_eq!(a, shared, "the write copied, it did not write through");
+        diverged
+            .write(PAGE as u64 + 1, &a.read(PAGE as u64 + 1, 1).unwrap())
+            .unwrap();
+        assert_eq!(a, diverged, "same bytes again, one page now unshared");
+
+        assert_ne!(PmImage::zeroed(PAGE), PmImage::zeroed(PAGE + 1));
+        assert_eq!(PmImage::zeroed(PAGE + 1), PmImage::from(vec![0; PAGE + 1]));
+    }
+
+    #[test]
+    fn out_of_bounds_access_errs_and_never_panics() {
+        let mut img = PmImage::from(patterned(PAGE + 10));
+        let before = img.clone();
+        let oob = |r: PmResult<_>| matches!(r, Err(PmError::OutOfBounds { .. }));
+        assert!(oob(img.read(PAGE as u64 + 10, 1)));
+        assert!(oob(img.read(PAGE as u64, 11)));
+        assert!(oob(img.read(u64::MAX, 2)));
+        assert!(oob(img.write(PAGE as u64 + 9, &[1, 2]).map(|_| vec![])));
+        assert!(oob(img.write(u64::MAX, &[1]).map(|_| vec![])));
+        assert_eq!(img, before, "a refused write changes nothing");
+        assert_eq!(img.read(PAGE as u64 + 10, 0).unwrap(), vec![]);
+        assert_eq!(img.read(u64::MAX, 0).unwrap(), vec![]);
+        assert_eq!(img.write(u64::MAX, &[]).unwrap(), 0);
+        assert!(oob(PmImage::zeroed(0).read(0, 1)));
+    }
+
+    #[test]
+    fn images_cross_threads() {
+        fn assert_send<T: Send>() {}
+        assert_send::<PmImage>();
+    }
+}

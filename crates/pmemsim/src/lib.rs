@@ -8,6 +8,8 @@
 //! - [`PmDevice`]: a byte-addressable device with CPU-cache-line overlay,
 //!   explicit `flush`/`drain` persistence, and crash simulation that drops
 //!   non-durable state (configurable via [`CrashPolicy`]);
+//! - [`PmImage`]: the device's media and every snapshot of it, as
+//!   copy-on-write 4 KiB pages, so forks and snapshots cost page pointers;
 //! - [`PmPool`]: a PMDK-like pool with a root object, a crash-atomic
 //!   persistent allocator (redo-logged metadata) and undo-log transactions;
 //! - [`PmSink`]: the durability-event interception surface that the Arthas
@@ -37,6 +39,7 @@
 pub mod device;
 pub mod error;
 pub mod group;
+pub mod image;
 pub mod layout;
 pub mod pool;
 pub mod sink;
@@ -44,5 +47,6 @@ pub mod sink;
 pub use device::{CrashPolicy, DeviceStats, PmDevice, CACHE_LINE};
 pub use error::{PmError, PmResult};
 pub use group::{PoolGroup, Replica, ReplicaStatus};
+pub use image::PmImage;
 pub use pool::{CheckIssue, PmPool, PoolStats, SiteKind};
 pub use sink::{NullSink, PmSink};

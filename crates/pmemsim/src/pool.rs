@@ -12,6 +12,7 @@ use std::sync::Mutex;
 
 use crate::device::{CrashPolicy, PmDevice};
 use crate::error::{PmError, PmResult};
+use crate::image::PmImage;
 use crate::layout::{self, hdr};
 use crate::sink::PmSink;
 
@@ -207,9 +208,9 @@ impl PmPool {
     /// Opens a pool from an existing media image (e.g. after a simulated
     /// restart), validating the header and running crash recovery for the
     /// allocator redo log and any interrupted transaction.
-    pub fn open(image: Vec<u8>) -> PmResult<Self> {
+    pub fn open(image: impl Into<PmImage>) -> PmResult<Self> {
         let mut pool = PmPool {
-            dev: PmDevice::from_image(image),
+            dev: PmDevice::from_image(image.into()),
             sink: None,
             tx: None,
             recovering: false,
@@ -253,6 +254,19 @@ impl PmPool {
         if let Some(r) = &self.recorder {
             r.add(counter, delta);
         }
+    }
+
+    /// Runs a device operation that may write media and feeds the pages it
+    /// had to copy (shared with a fork, snapshot or replica until now) to
+    /// the recorder, so the cost of sharing is a number the system prints.
+    fn media_op<T>(&mut self, op: impl FnOnce(&mut PmDevice) -> T) -> T {
+        let before = self.dev.stats().pages_copied;
+        let out = op(&mut self.dev);
+        let copied = self.dev.stats().pages_copied - before;
+        if copied != 0 {
+            self.rec_add("pool.pages_copied", copied);
+        }
+        out
     }
 
     fn rec_event(&self, kind: &'static str, fields: Vec<(&'static str, obs::Value)>) {
@@ -342,7 +356,7 @@ impl PmPool {
                 self.armed = None;
                 let configured = self.dev.crash_policy();
                 self.dev.set_crash_policy(policy);
-                self.dev.crash();
+                self.media_op(PmDevice::crash);
                 self.dev.set_crash_policy(configured);
                 self.tx = None;
                 self.sink = None;
@@ -404,7 +418,7 @@ impl PmPool {
     /// primitive) and notifies the sink with the durable bytes.
     pub fn persist(&mut self, offset: u64, len: u64) -> PmResult<()> {
         self.site_boundary(SiteKind::Persist)?;
-        self.dev.persist(offset, len)?;
+        self.persist_internal(offset, len)?;
         self.stats.persists += 1;
         self.rec_add("pool.persists", 1);
         self.rec_add("pool.bytes_persisted", len);
@@ -442,7 +456,7 @@ impl PmPool {
     /// Errs only when an armed crash injection fires at this boundary.
     pub fn drain_fence(&mut self) -> PmResult<()> {
         self.site_boundary(SiteKind::Drain)?;
-        self.dev.drain();
+        self.media_op(PmDevice::drain);
         self.stats.drains += 1;
         self.rec_add("pool.drains", 1);
         let ranges = std::mem::take(&mut self.pending_flush);
@@ -470,14 +484,14 @@ impl PmPool {
     /// Persists without notifying the sink; used for allocator and log
     /// metadata so checkpoints only contain application state.
     fn persist_internal(&mut self, offset: u64, len: u64) -> PmResult<()> {
-        self.dev.persist(offset, len)
+        self.media_op(|dev| dev.persist(offset, len))
     }
 
     /// Simulates a crash of the process/machine holding this pool, then
     /// reopens it (running recovery). Volatile pool state (open
     /// transaction, sink) is dropped, exactly like a real restart.
     pub fn crash_and_reopen(&mut self) -> PmResult<()> {
-        self.dev.crash();
+        self.media_op(PmDevice::crash);
         self.tx = None;
         self.sink = None;
         self.recovering = false;
@@ -787,7 +801,7 @@ impl PmPool {
         for &(off, len) in &tx.ranges {
             self.dev.flush(off, len)?;
         }
-        self.dev.drain();
+        self.media_op(PmDevice::drain);
         let mut committed = Vec::with_capacity(tx.ranges.len());
         for &(off, len) in &tx.ranges {
             committed.push((off, self.dev.read(off, len)?));
@@ -883,7 +897,7 @@ impl PmPool {
     /// for the hardware-fault scenarios (see
     /// [`PmDevice::corrupt_bit`](crate::PmDevice::corrupt_bit)).
     pub fn corrupt_bit(&mut self, offset: u64, bit: u8) -> PmResult<()> {
-        self.dev.corrupt_bit(offset, bit)?;
+        self.media_op(|dev| dev.corrupt_bit(offset, bit))?;
         // The hardware-fault instant belongs on the availability timeline:
         // a serving front-end reports time-to-detect / time-to-mitigate
         // relative to this event.
@@ -900,7 +914,9 @@ impl PmPool {
 
     /// Forks the pool: an independent copy of the complete device state
     /// (durable media *and* volatile cache lines), with no sink attached
-    /// and no open transaction. Forks are the substrate for speculative
+    /// and no open transaction. The copy shares every media page with this
+    /// pool until one of them writes it, so a fork costs page pointers, not
+    /// bytes. Forks are the substrate for speculative
     /// mitigation: each candidate reversion is applied to its own fork and
     /// re-executed there, leaving this pool untouched until a winner is
     /// chosen and [`PmPool::reabsorb`]ed.
@@ -945,16 +961,20 @@ impl PmPool {
 
     // ---- snapshot / integrity ----------------------------------------------
 
-    /// Point-in-time copy of durable media (the pmCRIU snapshot primitive).
-    pub fn snapshot(&self) -> Vec<u8> {
+    /// Point-in-time image of durable media (the pmCRIU snapshot
+    /// primitive); shares pages with the pool until either side writes.
+    pub fn snapshot(&self) -> PmImage {
         self.dev.media_image()
     }
 
     /// Restores a snapshot taken with [`PmPool::snapshot`] and re-runs
-    /// recovery.
-    pub fn restore(&mut self, image: &[u8]) -> PmResult<()> {
+    /// recovery. Like a crash, it drops the open transaction and every
+    /// range flushed but not yet fenced: those bytes are gone, so the next
+    /// fence must not report them to the sink.
+    pub fn restore(&mut self, image: &PmImage) -> PmResult<()> {
         self.dev.restore_image(image)?;
         self.tx = None;
+        self.pending_flush.clear();
         self.recover()
     }
 
@@ -963,7 +983,7 @@ impl PmPool {
     /// [`PmPool::open_file`]. Only durable state is written — exactly what
     /// a machine crash would leave behind.
     pub fn save_to_file(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.dev.media_image())
+        std::fs::write(path, self.dev.media_image().to_vec())
     }
 
     /// Opens a pool from a file written by [`PmPool::save_to_file`],
@@ -1560,5 +1580,112 @@ mod tests {
         );
         let mut reopened = PmPool::open(pool.snapshot()).unwrap();
         assert_eq!(reopened.read_u64(a).unwrap(), 0, "staged line dropped");
+    }
+
+    #[test]
+    fn restore_drops_ranges_flushed_but_not_fenced() {
+        #[derive(Default)]
+        struct CountingSink {
+            persists: u64,
+        }
+        impl PmSink for CountingSink {
+            fn on_persist(&mut self, _offset: u64, _data: &[u8]) {
+                self.persists += 1;
+            }
+        }
+
+        let mut pool = PmPool::create(CAP).unwrap();
+        let a = pool.alloc(64).unwrap();
+        let image = pool.snapshot();
+        let sink = Arc::new(Mutex::new(CountingSink::default()));
+        pool.set_sink(sink.clone());
+        pool.write_u64(a, 9).unwrap();
+        pool.flush_range(a, 8).unwrap();
+        pool.restore(&image).unwrap();
+        pool.drain_fence().unwrap();
+        assert_eq!(
+            sink.lock().unwrap().persists,
+            0,
+            "the flushed write never became durable, so nothing is checkpointed"
+        );
+        assert_eq!(pool.stats().persists, 0);
+        assert_eq!(pool.read_u64(a).unwrap(), 0);
+    }
+
+    #[test]
+    fn persisted_writes_leave_no_line_cached() {
+        let mut pool = PmPool::create(CAP).unwrap();
+        let a = pool.alloc(64 * 1024).unwrap();
+        assert_eq!(
+            pool.device().cached_lines(),
+            0,
+            "alloc persists its metadata"
+        );
+        for i in 0..512u64 {
+            pool.write_u64(a + i * 128, i).unwrap();
+            pool.persist(a + i * 128, 8).unwrap();
+            assert_eq!(pool.device().cached_lines(), 0);
+        }
+    }
+
+    #[test]
+    fn a_fork_copies_no_page_and_then_one_per_page_it_writes() {
+        const PAGE: u64 = crate::image::PAGE as u64;
+        let mut pool = PmPool::create(CAP).unwrap();
+        let a = pool.alloc(16 * PAGE).unwrap();
+        let first = a.next_multiple_of(PAGE);
+        for p in 0..8 {
+            pool.write_u64(first + p * PAGE, p + 1).unwrap();
+            pool.persist(first + p * PAGE, 8).unwrap();
+        }
+        let touched = pool.device().stats().pages_copied;
+        assert!(touched >= 8, "the parent materialised the pages it wrote");
+
+        let mut fork = pool.fork();
+        let snapshot = pool.snapshot();
+        let reopened = PmPool::open(pool.snapshot()).unwrap();
+        assert_eq!(pool.device().stats().pages_copied, touched);
+        assert_eq!(fork.device().stats().pages_copied, touched);
+        assert_eq!(reopened.device().stats().pages_copied, 0);
+
+        // k distinct pages written and persisted on the fork: exactly k
+        // copies there, none on the parent, and the parent's bytes stay.
+        for p in 0..3 {
+            fork.write_u64(first + p * PAGE + 64, 0xF0).unwrap();
+            fork.persist(first + p * PAGE + 64, 8).unwrap();
+        }
+        assert_eq!(fork.device().stats().pages_copied, touched + 3);
+        assert_eq!(pool.device().stats().pages_copied, touched);
+        assert_eq!(pool.read_u64(first + 64).unwrap(), 0);
+        assert_eq!(pool.snapshot(), snapshot);
+        // A second write to a page the fork now owns copies nothing.
+        fork.write_u64(first + 128, 1).unwrap();
+        fork.persist(first + 128, 8).unwrap();
+        assert_eq!(fork.device().stats().pages_copied, touched + 3);
+    }
+
+    #[test]
+    fn recorder_counts_pages_copied_after_a_fork() {
+        use obs::Instrument;
+        let mut pool = PmPool::create(CAP).unwrap();
+        let a = pool.alloc(64).unwrap();
+        pool.persist(a, 8).unwrap();
+        let rec = Arc::new(obs::RingRecorder::new(16));
+        pool.instrument(rec.clone());
+        pool.write_u64(a, 1).unwrap();
+        pool.persist(a, 8).unwrap();
+        assert_eq!(rec.counters().get("pool.pages_copied"), None, "owned page");
+        let _fork = pool.fork();
+        pool.write_u64(a, 2).unwrap();
+        pool.persist(a, 8).unwrap();
+        pool.write_u64(a, 3).unwrap();
+        pool.persist(a, 8).unwrap();
+        assert_eq!(rec.counters().get("pool.pages_copied"), Some(&1));
+    }
+
+    #[test]
+    fn pools_cross_threads() {
+        fn assert_send<T: Send>() {}
+        assert_send::<PmPool>();
     }
 }

@@ -78,7 +78,7 @@ fn open_rejects_foreign_images() {
         Err(PmError::OutOfBounds { .. }) | Err(PmError::BadHeader(_))
     ));
     let p = pool();
-    let mut image = p.snapshot();
+    let mut image = p.snapshot().to_vec();
     image[0] ^= 0xFF; // corrupt the magic
     assert!(matches!(PmPool::open(image), Err(PmError::BadHeader(_))));
 }
