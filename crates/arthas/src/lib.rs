@@ -40,7 +40,7 @@ pub use checkpoint::{
 pub use detector::{Detector, FailureKind, FailureRecord, LeakMonitor, Verdict};
 pub use pir_analysis::{AnalysisCache, CacheOutcome};
 pub use reactor::{
-    BatchStrategy, ConfigError, FailoverBudget, ForkableTarget, MitigationOutcome, Mode,
-    PhaseTimes, Plan, Reactor, ReactorConfig, ReactorConfigBuilder, Target,
+    BatchStrategy, ConfigError, MitigationOutcome, Mode, PhaseTimes, Plan, Reactor, ReactorConfig,
+    ReactorConfigBuilder, Standbys, Target,
 };
 pub use trace::PmTrace;

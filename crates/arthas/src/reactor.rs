@@ -68,27 +68,19 @@ pub enum BatchStrategy {
     Batch(usize),
 }
 
-/// Availability budget for [`Reactor::mitigate_replicated`]: how much
-/// primary-image reversion to attempt before failing over to a replica.
-/// `max_attempts == 0` or a zero `max_wall` skips reversion entirely —
-/// hot-standby-first, outage bounded by promote latency.
-#[derive(Debug, Clone, Copy)]
-pub struct FailoverBudget {
-    /// Re-execution attempts granted to the primary-image mitigation
-    /// (clamps the reactor's own `max_attempts` downward).
-    pub max_attempts: u32,
-    /// Wall-clock granted to the primary-image mitigation. Zero means
-    /// fail over immediately.
-    pub max_wall: Duration,
-}
-
-impl Default for FailoverBudget {
-    fn default() -> Self {
-        FailoverBudget {
-            max_attempts: 8,
-            max_wall: Duration::from_secs(2),
-        }
-    }
+/// The standby replicas behind the primary, and when [`Reactor::mitigate`]
+/// may promote one. An empty group is the same as no standbys.
+#[derive(Debug)]
+pub enum Standbys<'g> {
+    /// Hot-standby-first: promote before any reversion, so the outage is
+    /// bounded by promote latency. When no standby verifies, the crashed
+    /// image is handed back unrecovered and the caller may mitigate again
+    /// without standbys.
+    First(&'g mut PoolGroup),
+    /// Revert the primary image first (the replicas' quorum bytes
+    /// localize the plan) and promote only when reversion fails: replicas
+    /// can rescue a mitigation but never preempt one that would succeed.
+    AfterReversion(&'g mut PoolGroup),
 }
 
 /// Reactor configuration.
@@ -109,8 +101,6 @@ pub struct ReactorConfig {
     max_attempts: u32,
     /// Optional cap on slice distance for candidate selection.
     max_distance: Option<u32>,
-    /// Bound on slice exploration.
-    max_slice_nodes: usize,
     /// Purge attempts before falling back to rollback mode.
     purge_fallback_after: u32,
     /// After a successful recovery, spend extra re-executions restoring
@@ -118,35 +108,31 @@ pub struct ReactorConfig {
     /// report's reduction of the reverted sequence-number set). Lowers
     /// discarded data at the cost of more attempts.
     minimize_loss: bool,
-    /// Speculative mitigation: `Some(k)` forks the pool for the next `k`
-    /// candidate reversions at each step and re-executes the forks
-    /// concurrently, committing the first success in candidate order —
-    /// the outcome is identical to the sequential loop, only the restart
-    /// delays overlap. `Some(0)` sizes the fleet from
-    /// [`std::thread::available_parallelism`]; `None` keeps the
-    /// sequential loop. Requires a [`ForkableTarget`]
-    /// (see [`Reactor::mitigate_speculative`]).
+    /// Wave width: `Some(k)` re-executes the next `k` candidate
+    /// reversions concurrently on pool forks and commits the first
+    /// success in candidate order — the outcome is identical at every
+    /// width, only the restart delays overlap. `Some(0)` sizes the wave
+    /// from [`std::thread::available_parallelism`]; `None` is a width of
+    /// one. A target that cannot fork ([`Target::fork_target`]) always
+    /// gets waves of one.
     speculation: Option<usize>,
-    /// Apply every attempt to a fork of the *original* crashed image
-    /// instead of accumulating reversions across attempts, and restore
-    /// that image when mitigation fails. Cumulative attempts (the
-    /// default, the paper's offline semantics) can poison the pool: a
-    /// failed purge's writes are not checkpointed (the log is disabled
-    /// during mitigation), so later attempts inherit damage that neither
-    /// healing nor rollback can see. A live server mitigating online
-    /// with traffic entries above the fault in the candidate list needs
-    /// each attempt judged on its own merits — and a failed mitigation
-    /// must hand back the image it was given, not a mangled one.
-    isolate_attempts: bool,
-    /// In rollback mode, double the number of candidates consumed per
-    /// attempt after every failed attempt (1, 2, 4, …) instead of
-    /// crawling one candidate deeper each time. The rollback cut reaches
-    /// a depth of `d` candidates in O(log d) re-executions rather than
-    /// `d`; the price is overshooting the minimal cut by up to the last
-    /// stride, discarding more data than a one-by-one walk would. Offline
-    /// campaigns favour minimal discard (default off); an online server
-    /// favours time-to-recover and accounts the extra discard honestly.
-    accelerate_rollback: bool,
+    /// Online mitigation, for a live server with post-fault traffic above
+    /// the fault in the candidate list. Two policies change together:
+    ///
+    /// * every attempt is judged on a fork of the *crashed* image instead
+    ///   of accumulating reversions, and a failed mitigation hands that
+    ///   image back untouched. Cumulative attempts (the default, the
+    ///   paper's offline semantics) can poison the pool: a failed purge's
+    ///   writes are not checkpointed (the log is disabled during
+    ///   mitigation), so later attempts inherit damage that neither
+    ///   healing nor rollback can see;
+    /// * in rollback mode the number of candidates consumed per attempt
+    ///   doubles after every failed attempt (1, 2, 4, …), so the cut
+    ///   reaches a depth of `d` candidates in O(log d) re-executions
+    ///   rather than `d`, overshooting the minimal cut by up to the last
+    ///   stride. Offline campaigns favour minimal discard; a server
+    ///   favours time-to-recover and accounts the extra discard honestly.
+    online: bool,
 }
 
 /// Validating builder for [`ReactorConfig`]; see the field setters for
@@ -184,12 +170,6 @@ impl ReactorConfigBuilder {
         self
     }
 
-    /// Bound on slice exploration, ≥ 1 (default 100 000).
-    pub fn max_slice_nodes(mut self, max_slice_nodes: usize) -> Self {
-        self.cfg.max_slice_nodes = max_slice_nodes;
-        self
-    }
-
     /// Purge attempts before falling back to rollback mode, ≥ 1
     /// (default 60).
     pub fn purge_fallback_after(mut self, purge_fallback_after: u32) -> Self {
@@ -204,30 +184,20 @@ impl ReactorConfigBuilder {
         self
     }
 
-    /// Speculative mitigation workers: `Some(k)` re-executes the next `k`
-    /// candidate reversions concurrently on pool forks, `Some(0)` sizes
-    /// the fleet from [`std::thread::available_parallelism`], `None`
-    /// (the default) keeps the sequential loop.
+    /// Wave width: `Some(k)` re-executes the next `k` candidate
+    /// reversions concurrently on pool forks, `Some(0)` sizes the wave
+    /// from [`std::thread::available_parallelism`], `None` (the default)
+    /// is a width of one.
     pub fn speculation(mut self, speculation: Option<usize>) -> Self {
         self.cfg.speculation = speculation;
         self
     }
 
-    /// Judge each attempt against a fork of the original crashed image
-    /// instead of accumulating reversions, and restore that image on
-    /// failure (default off — the cumulative offline semantics). The
-    /// online serving path sets this: see [`ReactorConfig`]'s field docs
-    /// for why cumulative attempts poison a live pool.
-    pub fn isolate_attempts(mut self, isolate_attempts: bool) -> Self {
-        self.cfg.isolate_attempts = isolate_attempts;
-        self
-    }
-
-    /// Geometrically grow the rollback batch after each failed attempt
-    /// (default off — one-by-one minimises discard). See
-    /// [`ReactorConfig`]'s field docs for the trade-off.
-    pub fn accelerate_rollback(mut self, accelerate_rollback: bool) -> Self {
-        self.cfg.accelerate_rollback = accelerate_rollback;
+    /// Online mitigation (default off — the cumulative, minimal-discard
+    /// offline semantics): isolated attempts and a geometric rollback
+    /// stride. See [`ReactorConfig`]'s field docs for the trade-off.
+    pub fn online(mut self, online: bool) -> Self {
+        self.cfg.online = online;
         self
     }
 
@@ -235,9 +205,6 @@ impl ReactorConfigBuilder {
     pub fn build(self) -> Result<ReactorConfig, ConfigError> {
         if self.cfg.max_attempts == 0 {
             return Err(ConfigError("max_attempts must be at least 1".into()));
-        }
-        if self.cfg.max_slice_nodes == 0 {
-            return Err(ConfigError("max_slice_nodes must be at least 1".into()));
         }
         if self.cfg.purge_fallback_after == 0 {
             return Err(ConfigError(
@@ -260,12 +227,10 @@ impl Default for ReactorConfig {
             batch: BatchStrategy::OneByOne,
             max_attempts: 200,
             max_distance: None,
-            max_slice_nodes: 100_000,
             purge_fallback_after: 60,
             minimize_loss: false,
             speculation: None,
-            isolate_attempts: false,
-            accelerate_rollback: false,
+            online: false,
         }
     }
 }
@@ -283,8 +248,23 @@ impl ReactorConfig {
         ReactorConfigBuilder { cfg: self }
     }
 
-    /// Number of concurrent re-execution workers this configuration asks
-    /// for: 1 means sequential.
+    /// The profile a live server mitigates under: [`online`] attempts,
+    /// and a quick fall-back to rollback — under traffic each failed
+    /// attempt is a full re-execution with connections stalling, so
+    /// time-to-recover outweighs the smaller discard a long purge crawl
+    /// might eventually find.
+    ///
+    /// [`online`]: ReactorConfigBuilder::online
+    pub fn serving() -> Self {
+        ReactorConfig {
+            online: true,
+            purge_fallback_after: 8,
+            ..ReactorConfig::default()
+        }
+    }
+
+    /// Widest wave of concurrent re-executions this configuration asks
+    /// for.
     pub fn speculation_workers(&self) -> usize {
         match self.speculation {
             None => 1,
@@ -295,13 +275,15 @@ impl ReactorConfig {
         }
     }
 
-    /// Whether speculative mitigation was requested (even with a fleet
-    /// size of one) — what distinguishes the `arthas-spec` solution label
-    /// in reports from the sequential loop.
+    /// Whether a wave width was set (even a width of one) — what
+    /// distinguishes the `arthas-spec` solution label in reports.
     pub fn is_speculative(&self) -> bool {
         self.speculation.is_some()
     }
 }
+
+/// Bound on slice exploration.
+const MAX_SLICE_NODES: usize = 100_000;
 
 /// The target system under mitigation.
 ///
@@ -314,26 +296,46 @@ impl ReactorConfig {
 pub trait Target {
     /// Restart + verify; `Ok(())` means the system is operational.
     fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord>;
+
+    /// An independent target for one re-execution on another thread, or
+    /// `None` (the default) when the target cannot be cloned — the
+    /// reactor then re-executes one candidate at a time. The box borrows
+    /// from `self` only immutably, so forks can run under
+    /// [`std::thread::scope`] while the parent target waits.
+    ///
+    /// Two contracts for a target that forks:
+    ///
+    /// * `reexecute` must treat the pool as the durable image only —
+    ///   restart on a reopened copy, as a real restart would, leaving the
+    ///   passed pool unmodified. (Every restart-based target already
+    ///   works this way; it is what makes a wave of `k` commutable with
+    ///   `k` waves of one.)
+    /// * A fork's observable side effects must be limited to its return
+    ///   value: anything it records (e.g. into a private checkpoint log)
+    ///   is dropped unless its attempt wins, so recording must not feed
+    ///   back into re-execution behaviour.
+    fn fork_target(&self) -> Option<Box<dyn Target + Send + '_>> {
+        None
+    }
 }
 
-/// A [`Target`] that can produce independent clones of itself for
-/// speculative re-execution on other threads.
-///
-/// Two contracts beyond [`Target`]:
-///
-/// * `reexecute` must treat the pool as the durable image only — restart
-///   on a reopened copy, as a real restart would, leaving the passed pool
-///   unmodified. (Every restart-based target already works this way; it
-///   is what makes forks commutable with the sequential loop.)
-/// * A fork's observable side effects must be limited to its return
-///   value: anything it records (e.g. into a private checkpoint log) is
-///   dropped unless its attempt wins, so recording must not feed back
-///   into re-execution behaviour.
-pub trait ForkableTarget: Target {
-    /// Creates an independent target for one speculative re-execution.
-    /// The box borrows from `self` only immutably, so forks can run under
-    /// [`std::thread::scope`] while the parent target waits.
-    fn fork_target(&self) -> Box<dyn Target + Send + '_>;
+/// Keeps the checkpoint log disabled while reversions are applied and
+/// re-executed, and re-enables it on drop — also when a re-execution
+/// panics through the reactor, so a supervisor that catches the panic
+/// does not go on serving with checkpointing silently off.
+struct LogPaused<'l>(&'l ShardedLog);
+
+impl<'l> LogPaused<'l> {
+    fn new(log: &'l ShardedLog) -> Self {
+        log.set_enabled(false);
+        LogPaused(log)
+    }
+}
+
+impl Drop for LogPaused<'_> {
+    fn drop(&mut self) {
+        self.0.set_enabled(true);
+    }
 }
 
 /// Wall time spent in each mitigation phase (the per-phase breakdown
@@ -348,8 +350,8 @@ pub struct PhaseTimes {
     pub plan: Duration,
     /// Applying reversion batches to the pool.
     pub revert: Duration,
-    /// Re-executing the target (wall time; concurrent speculative
-    /// re-executions count once per round, not per fork).
+    /// Re-executing the target (wall time; a wave's concurrent
+    /// re-executions count once, not per fork).
     pub reexec: Duration,
 }
 
@@ -362,9 +364,9 @@ pub struct MitigationOutcome {
     pub via_restart_only: bool,
     /// Number of re-executions performed.
     pub attempts: u32,
-    /// Number of re-execution *rounds*: groups of re-executions whose
-    /// restart delays overlap. Equals `attempts` for the sequential loop;
-    /// speculative mitigation packs up to `k` attempts into one round.
+    /// Number of re-execution *rounds*: waves of re-executions whose
+    /// restart delays overlap. Equals `attempts` at a wave width of one;
+    /// a width of `k` packs up to `k` attempts into one round.
     pub reexec_rounds: u32,
     /// Length of the candidate sequence list.
     pub plan_len: usize,
@@ -514,11 +516,7 @@ impl<'a> Reactor<'a> {
             self.recorder.add("reactor.slice_memo_hit", 1);
             return hit.clone();
         }
-        let slice = Arc::new(backward_slice(
-            &self.analysis.pdg,
-            fault,
-            self.cfg.max_slice_nodes,
-        ));
+        let slice = Arc::new(backward_slice(&self.analysis.pdg, fault, MAX_SLICE_NODES));
         self.slice_computes += 1;
         self.recorder.add("reactor.slice_compute", 1);
         self.slice_memo.insert(fault, slice.clone());
@@ -583,8 +581,25 @@ impl<'a> Reactor<'a> {
         }
     }
 
-    /// Mitigates a suspected hard failure. Takes the sharded store
-    /// directly; a [`crate::SharedLog`] deref-coerces here.
+    /// Mitigates a suspected hard failure — the one pipeline every caller
+    /// goes through. Takes the sharded store directly; a
+    /// [`crate::SharedLog`] deref-coerces here.
+    ///
+    /// A leak takes the dedicated path of §4.7 (not an availability
+    /// event: no failover). [`Standbys::First`] promotes a standby and
+    /// returns. Otherwise the primary image is mitigated — by a plain
+    /// restart when there is no fault instruction to slice from or
+    /// nothing to revert (§4.5: likely a false alarm), else by the revert
+    /// loop over the plan, which a standby group first narrows by
+    /// cross-check — and [`Standbys::AfterReversion`] promotes a standby
+    /// when that did not recover the system.
+    ///
+    /// A promoted replica adopts its image into `pool` (restore + crash
+    /// recovery) and is verified by `target.reexecute`; a replica that
+    /// fails verification is marked faulted and the next-best one is
+    /// tried. Every checkpoint seq above the promoted cursor is
+    /// accounted as discarded — the failover analogue of rollback's
+    /// discarded-update accounting.
     pub fn mitigate(
         &mut self,
         pool: &mut PmPool,
@@ -592,25 +607,50 @@ impl<'a> Reactor<'a> {
         failure: &FailureRecord,
         trace: &PmTrace,
         target: &mut dyn Target,
+        standbys: Option<Standbys<'_>>,
     ) -> MitigationOutcome {
         let t0 = Instant::now();
         if failure.kind == FailureKind::Leak {
             return self.mitigate_leak(pool, log, target, t0);
         }
-        let Some(fault) = failure.fault else {
-            // No fault instruction: all we can do is restart.
-            return self.restart_only(pool, target, t0, 0, PhaseTimes::default());
+        let (group, standby_first) = match standbys {
+            Some(Standbys::First(g)) if !g.is_empty() => (Some(g), true),
+            Some(Standbys::AfterReversion(g)) if !g.is_empty() => (Some(g), false),
+            _ => (None, false),
         };
-        let (plan, phases) = self.timed_plan(fault, trace, log, pool);
-        if plan.seqs.is_empty() {
-            // §4.5: likely a false alarm — not caused by bad PM values.
-            return self.restart_only(pool, target, t0, 0, phases);
+        // Standby-first hands failover an outcome with nothing attempted.
+        let mut out = MitigationOutcome::failed(0, 0, 0, t0.elapsed(), PhaseTimes::default());
+        let mut planned = None;
+        if !standby_first {
+            let mut phases = PhaseTimes::default();
+            let mut plan = Plan::default();
+            if let Some(fault) = failure.fault {
+                (plan, phases) = self.timed_plan(fault, trace, log, pool);
+                if let Some(group) = &group {
+                    plan = self.cross_check_plan(&plan, &log.view(), pool, group);
+                }
+            }
+            if plan.seqs.is_empty() {
+                // The restart runs with checkpointing on, like any other.
+                out = self.restart_only(pool, target, t0, 0, phases);
+                if out.recovered || group.is_none() {
+                    return out;
+                }
+            } else {
+                planned = Some((plan, phases));
+            }
         }
-        log.set_enabled(false);
-        let out = self.revert_loop(pool, log, &plan, trace, target, t0, phases);
-        log.set_enabled(true);
-        self.record_outcome(&out);
-        out
+        let _paused = LogPaused::new(log);
+        if let Some((plan, phases)) = planned {
+            out = self.revert_loop(pool, log, &plan, trace, target, t0, phases);
+        }
+        match group {
+            Some(group) if !out.recovered => self.failover(pool, log, target, group, out, t0),
+            _ => {
+                self.record_outcome(&out);
+                out
+            }
+        }
     }
 
     /// Runs [`Reactor::plan`] with phase timing and the `reactor.plan`
@@ -665,50 +705,6 @@ impl<'a> Reactor<'a> {
         if out.recovered {
             self.recorder.add("reactor.recoveries", 1);
         }
-    }
-
-    /// Mitigates a suspected hard failure, re-executing candidate
-    /// reversions speculatively when [`ReactorConfig::speculation`] asks
-    /// for more than one worker.
-    ///
-    /// At each step the next `k` candidate reversions are applied
-    /// cumulatively to forks of the pool, every fork is re-executed
-    /// concurrently (`k = min(workers, attempts remaining, candidates
-    /// left)`), and the first success *in candidate order* is committed —
-    /// so the recovered state, reverted sequence numbers, attempt count
-    /// and discarded-data accounting are identical to the sequential
-    /// loop; only the restart delays overlap. With one worker this is
-    /// exactly [`Reactor::mitigate`].
-    pub fn mitigate_speculative(
-        &mut self,
-        pool: &mut PmPool,
-        log: &ShardedLog,
-        failure: &FailureRecord,
-        trace: &PmTrace,
-        target: &mut dyn ForkableTarget,
-    ) -> MitigationOutcome {
-        let workers = self.cfg.speculation_workers();
-        if workers <= 1 {
-            return self.mitigate(pool, log, failure, trace, target);
-        }
-        let t0 = Instant::now();
-        if failure.kind == FailureKind::Leak {
-            // The leak path is two fixed re-executions; nothing to overlap.
-            return self.mitigate_leak(pool, log, target, t0);
-        }
-        let Some(fault) = failure.fault else {
-            return self.restart_only(pool, target, t0, 0, PhaseTimes::default());
-        };
-        let (plan, phases) = self.timed_plan(fault, trace, log, pool);
-        if plan.seqs.is_empty() {
-            return self.restart_only(pool, target, t0, 0, phases);
-        }
-        log.set_enabled(false);
-        let out =
-            self.revert_loop_speculative(pool, log, &plan, trace, target, t0, workers, phases);
-        log.set_enabled(true);
-        self.record_outcome(&out);
-        out
     }
 
     /// Cross-checks the crashed image against quorum replica bytes to
@@ -807,94 +803,6 @@ impl<'a> Reactor<'a> {
         Plan { seqs, sources }
     }
 
-    /// Mitigates with a pool-group behind the primary: a budget-limited
-    /// primary-image mitigation first (with replica cross-check
-    /// localization shrinking the plan), then failover to the
-    /// healthiest replica when reversion exhausts the availability
-    /// budget. With an empty group this *is*
-    /// [`Reactor::mitigate_speculative`] — the `n = 0` configuration
-    /// takes exactly the single-pool path.
-    ///
-    /// A promoted replica adopts its image into `pool` (restore + crash
-    /// recovery) and is verified by `target.reexecute`; a replica that
-    /// fails verification is marked faulted and the next-best one is
-    /// tried. Every checkpoint seq above the promoted cursor is
-    /// accounted as discarded — the failover analogue of rollback's
-    /// discarded-update accounting.
-    #[allow(clippy::too_many_arguments)]
-    pub fn mitigate_replicated(
-        &mut self,
-        pool: &mut PmPool,
-        log: &ShardedLog,
-        failure: &FailureRecord,
-        trace: &PmTrace,
-        target: &mut dyn ForkableTarget,
-        group: &mut PoolGroup,
-        budget: FailoverBudget,
-    ) -> MitigationOutcome {
-        if group.is_empty() {
-            return self.mitigate_speculative(pool, log, failure, trace, target);
-        }
-        let t0 = Instant::now();
-        if failure.kind == FailureKind::Leak {
-            // Leaks are not an availability event: no failover.
-            return self.mitigate_leak(pool, log, target, t0);
-        }
-        if budget.max_attempts == 0 || budget.max_wall.is_zero() {
-            // Hot-standby-first: the caller wants outage bounded by
-            // promote latency, not by any reversion attempt.
-            let out = MitigationOutcome::failed(0, 0, 0, t0.elapsed(), PhaseTimes::default());
-            return self.failover(pool, log, target, group, out, t0);
-        }
-        let saved = self.cfg.max_attempts;
-        self.cfg.max_attempts = saved.min(budget.max_attempts);
-        let out = self.mitigate_primary(pool, log, failure, trace, target, group, t0);
-        self.cfg.max_attempts = saved;
-        if out.recovered {
-            return out;
-        }
-        self.failover(pool, log, target, group, out, t0)
-    }
-
-    /// The primary-image arm of [`Reactor::mitigate_replicated`]:
-    /// [`Reactor::mitigate_speculative`]'s pipeline with the replica
-    /// cross-check inserted between planning and reversion.
-    #[allow(clippy::too_many_arguments)]
-    fn mitigate_primary(
-        &mut self,
-        pool: &mut PmPool,
-        log: &ShardedLog,
-        failure: &FailureRecord,
-        trace: &PmTrace,
-        target: &mut dyn ForkableTarget,
-        group: &PoolGroup,
-        t0: Instant,
-    ) -> MitigationOutcome {
-        let Some(fault) = failure.fault else {
-            return self.restart_only(pool, target, t0, 0, PhaseTimes::default());
-        };
-        let (plan, phases) = self.timed_plan(fault, trace, log, pool);
-        let plan = {
-            let view = log.view();
-            self.cross_check_plan(&plan, &view, pool, group)
-        };
-        if plan.seqs.is_empty() {
-            return self.restart_only(pool, target, t0, 0, phases);
-        }
-        log.set_enabled(false);
-        let workers = self.cfg.speculation_workers();
-        let out = if workers > 1 {
-            self.revert_loop_speculative(pool, log, &plan, trace, target, t0, workers, phases)
-        } else {
-            self.revert_loop(pool, log, &plan, trace, target, t0, phases)
-        };
-        log.set_enabled(true);
-        if out.recovered {
-            self.record_outcome(&out);
-        }
-        out
-    }
-
     /// Promotes replicas best-first until one verifies. The crashed
     /// image is saved up front and restored after every failed promote
     /// (and when every replica is exhausted), so a failed failover hands
@@ -909,7 +817,6 @@ impl<'a> Reactor<'a> {
         t0: Instant,
     ) -> MitigationOutcome {
         let crashed = pool.snapshot();
-        log.set_enabled(false);
         for idx in group.failover_order() {
             let cursor = match group.promote_into(idx, pool) {
                 Ok(c) => c,
@@ -947,7 +854,6 @@ impl<'a> Reactor<'a> {
                         .len() as u64;
                     (seqs, entries)
                 };
-                log.set_enabled(true);
                 out.recovered = true;
                 out.failed_over = true;
                 out.via_restart_only = false;
@@ -961,7 +867,6 @@ impl<'a> Reactor<'a> {
             group.mark_faulted(idx);
             let _ = pool.restore(&crashed);
         }
-        log.set_enabled(true);
         out.wall = t0.elapsed();
         self.record_outcome(&out);
         out
@@ -1006,9 +911,37 @@ impl<'a> Reactor<'a> {
         out
     }
 
+    /// The revert loop (§4.4–4.5): revert a batch of candidates,
+    /// re-execute, repeat — in *waves* of up to `k` steps whose
+    /// re-executions overlap, `k = min(workers, attempts left, candidates
+    /// left)` when the target can fork and 1 when it cannot.
+    ///
+    /// A wave simulates the next `k` steps of the loop's control state
+    /// (candidate cursor, batch sizing, the attempt-count-triggered
+    /// purge→rollback fallback) assuming each step fails. Cumulative
+    /// attempts apply the first step to the live pool in place — it is
+    /// committed whatever its verdict — and each later step to a fork of
+    /// its predecessor; online attempts apply every step to its own fork
+    /// of the crashed image, and `pool` is not written until a step wins.
+    /// A wave of one re-executes on the caller's thread with the caller's
+    /// target; a wider one forks the target per step under
+    /// [`std::thread::scope`]. Commit then walks the results in candidate
+    /// order:
+    ///
+    /// * first success → that step's pool, ledger and attempt count are
+    ///   the outcome;
+    /// * a panic under purge mode → the loop flips to rollback *here*, so
+    ///   later steps (simulated assuming purge) are discarded: commit up
+    ///   to the flipping step, flip, and continue with the next wave;
+    /// * all failed → commit the last step's state and continue.
+    ///
+    /// Every committed step emits `reactor.attempt`; the outcome is the
+    /// same at every width, only `reexec_rounds` (waves) shrinks. Waves
+    /// never cross a version-depth boundary: the candidate cursor resets
+    /// per depth.
     #[allow(clippy::too_many_arguments)]
     fn revert_loop(
-        &mut self,
+        &self,
         pool: &mut PmPool,
         log_rc: &ShardedLog,
         plan: &Plan,
@@ -1017,189 +950,34 @@ impl<'a> Reactor<'a> {
         t0: Instant,
         mut phases: PhaseTimes,
     ) -> MitigationOutcome {
-        let mut attempts = 0u32;
-        let mut mode = self.cfg.mode;
-        let mut mode_fellback = false;
-        let mut ledger = RevertLedger::default();
-        // Isolated attempts: every batch is applied to a fresh fork of
-        // the crashed image, and a failed mitigation restores it.
-        let base = self.cfg.isolate_attempts.then(|| pool.fork());
-        let fwd = match self.cfg.mode {
-            Mode::Purge => Some(self.analysis.pdg.forward_index()),
-            Mode::Rollback => None,
-        };
-        let batch_size = match self.cfg.batch {
-            BatchStrategy::OneByOne => 1,
-            BatchStrategy::Batch(n) => n.max(1),
-        };
-        for depth in 1..=MAX_VERSIONS {
-            let mut pending: Vec<u64> = plan.seqs.clone();
-            // Geometric rollback stride (see `accelerate_rollback`):
-            // doubles after every failed rollback attempt, resets per
-            // depth.
-            let mut stride = batch_size;
-            while !pending.is_empty() {
-                if attempts >= self.cfg.max_attempts {
-                    if let Some(b) = base {
-                        pool.reabsorb(b);
-                    }
-                    return MitigationOutcome::failed(
-                        plan.seqs.len(),
-                        attempts,
-                        attempts,
-                        t0.elapsed(),
-                        phases,
-                    );
-                }
-                if mode == Mode::Purge && attempts >= self.cfg.purge_fallback_after {
-                    mode = Mode::Rollback;
-                    mode_fellback = true;
-                    self.recorder.event(
-                        "reactor.fallback",
-                        vec![
-                            ("attempt", Value::from(attempts)),
-                            ("reason", Value::from("attempt_budget")),
-                        ],
-                    );
-                }
-                let take = if mode == Mode::Rollback && self.cfg.accelerate_rollback {
-                    stride.min(pending.len())
-                } else {
-                    batch_size.min(pending.len())
-                };
-                let batch: Vec<u64> = pending.drain(..take).collect();
-                self.recorder.event(
-                    "reactor.attempt",
-                    vec![
-                        ("attempt", Value::from(attempts + 1)),
-                        ("depth", Value::from(depth)),
-                        ("mode", Value::from(mode_name(mode))),
-                        ("batch_seqs", Value::from(seq_list(&batch))),
-                    ],
-                );
-                let t_rv = Instant::now();
-                if let Some(b) = &base {
-                    pool.reabsorb(b.fork());
-                    ledger = RevertLedger::default();
-                }
-                self.apply_batch(
-                    pool,
-                    log_rc,
-                    plan,
-                    trace,
-                    &batch,
-                    depth,
-                    mode,
-                    fwd.as_ref(),
-                    &mut ledger,
-                );
-                phases.revert += t_rv.elapsed();
-                self.recorder
-                    .observe_duration("reactor.revert_us", t_rv.elapsed());
-                attempts += 1;
-                let t_re = Instant::now();
-                let result = target.reexecute(pool);
-                phases.reexec += t_re.elapsed();
-                self.recorder
-                    .observe_duration("reactor.reexec_us", t_re.elapsed());
-                match result {
-                    Ok(()) => {
-                        if self.cfg.minimize_loss {
-                            let t_min = Instant::now();
-                            attempts += self.minimize(pool, &mut ledger, target);
-                            phases.reexec += t_min.elapsed();
-                        }
-                        return MitigationOutcome {
-                            recovered: true,
-                            via_restart_only: false,
-                            attempts,
-                            reexec_rounds: attempts,
-                            plan_len: plan.seqs.len(),
-                            reverted_seqs: ledger.reverted_seqs(),
-                            discarded_updates: ledger.discarded_updates(),
-                            discarded_entries: ledger.touched(),
-                            wall: t0.elapsed(),
-                            mode_fellback,
-                            leaks_freed: 0,
-                            failed_over: false,
-                            phases,
-                        };
-                    }
-                    Err(f) => {
-                        if mode == Mode::Rollback && self.cfg.accelerate_rollback {
-                            stride = stride.saturating_mul(2);
-                        }
-                        // An assertion in recovery under purge mode means
-                        // the purge introduced an inconsistency: fall back.
-                        if mode == Mode::Purge && f.kind == FailureKind::Panic {
-                            mode = Mode::Rollback;
-                            mode_fellback = true;
-                            self.recorder.event(
-                                "reactor.fallback",
-                                vec![
-                                    ("attempt", Value::from(attempts)),
-                                    ("reason", Value::from("recovery_panic")),
-                                ],
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(b) = base {
-            pool.reabsorb(b);
-        }
-        MitigationOutcome::failed(plan.seqs.len(), attempts, attempts, t0.elapsed(), phases)
-    }
-
-    /// The speculative counterpart of [`Reactor::revert_loop`].
-    ///
-    /// Each *wave* simulates the sequential loop's control state — the
-    /// pending candidate list, batch sizing, the attempt-count-triggered
-    /// purge→rollback fallback and the `max_attempts` cap — for the next
-    /// up-to-`workers` steps, applying their reversion batches cumulatively
-    /// to a scratch fork and snapshotting a fork per step. The forks
-    /// re-execute concurrently under [`std::thread::scope`]; commit then
-    /// walks the results in candidate order:
-    ///
-    /// * first success → that step's pool/ledger/attempt count become the
-    ///   outcome (exactly where the sequential loop would have stopped);
-    /// * a panic under purge mode → the sequential loop would flip to
-    ///   rollback *here*, so later speculative steps (simulated assuming
-    ///   purge) are discarded: commit up to the flipping step, flip, and
-    ///   continue with the next wave;
-    /// * all failed → commit the last step's state and continue.
-    ///
-    /// Waves never cross a version-depth boundary, mirroring the
-    /// sequential loop's `pending` reset per depth.
-    #[allow(clippy::too_many_arguments)]
-    fn revert_loop_speculative(
-        &mut self,
-        pool: &mut PmPool,
-        log_rc: &ShardedLog,
-        plan: &Plan,
-        trace: &PmTrace,
-        target: &mut dyn ForkableTarget,
-        t0: Instant,
-        workers: usize,
-        mut phases: PhaseTimes,
-    ) -> MitigationOutcome {
-        struct SpecStep {
-            /// Pool state after this step's batch (and all before it).
-            pool: PmPool,
-            ledger: RevertLedger,
-            pending: Vec<u64>,
+        /// What the loop decides with; every step snapshots it.
+        #[derive(Clone, Copy)]
+        struct Control {
+            /// Candidates `plan.seqs[..next]` are consumed at this depth.
+            next: usize,
             attempts: u32,
             mode: Mode,
             mode_fellback: bool,
+            /// Geometric rollback stride (online): doubles after every
+            /// failed rollback attempt, resets per depth.
             stride: usize,
         }
+        struct Step {
+            /// Pool and ledger after this step's batch; `None` when the
+            /// batch went to the live pool and ledger in place.
+            scratch: Option<(PmPool, RevertLedger)>,
+            batch: std::ops::Range<usize>,
+            /// The attempt budget flipped purge to rollback at this step.
+            budget_flip: bool,
+            /// Control state after this step, assuming it fails.
+            after: Control,
+        }
 
-        let mut attempts = 0u32;
-        let mut rounds = 0u32;
-        let mut mode = self.cfg.mode;
-        let mut mode_fellback = false;
-        let mut ledger = RevertLedger::default();
+        let online = self.cfg.online;
+        let workers = match self.cfg.speculation_workers() {
+            k if k > 1 && target.fork_target().is_some() => k,
+            _ => 1,
+        };
         let fwd = match self.cfg.mode {
             Mode::Purge => Some(self.analysis.pdg.forward_index()),
             Mode::Rollback => None,
@@ -1208,211 +986,221 @@ impl<'a> Reactor<'a> {
             BatchStrategy::OneByOne => 1,
             BatchStrategy::Batch(n) => n.max(1),
         };
+        let announce = |step: &Step, depth: usize| {
+            if step.budget_flip {
+                self.recorder.event(
+                    "reactor.fallback",
+                    vec![
+                        ("attempt", Value::from(step.after.attempts - 1)),
+                        ("reason", Value::from("attempt_budget")),
+                    ],
+                );
+            }
+            self.recorder.event(
+                "reactor.attempt",
+                vec![
+                    ("attempt", Value::from(step.after.attempts)),
+                    ("depth", Value::from(depth)),
+                    ("mode", Value::from(mode_name(step.after.mode))),
+                    (
+                        "batch_seqs",
+                        Value::from(seq_list(&plan.seqs[step.batch.clone()])),
+                    ),
+                ],
+            );
+        };
+        let mut ctl = Control {
+            next: 0,
+            attempts: 0,
+            mode: self.cfg.mode,
+            mode_fellback: false,
+            stride: batch_size,
+        };
+        let mut rounds = 0u32;
+        let mut ledger = RevertLedger::default();
         for depth in 1..=MAX_VERSIONS {
-            let mut pending: Vec<u64> = plan.seqs.clone();
-            // Geometric rollback stride (see `accelerate_rollback`),
-            // simulated per wave exactly like the sequential loop.
-            let mut stride = batch_size;
-            while !pending.is_empty() {
-                if attempts >= self.cfg.max_attempts {
-                    return MitigationOutcome::failed(
-                        plan.seqs.len(),
-                        attempts,
-                        rounds,
-                        t0.elapsed(),
-                        phases,
-                    );
-                }
-                // Build the wave: simulate the next `workers` sequential
-                // steps, forking the pool after each batch.
+            ctl.next = 0;
+            ctl.stride = batch_size;
+            while ctl.next < plan.seqs.len() && ctl.attempts < self.cfg.max_attempts {
+                // Build the wave.
                 let t_rv = Instant::now();
-                let mut steps: Vec<SpecStep> = Vec::new();
+                let mut steps: Vec<Step> = Vec::new();
+                let mut sim = ctl;
+                while steps.len() < workers
+                    && sim.next < plan.seqs.len()
+                    && sim.attempts < self.cfg.max_attempts
                 {
-                    let mut sim_pool = pool.fork();
-                    let mut sim_ledger = ledger.clone();
-                    let mut sim_pending = pending.clone();
-                    let mut sim_attempts = attempts;
-                    let mut sim_mode = mode;
-                    let mut sim_fellback = mode_fellback;
-                    let mut sim_stride = stride;
-                    while steps.len() < workers
-                        && !sim_pending.is_empty()
-                        && sim_attempts < self.cfg.max_attempts
-                    {
-                        if sim_mode == Mode::Purge && sim_attempts >= self.cfg.purge_fallback_after
-                        {
-                            sim_mode = Mode::Rollback;
-                            sim_fellback = true;
-                        }
-                        let take = if sim_mode == Mode::Rollback && self.cfg.accelerate_rollback {
-                            sim_stride.min(sim_pending.len())
-                        } else {
-                            batch_size.min(sim_pending.len())
-                        };
-                        let batch: Vec<u64> = sim_pending.drain(..take).collect();
-                        if self.cfg.isolate_attempts {
-                            // Isolated attempts: every step starts from the
-                            // crashed image (`pool` is never polluted — a
-                            // failed wave adopts only control state below).
-                            sim_pool = pool.fork();
-                            sim_ledger = RevertLedger::default();
-                        }
-                        self.apply_batch(
-                            &mut sim_pool,
-                            log_rc,
-                            plan,
-                            trace,
-                            &batch,
-                            depth,
-                            sim_mode,
-                            fwd.as_ref(),
-                            &mut sim_ledger,
-                        );
-                        sim_attempts += 1;
-                        // Speculation assumes this step fails; a success
-                        // discards the later steps anyway.
-                        if sim_mode == Mode::Rollback && self.cfg.accelerate_rollback {
-                            sim_stride = sim_stride.saturating_mul(2);
-                        }
-                        steps.push(SpecStep {
-                            pool: sim_pool.fork(),
-                            ledger: sim_ledger.clone(),
-                            pending: sim_pending.clone(),
-                            attempts: sim_attempts,
-                            mode: sim_mode,
-                            mode_fellback: sim_fellback,
-                            stride: sim_stride,
-                        });
+                    let budget_flip =
+                        sim.mode == Mode::Purge && sim.attempts >= self.cfg.purge_fallback_after;
+                    if budget_flip {
+                        sim.mode = Mode::Rollback;
+                        sim.mode_fellback = true;
                     }
+                    let accelerate = online && sim.mode == Mode::Rollback;
+                    let take = if accelerate { sim.stride } else { batch_size };
+                    let batch = sim.next..plan.seqs.len().min(sim.next + take);
+                    sim.next = batch.end;
+                    sim.attempts += 1;
+                    if accelerate {
+                        sim.stride = sim.stride.saturating_mul(2);
+                    }
+                    let mut step = Step {
+                        scratch: if online {
+                            Some((pool.fork(), RevertLedger::default()))
+                        } else {
+                            steps.last().map(|prev| match &prev.scratch {
+                                Some((p, l)) => (p.fork(), l.clone()),
+                                None => (pool.fork(), ledger.clone()),
+                            })
+                        },
+                        batch,
+                        budget_flip,
+                        after: sim,
+                    };
+                    if steps.is_empty() {
+                        // The first step is committed whatever its
+                        // verdict, so its events go out before its heals.
+                        announce(&step, depth);
+                    }
+                    let (p, l) = match &mut step.scratch {
+                        Some((p, l)) => (p, l),
+                        None => (&mut *pool, &mut ledger),
+                    };
+                    self.apply_batch(
+                        p,
+                        log_rc,
+                        plan,
+                        trace,
+                        &plan.seqs[step.batch.clone()],
+                        depth,
+                        sim.mode,
+                        fwd.as_ref(),
+                        l,
+                    );
+                    steps.push(step);
                 }
-                debug_assert!(!steps.is_empty(), "pending non-empty, attempts below cap");
                 phases.revert += t_rv.elapsed();
                 self.recorder
                     .observe_duration("reactor.revert_us", t_rv.elapsed());
-                // Fork the target per step and re-execute concurrently.
+                // Re-execute: a wave of one here, a wider one on forks of
+                // the target.
                 rounds += 1;
                 let t_re = Instant::now();
-                let results: Vec<Option<FailureRecord>> = std::thread::scope(|s| {
-                    let handles: Vec<_> = steps
-                        .iter_mut()
-                        .map(|step| {
-                            let mut tgt = target.fork_target();
-                            let fork_pool = &mut step.pool;
-                            s.spawn(move || tgt.reexecute(fork_pool).err())
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| match h.join() {
-                            Ok(r) => r,
-                            Err(panic) => std::panic::resume_unwind(panic),
-                        })
-                        .collect()
+                let wide = steps.len() > 1;
+                let mut live = Some(&mut *pool);
+                let mut pools = steps.iter_mut().map(|step| match &mut step.scratch {
+                    Some((p, _)) => p,
+                    None => live.take().expect("only a wave's first step is in place"),
                 });
+                let results: Vec<Option<FailureRecord>> = if !wide {
+                    let p = pools.next().expect("a wave has a step");
+                    vec![target.reexecute(p).err()]
+                } else {
+                    let target = &*target;
+                    std::thread::scope(|s| {
+                        let handles: Vec<_> = pools
+                            .map(|p| {
+                                let mut tgt = target.fork_target().expect("target forked before");
+                                s.spawn(move || tgt.reexecute(p).err())
+                            })
+                            .collect();
+                        handles
+                            .into_iter()
+                            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                            .collect()
+                    })
+                };
                 phases.reexec += t_re.elapsed();
                 self.recorder
                     .observe_duration("reactor.reexec_us", t_re.elapsed());
                 // Commit in candidate order.
-                let mut winner: Option<usize> = None;
-                let mut last_valid = 0usize;
+                let mut last = 0usize;
+                let mut won = false;
                 let mut flipped = false;
                 for (i, r) in results.iter().enumerate() {
+                    last = i;
                     match r {
-                        None => {
-                            winner = Some(i);
-                            break;
-                        }
+                        None => won = true,
                         Some(f) => {
-                            last_valid = i;
-                            if steps[i].mode == Mode::Purge && f.kind == FailureKind::Panic {
-                                // The sequential loop flips to rollback
-                                // after this attempt; everything simulated
-                                // past it assumed purge and is invalid.
-                                flipped = true;
-                                break;
-                            }
+                            flipped =
+                                steps[i].after.mode == Mode::Purge && f.kind == FailureKind::Panic;
                         }
                     }
+                    if won || flipped {
+                        break;
+                    }
                 }
-                self.recorder.event(
-                    "reactor.wave",
-                    vec![
-                        ("round", Value::from(rounds)),
-                        ("steps", Value::from(steps.len())),
-                        (
-                            "outcome",
-                            Value::from(match (winner, flipped) {
-                                (Some(_), _) => "success",
-                                (None, true) => "purge_flip",
-                                (None, false) => "all_failed",
-                            }),
-                        ),
-                    ],
-                );
-                if let Some(j) = winner {
-                    let step = steps.swap_remove(j);
-                    pool.reabsorb(step.pool);
-                    ledger = step.ledger;
-                    attempts = step.attempts;
-                    mode_fellback = step.mode_fellback;
+                if wide {
+                    self.recorder.event(
+                        "reactor.wave",
+                        vec![
+                            ("round", Value::from(rounds)),
+                            ("steps", Value::from(steps.len())),
+                            (
+                                "outcome",
+                                Value::from(match (won, flipped) {
+                                    (true, _) => "success",
+                                    (false, true) => "purge_flip",
+                                    (false, false) => "all_failed",
+                                }),
+                            ),
+                        ],
+                    );
+                }
+                for step in &steps[1..=last] {
+                    announce(step, depth);
+                }
+                let step = steps.swap_remove(last);
+                ctl = step.after;
+                if let Some((p, l)) = step.scratch.filter(|_| won || !online) {
+                    pool.reabsorb(p);
+                    ledger = l;
+                }
+                if won {
                     if self.cfg.minimize_loss {
                         // Minimization is result-dependent at every step;
-                        // it stays sequential.
+                        // it stays a wave of one.
                         let t_min = Instant::now();
                         let used = self.minimize(pool, &mut ledger, target);
                         phases.reexec += t_min.elapsed();
-                        attempts += used;
+                        ctl.attempts += used;
                         rounds += used;
                     }
                     return MitigationOutcome {
                         recovered: true,
                         via_restart_only: false,
-                        attempts,
+                        attempts: ctl.attempts,
                         reexec_rounds: rounds,
                         plan_len: plan.seqs.len(),
                         reverted_seqs: ledger.reverted_seqs(),
                         discarded_updates: ledger.discarded_updates(),
                         discarded_entries: ledger.touched(),
                         wall: t0.elapsed(),
-                        mode_fellback,
+                        mode_fellback: ctl.mode_fellback,
                         leaks_freed: 0,
                         failed_over: false,
                         phases,
                     };
                 }
-                // No success: adopt the last valid step's state. Under
-                // isolated attempts only the control state advances — the
-                // pool stays the crashed image every step forked from.
-                let step = steps.swap_remove(last_valid);
-                if !self.cfg.isolate_attempts {
-                    pool.reabsorb(step.pool);
-                    ledger = step.ledger;
-                }
-                attempts = step.attempts;
-                pending = step.pending;
-                mode = step.mode;
-                mode_fellback = step.mode_fellback;
-                stride = step.stride;
                 if flipped {
-                    mode = Mode::Rollback;
-                    mode_fellback = true;
+                    // An assertion in recovery under purge mode means the
+                    // purge introduced an inconsistency: fall back.
+                    ctl.mode = Mode::Rollback;
+                    ctl.mode_fellback = true;
                     self.recorder.event(
                         "reactor.fallback",
                         vec![
-                            ("attempt", Value::from(attempts)),
+                            ("attempt", Value::from(ctl.attempts)),
                             ("reason", Value::from("recovery_panic")),
                         ],
                     );
                 }
             }
         }
-        MitigationOutcome::failed(plan.seqs.len(), attempts, rounds, t0.elapsed(), phases)
+        MitigationOutcome::failed(plan.seqs.len(), ctl.attempts, rounds, t0.elapsed(), phases)
     }
 
     /// One reversion step: reverts `batch` under `mode` at version `depth`.
-    /// The shared mutation kernel of the sequential loop and the
-    /// speculative wave builder — both apply exactly this, in exactly this
-    /// order, so their pool states stay byte-identical.
     #[allow(clippy::too_many_arguments)]
     fn apply_batch(
         &self,
@@ -1736,7 +1524,7 @@ impl<'a> Reactor<'a> {
         t0: Instant,
     ) -> MitigationOutcome {
         let mut phases = PhaseTimes::default();
-        log_rc.set_enabled(false);
+        let _paused = LogPaused::new(log_rc);
         log_rc.clear_recovery_reads();
         // Run recovery + verification once to populate the recovery reads.
         let t_re = Instant::now();
@@ -1755,7 +1543,6 @@ impl<'a> Reactor<'a> {
         let t_re = Instant::now();
         let ok = target.reexecute(pool).is_ok();
         phases.reexec += t_re.elapsed();
-        log_rc.set_enabled(true);
         self.recorder.event(
             "reactor.leak_mitigation",
             vec![

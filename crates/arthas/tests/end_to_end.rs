@@ -170,7 +170,7 @@ fn full_pipeline_recovers_with_minimal_loss() {
         module: instrumented.clone(),
         log: log.clone(),
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &rec2, &trace, &mut target);
+    let outcome = reactor.mitigate(&mut pool, &log, &rec2, &trace, &mut target, None);
     assert!(
         outcome.recovered,
         "reactor recovered the system: {outcome:?}"

@@ -153,7 +153,7 @@ fn reactor_recovers_a_natively_persisted_fault() {
         module: instrumented,
         log: log.clone(),
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target);
+    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target, None);
     assert!(outcome.recovered, "{outcome:?}");
     // The reverted cell holds the previous natively-persisted value.
     let root = pool.root_offset().unwrap();

@@ -8,7 +8,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use arthas::{
-    analyze_and_instrument, Detector, FailureRecord, ForkableTarget, PmTrace, Reactor,
+    analyze_and_instrument, AnalyzerOutput, Detector, FailureRecord, PmTrace, Reactor,
     ReactorConfig, SharedLog, Target, Verdict,
 };
 use pir::builder::ModuleBuilder;
@@ -121,13 +121,11 @@ impl Target for PanickingForkTarget {
         }
         .reexecute(pool)
     }
-}
 
-impl ForkableTarget for PanickingForkTarget {
-    fn fork_target(&self) -> Box<dyn Target + Send + '_> {
-        Box::new(PanickingFork {
+    fn fork_target(&self) -> Option<Box<dyn Target + Send + '_>> {
+        Some(Box::new(PanickingFork {
             log: self.log.clone(),
-        })
+        }))
     }
 }
 
@@ -174,13 +172,16 @@ fn setup() -> (
     (out, instrumented, log, trace, rec2, pool)
 }
 
-#[test]
-fn mitigation_survives_a_log_mutex_poisoned_by_a_panicking_fork() {
-    let (out, instrumented, log, trace, failure, mut pool) = setup();
-
-    // First mitigation: every speculative fork grabs the log lock and
-    // panics. The panic propagates out of the reactor (re-execution died;
-    // there is no outcome to report) and leaves the mutex poisoned.
+/// A mitigation whose every speculative fork grabs the log lock and
+/// panics. The panic propagates out of the reactor (re-execution died;
+/// there is no outcome to report) and leaves the mutex poisoned.
+fn mitigate_with_panicking_forks(
+    out: &AnalyzerOutput,
+    log: &SharedLog,
+    trace: &PmTrace,
+    failure: &FailureRecord,
+    pool: &mut PmPool,
+) {
     let cfg = ReactorConfig::builder()
         .speculation(Some(2))
         .build()
@@ -188,12 +189,18 @@ fn mitigation_survives_a_log_mutex_poisoned_by_a_panicking_fork() {
     let mut reactor = Reactor::new(&out.analysis, &out.guid_map, cfg);
     let mut bad_target = PanickingForkTarget { log: log.clone() };
     let crashed = catch_unwind(AssertUnwindSafe(|| {
-        reactor.mitigate_speculative(&mut pool, &log, &failure, &trace, &mut bad_target)
+        reactor.mitigate(pool, log, failure, trace, &mut bad_target, None)
     }));
     assert!(
         crashed.is_err(),
         "the panicking fork brings mitigation down"
     );
+}
+
+#[test]
+fn mitigation_survives_a_log_mutex_poisoned_by_a_panicking_fork() {
+    let (out, instrumented, log, trace, failure, mut pool) = setup();
+    mitigate_with_panicking_forks(&out, &log, &trace, &failure, &mut pool);
     // Observe the poisoning through the shard mutexes: `SharedLog::lock`
     // itself recovers, so `is_poisoned` is the only place it is visible.
     assert!(
@@ -208,7 +215,7 @@ fn mitigation_survives_a_log_mutex_poisoned_by_a_panicking_fork() {
         module: instrumented,
         log: log.clone(),
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target);
+    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target, None);
     assert!(
         outcome.recovered,
         "mitigation over a poisoned log recovered the system: {outcome:?}"
@@ -216,4 +223,21 @@ fn mitigation_survives_a_log_mutex_poisoned_by_a_panicking_fork() {
     assert!(!outcome.via_restart_only, "a real reversion was applied");
     // The accessor exposed for harness code recovers too.
     assert!(log.lock().total_updates() > 0);
+}
+
+/// A supervisor that catches the re-execution panic carries on serving:
+/// the reactor must have switched checkpointing back on while unwinding.
+#[test]
+fn checkpointing_resumes_after_a_caught_reexecution_panic() {
+    let (out, instrumented, log, trace, failure, mut pool) = setup();
+    mitigate_with_panicking_forks(&out, &log, &trace, &failure, &mut pool);
+
+    let before = log.stats().updates;
+    pool.set_sink(log.as_sink());
+    let mut vm = Vm::new(instrumented, pool, VmOpts::default());
+    vm.call("put", &[7]).unwrap();
+    assert!(
+        log.stats().updates > before,
+        "a put after the caught panic is checkpointed"
+    );
 }

@@ -1,12 +1,12 @@
-//! Property test: speculative mitigation is outcome-identical to the
-//! sequential reactor over randomized checkpoint logs (workload length
-//! and values), randomized reactor configurations and fleet sizes.
+//! Property test: a mitigation in waves of `k` is outcome-identical to
+//! waves of one over randomized checkpoint logs (workload length and
+//! values), randomized reactor configurations and wave widths.
 
 use std::sync::Arc;
 
 use arthas::{
-    analyze_and_instrument, AnalyzerOutput, BatchStrategy, CheckpointLog, FailureRecord,
-    ForkableTarget, Mode, PmTrace, Reactor, ReactorConfig, SharedLog, Target,
+    analyze_and_instrument, AnalyzerOutput, BatchStrategy, CheckpointLog, FailureRecord, Mode,
+    PmTrace, Reactor, ReactorConfig, SharedLog, Target,
 };
 use pir::builder::ModuleBuilder;
 use pir::ir::Module;
@@ -97,16 +97,14 @@ impl Target for AppTarget {
             .map_err(|e| FailureRecord::from_vm(&e))?;
         Ok(())
     }
-}
 
-impl ForkableTarget for AppTarget {
-    fn fork_target(&self) -> Box<dyn Target + Send + '_> {
+    fn fork_target(&self) -> Option<Box<dyn Target + Send + '_>> {
         let mut log = CheckpointLog::new();
         log.set_enabled(false);
-        Box::new(AppTarget {
+        Some(Box::new(AppTarget {
             module: self.module.clone(),
             log: SharedLog::from_log(log),
-        })
+        }))
     }
 }
 
@@ -155,7 +153,7 @@ fn mitigate_with(
         module: instrumented,
         log: log.clone(),
     };
-    let outcome = reactor.mitigate_speculative(&mut pool, &log, &failure, &trace, &mut target);
+    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target, None);
     (outcome, pool.snapshot())
 }
 
@@ -163,12 +161,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn speculative_equals_sequential(
+    fn wave_of_k_equals_waves_of_one(
         puts in proptest::collection::vec(1u64..600, 1..10),
         use_tx in proptest::arbitrary::any::<bool>(),
         mode_sel in 0u8..2,
         batch_n in 1usize..5,
         fallback in 1u32..8,
+        online in proptest::arbitrary::any::<bool>(),
         workers in 2usize..6
     ) {
         let base = ReactorConfig::builder()
@@ -179,24 +178,25 @@ proptest! {
                 BatchStrategy::Batch(batch_n)
             })
             // A small fallback threshold exercises the attempt-triggered
-            // purge-to-rollback flip inside speculative waves.
+            // purge-to-rollback flip inside a wave.
             .purge_fallback_after(fallback)
+            .online(online)
             .build()
             .unwrap();
         let puts: Vec<u64> = puts.iter().map(|v| if *v == 666 { 667 } else { *v }).collect();
-        let (seq, seq_image) = mitigate_with(base, use_tx, &puts);
-        let spec_cfg = base.to_builder().speculation(Some(workers)).build().unwrap();
-        let (spec, spec_image) = mitigate_with(spec_cfg, use_tx, &puts);
+        let (one, one_image) = mitigate_with(base, use_tx, &puts);
+        let wide_cfg = base.to_builder().speculation(Some(workers)).build().unwrap();
+        let (wide, wide_image) = mitigate_with(wide_cfg, use_tx, &puts);
 
-        prop_assert_eq!(seq.recovered, spec.recovered);
-        prop_assert_eq!(seq.via_restart_only, spec.via_restart_only);
-        prop_assert_eq!(seq.attempts, spec.attempts);
-        prop_assert_eq!(seq.plan_len, spec.plan_len);
-        prop_assert_eq!(&seq.reverted_seqs, &spec.reverted_seqs);
-        prop_assert_eq!(seq.discarded_updates, spec.discarded_updates);
-        prop_assert_eq!(seq.discarded_entries, spec.discarded_entries);
-        prop_assert_eq!(seq.mode_fellback, spec.mode_fellback);
-        prop_assert_eq!(seq_image, spec_image);
-        prop_assert!(spec.reexec_rounds <= seq.reexec_rounds);
+        prop_assert_eq!(one.recovered, wide.recovered);
+        prop_assert_eq!(one.via_restart_only, wide.via_restart_only);
+        prop_assert_eq!(one.attempts, wide.attempts);
+        prop_assert_eq!(one.plan_len, wide.plan_len);
+        prop_assert_eq!(&one.reverted_seqs, &wide.reverted_seqs);
+        prop_assert_eq!(one.discarded_updates, wide.discarded_updates);
+        prop_assert_eq!(one.discarded_entries, wide.discarded_entries);
+        prop_assert_eq!(one.mode_fellback, wide.mode_fellback);
+        prop_assert_eq!(one_image, wide_image);
+        prop_assert!(wide.reexec_rounds <= one.reexec_rounds);
     }
 }

@@ -139,7 +139,7 @@ fn mitigate_with(cfg: ReactorConfig, use_tx: bool) -> (arthas::MitigationOutcome
         module: instrumented,
         log: log.clone(),
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target);
+    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target, None);
     (outcome, pool)
 }
 

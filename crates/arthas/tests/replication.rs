@@ -1,14 +1,13 @@
 //! Pool-group replication at the reactor layer (ISSUE 10 tentpole):
 //! checkpoint-stream pumping, quorum cross-check localization, and
-//! hot-standby failover, including the N = 0 degeneration to the
-//! single-pool path.
+//! hot-standby failover, including the degeneration of an empty group to
+//! the single-pool path.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use arthas::{
-    analyze_and_instrument, FailoverBudget, FailureRecord, ForkableTarget, PmTrace, Reactor,
-    ReactorConfig, SharedLog, Target,
+    analyze_and_instrument, FailureRecord, PmTrace, Reactor, ReactorConfig, SharedLog, Standbys,
+    Target,
 };
 use pir::builder::ModuleBuilder;
 use pir::ir::Module;
@@ -153,14 +152,12 @@ impl Target for AppTarget {
             .map_err(|e| FailureRecord::from_vm(&e))?;
         Ok(())
     }
-}
 
-impl ForkableTarget for AppTarget {
-    fn fork_target(&self) -> Box<dyn Target + Send + '_> {
-        Box::new(AppTarget {
+    fn fork_target(&self) -> Option<Box<dyn Target + Send + '_>> {
+        Some(Box::new(AppTarget {
             module: self.module.clone(),
             log: self.log.clone(),
-        })
+        }))
     }
 }
 
@@ -309,18 +306,13 @@ fn failover_promotes_pre_fault_standby_and_accounts_discards() {
         let view = c.log.view();
         view.all_seqs().into_iter().filter(|&s| s > cursor).count() as u64
     };
-    let budget = FailoverBudget {
-        max_attempts: 0,
-        max_wall: Duration::ZERO,
-    };
-    let outcome = reactor.mitigate_replicated(
+    let outcome = reactor.mitigate(
         &mut c.pool,
         &c.log,
         &c.failure,
         &c.trace,
         &mut target,
-        &mut group,
-        budget,
+        Some(Standbys::First(&mut group)),
     );
     assert!(outcome.recovered, "{outcome:?}");
     assert!(outcome.failed_over, "recovery came from the standby");
@@ -349,30 +341,25 @@ fn failover_with_all_replicas_faulted_fails_cleanly() {
         module: c.module.clone(),
         log: c.log.clone(),
     };
-    let budget = FailoverBudget {
-        max_attempts: 0,
-        max_wall: Duration::ZERO,
-    };
-    let outcome = reactor.mitigate_replicated(
+    let outcome = reactor.mitigate(
         &mut c.pool,
         &c.log,
         &c.failure,
         &c.trace,
         &mut target,
-        &mut group,
-        budget,
+        Some(Standbys::First(&mut group)),
     );
     assert!(!outcome.recovered);
     assert!(!outcome.failed_over);
     assert_eq!(c.pool.snapshot(), before, "crashed image handed back");
 }
 
-/// N = 0 degenerates to the single-pool path: `mitigate_replicated`
-/// with an empty group produces the same outcome and the same final
-/// pool bytes as `mitigate_speculative` on an identical run.
+/// An empty group is no standbys: either order over it produces the same
+/// outcome and the same final pool bytes as a mitigation given none, on
+/// an identical run.
 #[test]
 fn empty_group_degenerates_to_single_pool_mitigation() {
-    let run = |replicated: bool| {
+    let run = |standby_first: Option<bool>| {
         let mut c = run_to_failure();
         let cfg = ReactorConfig::default();
         let mut reactor = Reactor::new(&c.out.analysis, &c.out.guid_map, cfg);
@@ -380,28 +367,28 @@ fn empty_group_degenerates_to_single_pool_mitigation() {
             module: c.module.clone(),
             log: c.log.clone(),
         };
-        let outcome = if replicated {
-            let mut group = PoolGroup::default();
-            reactor.mitigate_replicated(
-                &mut c.pool,
-                &c.log,
-                &c.failure,
-                &c.trace,
-                &mut target,
-                &mut group,
-                FailoverBudget::default(),
-            )
-        } else {
-            reactor.mitigate_speculative(&mut c.pool, &c.log, &c.failure, &c.trace, &mut target)
-        };
+        let mut group = PoolGroup::default();
+        let outcome = reactor.mitigate(
+            &mut c.pool,
+            &c.log,
+            &c.failure,
+            &c.trace,
+            &mut target,
+            standby_first.map(|first| match first {
+                true => Standbys::First(&mut group),
+                false => Standbys::AfterReversion(&mut group),
+            }),
+        );
         (outcome, c.pool.snapshot())
     };
-    let (a, img_a) = run(true);
-    let (b, img_b) = run(false);
-    assert_eq!(a.recovered, b.recovered);
-    assert!(!a.failed_over);
-    assert_eq!(a.attempts, b.attempts);
-    assert_eq!(a.reverted_seqs, b.reverted_seqs);
-    assert_eq!(a.discarded_updates, b.discarded_updates);
-    assert_eq!(img_a, img_b, "byte-identical final pool images");
+    let (b, img_b) = run(None);
+    for standby_first in [true, false] {
+        let (a, img_a) = run(Some(standby_first));
+        assert_eq!(a.recovered, b.recovered);
+        assert!(!a.failed_over);
+        assert_eq!(a.attempts, b.attempts);
+        assert_eq!(a.reverted_seqs, b.reverted_seqs);
+        assert_eq!(a.discarded_updates, b.discarded_updates);
+        assert_eq!(img_a, img_b, "byte-identical final pool images");
+    }
 }

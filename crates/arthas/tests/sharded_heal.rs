@@ -200,9 +200,8 @@ impl Target for AppTarget {
 
 /// Drives the app to a hard fault with a sharded log, corrupts the aux
 /// entry (newest logged version far below any rollback cut, owned by a
-/// non-zero shard when sharded), and mitigates in rollback mode with
-/// isolated attempts — the serving configuration that exercises the
-/// below-cut heal. Returns the outcome and key post-mitigation bytes.
+/// non-zero shard when sharded), and mitigates in rollback mode under the
+/// serving profile, which exercises the below-cut heal. Returns the outcome and key post-mitigation bytes.
 fn mitigate_sharded(shards: usize) -> (arthas::MitigationOutcome, [Vec<u8>; 3]) {
     let module = build_app();
     let out = analyze_and_instrument(&module);
@@ -230,9 +229,9 @@ fn mitigate_sharded(shards: usize) -> (arthas::MitigationOutcome, [Vec<u8>; 3]) 
     let root = pool.root_offset().unwrap();
     pool.corrupt_bit(root + 8192, 0).unwrap();
 
-    let cfg = ReactorConfig::builder()
+    let cfg = ReactorConfig::serving()
+        .to_builder()
         .mode(Mode::Rollback)
-        .isolate_attempts(true)
         .build()
         .unwrap();
     let mut reactor = Reactor::new(&out.analysis, &out.guid_map, cfg);
@@ -240,7 +239,7 @@ fn mitigate_sharded(shards: usize) -> (arthas::MitigationOutcome, [Vec<u8>; 3]) 
         module: instrumented,
         log: log.clone(),
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target);
+    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target, None);
     let bytes = [
         pool.read(root + 8, 8).unwrap(),
         pool.read(root + 8192, 8).unwrap(),

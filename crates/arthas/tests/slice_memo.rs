@@ -131,7 +131,7 @@ fn one_slice_per_fault_and_accumulated_phase_time() {
         module: instrumented,
         log: log.clone(),
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target);
+    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target, None);
     assert!(outcome.recovered, "mitigation must recover the app");
 
     // Exactly one slice computed for the fault location; all later
@@ -151,7 +151,7 @@ fn one_slice_per_fault_and_accumulated_phase_time() {
 
     // A second recovery for the same fault on the same reactor reuses
     // the memo and accounts only its own slice again.
-    let outcome2 = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target);
+    let outcome2 = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target, None);
     assert_eq!(reactor.slice_computes(), 1, "no re-slice on re-mitigation");
     assert!(outcome2.phases.slice <= outcome.phases.slice);
 }

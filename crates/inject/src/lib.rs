@@ -37,13 +37,12 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 use std::sync::Arc;
 
 use arthas::{
-    AnalysisCache, CheckpointLog, ConfigError, Detector, FailoverBudget, FailureRecord,
-    ForkableTarget, LogView, Reactor, ReactorConfig, SharedLog, Target, Verdict,
+    AnalysisCache, CheckpointLog, ConfigError, Detector, FailureRecord, LogView, Reactor,
+    ReactorConfig, SharedLog, Standbys, Target, Verdict,
 };
 use obs::{Field, Json, Schema};
 use pir::vm::{Vm, VmOpts};
@@ -550,19 +549,17 @@ impl Target for TrialTarget<'_> {
             Err(FailureRecord::wrong_result(issues.join("; ")))
         }
     }
-}
 
-impl ForkableTarget for TrialTarget<'_> {
-    fn fork_target(&self) -> Box<dyn Target + Send + '_> {
+    fn fork_target(&self) -> Option<Box<dyn Target + Send + '_>> {
         // Forks record into a disabled throwaway log so losing attempts
         // leave no trace (same contract as the production target).
         let mut log = CheckpointLog::new();
         log.set_enabled(false);
-        Box::new(TrialTarget {
+        Some(Box::new(TrialTarget {
             scn: self.scn,
             setup: self.setup,
             log: SharedLog::from_log(log),
-        })
+        }))
     }
 }
 
@@ -703,29 +700,19 @@ fn classify(
         log: log.clone(),
     };
     let mut reactor = Reactor::new(&setup.analysis, &setup.guid_map, cfg.reactor);
-    let out = if cfg.replicas == 0 {
-        reactor.mitigate_speculative(&mut work, &log, &failure, &trace, &mut target)
-    } else {
-        let mut group = build_trial_group(&work, &log, cfg, site);
-        // The budget leaves the primary-image arm unclamped (the
-        // reactor's own attempt cap governs, exactly as in the
-        // single-pool path); failover runs only after it is exhausted,
-        // so replicas can rescue a trial but never preempt a reversion
-        // that would have succeeded.
-        let budget = FailoverBudget {
-            max_attempts: u32::MAX,
-            max_wall: Duration::from_secs(3600),
-        };
-        reactor.mitigate_replicated(
-            &mut work,
-            &log,
-            &failure,
-            &trace,
-            &mut target,
-            &mut group,
-            budget,
-        )
-    };
+    // Failover runs only after the primary-image arm is exhausted (the
+    // reactor's own attempt cap governs, exactly as in the single-pool
+    // path), so replicas can rescue a trial but never preempt a reversion
+    // that would have succeeded.
+    let mut group = (cfg.replicas > 0).then(|| build_trial_group(&work, &log, cfg, site));
+    let out = reactor.mitigate(
+        &mut work,
+        &log,
+        &failure,
+        &trace,
+        &mut target,
+        group.as_mut().map(Standbys::AfterReversion),
+    );
     if !out.recovered {
         return (unaided(operational), restart_count, out.attempts);
     }

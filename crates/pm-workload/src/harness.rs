@@ -13,9 +13,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use arthas::{
-    analyze_and_instrument_cached, AnalysisCache, CheckpointLog, Detector, FailureRecord,
-    ForkableTarget, GuidMap, LeakMonitor, PhaseTimes, PmTrace, Reactor, ReactorConfig, SharedLog,
-    Target, Verdict,
+    analyze_and_instrument_cached, AnalysisCache, CheckpointLog, Detector, FailureRecord, GuidMap,
+    LeakMonitor, PhaseTimes, PmTrace, Reactor, ReactorConfig, SharedLog, Target, Verdict,
 };
 use baselines::{ArCkpt, PmCriu};
 use obs::Instrument;
@@ -587,23 +586,21 @@ impl Target for ScenarioTarget<'_> {
             .map_err(|e| FailureRecord::from_vm(&e))?;
         self.scn.verify(&mut vm)
     }
-}
 
-impl ForkableTarget for ScenarioTarget<'_> {
-    fn fork_target(&self) -> Box<dyn Target + Send + '_> {
+    fn fork_target(&self) -> Option<Box<dyn Target + Send + '_>> {
         // Each fork re-executes against its own throwaway log: the shared
         // log is disabled during the revert loop, so nothing an attempt
         // records affects the outcome, and a log that loses the race is
         // simply dropped.
         let mut log = CheckpointLog::new();
         log.set_enabled(false);
-        Box::new(ScenarioTarget {
+        Some(Box::new(ScenarioTarget {
             scn: self.scn,
             module: self.module.clone(),
             log: SharedLog::from_log(log),
             vm_opts: self.vm_opts,
             reexecutions: 0,
-        })
+        }))
     }
 }
 
@@ -685,12 +682,13 @@ pub fn mitigate(
                 if let Some(rec) = &production.recorder {
                     reactor.instrument(rec.clone());
                 }
-                let out = reactor.mitigate_speculative(
+                let out = reactor.mitigate(
                     &mut production.pool,
                     &production.log,
                     &production.failure,
                     &production.trace,
                     &mut target,
+                    None,
                 );
                 (
                     out.recovered,

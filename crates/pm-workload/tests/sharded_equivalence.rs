@@ -34,12 +34,13 @@ fn mitigate_with_shards(
         },
     );
     let mut reactor = Reactor::new(&setup.analysis, &setup.guid_map, ReactorConfig::default());
-    let out = reactor.mitigate_speculative(
+    let out = reactor.mitigate(
         &mut prod.pool,
         &prod.log,
         &prod.failure,
         &prod.trace,
         &mut target,
+        None,
     );
     (out, prod.pool.snapshot())
 }

@@ -914,7 +914,9 @@ impl PmPool {
 
     /// Forks the pool: an independent copy of the complete device state
     /// (durable media *and* volatile cache lines), with no sink attached
-    /// and no open transaction. The copy shares every media page with this
+    /// and no open transaction; it reports to this pool's recorder, so the
+    /// `pool.*` counters cover reversion work wherever it is done. The
+    /// copy shares every media page with this
     /// pool until one of them writes it, so a fork costs page pointers, not
     /// bytes. Forks are the substrate for speculative
     /// mitigation: each candidate reversion is applied to its own fork and
@@ -931,7 +933,7 @@ impl PmPool {
             // base, so reabsorbing a grandchild adds the whole lineage's
             // delta exactly once.
             fork_base: Some(self.fork_base.unwrap_or(self.stats)),
-            recorder: None,
+            recorder: self.recorder.clone(),
             pending_flush: self.pending_flush.clone(),
             // The counter continues (site numbers stay comparable across
             // speculation), but armed injections and enumeration logs
@@ -1437,8 +1439,7 @@ mod tests {
 
     #[test]
     fn reabsorb_fork_of_fork_counts_lineage_delta_once() {
-        // Mirrors the speculative wave: sim_pool = pool.fork(), then each
-        // step gets step.pool = sim_pool.fork().
+        // Mirrors a reactor wave: each step forks its predecessor's pool.
         let mut pool = PmPool::create(CAP).unwrap();
         let a = pool.alloc(64).unwrap();
         pool.persist(a, 8).unwrap();

@@ -23,13 +23,13 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use arthas::{
-    analyze_and_instrument_cached, AnalysisCache, Detector, FailoverBudget, FailureRecord,
-    ForkableTarget, GuidMap, PmTrace, Reactor, ReactorConfig, SharedLog, Target, Verdict,
+    analyze_and_instrument_cached, AnalysisCache, Detector, FailureRecord, GuidMap, PmTrace,
+    Reactor, ReactorConfig, SharedLog, Standbys, Target, Verdict,
 };
-use arthas::{CheckpointLog, MitigationOutcome, MAX_VERSIONS};
+use arthas::{MitigationOutcome, MAX_VERSIONS};
 use obs::{Instrument as _, Recorder, RingRecorder};
 use pir::ir::Module;
 use pir::vm::{Vm, VmError, VmOpts};
@@ -606,75 +606,41 @@ impl Engine {
             recover_call: recover_call(self.kind),
             recorder: self.recorder.clone(),
         };
-        // Online mitigation judges every attempt against the crashed
-        // image in isolation: candidates above the fault in the plan are
-        // post-fault traffic, and a failed cumulative purge would leave
-        // unlogged damage behind that no later attempt could undo.
-        // Fall back to rollback quickly: under live traffic each failed
-        // attempt is a full re-execution with connections stalling, so
-        // time-to-recover outweighs the smaller discard a long purge
-        // crawl might eventually find.
-        let reactor_cfg = ReactorConfig::builder()
-            .isolate_attempts(true)
-            .purge_fallback_after(8)
-            .accelerate_rollback(true)
-            .build()
-            .expect("static reactor config");
+        // Hot-standby-first bounds the outage by promote-replica latency.
+        // Verification rejects a standby that already replayed the fault
+        // through the stream; if every standby fails, fall back to
+        // reverting the primary image, which failover left untouched.
+        //
+        // Escalation: when the previous mitigation promoted a standby and
+        // a hard fault came back, revert straight away. A fault whose
+        // poisoned updates replicated through the checkpoint stream
+        // *before* the pump horizon passed them sits in every standby
+        // image, and promote verification cannot see latent damage that
+        // only manifests on access — promoting again would loop forever.
+        // Slicing from the fault anchor excises the poisoned updates that
+        // failover carried along. The next fault episode starts
+        // hot-standby-first again.
+        let standby_first =
+            !self.group.is_empty() && !self.last_mitigation.as_ref().is_some_and(|m| m.failed_over);
         let out: MitigationOutcome = {
-            let mut reactor = Reactor::new(&self.analysis, &self.guid_map, reactor_cfg);
+            let mut reactor =
+                Reactor::new(&self.analysis, &self.guid_map, ReactorConfig::serving());
             reactor.instrument(self.recorder.clone());
-            if self.group.is_empty() {
-                reactor.mitigate_speculative(&mut pool, &self.log, record, &self.trace, &mut target)
-            } else if self.last_mitigation.as_ref().is_some_and(|m| m.failed_over) {
-                // Escalation: the previous mitigation promoted a
-                // standby, and a hard fault came back. A fault whose
-                // poisoned updates replicated through the checkpoint
-                // stream *before* the pump horizon passed them sits in
-                // every standby image, and promote verification cannot
-                // see latent damage that only manifests on access —
-                // promoting again would loop forever. Revert on the
-                // primary image instead: slicing from the fault anchor
-                // excises the poisoned updates that failover carried
-                // along. The next fault episode starts hot-standby-first
-                // again.
-                reactor.mitigate_speculative(&mut pool, &self.log, record, &self.trace, &mut target)
-            } else {
-                // Hot-standby-first: a zero budget skips primary-image
-                // reversion entirely, bounding the outage by
-                // promote-replica latency. Verification rejects a
-                // standby that already replayed the fault through the
-                // stream; if every standby fails, fall back to
-                // reverting the primary image (the mitigation-only
-                // path), which failover left untouched.
-                let budget = FailoverBudget {
-                    max_attempts: 0,
-                    max_wall: Duration::ZERO,
-                };
-                let out = reactor.mitigate_replicated(
-                    &mut pool,
-                    &self.log,
-                    record,
-                    &self.trace,
-                    &mut target,
-                    &mut self.group,
-                    budget,
-                );
-                if out.recovered {
-                    out
-                } else {
-                    reactor.mitigate_speculative(
-                        &mut pool,
-                        &self.log,
-                        record,
-                        &self.trace,
-                        &mut target,
-                    )
-                }
+            let standbys = standby_first.then_some(Standbys::First(&mut self.group));
+            let mut out = reactor.mitigate(
+                &mut pool,
+                &self.log,
+                record,
+                &self.trace,
+                &mut target,
+                standbys,
+            );
+            if standby_first && !out.recovered {
+                out =
+                    reactor.mitigate(&mut pool, &self.log, record, &self.trace, &mut target, None);
             }
+            out
         };
-        // The reactor disables the log around re-execution; serving
-        // resumes with checkpointing on.
-        self.log.set_enabled(true);
         self.stats.discarded_updates += out.discarded_updates;
         if out.failed_over {
             self.stats.failovers += 1;
@@ -934,24 +900,6 @@ impl Target for ServeTarget {
                 Err(f)
             }
         }
-    }
-}
-
-impl ForkableTarget for ServeTarget {
-    fn fork_target(&self) -> Box<dyn Target + Send + '_> {
-        // Each fork re-executes against its own throwaway log: the
-        // shared log is disabled during the revert loop, so nothing an
-        // attempt records affects the outcome.
-        let mut log = CheckpointLog::new();
-        log.set_enabled(false);
-        Box::new(ServeTarget {
-            kind: self.kind,
-            module: self.module.clone(),
-            log: SharedLog::from_log(log),
-            vm_opts: self.vm_opts,
-            recover_call: self.recover_call,
-            recorder: self.recorder.clone(),
-        })
     }
 }
 

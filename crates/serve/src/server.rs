@@ -334,6 +334,12 @@ fn worker_loop(ctx: WorkerCtx) {
             // in between leaves a byte behind and costs one extra wake-up,
             // never a socket that waits in the queue unnoticed.
             while matches!((&ctx.wake).read(&mut scratch), Ok(n) if n > 0) {}
+            // `signal_stop` sets `stop` before it writes its byte: if that
+            // byte was just drained along with a hand-over's, this is the
+            // last chance to see the flag before blocking again.
+            if ctx.stop.load(Ordering::SeqCst) {
+                return;
+            }
             loop {
                 match ctx.rx.try_recv() {
                     Ok(stream) => {

@@ -153,7 +153,7 @@ fn main() {
         module: instrumented.clone(),
         log: log.clone(),
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &rec, &trace, &mut target);
+    let outcome = reactor.mitigate(&mut pool, &log, &rec, &trace, &mut target, None);
     println!(
         "   recovered={} after {} re-execution(s); discarded {}/{} checkpointed updates",
         outcome.recovered, outcome.attempts, outcome.discarded_updates, total
