@@ -985,8 +985,8 @@ impl LogView<'_> {
     /// Per-shard update counts, in shard-index order. The distribution
     /// is the store's serialization profile: a single-lock store funnels
     /// the sum through one mutex, a sharded store at most the maximum
-    /// through any one — the Amdahl bound the `fig12_sharded` bench
-    /// reports independently of the host's core count.
+    /// through any one — an Amdahl bound independent of the host's core
+    /// count.
     pub fn shard_updates(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.total_updates()).collect()
     }

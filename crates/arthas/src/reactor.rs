@@ -22,7 +22,7 @@
 //! allocations in the checkpoint log that the application's recovery
 //! function never touched are freed.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -421,14 +421,16 @@ impl MitigationOutcome {
 struct RevertLedger {
     /// First-touch pool bytes per address (what was there before any
     /// reversion).
-    originals: std::collections::HashMap<u64, Vec<u8>>,
+    originals: BTreeMap<u64, Vec<u8>>,
     /// Discarded sequence numbers attributed to each reverted address.
-    by_addr: std::collections::HashMap<u64, BTreeSet<u64>>,
+    /// Ordered by address: `minimize` walks it under a re-execution
+    /// budget, so its order decides which reversions are restored.
+    by_addr: BTreeMap<u64, BTreeSet<u64>>,
 }
 
 impl RevertLedger {
     fn capture(&mut self, pool: &mut PmPool, addr: u64, len: usize) {
-        if let std::collections::hash_map::Entry::Vacant(e) = self.originals.entry(addr) {
+        if let std::collections::btree_map::Entry::Vacant(e) = self.originals.entry(addr) {
             if let Ok(cur) = pool.read(addr, len as u64) {
                 e.insert(cur);
             }

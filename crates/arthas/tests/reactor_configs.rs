@@ -102,19 +102,23 @@ impl Target for AppTarget {
     }
 }
 
-/// Runs the app to failure; returns everything mitigation needs.
-#[allow(clippy::type_complexity)]
-fn run_to_failure(
-    use_tx: bool,
-) -> (
+/// What a run to failure leaves behind: everything mitigation needs.
+type FailedRun = (
     AnalyzerOutput,
     Arc<Module>,
     SharedLog,
     PmTrace,
     FailureRecord,
     PmPool,
-) {
-    let module = build_app(use_tx);
+);
+
+fn run_to_failure(use_tx: bool) -> FailedRun {
+    run_to_failure_of(build_app(use_tx))
+}
+
+/// Runs `module` to failure: four good puts, the poison put, the
+/// crashing get.
+fn run_to_failure_of(module: Module) -> FailedRun {
     let out = analyze_and_instrument(&module);
     let instrumented = Arc::new(out.instrumented.clone());
     let log = SharedLog::new();
@@ -133,7 +137,11 @@ fn run_to_failure(
 }
 
 fn mitigate_with(cfg: ReactorConfig, use_tx: bool) -> (arthas::MitigationOutcome, PmPool) {
-    let (out, instrumented, log, trace, failure, mut pool) = run_to_failure(use_tx);
+    mitigate_over(run_to_failure(use_tx), cfg)
+}
+
+fn mitigate_over(run: FailedRun, cfg: ReactorConfig) -> (arthas::MitigationOutcome, PmPool) {
+    let (out, instrumented, log, trace, failure, mut pool) = run;
     let mut reactor = Reactor::new(&out.analysis, &out.guid_map, cfg);
     let mut target = AppTarget {
         module: instrumented,
@@ -191,6 +199,100 @@ fn minimize_loss_never_discards_more() {
     assert!(minimized.discarded_updates <= default.discarded_updates);
     // And the system is still healthy after the extra restorations.
     assert!(PmPool::open(pool.snapshot()).is_ok());
+}
+
+/// Two flags @8 and @16, value @24. The poison put sets both flags;
+/// `get()` crashes only while *both* are set, so once a batch has
+/// reverted both, undoing either reversion alone leaves a healthy
+/// system — which flag the minimization pass restores depends on the
+/// order it walks the addresses.
+fn build_two_flag_app() -> Module {
+    let mut m = ModuleBuilder::new();
+    {
+        let mut f = m.func("put", 1, false);
+        let size = f.konst(64);
+        let root = f.pm_root(size);
+        let v = f.param(0);
+        let valp = f.gep(root, 24);
+        f.store8(valp, v);
+        f.pm_persist_c(valp, 8);
+        let bad = f.konst(666);
+        let is_bad = f.eq(v, bad);
+        f.if_(is_bad, |f| {
+            let flag_a = f.gep(root, 8);
+            f.store8(flag_a, v);
+            f.pm_persist_c(flag_a, 8);
+            let flag_b = f.gep(root, 16);
+            f.store8(flag_b, v);
+            f.pm_persist_c(flag_b, 8);
+        });
+        f.ret(None);
+        f.finish();
+    }
+    {
+        let mut f = m.func("get", 0, true);
+        let size = f.konst(64);
+        let root = f.pm_root(size);
+        let flag_a_p = f.gep(root, 8);
+        let flag_a = f.load8(flag_a_p);
+        let flag_b_p = f.gep(root, 16);
+        let flag_b = f.load8(flag_b_p);
+        let zero = f.konst(0);
+        let a_set = f.ne(flag_a, zero);
+        let b_set = f.ne(flag_b, zero);
+        let tainted = f.and(a_set, b_set);
+        f.if_(tainted, |f| {
+            let p = f.sub(flag_a, flag_b);
+            let v = f.load8(p);
+            f.ret(Some(v));
+        });
+        let valp = f.gep(root, 24);
+        let v = f.load8(valp);
+        f.ret(Some(v));
+        f.finish();
+    }
+    {
+        let mut f = m.func("recover", 0, false);
+        f.recover_begin();
+        let size = f.konst(64);
+        let root = f.pm_root(size);
+        f.load8(root);
+        f.recover_end();
+        f.ret(None);
+        f.finish();
+    }
+    m.finish().unwrap()
+}
+
+/// `minimize_loss` walks the reverted addresses under a re-execution
+/// budget, so its result must not depend on a hash seed: the same
+/// multi-address mitigation, run eight times in one process, discards
+/// the same updates in the same number of attempts and leaves the same
+/// pool bytes.
+#[test]
+fn minimize_loss_is_deterministic_across_runs() {
+    // Rollback over one batch rewinds both flags in a single attempt.
+    let cfg = ReactorConfig::builder()
+        .mode(Mode::Rollback)
+        .batch(BatchStrategy::Batch(8))
+        .minimize_loss(true)
+        .build()
+        .unwrap();
+    let run = || {
+        let (outcome, mut pool) = mitigate_over(run_to_failure_of(build_two_flag_app()), cfg);
+        assert!(outcome.recovered, "{outcome:?}");
+        let root = pool.root_offset().unwrap();
+        let bytes = pool.read(root, 64).unwrap();
+        (outcome.discarded_updates, outcome.attempts, bytes)
+    };
+    let first = run();
+    // Exactly one of the two flag reversions was needed; ascending
+    // address order restores flag A and keeps B's.
+    let flag = |off: usize| u64::from_le_bytes(first.2[off..off + 8].try_into().unwrap());
+    assert_eq!((flag(8), flag(16)), (666, 0), "flag A restored, B reverted");
+    for i in 1..8 {
+        assert_eq!(run(), first, "run {i} diverged from run 0");
+    }
 }
 
 #[test]

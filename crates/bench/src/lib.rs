@@ -1,10 +1,13 @@
-//! # arthas-bench — harnesses regenerating every table and figure
+//! # arthas-bench — harnesses regenerating the paper's tables and figures
 //!
-//! Each evaluation artifact of the paper has a bench target (registered
-//! with `harness = false`) that reruns the corresponding experiment and
-//! prints the same rows/series the paper reports. Run them all with
-//! `cargo bench --workspace`, or one with
-//! `cargo bench -p arthas-bench --bench <name>`.
+//! Each artifact `EXPERIMENTS.md` compares against the paper (Tables 2–5,
+//! 7, 9, Figures 8–12, the reactor ablation, the study tables) has a
+//! bench target (registered with `harness = false`) that reruns the
+//! experiment and prints the rows/series the paper reports. Run them all
+//! with `cargo bench --workspace`, or one with
+//! `cargo bench -p arthas-bench --bench <name>`. Serving, replication,
+//! campaign and sharded-store performance are not here: `hfbench/`
+//! measures them with bounded, machine-readable metrics.
 //!
 //! Absolute numbers differ from the paper (the substrate is an interpreter
 //! over simulated PM, not Optane hardware); the comparative shape — who
@@ -12,21 +15,15 @@
 //! is the reproduced result. See `EXPERIMENTS.md` at the repository root.
 
 use arthas::{BatchStrategy, Mode, ReactorConfig};
-use pir::vm::Vm;
 use pm_workload::{
     mitigate, run_production, AppSetup, MitigationResult, RunConfig, Scenario, Solution,
 };
 
-/// Runs one scenario's production phase and one mitigation.
+/// Runs one scenario's production phase and one mitigation over a
+/// prebuilt [`AppSetup`].
 ///
 /// Returns `None` when the scenario failed to produce a detected hard
 /// failure (a reproduction bug, reported loudly by the harnesses).
-pub fn run_with(scn: &dyn Scenario, solution: Solution, seed: u64) -> Option<MitigationResult> {
-    let setup = AppSetup::new(scn.build_module());
-    run_with_setup(scn, &setup, solution, seed)
-}
-
-/// Like [`run_with`], reusing a prebuilt [`AppSetup`].
 pub fn run_with_setup(
     scn: &dyn Scenario,
     setup: &AppSetup,
@@ -96,44 +93,6 @@ pub fn tick(ok: bool) -> &'static str {
     } else {
         "n"
     }
-}
-
-/// Prints a horizontal rule sized for the 12-scenario tables.
-pub fn rule(width: usize) {
-    println!("{}", "-".repeat(width));
-}
-
-/// Measures `ops` operations against fresh VMs and returns the median
-/// throughput (op/s) over `reps` repetitions, after one warm-up run.
-///
-/// `make` builds a fresh `(Vm, per-op closure state)` for each repetition
-/// so repetitions are independent; the VM trace buffer is drained
-/// periodically so instrumented runs pay the realistic buffering cost,
-/// not unbounded memory growth.
-pub fn measure_throughput(
-    reps: usize,
-    ops: u64,
-    mut make: impl FnMut() -> Vm,
-    mut op: impl FnMut(&mut Vm, u64),
-) -> f64 {
-    let mut rates = Vec::with_capacity(reps);
-    for rep in 0..=reps {
-        let mut vm = make();
-        let n = if rep == 0 { ops / 4 } else { ops }; // warm-up
-        let t0 = std::time::Instant::now();
-        for i in 0..n {
-            op(&mut vm, i);
-            if vm.trace_len() >= 4096 {
-                // Asynchronous flush of the trace buffer (§4.1).
-                let _ = vm.take_trace();
-            }
-        }
-        if rep > 0 {
-            rates.push(n as f64 / t0.elapsed().as_secs_f64());
-        }
-    }
-    rates.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    rates[rates.len() / 2]
 }
 
 /// Standard pool for overhead runs.

@@ -1,12 +1,11 @@
-//! Fleet-scale resumable campaign runtime.
+//! The campaign runtime: one resumable trial queue.
 //!
-//! [`run_scenario_campaign`](crate::run_scenario_campaign) parallelizes
-//! *within* one scenario; the fleet runtime parallelizes *across* them:
-//! every scenario is prepared (enumeration, invariant mining, matrix
+//! Every scenario is prepared (enumeration, invariant mining, matrix
 //! construction) once, then all trials from all scenarios merge into one
 //! globally interleaved work queue drained by a fixed worker pool. Long
-//! scenarios no longer serialize behind short ones, and the pool stays
-//! saturated until the very last trial.
+//! scenarios do not serialize behind short ones, and the pool stays
+//! saturated until the very last trial. One scenario, one worker and no
+//! journal are this path's degenerate cases, not separate runners.
 //!
 //! Progress is durable. Each completed trial appends one JSON line to a
 //! journal ([`obs::journal`]) keyed by
@@ -38,7 +37,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use arthas::ConfigError;
+use arthas::{AnalysisCache, ConfigError};
 use obs::journal::{read_journal, JournalWriter};
 use obs::{Field, Json, NullRecorder, Recorder, Schema, Value};
 use pm_workload::Scenario;
@@ -62,17 +61,15 @@ pub const JOURNAL_FILE: &str = "journal.jsonl";
 /// Parameters of one fleet run, wrapping a [`CampaignConfig`].
 ///
 /// The worker-pool width is deliberately *not* a separate knob: the
-/// fleet drains the global queue with exactly
-/// [`CampaignConfig::runners`] workers, so the `config.runners` stanza
-/// of the matrix document — and with it the whole document — stays
-/// byte-identical between the sequential and fleet paths.
+/// queue is drained by exactly [`CampaignConfig::runners`] workers, the
+/// number the matrix document's `config.runners` stanza reports.
 #[derive(Clone)]
 pub struct FleetConfig {
     /// The campaign parameters (seed, stride, budget, policies,
     /// invariants, analysis cache) shared by every trial.
     campaign: CampaignConfig,
     /// Directory holding the progress journal; `None` disables
-    /// journaling (the run is still fleet-parallel, just not resumable).
+    /// journaling (the run is not resumable).
     journal_dir: Option<PathBuf>,
     /// Resume from an existing journal instead of starting fresh.
     resume: bool,
@@ -310,6 +307,29 @@ pub struct JournalHeader {
     pub replica_fault: Option<crate::ReplicaFault>,
 }
 
+impl JournalHeader {
+    /// The campaign configuration this header pins, rebuilt through the
+    /// validating builder. The analysis cache is the one thing a header
+    /// does not record (verdicts are cache-independent), so the caller
+    /// supplies it.
+    pub fn campaign_config(
+        &self,
+        cache: Option<Arc<AnalysisCache>>,
+    ) -> Result<CampaignConfig, ConfigError> {
+        CampaignConfig::builder()
+            .stride(self.stride)
+            .budget(self.budget)
+            .runners(self.runners)
+            .seed(self.seed)
+            .policies(self.policies.clone())
+            .invariants(self.invariants)
+            .replicas(self.replicas)
+            .replica_fault(self.replica_fault)
+            .analysis_cache(cache)
+            .build()
+    }
+}
+
 /// Reads and decodes the header line of the journal under `dir`.
 pub fn read_header(dir: &Path) -> Result<JournalHeader, FleetError> {
     let path = dir.join(JOURNAL_FILE);
@@ -508,9 +528,8 @@ fn load_resume(
 /// Outcome of a fleet run.
 pub struct FleetReport {
     /// The assembled campaign — when [`FleetReport::complete`], its
-    /// `json()` is byte-identical to a sequential
-    /// [`run_campaign`](crate::run_campaign) under the same
-    /// [`CampaignConfig`].
+    /// `json()` is a function of the [`CampaignConfig`] alone: worker
+    /// count, journaling and resume leave no trace in it.
     pub campaign: CampaignReport,
     /// Worker-pool width the queue was drained with.
     pub workers: usize,
@@ -520,8 +539,7 @@ pub struct FleetReport {
     pub skipped: u64,
     /// Whether every matrix row has a verdict. `false` only when
     /// `trial_limit` stopped the run early — the campaign then holds
-    /// just the classified rows and must not be diffed against a
-    /// sequential run.
+    /// just the classified rows and must not be diffed or gated on.
     pub complete: bool,
     /// Wall-clock of the whole run (prepare + drain), milliseconds.
     pub wall_ms: u64,
@@ -607,7 +625,7 @@ impl FleetReport {
 /// One queue entry: scenario index × matrix-row index.
 type QueueItem = (usize, usize);
 
-/// Runs a fleet campaign over the given scenarios.
+/// Runs a campaign over the given scenarios.
 ///
 /// Phases:
 ///
@@ -624,54 +642,35 @@ type QueueItem = (usize, usize);
 ///    `trial_limit` is enforced by *pre-claiming* an execution slot
 ///    before taking a queue index, which is also how tests simulate a
 ///    kill at a precise queue depth.
-/// 4. **assemble** — per-scenario canonical sort + census via the same
-///    [`finish_scenario`](crate::run_scenario_campaign) path the
-///    sequential runner uses, making byte-identity structural rather
-///    than coincidental.
+/// 4. **assemble** — per-scenario canonical sort + census over result
+///    slots indexed by matrix row, so the document does not depend on
+///    which worker classified which row or in what order.
 pub fn run_fleet(
     scenarios: &[Box<dyn Scenario>],
     cfg: &FleetConfig,
 ) -> Result<FleetReport, FleetError> {
     let start = Instant::now();
     let campaign = &cfg.campaign;
+    let rec = &cfg.recorder;
+    let workers = cfg.workers().max(1);
     let scenario_ids: Vec<&'static str> = scenarios.iter().map(|s| s.id()).collect();
 
     // Journal setup + resume load happen before any expensive work so a
     // doomed resume fails fast.
     let journal_path = cfg.journal_dir.as_ref().map(|d| d.join(JOURNAL_FILE));
-    let resume = match (&journal_path, cfg.resume) {
-        (Some(path), true) => Some(load_resume(path, campaign, &scenario_ids)?),
-        _ => None,
-    };
-    let mut writer = match &journal_path {
-        Some(path) if cfg.resume => JournalWriter::append_existing(path, cfg.fsync_batch)?,
+    let (resume, writer) = match &journal_path {
+        Some(path) if cfg.resume => (
+            Some(load_resume(path, campaign, &scenario_ids)?),
+            Some(JournalWriter::append_existing(path, cfg.fsync_batch)?),
+        ),
         Some(path) => {
             let mut w = JournalWriter::create(path, cfg.fsync_batch)?;
             w.append(&header_json(campaign, &scenario_ids))?;
-            w
+            (None, Some(w))
         }
-        None => {
-            // Journaling off: write to a discarded in-tmp file is
-            // pointless; keep the writer optional instead.
-            return run_fleet_inner(scenarios, cfg, None, resume, start);
-        }
+        None => (None, None),
     };
-    // Fresh runs already wrote the header; resumes append after it.
-    let report = run_fleet_inner(scenarios, cfg, Some(&mut writer), resume, start)?;
-    Ok(report)
-}
-
-fn run_fleet_inner(
-    scenarios: &[Box<dyn Scenario>],
-    cfg: &FleetConfig,
-    writer: Option<&mut JournalWriter>,
-    resume: Option<ResumeState>,
-    start: Instant,
-) -> Result<FleetReport, FleetError> {
-    let campaign = &cfg.campaign;
-    let rec = &cfg.recorder;
-    let workers = cfg.workers().max(1);
-    // A fresh run already appended the header through this writer;
+    // A fresh run just appended the header through this writer;
     // `journal_appended` must report *trial* lines only.
     let base_appended = writer.as_ref().map_or(0, |w| w.appended());
 
@@ -784,7 +783,7 @@ fn run_fleet_inner(
     let exec_slots = AtomicU64::new(0);
     let executed_ctr = AtomicU64::new(0);
     let limit = cfg.trial_limit.unwrap_or(u64::MAX);
-    let journal: Option<Mutex<&mut JournalWriter>> = writer.map(Mutex::new);
+    let journal: Option<Mutex<JournalWriter>> = writer.map(Mutex::new);
     let journal_err: Mutex<Option<std::io::Error>> = Mutex::new(None);
     let seed = campaign.seed();
     let stride = campaign.stride();
@@ -836,9 +835,9 @@ fn run_fleet_inner(
     if let Some(e) = journal_err.into_inner().unwrap_or_else(|p| p.into_inner()) {
         return Err(FleetError::Io(e));
     }
-    let (journal_appended, journal_syncs) = match &journal {
+    let (journal_appended, journal_syncs) = match journal {
         Some(j) => {
-            let mut w = j.lock().unwrap_or_else(|p| p.into_inner());
+            let mut w = j.into_inner().unwrap_or_else(|p| p.into_inner());
             w.sync()?;
             (w.appended() - base_appended, w.syncs())
         }

@@ -30,14 +30,14 @@
 //!   deterministic workload should make impossible; a nonzero count is a
 //!   determinism bug, and the CI campaign treats it as one.
 //!
-//! Results aggregate into a schema-validated JSON matrix (site × policy
-//! × verdict) plus a human-readable coverage table; the `inject` CLI
+//! [`run_fleet`] is the one function that runs trials: every scenario's
+//! rows merge into one queue drained by [`CampaignConfig::runners`]
+//! workers, optionally journaled and resumable ([`fleet`]). Results
+//! aggregate into a schema-validated JSON matrix (site × policy ×
+//! verdict) plus a human-readable coverage table; the `inject` CLI
 //! subcommand drives it.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use std::sync::Arc;
 
 use arthas::{
@@ -530,23 +530,11 @@ struct TrialTarget<'a> {
 
 impl Target for TrialTarget<'_> {
     fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
-        let mut p2 = PmPool::open(pool.snapshot())
-            .map_err(|e| FailureRecord::wrong_result(format!("pool reopen: {e}")))?;
-        let issues: Vec<String> = p2.check().iter().map(|i| format!("{i:?}")).collect();
-        let mut vm = Vm::new(self.setup.instrumented.clone(), p2, trial_vm_opts());
         // The (disabled) log still tracks recovery reads for the leak
         // mitigation pass.
-        vm.pool_mut().set_sink(self.log.as_sink());
-        vm.call(self.scn.recover_call(), &[])
-            .map_err(|e| FailureRecord::from_vm(&e))?;
-        if let Some(check) = self.scn.invariant_call() {
-            vm.call(check, &[])
-                .map_err(|e| FailureRecord::from_vm(&e))?;
-        }
-        if issues.is_empty() {
-            Ok(())
-        } else {
-            Err(FailureRecord::wrong_result(issues.join("; ")))
+        match try_restart(self.scn, self.setup, pool, Some(&self.log)) {
+            RestartResult::Clean => Ok(()),
+            RestartResult::Inconsistent(rec) | RestartResult::Failed(rec) => Err(rec),
         }
     }
 
@@ -582,7 +570,15 @@ enum RestartResult {
 /// legitimately loses in-flight, unacknowledged work, so the scenario's
 /// end-of-workload `verify` (which expects the complete dataset) does not
 /// apply — only structural integrity and domain invariants do.
-fn try_restart(scn: &dyn Scenario, setup: &AppSetup, image: &PmPool) -> RestartResult {
+///
+/// `sink`, when given, observes the restart's PM accesses (the reactor's
+/// re-executions record their recovery reads through it).
+fn try_restart(
+    scn: &dyn Scenario,
+    setup: &AppSetup,
+    image: &PmPool,
+    sink: Option<&SharedLog>,
+) -> RestartResult {
     let mut p2 = match PmPool::open(image.snapshot()) {
         Ok(p) => p,
         Err(e) => {
@@ -591,6 +587,9 @@ fn try_restart(scn: &dyn Scenario, setup: &AppSetup, image: &PmPool) -> RestartR
     };
     let issues: Vec<String> = p2.check().iter().map(|i| format!("{i:?}")).collect();
     let mut vm = Vm::new(setup.instrumented.clone(), p2, trial_vm_opts());
+    if let Some(log) = sink {
+        vm.pool_mut().set_sink(log.as_sink());
+    }
     if let Err(e) = vm.call(scn.recover_call(), &[]) {
         return RestartResult::Failed(FailureRecord::from_vm(&e));
     }
@@ -643,7 +642,7 @@ fn classify(
     let mut operational = false;
     for _ in 0..MAX_TRIAL_RESTARTS {
         restart_count += 1;
-        let rec = match try_restart(scn, setup, &raw) {
+        let rec = match try_restart(scn, setup, &raw, None) {
             RestartResult::Clean => {
                 let image_is_durable = matches!(policy, CrashPolicy::DropStaged);
                 let viols =
@@ -716,7 +715,7 @@ fn classify(
     if !out.recovered {
         return (unaided(operational), restart_count, out.attempts);
     }
-    let verdict = match try_restart(scn, setup, &work) {
+    let verdict = match try_restart(scn, setup, &work, None) {
         RestartResult::Clean => TrialVerdict::Mitigated,
         RestartResult::Inconsistent(_) => TrialVerdict::InvariantViolated,
         RestartResult::Failed(_) => TrialVerdict::Unrecoverable,
@@ -897,9 +896,8 @@ pub fn build_matrix(
 
 /// Census of the distinct sites a trial matrix tests: `(sites_tested,
 /// per-kind counts)`. Dedup goes through a keyed map, so the result is
-/// independent of row order — the fleet queue interleaves scenarios and
-/// offers no site-sortedness to lean on (the previous consecutive-dup
-/// `dedup_by_key` silently miscounted on any unsorted matrix).
+/// independent of row order — the trial queue interleaves scenarios and
+/// offers no site-sortedness to lean on.
 pub fn site_census(matrix: &[MatrixRow]) -> (u64, BTreeMap<&'static str, u64>) {
     let distinct: BTreeMap<u64, SiteKind> = matrix.iter().map(|&(s, k, _)| (s, k)).collect();
     let mut site_kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
@@ -910,7 +908,7 @@ pub fn site_census(matrix: &[MatrixRow]) -> (u64, BTreeMap<&'static str, u64>) {
 }
 
 /// A scenario with its enumeration, mining and matrix done — trials not
-/// yet classified. The unit the fleet queue schedules from.
+/// yet classified. The unit [`run_fleet`]'s queue schedules from.
 pub(crate) struct PreparedScenario<'a> {
     pub scn: &'a dyn Scenario,
     pub setup: AppSetup,
@@ -942,7 +940,7 @@ impl PreparedScenario<'_> {
 
 /// Enumeration run + invariant mining + matrix construction for one
 /// scenario — everything a campaign shares across that scenario's
-/// trials, on either the sequential or the fleet path.
+/// trials.
 pub(crate) fn prepare_scenario<'a>(
     scn: &'a dyn Scenario,
     cfg: &CampaignConfig,
@@ -973,15 +971,14 @@ pub(crate) fn prepare_scenario<'a>(
 }
 
 /// Assembles the final per-scenario result from classified trials:
-/// census over the matrix, canonical row order. Shared by the sequential
-/// and fleet paths so their matrices are byte-identical by construction.
+/// census over the matrix, canonical row order.
 pub(crate) fn finish_scenario(
     prep: PreparedScenario<'_>,
     mut trials: Vec<Trial>,
 ) -> ScenarioCampaign {
     let (sites_tested, site_kinds) = site_census(&prep.matrix);
     // Canonical row order, independent of the configured policy order
-    // (and of fleet-queue completion order).
+    // (and of queue completion order).
     trials.sort_by_key(|t| (t.site, policy_name(t.policy)));
     ScenarioCampaign {
         id: prep.scn.id(),
@@ -991,47 +988,6 @@ pub(crate) fn finish_scenario(
         site_kinds,
         trials,
         invariants: prep.mined,
-    }
-}
-
-/// Runs the campaign for one scenario: enumeration run, trial matrix,
-/// parallel classification.
-pub fn run_scenario_campaign(scn: &dyn Scenario, cfg: &CampaignConfig) -> ScenarioCampaign {
-    let prep = prepare_scenario(scn, cfg);
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<Trial>>> = prep.matrix.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..cfg.runners.min(prep.matrix.len().max(1)) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&row) = prep.matrix.get(i) else {
-                    break;
-                };
-                let trial = prep.run_row(cfg, row);
-                *results[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(trial);
-            });
-        }
-    });
-    let trials: Vec<Trial> = results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-                .expect("every trial ran")
-        })
-        .collect();
-    finish_scenario(prep, trials)
-}
-
-/// Runs the campaign over a set of scenarios.
-pub fn run_campaign(scenarios: &[Box<dyn Scenario>], cfg: &CampaignConfig) -> CampaignReport {
-    let scenarios = scenarios
-        .iter()
-        .map(|s| run_scenario_campaign(s.as_ref(), cfg))
-        .collect();
-    CampaignReport {
-        scenarios,
-        config: cfg.clone(),
     }
 }
 

@@ -5,12 +5,14 @@
 //! derives every staging decision from its own seed — and the campaign's
 //! verdict list is independent of how many runner threads classified it.
 
-use inject::{run_scenario_campaign, CampaignConfig, TrialVerdict};
+use inject::{CampaignConfig, TrialVerdict};
 use pm_workload::{
     run_with_injection, scenarios, AppSetup, InjectionOutcome, RunConfig, SiteInjection,
 };
 use pmemsim::CrashPolicy;
 use proptest::prelude::*;
+
+mod common;
 
 /// Runs f1 with a crash armed at `site` under `policy` and returns the
 /// raw post-crash image.
@@ -53,15 +55,14 @@ proptest! {
     }
 }
 
-/// Campaign verdicts are stable across runner counts: the same config
+/// Campaign verdicts are stable across worker counts: the same config
 /// classified by 1 and by 4 worker threads yields the identical trial
 /// list.
 #[test]
 fn verdicts_independent_of_runner_count() {
-    let scn = scenarios::by_id("f1").expect("f1 exists");
     let base = CampaignConfig::builder().stride(4).budget(8);
-    let solo = run_scenario_campaign(scn.as_ref(), &base.clone().runners(1).build().unwrap());
-    let quad = run_scenario_campaign(scn.as_ref(), &base.runners(4).build().unwrap());
+    let solo = common::scenario("f1", &base.clone().runners(1).build().unwrap());
+    let quad = common::scenario("f1", &base.runners(4).build().unwrap());
 
     let key = |c: &inject::ScenarioCampaign| {
         c.trials
@@ -180,13 +181,12 @@ fn site_census_is_order_independent() {
 /// chosen to not divide the policy count.
 #[test]
 fn campaign_census_reconciles_under_truncation() {
-    let scn = scenarios::by_id("f1").expect("f1 exists");
     let cfg = CampaignConfig::builder()
         .stride(4)
         .budget(7) // not a multiple of 2 policies: forces truncation
         .build()
         .unwrap();
-    let c = run_scenario_campaign(scn.as_ref(), &cfg);
+    let c = common::scenario("f1", &cfg);
     assert_eq!(c.site_kinds.values().sum::<u64>(), c.sites_tested);
     assert_eq!(
         c.trials.len() as u64,

@@ -1,0 +1,46 @@
+//! Shared by the integration tests: an un-journaled run of the campaign
+//! runtime, and the matrix pinned from the deleted sequential runner.
+#![allow(dead_code)]
+
+use inject::{run_fleet, CampaignConfig, CampaignReport, FleetConfig, ScenarioCampaign};
+use obs::Json;
+use pm_workload::scenarios;
+
+/// Runs `ids` under `cfg` with journaling off and requires a complete
+/// matrix.
+pub fn campaign(ids: &[&str], cfg: &CampaignConfig) -> CampaignReport {
+    let targets = scenarios::by_ids(ids).expect("known scenario ids");
+    let fleet = FleetConfig::builder(cfg.clone()).build().unwrap();
+    let report = run_fleet(&targets, &fleet).expect("un-journaled run cannot fail on I/O");
+    assert!(
+        report.complete,
+        "no trial limit, so every row is classified"
+    );
+    report.campaign
+}
+
+/// [`campaign`] over one scenario.
+pub fn scenario(id: &str, cfg: &CampaignConfig) -> ScenarioCampaign {
+    campaign(&[id], cfg).scenarios.remove(0)
+}
+
+/// The `scenarios` and `totals` subtrees of a matrix document — what a
+/// campaign computed, without the `config` stanza that names the worker
+/// count it was computed with.
+pub fn verdict_subtrees(doc: &Json) -> String {
+    let part = |key: &str| doc.get(key).expect("matrix member").render_pretty();
+    format!("{}\n{}", part("scenarios"), part("totals"))
+}
+
+/// `golden/campaign_matrix.json`: the matrix the per-scenario sequential
+/// runner rendered at commit ad54ba5, the last one that had it, for f1,
+/// f2, f4 at stride 8, budget 16 (runners 4). Regenerate only by
+/// checking that commit out; the generator is in CHANGES.md (PR 16).
+pub fn golden_matrix() -> Json {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/campaign_matrix.json"
+    );
+    let text = std::fs::read_to_string(path).expect("golden matrix is committed");
+    Json::parse(&text).expect("golden matrix parses")
+}

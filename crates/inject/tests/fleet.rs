@@ -1,12 +1,15 @@
-//! Fleet runtime guarantees: byte-identity with the sequential path,
-//! kill-and-resume correctness, and journal header validation.
+//! Campaign runtime guarantees: the matrix pinned from the deleted
+//! sequential runner at every worker count, kill-and-resume
+//! correctness, and journal header validation.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use inject::{run_campaign, run_fleet, CampaignConfig, FleetConfig, FleetError};
+use inject::{run_fleet, CampaignConfig, FleetConfig, FleetError, FleetReport};
 use obs::RingRecorder;
 use pm_workload::{scenarios, Scenario};
+
+mod common;
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("inject-fleet-tests").join(name);
@@ -32,93 +35,117 @@ fn small_cfg(runners: usize) -> CampaignConfig {
         .unwrap()
 }
 
-/// The tentpole identity: a fleet run's matrix document renders
-/// byte-identically to the sequential `run_campaign` under the same
-/// configuration, journal on or off.
-#[test]
-fn fleet_matrix_is_byte_identical_to_sequential() {
-    let cfg = small_cfg(4);
-    let sequential = run_campaign(&targets(), &cfg).json().render();
+/// Runs f1, f2, f4 under `fleet` and returns the report with its
+/// matrix's verdict subtrees rendered.
+fn run(fleet: &FleetConfig) -> (FleetReport, String) {
+    let report = run_fleet(&targets(), fleet).unwrap();
+    let rendered = common::verdict_subtrees(&report.campaign.json());
+    (report, rendered)
+}
 
-    let plain = FleetConfig::builder(cfg.clone()).build().unwrap();
-    let fleet = run_fleet(&targets(), &plain).unwrap();
-    assert!(fleet.complete);
-    assert_eq!(fleet.skipped, 0);
-    assert_eq!(fleet.campaign.json().render(), sequential);
-
-    let dir = tmp_dir("identity");
-    let journaled = FleetConfig::builder(cfg)
-        .journal_dir(&dir)
-        .fsync_batch(4)
-        .build()
-        .unwrap();
-    let fleet = run_fleet(&targets(), &journaled).unwrap();
-    assert_eq!(fleet.campaign.json().render(), sequential);
-    // Header + one line per trial.
-    let trials: u64 = fleet
+fn trial_count(report: &FleetReport) -> u64 {
+    report
         .campaign
         .scenarios
         .iter()
         .map(|s| s.trials.len() as u64)
-        .sum();
-    assert_eq!(fleet.journal_appended, trials, "one journal line per trial");
-    assert_eq!(fleet.executed, trials);
+        .sum()
+}
+
+/// The one runtime reproduces the deleted sequential runner: at every
+/// worker count, journal off and on, the `scenarios` and `totals`
+/// subtrees render byte-identically to the matrix pinned from the
+/// parent commit's sequential runner.
+#[test]
+fn matrix_matches_the_pinned_sequential_golden_at_every_worker_count() {
+    let golden_doc = common::golden_matrix();
+    let golden = common::verdict_subtrees(&golden_doc);
+    for workers in [1, 2, 4, 8] {
+        let cfg = small_cfg(workers);
+
+        let plain = FleetConfig::builder(cfg.clone()).build().unwrap();
+        let (report, rendered) = run(&plain);
+        assert!(report.complete);
+        assert_eq!(report.skipped, 0);
+        assert_eq!(report.journal_appended, 0);
+        assert_eq!(rendered, golden, "{workers} worker(s), journal off");
+        // The worker count leaves exactly one trace in the document, the
+        // `config.runners` stanza: at the golden's own count (4) the
+        // whole document is byte-identical.
+        if workers == 4 {
+            assert_eq!(
+                report.campaign.json().render_pretty(),
+                golden_doc.render_pretty()
+            );
+        }
+
+        let dir = tmp_dir(&format!("identity-{workers}"));
+        let journaled = FleetConfig::builder(cfg)
+            .journal_dir(&dir)
+            .fsync_batch(4)
+            .build()
+            .unwrap();
+        let (report, rendered) = run(&journaled);
+        assert_eq!(rendered, golden, "{workers} worker(s), journal on");
+        let trials = trial_count(&report);
+        assert_eq!(
+            report.journal_appended, trials,
+            "one journal line per trial"
+        );
+        assert_eq!(report.executed, trials);
+    }
 }
 
 /// Kill-and-resume: stop a journaled stride-8 campaign mid-queue (the
 /// `trial_limit` hook drops the runtime exactly as a kill would — the
 /// journal simply stops growing), resume from the journal, and require
-/// (a) the final matrix is byte-identical to an uninterrupted run and
-/// (b) no journaled trial re-executed, counted via journal lines.
+/// (a) the final matrix reproduces the pinned golden and (b) no
+/// journaled trial re-executed, counted via journal lines.
 #[test]
 fn killed_campaign_resumes_to_identical_matrix_without_rerunning_trials() {
-    let dir = tmp_dir("resume");
-    let cfg = small_cfg(2);
-    let uninterrupted = run_campaign(&targets(), &cfg).json().render();
-
+    let golden = common::verdict_subtrees(&common::golden_matrix());
     const KILL_AFTER: u64 = 9;
-    let first = FleetConfig::builder(cfg.clone())
-        .journal_dir(&dir)
-        .fsync_batch(2)
-        .trial_limit(Some(KILL_AFTER))
-        .build()
-        .unwrap();
-    let killed = run_fleet(&targets(), &first).unwrap();
-    assert!(!killed.complete, "trial limit must stop the run mid-queue");
-    assert_eq!(killed.executed, KILL_AFTER);
-    assert_eq!(killed.journal_appended, KILL_AFTER);
+    for workers in [1, 2, 4, 8] {
+        let dir = tmp_dir(&format!("resume-{workers}"));
+        let cfg = small_cfg(workers);
 
-    let resume = FleetConfig::builder(cfg)
-        .journal_dir(&dir)
-        .resume(true)
-        .build()
-        .unwrap();
-    let resumed = run_fleet(&targets(), &resume).unwrap();
-    assert!(resumed.complete);
-    assert_eq!(resumed.skipped, KILL_AFTER, "journaled trials re-admitted");
-    assert_eq!(
-        resumed.campaign.json().render(),
-        uninterrupted,
-        "resumed matrix must be byte-identical to an uninterrupted run"
-    );
+        let first = FleetConfig::builder(cfg.clone())
+            .journal_dir(&dir)
+            .fsync_batch(2)
+            .trial_limit(Some(KILL_AFTER))
+            .build()
+            .unwrap();
+        let (killed, _) = run(&first);
+        assert!(!killed.complete, "trial limit must stop the run mid-queue");
+        assert_eq!(killed.executed, KILL_AFTER);
+        assert_eq!(killed.journal_appended, KILL_AFTER);
 
-    // Journal accounting proves no re-execution: header + first run's
-    // lines + exactly the remaining trials.
-    let total: u64 = resumed
-        .campaign
-        .scenarios
-        .iter()
-        .map(|s| s.trials.len() as u64)
-        .sum();
-    assert_eq!(resumed.executed, total - KILL_AFTER);
-    assert_eq!(resumed.journal_appended, total - KILL_AFTER);
-    let read = obs::read_journal(&dir.join(inject::fleet::JOURNAL_FILE)).unwrap();
-    assert_eq!(
-        read.lines.len() as u64,
-        1 + total,
-        "header + one line per trial"
-    );
-    assert_eq!(read.skipped, 0);
+        let resume = FleetConfig::builder(cfg)
+            .journal_dir(&dir)
+            .resume(true)
+            .build()
+            .unwrap();
+        let (resumed, rendered) = run(&resume);
+        assert!(resumed.complete);
+        assert_eq!(resumed.skipped, KILL_AFTER, "journaled trials re-admitted");
+        assert_eq!(
+            rendered, golden,
+            "{workers} worker(s): resumed matrix must match an uninterrupted run"
+        );
+
+        // Journal accounting proves no re-execution: header + first
+        // run's lines + exactly the remaining trials.
+        let total = trial_count(&resumed);
+        assert_eq!(resumed.executed, total - KILL_AFTER);
+        assert_eq!(resumed.journal_appended, total - KILL_AFTER);
+        let read = obs::read_journal(&dir.join(inject::fleet::JOURNAL_FILE)).unwrap();
+        assert_eq!(
+            read.lines.len() as u64,
+            1 + total,
+            "header + one line per trial"
+        );
+        assert_eq!(read.skipped, 0);
+    }
 }
 
 /// A journal written under one configuration refuses to drive another:
@@ -190,6 +217,16 @@ fn journal_header_round_trips() {
     assert_eq!(h.policies, cfg.policies());
     assert_eq!(h.invariants, cfg.invariants());
     assert_eq!(h.scenarios, vec!["f1", "f2", "f4"]);
+    // The header rebuilds the configuration that wrote it.
+    let rebuilt = h.campaign_config(None).unwrap();
+    assert_eq!(
+        (rebuilt.seed(), rebuilt.stride(), rebuilt.budget()),
+        (cfg.seed(), cfg.stride(), cfg.budget())
+    );
+    assert_eq!(rebuilt.runners(), cfg.runners());
+    assert_eq!(rebuilt.policies(), cfg.policies());
+    assert_eq!(rebuilt.invariants(), cfg.invariants());
+    assert_eq!(rebuilt.replicas(), 0);
     let from_header = scenarios::by_ids(&h.scenarios).unwrap();
     assert_eq!(from_header.len(), 3);
     assert_eq!(from_header[2].id(), "f4");

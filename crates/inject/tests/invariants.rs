@@ -6,8 +6,10 @@
 //! scenarios — and the seeded-bug fixture (fx1), whose recovery is clean
 //! by construction, is convicted as silent corruption.
 
-use inject::{invariants, run_scenario_campaign, CampaignConfig, MinedInvariant, TrialVerdict};
+use inject::{invariants, CampaignConfig, MinedInvariant, TrialVerdict};
 use pm_workload::{run_with_injection, scenarios, AppSetup, InjectionOutcome, RunConfig};
+
+mod common;
 
 /// Runs a scenario un-injected under `seed` and returns its final pool,
 /// log and trace — the material the oracle checks.
@@ -75,13 +77,9 @@ fn fixture_mines_the_seeded_ordering_invariant() {
 /// the verdict class exists only when mining ran.
 #[test]
 fn fixture_campaign_is_convicted_only_with_the_oracle() {
-    let scn = scenarios::by_id("fx1").expect("fixture scenario registered");
     let base = CampaignConfig::builder().stride(16).budget(40);
 
-    let with = run_scenario_campaign(
-        scn.as_ref(),
-        &base.clone().invariants(true).build().unwrap(),
-    );
+    let with = common::scenario("fx1", &base.clone().invariants(true).build().unwrap());
     let convicted = with.count(TrialVerdict::SilentCorruption);
     assert!(
         convicted >= 1,
@@ -94,7 +92,7 @@ fn fixture_campaign_is_convicted_only_with_the_oracle() {
         "oracle-on campaign carries its promoted invariant set"
     );
 
-    let without = run_scenario_campaign(scn.as_ref(), &base.build().unwrap());
+    let without = common::scenario("fx1", &base.build().unwrap());
     assert_eq!(
         without.count(TrialVerdict::SilentCorruption),
         0,
@@ -136,13 +134,12 @@ fn silent_corruption_verdict_name_is_stable() {
 /// order.
 #[test]
 fn census_counts_tested_sites_and_trials_are_ordered() {
-    let scn = scenarios::by_id("f1").expect("f1 exists");
     let cfg = CampaignConfig::builder()
         .stride(7)
         .budget(30)
         .build()
         .unwrap();
-    let c = run_scenario_campaign(scn.as_ref(), &cfg);
+    let c = common::scenario("f1", &cfg);
     let census_total: u64 = c.site_kinds.values().copied().sum();
     assert_eq!(
         census_total, c.sites_tested,

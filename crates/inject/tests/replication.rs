@@ -14,11 +14,13 @@
 //!   standbys (rejected at promote verification), but they never
 //!   produce an invariant violation the single-pool pipeline avoided.
 
-use inject::{run_scenario_campaign, CampaignConfig, ReplicaFault, TrialVerdict};
+use inject::{CampaignConfig, ReplicaFault, TrialVerdict};
 use pm_workload::{run_with_injection, scenarios, AppSetup, InjectionOutcome, RunConfig};
 
 use arthas::{Reactor, ReactorConfig};
 use pmemsim::PoolGroup;
+
+mod common;
 
 fn base_cfg() -> inject::CampaignConfigBuilder {
     CampaignConfig::builder().stride(8).budget(8)
@@ -39,17 +41,9 @@ fn verdict_keys(c: &inject::ScenarioCampaign) -> Vec<TrialKey> {
 /// would fail.
 #[test]
 fn n0_matrix_renders_byte_identically() {
-    let scn = scenarios::by_id("f1").expect("f1 exists");
     let cfg = base_cfg().replicas(0).build().unwrap();
-    let a = inject::CampaignReport {
-        scenarios: vec![run_scenario_campaign(scn.as_ref(), &cfg)],
-        config: cfg.clone(),
-    };
-    let b = inject::CampaignReport {
-        scenarios: vec![run_scenario_campaign(scn.as_ref(), &cfg)],
-        config: cfg,
-    };
-    let (a, b) = (a.json().render_pretty(), b.json().render_pretty());
+    let render = || common::campaign(&["f1"], &cfg).json().render_pretty();
+    let (a, b) = (render(), render());
     assert_eq!(a, b, "n = 0 matrices diverged across identical runs");
     assert!(
         !a.contains("replicas") && !a.contains("replica_fault"),
@@ -62,9 +56,8 @@ fn n0_matrix_renders_byte_identically() {
 /// nothing, and the primary-image arm is the single-pool pipeline.
 #[test]
 fn clean_replicas_are_verdict_neutral() {
-    let scn = scenarios::by_id("f1").expect("f1 exists");
-    let n0 = run_scenario_campaign(scn.as_ref(), &base_cfg().build().unwrap());
-    let n2 = run_scenario_campaign(scn.as_ref(), &base_cfg().replicas(2).build().unwrap());
+    let n0 = common::scenario("f1", &base_cfg().build().unwrap());
+    let n2 = common::scenario("f1", &base_cfg().replicas(2).build().unwrap());
     assert_eq!(
         verdict_keys(&n0),
         verdict_keys(&n2),
@@ -78,8 +71,7 @@ fn clean_replicas_are_verdict_neutral() {
 /// single-pool pipeline recovered.
 #[test]
 fn replica_faults_are_contained() {
-    let scn = scenarios::by_id("f1").expect("f1 exists");
-    let n0 = run_scenario_campaign(scn.as_ref(), &base_cfg().build().unwrap());
+    let n0 = common::scenario("f1", &base_cfg().build().unwrap());
     let recovered =
         |v: TrialVerdict| matches!(v, TrialVerdict::CleanRecovery | TrialVerdict::Mitigated);
     for fault in [
@@ -92,11 +84,7 @@ fn replica_faults_are_contained() {
             .replica_fault(Some(fault))
             .build()
             .unwrap();
-        let c = run_scenario_campaign(scn.as_ref(), &cfg);
-        let report = inject::CampaignReport {
-            scenarios: vec![c],
-            config: cfg,
-        };
+        let report = common::campaign(&["f1"], &cfg);
         assert_eq!(
             report.invariant_violations(),
             0,

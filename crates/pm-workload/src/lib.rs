@@ -20,7 +20,7 @@
 //! - [`loadgen`]: the TCP load driver for the `serve` front-end —
 //!   YCSB-shaped traffic over N connections with mid-run fault arming,
 //!   mitigation-window latency percentiles and exact acked-but-lost
-//!   accounting (fig14).
+//!   accounting.
 
 pub mod concurrent;
 pub mod harness;

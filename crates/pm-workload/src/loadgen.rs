@@ -1,4 +1,4 @@
-//! Client-side load driver for the serving front-end (fig14).
+//! Client-side load driver for the serving front-end.
 //!
 //! Streams YCSB-shaped get/set traffic over N concurrent TCP
 //! connections (a configurable share speaking RESP, the rest the

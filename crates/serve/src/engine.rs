@@ -674,7 +674,7 @@ impl Engine {
         if out.failed_over {
             // Kept separately from `last_mitigation_wall_us`: an
             // escalated reversion may run after this failover, and
-            // fig15 compares the promote wall, not whatever ran last.
+            // `stats` reports the promote wall, not whatever ran last.
             self.last_failover_wall_us = Some(wall_us);
         }
         self.recorder.event(

@@ -9,11 +9,11 @@
 //!
 //! Run with: `cargo run --release --example invariant_oracle`
 
-use inject::{run_scenario_campaign, CampaignConfig, TrialVerdict};
+use inject::{run_fleet, CampaignConfig, FleetConfig, TrialVerdict};
 use pm_workload::scenarios;
 
 fn main() {
-    let scn = scenarios::by_id("fx1").expect("fixture scenario registered");
+    let fx1 = [scenarios::by_id("fx1").expect("fixture scenario registered")];
 
     for oracle in [false, true] {
         let cfg = CampaignConfig::builder()
@@ -21,7 +21,9 @@ fn main() {
             .invariants(oracle)
             .build()
             .expect("valid config");
-        let campaign = run_scenario_campaign(scn.as_ref(), &cfg);
+        let fleet = FleetConfig::builder(cfg).build().expect("valid config");
+        let report = run_fleet(&fx1, &fleet).expect("no journal, so no I/O to fail");
+        let campaign = &report.campaign.scenarios[0];
 
         let silent = campaign
             .trials

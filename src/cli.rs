@@ -86,6 +86,342 @@ pub struct CommandSpec {
     pub flags: &'static [FlagSpec],
 }
 
+/// Every `arthas-repro` subcommand, declared once: `main` dispatches on
+/// this table and the usage listing prints it.
+pub const COMMANDS: &[CommandSpec] = &[
+    CommandSpec {
+        name: "list",
+        summary: "list the 12 fault scenarios (Table 2)",
+        args: &[],
+        flags: &[],
+    },
+    CommandSpec {
+        name: "run",
+        summary: "run one scenario to failure and mitigate it",
+        args: &[
+            ArgSpec {
+                name: "scenario",
+                required: true,
+                help: "scenario id (f1..f12; see `list`), or `all`",
+            },
+            ArgSpec {
+                name: "solution",
+                required: false,
+                help: "arthas (default) | arthas-spec[:k] | pmcriu | arckpt",
+            },
+            ArgSpec {
+                name: "seed",
+                required: false,
+                help: "workload seed (default 1)",
+            },
+        ],
+        flags: &[ANALYSIS_CACHE_FLAG, NO_ANALYSIS_CACHE_FLAG],
+    },
+    CommandSpec {
+        name: "report",
+        summary: "observed run: recovery timeline or schema-validated JSON",
+        args: &[
+            ArgSpec {
+                name: "scenario",
+                required: true,
+                help: "scenario id, or `all`",
+            },
+            ArgSpec {
+                name: "solution",
+                required: false,
+                help: "arthas (default) | arthas-spec[:k] | pmcriu | arckpt",
+            },
+        ],
+        flags: &[
+            FlagSpec {
+                name: "--seed",
+                value: Some("N"),
+                help: "workload seed (default 1)",
+            },
+            FlagSpec {
+                name: "--json",
+                value: None,
+                help: "print the JSON document instead of the timeline",
+            },
+            FlagSpec {
+                name: "--out",
+                value: Some("DIR"),
+                help: "also write one <id>.json per scenario into DIR",
+            },
+            ANALYSIS_CACHE_FLAG,
+            NO_ANALYSIS_CACHE_FLAG,
+        ],
+    },
+    CommandSpec {
+        name: "serve",
+        summary: "TCP cache front-end (memcached/RESP) with online hard-fault mitigation",
+        args: &[ArgSpec {
+            name: "scenario",
+            required: false,
+            help: "served fault scenario: f4 | f5 | f10 (required unless --connect)",
+        }],
+        flags: &[
+            FlagSpec {
+                name: "--addr",
+                value: Some("HOST:PORT"),
+                help: "bind address (default 127.0.0.1:0 = any free port)",
+            },
+            FlagSpec {
+                name: "--workers",
+                value: Some("N"),
+                help: "connection worker threads (default 4)",
+            },
+            FlagSpec {
+                name: "--drive",
+                value: None,
+                help: "run the load driver in-process and print the serving report",
+            },
+            FlagSpec {
+                name: "--connect",
+                value: Some("ADDR"),
+                help: "client-only: drive an already-running server at ADDR",
+            },
+            FlagSpec {
+                name: "--conns",
+                value: Some("N"),
+                help: "load-driver connections (default 16)",
+            },
+            FlagSpec {
+                name: "--ops",
+                value: Some("N"),
+                help: "total load-driver ops (default 10000)",
+            },
+            FlagSpec {
+                name: "--fault-at",
+                value: Some("N"),
+                help: "arm the scenario's hard fault at global op N (driver modes)",
+            },
+            FlagSpec {
+                name: "--read-pct",
+                value: Some("N"),
+                help: "read share of the YCSB mix (default 50)",
+            },
+            FlagSpec {
+                name: "--resp-pct",
+                value: Some("N"),
+                help: "share of connections speaking RESP (default 50)",
+            },
+            FlagSpec {
+                name: "--key-space",
+                value: Some("N"),
+                help: "zipfian key-space size (default 512)",
+            },
+            FlagSpec {
+                name: "--seed",
+                value: Some("N"),
+                help: "workload seed (default 1)",
+            },
+            FlagSpec {
+                name: "--skew",
+                value: Some("THETA"),
+                help: "zipfian skew of the traffic keys: 0 = uniform (default), \
+                       0.99 = YCSB hot-key popularity",
+            },
+            FlagSpec {
+                name: "--replicas",
+                value: Some("N"),
+                help: "hot-standby replica pools fed from the checkpoint stream \
+                       (default 0 = single-pool mitigation only)",
+            },
+            FlagSpec {
+                name: "--standby-lag",
+                value: Some("N"),
+                help: "seqs the standbys are held behind the primary (default 2048)",
+            },
+            FlagSpec {
+                name: "--json",
+                value: None,
+                help: "machine-readable load report (schema-validated)",
+            },
+            ANALYSIS_CACHE_FLAG,
+            NO_ANALYSIS_CACHE_FLAG,
+        ],
+    },
+    CommandSpec {
+        name: "inject",
+        summary: "crash-point injection campaign over a scenario's durability boundaries",
+        args: &[ArgSpec {
+            name: "scenario",
+            required: false,
+            help: "scenario id (f1..f12, fx1), or `all` (required unless --resume)",
+        }],
+        flags: &[
+            FlagSpec {
+                name: "--stride",
+                value: Some("N"),
+                help: "test every N-th site (default 1 = exhaustive)",
+            },
+            FlagSpec {
+                name: "--budget",
+                value: Some("N"),
+                help: "max trials per scenario (default 400)",
+            },
+            FlagSpec {
+                name: "--runners",
+                value: Some("N"),
+                help: "parallel trial runners (default 1)",
+            },
+            FlagSpec {
+                name: "--policies",
+                value: Some("LIST"),
+                help: "comma list of drop, keep, random (default drop,keep)",
+            },
+            FlagSpec {
+                name: "--seeds",
+                value: Some("K"),
+                help: "RandomStaged seeds when `random` is listed (default 2)",
+            },
+            FlagSpec {
+                name: "--seed",
+                value: Some("N"),
+                help: "workload seed (default 1)",
+            },
+            FlagSpec {
+                name: "--invariants",
+                value: None,
+                help: "mine likely invariants from passing runs and convict clean-looking \
+                       images that break them (silent_corruption verdicts)",
+            },
+            FlagSpec {
+                name: "--replicas",
+                value: Some("N"),
+                help: "hot-standby replica pools behind every trial, fed from the \
+                       checkpoint stream (default 0 = single-pool campaign; the matrix \
+                       is byte-identical at 0)",
+            },
+            FlagSpec {
+                name: "--replica-fault",
+                value: Some("MODE"),
+                help: "replica-side fault per trial: correlated, independent or torn \
+                       (requires --replicas >= 1)",
+            },
+            FlagSpec {
+                name: "--no-invariants",
+                value: None,
+                help: "force the mined-invariant oracle off (wins over --invariants)",
+            },
+            FlagSpec {
+                name: "--json",
+                value: None,
+                help: "print the matrix JSON instead of the coverage table",
+            },
+            FlagSpec {
+                name: "--out",
+                value: Some("FILE"),
+                help: "write the matrix JSON to FILE",
+            },
+            FlagSpec {
+                name: "--journal",
+                value: Some("DIR"),
+                help: "journal per-trial progress under DIR; a killed campaign resumes \
+                       with --resume DIR",
+            },
+            FlagSpec {
+                name: "--resume",
+                value: Some("DIR"),
+                help: "resume from the journal under DIR: the campaign configuration is \
+                       reconstructed from its header and finished trials are not re-run",
+            },
+            FlagSpec {
+                name: "--fsync-batch",
+                value: Some("N"),
+                help: "journal lines between fsyncs (default 32)",
+            },
+            FlagSpec {
+                name: "--trial-limit",
+                value: Some("N"),
+                help: "stop after executing N new trials (mid-queue-kill simulation; \
+                       progress stays in the journal)",
+            },
+            ANALYSIS_CACHE_FLAG,
+            NO_ANALYSIS_CACHE_FLAG,
+        ],
+    },
+    CommandSpec {
+        name: "study",
+        summary: "print the empirical-study statistics (S2)",
+        args: &[],
+        flags: &[],
+    },
+    CommandSpec {
+        name: "concurrent",
+        summary: "multi-writer scenario over the sharded checkpoint store",
+        args: &[],
+        flags: &[
+            FlagSpec {
+                name: "--writers",
+                value: Some("LIST"),
+                help: "comma list of writer-thread counts (default 1,4,8)",
+            },
+            FlagSpec {
+                name: "--shards",
+                value: Some("N"),
+                help: "checkpoint store shard count (default 8)",
+            },
+            FlagSpec {
+                name: "--ops",
+                value: Some("N"),
+                help: "operations per writer (default 200)",
+            },
+            FlagSpec {
+                name: "--seed",
+                value: Some("N"),
+                help: "workload seed (default 1)",
+            },
+        ],
+    },
+    CommandSpec {
+        name: "analyze",
+        summary: "analyzer summary for an application module",
+        args: &[ArgSpec {
+            name: "app",
+            required: true,
+            help: "kvcache | listdb | cceh | segcache | pmkv",
+        }],
+        flags: &[ANALYSIS_CACHE_FLAG, NO_ANALYSIS_CACHE_FLAG],
+    },
+    CommandSpec {
+        name: "lint",
+        summary: "crash-consistency lint checks (L1-L6); exits 1 on errors",
+        args: &[ArgSpec {
+            name: "app",
+            required: true,
+            help: "kvcache | listdb | cceh | segcache | pmkv | fixture",
+        }],
+        flags: &[
+            FlagSpec {
+                name: "--json",
+                value: None,
+                help: "machine-readable report",
+            },
+            ANALYSIS_CACHE_FLAG,
+            NO_ANALYSIS_CACHE_FLAG,
+        ],
+    },
+    CommandSpec {
+        name: "disasm",
+        summary: "disassemble an application module",
+        args: &[
+            ArgSpec {
+                name: "app",
+                required: true,
+                help: "kvcache | listdb | cceh | segcache | pmkv",
+            },
+            ArgSpec {
+                name: "function",
+                required: false,
+                help: "single function to print (default: whole module)",
+            },
+        ],
+        flags: &[],
+    },
+];
+
 /// Parsed arguments for one subcommand invocation.
 #[derive(Debug, Default)]
 pub struct Parsed {
@@ -354,6 +690,20 @@ mod tests {
     fn unknown_flag_and_excess_positional_are_errors() {
         assert!(SPEC.parse(&sv(&["t", "--bogus"])).is_err());
         assert!(SPEC.parse(&sv(&["t", "x", "y"])).is_err());
+    }
+
+    /// `inject` has one campaign runtime and no switch that selects it:
+    /// the removed `--fleet` is rejected like any unknown flag, and the
+    /// journal flags stand on their own.
+    #[test]
+    fn inject_rejects_the_removed_fleet_flag() {
+        let inject = COMMANDS.iter().find(|c| c.name == "inject").unwrap();
+        let e = inject.parse(&sv(&["all", "--fleet"])).unwrap_err();
+        assert!(e.contains("unknown flag --fleet"), "{e}");
+        assert!(e.contains("usage: arthas-repro inject"), "{e}");
+        let p = inject.parse(&sv(&["all", "--journal", "dir"])).unwrap();
+        assert_eq!(p.get("--journal"), Some("dir"));
+        assert!(inject.flags.iter().all(|f| !f.help.contains("--fleet")));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! arthas-repro report f6 [--json]        # observed run: timeline / JSON
 //! arthas-repro report all --out reports  # one JSON document per scenario
 //! arthas-repro serve f4 --drive --conns 64 --fault-at 5000
-//!                                        # live traffic + online mitigation (fig14)
+//!                                        # live traffic + online mitigation
 //! arthas-repro inject f6 --stride 8      # crash-point injection campaign
 //! arthas-repro inject fx1 --invariants   # campaign with the mined-invariant oracle
 //! arthas-repro study                     # the S2 empirical-study stats
@@ -20,350 +20,8 @@
 //! declaration.
 
 use arthas::ReactorConfig;
-use arthas_repro::cli::{
-    ArgSpec, CliContext, CommandSpec, FlagSpec, Parsed, ANALYSIS_CACHE_FLAG, NO_ANALYSIS_CACHE_FLAG,
-};
+use arthas_repro::cli::{CliContext, CommandSpec, Parsed, COMMANDS};
 use pm_workload::{mitigate, run_production, scenarios, AppSetup, RunConfig, Solution};
-
-const COMMANDS: &[CommandSpec] = &[
-    CommandSpec {
-        name: "list",
-        summary: "list the 12 fault scenarios (Table 2)",
-        args: &[],
-        flags: &[],
-    },
-    CommandSpec {
-        name: "run",
-        summary: "run one scenario to failure and mitigate it",
-        args: &[
-            ArgSpec {
-                name: "scenario",
-                required: true,
-                help: "scenario id (f1..f12; see `list`), or `all`",
-            },
-            ArgSpec {
-                name: "solution",
-                required: false,
-                help: "arthas (default) | arthas-spec[:k] | pmcriu | arckpt",
-            },
-            ArgSpec {
-                name: "seed",
-                required: false,
-                help: "workload seed (default 1)",
-            },
-        ],
-        flags: &[ANALYSIS_CACHE_FLAG, NO_ANALYSIS_CACHE_FLAG],
-    },
-    CommandSpec {
-        name: "report",
-        summary: "observed run: recovery timeline or schema-validated JSON",
-        args: &[
-            ArgSpec {
-                name: "scenario",
-                required: true,
-                help: "scenario id, or `all`",
-            },
-            ArgSpec {
-                name: "solution",
-                required: false,
-                help: "arthas (default) | arthas-spec[:k] | pmcriu | arckpt",
-            },
-        ],
-        flags: &[
-            FlagSpec {
-                name: "--seed",
-                value: Some("N"),
-                help: "workload seed (default 1)",
-            },
-            FlagSpec {
-                name: "--json",
-                value: None,
-                help: "print the JSON document instead of the timeline",
-            },
-            FlagSpec {
-                name: "--out",
-                value: Some("DIR"),
-                help: "also write one <id>.json per scenario into DIR",
-            },
-            ANALYSIS_CACHE_FLAG,
-            NO_ANALYSIS_CACHE_FLAG,
-        ],
-    },
-    CommandSpec {
-        name: "serve",
-        summary: "TCP cache front-end (memcached/RESP) with online hard-fault mitigation",
-        args: &[ArgSpec {
-            name: "scenario",
-            required: false,
-            help: "served fault scenario: f4 | f5 | f10 (required unless --connect)",
-        }],
-        flags: &[
-            FlagSpec {
-                name: "--addr",
-                value: Some("HOST:PORT"),
-                help: "bind address (default 127.0.0.1:0 = any free port)",
-            },
-            FlagSpec {
-                name: "--workers",
-                value: Some("N"),
-                help: "connection worker threads (default 4)",
-            },
-            FlagSpec {
-                name: "--drive",
-                value: None,
-                help: "run the load driver in-process and print the fig14 report",
-            },
-            FlagSpec {
-                name: "--connect",
-                value: Some("ADDR"),
-                help: "client-only: drive an already-running server at ADDR",
-            },
-            FlagSpec {
-                name: "--conns",
-                value: Some("N"),
-                help: "load-driver connections (default 16)",
-            },
-            FlagSpec {
-                name: "--ops",
-                value: Some("N"),
-                help: "total load-driver ops (default 10000)",
-            },
-            FlagSpec {
-                name: "--fault-at",
-                value: Some("N"),
-                help: "arm the scenario's hard fault at global op N (driver modes)",
-            },
-            FlagSpec {
-                name: "--read-pct",
-                value: Some("N"),
-                help: "read share of the YCSB mix (default 50)",
-            },
-            FlagSpec {
-                name: "--resp-pct",
-                value: Some("N"),
-                help: "share of connections speaking RESP (default 50)",
-            },
-            FlagSpec {
-                name: "--key-space",
-                value: Some("N"),
-                help: "zipfian key-space size (default 512)",
-            },
-            FlagSpec {
-                name: "--seed",
-                value: Some("N"),
-                help: "workload seed (default 1)",
-            },
-            FlagSpec {
-                name: "--skew",
-                value: Some("THETA"),
-                help: "zipfian skew of the traffic keys: 0 = uniform (default), \
-                       0.99 = YCSB hot-key popularity",
-            },
-            FlagSpec {
-                name: "--replicas",
-                value: Some("N"),
-                help: "hot-standby replica pools fed from the checkpoint stream \
-                       (default 0 = single-pool mitigation only)",
-            },
-            FlagSpec {
-                name: "--standby-lag",
-                value: Some("N"),
-                help: "seqs the standbys are held behind the primary (default 2048)",
-            },
-            FlagSpec {
-                name: "--json",
-                value: None,
-                help: "machine-readable load report (schema-validated)",
-            },
-            ANALYSIS_CACHE_FLAG,
-            NO_ANALYSIS_CACHE_FLAG,
-        ],
-    },
-    CommandSpec {
-        name: "inject",
-        summary: "crash-point injection campaign over a scenario's durability boundaries",
-        args: &[ArgSpec {
-            name: "scenario",
-            required: false,
-            help: "scenario id (f1..f12, fx1), or `all` (required unless --resume)",
-        }],
-        flags: &[
-            FlagSpec {
-                name: "--stride",
-                value: Some("N"),
-                help: "test every N-th site (default 1 = exhaustive)",
-            },
-            FlagSpec {
-                name: "--budget",
-                value: Some("N"),
-                help: "max trials per scenario (default 400)",
-            },
-            FlagSpec {
-                name: "--runners",
-                value: Some("N"),
-                help: "parallel trial runners (default 1)",
-            },
-            FlagSpec {
-                name: "--policies",
-                value: Some("LIST"),
-                help: "comma list of drop, keep, random (default drop,keep)",
-            },
-            FlagSpec {
-                name: "--seeds",
-                value: Some("K"),
-                help: "RandomStaged seeds when `random` is listed (default 2)",
-            },
-            FlagSpec {
-                name: "--seed",
-                value: Some("N"),
-                help: "workload seed (default 1)",
-            },
-            FlagSpec {
-                name: "--invariants",
-                value: None,
-                help: "mine likely invariants from passing runs and convict clean-looking \
-                       images that break them (silent_corruption verdicts)",
-            },
-            FlagSpec {
-                name: "--replicas",
-                value: Some("N"),
-                help: "hot-standby replica pools behind every trial, fed from the \
-                       checkpoint stream (default 0 = single-pool campaign; the matrix \
-                       is byte-identical at 0)",
-            },
-            FlagSpec {
-                name: "--replica-fault",
-                value: Some("MODE"),
-                help: "replica-side fault per trial: correlated, independent or torn \
-                       (requires --replicas >= 1)",
-            },
-            FlagSpec {
-                name: "--no-invariants",
-                value: None,
-                help: "force the mined-invariant oracle off (wins over --invariants)",
-            },
-            FlagSpec {
-                name: "--json",
-                value: None,
-                help: "print the matrix JSON instead of the coverage table",
-            },
-            FlagSpec {
-                name: "--out",
-                value: Some("FILE"),
-                help: "write the matrix JSON to FILE",
-            },
-            FlagSpec {
-                name: "--fleet",
-                value: None,
-                help: "drain one globally interleaved trial queue across all scenarios \
-                       with --runners workers (matrix byte-identical to sequential)",
-            },
-            FlagSpec {
-                name: "--journal",
-                value: Some("DIR"),
-                help: "journal per-trial progress under DIR (implies --fleet); a killed \
-                       campaign resumes with --resume DIR",
-            },
-            FlagSpec {
-                name: "--resume",
-                value: Some("DIR"),
-                help: "resume from the journal under DIR: the campaign configuration is \
-                       reconstructed from its header and finished trials are not re-run",
-            },
-            FlagSpec {
-                name: "--fsync-batch",
-                value: Some("N"),
-                help: "journal lines between fsyncs (default 32)",
-            },
-            FlagSpec {
-                name: "--trial-limit",
-                value: Some("N"),
-                help: "stop after executing N new trials (mid-queue-kill simulation; \
-                       progress stays in the journal)",
-            },
-            ANALYSIS_CACHE_FLAG,
-            NO_ANALYSIS_CACHE_FLAG,
-        ],
-    },
-    CommandSpec {
-        name: "study",
-        summary: "print the empirical-study statistics (S2)",
-        args: &[],
-        flags: &[],
-    },
-    CommandSpec {
-        name: "concurrent",
-        summary: "multi-writer scenario over the sharded checkpoint store",
-        args: &[],
-        flags: &[
-            FlagSpec {
-                name: "--writers",
-                value: Some("LIST"),
-                help: "comma list of writer-thread counts (default 1,4,8)",
-            },
-            FlagSpec {
-                name: "--shards",
-                value: Some("N"),
-                help: "checkpoint store shard count (default 8)",
-            },
-            FlagSpec {
-                name: "--ops",
-                value: Some("N"),
-                help: "operations per writer (default 200)",
-            },
-            FlagSpec {
-                name: "--seed",
-                value: Some("N"),
-                help: "workload seed (default 1)",
-            },
-        ],
-    },
-    CommandSpec {
-        name: "analyze",
-        summary: "analyzer summary for an application module",
-        args: &[ArgSpec {
-            name: "app",
-            required: true,
-            help: "kvcache | listdb | cceh | segcache | pmkv",
-        }],
-        flags: &[ANALYSIS_CACHE_FLAG, NO_ANALYSIS_CACHE_FLAG],
-    },
-    CommandSpec {
-        name: "lint",
-        summary: "crash-consistency lint checks (L1-L6); exits 1 on errors",
-        args: &[ArgSpec {
-            name: "app",
-            required: true,
-            help: "kvcache | listdb | cceh | segcache | pmkv | fixture",
-        }],
-        flags: &[
-            FlagSpec {
-                name: "--json",
-                value: None,
-                help: "machine-readable report",
-            },
-            ANALYSIS_CACHE_FLAG,
-            NO_ANALYSIS_CACHE_FLAG,
-        ],
-    },
-    CommandSpec {
-        name: "disasm",
-        summary: "disassemble an application module",
-        args: &[
-            ArgSpec {
-                name: "app",
-                required: true,
-                help: "kvcache | listdb | cceh | segcache | pmkv",
-            },
-            ArgSpec {
-                name: "function",
-                required: false,
-                help: "single function to print (default: whole module)",
-            },
-        ],
-        flags: &[],
-    },
-];
 
 fn spec(name: &str) -> &'static CommandSpec {
     COMMANDS
@@ -708,7 +366,7 @@ fn cmd_report(p: Parsed) {
 ///
 /// Three modes:
 /// * server (default): bind, print the address, serve until killed;
-/// * `--drive`: in-process server + load driver, then the fig14 report
+/// * `--drive`: in-process server + load driver, then the serving report
 ///   with the online-recovery gates (exit 1 on a gate failure);
 /// * `--connect ADDR`: client-only load run against a server started
 ///   elsewhere (the two-process smoke test).
@@ -943,21 +601,10 @@ fn resume_campaign(
         eprintln!("cannot resume from {dir}: {e}");
         std::process::exit(1);
     });
-    let cfg = inject::CampaignConfig::builder()
-        .stride(header.stride)
-        .budget(header.budget)
-        .runners(header.runners)
-        .seed(header.seed)
-        .policies(header.policies)
-        .invariants(header.invariants)
-        .replicas(header.replicas)
-        .replica_fault(header.replica_fault)
-        .analysis_cache(ctx.cache_arc())
-        .build()
-        .unwrap_or_else(|e| {
-            eprintln!("cannot resume from {dir}: {e}");
-            std::process::exit(1);
-        });
+    let cfg = header.campaign_config(ctx.cache_arc()).unwrap_or_else(|e| {
+        eprintln!("cannot resume from {dir}: {e}");
+        std::process::exit(1);
+    });
     (cfg, targets)
 }
 
@@ -1018,38 +665,41 @@ fn cmd_inject(p: Parsed) {
     let journal_dir = resume_dir
         .clone()
         .or_else(|| p.get("--journal").map(str::to_string));
-    let fleet_mode = journal_dir.is_some() || p.has("--fleet");
-    let report = if fleet_mode {
-        let mut b = inject::FleetConfig::builder(cfg)
-            .resume(resume_dir.is_some())
-            .fsync_batch(flag_u64(&p, "--fsync-batch", obs::DEFAULT_FSYNC_BATCH as u64) as usize)
-            .trial_limit(
-                p.get("--trial-limit")
-                    .map(|_| flag_u64(&p, "--trial-limit", 0)),
-            );
-        if let Some(dir) = &journal_dir {
-            b = b.journal_dir(dir);
+    let mut b = inject::FleetConfig::builder(cfg)
+        .resume(resume_dir.is_some())
+        .fsync_batch(flag_u64(&p, "--fsync-batch", obs::DEFAULT_FSYNC_BATCH as u64) as usize)
+        .trial_limit(
+            p.get("--trial-limit")
+                .map(|_| flag_u64(&p, "--trial-limit", 0)),
+        );
+    if let Some(dir) = &journal_dir {
+        b = b.journal_dir(dir);
+    }
+    let fcfg = b.build().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    let fleet = inject::run_fleet(&targets, &fcfg).unwrap_or_else(|e| {
+        eprintln!("campaign failed: {e}");
+        std::process::exit(1);
+    });
+    eprint!("{}", fleet.render_summary());
+    if !fleet.complete {
+        // A trial-limited run intentionally stops mid-queue; the
+        // journal holds the progress and `--resume` finishes it. An
+        // incomplete matrix must never be published or gated on.
+        match &journal_dir {
+            Some(dir) => {
+                eprintln!("campaign incomplete; resume with: arthas-repro inject --resume {dir}")
+            }
+            None => eprintln!(
+                "campaign incomplete and not journaled: --trial-limit without --journal \
+                 keeps no progress"
+            ),
         }
-        let fcfg = b.build().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-        let fleet = inject::run_fleet(&targets, &fcfg).unwrap_or_else(|e| {
-            eprintln!("fleet campaign failed: {e}");
-            std::process::exit(1);
-        });
-        eprint!("{}", fleet.render_summary());
-        if !fleet.complete {
-            // A trial-limited run intentionally stops mid-queue; the
-            // journal holds the progress and `--resume` finishes it. An
-            // incomplete matrix must never be published or gated on.
-            eprintln!("campaign incomplete; resume with: arthas-repro inject --resume <DIR>");
-            std::process::exit(0);
-        }
-        fleet.campaign
-    } else {
-        inject::run_campaign(&targets, &cfg)
-    };
+        std::process::exit(0);
+    }
+    let report = fleet.campaign;
     if let Err(errors) = report.validate_rendered() {
         eprintln!("campaign matrix failed schema validation:");
         for e in errors {

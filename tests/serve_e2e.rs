@@ -11,8 +11,8 @@ use pm_workload::{run_load, LoadConfig};
 use serve::{EngineConfig, Server, ServerConfig};
 
 /// Ops per connection are deliberately small: the tier-1 suite runs this
-/// unoptimized, and the VM dominates. The release-mode CI smoke job and
-/// the fig14 bench drive the ≥10k-op configurations.
+/// unoptimized, and the VM dominates. The release-mode CI smoke job
+/// drives the ≥10k-op configurations.
 fn load_cfg(conns: usize, ops: u64, fault_at: Option<u64>) -> LoadConfig {
     LoadConfig {
         conns,
@@ -44,7 +44,7 @@ fn start_server_with(
                 // than the whole run's update count keeps the poison out
                 // of the standby regardless of when it first manifests;
                 // the lag-vs-manifestation race (and the escalation it
-                // forces) is exercised at scale by fig15_replication.
+                // forces) is what hfbench's `recover-f4r` workload runs into.
                 standby_lag: 4096,
                 ..EngineConfig::default()
             },
