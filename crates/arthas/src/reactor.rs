@@ -90,7 +90,7 @@ pub enum Standbys<'g> {
 /// [`ReactorConfig::to_builder`]. The builder is the only construction
 /// path — the struct-literal fields deprecated in 0.4.0 have been
 /// removed.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReactorConfig {
     /// Reversion mode.
     mode: Mode,
@@ -275,10 +275,15 @@ impl ReactorConfig {
         }
     }
 
-    /// Whether a wave width was set (even a width of one) — what
-    /// distinguishes the `arthas-spec` solution label in reports.
-    pub fn is_speculative(&self) -> bool {
-        self.speculation.is_some()
+    /// The wave width as configured (`None` when none was set) — what
+    /// names the `arthas-spec:k` solution.
+    pub fn speculation(&self) -> Option<usize> {
+        self.speculation
+    }
+
+    /// The batching strategy — what names the `arthas-batch:n` solution.
+    pub fn batch(&self) -> BatchStrategy {
+        self.batch
     }
 }
 

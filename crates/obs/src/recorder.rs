@@ -2,8 +2,8 @@
 //!
 //! Producers are written against `&dyn Recorder` behind an `Arc`, so the
 //! same code path serves three deployments: no recorder attached (an
-//! `Option` check), [`NullRecorder`] (all methods empty — the overhead
-//! baseline benched by `fig12_overhead`), and [`RingRecorder`] (bounded
+//! `Option` check), [`NullRecorder`] (all methods empty — the enabled
+//! call path at its cheapest), and [`RingRecorder`] (bounded
 //! event retention plus counters and histograms — what the `report` CLI
 //! subcommand attaches).
 

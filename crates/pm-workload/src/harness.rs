@@ -13,8 +13,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use arthas::{
-    analyze_and_instrument_cached, AnalysisCache, CheckpointLog, Detector, FailureRecord, GuidMap,
-    LeakMonitor, PhaseTimes, PmTrace, Reactor, ReactorConfig, SharedLog, Target, Verdict,
+    analyze_and_instrument_cached, AnalysisCache, BatchStrategy, CheckpointLog, Detector,
+    FailureRecord, GuidMap, LeakMonitor, Mode, PhaseTimes, PmTrace, Reactor, ReactorConfig,
+    ReactorConfigBuilder, SharedLog, Target, Verdict,
 };
 use baselines::{ArCkpt, PmCriu};
 use obs::Instrument;
@@ -605,7 +606,7 @@ impl Target for ScenarioTarget<'_> {
 }
 
 /// Which solution mitigates.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Solution {
     /// Arthas with the given reactor configuration.
     Arthas(ReactorConfig),
@@ -613,6 +614,95 @@ pub enum Solution {
     PmCriu,
     /// The ArCkpt baseline with a re-execution budget.
     ArCkpt(u32),
+}
+
+type Tune = fn(ReactorConfigBuilder, usize) -> ReactorConfigBuilder;
+
+/// The one name ↔ [`Solution`] table (`run`, `report` and `reproduce`
+/// accept exactly these names and the two of [`BASELINES`]): name, the
+/// default of the `:k` suffix for the variants that take one, and what
+/// the variant changes in the default reactor configuration.
+const ARTHAS: [(&str, Option<usize>, Tune); 7] = [
+    ("arthas", None, |b, _| b),
+    // Waves of `k` concurrent re-executions: outcome-identical to
+    // `arthas`, only the restart delays overlap.
+    ("arthas-spec", Some(4), |b, k| b.speculation(Some(k))),
+    ("arthas-rollback", None, |b, _| b.mode(Mode::Rollback)),
+    // Pure purge: never falls back to rollback.
+    ("arthas-purge", None, |b, _| {
+        b.mode(Mode::Purge).purge_fallback_after(u32::MAX)
+    }),
+    ("arthas-batch", Some(5), |b, k| {
+        b.batch(BatchStrategy::Batch(k))
+    }),
+    ("arthas-minimize", None, |b, _| b.minimize_loss(true)),
+    ("arthas-rollback-minimize", None, |b, _| {
+        b.mode(Mode::Rollback).minimize_loss(true)
+    }),
+];
+
+const BASELINES: [(&str, Solution); 2] = [
+    ("arckpt", Solution::ArCkpt(200)),
+    ("pmcriu", Solution::PmCriu),
+];
+
+impl Solution {
+    /// Every accepted name, the parametrised ones at their default count
+    /// (`arthas-spec:4`, `arthas-batch:5`; any count may follow the colon).
+    pub fn variants() -> impl Iterator<Item = String> {
+        let arthas = ARTHAS.iter().map(|&(name, k, _)| match k {
+            Some(k) => format!("{name}:{k}"),
+            None => name.to_string(),
+        });
+        arthas.chain(BASELINES.iter().map(|b| b.0.to_string()))
+    }
+
+    /// Parses a solution name; `Err` is a user-facing message listing the
+    /// accepted names.
+    pub fn parse(name: &str) -> Result<Solution, String> {
+        if let Some(&(_, baseline)) = BASELINES.iter().find(|b| b.0 == name) {
+            return Ok(baseline);
+        }
+        let (base, count) = match name.split_once(':') {
+            Some((base, count)) => (base, Some(count)),
+            None => (name, None),
+        };
+        let (k, tune) = match (ARTHAS.iter().find(|v| v.0 == base), count) {
+            (Some(&(_, default, tune)), None) => (default.unwrap_or(0), tune),
+            (Some(&(_, Some(_), tune)), Some(count)) => match count.parse() {
+                Ok(k) => (k, tune),
+                Err(_) => return Err(format!("bad count `{count}` in solution `{name}`")),
+            },
+            _ => {
+                let names: Vec<String> = Solution::variants().collect();
+                let names = names.join(", ");
+                return Err(format!(
+                    "unknown solution `{name}` (expected one of: {names})"
+                ));
+            }
+        };
+        let cfg = tune(ReactorConfig::builder(), k).build();
+        cfg.map(Solution::Arthas)
+            .map_err(|e| format!("solution `{name}`: {e}"))
+    }
+
+    /// The name [`Solution::parse`] maps to this solution
+    /// (`arthas-custom` for a reactor configuration outside the table).
+    pub fn name(&self) -> String {
+        let k = match self {
+            Solution::Arthas(cfg) => match (cfg.speculation(), cfg.batch()) {
+                (Some(k), _) | (None, BatchStrategy::Batch(k)) => k,
+                (None, BatchStrategy::OneByOne) => 0,
+            },
+            _ => 0,
+        };
+        let names = Solution::variants().map(|name| match name.split_once(':') {
+            Some((base, _)) => format!("{base}:{k}"),
+            None => name,
+        });
+        let mut names = names.filter(|name| Solution::parse(name).as_ref() == Ok(self));
+        names.next().unwrap_or_else(|| "arthas-custom".to_string())
+    }
 }
 
 /// Mitigation measurement (one cell of Tables 3/5, Figures 8/9).
@@ -647,6 +737,23 @@ pub struct MitigationResult {
     /// Per-phase wall-time breakdown (zeroed for the baselines, which
     /// have no slice/plan/revert machinery).
     pub phases: PhaseTimes,
+}
+
+/// The one-line summary `run` and `report` print.
+impl std::fmt::Display for MitigationResult {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "mitigation: recovered={} attempts={} rounds={} discarded={}/{} consistent={:?} leaks_freed={}",
+            self.recovered,
+            self.attempts,
+            self.reexec_rounds,
+            self.discarded_updates,
+            self.total_updates,
+            self.consistent,
+            self.leaks_freed,
+        )
+    }
 }
 
 /// Per-re-execution restart delay used for the modelled mitigation time
@@ -779,6 +886,25 @@ pub fn mitigate(
         mode_fellback: fellback,
         phases,
     }
+}
+
+/// One (scenario × solution × seed) cell: production to a detected hard
+/// failure, then one mitigation — the unit `run`, `report` and the
+/// `reproduce` matrix are all made of. `at_detection` sees the broken
+/// system before mitigation mutates its pool and log. `None` when the
+/// workload completed with no detected failure (a scenario bug in this
+/// reproduction).
+pub fn run_cell(
+    scn: &dyn Scenario,
+    setup: &AppSetup,
+    solution: Solution,
+    cfg: &RunConfig,
+    at_detection: impl FnOnce(&Production),
+) -> Option<(Production, MitigationResult)> {
+    let mut production = run_production(scn, setup, cfg)?;
+    at_detection(&production);
+    let result = mitigate(&mut production, scn, setup, solution);
+    Some((production, result))
 }
 
 fn count_on_copy(scn: &dyn Scenario, setup: &AppSetup, pool: &PmPool) -> u64 {

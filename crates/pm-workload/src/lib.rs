@@ -31,8 +31,8 @@ pub mod ycsb;
 
 pub use arthas::{AnalysisCache, CacheOutcome};
 pub use harness::{
-    check_consistency, mitigate, run_production, run_with_injection, AppSetup, CompletedRun,
-    CrashCapture, Drive, InjectionOutcome, MitigationResult, Production, RunConfig, RunCtx,
-    Scenario, ScenarioTarget, SiteInjection, Solution, CRIU_INTERVAL, POOL_SIZE, RUN_TICKS,
+    check_consistency, mitigate, run_cell, run_production, run_with_injection, AppSetup,
+    CompletedRun, CrashCapture, Drive, InjectionOutcome, MitigationResult, Production, RunConfig,
+    RunCtx, Scenario, ScenarioTarget, SiteInjection, Solution, CRIU_INTERVAL, POOL_SIZE, RUN_TICKS,
 };
 pub use loadgen::{load_report_schema, run_load, LoadConfig, LoadReport};

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use arthas::Verdict;
 use obs::{Event, Field, Json, RingRecorder, Schema};
 
-use crate::harness::{mitigate, run_production, AppSetup, MitigationResult, RunConfig, Solution};
+use crate::harness::{run_cell, AppSetup, MitigationResult, RunConfig, Solution};
 use crate::Scenario;
 
 /// Version stamp of the JSON document layout. Bump only on a breaking
@@ -25,16 +25,6 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// Events retained on the recovery timeline (oldest evicted first; the
 /// document carries an exact `events_dropped` count).
 pub const EVENT_CAPACITY: usize = 4096;
-
-/// Canonical CLI name of a [`Solution`].
-pub fn solution_name(solution: &Solution) -> &'static str {
-    match solution {
-        Solution::Arthas(cfg) if cfg.is_speculative() => "arthas-spec",
-        Solution::Arthas(_) => "arthas",
-        Solution::PmCriu => "pmcriu",
-        Solution::ArCkpt(_) => "arckpt",
-    }
-}
 
 fn verdict_name(v: Verdict) -> &'static str {
     match v {
@@ -51,8 +41,8 @@ fn us(d: std::time::Duration) -> u64 {
 pub struct Report {
     /// `"f6: memcached — <fault>"`.
     pub title: String,
-    /// Solution that mitigated.
-    pub solution: &'static str,
+    /// Solution that mitigated ([`Solution::name`]).
+    pub solution: String,
     /// Run seed.
     pub seed: u64,
     /// The schema-stable JSON document.
@@ -70,16 +60,12 @@ pub struct Report {
 }
 
 /// Runs `scn` to a detected hard failure, mitigates it with `solution`,
-/// and assembles the [`Report`]. `None` when production completed with
-/// no detected failure (a scenario bug in this reproduction).
-pub fn run_report(scn: &dyn Scenario, solution: Solution, seed: u64) -> Option<Report> {
-    run_report_cached(scn, solution, seed, None)
-}
-
-/// [`run_report`] with an optional analysis cache: the module analysis
-/// is loaded from `cache` when fingerprint, version and checksum match,
-/// making repeated `report` invocations skip the whole-module analysis.
-pub fn run_report_cached(
+/// and assembles the [`Report`]. With a `cache`, the module analysis is
+/// loaded from it when fingerprint, version and checksum match, so
+/// repeated `report` invocations skip the whole-module analysis. `None`
+/// when production completed with no detected failure (a scenario bug in
+/// this reproduction).
+pub fn run_report(
     scn: &dyn Scenario,
     solution: Solution,
     seed: u64,
@@ -92,12 +78,13 @@ pub fn run_report_cached(
         recorder: Some(recorder.clone()),
         ..RunConfig::default()
     };
-    let mut prod = run_production(scn, &setup, &cfg)?;
-
-    // Production-side numbers, captured before mitigation mutates the
-    // pool and the log.
-    let pool_stats = prod.pool.stats();
-    let log_stats = prod.log.stats();
+    // Pool and log numbers as of detection, before mitigation mutates
+    // both.
+    let mut at_detection = None;
+    let (prod, result) = run_cell(scn, &setup, solution, &cfg, |prod| {
+        at_detection = Some((prod.pool.stats(), prod.log.stats()));
+    })?;
+    let (pool_stats, log_stats) = at_detection.expect("run_cell observed the detection");
     let failure = prod.failure.clone();
     let restarts = prod.restarts;
     let detected_hard = prod.detected_hard;
@@ -114,8 +101,6 @@ pub fn run_report_cached(
             ])
         })
         .collect();
-
-    let result = mitigate(&mut prod, scn, &setup, solution);
 
     let production = Json::obj([
         ("restarts", Json::U64(restarts as u64)),
@@ -154,7 +139,52 @@ pub fn run_report_cached(
         ),
     ]);
 
-    let mitigation = Json::obj([
+    let solution = solution.name();
+    let mut doc = vec![
+        ("schema_version".to_string(), Json::U64(SCHEMA_VERSION)),
+        (
+            "scenario".to_string(),
+            Json::obj([
+                ("id", Json::Str(scn.id().to_string())),
+                ("system", Json::Str(scn.system().to_string())),
+                ("fault", Json::Str(scn.fault().to_string())),
+                ("consequence", Json::Str(scn.consequence().to_string())),
+            ]),
+        ),
+        ("seed".to_string(), Json::U64(seed)),
+        ("solution".to_string(), Json::Str(solution.clone())),
+        ("production".to_string(), production),
+        ("mitigation".to_string(), mitigation_json(&result)),
+    ];
+    // The recorder's four sections (events, events_dropped, counters,
+    // histograms) close out the document.
+    if let Json::Obj(sections) = recorder.to_json() {
+        doc.extend(sections);
+    }
+
+    Some(Report {
+        title: format!("{}: {} — {}", scn.id(), scn.system(), scn.fault()),
+        solution,
+        seed,
+        json: Json::Obj(doc),
+        events: recorder.events(),
+        events_dropped: recorder.dropped(),
+        restarts,
+        failure: format!(
+            "{} (exit code {}): {}",
+            failure.kind.as_str(),
+            failure.exit_code,
+            failure.detail
+        ),
+        result,
+    })
+}
+
+/// The `mitigation` object of the report document: one
+/// [`MitigationResult`] as JSON. `reproduce` serialises every matrix
+/// cell through it too.
+pub fn mitigation_json(result: &MitigationResult) -> Json {
+    Json::obj([
         ("recovered", Json::Bool(result.recovered)),
         ("attempts", Json::U64(result.attempts as u64)),
         ("reexec_rounds", Json::U64(result.reexec_rounds as u64)),
@@ -181,47 +211,7 @@ pub fn run_report_cached(
                 ("reexec_us", Json::U64(us(result.phases.reexec))),
             ]),
         ),
-    ]);
-
-    let solution = solution_name(&solution);
-    let mut doc = vec![
-        ("schema_version".to_string(), Json::U64(SCHEMA_VERSION)),
-        (
-            "scenario".to_string(),
-            Json::obj([
-                ("id", Json::Str(scn.id().to_string())),
-                ("system", Json::Str(scn.system().to_string())),
-                ("fault", Json::Str(scn.fault().to_string())),
-                ("consequence", Json::Str(scn.consequence().to_string())),
-            ]),
-        ),
-        ("seed".to_string(), Json::U64(seed)),
-        ("solution".to_string(), Json::Str(solution.to_string())),
-        ("production".to_string(), production),
-        ("mitigation".to_string(), mitigation),
-    ];
-    // The recorder's four sections (events, events_dropped, counters,
-    // histograms) close out the document.
-    if let Json::Obj(sections) = recorder.to_json() {
-        doc.extend(sections);
-    }
-
-    Some(Report {
-        title: format!("{}: {} — {}", scn.id(), scn.system(), scn.fault()),
-        solution,
-        seed,
-        json: Json::Obj(doc),
-        events: recorder.events(),
-        events_dropped: recorder.dropped(),
-        restarts,
-        failure: format!(
-            "{} (exit code {}): {}",
-            failure.kind.as_str(),
-            failure.exit_code,
-            failure.detail
-        ),
-        result,
-    })
+    ])
 }
 
 impl Report {
@@ -259,17 +249,7 @@ impl Report {
             }
             let _ = writeln!(out);
         }
-        let _ = writeln!(
-            out,
-            "mitigation: recovered={} attempts={} rounds={} discarded={}/{} consistent={:?} leaks_freed={}",
-            r.recovered,
-            r.attempts,
-            r.reexec_rounds,
-            r.discarded_updates,
-            r.total_updates,
-            r.consistent,
-            r.leaks_freed,
-        );
+        let _ = writeln!(out, "{r}");
         let _ = writeln!(
             out,
             "phases: slice={}µs plan={}µs revert={}µs reexec={}µs (wall {}µs, modeled {:.1}s)",

@@ -92,3 +92,43 @@ fn checkpointing_can_be_disabled() {
     let prod = run_production(scn.as_ref(), &setup, &cfg).expect("failure");
     assert_eq!(prod.log.lock().total_updates(), 0, "no sink attached");
 }
+
+#[test]
+fn solution_names_round_trip_through_the_one_table() {
+    use arthas::ReactorConfig;
+    use pm_workload::Solution;
+    let names: Vec<String> = Solution::variants().collect();
+    assert_eq!(names.len(), 9);
+    for name in &names {
+        let solution = Solution::parse(name).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(&solution.name(), name);
+    }
+    // A bare parametrised name takes its default count; any count parses.
+    assert_eq!(
+        Solution::parse("arthas-spec").unwrap().name(),
+        "arthas-spec:4"
+    );
+    assert_eq!(
+        Solution::parse("arthas-batch:8").unwrap().name(),
+        "arthas-batch:8"
+    );
+    assert_eq!(
+        Solution::parse("arthas").unwrap(),
+        Solution::Arthas(ReactorConfig::default())
+    );
+    assert_eq!(
+        Solution::Arthas(ReactorConfig::serving()).name(),
+        "arthas-custom"
+    );
+    for bad in [
+        "",
+        "arthas:2",
+        "arckpt:200",
+        "arthas-spec:",
+        "arthas-batch:0",
+        "Arthas",
+    ] {
+        let e = Solution::parse(bad).expect_err(bad);
+        assert!(e.contains(&format!("`{bad}`")), "{bad}: {e}");
+    }
+}

@@ -72,6 +72,10 @@ pub const NO_ANALYSIS_CACHE_FLAG: FlagSpec = FlagSpec {
     help: "always recompute the analysis (overrides --analysis-cache)",
 };
 
+/// Help text of the `solution` positional; `pm_workload::Solution::parse`
+/// owns the names and lists them when it rejects one.
+const SOLUTION_HELP: &str = "arthas (default) | arthas-spec[:k] | arckpt | pmcriu | ...";
+
 /// One subcommand's full argument declaration.
 #[derive(Debug, Clone, Copy)]
 pub struct CommandSpec {
@@ -107,7 +111,7 @@ pub const COMMANDS: &[CommandSpec] = &[
             ArgSpec {
                 name: "solution",
                 required: false,
-                help: "arthas (default) | arthas-spec[:k] | pmcriu | arckpt",
+                help: SOLUTION_HELP,
             },
             ArgSpec {
                 name: "seed",
@@ -129,7 +133,7 @@ pub const COMMANDS: &[CommandSpec] = &[
             ArgSpec {
                 name: "solution",
                 required: false,
-                help: "arthas (default) | arthas-spec[:k] | pmcriu | arckpt",
+                help: SOLUTION_HELP,
             },
         ],
         flags: &[
@@ -347,6 +351,21 @@ pub const COMMANDS: &[CommandSpec] = &[
         summary: "print the empirical-study statistics (S2)",
         args: &[],
         flags: &[],
+    },
+    CommandSpec {
+        name: "reproduce",
+        summary:
+            "the paper's evaluation as one document: every table and figure, each cell run once",
+        args: &[],
+        flags: &[
+            FlagSpec {
+                name: "--json",
+                value: None,
+                help: "print the {counts, timings} document instead of the markdown tables",
+            },
+            ANALYSIS_CACHE_FLAG,
+            NO_ANALYSIS_CACHE_FLAG,
+        ],
     },
     CommandSpec {
         name: "concurrent",

@@ -1,5 +1,6 @@
 //! Umbrella crate for the Arthas (EuroSys 21) reproduction.
 pub mod cli;
+pub mod reproduce;
 
 pub use arthas;
 pub use baselines;

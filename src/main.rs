@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! arthas-repro list                      # the 12 fault scenarios
-//! arthas-repro run f6 [arthas|pmcriu|arckpt] [seed]
+//! arthas-repro run f6 [arthas|pmcriu|arckpt|…] [seed]
+//! arthas-repro reproduce [--json]        # every table and figure, one document
 //! arthas-repro report f6 [--json]        # observed run: timeline / JSON
 //! arthas-repro report all --out reports  # one JSON document per scenario
 //! arthas-repro serve f4 --drive --conns 64 --fault-at 5000
@@ -19,9 +20,9 @@
 //! [`cli::CommandSpec`]; parsing and `--help` derive from the
 //! declaration.
 
-use arthas::ReactorConfig;
 use arthas_repro::cli::{CliContext, CommandSpec, Parsed, COMMANDS};
-use pm_workload::{mitigate, run_production, scenarios, AppSetup, RunConfig, Solution};
+use arthas_repro::reproduce;
+use pm_workload::{run_cell, scenarios, AppSetup, RunConfig, Solution};
 
 fn spec(name: &str) -> &'static CommandSpec {
     COMMANDS
@@ -116,12 +117,19 @@ fn main() {
     }));
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("list") => cmd_list(),
+        // `list` is Table 2 and `study` the §2 tables, as `reproduce` renders them.
+        Some(cmd @ ("list" | "study")) => {
+            let section = if cmd == "list" { "table2" } else { cmd };
+            print!(
+                "{}",
+                reproduce::render(section, &reproduce::static_document())
+            )
+        }
         Some("run") => cmd_run(parse_or_exit("run", &args[1..])),
         Some("report") => cmd_report(parse_or_exit("report", &args[1..])),
         Some("serve") => cmd_serve(parse_or_exit("serve", &args[1..])),
         Some("inject") => cmd_inject(parse_or_exit("inject", &args[1..])),
-        Some("study") => cmd_study(),
+        Some("reproduce") => cmd_reproduce(parse_or_exit("reproduce", &args[1..])),
         Some("concurrent") => cmd_concurrent(parse_or_exit("concurrent", &args[1..])),
         Some("analyze") => cmd_analyze(parse_or_exit("analyze", &args[1..])),
         Some("lint") => cmd_lint(parse_or_exit("lint", &args[1..])),
@@ -130,62 +138,31 @@ fn main() {
     }
 }
 
-fn cmd_list() {
-    println!(
-        "{:<5} {:<22} {:<34} {:<16}",
-        "id", "system", "fault", "consequence"
-    );
-    for s in scenarios::all() {
-        println!(
-            "{:<5} {:<22} {:<34} {:<16}",
-            s.id(),
-            s.system(),
-            s.fault(),
-            s.consequence()
-        );
-    }
-}
-
-/// Parses a solution name (`arthas`, `arthas-spec[:k]`, `pmcriu`,
-/// `arckpt`); exits with a message on anything else.
-fn parse_solution(name: Option<&str>) -> Solution {
-    match name {
-        None | Some("arthas") => Solution::Arthas(ReactorConfig::default()),
-        Some("pmcriu") => Solution::PmCriu,
-        Some("arckpt") => Solution::ArCkpt(200),
-        Some(spec) if spec == "arthas-spec" || spec.starts_with("arthas-spec:") => {
-            // Speculative mitigation over k concurrent re-executions
-            // (default 4); outcome-identical to `arthas`.
-            let workers = match spec.strip_prefix("arthas-spec:") {
-                Some(k) => k.parse().unwrap_or_else(|_| {
-                    eprintln!("bad worker count in {spec}");
-                    std::process::exit(1);
-                }),
-                None => 4,
-            };
-            Solution::Arthas(
-                ReactorConfig::builder()
-                    .speculation(Some(workers))
-                    .build()
-                    .expect("valid reactor config"),
-            )
-        }
-        Some(other) => {
-            eprintln!("unknown solution {other}");
-            std::process::exit(1);
-        }
-    }
+/// Parses the optional solution positional ([`Solution::parse`]; default
+/// `arthas`) or exits with its message.
+fn solution_or_exit(name: Option<&str>) -> Solution {
+    Solution::parse(name.unwrap_or("arthas")).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    })
 }
 
 fn cmd_run(p: Parsed) {
     let which = p.pos(0).expect("required");
     let targets = select_or_exit(which);
-    let seed: u64 = p.pos(2).and_then(|s| s.parse().ok()).unwrap_or(1);
+    let solution = solution_or_exit(p.pos(1));
+    let seed: u64 = match p.pos(2).map(str::parse) {
+        None => 1,
+        Some(Ok(seed)) => seed,
+        Some(Err(_)) => {
+            eprintln!("seed expects a number, got `{}`", p.pos(2).unwrap_or(""));
+            std::process::exit(2);
+        }
+    };
     let ctx = context_or_exit(&p);
 
     let mut failed = 0u32;
     for scn in &targets {
-        let solution = parse_solution(p.pos(1));
         println!("== {}: {} — {} ==", scn.id(), scn.system(), scn.fault());
         let setup = AppSetup::new_with_cache(scn.build_module(), ctx.cache());
         println!(
@@ -199,7 +176,16 @@ fn cmd_run(p: Parsed) {
             seed,
             ..RunConfig::default()
         };
-        let Some(mut prod) = run_production(scn.as_ref(), &setup, &cfg) else {
+        let cell = run_cell(scn.as_ref(), &setup, solution, &cfg, |prod| {
+            println!(
+                "production: {:?} (exit code {}) after {} restart(s); {} updates checkpointed",
+                prod.failure.kind,
+                prod.failure.exit_code,
+                prod.restarts,
+                prod.log.total_updates(),
+            )
+        });
+        let Some((_, res)) = cell else {
             eprintln!(
                 "{}: production completed with no detected hard failure",
                 scn.id()
@@ -207,24 +193,7 @@ fn cmd_run(p: Parsed) {
             failed += 1;
             continue;
         };
-        println!(
-            "production: {:?} (exit code {}) after {} restart(s); {} updates checkpointed",
-            prod.failure.kind,
-            prod.failure.exit_code,
-            prod.restarts,
-            prod.log.total_updates(),
-        );
-        let res = mitigate(&mut prod, scn.as_ref(), &setup, solution);
-        println!(
-            "mitigation: recovered={} attempts={} rounds={} discarded={}/{} consistent={:?} leaks_freed={}",
-            res.recovered,
-            res.attempts,
-            res.reexec_rounds,
-            res.discarded_updates,
-            res.total_updates,
-            res.consistent,
-            res.leaks_freed,
-        );
+        println!("{res}");
         if !res.recovered {
             failed += 1;
         }
@@ -319,12 +288,12 @@ fn cmd_report(p: Parsed) {
         }
     }
 
+    let solution = solution_or_exit(p.pos(1));
     let ctx = context_or_exit(&p);
     let mut failed = 0u32;
     for scn in &targets {
-        let solution = parse_solution(p.pos(1));
         let Some(report) =
-            pm_workload::report::run_report_cached(scn.as_ref(), solution, seed, ctx.cache())
+            pm_workload::report::run_report(scn.as_ref(), solution, seed, ctx.cache())
         else {
             eprintln!(
                 "{}: production completed with no detected hard failure",
@@ -728,22 +697,21 @@ fn cmd_inject(p: Parsed) {
     std::process::exit(if bad > 0 { 1 } else { 0 });
 }
 
-fn cmd_study() {
-    println!("-- Table 1 --");
-    for (system, kind, n) in pm_study::table1() {
-        println!("{system:<16} {n:>3}  {kind:?}");
+/// The `reproduce` subcommand: the whole evaluation, once. Prints every
+/// table and figure as markdown — the count sections are the blocks
+/// `EXPERIMENTS.md` carries — or, with `--json`, the document itself.
+fn cmd_reproduce(p: Parsed) {
+    let ctx = context_or_exit(&p);
+    let doc = reproduce::run(ctx.cache()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    });
+    if p.has("--json") {
+        print!("{}", doc.render_pretty());
+        return;
     }
-    println!("-- Figure 2: root causes --");
-    for (c, n, pct) in pm_study::figure2() {
-        println!("{c:<18?} {n:>3}  {pct:>5.1}%");
-    }
-    println!("-- Figure 3: consequences --");
-    for (c, n, pct) in pm_study::figure3() {
-        println!("{c:<18?} {n:>3}  {pct:>5.1}%");
-    }
-    println!("-- propagation patterns --");
-    for (c, n, pct) in pm_study::propagation_types() {
-        println!("{c:<18?} {n:>3}  {pct:>5.1}%");
+    for (name, title) in reproduce::sections() {
+        println!("## {title}\n\n{}", reproduce::render(&name, &doc));
     }
 }
 

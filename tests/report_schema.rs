@@ -17,8 +17,13 @@ fn u64_at(j: &Json, path: &[&str]) -> Option<u64> {
 #[test]
 fn report_document_is_schema_valid_and_wired_through_every_layer() {
     let scn = scenarios::by_id("f6").expect("f6 exists");
-    let report = run_report(scn.as_ref(), Solution::Arthas(ReactorConfig::default()), 1)
-        .expect("f6 reaches a detected hard failure");
+    let report = run_report(
+        scn.as_ref(),
+        Solution::Arthas(ReactorConfig::default()),
+        1,
+        None,
+    )
+    .expect("f6 reaches a detected hard failure");
     report
         .validate_rendered()
         .expect("document round-trips through render/parse and matches the schema");
@@ -74,8 +79,13 @@ fn report_document_is_schema_valid_and_wired_through_every_layer() {
 #[test]
 fn leak_scenario_report_validates_with_zeroed_planning_phases() {
     let scn = scenarios::by_id("f12").expect("f12 exists");
-    let report = run_report(scn.as_ref(), Solution::Arthas(ReactorConfig::default()), 1)
-        .expect("f12 reaches a detected leak");
+    let report = run_report(
+        scn.as_ref(),
+        Solution::Arthas(ReactorConfig::default()),
+        1,
+        None,
+    )
+    .expect("f12 reaches a detected leak");
     report.validate_rendered().expect("schema-valid");
     let j = &report.json;
     assert!(u64_at(j, &["mitigation", "leaks_freed"]).unwrap() > 0);
