@@ -163,7 +163,7 @@ pub struct CheckpointLog {
     seq_to_addr: HashMap<u64, u64>,
     tx_members: HashMap<u64, Vec<u64>>,
     allocs: BTreeMap<u64, AllocRecord>,
-    recovery_reads: Vec<(u64, u64)>,
+    recovery_reads: ReadSet,
     recovering: bool,
     /// When false the sink ignores events (used while the reactor
     /// re-executes the target during mitigation, so reversion attempts do
@@ -559,14 +559,15 @@ impl CheckpointLog {
             .collect()
     }
 
-    /// Ranges read while the application's recovery function was active.
+    /// Ranges read while the application's recovery function was active:
+    /// every distinct `(offset, len)` at least once, in no particular order.
     pub fn recovery_reads(&self) -> &[(u64, u64)] {
-        &self.recovery_reads
+        &self.recovery_reads.ranges
     }
 
     /// Clears the recorded recovery reads (before a fresh recovery run).
     pub fn clear_recovery_reads(&mut self) {
-        self.recovery_reads.clear();
+        self.recovery_reads.ranges.clear();
     }
 
     /// Live allocations that the recovery function never touched: the
@@ -576,7 +577,7 @@ impl CheckpointLog {
             .into_iter()
             .filter(|(a, s)| {
                 !self
-                    .recovery_reads
+                    .recovery_reads()
                     .iter()
                     .any(|(ra, rl)| ra < &(a + s) && *a < ra + rl)
             })
@@ -590,6 +591,34 @@ impl CheckpointLog {
         if let Some(rec) = self.allocs.get_mut(&addr) {
             rec.freed = Some(seq);
         }
+    }
+}
+
+/// The set of `(offset, len)` ranges read inside recovery windows.
+///
+/// A recovery function reads the same ranges over and over (f1's
+/// production run executes about a million PM loads inside one window) and
+/// the leak diff only asks whether an allocation was touched, so a repeat
+/// carries nothing. Arrivals are appended; a full buffer is sorted and
+/// deduplicated, and grows only when that frees less than half of it — so
+/// memory is bounded by the distinct ranges read, not by the reads.
+#[derive(Default)]
+struct ReadSet {
+    ranges: Vec<(u64, u64)>,
+}
+
+impl ReadSet {
+    /// Free entries a compaction leaves at least.
+    const MIN_ROOM: usize = 512;
+
+    fn insert(&mut self, range: (u64, u64)) {
+        if self.ranges.len() == self.ranges.capacity() {
+            self.ranges.sort_unstable();
+            self.ranges.dedup();
+            self.ranges
+                .reserve_exact(self.ranges.len().max(Self::MIN_ROOM));
+        }
+        self.ranges.push(range);
     }
 }
 
@@ -684,7 +713,7 @@ impl PmSink for CheckpointLog {
 
     fn on_recover_read(&mut self, offset: u64, len: u64) {
         if self.recovering {
-            self.recovery_reads.push((offset, len));
+            self.recovery_reads.insert((offset, len));
         }
     }
 }
@@ -1171,10 +1200,11 @@ impl LogView<'_> {
         out
     }
 
-    /// Recovery-read ranges across all shards, sorted by address. Arrival
-    /// order is shard-local and therefore not reconstructible; only the
-    /// overlap *set* matters to the leak diff, so the merged view reports
-    /// a canonical ordering regardless of shard count.
+    /// The distinct recovery-read ranges across all shards, sorted by
+    /// address. Arrival order is shard-local and therefore not
+    /// reconstructible, and only the overlap *set* matters to the leak
+    /// diff, so the merged view reports the set, the same at every shard
+    /// count.
     pub fn recovery_reads(&self) -> Vec<(u64, u64)> {
         let mut out: Vec<(u64, u64)> = self
             .shards
@@ -1182,6 +1212,7 @@ impl LogView<'_> {
             .flat_map(|s| s.recovery_reads().iter().copied())
             .collect();
         out.sort_unstable();
+        out.dedup();
         out
     }
 
@@ -1365,6 +1396,38 @@ mod tests {
         log.on_recover_end();
         let leaks = log.suspected_leaks();
         assert_eq!(leaks, vec![(200, 32)], "only the untouched live alloc");
+    }
+
+    #[test]
+    fn recovery_reads_are_bounded_by_the_distinct_ranges_read() {
+        let mut log = CheckpointLog::new();
+        for a in 0..100u64 {
+            log.on_alloc(a * 64, 32);
+        }
+        log.on_recover_begin();
+        // A recovery loop: a million loads over 60 addresses.
+        for i in 0..1_000_000u64 {
+            log.on_recover_read((i % 60) * 64 + 8, 8);
+        }
+        log.on_recover_end();
+        assert!(log.recovery_reads.ranges.capacity() <= 2 * ReadSet::MIN_ROOM);
+        let mut distinct = log.recovery_reads().to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let want: Vec<(u64, u64)> = (0..60).map(|a| (a * 64 + 8, 8)).collect();
+        assert_eq!(distinct, want);
+        let leaks: Vec<u64> = log.suspected_leaks().iter().map(|l| l.0 / 64).collect();
+        assert_eq!(leaks, (60..100).collect::<Vec<_>>());
+
+        // More distinct ranges than the buffer starts with: it grows to at
+        // most twice what it has to hold.
+        log.clear_recovery_reads();
+        log.on_recover_begin();
+        for i in 0..100_000u64 {
+            log.on_recover_read((i % 5_000) * 8, 8);
+        }
+        assert!(log.recovery_reads.ranges.capacity() <= 2 * 5_000 + ReadSet::MIN_ROOM);
+        assert!(log.suspected_leaks().is_empty());
     }
 
     #[test]

@@ -43,7 +43,12 @@
 //! assert_eq!(vm.call("store_and_load", &[42]).unwrap(), Some(42));
 //! ```
 
+// Every bounds, liveness and arity check in this crate is a real check:
+// nothing here may trade one for speed.
+#![forbid(unsafe_code)]
+
 pub mod builder;
+mod decode;
 pub mod ir;
 pub mod mem;
 pub mod printer;

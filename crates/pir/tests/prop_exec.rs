@@ -140,53 +140,207 @@ proptest! {
     }
 }
 
-/// Instruments via the public arthas pipeline (dev-dependency-free copy:
-/// pir cannot depend on arthas, so we re-derive via the analysis crates).
+/// The trace-instrumented clone Arthas runs in production.
 fn arthas_instrument(module: &Module) -> Module {
-    // Minimal standalone instrumentation: identical mechanism to
-    // arthas::analyzer::instrument — insert trace(guid, addr) before each
-    // PM store/persist. Implemented here via the same public builder
-    // surfaces to avoid a dev-dependency cycle.
-    use pir::ir::{Inst, Intrinsic, Op, Val};
-    let mut out = module.clone();
-    let mut guid = 1u64;
-    for f in out.funcs.iter_mut() {
-        for bi in 0..f.blocks.len() {
-            let old = std::mem::take(&mut f.blocks[bi].insts);
-            let mut new_list = Vec::with_capacity(old.len());
-            for ii in old {
-                let addr = match &f.insts[ii as usize].op {
-                    Op::Store { addr, .. } => Some(*addr),
-                    Op::Intr {
-                        intr: Intrinsic::PmPersist,
-                        args,
-                    } => Some(args[0]),
-                    _ => None,
-                };
-                if let Some(addr) = addr {
-                    let loc = f.insts[ii as usize].loc;
-                    let c = f.insts.len() as u32;
-                    f.insts.push(Inst {
-                        op: Op::Const(guid),
-                        loc,
-                    });
-                    let t = f.insts.len() as u32;
-                    f.insts.push(Inst {
-                        op: Op::Intr {
-                            intr: Intrinsic::Trace,
-                            args: vec![Val(c), addr],
-                        },
-                        loc,
-                    });
-                    guid += 1;
-                    new_list.push(c);
-                    new_list.push(t);
-                }
-                new_list.push(ii);
-            }
-            f.blocks[bi].insts = new_list;
-        }
-    }
+    let out = arthas::analyze_and_instrument(module).instrumented;
     pir::verify::verify(&out).expect("instrumented module verifies");
     out
+}
+
+// ---- decoded operand slots against a direct evaluation ---------------------
+
+/// One node of a random straight-line program. Operand fields are reduced
+/// modulo the number of earlier nodes when the program is built, so any
+/// tuple is a valid node.
+#[derive(Debug, Clone, Copy)]
+enum Node {
+    Const(u64),
+    Param(u32),
+    Bin(u8, usize, usize),
+    Cmp(u8, usize, usize),
+    Select(usize, usize, usize),
+    /// Store node `.1`'s value to memory slot `.0` with the given width.
+    Store(usize, usize, u8),
+    Load(usize, u8),
+}
+
+/// Memory slots 0..4 are a stack buffer, 4..8 the PM root object.
+const SLOTS: usize = 8;
+
+fn node() -> impl Strategy<Value = Node> {
+    let idx = || 0..64usize;
+    let width = || prop_oneof![Just(1u8), Just(2u8), Just(4u8), Just(8u8)];
+    prop_oneof![
+        prop_oneof![0..4u64, 0..u64::MAX, Just(u64::MAX), Just(1u64 << 63)].prop_map(Node::Const),
+        (0..2u32).prop_map(Node::Param),
+        (0..10u8, idx(), idx()).prop_map(|(o, a, b)| Node::Bin(o, a, b)),
+        (0..8u8, idx(), idx()).prop_map(|(o, a, b)| Node::Cmp(o, a, b)),
+        (idx(), idx(), idx()).prop_map(|(c, a, b)| Node::Select(c, a, b)),
+        (0..SLOTS, idx(), width()).prop_map(|(s, a, w)| Node::Store(s, a, w)),
+        (0..SLOTS, width()).prop_map(|(s, w)| Node::Load(s, w)),
+    ]
+}
+
+const BIN_OPS: [pir::ir::BinOp; 10] = {
+    use pir::ir::BinOp::*;
+    [Add, Sub, Mul, UDiv, URem, And, Or, Xor, Shl, LShr]
+};
+const CMP_OPS: [pir::ir::CmpOp; 8] = {
+    use pir::ir::CmpOp::*;
+    [Eq, Ne, ULt, ULe, UGt, UGe, SLt, SGt]
+};
+
+/// What the program computes, by the IR's definition of each operator and
+/// nothing of the VM: the last node's value, or `None` for a division by
+/// zero on the way.
+fn evaluate(nodes: &[Node], params: [u64; 2]) -> Option<u64> {
+    use pir::ir::{BinOp, CmpOp};
+    let mut mem = [0u64; SLOTS];
+    let mut vals: Vec<u64> = Vec::new();
+    for (i, n) in nodes.iter().enumerate() {
+        let v = |k: usize| vals[k % i.max(1)];
+        let mask = |w: u8| {
+            if w == 8 {
+                u64::MAX
+            } else {
+                (1u64 << (8 * w)) - 1
+            }
+        };
+        let value = match *n {
+            _ if i == 0 => 7,
+            Node::Const(c) => c,
+            Node::Param(p) => params[p as usize],
+            Node::Bin(o, a, b) => {
+                let (x, y) = (v(a), v(b));
+                match BIN_OPS[o as usize] {
+                    BinOp::Add => x.wrapping_add(y),
+                    BinOp::Sub => x.wrapping_sub(y),
+                    BinOp::Mul => x.wrapping_mul(y),
+                    BinOp::UDiv => x.checked_div(y)?,
+                    BinOp::URem => x.checked_rem(y)?,
+                    BinOp::And => x & y,
+                    BinOp::Or => x | y,
+                    BinOp::Xor => x ^ y,
+                    BinOp::Shl => x << (y % 64),
+                    BinOp::LShr => x >> (y % 64),
+                }
+            }
+            Node::Cmp(o, a, b) => {
+                let (x, y) = (v(a), v(b));
+                u64::from(match CMP_OPS[o as usize] {
+                    CmpOp::Eq => x == y,
+                    CmpOp::Ne => x != y,
+                    CmpOp::ULt => x < y,
+                    CmpOp::ULe => x <= y,
+                    CmpOp::UGt => x > y,
+                    CmpOp::UGe => x >= y,
+                    CmpOp::SLt => (x as i64) < (y as i64),
+                    CmpOp::SGt => (x as i64) > (y as i64),
+                })
+            }
+            Node::Select(c, a, b) => {
+                if v(c) != 0 {
+                    v(a)
+                } else {
+                    v(b)
+                }
+            }
+            Node::Store(s, a, w) => {
+                // Little-endian: a narrow store replaces the low bytes.
+                mem[s] = (mem[s] & !mask(w)) | (v(a) & mask(w));
+                v(a)
+            }
+            Node::Load(s, w) => mem[s] & mask(w),
+        };
+        vals.push(value);
+    }
+    vals.last().copied()
+}
+
+/// The same program as a pir function `f(p0, p1)`.
+fn build(nodes: &[Node]) -> Module {
+    let mut m = ModuleBuilder::new();
+    let mut f = m.func("f", 2, true);
+    let stack = f.alloca(32);
+    let size = f.konst(32);
+    let root = f.pm_root(size);
+    let mut vals = Vec::new();
+    for (i, n) in nodes.iter().enumerate() {
+        let v = |k: usize| vals[k % i.max(1)];
+        let slot = |f: &mut pir::builder::FuncBuilder<'_>, s: usize| {
+            let base = if s < 4 { stack } else { root };
+            f.gep(base, (s % 4) as i64 * 8)
+        };
+        let value = match *n {
+            _ if i == 0 => f.konst(7),
+            Node::Const(c) => f.konst(c),
+            Node::Param(p) => f.param(p),
+            Node::Bin(o, a, b) => {
+                let (x, y) = (v(a), v(b));
+                use pir::ir::BinOp::*;
+                match BIN_OPS[o as usize] {
+                    Add => f.add(x, y),
+                    Sub => f.sub(x, y),
+                    Mul => f.mul(x, y),
+                    UDiv => f.udiv(x, y),
+                    URem => f.urem(x, y),
+                    And => f.and(x, y),
+                    Or => f.or(x, y),
+                    Xor => f.xor(x, y),
+                    Shl => f.shl(x, y),
+                    LShr => f.lshr(x, y),
+                }
+            }
+            Node::Cmp(o, a, b) => f.cmp(CMP_OPS[o as usize], v(a), v(b)),
+            Node::Select(c, a, b) => f.select(v(c), v(a), v(b)),
+            Node::Store(s, a, w) => {
+                let at = slot(&mut f, s);
+                f.store(at, v(a), w);
+                v(a)
+            }
+            Node::Load(s, w) => {
+                let at = slot(&mut f, s);
+                f.load(at, w)
+            }
+        };
+        vals.push(value);
+    }
+    f.ret(vals.last().copied());
+    f.finish();
+    m.finish().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random straight-line arithmetic / compare / select / load / store
+    /// programs compute what a direct Rust evaluation of the same
+    /// expression computes — the decoded operand slots checked against
+    /// something that is not the VM — with and without instrumentation.
+    #[test]
+    fn straight_line_programs_match_direct_evaluation(
+        nodes in proptest::collection::vec(node(), 1..48),
+        p0 in 0..u64::MAX,
+        p1 in 0..6u64,
+    ) {
+        let want = evaluate(&nodes, [p0, p1]);
+        let module = build(&nodes);
+        let instrumented = arthas_instrument(&module);
+        for module in [module, instrumented] {
+            let mut vm = Vm::new(Arc::new(module), new_pool(), VmOpts::default());
+            // Twice: the second call runs on a recycled thread slot.
+            for _ in 0..2 {
+                match vm.call("f", &[p0, p1]) {
+                    Ok(got) => prop_assert_eq!(got, want),
+                    Err(e) => {
+                        prop_assert_eq!(&e.trap, &pir::vm::Trap::DivByZero);
+                        prop_assert_eq!(want, None);
+                    }
+                }
+                // PM slots persist across calls; the model starts from zero.
+                let root = vm.pool_mut().root_offset().unwrap();
+                vm.pool_mut().write(root, &[0; 32]).unwrap();
+            }
+        }
+    }
 }

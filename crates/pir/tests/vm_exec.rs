@@ -571,3 +571,113 @@ fn bitflip_injection_corrupts_durable_state() {
     let mut vm = Vm::new(module, p, VmOpts::default());
     assert_eq!(vm.call("read_flag", &[]).unwrap(), Some(1));
 }
+
+/// `probe(v)` returns what a local and a slot far above `stack_top` held
+/// on entry, then stores `v` to both; `threaded(v)` runs it on a spawned
+/// worker.
+fn stack_probe_module() -> ModuleBuilder {
+    let mut m = ModuleBuilder::new();
+    let g = m.global("seen", 8);
+    m.declare("probe", 1, true);
+    m.declare("worker", 1, false);
+    {
+        let mut f = m.func("probe", 1, true);
+        let v = f.param(0);
+        let near = f.alloca(32);
+        // Inside the thread's 1 MiB region, ~1 MiB above any alloca.
+        let far = f.gep(near, (1 << 20) - 64);
+        let a = f.load8(near);
+        let b = f.load8(far);
+        f.store8(near, v);
+        f.store8(far, v);
+        let seen = f.or(a, b);
+        f.ret(Some(seen));
+        f.finish();
+    }
+    {
+        let mut f = m.func("worker", 1, false);
+        let v = f.param(0);
+        let seen = f.call("probe", &[v]).unwrap();
+        let ga = f.global_addr(g);
+        f.store8(ga, seen);
+        f.ret(None);
+        f.finish();
+    }
+    {
+        let mut f = m.func("threaded", 1, true);
+        let v = f.param(0);
+        let w = f.func_addr("worker");
+        let t = f.spawn(w, v);
+        f.join(t);
+        let ga = f.global_addr(g);
+        let seen = f.load8(ga);
+        f.ret(Some(seen));
+        f.finish();
+    }
+    m
+}
+
+#[test]
+fn the_next_user_of_a_thread_slot_reads_a_zeroed_stack() {
+    let mut vm = vm_for(stack_probe_module());
+    for v in 1..=4u64 {
+        // Same thread slot every call: what the previous call stored, next
+        // to its frame and a megabyte above it, is gone.
+        assert_eq!(vm.call("probe", &[v << 8]).unwrap(), Some(0));
+        // The spawned worker's slot is recycled as well.
+        assert_eq!(vm.call("threaded", &[v]).unwrap(), Some(0));
+    }
+    // Only what was stored to is backed: a page under each of the two
+    // slots, for the deepest call's two threads — not 1 MiB per thread.
+    assert_eq!(vm.mem().stack_resident_bytes(), 4 * pir::mem::STACK_PAGE);
+}
+
+#[test]
+fn a_module_and_its_instrumented_clone_each_run_their_own_code() {
+    let mut m = ModuleBuilder::new();
+    let mut f = m.func("put", 1, true);
+    let size = f.konst(64);
+    let root = f.pm_root(size);
+    let v = f.param(0);
+    f.store8(root, v);
+    f.pm_persist_c(root, 8);
+    let back = f.load8(root);
+    f.ret(Some(back));
+    f.finish();
+    let mut original = Arc::new(m.finish().unwrap());
+
+    // Decode the original by running it.
+    let mut vm = Vm::new(original.clone(), pool(), VmOpts::default());
+    assert_eq!(vm.call("put", &[5]).unwrap(), Some(5));
+    let steps = vm.steps_total();
+    assert_eq!(vm.trace_len(), 0);
+
+    // The clone `instrument` derives and edits through `funcs` runs its
+    // own instructions — the GUID trace — not the original's decoded form…
+    let out = arthas::analyze_and_instrument(&original);
+    assert!(!out.guid_map.is_empty());
+    let instrumented = Arc::new(out.instrumented);
+    let mut traced = Vm::new(instrumented.clone(), pool(), VmOpts::default());
+    assert_eq!(traced.call("put", &[5]).unwrap(), Some(5));
+    assert_eq!(traced.trace_len(), out.guid_map.len());
+    assert!(traced.steps_total() > steps);
+
+    // …and the original, on an old or a new VM, still runs untraced.
+    let mut again = Vm::new(original.clone(), pool(), VmOpts::default());
+    for vm in [&mut vm, &mut again] {
+        assert_eq!(vm.call("put", &[6]).unwrap(), Some(6));
+        assert_eq!(vm.trace_len(), 0);
+    }
+    assert_eq!(again.steps_total(), steps);
+
+    // Editing the decoded module in place is not possible: with every VM
+    // gone the `Arc` is unique, yet `make_mut` hands out a fresh copy,
+    // which runs the edit.
+    drop((vm, again));
+    let before = Arc::as_ptr(&original);
+    *Arc::make_mut(&mut original) = (*instrumented).clone();
+    assert_ne!(Arc::as_ptr(&original), before);
+    let mut edited = Vm::new(original, pool(), VmOpts::default());
+    edited.call("put", &[7]).unwrap();
+    assert_eq!(edited.trace_len(), out.guid_map.len());
+}

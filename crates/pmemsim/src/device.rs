@@ -119,6 +119,11 @@ impl PmDevice {
         self.media.len() as u64
     }
 
+    /// Errs unless `[offset, offset + len)` lies inside the device.
+    pub fn check_range(&self, offset: u64, len: u64) -> PmResult<()> {
+        self.media.check(offset, len)
+    }
+
     /// Returns a copy of the event counters.
     pub fn stats(&self) -> DeviceStats {
         self.stats
@@ -157,46 +162,89 @@ impl PmDevice {
         self.stats.lines_written_back += 1;
     }
 
-    /// Stores `bytes` at `offset`. The store is visible to subsequent reads
-    /// immediately but is *not* durable until flushed and drained.
-    pub fn write(&mut self, offset: u64, bytes: &[u8]) -> PmResult<()> {
-        self.media.check(offset, bytes.len() as u64)?;
-        self.stats.bytes_written += bytes.len() as u64;
-        let mut cur = offset;
-        let mut rest = bytes;
-        while !rest.is_empty() {
-            let line = Self::line_of(cur);
+    /// Stores to `[offset, offset + len)` a cache line at a time: `put` is
+    /// handed each line's part of the range and how far into the range it
+    /// starts.
+    fn store(
+        &mut self,
+        offset: u64,
+        len: u64,
+        mut put: impl FnMut(&mut [u8], usize),
+    ) -> PmResult<()> {
+        self.media.check(offset, len)?;
+        self.stats.bytes_written += len;
+        let mut done = 0;
+        while done < len {
+            let cur = offset + done;
             let in_line = (cur % CACHE_LINE) as usize;
-            let n = usize::min(rest.len(), CACHE_LINE as usize - in_line);
-            let cl = self.load_line(line);
-            cl.data[in_line..in_line + n].copy_from_slice(&rest[..n]);
+            let n = u64::min(len - done, CACHE_LINE - in_line as u64) as usize;
+            let cl = self.load_line(Self::line_of(cur));
+            put(&mut cl.data[in_line..in_line + n], done as usize);
             // A store after a flush but before the drain invalidates the
             // staging: the new value needs its own flush.
             cl.staged = false;
-            cur += n as u64;
-            rest = &rest[n..];
+            done += n as u64;
         }
         Ok(())
+    }
+
+    /// Stores `bytes` at `offset`. The store is visible to subsequent reads
+    /// immediately but is *not* durable until flushed and drained.
+    pub fn write(&mut self, offset: u64, bytes: &[u8]) -> PmResult<()> {
+        self.store(offset, bytes.len() as u64, |line, done| {
+            line.copy_from_slice(&bytes[done..done + line.len()])
+        })
+    }
+
+    /// Stores `len` copies of `byte` at `offset`: [`PmDevice::write`] of a
+    /// buffer nobody has to build.
+    pub fn fill(&mut self, offset: u64, byte: u8, len: u64) -> PmResult<()> {
+        self.store(offset, len, |line, _| line.fill(byte))
     }
 
     /// Reads `len` bytes at `offset`, observing cached (not yet durable)
     /// stores.
     pub fn read(&mut self, offset: u64, len: u64) -> PmResult<Vec<u8>> {
-        let mut out = self.media.read(offset, len as usize)?;
+        self.media.check(offset, len)?;
+        let mut out = vec![0; len as usize];
+        self.read_into(offset, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`PmDevice::read`] into a caller-provided buffer.
+    #[inline]
+    pub fn read_into(&mut self, offset: u64, buf: &mut [u8]) -> PmResult<()> {
+        self.peek_into(offset, buf)?;
+        self.stats.bytes_read += buf.len() as u64;
+        Ok(())
+    }
+
+    /// Counts a read of `[offset, offset + len)` without producing the
+    /// bytes: with [`PmDevice::peek_into`], one large read done in pieces
+    /// is counted as the one read it is.
+    pub fn note_read(&mut self, offset: u64, len: u64) -> PmResult<()> {
+        self.media.check(offset, len)?;
         self.stats.bytes_read += len;
-        if len == 0 || self.cache.is_empty() {
-            return Ok(out);
+        Ok(())
+    }
+
+    /// The bytes [`PmDevice::read_into`] would produce, uncounted.
+    #[inline]
+    pub fn peek_into(&self, offset: u64, buf: &mut [u8]) -> PmResult<()> {
+        self.media.read_into(offset, buf)?;
+        if buf.is_empty() || self.cache.is_empty() {
+            return Ok(());
         }
-        let end = offset + len;
+        let end = offset + buf.len() as u64;
         let lines = Self::line_of(offset)..=Self::line_of(end - 1);
         for (&line, cl) in self.cache.range(lines) {
             let base = line * CACHE_LINE;
             let lo = base.max(offset);
             let hi = (base + CACHE_LINE).min(end);
-            out[(lo - offset) as usize..(hi - offset) as usize]
+            buf[(lo - offset) as usize..(hi - offset) as usize]
                 .copy_from_slice(&cl.data[(lo - base) as usize..(hi - base) as usize]);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Flushes the cache lines covering `[offset, offset + len)`, staging
@@ -541,5 +589,55 @@ mod tests {
         ));
         assert!(d.read(4097, 1).is_err() && d.flush(4096, 2).is_err());
         assert!(d.corrupt_bit(4097, 0).is_err());
+    }
+
+    #[test]
+    fn fill_is_a_write_of_repeated_bytes() {
+        let mut a = PmDevice::new(3 * 4096);
+        let mut b = a.clone();
+        for (offset, byte, len) in [
+            (60u64, 7u8, 200u64),
+            (4090, 0, 10),
+            (100, 9, 0),
+            (8000, 1, 64),
+        ] {
+            a.write(offset, &vec![byte; len as usize]).unwrap();
+            b.fill(offset, byte, len).unwrap();
+            assert_eq!(a.stats(), b.stats());
+            assert_eq!(a.dirty_lines(), b.dirty_lines());
+        }
+        a.persist(0, 3 * 4096).unwrap();
+        b.persist(0, 3 * 4096).unwrap();
+        assert_eq!(a.media_image(), b.media_image());
+        // Refused whole, like the write.
+        assert!(b.fill(3 * 4096 - 4, 1, 8).is_err());
+        assert!(b.fill(u64::MAX, 1, 2).is_err());
+        assert_eq!(a.stats(), b.stats());
+    }
+
+    #[test]
+    fn a_read_in_pieces_is_counted_as_the_one_read_it_is() {
+        let mut whole = PmDevice::new(2 * 4096);
+        whole.write(4000, &(0..=255).collect::<Vec<u8>>()).unwrap();
+        whole.persist(4000, 128).unwrap(); // half durable, half cached
+        let mut pieces = whole.clone();
+
+        let want = whole.read(3990, 300).unwrap();
+        pieces.note_read(3990, 300).unwrap();
+        let mut got = vec![0; 300];
+        for (i, part) in got.chunks_mut(77).enumerate() {
+            pieces.peek_into(3990 + 77 * i as u64, part).unwrap();
+        }
+        assert_eq!(got, want);
+        assert_eq!(pieces.stats(), whole.stats());
+
+        let mut buf = [0; 8];
+        whole.read_into(4100, &mut buf).unwrap();
+        assert_eq!(buf.to_vec(), pieces.read(4100, 8).unwrap());
+        assert_eq!(pieces.stats(), whole.stats());
+        // Out of bounds: refused before anything is counted.
+        assert!(pieces.note_read(2 * 4096 - 1, 2).is_err());
+        assert!(pieces.read_into(2 * 4096 - 1, &mut buf).is_err());
+        assert_eq!(pieces.stats(), whole.stats());
     }
 }

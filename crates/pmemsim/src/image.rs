@@ -67,6 +67,7 @@ impl PmImage {
 
     /// Errs unless `[offset, offset + len)` lies inside the image; an empty
     /// range is always accepted.
+    #[inline]
     pub(crate) fn check(&self, offset: u64, len: u64) -> PmResult<()> {
         let capacity = self.len as u64;
         if len != 0 && offset.checked_add(len).is_none_or(|end| end > capacity) {
@@ -87,14 +88,25 @@ impl PmImage {
     /// Reads `len` bytes at `offset`.
     pub fn read(&self, offset: u64, len: usize) -> PmResult<Vec<u8>> {
         self.check(offset, len as u64)?;
-        let mut out = Vec::with_capacity(len);
-        let mut cur = offset as usize;
-        while out.len() < len {
-            let n = (len - out.len()).min(PAGE - cur % PAGE);
-            out.extend_from_slice(self.within_page(cur, n));
-            cur += n;
-        }
+        let mut out = vec![0; len];
+        self.read_into(offset, &mut out)?;
         Ok(out)
+    }
+
+    /// Fills `buf` with the bytes at `offset`.
+    #[inline]
+    pub fn read_into(&self, offset: u64, buf: &mut [u8]) -> PmResult<()> {
+        self.check(offset, buf.len() as u64)?;
+        let mut cur = offset as usize;
+        let mut rest = buf;
+        while !rest.is_empty() {
+            let n = rest.len().min(PAGE - cur % PAGE);
+            let (part, tail) = rest.split_at_mut(n);
+            part.copy_from_slice(self.within_page(cur, n));
+            cur += n;
+            rest = tail;
+        }
+        Ok(())
     }
 
     /// Writes `bytes` at `offset`, first copying every page it lands on that
@@ -121,8 +133,9 @@ impl PmImage {
     /// Flips bit `bit & 7` of the byte at `offset` (a media bit-flip fault).
     /// Returns how many pages were copied, as [`PmImage::write`] does.
     pub fn flip_bit(&mut self, offset: u64, bit: u8) -> PmResult<usize> {
-        let byte = self.read(offset, 1)?[0];
-        self.write(offset, &[byte ^ (1 << (bit & 7))])
+        let mut byte = [0];
+        self.read_into(offset, &mut byte)?;
+        self.write(offset, &[byte[0] ^ (1 << (bit & 7))])
     }
 }
 

@@ -36,6 +36,10 @@
 //! assert_eq!(pool.read_u64(obj).unwrap(), 0xC0FFEE);
 //! ```
 
+// Every bounds check in this crate is a real check:
+// nothing here may trade one for speed.
+#![forbid(unsafe_code)]
+
 pub mod device;
 pub mod error;
 pub mod group;

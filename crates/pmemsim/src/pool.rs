@@ -388,6 +388,38 @@ impl PmPool {
     /// monitor's reachability signal, §4.7).
     pub fn read(&mut self, offset: u64, len: u64) -> PmResult<Vec<u8>> {
         let bytes = self.dev.read(offset, len)?;
+        self.report_recover_read(offset, len);
+        Ok(bytes)
+    }
+
+    /// [`PmPool::read`] into a caller-provided buffer: the load path of the
+    /// interpreter, which must not allocate per access.
+    #[inline]
+    pub fn read_into(&mut self, offset: u64, buf: &mut [u8]) -> PmResult<()> {
+        self.dev.read_into(offset, buf)?;
+        self.report_recover_read(offset, buf.len() as u64);
+        Ok(())
+    }
+
+    /// Counts and reports a read of `[offset, offset + len)` without
+    /// producing the bytes. A caller that moves a large range in bounded
+    /// pieces calls this once, then [`PmPool::peek_into`] per piece, and
+    /// the device counters and the sink see the one read [`PmPool::read`]
+    /// would have made.
+    pub fn note_read(&mut self, offset: u64, len: u64) -> PmResult<()> {
+        self.dev.note_read(offset, len)?;
+        self.report_recover_read(offset, len);
+        Ok(())
+    }
+
+    /// The bytes at `offset` (seeing unpersisted stores), uncounted and
+    /// unreported; see [`PmPool::note_read`].
+    pub fn peek_into(&self, offset: u64, buf: &mut [u8]) -> PmResult<()> {
+        self.dev.peek_into(offset, buf)
+    }
+
+    #[inline]
+    fn report_recover_read(&self, offset: u64, len: u64) {
         if self.recovering {
             if let Some(sink) = &self.sink {
                 sink.lock()
@@ -395,7 +427,11 @@ impl PmPool {
                     .on_recover_read(offset, len);
             }
         }
-        Ok(bytes)
+    }
+
+    /// Errs unless `[offset, offset + len)` lies inside the pool.
+    pub fn check_range(&self, offset: u64, len: u64) -> PmResult<()> {
+        self.dev.check_range(offset, len)
     }
 
     /// Stores `bytes` at `offset` without persisting.
@@ -403,10 +439,16 @@ impl PmPool {
         self.dev.write(offset, bytes)
     }
 
+    /// Stores `len` copies of `byte` at `offset` without persisting.
+    pub fn fill(&mut self, offset: u64, byte: u8, len: u64) -> PmResult<()> {
+        self.dev.fill(offset, byte, len)
+    }
+
     /// Reads a little-endian u64.
     pub fn read_u64(&mut self, offset: u64) -> PmResult<u64> {
-        let b = self.dev.read(offset, 8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("read 8 bytes")))
+        let mut b = [0; 8];
+        self.dev.read_into(offset, &mut b)?;
+        Ok(u64::from_le_bytes(b))
     }
 
     /// Stores a little-endian u64 without persisting.
@@ -635,7 +677,7 @@ impl PmPool {
                 self.redo_apply(&writes)?;
                 let payload = cur + layout::BLOCK_HDR;
                 let payload_size = need - layout::BLOCK_HDR;
-                self.dev.write(payload, &vec![0u8; payload_size as usize])?;
+                self.dev.fill(payload, 0, payload_size)?;
                 self.persist_internal(payload, payload_size)?;
                 self.stats.allocs += 1;
                 self.rec_add("pool.allocs", 1);
