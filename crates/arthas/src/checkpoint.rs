@@ -6,39 +6,31 @@
 //! to [`MAX_VERSIONS`] old values per address and a global logical sequence
 //! number — a direct transcription of the paper's Figure 5 entry layout.
 //!
-//! Two stores share that entry layout:
+//! There is one store, [`SharedLog`]: address-sharded, each shard behind
+//! its own mutex, all shards drawing sequence numbers from one atomic
+//! counter. It is a [`PmSink`], so attaching [`SharedLog::as_sink`] to a
+//! pool is the moral equivalent of linking the Arthas checkpoint library
+//! into the target binary; a durability event locks the one shard owning
+//! its address and nothing else. Everything that reads the log — the
+//! reactor's candidate-list computation (§4.4), the leak monitor's
+//! allocation diff (§4.7), the baselines, the invariant oracle — goes
+//! through [`SharedLog::view`], a merged, seq-ordered [`LogView`] whose
+//! answers do not depend on the shard count. `SharedLog::new()` is the
+//! one-shard store: the paper's single log is the degenerate case, not a
+//! second type.
 //!
-//! - [`CheckpointLog`] — the single-threaded store, unchanged since the
-//!   first release. All invariants (version rotation, realloc chaining,
-//!   the bounded `covering`/`expected_current` scans) live here.
-//! - [`ShardedLog`] — an address-sharded concurrent store: N independent
-//!   `CheckpointLog` shards behind their own mutexes, sharing one global
-//!   [`AtomicU64`] sequence allocator. Durability events route to the
-//!   shard owning their address range; reads go through a merged,
-//!   seq-ordered [`LogView`] that reproduces the single-log read API
-//!   byte-for-byte, so the reactor's candidate-list computation (§4.4)
-//!   and the leak monitor's allocation diff (§4.7) are oblivious to the
-//!   shard count.
-//!
-//! [`SharedLog`] remains as a shard-count-1 wrapper (deref-coercible to
-//! [`ShardedLog`]) so existing call sites migrate mechanically; it is
-//! kept for one release.
-//!
-//! Either store implements [`PmSink`], so attaching it to a pool is the
-//! moral equivalent of linking the Arthas checkpoint library into the
-//! target binary. In the paper the log lives in a dedicated PM pool; here
-//! it is a host-side structure owned by the driver, which survives
-//! simulated restarts of the target exactly like a separate pool would.
+//! In the paper the log lives in a dedicated PM pool; here it is a
+//! host-side structure owned by the driver, which survives simulated
+//! restarts of the target exactly like a separate pool would.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use pmemsim::PmSink;
 
 /// Default number of retained versions per address (the paper's default).
-/// Individual logs can retain more via [`CheckpointLog::set_max_versions`]:
+/// A store can retain more via [`SharedLog::set_max_versions`]:
 /// offline campaigns detect faults at the crash site, so three versions
 /// reach back far enough, but an online server detects lazily (every
 /// `health_every` requests) and keeps writing in between — hot addresses
@@ -48,9 +40,9 @@ use pmemsim::PmSink;
 /// to at least a couple of detection intervals.
 pub const MAX_VERSIONS: usize = 3;
 
-/// Shard count used by [`ShardedLog::default`]. Eight shards keep the
-/// per-shard mutexes uncontended up to the 16-writer workloads the
-/// multi-threaded scenario drives while costing nothing at one writer.
+/// Shard count of the multi-threaded workload (`arthas-repro concurrent`).
+/// Eight shards keep the per-shard mutexes uncontended up to the 16-writer
+/// runs that workload drives while costing nothing at one writer.
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// Addresses are sharded at this granularity: one contiguous
@@ -90,90 +82,71 @@ pub struct VersionData {
 pub struct Entry {
     /// Retained versions, oldest first, newest last.
     pub versions: VecDeque<VersionData>,
-    /// Index (into the log's retired-entry arena) of the entry this block
-    /// accumulated in its *previous* incarnation, when the address was
-    /// freed and reallocated (the paper's `old_entry` chaining). Resolve
-    /// with [`CheckpointLog::retired_entry`].
+    /// Index (into the owning shard's retired-entry arena) of the entry
+    /// this block accumulated in its *previous* incarnation, when the
+    /// address was freed and reallocated (the paper's `old_entry`
+    /// chaining). [`LogView::data_at_depth`], [`LogView::data_before_seq`]
+    /// and [`LogView::expected_before`] walk the chain.
     pub old_entry: Option<usize>,
 }
 
-/// Lifetime counters of a [`CheckpointLog`] (the paper's Table 4 "log
+/// Lifetime counters of a [`SharedLog`] (the paper's Table 4 "log
 /// overhead" measurements are derived from these).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LogStats {
-    /// Checkpointed PM updates (same lifetime count as
-    /// [`CheckpointLog::total_updates`]).
+    /// Checkpointed PM updates (the denominator of the discarded-data
+    /// metric; [`SharedLog::total_updates`] reads this).
     pub updates: u64,
     /// Payload bytes appended to the log.
     pub bytes_logged: u64,
-    /// Versions dropped because an address exceeded [`MAX_VERSIONS`].
+    /// Versions dropped because an address exceeded its retention cap.
     pub versions_rotated: u64,
     /// Entries parked in the retired arena by realloc chaining.
     pub entries_retired: u64,
 }
 
 impl LogStats {
-    /// Field-wise sum, used to aggregate per-shard stats.
-    fn merge(&mut self, other: LogStats) {
-        self.updates += other.updates;
-        self.bytes_logged += other.bytes_logged;
-        self.versions_rotated += other.versions_rotated;
-        self.entries_retired += other.entries_retired;
+    /// Field-wise sum, used to fold per-shard stats into the store's.
+    fn merge(self, other: LogStats) -> LogStats {
+        LogStats {
+            updates: self.updates + other.updates,
+            bytes_logged: self.bytes_logged + other.bytes_logged,
+            versions_rotated: self.versions_rotated + other.versions_rotated,
+            entries_retired: self.entries_retired + other.entries_retired,
+        }
     }
 }
 
 /// Allocation record for the leak-mitigation pass (§4.7).
-#[derive(Debug, Clone)]
-pub struct AllocRecord {
+struct AllocRecord {
     /// Payload size.
-    pub size: u64,
-    /// Sequence number at allocation time.
-    pub seq: u64,
-    /// Sequence number at free time, when freed.
-    pub freed: Option<u64>,
+    size: u64,
+    /// Whether the block has been freed since.
+    freed: bool,
 }
 
-/// The checkpoint log.
-///
-/// # Examples
-///
-/// ```
-/// use arthas::CheckpointLog;
-/// use pmemsim::PmSink;
-///
-/// let mut log = CheckpointLog::new();
-/// log.on_persist(128, &1u64.to_le_bytes());
-/// log.on_persist(128, &2u64.to_le_bytes());
-/// // Reverting one version back recovers the previous durable value.
-/// assert_eq!(log.data_at_depth(128, 1).unwrap(), 1u64.to_le_bytes());
-/// ```
-#[derive(Default)]
-pub struct CheckpointLog {
+/// One shard of a [`SharedLog`]: the entries, allocation records and
+/// recovery reads of the addresses it owns. It records, rotates and
+/// retires; every query that can span shards lives on [`LogView`], which
+/// calls the shard-local helpers here.
+struct CheckpointLog {
     entries: BTreeMap<u64, Entry>,
     /// Entries of freed-then-reallocated blocks, parked here so
     /// `old_entry` chains keep resolving (§4.2).
     retired: Vec<Entry>,
-    /// Largest sequence number issued *through this log*. Standalone logs
-    /// allocate from it directly; shards of a [`ShardedLog`] allocate from
-    /// the shared atomic and mirror the result here.
-    seq: u64,
-    /// Shared allocator installed by [`ShardedLog`]; `None` for a
-    /// standalone log.
-    seq_alloc: Option<Arc<AtomicU64>>,
+    /// The store's sequence allocator (the atomic counter of the paper).
+    seq_alloc: Arc<AtomicU64>,
     seq_to_addr: HashMap<u64, u64>,
     tx_members: HashMap<u64, Vec<u64>>,
     allocs: BTreeMap<u64, AllocRecord>,
     recovery_reads: ReadSet,
     recovering: bool,
-    /// When false the sink ignores events (used while the reactor
+    /// When false the shard ignores events (used while the reactor
     /// re-executes the target during mitigation, so reversion attempts do
     /// not rotate good versions out of the log).
     enabled: bool,
-    /// Per-address version retention cap; [`MAX_VERSIONS`] unless raised
-    /// with [`CheckpointLog::set_max_versions`] (0 is treated as the
-    /// default so `Default`-constructed logs behave like `new`).
+    /// Per-address version retention cap.
     max_versions: usize,
-    total_updates: u64,
     /// Largest data size ever recorded; bounds the `covering` scan.
     max_len: u64,
     stats: LogStats,
@@ -181,33 +154,22 @@ pub struct CheckpointLog {
 }
 
 impl CheckpointLog {
-    /// Creates an empty, enabled log.
-    pub fn new() -> Self {
+    /// An empty, enabled shard numbering its updates from `seq_alloc`.
+    fn new(seq_alloc: Arc<AtomicU64>) -> Self {
         CheckpointLog {
+            entries: BTreeMap::new(),
+            retired: Vec::new(),
+            seq_alloc,
+            seq_to_addr: HashMap::new(),
+            tx_members: HashMap::new(),
+            allocs: BTreeMap::new(),
+            recovery_reads: ReadSet::default(),
+            recovering: false,
             enabled: true,
-            ..Default::default()
-        }
-    }
-
-    /// Enables or disables recording.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Sets the per-address version retention cap (clamped to at least 1).
-    /// Already-rotated versions are gone; raise the cap before the
-    /// workload runs. Online servers should keep at least a couple of
-    /// detection intervals' worth of history (see [`MAX_VERSIONS`]).
-    pub fn set_max_versions(&mut self, n: usize) {
-        self.max_versions = n.max(1);
-    }
-
-    /// The per-address version retention cap currently in force.
-    pub fn max_versions(&self) -> usize {
-        if self.max_versions == 0 {
-            MAX_VERSIONS
-        } else {
-            self.max_versions
+            max_versions: MAX_VERSIONS,
+            max_len: 0,
+            stats: LogStats::default(),
+            recorder: None,
         }
     }
 
@@ -217,92 +179,13 @@ impl CheckpointLog {
         }
     }
 
-    /// Lifetime counters of this log.
-    pub fn stats(&self) -> LogStats {
-        self.stats
-    }
-
-    /// Iterates every live entry as `(address, entry)`, ascending.
-    pub fn iter_entries(&self) -> impl Iterator<Item = (u64, &Entry)> {
-        self.entries.iter().map(|(&a, e)| (a, e))
-    }
-
-    /// Next sequence number (the atomic counter of the paper). When a
-    /// shared allocator is installed the number is globally unique across
-    /// every shard; the allocation happens under the owning shard's lock,
-    /// so per-address version order always equals seq order.
-    fn next_seq(&mut self) -> u64 {
-        let seq = match &self.seq_alloc {
-            Some(alloc) => alloc.fetch_add(1, Ordering::Relaxed) + 1,
-            None => self.seq + 1,
-        };
-        self.seq = seq;
-        seq
-    }
-
-    /// The latest sequence number issued anywhere: the shared allocator's
-    /// value when installed, this log's own counter otherwise. Events
-    /// that stamp "the current time" without consuming a number (alloc,
-    /// free) use this, so their stamps are identical whether the log
-    /// stands alone or shards a [`ShardedLog`].
-    fn current_seq(&self) -> u64 {
-        match &self.seq_alloc {
-            Some(alloc) => alloc.load(Ordering::Relaxed),
-            None => self.seq,
-        }
-    }
-
-    /// The largest sequence number issued through this log.
-    pub fn latest_seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Total number of checkpointed PM updates over the log's lifetime
-    /// (the denominator of the discarded-data metric).
-    pub fn total_updates(&self) -> u64 {
-        self.total_updates
-    }
-
-    /// Number of distinct checkpointed addresses.
-    pub fn n_entries(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The entry for an exact address.
-    pub fn entry(&self, addr: u64) -> Option<&Entry> {
-        self.entries.get(&addr)
-    }
-
-    /// The address recorded under a sequence number.
-    pub fn addr_of_seq(&self, seq: u64) -> Option<u64> {
-        self.seq_to_addr.get(&seq).copied()
-    }
-
-    /// All sequence numbers belonging to transaction `tx`.
-    pub fn tx_seqs(&self, tx: u64) -> &[u64] {
-        self.tx_members
-            .get(&tx)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// The transaction id (if any) of the version recorded under `seq`.
-    pub fn tx_of_seq(&self, seq: u64) -> Option<u64> {
-        let addr = self.addr_of_seq(seq)?;
-        self.entries
-            .get(&addr)?
-            .versions
-            .iter()
-            .find(|v| v.seq == seq)
-            .and_then(|v| v.tx_id)
-    }
-
+    /// Appends one version. The sequence number is drawn while the shard
+    /// lock is held, so per-address version order always equals seq order.
     fn record(&mut self, addr: u64, data: &[u8], tx_id: Option<u64>) {
         if !self.enabled {
             return;
         }
-        let seq = self.next_seq();
-        self.total_updates += 1;
+        let seq = self.seq_alloc.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats.updates += 1;
         self.stats.bytes_logged += data.len() as u64;
         self.rec_add("log.updates", 1);
@@ -312,7 +195,6 @@ impl CheckpointLog {
         if let Some(tx) = tx_id {
             self.tx_members.entry(tx).or_default().push(seq);
         }
-        let cap = self.max_versions();
         let entry = self.entries.entry(addr).or_default();
         entry.versions.push_back(VersionData {
             seq,
@@ -320,7 +202,7 @@ impl CheckpointLog {
             tx_id,
         });
         let mut rotated = 0u64;
-        while entry.versions.len() > cap {
+        while entry.versions.len() > self.max_versions {
             let dropped = entry.versions.pop_front().expect("non-empty");
             self.seq_to_addr.remove(&dropped.seq);
             rotated += 1;
@@ -331,18 +213,49 @@ impl CheckpointLog {
         }
     }
 
-    /// Entries whose most recent version covers `addr` (used to join the
-    /// dynamic PM trace with the log): returns `(entry_address, seq)` of
-    /// the newest version of each covering entry.
-    pub fn covering(&self, addr: u64) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        self.covering_into(addr, self.max_len, &mut out);
-        out
+    fn on_alloc(&mut self, offset: u64, size: u64) {
+        if !self.enabled {
+            return;
+        }
+        // Reallocation chaining (§4.2): when a freed block's address is
+        // handed out again, the previous incarnation's entry is retired to
+        // the arena — its versions leave the seq maps, exactly as version
+        // rotation drops them — and the fresh incarnation's entry links to
+        // it through `old_entry`, so deep reversions can keep walking back
+        // in time across the realloc.
+        if self.allocs.get(&offset).is_some_and(|a| a.freed) {
+            if let Some(old) = self.entries.remove(&offset) {
+                for v in &old.versions {
+                    self.seq_to_addr.remove(&v.seq);
+                }
+                let idx = self.retired.len();
+                self.retired.push(old);
+                self.stats.entries_retired += 1;
+                self.rec_add("log.entries_retired", 1);
+                self.entries.insert(
+                    offset,
+                    Entry {
+                        versions: VecDeque::new(),
+                        old_entry: Some(idx),
+                    },
+                );
+            }
+        }
+        self.allocs
+            .insert(offset, AllocRecord { size, freed: false });
     }
 
-    /// `covering` with a caller-supplied scan bound, appending to `out` in
-    /// descending address order. [`LogView`] passes the *global* max data
-    /// size so per-shard scans use the same window a single log would.
+    /// Marks `offset`'s allocation record freed, if there is one.
+    fn mark_freed(&mut self, offset: u64) {
+        if let Some(rec) = self.allocs.get_mut(&offset) {
+            rec.freed = true;
+        }
+    }
+
+    /// Appends to `out`, in descending address order, `(entry_address,
+    /// newest seq)` of every entry here that covers `addr`. `max_len` is
+    /// the *store-wide* max data size, so each shard scans the window a
+    /// single log would.
     fn covering_into(&self, addr: u64, max_len: u64, out: &mut Vec<(u64, u64)>) {
         // An entry at address `a` of max size `s` covers addr when
         // a <= addr < a + s. No entry's data is larger than `max_len`, so
@@ -365,14 +278,8 @@ impl CheckpointLog {
         }
     }
 
-    /// The data an address held *before* the version `depth` steps back
-    /// from the newest (depth 1 = previous version). When a depth exceeds
-    /// the current incarnation's history, the lookup continues through the
-    /// `old_entry` chain into previous incarnations of a reallocated block
-    /// (§4.2). Returns zeros of the newest version's size when every
-    /// incarnation is exhausted — reverting to "before the object existed"
-    /// (allocations are zero-filled).
-    pub fn data_at_depth(&self, addr: u64, depth: usize) -> Option<Vec<u8>> {
+    /// See [`LogView::data_at_depth`].
+    fn data_at_depth(&self, addr: u64, depth: usize) -> Option<Vec<u8>> {
         let mut e = self.entries.get(&addr)?;
         let newest_len = self
             .chain(e)
@@ -392,23 +299,24 @@ impl CheckpointLog {
         }
     }
 
-    /// The state of `addr` just before global sequence number `cut`:
-    /// newest version with `seq < cut` in any incarnation (following the
-    /// `old_entry` chain of reallocated blocks), or zeros when the address
-    /// did not exist then. `None` when the address is not in the log.
-    pub fn data_before_seq(&self, addr: u64, cut: u64) -> Option<Vec<u8>> {
+    /// The newest version of `addr` with `seq < cut` in any incarnation
+    /// (following the `old_entry` chain of reallocated blocks) as `(seq,
+    /// bytes)`, or `(0, zeros)` of the newest version's size when the
+    /// address did not exist then. `None` when the address is not in the
+    /// log.
+    fn version_before(&self, addr: u64, cut: u64) -> Option<(u64, Vec<u8>)> {
         let e = self.entries.get(&addr)?;
         let newest_len = self
             .chain(e)
             .find_map(|e| e.versions.back())
-            .map(|v| v.data.len())
-            .unwrap_or(0);
-        for inc in self.chain(e) {
-            if let Some(v) = inc.versions.iter().rev().find(|v| v.seq < cut) {
-                return Some(v.data.clone());
-            }
-        }
-        Some(vec![0; newest_len])
+            .map(|v| v.data.len())?;
+        let hit = self
+            .chain(e)
+            .find_map(|inc| inc.versions.iter().rev().find(|v| v.seq < cut));
+        Some(match hit {
+            Some(v) => (v.seq, v.data.clone()),
+            None => (0, vec![0; newest_len]),
+        })
     }
 
     /// Iterates an entry and its previous incarnations, newest first.
@@ -416,108 +324,16 @@ impl CheckpointLog {
         std::iter::successors(Some(e), |e| e.old_entry.and_then(|i| self.retired.get(i)))
     }
 
-    /// The retired entry at `idx` — the target of an [`Entry::old_entry`]
-    /// link.
-    pub fn retired_entry(&self, idx: usize) -> Option<&Entry> {
-        self.retired.get(idx)
-    }
-
-    /// All addresses with at least one version at `seq >= cut` (rollback
-    /// victims for a time-based rollback to `cut`).
-    pub fn addrs_touched_since(&self, cut: u64) -> Vec<u64> {
-        self.entries
-            .iter()
-            .filter(|(_, e)| e.versions.back().map(|v| v.seq >= cut).unwrap_or(false))
-            .map(|(a, _)| *a)
-            .collect()
-    }
-
-    /// The bytes the durable pool *should* currently hold over the range
-    /// of `addr`'s entry: the entry's newest version, overlaid with every
-    /// newer overlapping entry's newest version. A mismatch with the
-    /// actual pool contents means some write bypassed every durability
-    /// point — the signature of external (hardware) corruption.
-    pub fn expected_current(&self, addr: u64) -> Option<Vec<u8>> {
-        let e = self.entries.get(&addr)?;
-        let newest = e.versions.back()?;
-        let my_seq = newest.seq;
-        let mut buf = newest.data.clone();
-        let len = buf.len() as u64;
-        let mut overlays: Vec<(u64, u64, &Vec<u8>)> = Vec::new();
-        self.overlays_into(addr, len, my_seq, self.max_len, &mut overlays);
-        // Apply in seq order so where overlays themselves overlap, the
-        // newest write wins — address-order application would make the
-        // result depend on entry layout instead of update time.
-        overlays.sort_unstable_by_key(|&(seq, _, _)| seq);
-        apply_overlays(&mut buf, addr, &overlays);
-        Some(buf)
-    }
-
-    /// The bytes the durable pool should hold over `addr`'s entry range
-    /// *as of just before global sequence `cut`*: the newest version with
-    /// `seq < cut` (following the realloc chain, zeros when the address
-    /// did not exist then), overlaid with every overlapping entry's
-    /// newest version that is also below the cut. `expected_current` is
-    /// the `cut = u64::MAX` special case. Rollback healing must use this
-    /// form: after `rollback_to(cut)` the pool holds pre-cut state, so a
-    /// divergence check against the *current* expectation would re-plant
-    /// post-cut overlay bytes the rollback just reverted.
-    pub fn expected_before(&self, addr: u64, cut: u64) -> Option<Vec<u8>> {
-        let e = self.entries.get(&addr)?;
-        let newest_len = self
-            .chain(e)
-            .find_map(|e| e.versions.back())
-            .map(|v| v.data.len())?;
-        let (my_seq, mut buf) = match self
-            .chain(e)
-            .find_map(|inc| inc.versions.iter().rev().find(|v| v.seq < cut))
-        {
-            Some(v) => (v.seq, v.data.clone()),
-            None => (0, vec![0; newest_len]),
-        };
-        let len = buf.len() as u64;
-        let mut overlays: Vec<(u64, u64, &Vec<u8>)> = Vec::new();
-        self.overlays_before_into(addr, len, my_seq, cut, self.max_len, &mut overlays);
-        overlays.sort_unstable_by_key(|&(seq, _, _)| seq);
-        apply_overlays(&mut buf, addr, &overlays);
-        Some(buf)
-    }
-
-    /// Collects newer overlapping entries over `[addr, addr+len)` as
-    /// `(seq, entry_addr, data)`. Entries start at persist range starts;
-    /// an overlapping entry below `addr` starts within `max_len - 1`
-    /// bytes of it — the same exact bound `covering` uses. (A fixed
-    /// 64 KiB window here used to miss newer entries larger than 64 KiB
-    /// that start below the window.) [`LogView`] passes the global max
-    /// data size and collects from every shard before applying.
+    /// Collects the entries here that overlap `[addr, addr+len)` and were
+    /// written after `my_seq` as `(seq, entry_addr, data)`; each
+    /// contributes its newest version *below* `cut`, so the overlay set
+    /// reconstructs the byte state as of the cut (`u64::MAX`: the live
+    /// one). Entries start at persist range starts; an overlapping entry
+    /// below `addr` starts within `max_len - 1` bytes of it — the same
+    /// exact bound `covering_into` uses. (A fixed 64 KiB window here used
+    /// to miss newer entries larger than 64 KiB that start below the
+    /// window.)
     fn overlays_into<'a>(
-        &'a self,
-        addr: u64,
-        len: u64,
-        my_seq: u64,
-        max_len: u64,
-        out: &mut Vec<(u64, u64, &'a Vec<u8>)>,
-    ) {
-        let lo = addr.saturating_sub(max_len.saturating_sub(1));
-        for (&a2, e2) in self.entries.range(lo..addr + len) {
-            if a2 == addr {
-                continue;
-            }
-            let Some(v2) = e2.versions.back() else {
-                continue;
-            };
-            if v2.seq <= my_seq {
-                continue;
-            }
-            out.push((v2.seq, a2, &v2.data));
-        }
-    }
-
-    /// Cut-bounded sibling of [`CheckpointLog::overlays_into`]: each
-    /// overlapping entry contributes its newest version *below* `cut`
-    /// (not its absolute newest), so the overlay set reconstructs the
-    /// pre-cut byte state instead of the live one.
-    fn overlays_before_into<'a>(
         &'a self,
         addr: u64,
         len: u64,
@@ -538,58 +354,6 @@ impl CheckpointLog {
                 continue;
             }
             out.push((v2.seq, a2, &v2.data));
-        }
-    }
-
-    /// All sequence numbers in the log, ascending.
-    pub fn all_seqs(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.seq_to_addr.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    // ---- leak mitigation bookkeeping (§4.7) --------------------------------
-
-    /// Live (never freed) allocations recorded by the log.
-    pub fn live_allocs(&self) -> Vec<(u64, u64)> {
-        self.allocs
-            .iter()
-            .filter(|(_, r)| r.freed.is_none())
-            .map(|(a, r)| (*a, r.size))
-            .collect()
-    }
-
-    /// Ranges read while the application's recovery function was active:
-    /// every distinct `(offset, len)` at least once, in no particular order.
-    pub fn recovery_reads(&self) -> &[(u64, u64)] {
-        &self.recovery_reads.ranges
-    }
-
-    /// Clears the recorded recovery reads (before a fresh recovery run).
-    pub fn clear_recovery_reads(&mut self) {
-        self.recovery_reads.ranges.clear();
-    }
-
-    /// Live allocations that the recovery function never touched: the
-    /// suspected persistent leaks.
-    pub fn suspected_leaks(&self) -> Vec<(u64, u64)> {
-        self.live_allocs()
-            .into_iter()
-            .filter(|(a, s)| {
-                !self
-                    .recovery_reads()
-                    .iter()
-                    .any(|(ra, rl)| ra < &(a + s) && *a < ra + rl)
-            })
-            .collect()
-    }
-
-    /// Marks an allocation freed by the reactor itself (leak mitigation),
-    /// keeping the log consistent with the pool.
-    pub fn note_reactor_free(&mut self, addr: u64) {
-        let seq = self.current_seq();
-        if let Some(rec) = self.allocs.get_mut(&addr) {
-            rec.freed = Some(seq);
         }
     }
 }
@@ -641,155 +405,73 @@ fn apply_overlays(buf: &mut [u8], addr: u64, overlays: &[(u64, u64, &Vec<u8>)]) 
     }
 }
 
-impl PmSink for CheckpointLog {
-    fn on_persist(&mut self, offset: u64, data: &[u8]) {
-        self.record(offset, data, None);
-    }
-
-    fn on_tx_commit(&mut self, tx_id: u64, ranges: &[(u64, Vec<u8>)]) {
-        for (off, data) in ranges {
-            self.record(*off, data, Some(tx_id));
-        }
-    }
-
-    fn on_alloc(&mut self, offset: u64, size: u64) {
-        if !self.enabled {
-            return;
-        }
-        let seq = self.current_seq();
-        // Reallocation chaining (§4.2): when a freed block's address is
-        // handed out again, the previous incarnation's entry is retired to
-        // the arena — its versions leave the seq maps, exactly as version
-        // rotation drops them — and the fresh incarnation's entry links to
-        // it through `old_entry`, so deep reversions can keep walking back
-        // in time across the realloc.
-        if let Some(prev) = self.allocs.get(&offset) {
-            if prev.freed.is_some() {
-                if let Some(old) = self.entries.remove(&offset) {
-                    for v in &old.versions {
-                        self.seq_to_addr.remove(&v.seq);
-                    }
-                    let idx = self.retired.len();
-                    self.retired.push(old);
-                    self.stats.entries_retired += 1;
-                    self.rec_add("log.entries_retired", 1);
-                    self.entries.insert(
-                        offset,
-                        Entry {
-                            versions: VecDeque::new(),
-                            old_entry: Some(idx),
-                        },
-                    );
-                }
-            }
-        }
-        self.allocs.insert(
-            offset,
-            AllocRecord {
-                size,
-                seq,
-                freed: None,
-            },
-        );
-    }
-
-    fn on_free(&mut self, offset: u64) {
-        if !self.enabled {
-            return;
-        }
-        let seq = self.current_seq();
-        if let Some(rec) = self.allocs.get_mut(&offset) {
-            rec.freed = Some(seq);
-        }
-    }
-
-    fn on_recover_begin(&mut self) {
-        self.recovering = true;
-    }
-
-    fn on_recover_end(&mut self) {
-        self.recovering = false;
-    }
-
-    fn on_recover_read(&mut self, offset: u64, len: u64) {
-        if self.recovering {
-            self.recovery_reads.insert((offset, len));
-        }
-    }
-}
-
-impl obs::Instrument for CheckpointLog {
-    fn instrument(&mut self, recorder: Arc<dyn obs::Recorder>) {
-        self.recorder = Some(recorder);
-    }
-
-    fn uninstrument(&mut self) {
-        self.recorder = None;
-    }
-}
-
-/// An address-sharded, seq-ordered concurrent checkpoint store.
+/// The checkpoint store: address-sharded, seq-ordered, shared.
 ///
-/// N independent [`CheckpointLog`] shards behind their own mutexes share
-/// one global atomic sequence allocator. A durability event locks only
-/// the shard owning its address range (the range's SplitMix64 hash), so
-/// writer threads touching disjoint regions proceed in parallel; the
-/// sequence number is drawn from the shared allocator *while the shard
-/// lock is held*, so per-address version order always equals seq order
-/// and a single-threaded event stream produces exactly the seqs a
-/// [`CheckpointLog`] would.
+/// N shards behind their own mutexes share one atomic sequence allocator.
+/// A durability event locks only the shard owning its address range (the
+/// range's SplitMix64 hash), so writer threads touching disjoint regions
+/// proceed in parallel; the sequence number is drawn from the shared
+/// allocator *while the shard lock is held*, so per-address version order
+/// always equals seq order and a single-threaded event stream is numbered
+/// the same at every shard count. [`SharedLog::new`] is one shard — the
+/// paper's single log.
 ///
-/// Reads that need the whole log go through [`ShardedLog::view`], which
+/// Reads that need the whole log go through [`SharedLog::view`], which
 /// locks every shard (in index order — the only multi-shard lock pattern,
 /// so shards cannot deadlock against each other) and merges per-shard
-/// results back into the single-log orders: `covering` by descending
-/// address, overlays and [`LogView::iter_merged`] by ascending seq.
+/// results into one order: `covering` by descending address, overlays and
+/// [`LogView::iter_merged`] by ascending seq.
 ///
-/// Cloning is shallow: clones share the shards and the allocator. Each
-/// [`ShardedLog::as_sink`] call wraps a fresh clone in its own outer
-/// mutex, so every forked pool gets an uncontended sink handle and
-/// cross-thread contention happens only on the shards themselves.
+/// Cloning is shallow: clones (and every [`SharedLog::as_sink`] handle)
+/// share the shards and the allocator.
 ///
 /// Poisoning: a panic on another thread while a shard lock is held — e.g.
 /// a speculative re-execution fork dying mid-attempt — poisons that shard.
 /// Mitigation is precisely the code that must keep running after such a
 /// panic, and every shard mutation completes before its guard drops, so
-/// the data behind a poisoned lock is still coherent. Every internal lock
-/// therefore recovers poisoning; [`ShardedLog::is_poisoned`] reports it
-/// for diagnostics.
+/// the data behind a poisoned lock is still coherent. The one place a
+/// shard mutex is taken therefore recovers poisoning;
+/// [`SharedLog::is_poisoned`] reports it for diagnostics.
+///
+/// # Examples
+///
+/// ```
+/// use arthas::SharedLog;
+/// use pmemsim::PmSink;
+///
+/// let log = SharedLog::new();
+/// log.on_persist(128, &1u64.to_le_bytes());
+/// log.on_persist(128, &2u64.to_le_bytes());
+/// // Reverting one version back recovers the previous durable value.
+/// assert_eq!(log.view().data_at_depth(128, 1).unwrap(), 1u64.to_le_bytes());
+/// ```
 #[derive(Clone)]
-pub struct ShardedLog {
-    shards: Arc<Vec<Mutex<CheckpointLog>>>,
+pub struct SharedLog {
+    shards: Arc<[Mutex<CheckpointLog>]>,
     seq: Arc<AtomicU64>,
 }
 
-impl ShardedLog {
-    /// Creates a store with `n_shards` shards (clamped to at least 1),
-    /// all enabled, sharing a fresh sequence allocator.
-    pub fn new(n_shards: usize) -> Self {
-        let seq = Arc::new(AtomicU64::new(0));
-        let shards = (0..n_shards.max(1))
-            .map(|_| {
-                let mut log = CheckpointLog::new();
-                log.seq_alloc = Some(seq.clone());
-                Mutex::new(log)
-            })
-            .collect();
-        ShardedLog {
-            shards: Arc::new(shards),
-            seq,
-        }
+/// Locks one shard, recovering from poisoning.
+fn lock_shard(shard: &Mutex<CheckpointLog>) -> MutexGuard<'_, CheckpointLog> {
+    shard
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+impl SharedLog {
+    /// Creates a fresh, enabled one-shard store.
+    pub fn new() -> Self {
+        SharedLog::sharded(1)
     }
 
-    /// Wraps an existing log as the sole shard, continuing its sequence
-    /// numbering.
-    pub fn from_log(mut log: CheckpointLog) -> Self {
-        let seq = Arc::new(AtomicU64::new(log.seq));
-        log.seq_alloc = Some(seq.clone());
-        ShardedLog {
-            shards: Arc::new(vec![Mutex::new(log)]),
-            seq,
-        }
+    /// Creates a store with `n_shards` shards (clamped to at least 1),
+    /// all enabled, sharing a fresh sequence allocator.
+    pub fn sharded(n_shards: usize) -> Self {
+        let seq = Arc::new(AtomicU64::new(0));
+        let shards = (0..n_shards.max(1))
+            .map(|_| Mutex::new(CheckpointLog::new(seq.clone())))
+            .collect();
+        SharedLog { shards, seq }
     }
 
     /// Number of shards.
@@ -797,21 +479,14 @@ impl ShardedLog {
         self.shards.len()
     }
 
-    /// The shard index owning `addr`.
-    pub fn shard_of(&self, addr: u64) -> usize {
-        shard_index(addr, self.shards.len())
+    /// Locks every shard in turn (one at a time), recovering poisoning.
+    fn each_shard(&self) -> impl Iterator<Item = MutexGuard<'_, CheckpointLog>> {
+        self.shards.iter().map(lock_shard)
     }
 
-    /// Locks one shard, recovering from poisoning.
-    fn shard(&self, idx: usize) -> MutexGuard<'_, CheckpointLog> {
-        self.shards[idx]
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Locks the shard owning `addr`, recovering from poisoning.
+    /// Locks the shard owning `addr`.
     fn owner(&self, addr: u64) -> MutexGuard<'_, CheckpointLog> {
-        self.shard(self.shard_of(addr))
+        lock_shard(&self.shards[shard_index(addr, self.shards.len())])
     }
 
     /// Whether any shard mutex has been poisoned by a panicking holder.
@@ -825,68 +500,63 @@ impl ShardedLog {
     /// seq-ordered read view.
     ///
     /// The view holds all shard locks: never hold one across a pool write
-    /// or persist, which would dispatch back into the sink and deadlock —
-    /// the same rule `SharedLog::lock` always had.
+    /// or persist, which would dispatch back into the sink and deadlock.
     pub fn view(&self) -> LogView<'_> {
-        let shards: Vec<MutexGuard<'_, CheckpointLog>> = self
-            .shards
-            .iter()
-            .map(|m| m.lock().unwrap_or_else(|poisoned| poisoned.into_inner()))
-            .collect();
+        let shards: Vec<_> = self.each_shard().collect();
         // Loaded after every shard lock is held, so it covers every event
         // that completed before the view was taken.
         let latest = self.seq.load(Ordering::Relaxed);
         LogView { shards, latest }
     }
 
-    /// A fresh sink handle for [`pmemsim::PmPool::set_sink`].
-    ///
-    /// Each call mints its own outer mutex around a shallow clone, so
-    /// every pool (each writer thread forks its own) dispatches through
-    /// an uncontended handle and serializes only on the shards.
-    pub fn as_sink(&self) -> Arc<Mutex<dyn PmSink + Send>> {
-        Arc::new(Mutex::new(self.clone()))
+    /// The store as a sink handle for [`pmemsim::PmPool::set_sink`]: a
+    /// shallow clone, so every pool it is attached to feeds these shards.
+    pub fn as_sink(&self) -> Arc<dyn PmSink + Send + Sync> {
+        Arc::new(self.clone())
     }
 
     /// Enables or disables recording on every shard.
     pub fn set_enabled(&self, enabled: bool) {
-        for i in 0..self.shards.len() {
-            self.shard(i).set_enabled(enabled);
+        for mut s in self.each_shard() {
+            s.enabled = enabled;
         }
     }
 
-    /// Sets the per-address version retention cap on every shard (see
-    /// [`CheckpointLog::set_max_versions`]).
+    /// Sets the per-address version retention cap (clamped to at least 1)
+    /// on every shard. Already-rotated versions are gone; raise the cap
+    /// before the workload runs. Online servers should keep at least a
+    /// couple of detection intervals' worth of history (see
+    /// [`MAX_VERSIONS`]).
     pub fn set_max_versions(&self, n: usize) {
-        for i in 0..self.shards.len() {
-            self.shard(i).set_max_versions(n);
+        for mut s in self.each_shard() {
+            s.max_versions = n.max(1);
         }
     }
 
     /// Clears recorded recovery reads on every shard (before a fresh
     /// recovery run).
     pub fn clear_recovery_reads(&self) {
-        for i in 0..self.shards.len() {
-            self.shard(i).clear_recovery_reads();
+        for mut s in self.each_shard() {
+            s.recovery_reads.ranges.clear();
         }
     }
 
-    /// Marks an allocation freed by the reactor itself (leak mitigation).
+    /// Marks an allocation freed by the reactor itself (leak mitigation),
+    /// keeping the log consistent with the pool.
     pub fn note_reactor_free(&self, addr: u64) {
-        self.owner(addr).note_reactor_free(addr);
+        self.owner(addr).mark_freed(addr);
     }
 
     /// Live allocations the last recovery never touched, across all
-    /// shards (see [`CheckpointLog::suspected_leaks`]).
+    /// shards (see [`LogView::suspected_leaks`]).
     pub fn suspected_leaks(&self) -> Vec<(u64, u64)> {
         self.view().suspected_leaks()
     }
 
-    /// Total checkpointed PM updates across all shards.
+    /// Total number of checkpointed PM updates over the store's lifetime
+    /// (the denominator of the discarded-data metric).
     pub fn total_updates(&self) -> u64 {
-        (0..self.shards.len())
-            .map(|i| self.shard(i).total_updates())
-            .sum()
+        self.stats().updates
     }
 
     /// The largest sequence number issued so far.
@@ -896,98 +566,93 @@ impl ShardedLog {
 
     /// Aggregated lifetime counters over all shards.
     pub fn stats(&self) -> LogStats {
-        let mut out = LogStats::default();
-        for i in 0..self.shards.len() {
-            out.merge(self.shard(i).stats());
-        }
-        out
-    }
-
-    /// Number of distinct checkpointed addresses across all shards.
-    pub fn n_entries(&self) -> usize {
-        (0..self.shards.len())
-            .map(|i| self.shard(i).n_entries())
-            .sum()
+        self.each_shard()
+            .map(|s| s.stats)
+            .fold(LogStats::default(), LogStats::merge)
     }
 }
 
-impl Default for ShardedLog {
+impl Default for SharedLog {
     fn default() -> Self {
-        ShardedLog::new(DEFAULT_SHARDS)
+        SharedLog::new()
     }
 }
 
-impl PmSink for ShardedLog {
-    fn on_persist(&mut self, offset: u64, data: &[u8]) {
-        self.owner(offset).on_persist(offset, data);
+impl PmSink for SharedLog {
+    fn on_persist(&self, offset: u64, data: &[u8]) {
+        self.owner(offset).record(offset, data, None);
     }
 
-    fn on_tx_commit(&mut self, tx_id: u64, ranges: &[(u64, Vec<u8>)]) {
-        // Deliver ranges in arrival order — seq assignment must match the
-        // single-log store exactly — but batch consecutive same-shard runs
-        // under one lock acquisition.
-        let mut i = 0;
-        while i < ranges.len() {
-            let s = self.shard_of(ranges[i].0);
-            let mut j = i + 1;
-            while j < ranges.len() && self.shard_of(ranges[j].0) == s {
-                j += 1;
+    fn on_tx_commit(&self, tx_id: u64, ranges: &[(u64, Vec<u8>)]) {
+        // Deliver ranges in arrival order — seq assignment must not depend
+        // on the shard count — but take each run of consecutive same-shard
+        // ranges under one lock acquisition.
+        let n = self.shards.len();
+        for run in ranges.chunk_by(|a, b| shard_index(a.0, n) == shard_index(b.0, n)) {
+            let mut shard = self.owner(run[0].0);
+            for (off, data) in run {
+                shard.record(*off, data, Some(tx_id));
             }
-            self.shard(s).on_tx_commit(tx_id, &ranges[i..j]);
-            i = j;
         }
     }
 
-    fn on_alloc(&mut self, offset: u64, size: u64) {
+    fn on_alloc(&self, offset: u64, size: u64) {
         self.owner(offset).on_alloc(offset, size);
     }
 
-    fn on_free(&mut self, offset: u64) {
-        self.owner(offset).on_free(offset);
-    }
-
-    fn on_recover_begin(&mut self) {
-        for i in 0..self.shards.len() {
-            self.shard(i).on_recover_begin();
+    fn on_free(&self, offset: u64) {
+        let mut shard = self.owner(offset);
+        if shard.enabled {
+            shard.mark_freed(offset);
         }
     }
 
-    fn on_recover_end(&mut self) {
-        for i in 0..self.shards.len() {
-            self.shard(i).on_recover_end();
+    fn on_recover_begin(&self) {
+        for mut s in self.each_shard() {
+            s.recovering = true;
         }
     }
 
-    fn on_recover_read(&mut self, offset: u64, len: u64) {
-        self.owner(offset).on_recover_read(offset, len);
+    fn on_recover_end(&self) {
+        for mut s in self.each_shard() {
+            s.recovering = false;
+        }
+    }
+
+    fn on_recover_read(&self, offset: u64, len: u64) {
+        let mut shard = self.owner(offset);
+        if shard.recovering {
+            shard.recovery_reads.insert((offset, len));
+        }
     }
 }
 
-impl obs::Instrument for ShardedLog {
+impl obs::Instrument for SharedLog {
     /// Attaches `recorder` to every shard, replacing any previously
     /// attached one — attaching twice must never duplicate counter
     /// streams (each shard holds exactly one recorder slot).
     fn instrument(&mut self, recorder: Arc<dyn obs::Recorder>) {
-        for i in 0..self.shards.len() {
-            self.shard(i).recorder = Some(recorder.clone());
+        for mut s in self.each_shard() {
+            s.recorder = Some(recorder.clone());
         }
     }
 
     fn uninstrument(&mut self) {
-        for i in 0..self.shards.len() {
-            self.shard(i).recorder = None;
+        for mut s in self.each_shard() {
+            s.recorder = None;
         }
     }
 }
 
-/// A merged, seq-ordered read view over every shard of a [`ShardedLog`].
+/// The read API of a [`SharedLog`]: a merged, seq-ordered view over every
+/// shard.
 ///
 /// Holds all shard locks for its lifetime, so the view is a consistent
-/// snapshot; every query reproduces the corresponding
-/// [`CheckpointLog`] method byte-for-byte — same candidate windows (the
-/// scan bound is the *global* max data size), same result orders
-/// (`covering` descending by address, overlays and seq lists ascending
-/// by seq), same zero-fill semantics through realloc chains.
+/// snapshot, and every answer is the one a single log would give — same
+/// candidate windows (the scan bound is the *store-wide* max data size),
+/// same result orders (`covering` descending by address, overlays and seq
+/// lists ascending by seq), same zero-fill semantics through realloc
+/// chains — whatever the shard count.
 ///
 /// Do not hold a view across pool writes/persists: the pool would
 /// dispatch into the sink and deadlock on the shard locks.
@@ -1001,48 +666,25 @@ impl LogView<'_> {
         &self.shards[shard_index(addr, self.shards.len())]
     }
 
-    /// The global scan bound: the largest data size any shard recorded.
+    /// The store-wide scan bound: the largest data size any shard recorded.
     fn max_len(&self) -> u64 {
         self.shards.iter().map(|s| s.max_len).max().unwrap_or(0)
     }
 
-    /// Number of shards under the view.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Per-shard update counts, in shard-index order. The distribution
-    /// is the store's serialization profile: a single-lock store funnels
-    /// the sum through one mutex, a sharded store at most the maximum
-    /// through any one — an Amdahl bound independent of the host's core
-    /// count.
-    pub fn shard_updates(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.total_updates()).collect()
-    }
-
-    /// Every retained version across all shards as `(seq, addr, bytes)`,
-    /// ascending by seq — the merged checkpoint stream.
+    /// Every retained version as `(seq, addr, bytes)`, ascending by seq —
+    /// the merged checkpoint stream.
     pub fn iter_merged(&self) -> Vec<(u64, u64, &[u8])> {
-        let mut out: Vec<(u64, u64, &[u8])> = Vec::new();
-        for s in &self.shards {
-            for (&a, e) in &s.entries {
-                for v in &e.versions {
-                    out.push((v.seq, a, v.data.as_slice()));
-                }
-            }
-        }
-        out.sort_unstable_by_key(|&(seq, _, _)| seq);
-        out
+        self.updates_since(0)
     }
 
-    /// Retained versions with `seq > cursor` across all shards as
-    /// `(seq, addr, bytes)`, ascending by seq — the replication wire
-    /// format. A replica holding apply cursor `c` catches up by applying
-    /// `updates_since(c)` in order and advancing its cursor to the last
-    /// seq applied. Rotation means a long-lagging replica may not see
-    /// every intermediate version of a hot address, but the newest
-    /// retained version of each address is always present, so the
-    /// caught-up image converges to the primary's durable bytes.
+    /// Retained versions with `seq > cursor` as `(seq, addr, bytes)`,
+    /// ascending by seq — the replication wire format. A replica holding
+    /// apply cursor `c` catches up by applying `updates_since(c)` in order
+    /// and advancing its cursor to the last seq applied. Rotation means a
+    /// long-lagging replica may not see every intermediate version of a
+    /// hot address, but the newest retained version of each address is
+    /// always present, so the caught-up image converges to the primary's
+    /// durable bytes.
     pub fn updates_since(&self, cursor: u64) -> Vec<(u64, u64, &[u8])> {
         let mut out: Vec<(u64, u64, &[u8])> = Vec::new();
         for s in &self.shards {
@@ -1058,94 +700,100 @@ impl LogView<'_> {
         out
     }
 
-    /// See [`CheckpointLog::covering`].
+    /// Entries whose most recent version covers `addr` (used to join the
+    /// dynamic PM trace with the log): `(entry_address, seq)` of the newest
+    /// version of each covering entry, descending by address.
     pub fn covering(&self, addr: u64) -> Vec<(u64, u64)> {
         let max_len = self.max_len();
         let mut out = Vec::new();
         for s in &self.shards {
             s.covering_into(addr, max_len, &mut out);
         }
-        // Each shard appends in descending address order; merge back into
-        // the single-log order (addresses are unique across shards).
+        // Each shard appends in descending address order; merge (addresses
+        // are unique across shards).
         out.sort_unstable_by_key(|c| std::cmp::Reverse(c.0));
         out
     }
 
-    /// See [`CheckpointLog::expected_current`].
+    /// `base` (the bytes of `addr`'s entry as of `my_seq`) overlaid with
+    /// every overlapping entry's newest version below `cut` that is newer
+    /// than `my_seq`, from every shard.
+    fn overlaid(&self, addr: u64, my_seq: u64, mut base: Vec<u8>, cut: u64) -> Vec<u8> {
+        let len = base.len() as u64;
+        let max_len = self.max_len();
+        let mut overlays: Vec<(u64, u64, &Vec<u8>)> = Vec::new();
+        for s in &self.shards {
+            s.overlays_into(addr, len, my_seq, cut, max_len, &mut overlays);
+        }
+        // Apply in seq order so where overlays themselves overlap, the
+        // newest write wins — address-order application would make the
+        // result depend on entry layout instead of update time. Seqs are
+        // unique across shards, so this is the order one log would apply.
+        overlays.sort_unstable_by_key(|&(seq, _, _)| seq);
+        apply_overlays(&mut base, addr, &overlays);
+        base
+    }
+
+    /// The bytes the durable pool *should* currently hold over the range
+    /// of `addr`'s entry: the entry's newest version, overlaid with every
+    /// newer overlapping entry's newest version. A mismatch with the
+    /// actual pool contents means some write bypassed every durability
+    /// point — the signature of external (hardware) corruption.
     pub fn expected_current(&self, addr: u64) -> Option<Vec<u8>> {
-        let own = self.owner(addr);
-        let e = own.entries.get(&addr)?;
-        let newest = e.versions.back()?;
-        let my_seq = newest.seq;
-        let mut buf = newest.data.clone();
-        let len = buf.len() as u64;
-        let max_len = self.max_len();
-        let mut overlays: Vec<(u64, u64, &Vec<u8>)> = Vec::new();
-        for s in &self.shards {
-            s.overlays_into(addr, len, my_seq, max_len, &mut overlays);
-        }
-        // Seqs are globally unique, so the merged overlay order is the
-        // exact order a single log would apply.
-        overlays.sort_unstable_by_key(|&(seq, _, _)| seq);
-        apply_overlays(&mut buf, addr, &overlays);
-        Some(buf)
+        let newest = self.entry(addr)?.versions.back()?;
+        Some(self.overlaid(addr, newest.seq, newest.data.clone(), u64::MAX))
     }
 
-    /// See [`CheckpointLog::expected_before`]. The base version comes
-    /// from the owning shard; cut-bounded overlays are merged from every
-    /// shard — post-cut writes routinely live on *other* shards, which
-    /// is exactly what an un-bounded overlay pass gets wrong after a
-    /// rollback.
+    /// The bytes the durable pool should hold over `addr`'s entry range
+    /// *as of just before global sequence `cut`*: the newest version with
+    /// `seq < cut` (following the realloc chain, zeros when the address
+    /// did not exist then), overlaid with every overlapping entry's
+    /// newest version that is also below the cut. Rollback healing must
+    /// use this form: after `rollback_to(cut)` the pool holds pre-cut
+    /// state, so a divergence check against the *current* expectation
+    /// would re-plant post-cut overlay bytes the rollback just reverted —
+    /// and post-cut writes routinely live on *other* shards than `addr`.
     pub fn expected_before(&self, addr: u64, cut: u64) -> Option<Vec<u8>> {
-        let own = self.owner(addr);
-        let e = own.entries.get(&addr)?;
-        let newest_len = own
-            .chain(e)
-            .find_map(|e| e.versions.back())
-            .map(|v| v.data.len())?;
-        let (my_seq, mut buf) = match own
-            .chain(e)
-            .find_map(|inc| inc.versions.iter().rev().find(|v| v.seq < cut))
-        {
-            Some(v) => (v.seq, v.data.clone()),
-            None => (0, vec![0; newest_len]),
-        };
-        let len = buf.len() as u64;
-        let max_len = self.max_len();
-        let mut overlays: Vec<(u64, u64, &Vec<u8>)> = Vec::new();
-        for s in &self.shards {
-            s.overlays_before_into(addr, len, my_seq, cut, max_len, &mut overlays);
-        }
-        overlays.sort_unstable_by_key(|&(seq, _, _)| seq);
-        apply_overlays(&mut buf, addr, &overlays);
-        Some(buf)
+        let (my_seq, base) = self.owner(addr).version_before(addr, cut)?;
+        Some(self.overlaid(addr, my_seq, base, cut))
     }
 
-    /// See [`CheckpointLog::data_at_depth`] — an address's history
-    /// (including its realloc chain) lives entirely on its owning shard.
+    /// The data an address held `depth` versions back from the newest
+    /// (depth 1 = previous version). When a depth exceeds the current
+    /// incarnation's history, the lookup continues through the `old_entry`
+    /// chain into previous incarnations of a reallocated block (§4.2).
+    /// Returns zeros of the newest version's size when every incarnation
+    /// is exhausted — reverting to "before the object existed"
+    /// (allocations are zero-filled). An address's history, realloc chain
+    /// included, lives entirely on its owning shard.
     pub fn data_at_depth(&self, addr: u64, depth: usize) -> Option<Vec<u8>> {
         self.owner(addr).data_at_depth(addr, depth)
     }
 
-    /// See [`CheckpointLog::data_before_seq`].
+    /// The state of `addr` just before global sequence number `cut`:
+    /// newest version with `seq < cut` in any incarnation (following the
+    /// `old_entry` chain of reallocated blocks), or zeros when the address
+    /// did not exist then. `None` when the address is not in the log.
     pub fn data_before_seq(&self, addr: u64, cut: u64) -> Option<Vec<u8>> {
-        self.owner(addr).data_before_seq(addr, cut)
+        Some(self.owner(addr).version_before(addr, cut)?.1)
     }
 
-    /// See [`CheckpointLog::entry`].
+    /// The entry for an exact address.
     pub fn entry(&self, addr: u64) -> Option<&Entry> {
-        self.owner(addr).entry(addr)
+        self.owner(addr).entries.get(&addr)
     }
 
-    /// See [`CheckpointLog::addr_of_seq`].
+    /// The address recorded under a sequence number.
     pub fn addr_of_seq(&self, seq: u64) -> Option<u64> {
-        self.shards.iter().find_map(|s| s.addr_of_seq(seq))
+        self.shards
+            .iter()
+            .find_map(|s| s.seq_to_addr.get(&seq).copied())
     }
 
-    /// See [`CheckpointLog::tx_of_seq`].
+    /// The transaction id (if any) of the version recorded under `seq`.
     pub fn tx_of_seq(&self, seq: u64) -> Option<u64> {
-        let addr = self.addr_of_seq(seq)?;
-        self.owner(addr).tx_of_seq(seq)
+        let e = self.entry(self.addr_of_seq(seq)?)?;
+        e.versions.iter().find(|v| v.seq == seq)?.tx_id
     }
 
     /// All sequence numbers belonging to transaction `tx`, ascending —
@@ -1154,13 +802,15 @@ impl LogView<'_> {
         let mut out: Vec<u64> = self
             .shards
             .iter()
-            .flat_map(|s| s.tx_seqs(tx).iter().copied())
+            .filter_map(|s| s.tx_members.get(&tx))
+            .flatten()
+            .copied()
             .collect();
         out.sort_unstable();
         out
     }
 
-    /// See [`CheckpointLog::all_seqs`].
+    /// All sequence numbers in the log, ascending.
     pub fn all_seqs(&self) -> Vec<u64> {
         let mut out: Vec<u64> = self
             .shards
@@ -1171,53 +821,52 @@ impl LogView<'_> {
         out
     }
 
-    /// See [`CheckpointLog::addrs_touched_since`] (ascending by address).
+    /// All addresses with at least one version at `seq >= cut` (rollback
+    /// victims for a time-based rollback to `cut`), ascending.
     pub fn addrs_touched_since(&self, cut: u64) -> Vec<u64> {
         let mut out: Vec<u64> = self
             .shards
             .iter()
-            .flat_map(|s| s.addrs_touched_since(cut))
+            .flat_map(|s| &s.entries)
+            .filter(|(_, e)| e.versions.back().is_some_and(|v| v.seq >= cut))
+            .map(|(&a, _)| a)
             .collect();
         out.sort_unstable();
         out
     }
 
-    /// Every live entry as `(address, entry)`, ascending by address.
-    pub fn iter_entries(&self) -> Vec<(u64, &Entry)> {
-        let mut out: Vec<(u64, &Entry)> = self
+    /// Live (never freed) allocations recorded by the log as `(address,
+    /// size)`, ascending by address.
+    pub fn live_allocs(&self) -> Vec<(u64, u64)> {
+        let mut out: Vec<(u64, u64)> = self
             .shards
             .iter()
-            .flat_map(|s| s.entries.iter().map(|(&a, e)| (a, e)))
+            .flat_map(|s| &s.allocs)
+            .filter(|(_, r)| !r.freed)
+            .map(|(&a, r)| (a, r.size))
             .collect();
-        out.sort_unstable_by_key(|&(a, _)| a);
-        out
-    }
-
-    /// See [`CheckpointLog::live_allocs`] (ascending by address).
-    pub fn live_allocs(&self) -> Vec<(u64, u64)> {
-        let mut out: Vec<(u64, u64)> = self.shards.iter().flat_map(|s| s.live_allocs()).collect();
         out.sort_unstable();
         out
     }
 
-    /// The distinct recovery-read ranges across all shards, sorted by
-    /// address. Arrival order is shard-local and therefore not
-    /// reconstructible, and only the overlap *set* matters to the leak
-    /// diff, so the merged view reports the set, the same at every shard
-    /// count.
+    /// The distinct ranges read while the application's recovery function
+    /// was active, sorted by address. Arrival order is shard-local and
+    /// therefore not reconstructible, and only the overlap *set* matters
+    /// to the leak diff, so the view reports the set, the same at every
+    /// shard count.
     pub fn recovery_reads(&self) -> Vec<(u64, u64)> {
         let mut out: Vec<(u64, u64)> = self
             .shards
             .iter()
-            .flat_map(|s| s.recovery_reads().iter().copied())
+            .flat_map(|s| s.recovery_reads.ranges.iter().copied())
             .collect();
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    /// See [`CheckpointLog::suspected_leaks`] — live allocations from
-    /// every shard diffed against recovery reads from every shard.
+    /// Live allocations that the recovery function never touched: the
+    /// suspected persistent leaks.
     pub fn suspected_leaks(&self) -> Vec<(u64, u64)> {
         let reads = self.recovery_reads();
         self.live_allocs()
@@ -1233,90 +882,20 @@ impl LogView<'_> {
 
     /// Total checkpointed PM updates across all shards.
     pub fn total_updates(&self) -> u64 {
-        self.shards.iter().map(|s| s.total_updates()).sum()
+        self.stats().updates
     }
 
     /// Number of distinct checkpointed addresses across all shards.
     pub fn n_entries(&self) -> usize {
-        self.shards.iter().map(|s| s.n_entries()).sum()
+        self.shards.iter().map(|s| s.entries.len()).sum()
     }
 
     /// Aggregated lifetime counters over all shards.
     pub fn stats(&self) -> LogStats {
-        let mut out = LogStats::default();
-        for s in &self.shards {
-            out.merge(s.stats());
-        }
-        out
-    }
-}
-
-/// The shard-count-1 compatibility wrapper around [`ShardedLog`].
-///
-/// Kept for one release so existing call sites migrate mechanically:
-/// `&SharedLog` deref-coerces to `&ShardedLog` everywhere the reactor and
-/// baselines now expect the sharded store, and [`SharedLog::lock`] still
-/// hands out the single shard's guard (it panics on a multi-shard store,
-/// where no single guard can represent the log — use
-/// [`ShardedLog::view`]).
-#[derive(Clone, Default)]
-pub struct SharedLog(ShardedLog);
-
-impl SharedLog {
-    /// Creates a handle to a fresh, enabled single-shard log.
-    pub fn new() -> Self {
-        SharedLog(ShardedLog::new(1))
-    }
-
-    /// Creates a handle over an `n_shards`-way [`ShardedLog`] — the
-    /// bridge for call sites that still name `SharedLog` but want the
-    /// concurrent store underneath.
-    pub fn sharded(n_shards: usize) -> Self {
-        SharedLog(ShardedLog::new(n_shards))
-    }
-
-    /// Wraps an existing log.
-    pub fn from_log(log: CheckpointLog) -> Self {
-        SharedLog(ShardedLog::from_log(log))
-    }
-
-    /// Locks the log, recovering from a poisoned mutex.
-    ///
-    /// # Panics
-    ///
-    /// On a multi-shard store (from [`SharedLog::sharded`]), where a
-    /// single shard guard cannot represent the whole log.
-    pub fn lock(&self) -> MutexGuard<'_, CheckpointLog> {
-        assert_eq!(
-            self.0.n_shards(),
-            1,
-            "SharedLog::lock is only exact on a single shard; use view()"
-        );
-        self.0.shard(0)
-    }
-}
-
-impl Deref for SharedLog {
-    type Target = ShardedLog;
-
-    fn deref(&self) -> &ShardedLog {
-        &self.0
-    }
-}
-
-impl From<CheckpointLog> for SharedLog {
-    fn from(log: CheckpointLog) -> Self {
-        SharedLog::from_log(log)
-    }
-}
-
-impl obs::Instrument for SharedLog {
-    fn instrument(&mut self, recorder: Arc<dyn obs::Recorder>) {
-        obs::Instrument::instrument(&mut self.0, recorder);
-    }
-
-    fn uninstrument(&mut self) {
-        obs::Instrument::uninstrument(&mut self.0);
+        self.shards
+            .iter()
+            .map(|s| s.stats)
+            .fold(LogStats::default(), LogStats::merge)
     }
 }
 
@@ -1325,68 +904,78 @@ mod tests {
     use super::*;
 
     #[test]
+    fn default_is_the_one_shard_store() {
+        assert_eq!(SharedLog::default().n_shards(), SharedLog::new().n_shards());
+    }
+
+    #[test]
     fn versions_rotate_at_max() {
-        let mut log = CheckpointLog::new();
+        let log = SharedLog::new();
         for i in 1..=5u64 {
             log.on_persist(100, &i.to_le_bytes());
         }
-        let e = log.entry(100).unwrap();
+        let view = log.view();
+        let e = view.entry(100).unwrap();
         assert_eq!(e.versions.len(), MAX_VERSIONS);
         assert_eq!(e.versions.back().unwrap().data, 5u64.to_le_bytes());
         assert_eq!(e.versions.front().unwrap().data, 3u64.to_le_bytes());
-        assert_eq!(log.total_updates(), 5);
+        assert_eq!(view.total_updates(), 5);
     }
 
     #[test]
     fn depth_and_seq_lookups() {
-        let mut log = CheckpointLog::new();
+        let log = SharedLog::new();
         log.on_persist(64, &1u64.to_le_bytes());
         log.on_persist(64, &2u64.to_le_bytes());
         log.on_persist(64, &3u64.to_le_bytes());
-        assert_eq!(log.data_at_depth(64, 0).unwrap(), 3u64.to_le_bytes());
-        assert_eq!(log.data_at_depth(64, 1).unwrap(), 2u64.to_le_bytes());
-        assert_eq!(log.data_at_depth(64, 2).unwrap(), 1u64.to_le_bytes());
+        let view = log.view();
+        assert_eq!(view.data_at_depth(64, 0).unwrap(), 3u64.to_le_bytes());
+        assert_eq!(view.data_at_depth(64, 1).unwrap(), 2u64.to_le_bytes());
+        assert_eq!(view.data_at_depth(64, 2).unwrap(), 1u64.to_le_bytes());
         // History exhausted: zeros.
-        assert_eq!(log.data_at_depth(64, 3).unwrap(), vec![0; 8]);
+        assert_eq!(view.data_at_depth(64, 3).unwrap(), vec![0; 8]);
         // Before seq 2 the address held version 1.
-        assert_eq!(log.data_before_seq(64, 2).unwrap(), 1u64.to_le_bytes());
-        assert_eq!(log.data_before_seq(64, 1).unwrap(), vec![0; 8]);
+        assert_eq!(view.data_before_seq(64, 2).unwrap(), 1u64.to_le_bytes());
+        assert_eq!(view.data_before_seq(64, 1).unwrap(), vec![0; 8]);
     }
 
     #[test]
     fn covering_finds_field_within_persist_range() {
-        let mut log = CheckpointLog::new();
+        let log = SharedLog::new();
         log.on_persist(1000, &[7u8; 64]); // a 64-byte object persist
-        let hits = log.covering(1032); // field at +32
+        let view = log.view();
+        let hits = view.covering(1032); // field at +32
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0, 1000);
-        assert!(log.covering(2000).is_empty());
+        assert!(view.covering(2000).is_empty());
     }
 
     #[test]
     fn tx_commit_groups_members() {
-        let mut log = CheckpointLog::new();
+        let log = SharedLog::new();
         log.on_tx_commit(9, &[(100, vec![1]), (200, vec![2])]);
-        let seqs = log.tx_seqs(9).to_vec();
+        let view = log.view();
+        let seqs = view.tx_seqs(9);
         assert_eq!(seqs.len(), 2);
         for s in seqs {
-            assert_eq!(log.tx_of_seq(s), Some(9));
+            assert_eq!(view.tx_of_seq(s), Some(9));
         }
     }
 
     #[test]
     fn disabled_log_records_nothing() {
-        let mut log = CheckpointLog::new();
+        let log = SharedLog::new();
         log.set_enabled(false);
         log.on_persist(0, &[1]);
         log.on_alloc(10, 20);
-        assert_eq!(log.n_entries(), 0);
-        assert!(log.live_allocs().is_empty());
+        let view = log.view();
+        assert_eq!(view.n_entries(), 0);
+        assert!(view.live_allocs().is_empty());
     }
 
     #[test]
     fn leak_suspects_exclude_recovery_touched() {
-        let mut log = CheckpointLog::new();
+        let log = SharedLog::new();
         log.on_alloc(100, 32);
         log.on_alloc(200, 32);
         log.on_alloc(300, 32);
@@ -1400,7 +989,8 @@ mod tests {
 
     #[test]
     fn recovery_reads_are_bounded_by_the_distinct_ranges_read() {
-        let mut log = CheckpointLog::new();
+        let log = SharedLog::new();
+        let capacity = || log.owner(0).recovery_reads.ranges.capacity();
         for a in 0..100u64 {
             log.on_alloc(a * 64, 32);
         }
@@ -1410,12 +1000,9 @@ mod tests {
             log.on_recover_read((i % 60) * 64 + 8, 8);
         }
         log.on_recover_end();
-        assert!(log.recovery_reads.ranges.capacity() <= 2 * ReadSet::MIN_ROOM);
-        let mut distinct = log.recovery_reads().to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
+        assert!(capacity() <= 2 * ReadSet::MIN_ROOM);
         let want: Vec<(u64, u64)> = (0..60).map(|a| (a * 64 + 8, 8)).collect();
-        assert_eq!(distinct, want);
+        assert_eq!(log.view().recovery_reads(), want);
         let leaks: Vec<u64> = log.suspected_leaks().iter().map(|l| l.0 / 64).collect();
         assert_eq!(leaks, (60..100).collect::<Vec<_>>());
 
@@ -1426,13 +1013,13 @@ mod tests {
         for i in 0..100_000u64 {
             log.on_recover_read((i % 5_000) * 8, 8);
         }
-        assert!(log.recovery_reads.ranges.capacity() <= 2 * 5_000 + ReadSet::MIN_ROOM);
+        assert!(capacity() <= 2 * 5_000 + ReadSet::MIN_ROOM);
         assert!(log.suspected_leaks().is_empty());
     }
 
     #[test]
     fn realloc_chains_old_incarnation() {
-        let mut log = CheckpointLog::new();
+        let log = SharedLog::new();
         log.on_alloc(100, 8);
         log.on_persist(100, &1u64.to_le_bytes()); // seq 1
         log.on_persist(100, &2u64.to_le_bytes()); // seq 2
@@ -1442,24 +1029,25 @@ mod tests {
 
         // The live entry holds only the new incarnation's version and links
         // to the retired one instead of itself.
-        let e = log.entry(100).unwrap();
+        let view = log.view();
+        let e = view.entry(100).unwrap();
         assert_eq!(e.versions.len(), 1);
-        let old = log.retired_entry(e.old_entry.unwrap()).unwrap();
+        let old = &view.owner(100).retired[e.old_entry.unwrap()];
         assert_eq!(old.versions.back().unwrap().data, 2u64.to_le_bytes());
         assert!(old.old_entry.is_none());
 
         // Depth lookups walk across the realloc boundary.
-        assert_eq!(log.data_at_depth(100, 0).unwrap(), 9u64.to_le_bytes());
-        assert_eq!(log.data_at_depth(100, 1).unwrap(), 2u64.to_le_bytes());
-        assert_eq!(log.data_at_depth(100, 2).unwrap(), 1u64.to_le_bytes());
-        assert_eq!(log.data_at_depth(100, 3).unwrap(), vec![0; 8]);
+        assert_eq!(view.data_at_depth(100, 0).unwrap(), 9u64.to_le_bytes());
+        assert_eq!(view.data_at_depth(100, 1).unwrap(), 2u64.to_le_bytes());
+        assert_eq!(view.data_at_depth(100, 2).unwrap(), 1u64.to_le_bytes());
+        assert_eq!(view.data_at_depth(100, 3).unwrap(), vec![0; 8]);
         // Seq lookups resolve through the chain too.
-        assert_eq!(log.data_before_seq(100, 2).unwrap(), 1u64.to_le_bytes());
+        assert_eq!(view.data_before_seq(100, 2).unwrap(), 1u64.to_le_bytes());
     }
 
     #[test]
     fn covering_finds_large_entry_behind_many_small_ones() {
-        let mut log = CheckpointLog::new();
+        let log = SharedLog::new();
         // One large object followed by many small neighbours between it and
         // the queried address. The bounded scan must still report the large
         // entry whose range covers the query.
@@ -1467,14 +1055,14 @@ mod tests {
         for i in 0..120u64 {
             log.on_persist(4096 + i * 8, &i.to_le_bytes());
         }
-        let hits = log.covering(5000);
+        let hits = log.view().covering(5000);
         assert!(hits.iter().any(|&(a, _)| a == 0), "large entry missed");
         assert!(hits.iter().any(|&(a, _)| a == 5000));
     }
 
     #[test]
     fn expected_current_sees_overlay_larger_than_64k() {
-        let mut log = CheckpointLog::new();
+        let log = SharedLog::new();
         // Older small entry, then a newer >64 KiB entry starting more than
         // 64 KiB below it that overlaps it. The old fixed 1<<16 window
         // missed the overlay entirely.
@@ -1482,12 +1070,12 @@ mod tests {
         log.on_persist(addr, &[1u8; 8]); // seq 1
         let big_start = addr - 100_000;
         log.on_persist(big_start, &vec![9u8; 100_008]); // seq 2, covers addr..addr+8
-        assert_eq!(log.expected_current(addr).unwrap(), vec![9u8; 8]);
+        assert_eq!(log.view().expected_current(addr).unwrap(), vec![9u8; 8]);
     }
 
     #[test]
     fn log_stats_track_updates_rotations_and_retirements() {
-        let mut log = CheckpointLog::new();
+        let log = SharedLog::new();
         for i in 1..=5u64 {
             log.on_persist(100, &i.to_le_bytes()); // 2 rotations past MAX_VERSIONS
         }
@@ -1499,20 +1087,19 @@ mod tests {
         assert_eq!(s.bytes_logged, 40);
         assert_eq!(s.versions_rotated, 2);
         assert_eq!(s.entries_retired, 1);
-        assert_eq!(log.iter_entries().count(), 1);
+        assert_eq!(log.view().n_entries(), 1);
     }
 
     #[test]
     fn rollback_victims_by_cut() {
-        let mut log = CheckpointLog::new();
+        let log = SharedLog::new();
         log.on_persist(10, &[1]); // seq 1
         log.on_persist(20, &[2]); // seq 2
         log.on_persist(30, &[3]); // seq 3
-        let v = log.addrs_touched_since(2);
-        assert_eq!(v, vec![20, 30]);
+        assert_eq!(log.view().addrs_touched_since(2), vec![20, 30]);
     }
 
-    // ---- sharded store ----------------------------------------------------
+    // ---- more than one shard ------------------------------------------------
 
     /// Addresses spread wide enough to land on different shards of a
     /// small shard count (4 KiB grain).
@@ -1522,14 +1109,14 @@ mod tests {
 
     #[test]
     fn sharded_seq_assignment_matches_single_log() {
-        let mut single = CheckpointLog::new();
-        let mut sharded = ShardedLog::new(4);
+        let single = SharedLog::new();
+        let sharded = SharedLog::sharded(4);
         for i in 0..32u64 {
             let a = spread(i % 7);
             single.on_persist(a, &i.to_le_bytes());
             sharded.on_persist(a, &i.to_le_bytes());
         }
-        let view = sharded.view();
+        let (view, single) = (sharded.view(), single.view());
         assert_eq!(view.all_seqs(), single.all_seqs());
         assert_eq!(view.total_updates(), single.total_updates());
         assert_eq!(view.latest_seq(), single.latest_seq());
@@ -1543,14 +1130,14 @@ mod tests {
 
     #[test]
     fn sharded_tx_commit_preserves_arrival_order_across_shards() {
-        let mut single = CheckpointLog::new();
-        let mut sharded = ShardedLog::new(4);
+        let single = SharedLog::new();
+        let sharded = SharedLog::sharded(4);
         // Ranges deliberately ping-pong between different shards.
         let ranges: Vec<(u64, Vec<u8>)> = (0..8u64).map(|i| (spread(i), vec![i as u8])).collect();
         single.on_tx_commit(7, &ranges);
         sharded.on_tx_commit(7, &ranges);
-        let view = sharded.view();
-        assert_eq!(view.tx_seqs(7), single.tx_seqs(7).to_vec());
+        let (view, single) = (sharded.view(), single.view());
+        assert_eq!(view.tx_seqs(7), single.tx_seqs(7));
         for s in view.all_seqs() {
             assert_eq!(view.addr_of_seq(s), single.addr_of_seq(s));
             assert_eq!(view.tx_of_seq(s), single.tx_of_seq(s));
@@ -1565,7 +1152,7 @@ mod tests {
 
     #[test]
     fn sharded_leak_diff_spans_shards() {
-        let mut sharded = ShardedLog::new(4);
+        let sharded = SharedLog::sharded(4);
         sharded.on_alloc(spread(0), 32);
         sharded.on_alloc(spread(1), 32);
         sharded.on_alloc(spread(2), 32);
@@ -1580,7 +1167,7 @@ mod tests {
 
     #[test]
     fn sharded_disable_covers_every_shard() {
-        let mut sharded = ShardedLog::new(4);
+        let sharded = SharedLog::sharded(4);
         sharded.set_enabled(false);
         for i in 0..8u64 {
             sharded.on_persist(spread(i), &[1]);
@@ -1593,11 +1180,11 @@ mod tests {
 
     #[test]
     fn as_sink_handles_share_the_shards() {
-        let sharded = ShardedLog::new(4);
+        let sharded = SharedLog::sharded(4);
         let s1 = sharded.as_sink();
         let s2 = sharded.as_sink();
-        s1.lock().unwrap().on_persist(spread(0), &[1]);
-        s2.lock().unwrap().on_persist(spread(1), &[2]);
+        s1.on_persist(spread(0), &[1]);
+        s2.on_persist(spread(1), &[2]);
         assert_eq!(sharded.total_updates(), 2);
         assert_eq!(sharded.latest_seq(), 2);
     }
@@ -1606,7 +1193,7 @@ mod tests {
     fn instrument_twice_replaces_counter_stream() {
         use obs::{Instrument, RingRecorder};
         let ring = Arc::new(RingRecorder::new(64));
-        let mut sharded = ShardedLog::new(4);
+        let mut sharded = SharedLog::sharded(4);
         sharded.instrument(ring.clone());
         // Re-attaching the same recorder must replace the slot, not stack
         // a second subscription that would double every counter.
@@ -1623,21 +1210,11 @@ mod tests {
     fn shared_log_is_a_single_shard_sharded_log() {
         let log = SharedLog::new();
         assert_eq!(log.n_shards(), 1);
-        log.as_sink().lock().unwrap().on_persist(64, &[9]);
-        assert_eq!(log.lock().total_updates(), 1);
-        // Deref exposes the sharded API on the same data.
+        log.as_sink().on_persist(64, &[9]);
         assert_eq!(log.total_updates(), 1);
         assert_eq!(log.view().iter_merged().len(), 1);
-    }
-
-    #[test]
-    fn from_log_continues_sequence_numbering() {
-        let mut inner = CheckpointLog::new();
-        inner.on_persist(0, &[1]); // seq 1
-        let sharded = ShardedLog::from_log(inner);
-        sharded.as_sink().lock().unwrap().on_persist(8, &[2]);
-        assert_eq!(sharded.latest_seq(), 2);
-        let view = sharded.view();
-        assert_eq!(view.all_seqs(), vec![1, 2]);
+        // A clone is the same store, not a copy.
+        log.clone().on_persist(72, &[9]);
+        assert_eq!(log.latest_seq(), 2);
     }
 }

@@ -34,8 +34,7 @@ pub use analyzer::{
     analyze_and_instrument, analyze_and_instrument_cached, AnalyzerOutput, GuidMap, GuidMeta,
 };
 pub use checkpoint::{
-    CheckpointLog, Entry, LogStats, LogView, ShardedLog, SharedLog, VersionData, DEFAULT_SHARDS,
-    MAX_VERSIONS,
+    Entry, LogStats, LogView, SharedLog, VersionData, DEFAULT_SHARDS, MAX_VERSIONS,
 };
 pub use detector::{Detector, FailureKind, FailureRecord, LeakMonitor, Verdict};
 pub use pir_analysis::{AnalysisCache, CacheOutcome};

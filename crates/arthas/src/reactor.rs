@@ -33,7 +33,7 @@ use pmemsim::{PmPool, PoolGroup};
 use obs::Value;
 
 use crate::analyzer::GuidMap;
-use crate::checkpoint::{LogView, ShardedLog, MAX_VERSIONS};
+use crate::checkpoint::{LogView, SharedLog, MAX_VERSIONS};
 use crate::detector::{FailureKind, FailureRecord};
 use crate::trace::PmTrace;
 
@@ -328,10 +328,10 @@ pub trait Target {
 /// re-executed, and re-enables it on drop — also when a re-execution
 /// panics through the reactor, so a supervisor that catches the panic
 /// does not go on serving with checkpointing silently off.
-struct LogPaused<'l>(&'l ShardedLog);
+struct LogPaused<'l>(&'l SharedLog);
 
 impl<'l> LogPaused<'l> {
-    fn new(log: &'l ShardedLog) -> Self {
+    fn new(log: &'l SharedLog) -> Self {
         log.set_enabled(false);
         LogPaused(log)
     }
@@ -610,7 +610,7 @@ impl<'a> Reactor<'a> {
     pub fn mitigate(
         &mut self,
         pool: &mut PmPool,
-        log: &ShardedLog,
+        log: &SharedLog,
         failure: &FailureRecord,
         trace: &PmTrace,
         target: &mut dyn Target,
@@ -666,7 +666,7 @@ impl<'a> Reactor<'a> {
         &mut self,
         fault: InstRef,
         trace: &PmTrace,
-        log: &ShardedLog,
+        log: &SharedLog,
         pool: &mut PmPool,
     ) -> (Plan, PhaseTimes) {
         let t_plan = Instant::now();
@@ -817,7 +817,7 @@ impl<'a> Reactor<'a> {
     fn failover(
         &mut self,
         pool: &mut PmPool,
-        log: &ShardedLog,
+        log: &SharedLog,
         target: &mut dyn Target,
         group: &mut PoolGroup,
         mut out: MitigationOutcome,
@@ -950,7 +950,7 @@ impl<'a> Reactor<'a> {
     fn revert_loop(
         &self,
         pool: &mut PmPool,
-        log_rc: &ShardedLog,
+        log_rc: &SharedLog,
         plan: &Plan,
         trace: &PmTrace,
         target: &mut dyn Target,
@@ -1212,7 +1212,7 @@ impl<'a> Reactor<'a> {
     fn apply_batch(
         &self,
         pool: &mut PmPool,
-        log_rc: &ShardedLog,
+        log_rc: &SharedLog,
         plan: &Plan,
         trace: &PmTrace,
         batch: &[u64],
@@ -1331,7 +1331,7 @@ impl<'a> Reactor<'a> {
     fn purge_seq(
         &self,
         pool: &mut PmPool,
-        log_rc: &ShardedLog,
+        log_rc: &SharedLog,
         plan: &Plan,
         trace: &PmTrace,
         seq: u64,
@@ -1493,7 +1493,7 @@ impl<'a> Reactor<'a> {
     fn rollback_to(
         &self,
         pool: &mut PmPool,
-        log_rc: &ShardedLog,
+        log_rc: &SharedLog,
         cut: u64,
         ledger: &mut RevertLedger,
     ) {
@@ -1526,7 +1526,7 @@ impl<'a> Reactor<'a> {
     fn mitigate_leak(
         &mut self,
         pool: &mut PmPool,
-        log_rc: &ShardedLog,
+        log_rc: &SharedLog,
         target: &mut dyn Target,
         t0: Instant,
     ) -> MitigationOutcome {

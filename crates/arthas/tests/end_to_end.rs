@@ -159,7 +159,7 @@ fn full_pipeline_recovers_with_minimal_loss() {
 
     // --- reactor mitigation ---------------------------------------------
     let mut pool = vm.crash();
-    let total_updates = log.lock().total_updates();
+    let total_updates = log.total_updates();
     assert!(
         total_updates >= 9,
         "puts were checkpointed: {total_updates}"

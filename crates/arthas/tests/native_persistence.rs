@@ -76,15 +76,15 @@ fn fence_completion_is_a_checkpoint_point() {
     vm.call("put", &[7]).unwrap();
     vm.call("put", &[8]).unwrap();
     assert_eq!(
-        log.lock().total_updates(),
+        log.total_updates(),
         2,
         "each flush+fence pair checkpointed once"
     );
     // The entry holds the post-fence durable value with versioning.
     let root = vm.pool_mut().root_offset().unwrap();
-    let e = log.lock().data_at_depth(root, 0).unwrap();
+    let e = log.view().data_at_depth(root, 0).unwrap();
     assert_eq!(e, 8u64.to_le_bytes());
-    let prev = log.lock().data_at_depth(root, 1).unwrap();
+    let prev = log.view().data_at_depth(root, 1).unwrap();
     assert_eq!(prev, 7u64.to_le_bytes());
 }
 
@@ -106,7 +106,7 @@ fn flush_without_fence_is_not_checkpointed_or_durable() {
     let mut vm = Vm::new(module, new_pool(), VmOpts::default());
     vm.pool_mut().set_sink(log.as_sink());
     vm.call("half_put", &[7]).unwrap();
-    assert_eq!(log.lock().total_updates(), 0, "no durability point yet");
+    assert_eq!(log.total_updates(), 0, "no durability point yet");
     let mut pool = vm.crash();
     let root = pool.root_offset().unwrap();
     assert_eq!(pool.read_u64(root).unwrap(), 0, "in-flight line dropped");

@@ -1,8 +1,8 @@
 //! Regression test: a speculative re-execution fork that panics while
-//! holding the shared checkpoint-log mutex poisons it. Mitigation is
+//! holding the checkpoint log's shard mutexes poisons them. Mitigation is
 //! exactly the code that must keep running after such a panic, so the
-//! reactor recovers the lock (`SharedLog::lock`) instead of unwrapping — a later
-//! mitigation over the same log must still succeed.
+//! store recovers a poisoned shard where it locks it instead of
+//! unwrapping — a later mitigation over the same log must still succeed.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -85,9 +85,9 @@ impl Target for MiniTarget {
         let reopened = PmPool::open(image)
             .map_err(|e| FailureRecord::wrong_result(format!("pool reopen failed: {e}")))?;
         let mut vm = Vm::new(self.module.clone(), reopened, VmOpts::default());
-        // Recovery reads feed leak mitigation; the sink itself also takes
-        // the (possibly poisoned) log lock inside pmemsim, so attaching it
-        // here keeps the re-execution path realistic.
+        // Recovery reads feed leak mitigation, and every sink event takes
+        // a (possibly poisoned) shard lock, so attaching the log here keeps
+        // the re-execution path realistic.
         vm.pool_mut().set_sink(self.log.as_sink());
         vm.call("recover", &[])
             .map_err(|e| FailureRecord::from_vm(&e))?;
@@ -97,8 +97,9 @@ impl Target for MiniTarget {
     }
 }
 
-/// A target whose speculative forks grab the shared log lock and die —
-/// the worst-case re-execution crash, leaving the mutex poisoned.
+/// A target whose speculative forks take a view of the log (every shard
+/// lock) and die — the worst-case re-execution crash, leaving the shard
+/// mutexes poisoned.
 struct PanickingForkTarget {
     log: SharedLog,
 }
@@ -109,7 +110,7 @@ struct PanickingFork {
 
 impl Target for PanickingFork {
     fn reexecute(&mut self, _pool: &mut PmPool) -> Result<(), FailureRecord> {
-        let _guard = self.log.lock();
+        let _view = self.log.view();
         panic!("simulated crash during speculative re-execution");
     }
 }
@@ -201,8 +202,8 @@ fn mitigate_with_panicking_forks(
 fn mitigation_survives_a_log_mutex_poisoned_by_a_panicking_fork() {
     let (out, instrumented, log, trace, failure, mut pool) = setup();
     mitigate_with_panicking_forks(&out, &log, &trace, &failure, &mut pool);
-    // Observe the poisoning through the shard mutexes: `SharedLog::lock`
-    // itself recovers, so `is_poisoned` is the only place it is visible.
+    // Every store operation recovers a poisoned shard, so `is_poisoned`
+    // is the only place the poisoning is visible.
     assert!(
         log.is_poisoned(),
         "the shared log mutex is poisoned by the fork's panic"
@@ -221,8 +222,8 @@ fn mitigation_survives_a_log_mutex_poisoned_by_a_panicking_fork() {
         "mitigation over a poisoned log recovered the system: {outcome:?}"
     );
     assert!(!outcome.via_restart_only, "a real reversion was applied");
-    // The accessor exposed for harness code recovers too.
-    assert!(log.lock().total_updates() > 0);
+    // The counters harness code reads recover too.
+    assert!(log.total_updates() > 0);
 }
 
 /// A supervisor that catches the re-execution panic carries on serving:

@@ -1,7 +1,7 @@
-//! Property-based equivalence of the sharded store and the single log.
+//! Property-based equivalence of the store at N shards and at one.
 //!
-//! Any event stream delivered to a `ShardedLog(N)` and to a `SharedLog`
-//! (the shard-count-1 wrapper) must produce the same merged picture:
+//! Any event stream delivered to `SharedLog::sharded(N)` and to
+//! `SharedLog::new()` (one shard) must produce the same merged picture:
 //! `iter_merged()` yields the identical `(seq, addr, bytes)` stream, and
 //! every merged-view query — `covering`, `expected_current`, `all_seqs`,
 //! `tx_seqs`, `live_allocs`, `suspected_leaks`, `stats` — answers
@@ -11,7 +11,7 @@
 //! ranges span shard boundaries, and recovery-read windows — all the
 //! places shard-local state could drift from the global picture.
 
-use arthas::{ShardedLog, SharedLog};
+use arthas::SharedLog;
 use pmemsim::PmSink;
 use proptest::prelude::*;
 
@@ -59,7 +59,7 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn apply(sink: &mut dyn PmSink, ops: &[Op], tx_id: &mut u64) {
+fn apply(sink: &dyn PmSink, ops: &[Op], tx_id: &mut u64) {
     for op in ops {
         match op {
             Op::Persist { slot, len, fill } => {
@@ -105,17 +105,11 @@ proptest! {
         n_shards in prop_oneof![Just(2usize), Just(3usize), Just(8usize)],
     ) {
         let single = SharedLog::new();
-        let sharded = ShardedLog::new(n_shards);
+        let sharded = SharedLog::sharded(n_shards);
         let mut tx = 0u64;
-        {
-            let sink = single.as_sink();
-            apply(&mut *sink.lock().unwrap(), &ops, &mut tx);
-        }
+        apply(&*single.as_sink(), &ops, &mut tx);
         let mut tx = 0u64;
-        {
-            let sink = sharded.as_sink();
-            apply(&mut *sink.lock().unwrap(), &ops, &mut tx);
-        }
+        apply(&*sharded.as_sink(), &ops, &mut tx);
 
         let a = single.view();
         let b = sharded.view();

@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use arthas::{
-    analyze_and_instrument, AnalyzerOutput, BatchStrategy, CheckpointLog, FailureRecord, Mode,
-    PmTrace, Reactor, ReactorConfig, SharedLog, Target,
+    analyze_and_instrument, AnalyzerOutput, BatchStrategy, FailureRecord, Mode, PmTrace, Reactor,
+    ReactorConfig, SharedLog, Target,
 };
 use pir::builder::ModuleBuilder;
 use pir::ir::Module;
@@ -99,11 +99,11 @@ impl Target for AppTarget {
     }
 
     fn fork_target(&self) -> Option<Box<dyn Target + Send + '_>> {
-        let mut log = CheckpointLog::new();
+        let log = SharedLog::new();
         log.set_enabled(false);
         Some(Box::new(AppTarget {
             module: self.module.clone(),
-            log: SharedLog::from_log(log),
+            log,
         }))
     }
 }

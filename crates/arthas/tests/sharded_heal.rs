@@ -11,8 +11,7 @@
 use std::sync::Arc;
 
 use arthas::{
-    analyze_and_instrument, FailureRecord, Mode, PmTrace, Reactor, ReactorConfig, ShardedLog,
-    SharedLog, Target,
+    analyze_and_instrument, FailureRecord, Mode, PmTrace, Reactor, ReactorConfig, SharedLog, Target,
 };
 use pir::builder::ModuleBuilder;
 use pir::ir::Module;
@@ -25,7 +24,7 @@ const GRAIN: u64 = 1 << 12;
 
 /// Records a persist through the sink interface and returns the global
 /// seq it was assigned.
-fn persist(log: &mut ShardedLog, addr: u64, data: &[u8]) -> u64 {
+fn persist(log: &SharedLog, addr: u64, data: &[u8]) -> u64 {
     log.on_persist(addr, data);
     log.view().latest_seq()
 }
@@ -38,15 +37,15 @@ fn persist(log: &mut ShardedLog, addr: u64, data: &[u8]) -> u64 {
 #[test]
 fn expected_before_excludes_post_cut_overlays_across_shards() {
     for shards in [1usize, 8] {
-        let mut log = ShardedLog::new(shards);
+        let log = SharedLog::sharded(shards);
         // Entry A starts 4 bytes below a grain boundary and spans it;
         // entry B starts on the boundary, so A and B hash to different
         // shards (different grains) yet overlap over [B, A+8).
         let a = 3 * GRAIN - 4;
         let b = 3 * GRAIN;
-        let seq_a = persist(&mut log, a, &[0x11; 8]);
-        let cut = persist(&mut log, 7 * GRAIN, &[0x33; 8]) + 1;
-        let seq_b = persist(&mut log, b, &[0x22; 8]);
+        let seq_a = persist(&log, a, &[0x11; 8]);
+        let cut = persist(&log, 7 * GRAIN, &[0x33; 8]) + 1;
+        let seq_b = persist(&log, b, &[0x22; 8]);
         assert!(seq_a < cut && cut <= seq_b);
 
         let view = log.view();
@@ -83,8 +82,8 @@ fn expected_before_excludes_post_cut_overlays_across_shards() {
 /// zeros (it did not exist yet), matching `data_before_seq` semantics.
 #[test]
 fn expected_before_zero_fills_addresses_born_after_the_cut() {
-    let mut log = ShardedLog::new(4);
-    let seq = persist(&mut log, GRAIN, &[0x55; 16]);
+    let log = SharedLog::sharded(4);
+    let seq = persist(&log, GRAIN, &[0x55; 16]);
     let view = log.view();
     assert_eq!(view.expected_before(GRAIN, seq).unwrap(), vec![0u8; 16]);
     assert_eq!(

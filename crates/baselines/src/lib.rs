@@ -13,7 +13,7 @@
 use std::time::{Duration, Instant};
 
 use arthas::checkpoint::MAX_VERSIONS;
-use arthas::{ShardedLog, Target};
+use arthas::{SharedLog, Target};
 use pmemsim::{PmImage, PmPool};
 
 /// Outcome of a baseline mitigation.
@@ -143,7 +143,7 @@ impl ArCkpt {
     pub fn mitigate(
         &self,
         pool: &mut PmPool,
-        log: &ShardedLog,
+        log: &SharedLog,
         target: &mut dyn Target,
     ) -> BaselineOutcome {
         let t0 = Instant::now();

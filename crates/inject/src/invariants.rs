@@ -13,9 +13,10 @@
 //!
 //! Three invariant classes are mined:
 //!
-//! - **persist-order** — from the static [`OrderingPair`] candidates: if
-//!   PM store *B* consumed the value PM store *A* wrote, then wherever
-//!   *B*'s write is durable, the paired *A* write must be durable too;
+//! - **persist-order** — from the static `pir_analysis::OrderingPair`
+//!   candidates: if PM store *B* consumed the value PM store *A* wrote,
+//!   then wherever *B*'s write is durable, the paired *A* write must be
+//!   durable too;
 //! - **non-null** — a store site whose durable word is non-zero in every
 //!   passing run (pointer publication); checked as log-vs-image
 //!   consistency, so legitimate crash-time loss never trips it;

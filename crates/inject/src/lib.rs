@@ -41,8 +41,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use arthas::{
-    AnalysisCache, CheckpointLog, ConfigError, Detector, FailureRecord, LogView, Reactor,
-    ReactorConfig, SharedLog, Standbys, Target, Verdict,
+    AnalysisCache, ConfigError, Detector, FailureRecord, LogView, Reactor, ReactorConfig,
+    SharedLog, Standbys, Target, Verdict,
 };
 use obs::{Field, Json, Schema};
 use pir::vm::{Vm, VmOpts};
@@ -541,12 +541,12 @@ impl Target for TrialTarget<'_> {
     fn fork_target(&self) -> Option<Box<dyn Target + Send + '_>> {
         // Forks record into a disabled throwaway log so losing attempts
         // leave no trace (same contract as the production target).
-        let mut log = CheckpointLog::new();
+        let log = SharedLog::new();
         log.set_enabled(false);
         Some(Box::new(TrialTarget {
             scn: self.scn,
             setup: self.setup,
-            log: SharedLog::from_log(log),
+            log,
         }))
     }
 }

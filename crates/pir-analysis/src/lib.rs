@@ -3,7 +3,7 @@
 //! The analysis half of the Arthas analyzer (§4.1 of "Understanding and
 //! Dealing with Hard Faults in Persistent Memory Systems", EuroSys '21):
 //!
-//! - [`cfg`]: dominators, post-dominators and control dependence
+//! - [`mod@cfg`]: dominators, post-dominators and control dependence
 //!   (Ferrante-Ottenstein-Warren);
 //! - [`pointsto`]: Andersen-style inclusion-based, field-sensitive,
 //!   inter-procedural points-to analysis;
@@ -11,7 +11,7 @@
 //!   closure from PM API calls);
 //! - [`pdg`]: Program Dependence Graph with data, memory, control and
 //!   inter-procedural edges;
-//! - [`slice`]: backward program slicing from a fault instruction.
+//! - [`mod@slice`]: backward program slicing from a fault instruction.
 //!
 //! [`ModuleAnalysis`] bundles the full pipeline and records per-phase wall
 //! times (reproduced in Table 9 of the paper). [`cache`] persists the

@@ -22,7 +22,7 @@
 //! | L6 | persist-order violation | dependent store may persist first (WITCHER) |
 //!
 //! Each diagnostic carries the instruction reference, the interned source
-//! location, and the Arthas GUID when a [`GuidMap`]-derived lookup is
+//! location, and the Arthas GUID when a `GuidMap`-derived lookup is
 //! provided — so a finding can be cross-referenced with the checkpoint
 //! log and trace of a live run.
 //!

@@ -3,10 +3,9 @@
 //! The 12 Table-2 scenarios run single-threaded pir programs; this module
 //! is the concurrency counterpart the sharded pipeline exists for. `W`
 //! writer threads each drive a [`PmPool::fork`] of one parent pool, all
-//! feeding a single shared [`ShardedLog`] through their own
-//! [`ShardedLog::as_sink`] handle — the contention pattern of a
-//! multi-client PM server, with the checkpoint store as the only shared
-//! state.
+//! feeding one [`SharedLog`] through [`SharedLog::as_sink`] — the
+//! contention pattern of a multi-client PM server, with the checkpoint
+//! store as the only shared state.
 //!
 //! Determinism contract (what the CI `concurrency` job asserts): each
 //! writer updates only its own *bank* of slots with values derived purely
@@ -19,7 +18,7 @@
 
 use std::thread;
 
-use arthas::{Detector, FailureRecord, ShardedLog, Verdict};
+use arthas::{Detector, FailureRecord, SharedLog, Verdict};
 use pmemsim::PmPool;
 
 /// Slots per writer bank.
@@ -119,7 +118,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// through the shared sharded sink concurrently. Returns writer 0's pool
 /// (the production image whose bank is fully up to date) together with
 /// the bank base addresses.
-fn run_writers(cfg: &ConcurrentConfig, log: &ShardedLog) -> (PmPool, Vec<u64>) {
+fn run_writers(cfg: &ConcurrentConfig, log: &SharedLog) -> (PmPool, Vec<u64>) {
     let mut parent = PmPool::create(POOL_BYTES).expect("create pool");
     let banks: Vec<u64> = (0..cfg.writers)
         .map(|_| parent.alloc(BANK_BYTES).expect("alloc bank"))
@@ -174,7 +173,7 @@ fn verify_bank0(pool: &mut PmPool, bank0: u64, shadow: &[u64]) -> Result<(), Fai
 /// over the merged seq-ordered view — to restore the corrupted slot.
 pub fn run_concurrent(cfg: &ConcurrentConfig) -> ConcurrentOutcome {
     assert!((1..=16).contains(&cfg.writers), "writers must be in 1..=16");
-    let log = ShardedLog::new(cfg.shards.max(1));
+    let log = SharedLog::sharded(cfg.shards);
     let (mut pool, banks) = run_writers(cfg, &log);
     let bank0 = banks[0];
     let shadow = shadow_bank(cfg, 0);

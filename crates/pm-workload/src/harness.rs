@@ -13,9 +13,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use arthas::{
-    analyze_and_instrument_cached, AnalysisCache, BatchStrategy, CheckpointLog, Detector,
-    FailureRecord, GuidMap, LeakMonitor, Mode, PhaseTimes, PmTrace, Reactor, ReactorConfig,
-    ReactorConfigBuilder, SharedLog, Target, Verdict,
+    analyze_and_instrument_cached, AnalysisCache, BatchStrategy, Detector, FailureRecord, GuidMap,
+    LeakMonitor, Mode, PhaseTimes, PmTrace, Reactor, ReactorConfig, ReactorConfigBuilder,
+    SharedLog, Target, Verdict,
 };
 use baselines::{ArCkpt, PmCriu};
 use obs::Instrument;
@@ -593,12 +593,12 @@ impl Target for ScenarioTarget<'_> {
         // log is disabled during the revert loop, so nothing an attempt
         // records affects the outcome, and a log that loses the race is
         // simply dropped.
-        let mut log = CheckpointLog::new();
+        let log = SharedLog::new();
         log.set_enabled(false);
         Some(Box::new(ScenarioTarget {
             scn: self.scn,
             module: self.module.clone(),
-            log: SharedLog::from_log(log),
+            log,
             vm_opts: self.vm_opts,
             reexecutions: 0,
         }))

@@ -13,7 +13,7 @@
 //!   with a ring recorder attached to every layer, rendered as a
 //!   schema-stable JSON document and a human-readable recovery timeline;
 //! - [`concurrent`]: the multi-threaded YCSB-style scenario over the
-//!   sharded checkpoint store (writer forks sharing one `ShardedLog`),
+//!   sharded checkpoint store (writer forks sharing one `SharedLog`),
 //!   with writer-count-independent detection and mitigation outcomes;
 //! - [`ycsb`]: YCSB-style workload generation for the overhead
 //!   experiments;

@@ -147,6 +147,36 @@ impl LoadReport {
             .and_then(|(_, v)| v.parse().ok())
     }
 
+    /// The online-recovery gates, as the list of those that failed (empty
+    /// = the run passes): the codecs held up under concurrency, an armed
+    /// fault was mitigated online, the server saw no protocol error, and
+    /// client-visible loss stayed inside the fig9 discarded-data
+    /// accounting (tracked loss ≤ discarded updates).
+    pub fn gate_failures(
+        &self,
+        cfg: &LoadConfig,
+        server: Option<&serve::ServerReport>,
+    ) -> Vec<String> {
+        let mut bad = Vec::new();
+        if self.codec_errors > 0 {
+            bad.push(format!("{} codec errors", self.codec_errors));
+        }
+        if cfg.fault_at.is_some() && !self.recovered {
+            bad.push("no online recovery".to_string());
+        }
+        if let Some(s) = server.filter(|s| s.protocol_errors > 0) {
+            bad.push(format!("{} server protocol errors", s.protocol_errors));
+        }
+        let discarded = self.stat_u64("discarded_updates").unwrap_or(0);
+        if self.tracked_lost > discarded {
+            bad.push(format!(
+                "tracked loss {} exceeds discarded updates {discarded}",
+                self.tracked_lost
+            ));
+        }
+        bad
+    }
+
     /// The `serve --json` document: what the clients observed, plus
     /// the server-side fig9/replication counters when the server ran
     /// in-process. Kept next to [`load_report_schema`] so the emitted
@@ -644,6 +674,40 @@ mod tests {
         assert_eq!(percentile(&mut v, 50), 50);
         assert_eq!(percentile(&mut v, 99), 99);
         assert_eq!(percentile(&mut v.clone()[..0].to_vec(), 99), 0);
+    }
+
+    #[test]
+    fn gate_failures_names_each_broken_gate() {
+        let armed = LoadConfig {
+            fault_at: Some(10),
+            ..LoadConfig::default()
+        };
+        let mut report = LoadReport {
+            recovered: true,
+            tracked_lost: 2,
+            final_stats: vec![("discarded_updates".into(), "2".into())],
+            ..LoadReport::default()
+        };
+        assert!(report.gate_failures(&armed, None).is_empty());
+
+        // Loss beyond (or without) the server's discard accounting, an
+        // unrecovered armed fault and a codec error each fail on their own.
+        report.final_stats.clear();
+        report.recovered = false;
+        report.codec_errors = 1;
+        assert_eq!(
+            report.gate_failures(&armed, None),
+            [
+                "1 codec errors",
+                "no online recovery",
+                "tracked loss 2 exceeds discarded updates 0"
+            ]
+        );
+        assert_eq!(
+            report.gate_failures(&LoadConfig::default(), None).len(),
+            2,
+            "no fault armed, no recovery owed"
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ fn production_is_deterministic_for_a_fixed_seed() {
     let b = run_production(scn.as_ref(), &setup, &cfg).expect("failure");
     assert_eq!(a.failure.exit_code, b.failure.exit_code);
     assert_eq!(a.failure.fault, b.failure.fault);
-    assert_eq!(a.log.lock().total_updates(), b.log.lock().total_updates());
+    assert_eq!(a.log.total_updates(), b.log.total_updates());
     assert_eq!(a.trace.total_records(), b.trace.total_records());
 }
 
@@ -90,7 +90,7 @@ fn checkpointing_can_be_disabled() {
         ..RunConfig::default()
     };
     let prod = run_production(scn.as_ref(), &setup, &cfg).expect("failure");
-    assert_eq!(prod.log.lock().total_updates(), 0, "no sink attached");
+    assert_eq!(prod.log.total_updates(), 0, "no sink attached");
 }
 
 #[test]

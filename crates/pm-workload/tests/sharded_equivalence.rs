@@ -1,11 +1,9 @@
 //! Store-shape equivalence across the full Table-2 matrix: every
 //! scenario, run end to end (production → detection → mitigation) over
-//! the classic single-log checkpoint store and over an 8-shard
-//! `ShardedLog`, must produce byte-identical mitigation outcomes and
-//! final pool images. Production is sequential, so the sharded store's
-//! merged view is required to reconstruct exactly the picture the single
-//! log would hold — this is the acceptance bar of the sharded-pipeline
-//! refactor.
+//! a one-shard checkpoint store and over an 8-shard one, must produce
+//! byte-identical mitigation outcomes and final pool images. Production
+//! is sequential, so the merged view over eight shards is required to
+//! reconstruct exactly the picture one shard holds.
 
 use arthas::{Reactor, ReactorConfig};
 use pir::vm::VmOpts;

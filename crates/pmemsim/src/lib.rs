@@ -53,4 +53,4 @@ pub use error::{PmError, PmResult};
 pub use group::{PoolGroup, Replica, ReplicaStatus};
 pub use image::PmImage;
 pub use pool::{CheckIssue, PmPool, PoolStats, SiteKind};
-pub use sink::{NullSink, PmSink};
+pub use sink::PmSink;

@@ -8,7 +8,6 @@
 //! is the interception surface the Arthas checkpoint library uses.
 
 use std::sync::Arc;
-use std::sync::Mutex;
 
 use crate::device::{CrashPolicy, PmDevice};
 use crate::error::{PmError, PmResult};
@@ -138,7 +137,7 @@ struct OpenTx {
 /// A persistent-memory pool with allocator and transactions.
 pub struct PmPool {
     dev: PmDevice,
-    sink: Option<Arc<Mutex<dyn PmSink + Send>>>,
+    sink: Option<Arc<dyn PmSink + Send + Sync>>,
     tx: Option<OpenTx>,
     recovering: bool,
     stats: PoolStats,
@@ -237,11 +236,10 @@ impl PmPool {
 
     /// Attaches a durability-event sink (checkpointing library).
     ///
-    /// The sink mutex may be shared with threads that can panic while
-    /// holding it (speculative re-execution forks); every notification
-    /// site recovers a poisoned lock rather than propagating the panic,
-    /// since pool operations must keep working during mitigation.
-    pub fn set_sink(&mut self, sink: Arc<Mutex<dyn PmSink + Send>>) {
+    /// The handle is shared with every other pool feeding the same sink
+    /// (writer forks, speculative re-execution forks); the pool takes no
+    /// lock of its own to deliver an event.
+    pub fn set_sink(&mut self, sink: Arc<dyn PmSink + Send + Sync>) {
         self.sink = Some(sink);
     }
 
@@ -382,9 +380,9 @@ impl PmPool {
     /// Reads `len` bytes at `offset` (sees unpersisted stores).
     ///
     /// Fast path: outside an annotated recovery window
-    /// (`recover_begin`/`recover_end`) a read never touches the sink — no
-    /// `Arc` clone, no mutex — so checkpointing adds zero cost to the read
-    /// hot path. Only recovery-window reads are reported (the leak
+    /// (`recover_begin`/`recover_end`) a read never touches the sink, so
+    /// checkpointing adds zero cost to the read hot path. Only
+    /// recovery-window reads are reported (the leak
     /// monitor's reachability signal, §4.7).
     pub fn read(&mut self, offset: u64, len: u64) -> PmResult<Vec<u8>> {
         let bytes = self.dev.read(offset, len)?;
@@ -422,9 +420,7 @@ impl PmPool {
     fn report_recover_read(&self, offset: u64, len: u64) {
         if self.recovering {
             if let Some(sink) = &self.sink {
-                sink.lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .on_recover_read(offset, len);
+                sink.on_recover_read(offset, len);
             }
         }
     }
@@ -464,13 +460,8 @@ impl PmPool {
         self.stats.persists += 1;
         self.rec_add("pool.persists", 1);
         self.rec_add("pool.bytes_persisted", len);
-        if self.sink.is_some() {
-            let data = self.dev.read(offset, len)?;
-            if let Some(sink) = &self.sink {
-                sink.lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .on_persist(offset, &data);
-            }
+        if let Some(sink) = &self.sink {
+            sink.on_persist(offset, &self.dev.read(offset, len)?);
         }
         Ok(())
     }
@@ -488,12 +479,8 @@ impl PmPool {
     }
 
     /// Fence (the `sfence` analogue): commits staged lines, then notifies
-    /// the sink once per range flushed since the previous fence.
-    ///
-    /// Delivery is batched: the durable bytes of every staged range are
-    /// read first, then the sink is locked *once* for the whole fence
-    /// instead of once per range — under a shared sharded store this is
-    /// one shard acquisition per fence rather than one per cache line.
+    /// the sink once per range flushed since the previous fence, in flush
+    /// order, each with its durable bytes.
     ///
     /// Errs only when an armed crash injection fires at this boundary.
     pub fn drain_fence(&mut self) -> PmResult<()> {
@@ -502,22 +489,15 @@ impl PmPool {
         self.stats.drains += 1;
         self.rec_add("pool.drains", 1);
         let ranges = std::mem::take(&mut self.pending_flush);
-        if self.sink.is_none() {
+        let Some(sink) = &self.sink else {
             return Ok(());
-        }
-        let mut batch: Vec<(u64, Vec<u8>)> = Vec::with_capacity(ranges.len());
+        };
         for (off, len) in ranges {
             if let Ok(data) = self.dev.read(off, len) {
                 self.stats.persists += 1;
                 self.rec_add("pool.persists", 1);
                 self.rec_add("pool.bytes_persisted", len);
-                batch.push((off, data));
-            }
-        }
-        if let Some(sink) = &self.sink {
-            let mut guard = sink.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            for (off, data) in &batch {
-                guard.on_persist(*off, data);
+                sink.on_persist(off, &data);
             }
         }
         Ok(())
@@ -682,9 +662,7 @@ impl PmPool {
                 self.stats.allocs += 1;
                 self.rec_add("pool.allocs", 1);
                 if let Some(sink) = &self.sink {
-                    sink.lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .on_alloc(payload, payload_size);
+                    sink.on_alloc(payload, payload_size);
                 }
                 return Ok(payload);
             }
@@ -715,9 +693,7 @@ impl PmPool {
         self.stats.frees += 1;
         self.rec_add("pool.frees", 1);
         if let Some(sink) = &self.sink {
-            sink.lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .on_free(offset);
+            sink.on_free(offset);
         }
         Ok(())
     }
@@ -798,11 +774,6 @@ impl PmPool {
             undo_cursor: 0,
         });
         self.rec_add("pool.tx_begins", 1);
-        if let Some(sink) = &self.sink {
-            sink.lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .on_tx_begin(id);
-        }
         Ok(id)
     }
 
@@ -853,9 +824,7 @@ impl PmPool {
         self.stats.tx_commits += 1;
         self.rec_add("pool.tx_commits", 1);
         if let Some(sink) = &self.sink {
-            sink.lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .on_tx_commit(tx.id, &committed);
+            sink.on_tx_commit(tx.id, &committed);
         }
         Ok(())
     }
@@ -866,17 +835,12 @@ impl PmPool {
             return Err(PmError::TxState("abort without transaction".into()));
         }
         self.site_boundary(SiteKind::TxAbort)?;
-        let tx = self.tx.take().expect("tx checked above");
+        self.tx = None;
         self.undo_replay()?;
         self.write_u64(hdr::TX_ACTIVE, 0)?;
         self.persist_internal(hdr::TX_ACTIVE, 8)?;
         self.stats.tx_aborts += 1;
         self.rec_add("pool.tx_aborts", 1);
-        if let Some(sink) = &self.sink {
-            sink.lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .on_tx_abort(tx.id);
-        }
         Ok(())
     }
 
@@ -913,9 +877,7 @@ impl PmPool {
         self.recovering = true;
         self.rec_event("pool.recover_begin", Vec::new());
         if let Some(sink) = &self.sink {
-            sink.lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .on_recover_begin();
+            sink.on_recover_begin();
         }
     }
 
@@ -924,9 +886,7 @@ impl PmPool {
         self.recovering = false;
         self.rec_event("pool.recover_end", Vec::new());
         if let Some(sink) = &self.sink {
-            sink.lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .on_recover_end();
+            sink.on_recover_end();
         }
     }
 
@@ -1280,87 +1240,86 @@ mod tests {
         assert_eq!(pool.read_u64(r).unwrap(), 42);
     }
 
+    /// A sink that keeps every event it is handed, in arrival order.
+    #[derive(Default)]
+    struct Rec(std::sync::Mutex<Vec<Ev>>);
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum Ev {
+        Persist(u64, Vec<u8>),
+        Alloc(u64, u64),
+        Free(u64),
+        Commit(u64),
+        RecoverRead(u64, u64),
+    }
+
+    impl Rec {
+        fn push(&self, ev: Ev) {
+            self.0.lock().unwrap().push(ev);
+        }
+
+        fn events(&self) -> Vec<Ev> {
+            self.0.lock().unwrap().clone()
+        }
+    }
+
+    impl PmSink for Rec {
+        fn on_persist(&self, offset: u64, data: &[u8]) {
+            self.push(Ev::Persist(offset, data.to_vec()));
+        }
+        fn on_alloc(&self, offset: u64, size: u64) {
+            self.push(Ev::Alloc(offset, size));
+        }
+        fn on_free(&self, offset: u64) {
+            self.push(Ev::Free(offset));
+        }
+        fn on_tx_commit(&self, tx_id: u64, _ranges: &[(u64, Vec<u8>)]) {
+            self.push(Ev::Commit(tx_id));
+        }
+        fn on_recover_read(&self, offset: u64, len: u64) {
+            self.push(Ev::RecoverRead(offset, len));
+        }
+    }
+
     #[test]
     fn sink_sees_persists_allocs_and_commits() {
-        use std::sync::Arc;
-        use std::sync::Mutex;
-
-        #[derive(Default)]
-        struct Rec {
-            persists: Vec<(u64, usize)>,
-            allocs: Vec<(u64, u64)>,
-            frees: Vec<u64>,
-            commits: Vec<u64>,
-        }
-        impl PmSink for Rec {
-            fn on_persist(&mut self, offset: u64, data: &[u8]) {
-                self.persists.push((offset, data.len()));
-            }
-            fn on_alloc(&mut self, offset: u64, size: u64) {
-                self.allocs.push((offset, size));
-            }
-            fn on_free(&mut self, offset: u64) {
-                self.frees.push(offset);
-            }
-            fn on_tx_commit(&mut self, tx_id: u64, _ranges: &[(u64, Vec<u8>)]) {
-                self.commits.push(tx_id);
-            }
-        }
-
-        let rec = Arc::new(Mutex::new(Rec::default()));
+        let rec = Arc::new(Rec::default());
         let mut pool = PmPool::create(CAP).unwrap();
         pool.set_sink(rec.clone());
         let a = pool.alloc(64).unwrap();
         pool.write_u64(a, 5).unwrap();
         pool.persist(a, 8).unwrap();
-        pool.tx_begin().unwrap();
+        let tx = pool.tx_begin().unwrap();
         pool.tx_add(a, 8).unwrap();
         pool.write_u64(a, 6).unwrap();
         pool.tx_commit().unwrap();
         pool.free(a).unwrap();
 
-        let r = rec.lock().unwrap();
-        assert_eq!(r.allocs, vec![(a, 64)]);
-        assert_eq!(r.persists, vec![(a, 8)]);
-        assert_eq!(r.frees, vec![a]);
-        assert_eq!(r.commits.len(), 1);
+        assert_eq!(
+            rec.events(),
+            vec![
+                Ev::Alloc(a, 64),
+                Ev::Persist(a, 5u64.to_le_bytes().to_vec()),
+                Ev::Commit(tx),
+                Ev::Free(a),
+            ]
+        );
     }
 
     #[test]
-    fn reads_outside_recovery_never_touch_the_sink_lock() {
-        // A sink that counts every acquisition of its own mutex. The test
-        // holds the mutex while issuing reads: if the read hot path took
-        // the sink lock, this would deadlock instead of completing. That
-        // the loop finishes *is* the regression assertion — zero sink-lock
-        // acquisitions on non-recovery reads.
-        #[derive(Default)]
-        struct CountingSink {
-            recover_reads: u64,
-            persists: u64,
-        }
-        impl PmSink for CountingSink {
-            fn on_persist(&mut self, _offset: u64, _data: &[u8]) {
-                self.persists += 1;
-            }
-            fn on_recover_read(&mut self, _offset: u64, _len: u64) {
-                self.recover_reads += 1;
-            }
-        }
-
-        let sink: Arc<Mutex<CountingSink>> = Arc::new(Mutex::new(CountingSink::default()));
+    fn reads_outside_a_recovery_window_make_no_sink_call() {
+        let rec = Arc::new(Rec::default());
         let mut pool = PmPool::create(CAP).unwrap();
-        pool.set_sink(sink.clone());
+        pool.set_sink(rec.clone());
         let a = pool.alloc(64).unwrap();
         pool.write_u64(a, 7).unwrap();
         pool.persist(a, 8).unwrap();
+        let before = rec.events();
 
-        {
-            let guard = sink.lock().unwrap();
-            for _ in 0..100 {
-                pool.read(a, 8).unwrap();
-            }
-            assert_eq!(guard.recover_reads, 0);
+        for _ in 0..100 {
+            pool.read(a, 8).unwrap();
         }
+        assert_eq!(rec.events(), before);
 
         // Inside the annotated window every read is reported once.
         pool.recover_begin();
@@ -1368,55 +1327,38 @@ mod tests {
             pool.read(a, 8).unwrap();
         }
         pool.recover_end();
-        assert_eq!(sink.lock().unwrap().recover_reads, 5);
+        let mut want = before;
+        want.extend(std::iter::repeat_n(Ev::RecoverRead(a, 8), 5));
+        assert_eq!(rec.events(), want);
 
         // And back outside the window the fast path is restored.
-        let guard = sink.lock().unwrap();
         pool.read(a, 8).unwrap();
-        assert_eq!(guard.recover_reads, 5);
+        assert_eq!(rec.events(), want);
     }
 
     #[test]
-    fn drain_fence_locks_the_sink_once_per_fence() {
-        // A sink that records the number of distinct lock acquisitions
-        // (on_persist calls arriving back-to-back under one guard cannot
-        // be distinguished by the sink itself, so the pool-side batching
-        // is observed via a reentrancy marker: each acquisition of the
-        // mutex by drain_fence delivers the whole fence's ranges).
-        struct BatchSink {
-            batches: Vec<usize>,
-            current: usize,
-        }
-        impl PmSink for BatchSink {
-            fn on_persist(&mut self, _offset: u64, _data: &[u8]) {
-                self.current += 1;
-            }
-        }
-        let sink = Arc::new(Mutex::new(BatchSink {
-            batches: Vec::new(),
-            current: 0,
-        }));
+    fn a_fence_delivers_its_ranges_in_flush_order() {
+        let rec = Arc::new(Rec::default());
         let mut pool = PmPool::create(CAP).unwrap();
-        pool.set_sink(sink.clone());
         let a = pool.alloc(256).unwrap();
-        for i in 0..4 {
+        pool.set_sink(rec.clone());
+        // Flushed in an order that is neither ascending nor descending.
+        let order = [2u64, 0, 3, 1];
+        for i in order {
             pool.write_u64(a + i * 8, i).unwrap();
             pool.flush_range(a + i * 8, 8).unwrap();
         }
-        pool.drain_fence().unwrap();
-        {
-            let mut g = sink.lock().unwrap();
-            let n = g.current;
-            g.batches.push(n);
-            g.current = 0;
-        }
-        let g = sink.lock().unwrap();
-        assert_eq!(
-            g.batches,
-            vec![4],
-            "all four flushed ranges arrive in one fence-time batch"
+        assert!(
+            rec.events().is_empty(),
+            "nothing is durable before the fence"
         );
-        assert_eq!(pool.stats().persists, 4, "each range still counts");
+        pool.drain_fence().unwrap();
+        let want: Vec<Ev> = order
+            .iter()
+            .map(|&i| Ev::Persist(a + i * 8, i.to_le_bytes().to_vec()))
+            .collect();
+        assert_eq!(rec.events(), want);
+        assert_eq!(pool.stats().persists, 4, "each range counts as a persist");
     }
 
     #[test]
@@ -1627,28 +1569,17 @@ mod tests {
 
     #[test]
     fn restore_drops_ranges_flushed_but_not_fenced() {
-        #[derive(Default)]
-        struct CountingSink {
-            persists: u64,
-        }
-        impl PmSink for CountingSink {
-            fn on_persist(&mut self, _offset: u64, _data: &[u8]) {
-                self.persists += 1;
-            }
-        }
-
         let mut pool = PmPool::create(CAP).unwrap();
         let a = pool.alloc(64).unwrap();
         let image = pool.snapshot();
-        let sink = Arc::new(Mutex::new(CountingSink::default()));
+        let sink = Arc::new(Rec::default());
         pool.set_sink(sink.clone());
         pool.write_u64(a, 9).unwrap();
         pool.flush_range(a, 8).unwrap();
         pool.restore(&image).unwrap();
         pool.drain_fence().unwrap();
-        assert_eq!(
-            sink.lock().unwrap().persists,
-            0,
+        assert!(
+            sink.events().is_empty(),
             "the flushed write never became durable, so nothing is checkpointed"
         );
         assert_eq!(pool.stats().persists, 0);

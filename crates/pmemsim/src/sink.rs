@@ -14,56 +14,45 @@
 /// on media, so a sink checkpoints only successfully persisted state — the
 /// paper's rule that checkpointing "respects the program's persistence
 /// points".
-pub trait PmSink {
+///
+/// A sink is a shared handle: every pool forked for a writer thread or a
+/// speculative re-execution holds the same one, so methods take `&self`
+/// and the sink does its own locking (the checkpoint store locks the one
+/// shard an event belongs to).
+pub trait PmSink: Send + Sync {
     /// An explicit persist of `[offset, offset + data.len())` completed;
     /// `data` is the durable contents.
-    fn on_persist(&mut self, offset: u64, data: &[u8]) {
+    fn on_persist(&self, offset: u64, data: &[u8]) {
         let _ = (offset, data);
-    }
-
-    /// A transaction began. `tx_id` increases monotonically per pool.
-    fn on_tx_begin(&mut self, tx_id: u64) {
-        let _ = tx_id;
     }
 
     /// A transaction committed; `ranges` are the snapshotted (and therefore
     /// possibly modified) ranges with their *new* durable contents.
-    fn on_tx_commit(&mut self, tx_id: u64, ranges: &[(u64, Vec<u8>)]) {
+    fn on_tx_commit(&self, tx_id: u64, ranges: &[(u64, Vec<u8>)]) {
         let _ = (tx_id, ranges);
     }
 
-    /// A transaction aborted and its undo log was applied.
-    fn on_tx_abort(&mut self, tx_id: u64) {
-        let _ = tx_id;
-    }
-
     /// A heap block was allocated: payload at `offset`, `size` bytes.
-    fn on_alloc(&mut self, offset: u64, size: u64) {
+    fn on_alloc(&self, offset: u64, size: u64) {
         let _ = (offset, size);
     }
 
     /// The heap block with payload at `offset` was freed.
-    fn on_free(&mut self, offset: u64) {
+    fn on_free(&self, offset: u64) {
         let _ = offset;
     }
 
     /// The application's recovery function started (the
     /// `pmem_recover_begin` annotation of §4.7).
-    fn on_recover_begin(&mut self) {}
+    fn on_recover_begin(&self) {}
 
     /// The application's recovery function finished (`pmem_recover_end`).
-    fn on_recover_end(&mut self) {}
+    fn on_recover_end(&self) {}
 
     /// A PM address was read while recovery is active. Used by the
     /// persistent-leak mitigation to learn which objects the recovery
     /// function reaches.
-    fn on_recover_read(&mut self, offset: u64, len: u64) {
+    fn on_recover_read(&self, offset: u64, len: u64) {
         let _ = (offset, len);
     }
 }
-
-/// A sink that records nothing; useful as a default.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl PmSink for NullSink {}

@@ -36,7 +36,7 @@ fn main() {
         prod.failure.kind,
         prod.failure.exit_code,
         prod.restarts,
-        prod.log.lock().total_updates()
+        prod.log.total_updates()
     );
 
     println!("\n-- Arthas mitigation --");

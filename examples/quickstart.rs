@@ -147,7 +147,7 @@ fn main() {
 
     println!("4. Reactor: slice the fault, revert dependent PM state");
     let mut pool = vm.crash();
-    let total = log.lock().total_updates();
+    let total = log.total_updates();
     let mut reactor = Reactor::new(&out.analysis, &out.guid_map, ReactorConfig::default());
     let mut target = MiniTarget {
         module: instrumented.clone(),

@@ -305,11 +305,6 @@ pub const COMMANDS: &[CommandSpec] = &[
                        (requires --replicas >= 1)",
             },
             FlagSpec {
-                name: "--no-invariants",
-                value: None,
-                help: "force the mined-invariant oracle off (wins over --invariants)",
-            },
-            FlagSpec {
                 name: "--json",
                 value: None,
                 help: "print the matrix JSON instead of the coverage table",
@@ -711,15 +706,18 @@ mod tests {
         assert!(SPEC.parse(&sv(&["t", "x", "y"])).is_err());
     }
 
-    /// `inject` has one campaign runtime and no switch that selects it:
-    /// the removed `--fleet` is rejected like any unknown flag, and the
+    /// `inject` has one campaign runtime and no switch that selects it,
+    /// and one switch per boolean: the removed `--fleet` and
+    /// `--no-invariants` are rejected like any unknown flag, and the
     /// journal flags stand on their own.
     #[test]
     fn inject_rejects_the_removed_fleet_flag() {
         let inject = COMMANDS.iter().find(|c| c.name == "inject").unwrap();
-        let e = inject.parse(&sv(&["all", "--fleet"])).unwrap_err();
-        assert!(e.contains("unknown flag --fleet"), "{e}");
-        assert!(e.contains("usage: arthas-repro inject"), "{e}");
+        for removed in ["--fleet", "--no-invariants"] {
+            let e = inject.parse(&sv(&["all", removed])).unwrap_err();
+            assert!(e.contains(&format!("unknown flag {removed}")), "{e}");
+            assert!(e.contains("usage: arthas-repro inject"), "{e}");
+        }
         let p = inject.parse(&sv(&["all", "--journal", "dir"])).unwrap();
         assert_eq!(p.get("--journal"), Some("dir"));
         assert!(inject.flags.iter().all(|f| !f.help.contains("--fleet")));

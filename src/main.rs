@@ -501,29 +501,7 @@ fn finish_load(
         }
     }
 
-    // Gates: the codecs must hold up under concurrency, an armed fault
-    // must be mitigated online, and client-visible loss must stay inside
-    // the fig9 discarded-data accounting.
-    let mut bad = Vec::new();
-    if report.codec_errors > 0 {
-        bad.push("codec errors".to_string());
-    }
-    if cfg.fault_at.is_some() && !report.recovered {
-        bad.push("no online recovery".to_string());
-    }
-    if let Some(s) = &server {
-        if s.protocol_errors > 0 {
-            bad.push(format!("{} server protocol errors", s.protocol_errors));
-        }
-    }
-    if let Some(d) = discarded {
-        if report.tracked_lost > d {
-            bad.push(format!(
-                "tracked loss {} exceeds discarded updates {d}",
-                report.tracked_lost
-            ));
-        }
-    }
+    let bad = report.gate_failures(cfg, server.as_ref());
     if !bad.is_empty() {
         eprintln!("serving gate FAILED: {}", bad.join("; "));
         std::process::exit(1);
@@ -548,7 +526,6 @@ fn resume_campaign(
         "--seeds",
         "--seed",
         "--invariants",
-        "--no-invariants",
         "--replicas",
         "--replica-fault",
     ];
@@ -613,7 +590,7 @@ fn cmd_inject(p: Parsed) {
             .runners(flag_u64(&p, "--runners", 1) as usize)
             .seed(seed)
             .policies(policies)
-            .invariants(p.has("--invariants") && !p.has("--no-invariants"))
+            .invariants(p.has("--invariants"))
             .replicas(flag_u64(&p, "--replicas", 0) as usize)
             .replica_fault(replica_fault)
             .analysis_cache(ctx.cache_arc())
