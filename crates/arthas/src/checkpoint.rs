@@ -405,6 +405,19 @@ fn apply_overlays(buf: &mut [u8], addr: u64, overlays: &[(u64, u64, &Vec<u8>)]) 
     }
 }
 
+/// One entry with a retained version, as [`LogView::spans`] lists it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Span {
+    pub(crate) addr: u64,
+    /// `addr` plus the entry's largest retained size: the entry covers
+    /// `[addr, end)`.
+    pub(crate) end: u64,
+    /// The newest version's seq and size, which is the size of the
+    /// entry's `expected_current` bytes.
+    pub(crate) seq: u64,
+    pub(crate) len: u64,
+}
+
 /// The checkpoint store: address-sharded, seq-ordered, shared.
 ///
 /// N shards behind their own mutexes share one atomic sequence allocator.
@@ -667,8 +680,31 @@ impl LogView<'_> {
     }
 
     /// The store-wide scan bound: the largest data size any shard recorded.
-    fn max_len(&self) -> u64 {
+    pub(crate) fn max_len(&self) -> u64 {
         self.shards.iter().map(|s| s.max_len).max().unwrap_or(0)
+    }
+
+    /// Every entry with a retained version, ascending by address: the
+    /// entries [`LogView::covering`] scans, flattened once for a caller
+    /// that asks many questions of a log that does not change.
+    pub(crate) fn spans(&self) -> Vec<Span> {
+        let mut out: Vec<Span> = self
+            .shards
+            .iter()
+            .flat_map(|s| &s.entries)
+            .filter_map(|(&addr, e)| {
+                let newest = e.versions.back()?;
+                let size = e.versions.iter().map(|v| v.data.len() as u64).max()?;
+                Some(Span {
+                    addr,
+                    end: addr + size,
+                    seq: newest.seq,
+                    len: newest.data.len() as u64,
+                })
+            })
+            .collect();
+        out.sort_unstable_by_key(|s| s.addr);
+        out
     }
 
     /// Every retained version as `(seq, addr, bytes)`, ascending by seq —

@@ -22,7 +22,9 @@
 //! allocations in the checkpoint log that the application's recovery
 //! function never touched are freed.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -33,7 +35,7 @@ use pmemsim::{PmPool, PoolGroup};
 use obs::Value;
 
 use crate::analyzer::GuidMap;
-use crate::checkpoint::{LogView, SharedLog, MAX_VERSIONS};
+use crate::checkpoint::{LogView, SharedLog, Span, MAX_VERSIONS};
 use crate::detector::{FailureKind, FailureRecord};
 use crate::trace::PmTrace;
 
@@ -297,7 +299,9 @@ const MAX_SLICE_NODES: usize = 100_000;
 /// failure if the symptom persists. Implementations attach the checkpoint
 /// log sink *disabled* during re-execution so reversion attempts do not
 /// rotate good versions out of the log (recovery reads are still tracked
-/// for leak mitigation).
+/// for leak mitigation). The restart runs on a reopened copy of the pool,
+/// as a real restart would, and leaves the passed pool unmodified: the
+/// reactor knows every byte it wrote, and reuses what it read before.
 pub trait Target {
     /// Restart + verify; `Ok(())` means the system is operational.
     fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord>;
@@ -308,17 +312,12 @@ pub trait Target {
     /// from `self` only immutably, so forks can run under
     /// [`std::thread::scope`] while the parent target waits.
     ///
-    /// Two contracts for a target that forks:
-    ///
-    /// * `reexecute` must treat the pool as the durable image only —
-    ///   restart on a reopened copy, as a real restart would, leaving the
-    ///   passed pool unmodified. (Every restart-based target already
-    ///   works this way; it is what makes a wave of `k` commutable with
-    ///   `k` waves of one.)
-    /// * A fork's observable side effects must be limited to its return
-    ///   value: anything it records (e.g. into a private checkpoint log)
-    ///   is dropped unless its attempt wins, so recording must not feed
-    ///   back into re-execution behaviour.
+    /// Restarting on a copy of the pool (see [`Target`]) is what makes a
+    /// wave of `k` commutable with `k` waves of one. A fork's observable
+    /// side effects must also be limited to its return value: anything it
+    /// records (e.g. into a private checkpoint log) is dropped unless its
+    /// attempt wins, so recording must not feed back into re-execution
+    /// behaviour.
     fn fork_target(&self) -> Option<Box<dyn Target + Send + '_>> {
         None
     }
@@ -431,15 +430,31 @@ struct RevertLedger {
     /// Ordered by address: `minimize` walks it under a re-execution
     /// budget, so its order decides which reversions are restored.
     by_addr: BTreeMap<u64, BTreeSet<u64>>,
+    /// Every range this lineage wrote, as address → longest length: the
+    /// only pool bytes that can differ from the image the plan was made
+    /// on (see [`LogFacts::heal_suspects`]).
+    written: BTreeMap<u64, u64>,
 }
 
 impl RevertLedger {
+    /// Notes a write of `len` bytes at `addr`, keeping the bytes first
+    /// found there; every reversion write goes through here first.
     fn capture(&mut self, pool: &mut PmPool, addr: u64, len: usize) {
+        let longest = self.written.entry(addr).or_default();
+        *longest = (*longest).max(len as u64);
         if let std::collections::btree_map::Entry::Vacant(e) = self.originals.entry(addr) {
             if let Ok(cur) = pool.read(addr, len as u64) {
                 e.insert(cur);
             }
         }
+    }
+
+    /// Whether this lineage wrote any byte of `[addr, addr + len)`. Every
+    /// write is log data, so none is longer than `max_len`.
+    fn wrote_over(&self, addr: u64, len: u64, max_len: u64) -> bool {
+        self.written
+            .range(addr.saturating_sub(max_len)..addr.saturating_add(len))
+            .any(|(&a, &n)| a + n > addr)
     }
 
     fn discarded_updates(&self) -> u64 {
@@ -464,6 +479,307 @@ pub struct Plan {
     pub seqs: Vec<u64>,
     /// Which PM instructions contributed each candidate.
     pub sources: std::collections::HashMap<u64, Vec<InstRef>>,
+}
+
+/// What one mitigation knows about the checkpoint log: each fact derived
+/// once, then reused by every attempt. Built by [`Reactor::plan`], owned
+/// by [`Reactor::mitigate`] and dropped with the outcome; sized by
+/// instructions and logged entries (every candidate is one), never by
+/// retained versions or trace records.
+///
+/// Reuse is exact because the log records nothing between the plan and
+/// the outcome: [`LogPaused`] holds through the revert loop, and
+/// `restart_only`, the one path that restarts with recording on, never
+/// reaches it. `frontier` is asserted unchanged at the outcome.
+struct LogFacts {
+    /// Every entry with a retained version, ascending by address.
+    spans: Vec<Span>,
+    /// Per entry of `spans`, the largest `end` of it and every entry
+    /// below it: a backward scan for entries reaching an address stops
+    /// where this falls to it.
+    reach: Vec<u64>,
+    /// Per entry of `spans`, its position in the final plan when it is a
+    /// candidate.
+    pos: Vec<Option<u32>>,
+    /// Indices into `spans`, newest seq first: the prefix at or above a
+    /// cut is `addrs_touched_since(cut)`, and a seq's entry is a binary
+    /// search away.
+    by_newest: Vec<u32>,
+    /// The store-wide largest data size, which bounds every covering and
+    /// overlay window.
+    max_len: u64,
+    /// Per PM-write instruction, the slice × trace × log join: a bit per
+    /// entry of `spans` that covers one of its traced offsets.
+    joins: HashMap<InstRef, Vec<u64>>,
+    /// Candidates whose bytes on the crashed image diverged from
+    /// `expected_current` (the plan's divergence sort).
+    diverged_seqs: HashSet<u64>,
+    /// Plan positions of the `diverged_seqs` candidates.
+    diverged_at: Vec<usize>,
+    /// The address of every seq asked about that is no entry's newest
+    /// (`None`: rotated out).
+    addrs: HashMap<u64, Option<u64>>,
+    /// `expected_current` of the addresses whose bytes were needed: every
+    /// other candidate's are its bytes on the crashed image.
+    expected: HashMap<u64, Option<Vec<u8>>>,
+    /// `(latest_seq, total_updates)` when the facts were derived.
+    frontier: (u64, u64),
+}
+
+impl LogFacts {
+    fn new(log: &LogView<'_>) -> Self {
+        let spans = log.spans();
+        let mut by_newest: Vec<u32> = (0..spans.len() as u32).collect();
+        by_newest.sort_unstable_by_key(|&i| std::cmp::Reverse(spans[i as usize].seq));
+        let reach = spans
+            .iter()
+            .scan(0, |top, s| {
+                *top = s.end.max(*top);
+                Some(*top)
+            })
+            .collect();
+        LogFacts {
+            pos: vec![None; spans.len()],
+            reach,
+            spans,
+            by_newest,
+            max_len: log.max_len(),
+            joins: HashMap::new(),
+            diverged_seqs: HashSet::new(),
+            diverged_at: Vec::new(),
+            addrs: HashMap::new(),
+            expected: HashMap::new(),
+            frontier: (log.latest_seq(), log.total_updates()),
+        }
+    }
+
+    /// The entries [`LogView::covering`] reports for any of `offsets`, as
+    /// distinct `(index into spans, seq)`; joined once per instruction.
+    fn join(&mut self, at: InstRef, offsets: &[u64]) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let (spans, reach) = (&self.spans, &self.reach);
+        let words = self.joins.entry(at).or_insert_with(|| {
+            let mut offsets = offsets.to_vec();
+            offsets.sort_unstable();
+            offsets.dedup();
+            let mut words = vec![0u64; spans.len().div_ceil(64)];
+            let mut upto = 0;
+            for off in offsets {
+                // Every entry starting at or below `off` whose range
+                // reaches past it.
+                upto += spans[upto..].partition_point(|s| s.addr <= off);
+                for i in (0..upto).rev().take_while(|&i| reach[i] > off) {
+                    if spans[i].end > off {
+                        words[i / 64] |= 1 << (i % 64);
+                    }
+                }
+            }
+            words
+        });
+        words.iter().enumerate().flat_map(move |(w, &word)| {
+            (0..64)
+                .filter(move |b| word >> b & 1 == 1)
+                .map(move |b| (w * 64 + b, spans[w * 64 + b].seq))
+        })
+    }
+
+    /// The index into `spans` of the entry whose newest version is `seq`.
+    fn entry_of(&self, seq: u64) -> Option<usize> {
+        let found = self
+            .by_newest
+            .binary_search_by(|&i| seq.cmp(&self.spans[i as usize].seq));
+        found.ok().map(|k| self.by_newest[k] as usize)
+    }
+
+    /// Records entry `k`'s newest seq as a candidate and returns whether
+    /// its bytes on the crashed image `pool` diverge from the log's
+    /// ([`seq_diverged`]), keeping the expected bytes only when they
+    /// differ from the pool's.
+    fn plan_candidate(&mut self, log: &LogView<'_>, pool: &mut PmPool, k: usize) -> bool {
+        let Span { addr, seq, .. } = self.spans[k];
+        // With no newer entry overlapping it, an entry's expected bytes
+        // are its newest version's.
+        let expected = if self.overlaid(k) {
+            log.expected_current(addr).map(Cow::Owned)
+        } else {
+            let newest = log.entry(addr).and_then(|e| e.versions.back());
+            newest.map(|v| Cow::Borrowed(&v.data[..]))
+        };
+        debug_assert_eq!(expected.as_deref(), log.expected_current(addr).as_deref());
+        let Some(expected) = expected else {
+            return false;
+        };
+        let diverged = pool
+            .read(addr, expected.len() as u64)
+            .is_ok_and(|cur| cur != *expected);
+        if diverged {
+            self.diverged_seqs.insert(seq);
+            self.expected.insert(addr, Some(expected.into_owned()));
+        }
+        diverged
+    }
+
+    /// Whether a newer entry overlaps entry `k`'s newest bytes, so that
+    /// `expected_current` overlays something on them.
+    fn overlaid(&self, k: usize) -> bool {
+        let s = self.spans[k];
+        let above = self.spans[k + 1..]
+            .iter()
+            .take_while(|t| t.addr < s.addr + s.len)
+            .any(|t| t.seq > s.seq);
+        let below = (0..k)
+            .rev()
+            .take_while(|&j| self.reach[j] > s.addr)
+            .map(|j| self.spans[j])
+            .any(|t| t.addr + t.len > s.addr && t.seq > s.seq);
+        above || below
+    }
+
+    /// Marks the final plan's candidates with their positions.
+    fn index(&mut self, plan: &Plan) {
+        for (i, &s) in plan.seqs.iter().enumerate() {
+            if let Some(k) = self.entry_of(s) {
+                self.pos[k] = Some(i as u32);
+            }
+            if self.diverged_seqs.contains(&s) {
+                self.diverged_at.push(i);
+            }
+        }
+    }
+
+    /// Learns the address and `expected_current` of a seq that is not a
+    /// candidate (a purge's transaction siblings and forward
+    /// dependencies).
+    fn learn(&mut self, log: &LogView<'_>, seq: u64) {
+        let addr = match self.entry_of(seq) {
+            Some(k) if self.pos[k].is_some() => return,
+            Some(k) => Some(self.spans[k].addr),
+            None => *self
+                .addrs
+                .entry(seq)
+                .or_insert_with(|| log.addr_of_seq(seq)),
+        };
+        if let Some(addr) = addr {
+            self.expected
+                .entry(addr)
+                .or_insert_with(|| log.expected_current(addr));
+        }
+    }
+
+    /// A candidate's or learned seq's address.
+    fn addr(&self, seq: u64) -> Option<u64> {
+        match self.entry_of(seq) {
+            Some(k) => Some(self.spans[k].addr),
+            None => {
+                debug_assert!(self.addrs.contains_key(&seq), "seq {seq} not learned");
+                self.addrs.get(&seq).copied().flatten()
+            }
+        }
+    }
+
+    /// When `pool`'s bytes at a candidate's or learned seq differ from
+    /// what the log says they should be ([`seq_diverged`]), the seq's
+    /// address and those bytes. `pool` is the crashed image plus what
+    /// `ledger`'s lineage wrote, so a candidate that matched the log on
+    /// the crashed image and lies outside every written range still
+    /// matches it.
+    fn diverged(
+        &mut self,
+        log: &SharedLog,
+        pool: &mut PmPool,
+        ledger: &RevertLedger,
+        seq: u64,
+    ) -> Option<(u64, &[u8])> {
+        let addr = match self.entry_of(seq).map(|k| (self.spans[k], self.pos[k])) {
+            Some((s, None)) => s.addr,
+            Some((s, Some(_)))
+                if self.diverged_seqs.contains(&seq)
+                    || ledger.wrote_over(s.addr, s.len, self.max_len) =>
+            {
+                s.addr
+            }
+            Some(_) => return None,
+            None => self.addr(seq)?,
+        };
+        let expected = self
+            .expected
+            .entry(addr)
+            .or_insert_with(|| log.view().expected_current(addr))
+            .as_deref()?;
+        let cur = pool.read(addr, expected.len() as u64).ok()?;
+        (cur != expected).then_some((addr, expected))
+    }
+
+    /// `addrs_touched_since(cut)`: every address with a version at or
+    /// after `cut`, ascending.
+    fn touched_since(&self, cut: u64) -> Vec<u64> {
+        let n = self
+            .by_newest
+            .partition_point(|&i| self.spans[i as usize].seq >= cut);
+        let mut out: Vec<u64> = self.by_newest[..n]
+            .iter()
+            .map(|&i| self.spans[i as usize].addr)
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// The candidates, by plan position, with an address in
+    /// `[from, to)`, as `(position, address, length)`.
+    fn candidates_in(&self, from: u64, to: u64) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
+        let lo = self.spans.partition_point(|s| s.addr < from);
+        let hi = self.spans.partition_point(|s| s.addr < to);
+        (lo..hi).filter_map(|k| {
+            let s = &self.spans[k];
+            Some((self.pos[k]? as usize, s.addr, s.len))
+        })
+    }
+
+    /// The plan positions the heal below `cut` must look at, ascending,
+    /// given the addresses `touched` since the cut and the lineage's
+    /// `ledger`.
+    ///
+    /// A candidate at `addr` whose address was not touched since the cut
+    /// (its seq, the address's newest, is below it) is owed a heal when
+    /// the pool's bytes differ from `expected_before(addr, cut)`. Both
+    /// sides are known from the plan unless something changed since:
+    ///
+    /// * `expected_before(addr, cut)` is `addr`'s newest version overlaid
+    ///   with the newest below-cut version of every newer entry in its
+    ///   overlay window. When no entry in that window has a version at or
+    ///   after the cut, each such version is the entry's newest, and the
+    ///   result is `expected_current(addr)`.
+    /// * The pool holds the crashed image plus what this attempt's lineage
+    ///   wrote — re-executions restart on copies — so away from every
+    ///   range in `ledger.written` it holds the bytes the plan read, and
+    ///   those equal `expected_current(addr)` unless the candidate
+    ///   diverged at plan time.
+    ///
+    /// So only three kinds of candidate can be owed a heal: those that
+    /// diverged at plan time, those with a touched entry in their overlay
+    /// window, and those overlapping a range the lineage wrote. Every
+    /// other candidate's pool bytes equal its heal bytes.
+    fn heal_suspects(&self, touched: &[u64], ledger: &RevertLedger) -> BTreeSet<usize> {
+        let w = self.max_len;
+        let mut out: BTreeSet<usize> = self.diverged_at.iter().copied().collect();
+        for &t in touched {
+            // Overlay windows as `expected_before` scans them:
+            // `[c - (w - 1), c + len)`.
+            let near = self.candidates_in(t.saturating_sub(w), t.saturating_add(w));
+            for (i, c, len) in near {
+                if c != t && c.saturating_sub(w.saturating_sub(1)) <= t && t < c + len {
+                    out.insert(i);
+                }
+            }
+        }
+        for (&a, &n) in &ledger.written {
+            for (i, c, len) in self.candidates_in(a.saturating_sub(w), a.saturating_add(n)) {
+                if a < c + len {
+                    out.insert(i);
+                }
+            }
+        }
+        out
+    }
 }
 
 /// The reactor.
@@ -547,13 +863,26 @@ impl<'a> Reactor<'a> {
         log: &LogView<'_>,
         pool: &mut PmPool,
     ) -> Plan {
+        self.plan_with_facts(fault, trace, log, pool).0
+    }
+
+    /// [`Reactor::plan`], keeping what it learned about the log for the
+    /// revert loop.
+    fn plan_with_facts(
+        &mut self,
+        fault: InstRef,
+        trace: &PmTrace,
+        log: &LogView<'_>,
+        pool: &mut PmPool,
+    ) -> (Plan, LogFacts) {
         let t0 = Instant::now();
         let slice = self.slice_for(fault);
         self.last_slice_time = t0.elapsed();
         self.pending_slice_time += self.last_slice_time;
-        let mut seqs: BTreeSet<u64> = BTreeSet::new();
-        let mut sources: std::collections::HashMap<u64, Vec<InstRef>> =
-            std::collections::HashMap::new();
+        let mut facts = LogFacts::new(log);
+        // Per logged entry, the instructions whose traced offsets it
+        // covers: the candidates are the entries with any.
+        let mut by_entry: Vec<Vec<InstRef>> = vec![Vec::new(); facts.spans.len()];
         for at in &slice.insts {
             if !self.analysis.pm.pm_writes.contains(at) {
                 continue;
@@ -566,31 +895,39 @@ impl<'a> Reactor<'a> {
             let Some(guid) = self.guid_map.guid_of(*at) else {
                 continue;
             };
-            for &off in trace.offsets(guid) {
-                for (_, seq) in log.covering(off) {
-                    seqs.insert(seq);
-                    sources.entry(seq).or_default().push(*at);
-                }
+            for (k, _) in facts.join(*at, trace.offsets(guid)) {
+                by_entry[k].push(*at);
             }
         }
+        let mut cands: Vec<usize> = (0..by_entry.len())
+            .filter(|&k| !by_entry[k].is_empty())
+            .collect();
+        cands.sort_unstable_by_key(|&k| std::cmp::Reverse(facts.spans[k].seq));
         let (mut diverged, mut rest): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
-        for s in seqs.into_iter().rev() {
-            if seq_diverged(log, pool, s) {
-                diverged.push(s);
+        for &k in &cands {
+            let seq = facts.spans[k].seq;
+            if facts.plan_candidate(log, pool, k) {
+                diverged.push(seq);
             } else {
-                rest.push(s);
+                rest.push(seq);
             }
         }
         diverged.extend(rest);
-        Plan {
+        let sources = cands
+            .into_iter()
+            .map(|k| (facts.spans[k].seq, std::mem::take(&mut by_entry[k])))
+            .collect();
+        let plan = Plan {
             seqs: diverged,
             sources,
-        }
+        };
+        (plan, facts)
     }
 
     /// Mitigates a suspected hard failure — the one pipeline every caller
-    /// goes through. Takes the sharded store directly; a
-    /// [`crate::SharedLog`] deref-coerces here.
+    /// goes through. Takes the checkpoint store itself: the plan reads it
+    /// through one [`SharedLog::view`], and it stays paused from the plan
+    /// to the outcome, so every attempt reuses what the plan learned.
     ///
     /// A leak takes the dedicated path of §4.7 (not an availability
     /// event: no failover). [`Standbys::First`] promotes a standby and
@@ -629,27 +966,36 @@ impl<'a> Reactor<'a> {
         let mut out = MitigationOutcome::failed(0, 0, 0, t0.elapsed(), PhaseTimes::default());
         let mut planned = None;
         if !standby_first {
-            let mut phases = PhaseTimes::default();
-            let mut plan = Plan::default();
-            if let Some(fault) = failure.fault {
-                (plan, phases) = self.timed_plan(fault, trace, log, pool);
-                if let Some(group) = &group {
-                    plan = self.cross_check_plan(&plan, &log.view(), pool, group);
+            let (plan, facts, phases) = match failure.fault {
+                Some(fault) => {
+                    let (mut plan, facts, phases) = self.timed_plan(fault, trace, log, pool);
+                    if let Some(group) = &group {
+                        plan = self.cross_check_plan(&plan, &log.view(), pool, group);
+                    }
+                    (plan, Some(facts), phases)
                 }
-            }
-            if plan.seqs.is_empty() {
-                // The restart runs with checkpointing on, like any other.
-                out = self.restart_only(pool, target, t0, 0, phases);
-                if out.recovered || group.is_none() {
-                    return out;
+                None => (Plan::default(), None, PhaseTimes::default()),
+            };
+            match facts.filter(|_| !plan.seqs.is_empty()) {
+                Some(facts) => planned = Some((plan, facts, phases)),
+                None => {
+                    // The restart runs with checkpointing on, like any other.
+                    out = self.restart_only(pool, target, t0, 0, phases);
+                    if out.recovered || group.is_none() {
+                        return out;
+                    }
                 }
-            } else {
-                planned = Some((plan, phases));
             }
         }
         let _paused = LogPaused::new(log);
-        if let Some((plan, phases)) = planned {
-            out = self.revert_loop(pool, log, &plan, trace, target, t0, phases);
+        if let Some((plan, mut facts, phases)) = planned {
+            facts.index(&plan);
+            out = self.revert_loop(pool, log, &plan, &mut facts, trace, target, t0, phases);
+            debug_assert_eq!(
+                (log.latest_seq(), log.total_updates()),
+                facts.frontier,
+                "the log recorded during a mitigation"
+            );
         }
         match group {
             Some(group) if !out.recovered => self.failover(pool, log, target, group, out, t0),
@@ -668,11 +1014,11 @@ impl<'a> Reactor<'a> {
         trace: &PmTrace,
         log: &SharedLog,
         pool: &mut PmPool,
-    ) -> (Plan, PhaseTimes) {
+    ) -> (Plan, LogFacts, PhaseTimes) {
         let t_plan = Instant::now();
-        let plan = {
+        let (plan, facts) = {
             let view = log.view();
-            self.plan(fault, trace, &view, pool)
+            self.plan_with_facts(fault, trace, &view, pool)
         };
         let mut phases = PhaseTimes {
             // Drain the accrued slicing time: if the caller planned for
@@ -691,7 +1037,7 @@ impl<'a> Reactor<'a> {
                 ("candidate_seqs", Value::from(seq_list(&plan.seqs))),
             ],
         );
-        (plan, phases)
+        (plan, facts, phases)
     }
 
     fn record_outcome(&self, out: &MitigationOutcome) {
@@ -946,12 +1292,18 @@ impl<'a> Reactor<'a> {
     /// same at every width, only `reexec_rounds` (waves) shrinks. Waves
     /// never cross a version-depth boundary: the candidate cursor resets
     /// per depth.
+    ///
+    /// What a step costs besides its re-execution is bounded by what it
+    /// changes: its batch, the addresses touched since its cut, and the
+    /// ranges its lineage wrote. Everything else about the log comes from
+    /// `facts`, derived once by the plan.
     #[allow(clippy::too_many_arguments)]
     fn revert_loop(
         &self,
         pool: &mut PmPool,
         log_rc: &SharedLog,
         plan: &Plan,
+        facts: &mut LogFacts,
         trace: &PmTrace,
         target: &mut dyn Target,
         t0: Instant,
@@ -1077,8 +1429,9 @@ impl<'a> Reactor<'a> {
                         p,
                         log_rc,
                         plan,
+                        facts,
                         trace,
-                        &plan.seqs[step.batch.clone()],
+                        step.batch.clone(),
                         depth,
                         sim.mode,
                         fwd.as_ref(),
@@ -1207,15 +1560,17 @@ impl<'a> Reactor<'a> {
         MitigationOutcome::failed(plan.seqs.len(), ctl.attempts, rounds, t0.elapsed(), phases)
     }
 
-    /// One reversion step: reverts `batch` under `mode` at version `depth`.
+    /// One reversion step: reverts the plan candidates at positions
+    /// `batch` under `mode` at version `depth`.
     #[allow(clippy::too_many_arguments)]
     fn apply_batch(
         &self,
         pool: &mut PmPool,
         log_rc: &SharedLog,
         plan: &Plan,
+        facts: &mut LogFacts,
         trace: &PmTrace,
-        batch: &[u64],
+        batch: Range<usize>,
         depth: usize,
         mode: Mode,
         fwd: Option<&std::collections::HashMap<InstRef, Vec<(InstRef, pir_analysis::DepKind)>>>,
@@ -1223,11 +1578,12 @@ impl<'a> Reactor<'a> {
     ) {
         match mode {
             Mode::Purge => {
-                for &s in batch {
+                for &s in &plan.seqs[batch] {
                     self.purge_seq(
                         pool,
                         log_rc,
                         plan,
+                        facts,
                         trace,
                         s,
                         depth,
@@ -1244,37 +1600,20 @@ impl<'a> Reactor<'a> {
                 // *consumed* by the healing: rolling back through
                 // it would re-plant the stale value.
                 let mut normal: Vec<u64> = Vec::new();
-                for &s in batch {
-                    // The view (all shard locks) is dropped before the
-                    // heal writes below — the persist dispatches back
-                    // into the sink.
-                    let healed = {
-                        let log = log_rc.view();
-                        if seq_diverged(&log, pool, s) {
-                            log.addr_of_seq(s)
-                                .and_then(|addr| log.expected_current(addr).map(|d| (addr, d)))
-                        } else {
-                            None
-                        }
-                    };
+                for &s in &plan.seqs[batch.clone()] {
+                    let healed = facts
+                        .diverged(log_rc, pool, ledger, s)
+                        .map(|(addr, data)| (addr, data.to_vec()));
                     match healed {
-                        Some((addr, data)) => {
-                            ledger.capture(pool, addr, data.len());
-                            let _ = pool.write(addr, &data);
-                            let _ = pool.persist(addr, data.len() as u64);
-                            ledger.by_addr.entry(addr).or_default();
-                            self.recorder.event(
-                                "reactor.heal",
-                                vec![("seq", Value::from(s)), ("addr", Value::from(addr))],
-                            );
-                        }
+                        Some((addr, data)) => self.heal(pool, ledger, s, addr, &data),
                         None => normal.push(s),
                     }
                 }
                 // Roll back to just before the oldest remaining
                 // seq in the batch.
                 if let Some(&cut) = normal.iter().min() {
-                    self.rollback_to(pool, log_rc, cut, ledger);
+                    let touched = facts.touched_since(cut);
+                    self.rollback_to(pool, log_rc, &touched, cut, ledger);
                     // Media corruption below the cut is invisible to the
                     // rewind: an address whose newest logged version is
                     // older than the cut is never restored by
@@ -1285,20 +1624,23 @@ impl<'a> Reactor<'a> {
                     // after the cut — on a sharded log, typically owned
                     // by a different shard — would otherwise be overlaid
                     // into the heal bytes right after the rollback
-                    // reverted it, re-planting post-cut state.
+                    // reverted it, re-planting post-cut state. Only the
+                    // candidates `heal_suspects` names can be owed one.
                     let heals: Vec<(u64, u64, Vec<u8>)> = {
                         let log = log_rc.view();
-                        let touched: std::collections::HashSet<u64> =
-                            log.addrs_touched_since(cut).into_iter().collect();
-                        let mut seen = std::collections::HashSet::new();
-                        plan.seqs
-                            .iter()
-                            .filter(|s| !batch.contains(s))
-                            .filter_map(|&s| {
-                                let addr = log.addr_of_seq(s)?;
-                                if touched.contains(&addr) || !seen.insert(addr) {
+                        facts
+                            .heal_suspects(&touched, ledger)
+                            .into_iter()
+                            .filter(|i| !batch.contains(i))
+                            .filter_map(|i| {
+                                let s = plan.seqs[i];
+                                // A candidate's seq is its address's
+                                // newest: at or above the cut, the
+                                // rollback restored it.
+                                if s >= cut {
                                     return None;
                                 }
+                                let addr = facts.addr(s)?;
                                 let expected = log.expected_before(addr, cut)?;
                                 match pool.read(addr, expected.len() as u64) {
                                     Ok(cur) if cur != expected => Some((s, addr, expected)),
@@ -1308,18 +1650,23 @@ impl<'a> Reactor<'a> {
                             .collect()
                     };
                     for (s, addr, data) in heals {
-                        ledger.capture(pool, addr, data.len());
-                        let _ = pool.write(addr, &data);
-                        let _ = pool.persist(addr, data.len() as u64);
-                        ledger.by_addr.entry(addr).or_default();
-                        self.recorder.event(
-                            "reactor.heal",
-                            vec![("seq", Value::from(s)), ("addr", Value::from(addr))],
-                        );
+                        self.heal(pool, ledger, s, addr, &data);
                     }
                 }
             }
         }
+    }
+
+    /// Writes a candidate's durable truth back over diverged media.
+    fn heal(&self, pool: &mut PmPool, ledger: &mut RevertLedger, seq: u64, addr: u64, data: &[u8]) {
+        ledger.capture(pool, addr, data.len());
+        let _ = pool.write(addr, data);
+        let _ = pool.persist(addr, data.len() as u64);
+        ledger.by_addr.entry(addr).or_default();
+        self.recorder.event(
+            "reactor.heal",
+            vec![("seq", Value::from(seq)), ("addr", Value::from(addr))],
+        );
     }
 
     /// Purge one sequence number: revert its entry to `depth` versions
@@ -1333,6 +1680,7 @@ impl<'a> Reactor<'a> {
         pool: &mut PmPool,
         log_rc: &SharedLog,
         plan: &Plan,
+        facts: &mut LogFacts,
         trace: &PmTrace,
         seq: u64,
         depth: usize,
@@ -1343,7 +1691,7 @@ impl<'a> Reactor<'a> {
         // Externally corrupted entries (divergence) did not propagate via
         // program writes: restoring the durable truth needs no sibling or
         // forward-dependency expansion.
-        let externally_corrupted = seq_diverged(&log_rc.view(), pool, seq);
+        let externally_corrupted = facts.diverged(log_rc, pool, ledger, seq).is_some();
         // Transaction siblings (§4.6) — a transaction's members may span
         // shards, so the merged view collects them all.
         if !externally_corrupted {
@@ -1384,7 +1732,6 @@ impl<'a> Reactor<'a> {
                     break;
                 }
             }
-            let log = log_rc.view();
             for at in seen {
                 if !self.analysis.pm.pm_writes.contains(&at) {
                     continue;
@@ -1392,37 +1739,33 @@ impl<'a> Reactor<'a> {
                 let Some(guid) = self.guid_map.guid_of(at) else {
                     continue;
                 };
-                for &off in trace.offsets(guid) {
-                    for (_, s2) in log.covering(off) {
-                        if s2 > seq {
-                            worklist.push(s2);
-                        }
-                    }
-                }
+                let later = facts.join(at, trace.offsets(guid)).map(|(_, s2)| s2);
+                worklist.extend(later.filter(|&s2| s2 > seq));
             }
         }
         worklist.sort_unstable();
         worklist.dedup();
+        {
+            let log = log_rc.view();
+            for &s in &worklist {
+                facts.learn(&log, s);
+            }
+        }
         for s in worklist {
+            let Some(addr) = facts.addr(s) else {
+                continue;
+            };
+            // External corruption (durable bytes diverging from what the
+            // log says they should be, e.g. a bit flip that never passed a
+            // durability point): the reversion step is "restore the last
+            // known durable state".
+            let diverged = facts
+                .diverged(log_rc, pool, ledger, s)
+                .map(|(_, expected)| expected.to_vec());
             // View dropped before the pool write/persist below.
-            let (addr, data) = {
-                let log = log_rc.view();
-                let Some(addr) = log.addr_of_seq(s) else {
-                    continue;
-                };
-                // External corruption (durable bytes diverging from what
-                // the log says they should be, e.g. a bit flip that never
-                // passed a durability point): the reversion step is
-                // "restore the last known durable state".
-                let data = if seq_diverged(&log, pool, s) {
-                    log.expected_current(addr)
-                } else {
-                    log.data_at_depth(addr, depth)
-                };
-                let Some(data) = data else {
-                    continue;
-                };
-                (addr, data)
+            let data = diverged.or_else(|| log_rc.view().data_at_depth(addr, depth));
+            let Some(data) = data else {
+                continue;
             };
             ledger.capture(pool, addr, data.len());
             let _ = pool.write(addr, &data);
@@ -1432,9 +1775,12 @@ impl<'a> Reactor<'a> {
             let slot = ledger.by_addr.entry(addr).or_default();
             if let Some(e) = log.entry(addr) {
                 let n = e.versions.len();
-                for v in e.versions.iter().skip(n.saturating_sub(depth)) {
-                    slot.insert(v.seq);
-                }
+                slot.extend(
+                    e.versions
+                        .iter()
+                        .skip(n.saturating_sub(depth))
+                        .map(|v| v.seq),
+                );
             }
         }
     }
@@ -1488,35 +1834,34 @@ impl<'a> Reactor<'a> {
         used
     }
 
-    /// Time-ordered rollback: restore every address touched at or after
-    /// `cut` to its state just before `cut`.
+    /// Time-ordered rollback: restore every address `touched` at or after
+    /// `cut` (ascending) to its state just before `cut`, and account each
+    /// one's versions from `cut` on as discarded.
     fn rollback_to(
         &self,
         pool: &mut PmPool,
         log_rc: &SharedLog,
+        touched: &[u64],
         cut: u64,
         ledger: &mut RevertLedger,
     ) {
         let victims: Vec<(u64, Vec<u8>)> = {
             let log = log_rc.view();
-            log.addrs_touched_since(cut)
-                .into_iter()
-                .filter_map(|a| log.data_before_seq(a, cut).map(|d| (a, d)))
+            touched
+                .iter()
+                .filter_map(|&a| log.data_before_seq(a, cut).map(|d| (a, d)))
                 .collect()
         };
         for (addr, data) in victims {
             ledger.capture(pool, addr, data.len());
             let _ = pool.write(addr, &data);
             let _ = pool.persist(addr, data.len() as u64);
-            ledger.by_addr.entry(addr).or_default();
         }
         let log = log_rc.view();
-        for s in log.all_seqs() {
-            if s >= cut {
-                if let Some(addr) = log.addr_of_seq(s) {
-                    ledger.by_addr.entry(addr).or_default().insert(s);
-                }
-            }
+        for &addr in touched {
+            let since = log.entry(addr).into_iter().flat_map(|e| &e.versions);
+            let slot = ledger.by_addr.entry(addr).or_default();
+            slot.extend(since.map(|v| v.seq).filter(|&s| s >= cut));
         }
     }
 

@@ -325,3 +325,210 @@ fn transactional_app_recovers_with_sibling_grouping() {
     assert_eq!(flag, 0, "flag reverted");
     assert_ne!(value, 666, "the poisoned value went with its transaction");
 }
+
+// ---- which candidates the heal below a rollback cut re-examines ------------
+
+/// Root-relative writes for the heal-boundary cases. `w(off, v)` stores and
+/// persists 8 bytes at `off`; `wide(off, v, from, len)` stores 8 bytes at
+/// `off` but persists `[from, from + len)`. `get()` dereferences the word at
+/// 64, so it faults on whatever small value that holds: every attempt
+/// fails, and the cases read the reactor's timeline rather than its
+/// verdict.
+fn build_heal_app() -> Module {
+    let mut m = ModuleBuilder::new();
+    {
+        let mut f = m.func("w", 2, false);
+        let size = f.konst(4096);
+        let root = f.pm_root(size);
+        let off = f.param(0);
+        let p = f.gep_dyn(root, off);
+        let v = f.param(1);
+        f.store8(p, v);
+        f.pm_persist_c(p, 8);
+        f.ret(None);
+        f.finish();
+    }
+    {
+        let mut f = m.func("wide", 4, false);
+        let size = f.konst(4096);
+        let root = f.pm_root(size);
+        let off = f.param(0);
+        let p = f.gep_dyn(root, off);
+        let v = f.param(1);
+        f.store8(p, v);
+        let from = f.param(2);
+        let q = f.gep_dyn(root, from);
+        let len = f.param(3);
+        f.pm_persist(q, len);
+        f.ret(None);
+        f.finish();
+    }
+    {
+        let mut f = m.func("get", 0, true);
+        let size = f.konst(4096);
+        let root = f.pm_root(size);
+        let p = f.gep(root, 64);
+        let v = f.load8(p);
+        let w = f.load8(v);
+        f.ret(Some(w));
+        f.finish();
+    }
+    {
+        let mut f = m.func("recover", 0, false);
+        f.recover_begin();
+        let size = f.konst(4096);
+        let root = f.pm_root(size);
+        f.load8(root);
+        f.recover_end();
+        f.ret(None);
+        f.finish();
+    }
+    m.finish().unwrap()
+}
+
+/// Runs `calls` on the heal app, flips a bit at root offset `flip` of the
+/// crashed image when given, and mitigates under `cfg`. Returns the root
+/// offset, the log, and `(attempt, seq)` of every `reactor.heal` — each
+/// heal numbered by the `reactor.attempt` it follows.
+fn heals_by_attempt(
+    calls: &[(&str, &[u64])],
+    flip: Option<u64>,
+    cfg: ReactorConfig,
+) -> (u64, SharedLog, Vec<(u64, u64)>) {
+    use obs::{Instrument as _, RingRecorder, Value};
+    let module = build_heal_app();
+    let out = analyze_and_instrument(&module);
+    let instrumented = Arc::new(out.instrumented.clone());
+    let log = SharedLog::new();
+    let mut trace = PmTrace::new();
+    let mut vm = Vm::new(instrumented.clone(), new_pool(), VmOpts::default());
+    vm.pool_mut().set_sink(log.as_sink());
+    for (func, args) in calls {
+        vm.call(func, args).unwrap();
+    }
+    let err = vm.call("get", &[]).unwrap_err();
+    trace.absorb(vm.take_trace());
+    let failure = FailureRecord::from_vm(&err);
+    let mut pool = vm.crash();
+    let root = pool.root_offset().unwrap();
+    if let Some(off) = flip {
+        pool.corrupt_bit(root + off, 0).unwrap();
+    }
+    let ring = Arc::new(RingRecorder::new(4096));
+    let mut reactor = Reactor::new(&out.analysis, &out.guid_map, cfg);
+    reactor.instrument(ring.clone());
+    let mut target = AppTarget {
+        module: instrumented,
+        log: log.clone(),
+    };
+    reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target, None);
+    assert_eq!(ring.dropped(), 0);
+    let field = |fields: &[(&str, Value)], name: &str| match fields.iter().find(|f| f.0 == name) {
+        Some((_, Value::U64(v))) => *v,
+        other => panic!("{name}: {other:?}"),
+    };
+    let mut attempt = 0;
+    let mut heals = Vec::new();
+    for ev in ring.events() {
+        match ev.kind {
+            "reactor.attempt" => attempt = field(&ev.fields, "attempt"),
+            "reactor.heal" => heals.push((attempt, field(&ev.fields, "seq"))),
+            _ => {}
+        }
+    }
+    (root, log, heals)
+}
+
+/// The newest logged seq at root offset `off`.
+fn newest_seq(log: &SharedLog, root: u64, off: u64) -> u64 {
+    log.view()
+        .entry(root + off)
+        .unwrap()
+        .versions
+        .back()
+        .unwrap()
+        .seq
+}
+
+fn cumulative_rollback() -> ReactorConfig {
+    ReactorConfig::builder()
+        .mode(Mode::Rollback)
+        .build()
+        .unwrap()
+}
+
+/// A heal owed only because an entry in the candidate's overlay window was
+/// written after the cut. The word at 64 was last persisted by itself as
+/// 5; a later 16-byte persist starting at 56 carried 7 over it. The first
+/// attempt cuts at that persist, and its rollback rewrites only the 8 bytes
+/// the entry at 56 held before — so the pool still shows 7 at 64, while the
+/// durable truth as of the cut is 5. Neither a plan-time divergence (the
+/// pool matched the log) nor a written range (the rollback wrote
+/// `[56, 64)`) names the candidate: only the touched entry in its window.
+#[test]
+fn below_cut_heal_is_owed_to_a_post_cut_overlay() {
+    let calls: &[(&str, &[u64])] = &[("w", &[64, 5]), ("w", &[56, 9]), ("wide", &[64, 7, 56, 16])];
+    let (root, log, heals) = heals_by_attempt(calls, None, cumulative_rollback());
+    let word = newest_seq(&log, root, 64);
+    assert!(
+        heals.contains(&(1, word)),
+        "the first rollback heals the word at 64 back to its pre-cut bytes: {heals:?}"
+    );
+}
+
+/// A heal owed only because the lineage's own rollback wrote over the
+/// candidate. Cumulative attempts walk the plan (the entry at 128, then the
+/// word at 64), so by the end of the first version depth the rollback has
+/// rewritten the word to its older version 5. The second depth starts
+/// again at the top, cutting at the entry at 128 (whose older version has
+/// the same bytes, so it is not healed instead): nothing in the word's
+/// window was touched since that cut and it did not diverge on the crashed
+/// image, but the pool holds 5 where the durable truth is 6.
+#[test]
+fn below_cut_heal_is_owed_to_the_lineages_own_rollback() {
+    let calls: &[(&str, &[u64])] = &[
+        ("w", &[128, 7]),
+        ("w", &[64, 5]),
+        ("w", &[64, 6]),
+        ("w", &[128, 7]),
+    ];
+    let (root, log, heals) = heals_by_attempt(calls, None, cumulative_rollback());
+    let word = newest_seq(&log, root, 64);
+    assert!(
+        !heals.iter().any(|&(a, _)| a <= 2),
+        "nothing to heal in the first depth: {heals:?}"
+    );
+    assert!(
+        heals.contains(&(3, word)),
+        "the second depth's first attempt heals the word the first depth rolled back: {heals:?}"
+    );
+}
+
+/// A candidate that diverged on the crashed image (a bit flip after its
+/// last persist) is healed on every online rollback attempt, not only the
+/// one whose batch holds it: each attempt starts over from the crashed
+/// image, and on the third the rollback writes nothing near it.
+#[test]
+fn plan_time_divergence_heals_on_the_third_rollback_attempt() {
+    let calls: &[(&str, &[u64])] = &[
+        ("w", &[200, 3]),
+        ("w", &[64, 5]),
+        ("w", &[72, 5]),
+        ("w", &[80, 5]),
+        ("w", &[88, 5]),
+        ("w", &[96, 5]),
+    ];
+    let cfg = ReactorConfig::serving()
+        .to_builder()
+        .mode(Mode::Rollback)
+        .build()
+        .unwrap();
+    let (root, log, heals) = heals_by_attempt(calls, Some(200), cfg);
+    let flipped = newest_seq(&log, root, 200);
+    for attempt in 1..=3 {
+        assert!(
+            heals.contains(&(attempt, flipped)),
+            "attempt {attempt} heals the flipped word: {heals:?}"
+        );
+    }
+}

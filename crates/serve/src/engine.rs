@@ -177,6 +177,16 @@ pub struct MitigationSummary {
     /// Recovery came from promoting a replica rather than reverting
     /// the primary image.
     pub failed_over: bool,
+    /// The outcome's phase split ([`arthas::PhaseTimes`]) in
+    /// microseconds: slicing, the rest of planning, applying reversions,
+    /// re-executing. Disjoint, so they sum to at most `wall_us`.
+    pub slice_us: u64,
+    /// See `slice_us`.
+    pub plan_us: u64,
+    /// See `slice_us`.
+    pub revert_us: u64,
+    /// See `slice_us`.
+    pub reexec_us: u64,
 }
 
 /// The single-threaded serving engine.
@@ -670,7 +680,11 @@ impl Engine {
                 self.group = PoolGroup::new(&pool, self.cfg.replicas, base);
             }
         }
-        let wall_us = out.wall.as_micros().min(u64::MAX as u128) as u64;
+        let us = |d: std::time::Duration| d.as_micros().min(u64::MAX as u128) as u64;
+        let wall_us = us(out.wall);
+        let phases = &out.phases;
+        let (slice_us, plan_us) = (us(phases.slice), us(phases.plan));
+        let (revert_us, reexec_us) = (us(phases.revert), us(phases.reexec));
         if out.failed_over {
             // Kept separately from `last_mitigation_wall_us`: an
             // escalated reversion may run after this failover, and
@@ -685,6 +699,10 @@ impl Engine {
                 ("discarded_updates", out.discarded_updates.into()),
                 ("wall_us", wall_us.into()),
                 ("failed_over", out.failed_over.into()),
+                ("slice_us", slice_us.into()),
+                ("plan_us", plan_us.into()),
+                ("revert_us", revert_us.into()),
+                ("reexec_us", reexec_us.into()),
             ],
         );
         self.recorder.observe_us("serve.mitigation_us", wall_us);
@@ -694,6 +712,10 @@ impl Engine {
             discarded_updates: out.discarded_updates,
             wall_us,
             failed_over: out.failed_over,
+            slice_us,
+            plan_us,
+            revert_us,
+            reexec_us,
         });
         pool
     }
@@ -806,6 +828,14 @@ impl Engine {
                 "last_mitigation_failed_over".into(),
                 u8::from(m.failed_over).to_string(),
             ));
+            for (phase, us) in [
+                ("slice", m.slice_us),
+                ("plan", m.plan_us),
+                ("revert", m.revert_us),
+                ("reexec", m.reexec_us),
+            ] {
+                kvs.push((format!("last_mitigation_{phase}_us"), us.to_string()));
+            }
         }
         if let Some(w) = self.last_failover_wall_us {
             kvs.push(("last_failover_wall_us".into(), w.to_string()));
@@ -1004,6 +1034,28 @@ mod tests {
         assert!(kinds.contains(&"serve.fault_armed"));
         assert!(kinds.contains(&"serve.mitigation_end"));
         assert!(kinds.contains(&"serve.recovered"));
+        // The outage's split is readable from `stats`: four disjoint
+        // phases inside the mitigation's wall time.
+        let Reply::Stats(kvs) = e.stats_reply(&[]) else {
+            panic!("stats reply");
+        };
+        crate::stats::validate_stats(&kvs).expect("schema-valid stats");
+        let stat = |name: &str| -> u64 {
+            let (_, v) = kvs
+                .iter()
+                .find(|(k, _)| k == name)
+                .unwrap_or_else(|| panic!("missing stat {name}"));
+            v.parse().unwrap_or_else(|_| panic!("{name} = {v:?}"))
+        };
+        let phases: u64 = ["slice", "plan", "revert", "reexec"]
+            .iter()
+            .map(|p| stat(&format!("last_mitigation_{p}_us")))
+            .sum();
+        assert!(stat("last_mitigation_reexec_us") > 0);
+        assert!(
+            phases <= stat("last_mitigation_wall_us"),
+            "phases {phases} us exceed the wall"
+        );
     }
 
     #[test]

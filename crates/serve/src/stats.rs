@@ -59,6 +59,10 @@ pub fn stats_schema() -> Schema {
         Field::opt("last_mitigation_discarded", UInt),
         Field::opt("last_mitigation_wall_us", UInt),
         Field::opt("last_mitigation_failed_over", UInt),
+        Field::opt("last_mitigation_slice_us", UInt),
+        Field::opt("last_mitigation_plan_us", UInt),
+        Field::opt("last_mitigation_revert_us", UInt),
+        Field::opt("last_mitigation_reexec_us", UInt),
         Field::opt("last_failover_wall_us", UInt),
         Field::opt("op_p50_us", UInt),
         Field::opt("op_p99_us", UInt),
