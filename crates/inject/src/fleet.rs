@@ -683,6 +683,7 @@ pub fn run_fleet(
             s.spawn(|| loop {
                 let i = prep_next.fetch_add(1, Ordering::Relaxed);
                 let Some(scn) = scenarios.get(i) else { break };
+                let t0 = Instant::now();
                 let prep = prepare_scenario(scn.as_ref(), campaign);
                 rec.event(
                     "fleet.scenario_ready",
@@ -690,6 +691,8 @@ pub fn run_fleet(
                         ("id", Value::Str(scn.id().to_string())),
                         ("sites", Value::U64(prep.sites_total)),
                         ("rows", Value::U64(prep.matrix.len() as u64)),
+                        ("prepare_us", Value::U64(t0.elapsed().as_micros() as u64)),
+                        ("replays", Value::U64(u64::from(prep.replays))),
                     ],
                 );
                 *prep_slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(prep);
@@ -864,7 +867,12 @@ pub fn run_fleet(
     let report = FleetReport {
         campaign: CampaignReport {
             scenarios: scenario_reports,
-            config: campaign.clone(),
+            // The report keeps no analysis cache alive: nothing reads
+            // it from a finished campaign.
+            config: CampaignConfig {
+                cache: None,
+                ..campaign.clone()
+            },
         },
         workers,
         executed,

@@ -100,7 +100,9 @@ pub struct MinedInvariants {
     pub promoted: Vec<MinedInvariant>,
     /// Candidates discarded by the promotion protocol.
     pub discarded: u64,
-    /// Passing seeds mined (each one full un-injected run).
+    /// Passing seeds the promoted set holds under: always
+    /// [`MINING_SEEDS`]. It counts seeds, not runs: a run that never read
+    /// its seed stands for every seed and is replayed once.
     pub seeds: u32,
 }
 
@@ -301,6 +303,9 @@ pub(crate) struct PassingRun {
     pub(crate) pool: PmPool,
     log: SharedLog,
     trace: PmTrace,
+    /// Whether the run read its seed; when it did not, every seed
+    /// replays this same run.
+    seed_read: bool,
 }
 
 impl PassingRun {
@@ -319,11 +324,13 @@ impl PassingRun {
                 pool: c.pool,
                 log: c.log,
                 trace: c.trace,
+                seed_read: c.seed_read,
             },
             InjectionOutcome::HardFailure(p) => PassingRun {
                 pool: p.pool,
                 log: p.log,
                 trace: p.trace,
+                seed_read: p.seed_read,
             },
             InjectionOutcome::SiteCrash(_) => unreachable!("no injection is armed"),
         }
@@ -338,6 +345,10 @@ impl PassingRun {
 /// prefix, and requiring candidates to hold in its final durable state
 /// only discards more — promotion stays sound. Candidates must be
 /// *observed* in, and hold on, every run.
+///
+/// A first run that never read its seed is the run of every seed (the
+/// replay contract), so the other seeds are not replayed: promotion over
+/// copies of one run is promotion over that run.
 pub fn mine(
     scn: &dyn Scenario,
     setup: &AppSetup,
@@ -345,21 +356,24 @@ pub fn mine(
     recorder: Option<&dyn Recorder>,
 ) -> MinedInvariants {
     let first = PassingRun::replay(scn, setup, base_seed);
-    mine_from(first, scn, setup, base_seed, recorder)
+    mine_from(first, scn, setup, base_seed, recorder).0
 }
 
 /// [`mine`] with the `base_seed` run already in hand — a campaign's site
-/// enumeration is that same replay, so it is not run twice.
+/// enumeration is that same replay, so it is not run twice. Also returns
+/// the runs mined, `first` included: [`MINING_SEEDS`] when `first` read
+/// its seed, else 1.
 pub(crate) fn mine_from(
     first: PassingRun,
     scn: &dyn Scenario,
     setup: &AppSetup,
     base_seed: u64,
     recorder: Option<&dyn Recorder>,
-) -> MinedInvariants {
+) -> (MinedInvariants, u32) {
+    let replays = if first.seed_read { MINING_SEEDS } else { 1 };
     let mut runs = vec![first];
     let mut seed = base_seed;
-    for _ in 1..MINING_SEEDS {
+    for _ in 1..replays {
         seed = splitmix(seed);
         runs.push(PassingRun::replay(scn, setup, seed));
     }
@@ -468,9 +482,10 @@ pub(crate) fn mine_from(
             ],
         );
     }
-    MinedInvariants {
+    let mined = MinedInvariants {
         promoted: promoted.into_iter().collect(),
         discarded,
         seeds: MINING_SEEDS,
-    }
+    };
+    (mined, replays)
 }

@@ -915,6 +915,9 @@ pub(crate) struct PreparedScenario<'a> {
     pub sites_total: u64,
     pub matrix: Vec<MatrixRow>,
     pub mined: Option<MinedInvariants>,
+    /// Un-injected runs prepare took: the enumeration run plus any
+    /// further mining replays.
+    pub replays: u32,
 }
 
 impl PreparedScenario<'_> {
@@ -953,9 +956,12 @@ pub(crate) fn prepare_scenario<'a>(
     let enumerated = invariants::PassingRun::replay(scn, &setup, cfg.seed);
     let sites_total = enumerated.pool.site_count();
     let kinds = enumerated.pool.site_kinds().to_vec();
-    let mined = cfg
-        .invariants
-        .then(|| invariants::mine_from(enumerated, scn, &setup, cfg.seed, None));
+    let (mined, replays) = if cfg.invariants {
+        let (mined, replays) = invariants::mine_from(enumerated, scn, &setup, cfg.seed, None);
+        (Some(mined), replays)
+    } else {
+        (None, 1)
+    };
 
     let matrix = build_matrix(sites_total, &kinds, cfg).unwrap_or_else(|e| {
         panic!("{}: {e:?} — enumeration census is broken", scn.id());
@@ -967,6 +973,7 @@ pub(crate) fn prepare_scenario<'a>(
         sites_total,
         matrix,
         mined,
+        replays,
     }
 }
 

@@ -1,10 +1,13 @@
 //! Shared by the integration tests: an un-journaled run of the campaign
-//! runtime, and the matrix pinned from the deleted sequential runner.
+//! runtime, an un-injected replay as the miner runs it, and the matrix
+//! pinned from the deleted sequential runner.
 #![allow(dead_code)]
 
+use arthas::{PmTrace, SharedLog};
 use inject::{run_fleet, CampaignConfig, CampaignReport, FleetConfig, ScenarioCampaign};
 use obs::Json;
-use pm_workload::scenarios;
+use pm_workload::{run_with_injection, scenarios, AppSetup, InjectionOutcome, RunConfig, Scenario};
+use pmemsim::PmPool;
 
 /// Runs `ids` under `cfg` with journaling off and requires a complete
 /// matrix.
@@ -22,6 +25,40 @@ pub fn campaign(ids: &[&str], cfg: &CampaignConfig) -> CampaignReport {
 /// [`campaign`] over one scenario.
 pub fn scenario(id: &str, cfg: &CampaignConfig) -> ScenarioCampaign {
     campaign(&[id], cfg).scenarios.remove(0)
+}
+
+/// One un-injected run as the miner replays it (site census on, no
+/// pmCRIU snapshots): the final pool, log and trace, and whether the run
+/// read its seed.
+pub struct Run {
+    pub pool: PmPool,
+    pub log: SharedLog,
+    pub trace: PmTrace,
+    pub seed_read: bool,
+}
+
+pub fn replay(scn: &dyn Scenario, setup: &AppSetup, seed: u64) -> Run {
+    let cfg = RunConfig {
+        seed,
+        criu: false,
+        record_sites: true,
+        ..RunConfig::default()
+    };
+    match run_with_injection(scn, setup, &cfg) {
+        InjectionOutcome::Completed(c) => Run {
+            pool: c.pool,
+            log: c.log,
+            trace: c.trace,
+            seed_read: c.seed_read,
+        },
+        InjectionOutcome::HardFailure(p) => Run {
+            pool: p.pool,
+            log: p.log,
+            trace: p.trace,
+            seed_read: p.seed_read,
+        },
+        InjectionOutcome::SiteCrash(_) => unreachable!("no injection armed"),
+    }
 }
 
 /// The `scenarios` and `totals` subtrees of a matrix document — what a

@@ -2,11 +2,13 @@
 //! sequential runner at every worker count, kill-and-resume
 //! correctness, and journal header validation.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use inject::{run_fleet, CampaignConfig, FleetConfig, FleetError, FleetReport};
-use obs::RingRecorder;
+use arthas::AnalysisCache;
+use inject::{invariants, run_fleet, CampaignConfig, FleetConfig, FleetError, FleetReport};
+use obs::{RingRecorder, Value};
 use pm_workload::{scenarios, Scenario};
 
 mod common;
@@ -246,6 +248,10 @@ fn fleet_recorder_sees_queue_lifecycle() {
     let events = rec.events();
     let count = |kind: &str| events.iter().filter(|e| e.kind == kind).count() as u64;
     assert_eq!(count("fleet.scenario_ready"), 3);
+    assert!(
+        ready_replays(&rec).values().all(|&r| r == 1),
+        "with the oracle off, prepare is the enumeration run alone"
+    );
     assert_eq!(count("fleet.trial_done"), report.executed);
     assert_eq!(count("fleet.queue_built"), 1);
     assert_eq!(count("fleet.done"), 1);
@@ -254,4 +260,69 @@ fn fleet_recorder_sees_queue_lifecycle() {
         Some(report.executed)
     );
     assert!(rec.histograms().contains_key("fleet.trial_us"));
+}
+
+/// `replays` of every `fleet.scenario_ready` event, by scenario id, with
+/// each event's `prepare_us` required present.
+fn ready_replays(rec: &RingRecorder) -> BTreeMap<String, u64> {
+    rec.events()
+        .iter()
+        .filter(|e| e.kind == "fleet.scenario_ready")
+        .map(|e| {
+            let field = |name: &str| {
+                e.fields
+                    .iter()
+                    .find(|(k, _)| *k == name)
+                    .map(|(_, v)| v.clone())
+                    .unwrap_or_else(|| panic!("scenario_ready has no {name}"))
+            };
+            let (Value::Str(id), Value::U64(replays), Value::U64(_)) =
+                (field("id"), field("replays"), field("prepare_us"))
+            else {
+                panic!("scenario_ready fields have the wrong types: {:?}", e.fields);
+            };
+            (id, replays)
+        })
+        .collect()
+}
+
+/// Prepare says what it cost: f1 never reads its seed, so its enumeration
+/// run is all the mining it needs; f5 reads its seed and replays every
+/// mining seed.
+#[test]
+fn scenario_ready_reports_the_replays_prepare_ran() {
+    let rec = Arc::new(RingRecorder::new(4096));
+    let cfg = CampaignConfig::builder()
+        .stride(8)
+        .budget(4)
+        .runners(2)
+        .invariants(true)
+        .build()
+        .unwrap();
+    let fleet = FleetConfig::builder(cfg)
+        .recorder(rec.clone())
+        .build()
+        .unwrap();
+    run_fleet(&scenarios::by_ids(&["f1", "f5"]).unwrap(), &fleet).unwrap();
+    let replays = ready_replays(&rec);
+    assert_eq!(replays["f1"], 1);
+    assert_eq!(replays["f5"], u64::from(invariants::MINING_SEEDS));
+}
+
+/// A finished campaign does not keep its analysis cache alive: the
+/// report a caller holds on to carries the configuration without it.
+#[test]
+fn a_report_does_not_pin_the_analysis_cache() {
+    let cache = Arc::new(AnalysisCache::in_memory());
+    let cfg = CampaignConfig::builder()
+        .stride(8)
+        .budget(4)
+        .analysis_cache(Some(cache.clone()))
+        .build()
+        .unwrap();
+    let fleet = FleetConfig::builder(cfg).build().unwrap();
+    let report = run_fleet(&scenarios::by_ids(&["f4"]).unwrap(), &fleet).unwrap();
+    drop(fleet);
+    assert!(report.complete);
+    assert_eq!(Arc::strong_count(&cache), 1);
 }

@@ -7,28 +7,9 @@
 //! by construction, is convicted as silent corruption.
 
 use inject::{invariants, CampaignConfig, MinedInvariant, TrialVerdict};
-use pm_workload::{run_with_injection, scenarios, AppSetup, InjectionOutcome, RunConfig};
+use pm_workload::{scenarios, AppSetup};
 
 mod common;
-
-/// Runs a scenario un-injected under `seed` and returns its final pool,
-/// log and trace — the material the oracle checks.
-fn passing_run(
-    scn: &dyn pm_workload::Scenario,
-    setup: &AppSetup,
-    seed: u64,
-) -> (pmemsim::PmPool, arthas::SharedLog, arthas::PmTrace) {
-    let cfg = RunConfig {
-        seed,
-        criu: false,
-        ..RunConfig::default()
-    };
-    match run_with_injection(scn, setup, &cfg) {
-        InjectionOutcome::Completed(c) => (c.pool, c.log, c.trace),
-        InjectionOutcome::HardFailure(p) => (p.pool, p.log, p.trace),
-        InjectionOutcome::SiteCrash(_) => unreachable!("no injection armed"),
-    }
-}
 
 /// Promotion soundness: invariants mined from the campaign seed hold on
 /// the final state of passing runs under four seeds the miner never saw,
@@ -41,8 +22,9 @@ fn promoted_invariants_hold_across_scenarios_and_seeds() {
         let mined = invariants::mine(scn.as_ref(), &setup, 1, None);
         assert_eq!(mined.seeds, invariants::MINING_SEEDS);
         for seed in [2u64, 3, 5, 8] {
-            let (mut pool, log, trace) = passing_run(scn.as_ref(), &setup, seed);
-            let viols = invariants::check_image(&mined.promoted, &mut pool, &log, &trace, true);
+            let mut run = common::replay(scn.as_ref(), &setup, seed);
+            let viols =
+                invariants::check_image(&mined.promoted, &mut run.pool, &run.log, &run.trace, true);
             assert!(
                 viols.is_empty(),
                 "{} seed {seed}: promoted invariant(s) false-fired on a \

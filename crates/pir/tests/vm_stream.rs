@@ -9,7 +9,6 @@
 //! bytes. Any interpreter must reproduce the file byte for byte.
 //! `UPDATE_GOLDEN=1 cargo test -p pir --test vm_stream` regenerates it.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -175,11 +174,7 @@ fn production(out: &mut String, scn: &dyn Scenario) {
     };
     let log = SharedLog::new();
     let mut pool = Some(PmPool::create(POOL_SIZE).unwrap());
-    let mut ctx = RunCtx {
-        seed: 1,
-        restarts: 0,
-        scratch: HashMap::new(),
-    };
+    let mut ctx = RunCtx::new(1);
     let (mut t, mut traps) = (0u64, 0);
     'run: loop {
         let mut vm = Vm::new(setup.instrumented.clone(), pool.take().unwrap(), opts);

@@ -79,8 +79,10 @@ pub enum Drive {
 
 /// Mutable per-run scenario context.
 pub struct RunCtx {
-    /// Run seed (used by randomized scenarios for trigger placement).
-    pub seed: u64,
+    /// Run seed, read only through [`RunCtx::seed`].
+    seed: u64,
+    /// Whether the run has read its seed.
+    seed_read: bool,
     /// Number of restarts so far.
     pub restarts: u32,
     /// Scenario scratch counters.
@@ -88,12 +90,22 @@ pub struct RunCtx {
 }
 
 impl RunCtx {
-    fn new(seed: u64) -> Self {
+    /// A fresh context for a run under `seed`.
+    pub fn new(seed: u64) -> Self {
         RunCtx {
             seed,
+            seed_read: false,
             restarts: 0,
             scratch: HashMap::new(),
         }
+    }
+
+    /// The run seed (randomized trigger placement, seeded payloads). The
+    /// read is recorded: a run that never makes it is, by the replay
+    /// contract, the same run under every seed.
+    pub fn seed(&mut self) -> u64 {
+        self.seed_read = true;
+        self.seed
     }
 
     /// Adds `delta` to a named counter and returns the new value.
@@ -154,7 +166,12 @@ pub trait Scenario: Sync {
     fn is_leak(&self) -> bool {
         false
     }
-    /// Whether the trigger time is randomized across seeds (f5, f8).
+    /// Whether the trigger time is randomized across seeds (f5, f8): the
+    /// Table 2 metadata `reproduce` renders. It is not how the harness
+    /// tells a seed-dependent run: that is whether the run called
+    /// [`RunCtx::seed`] (`seed_read` on [`Production`] and
+    /// [`CompletedRun`]), which fx1's seeded payloads also do. For the
+    /// stock scenarios the two agree, and a test keeps them so.
     fn randomized(&self) -> bool {
         false
     }
@@ -195,6 +212,8 @@ pub struct Production {
     /// The recorder attached during production (re-attached to the
     /// reactor by [`mitigate`]).
     pub recorder: Option<Arc<dyn obs::Recorder>>,
+    /// Whether the run read its seed ([`RunCtx::seed`]).
+    pub seed_read: bool,
 }
 
 /// Which auxiliary machinery runs during production.
@@ -297,6 +316,9 @@ pub struct CompletedRun {
     pub log: SharedLog,
     /// The complete dynamic PM address trace of the run.
     pub trace: PmTrace,
+    /// Whether the run read its seed ([`RunCtx::seed`]). When it did
+    /// not, every seed replays this same run.
+    pub seed_read: bool,
 }
 
 /// How a production run under [`run_with_injection`] ended.
@@ -398,7 +420,7 @@ pub fn run_with_injection(
                         items_last,
                         alloc_last,
                         criu,
-                        ctx.restarts,
+                        &ctx,
                         detector,
                         cfg.recorder.clone(),
                     )));
@@ -456,7 +478,7 @@ pub fn run_with_injection(
                             items_last,
                             alloc_last,
                             criu,
-                            ctx.restarts,
+                            &ctx,
                             detector,
                             cfg.recorder.clone(),
                         )));
@@ -502,7 +524,7 @@ pub fn run_with_injection(
                 items_last,
                 alloc_last,
                 criu,
-                ctx.restarts,
+                &ctx,
                 detector,
                 cfg.recorder.clone(),
             )));
@@ -511,6 +533,7 @@ pub fn run_with_injection(
             pool: p,
             log,
             trace,
+            seed_read: ctx.seed_read,
         }));
     }
 }
@@ -524,7 +547,7 @@ fn finish(
     items_before: u64,
     allocated_before: u64,
     criu: PmCriu,
-    restarts: u32,
+    ctx: &RunCtx,
     detector: Detector,
     recorder: Option<Arc<dyn obs::Recorder>>,
 ) -> Production {
@@ -536,10 +559,11 @@ fn finish(
         items_before,
         allocated_before,
         criu,
-        restarts,
+        restarts: ctx.restarts,
         detected_hard: true,
         detector,
         recorder,
+        seed_read: ctx.seed_read,
     }
 }
 

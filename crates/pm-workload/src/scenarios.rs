@@ -432,7 +432,7 @@ impl Scenario for F5RehashBitflip {
         "kv_recover"
     }
     fn drive(&self, vm: &mut Vm, t: u64, ctx: &mut RunCtx) -> Result<Drive, VmError> {
-        let trigger = Self::trigger_at(ctx.seed);
+        let trigger = Self::trigger_at(ctx.seed());
         match t {
             0..=4 => {
                 // Fast initial fill: force a completed expansion so the
@@ -679,7 +679,7 @@ impl Scenario for F8SlowlogLeak {
         "ldb_recover"
     }
     fn drive(&self, vm: &mut Vm, t: u64, ctx: &mut RunCtx) -> Result<Drive, VmError> {
-        let onset = Self::onset(ctx.seed);
+        let onset = Self::onset(ctx.seed());
         // Benign foreground traffic.
         let k = 2 + (t % 4);
         call(vm, "rpush", &[k, 24, (t & 0x7F).max(1)])?;
@@ -1074,10 +1074,10 @@ impl Scenario for FxUnorderedPublish {
     fn drive(&self, vm: &mut Vm, t: u64, ctx: &mut RunCtx) -> Result<Drive, VmError> {
         if t < Self::PUTS {
             // Seed-dependent non-zero payloads, deterministic per tick.
-            let k = 1 + hash_seed(ctx.seed ^ t) % 997;
+            let k = 1 + hash_seed(ctx.seed() ^ t) % 997;
             call(vm, "ob_put", &[k])?;
         } else {
-            let k = 1 + hash_seed(ctx.seed ^ (t % Self::PUTS)) % 997;
+            let k = 1 + hash_seed(ctx.seed() ^ (t % Self::PUTS)) % 997;
             call(vm, "ob_get", &[k])?;
         }
         Ok(Drive::Continue)
