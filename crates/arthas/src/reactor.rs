@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use pir::ir::InstRef;
 use pir_analysis::{backward_slice, ModuleAnalysis, Slice};
-use pmemsim::{PmPool, PoolGroup};
+use pmemsim::{capture_reads, PmPool, PoolGroup, ReadSet};
 
 use obs::Value;
 
@@ -302,6 +302,12 @@ const MAX_SLICE_NODES: usize = 100_000;
 /// for leak mitigation). The restart runs on a reopened copy of the pool,
 /// as a real restart would, and leaves the passed pool unmodified: the
 /// reactor knows every byte it wrote, and reuses what it read before.
+///
+/// The outcome must depend only on the bytes the re-execution reads from
+/// the pool's durable image, on the calling thread: the reactor captures
+/// those reads ([`pmemsim::capture_reads`]) and gives a later step whose
+/// image holds the same bytes at every one of them the earlier verdict
+/// without calling `reexecute` again (DESIGN §4.5).
 pub trait Target {
     /// Restart + verify; `Ok(())` means the system is operational.
     fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord>;
@@ -369,9 +375,14 @@ pub struct MitigationOutcome {
     /// Number of re-executions performed.
     pub attempts: u32,
     /// Number of re-execution *rounds*: waves of re-executions whose
-    /// restart delays overlap. Equals `attempts` at a wave width of one;
-    /// a width of `k` packs up to `k` attempts into one round.
+    /// restart delays overlap. A wave of one is one round per attempt it
+    /// did not skip (`reexec_rounds + skipped == attempts`); a width of
+    /// `k` packs up to `k` attempts into one round.
     pub reexec_rounds: u32,
+    /// Attempts that took the verdict of an earlier failed re-execution
+    /// instead of restarting: the earlier run read no byte their image
+    /// changes.
+    pub skipped: u32,
     /// Length of the candidate sequence list.
     pub plan_len: usize,
     /// The checkpoint sequence numbers that ended up reverted.
@@ -398,6 +409,7 @@ impl MitigationOutcome {
         plan_len: usize,
         attempts: u32,
         rounds: u32,
+        skipped: u32,
         wall: Duration,
         phases: PhaseTimes,
     ) -> Self {
@@ -406,6 +418,7 @@ impl MitigationOutcome {
             via_restart_only: false,
             attempts,
             reexec_rounds: rounds,
+            skipped,
             plan_len,
             reverted_seqs: BTreeSet::new(),
             discarded_updates: 0,
@@ -467,6 +480,61 @@ impl RevertLedger {
 
     fn touched(&self) -> u64 {
         self.by_addr.len() as u64
+    }
+}
+
+/// The newest failed re-execution the revert loop paid for: the bytes its
+/// restart read from its start image, and the verdict it reached. A
+/// restart is deterministic in the bytes it reads (see [`Target`]), so a
+/// step whose image holds the same bytes at every one of those offsets
+/// would read the same values, take the same path and fail the same way.
+struct Basis {
+    reads: ReadSet,
+    /// The start image's bytes at `reads`, range after range.
+    bytes: Vec<u8>,
+    failure: FailureRecord,
+}
+
+impl Basis {
+    /// `None` when `pool` holds stores that have not reached media: a
+    /// restart opens the durable image, which only a clean pool's reads
+    /// show.
+    fn new(pool: &PmPool, reads: ReadSet, failure: FailureRecord) -> Option<Basis> {
+        if pool.device().dirty_lines() != 0 {
+            return None;
+        }
+        let mut bytes = vec![0; reads.bytes() as usize];
+        let mut at = 0;
+        for r in reads.ranges() {
+            let n = (r.end - r.start) as usize;
+            pool.peek_into(r.start, &mut bytes[at..at + n]).ok()?;
+            at += n;
+        }
+        Some(Basis {
+            reads,
+            bytes,
+            failure,
+        })
+    }
+
+    /// The basis verdict, when `pool`'s durable image holds the basis
+    /// bytes at every offset the basis restart read.
+    fn verdict_for(&self, pool: &PmPool) -> Option<FailureRecord> {
+        if pool.device().dirty_lines() != 0 {
+            return None;
+        }
+        let mut buf = Vec::new();
+        let mut at = 0;
+        for r in self.reads.ranges() {
+            let n = (r.end - r.start) as usize;
+            buf.resize(n, 0);
+            pool.peek_into(r.start, &mut buf).ok()?;
+            if buf != self.bytes[at..at + n] {
+                return None;
+            }
+            at += n;
+        }
+        Some(self.failure.clone())
     }
 }
 
@@ -963,7 +1031,7 @@ impl<'a> Reactor<'a> {
             _ => (None, false),
         };
         // Standby-first hands failover an outcome with nothing attempted.
-        let mut out = MitigationOutcome::failed(0, 0, 0, t0.elapsed(), PhaseTimes::default());
+        let mut out = MitigationOutcome::failed(0, 0, 0, 0, t0.elapsed(), PhaseTimes::default());
         let mut planned = None;
         if !standby_first {
             let (plan, facts, phases) = match failure.fault {
@@ -1048,6 +1116,7 @@ impl<'a> Reactor<'a> {
                 ("restart_only", Value::from(out.via_restart_only)),
                 ("attempts", Value::from(out.attempts)),
                 ("rounds", Value::from(out.reexec_rounds)),
+                ("skipped", Value::from(out.skipped)),
                 ("discarded_updates", Value::from(out.discarded_updates)),
                 ("mode_fellback", Value::from(out.mode_fellback)),
                 ("leaks_freed", Value::from(out.leaks_freed)),
@@ -1250,6 +1319,7 @@ impl<'a> Reactor<'a> {
             via_restart_only: true,
             attempts: 1,
             reexec_rounds: 1,
+            skipped: 0,
             plan_len,
             reverted_seqs: BTreeSet::new(),
             discarded_updates: 0,
@@ -1288,10 +1358,20 @@ impl<'a> Reactor<'a> {
     ///   to the flipping step, flip, and continue with the next wave;
     /// * all failed → commit the last step's state and continue.
     ///
-    /// Every committed step emits `reactor.attempt`; the outcome is the
-    /// same at every width, only `reexec_rounds` (waves) shrinks. Waves
-    /// never cross a version-depth boundary: the candidate cursor resets
-    /// per depth.
+    /// Every committed step emits `reactor.attempt`, then a
+    /// `reactor.heal` per candidate it healed; the outcome is the same at
+    /// every width, only `reexec_rounds` (waves) shrinks. Waves never
+    /// cross a version-depth boundary: the candidate cursor resets per
+    /// depth.
+    ///
+    /// A step is re-executed only when it can differ (DESIGN §4.5). The
+    /// loop keeps the newest committed failure it paid a restart for as
+    /// its [`Basis`]: the bytes that restart read and its verdict. A step
+    /// built while its image holds those bytes takes that verdict without
+    /// restarting (`skipped`); a wave whose steps are all decided so pays
+    /// no round. Only `reexec_rounds` moves: attempts, the fallback order,
+    /// what is reverted and the final image are those of re-executing
+    /// every step.
     ///
     /// What a step costs besides its re-execution is bounded by what it
     /// changes: its batch, the addresses touched since its cut, and the
@@ -1328,6 +1408,11 @@ impl<'a> Reactor<'a> {
             batch: std::ops::Range<usize>,
             /// The attempt budget flipped purge to rollback at this step.
             budget_flip: bool,
+            /// `(seq, addr)` of every candidate the batch healed.
+            heals: Vec<(u64, u64)>,
+            /// The basis verdict, when the step's image holds every byte
+            /// the basis restart read: the step is not re-executed.
+            known: Option<FailureRecord>,
             /// Control state after this step, assuming it fails.
             after: Control,
         }
@@ -1365,8 +1450,15 @@ impl<'a> Reactor<'a> {
                         "batch_seqs",
                         Value::from(seq_list(&plan.seqs[step.batch.clone()])),
                     ),
+                    ("skipped", Value::from(step.known.is_some())),
                 ],
             );
+            for &(seq, addr) in &step.heals {
+                self.recorder.event(
+                    "reactor.heal",
+                    vec![("seq", Value::from(seq)), ("addr", Value::from(addr))],
+                );
+            }
         };
         let mut ctl = Control {
             next: 0,
@@ -1375,8 +1467,9 @@ impl<'a> Reactor<'a> {
             mode_fellback: false,
             stride: batch_size,
         };
-        let mut rounds = 0u32;
+        let (mut rounds, mut skipped) = (0u32, 0u32);
         let mut ledger = RevertLedger::default();
+        let mut basis: Option<Basis> = None;
         for depth in 1..=MAX_VERSIONS {
             ctl.next = 0;
             ctl.stride = batch_size;
@@ -1403,65 +1496,92 @@ impl<'a> Reactor<'a> {
                     if accelerate {
                         sim.stride = sim.stride.saturating_mul(2);
                     }
-                    let mut step = Step {
-                        scratch: if online {
-                            Some((pool.fork(), RevertLedger::default()))
-                        } else {
-                            steps.last().map(|prev| match &prev.scratch {
-                                Some((p, l)) => (p.fork(), l.clone()),
-                                None => (pool.fork(), ledger.clone()),
-                            })
-                        },
-                        batch,
-                        budget_flip,
-                        after: sim,
+                    let mut scratch = if online {
+                        Some((pool.fork(), RevertLedger::default()))
+                    } else {
+                        steps.last().map(|prev| match &prev.scratch {
+                            Some((p, l)) => (p.fork(), l.clone()),
+                            None => (pool.fork(), ledger.clone()),
+                        })
                     };
-                    if steps.is_empty() {
-                        // The first step is committed whatever its
-                        // verdict, so its events go out before its heals.
-                        announce(&step, depth);
-                    }
-                    let (p, l) = match &mut step.scratch {
+                    let (p, l) = match &mut scratch {
                         Some((p, l)) => (p, l),
                         None => (&mut *pool, &mut ledger),
                     };
-                    self.apply_batch(
+                    let heals = self.apply_batch(
                         p,
                         log_rc,
                         plan,
                         facts,
                         trace,
-                        step.batch.clone(),
+                        batch.clone(),
                         depth,
                         sim.mode,
                         fwd.as_ref(),
                         l,
                     );
+                    let known = basis.as_ref().and_then(|b| b.verdict_for(p));
+                    // A known purge panic flips the mode here: steps built
+                    // past it would be discarded, so none is.
+                    let flips = known
+                        .as_ref()
+                        .is_some_and(|f| sim.mode == Mode::Purge && f.kind == FailureKind::Panic);
+                    let step = Step {
+                        scratch,
+                        batch,
+                        budget_flip,
+                        heals,
+                        known,
+                        after: sim,
+                    };
+                    if steps.is_empty() {
+                        // The first step is committed whatever its
+                        // verdict, so its events go out now.
+                        announce(&step, depth);
+                    }
                     steps.push(step);
+                    if flips {
+                        break;
+                    }
                 }
                 phases.revert += t_rv.elapsed();
                 self.recorder
                     .observe_duration("reactor.revert_us", t_rv.elapsed());
-                // Re-execute: a wave of one here, a wider one on forks of
-                // the target.
-                rounds += 1;
+                // Re-execute the steps the basis does not decide: a wave
+                // of one here, a wider one on forks of the target. Each
+                // restart's reads are captured on the thread it runs on.
                 let t_re = Instant::now();
                 let wide = steps.len() > 1;
                 let mut live = Some(&mut *pool);
-                let mut pools = steps.iter_mut().map(|step| match &mut step.scratch {
-                    Some((p, _)) => p,
-                    None => live.take().expect("only a wave's first step is in place"),
-                });
-                let results: Vec<Option<FailureRecord>> = if !wide {
-                    let p = pools.next().expect("a wave has a step");
-                    vec![target.reexecute(p).err()]
+                let runs: Vec<(usize, &mut PmPool)> = steps
+                    .iter_mut()
+                    .enumerate()
+                    .filter_map(|(i, step)| {
+                        let p = match &mut step.scratch {
+                            Some((p, _)) => p,
+                            None => live.take().expect("only a wave's first step is in place"),
+                        };
+                        step.known.is_none().then_some((i, p))
+                    })
+                    .collect();
+                let ran: Vec<(usize, Option<FailureRecord>, ReadSet)> = if !wide {
+                    runs.into_iter()
+                        .map(|(i, p)| {
+                            let (r, reads) = capture_reads(|| target.reexecute(p));
+                            (i, r.err(), reads)
+                        })
+                        .collect()
                 } else {
                     let target = &*target;
                     std::thread::scope(|s| {
-                        let handles: Vec<_> = pools
-                            .map(|p| {
+                        let handles: Vec<_> = runs
+                            .into_iter()
+                            .map(|(i, p)| {
                                 let mut tgt = target.fork_target().expect("target forked before");
-                                s.spawn(move || tgt.reexecute(p).err())
+                                s.spawn(move || {
+                                    let (r, reads) = capture_reads(|| tgt.reexecute(p));
+                                    (i, r.err(), reads)
+                                })
                             })
                             .collect();
                         handles
@@ -1470,9 +1590,19 @@ impl<'a> Reactor<'a> {
                             .collect()
                     })
                 };
-                phases.reexec += t_re.elapsed();
-                self.recorder
-                    .observe_duration("reactor.reexec_us", t_re.elapsed());
+                if !ran.is_empty() {
+                    rounds += 1;
+                    phases.reexec += t_re.elapsed();
+                    self.recorder
+                        .observe_duration("reactor.reexec_us", t_re.elapsed());
+                }
+                let mut results: Vec<Option<FailureRecord>> =
+                    steps.iter().map(|step| step.known.clone()).collect();
+                let mut reads: Vec<Option<ReadSet>> = vec![None; steps.len()];
+                for (i, r, rs) in ran {
+                    results[i] = r;
+                    reads[i] = Some(rs);
+                }
                 // Commit in candidate order.
                 let mut last = 0usize;
                 let mut won = false;
@@ -1507,6 +1637,20 @@ impl<'a> Reactor<'a> {
                         ],
                     );
                 }
+                if !won {
+                    // The newest failure a committed step paid a restart
+                    // for becomes the basis.
+                    if let Some(j) = (0..=last).rev().find(|&j| reads[j].is_some()) {
+                        let p = match &steps[j].scratch {
+                            Some((p, _)) => p,
+                            None => &*pool,
+                        };
+                        if let (Some(rs), Some(failure)) = (reads[j].take(), results[j].take()) {
+                            basis = Basis::new(p, rs, failure).or(basis.take());
+                        }
+                    }
+                }
+                skipped += steps[..=last].iter().filter(|s| s.known.is_some()).count() as u32;
                 for step in &steps[1..=last] {
                     announce(step, depth);
                 }
@@ -1531,6 +1675,7 @@ impl<'a> Reactor<'a> {
                         via_restart_only: false,
                         attempts: ctl.attempts,
                         reexec_rounds: rounds,
+                        skipped,
                         plan_len: plan.seqs.len(),
                         reverted_seqs: ledger.reverted_seqs(),
                         discarded_updates: ledger.discarded_updates(),
@@ -1557,11 +1702,19 @@ impl<'a> Reactor<'a> {
                 }
             }
         }
-        MitigationOutcome::failed(plan.seqs.len(), ctl.attempts, rounds, t0.elapsed(), phases)
+        MitigationOutcome::failed(
+            plan.seqs.len(),
+            ctl.attempts,
+            rounds,
+            skipped,
+            t0.elapsed(),
+            phases,
+        )
     }
 
     /// One reversion step: reverts the plan candidates at positions
-    /// `batch` under `mode` at version `depth`.
+    /// `batch` under `mode` at version `depth`. Returns `(seq, addr)` of
+    /// every candidate it healed, for the step's `reactor.heal` events.
     #[allow(clippy::too_many_arguments)]
     fn apply_batch(
         &self,
@@ -1575,7 +1728,8 @@ impl<'a> Reactor<'a> {
         mode: Mode,
         fwd: Option<&std::collections::HashMap<InstRef, Vec<(InstRef, pir_analysis::DepKind)>>>,
         ledger: &mut RevertLedger,
-    ) {
+    ) -> Vec<(u64, u64)> {
+        let mut healed = Vec::new();
         match mode {
             Mode::Purge => {
                 for &s in &plan.seqs[batch] {
@@ -1601,11 +1755,14 @@ impl<'a> Reactor<'a> {
                 // it would re-plant the stale value.
                 let mut normal: Vec<u64> = Vec::new();
                 for &s in &plan.seqs[batch.clone()] {
-                    let healed = facts
+                    let diverged = facts
                         .diverged(log_rc, pool, ledger, s)
                         .map(|(addr, data)| (addr, data.to_vec()));
-                    match healed {
-                        Some((addr, data)) => self.heal(pool, ledger, s, addr, &data),
+                    match diverged {
+                        Some((addr, data)) => {
+                            Self::heal(pool, ledger, addr, &data);
+                            healed.push((s, addr));
+                        }
                         None => normal.push(s),
                     }
                 }
@@ -1650,23 +1807,21 @@ impl<'a> Reactor<'a> {
                             .collect()
                     };
                     for (s, addr, data) in heals {
-                        self.heal(pool, ledger, s, addr, &data);
+                        Self::heal(pool, ledger, addr, &data);
+                        healed.push((s, addr));
                     }
                 }
             }
         }
+        healed
     }
 
     /// Writes a candidate's durable truth back over diverged media.
-    fn heal(&self, pool: &mut PmPool, ledger: &mut RevertLedger, seq: u64, addr: u64, data: &[u8]) {
+    fn heal(pool: &mut PmPool, ledger: &mut RevertLedger, addr: u64, data: &[u8]) {
         ledger.capture(pool, addr, data.len());
         let _ = pool.write(addr, data);
         let _ = pool.persist(addr, data.len() as u64);
         ledger.by_addr.entry(addr).or_default();
-        self.recorder.event(
-            "reactor.heal",
-            vec![("seq", Value::from(seq)), ("addr", Value::from(addr))],
-        );
     }
 
     /// Purge one sequence number: revert its entry to `depth` versions
@@ -1908,6 +2063,7 @@ impl<'a> Reactor<'a> {
             via_restart_only: false,
             attempts: 2,
             reexec_rounds: 2,
+            skipped: 0,
             plan_len: suspects.len(),
             reverted_seqs: BTreeSet::new(),
             discarded_updates: 0,

@@ -1,6 +1,8 @@
 //! Property test: a mitigation in waves of `k` is outcome-identical to
 //! waves of one over randomized checkpoint logs (workload length and
-//! values), randomized reactor configurations and wave widths.
+//! values), randomized reactor configurations and wave widths — and
+//! identical again against a target whose restarts read every byte of
+//! their pool, so that skipped restarts move nothing but rounds.
 
 use std::sync::Arc;
 
@@ -83,10 +85,13 @@ fn build_app(use_tx: bool) -> Module {
 struct AppTarget {
     module: Arc<Module>,
     log: SharedLog,
+    /// Read every byte of the pool after each restart, so the reactor can
+    /// take an earlier verdict only for an identical image.
+    reads_everything: bool,
 }
 
-impl Target for AppTarget {
-    fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
+impl AppTarget {
+    fn restart(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
         let p2 = PmPool::open(pool.snapshot())
             .map_err(|e| FailureRecord::wrong_result(format!("{e}")))?;
         let mut vm = Vm::new(self.module.clone(), p2, VmOpts::default());
@@ -97,6 +102,16 @@ impl Target for AppTarget {
             .map_err(|e| FailureRecord::from_vm(&e))?;
         Ok(())
     }
+}
+
+impl Target for AppTarget {
+    fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
+        let verdict = self.restart(pool);
+        if self.reads_everything {
+            std::hint::black_box(pool.snapshot().to_vec());
+        }
+        verdict
+    }
 
     fn fork_target(&self) -> Option<Box<dyn Target + Send + '_>> {
         let log = SharedLog::new();
@@ -104,6 +119,7 @@ impl Target for AppTarget {
         Some(Box::new(AppTarget {
             module: self.module.clone(),
             log,
+            reads_everything: self.reads_everything,
         }))
     }
 }
@@ -146,12 +162,14 @@ fn mitigate_with(
     cfg: ReactorConfig,
     use_tx: bool,
     puts: &[u64],
+    reads_everything: bool,
 ) -> (arthas::MitigationOutcome, pmemsim::PmImage) {
     let (out, instrumented, log, trace, failure, mut pool) = run_to_failure(use_tx, puts);
     let mut reactor = Reactor::new(&out.analysis, &out.guid_map, cfg);
     let mut target = AppTarget {
         module: instrumented,
         log: log.clone(),
+        reads_everything,
     };
     let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target, None);
     (outcome, pool.snapshot())
@@ -184,19 +202,26 @@ proptest! {
             .build()
             .unwrap();
         let puts: Vec<u64> = puts.iter().map(|v| if *v == 666 { 667 } else { *v }).collect();
-        let (one, one_image) = mitigate_with(base, use_tx, &puts);
         let wide_cfg = base.to_builder().speculation(Some(workers)).build().unwrap();
-        let (wide, wide_image) = mitigate_with(wide_cfg, use_tx, &puts);
+        let (reference, reference_image) = mitigate_with(base, use_tx, &puts, true);
+        for reads_everything in [false, true] {
+            let (one, one_image) = mitigate_with(base, use_tx, &puts, reads_everything);
+            let (wide, wide_image) = mitigate_with(wide_cfg, use_tx, &puts, reads_everything);
+            prop_assert_eq!(one.reexec_rounds + one.skipped, one.attempts);
 
-        prop_assert_eq!(one.recovered, wide.recovered);
-        prop_assert_eq!(one.via_restart_only, wide.via_restart_only);
-        prop_assert_eq!(one.attempts, wide.attempts);
-        prop_assert_eq!(one.plan_len, wide.plan_len);
-        prop_assert_eq!(&one.reverted_seqs, &wide.reverted_seqs);
-        prop_assert_eq!(one.discarded_updates, wide.discarded_updates);
-        prop_assert_eq!(one.discarded_entries, wide.discarded_entries);
-        prop_assert_eq!(one.mode_fellback, wide.mode_fellback);
-        prop_assert_eq!(one_image, wide_image);
-        prop_assert!(wide.reexec_rounds <= one.reexec_rounds);
+            for out in [&one, &wide] {
+                prop_assert_eq!(out.recovered, reference.recovered);
+                prop_assert_eq!(out.via_restart_only, reference.via_restart_only);
+                prop_assert_eq!(out.attempts, reference.attempts);
+                prop_assert_eq!(out.plan_len, reference.plan_len);
+                prop_assert_eq!(&out.reverted_seqs, &reference.reverted_seqs);
+                prop_assert_eq!(out.discarded_updates, reference.discarded_updates);
+                prop_assert_eq!(out.discarded_entries, reference.discarded_entries);
+                prop_assert_eq!(out.mode_fellback, reference.mode_fellback);
+            }
+            prop_assert_eq!(&one_image, &reference_image);
+            prop_assert_eq!(&one_image, &wide_image);
+            prop_assert!(wide.reexec_rounds <= one.reexec_rounds);
+        }
     }
 }

@@ -10,7 +10,7 @@ use arthas::{
 use pir::builder::ModuleBuilder;
 use pir::ir::Module;
 use pir::vm::{Vm, VmOpts};
-use pmemsim::PmPool;
+use pmemsim::{PmImage, PmPool};
 
 /// Root: flag @8, value @16. `put(v)` persists the value; the poison
 /// input 666 additionally corrupts the persistent flag; `get()` crashes
@@ -86,10 +86,21 @@ fn new_pool() -> PmPool {
 struct AppTarget {
     module: Arc<Module>,
     log: SharedLog,
+    /// Read every byte of the pool after each restart, so the reactor can
+    /// take an earlier verdict only for an identical image.
+    reads_everything: bool,
 }
 
-impl Target for AppTarget {
-    fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
+impl AppTarget {
+    fn new(module: Arc<Module>, log: SharedLog) -> Self {
+        AppTarget {
+            module,
+            log,
+            reads_everything: false,
+        }
+    }
+
+    fn restart(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
         let p2 = PmPool::open(pool.snapshot())
             .map_err(|e| FailureRecord::wrong_result(format!("{e}")))?;
         let mut vm = Vm::new(self.module.clone(), p2, VmOpts::default());
@@ -99,6 +110,16 @@ impl Target for AppTarget {
         vm.call("get", &[])
             .map_err(|e| FailureRecord::from_vm(&e))?;
         Ok(())
+    }
+}
+
+impl Target for AppTarget {
+    fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
+        let verdict = self.restart(pool);
+        if self.reads_everything {
+            std::hint::black_box(pool.snapshot().to_vec());
+        }
+        verdict
     }
 }
 
@@ -141,11 +162,21 @@ fn mitigate_with(cfg: ReactorConfig, use_tx: bool) -> (arthas::MitigationOutcome
 }
 
 fn mitigate_over(run: FailedRun, cfg: ReactorConfig) -> (arthas::MitigationOutcome, PmPool) {
+    mitigate_over_with(run, cfg, false)
+}
+
+/// [`mitigate_over`] against a target that reads every byte of its pool
+/// when `reads_everything`.
+fn mitigate_over_with(
+    run: FailedRun,
+    cfg: ReactorConfig,
+    reads_everything: bool,
+) -> (arthas::MitigationOutcome, PmPool) {
     let (out, instrumented, log, trace, failure, mut pool) = run;
     let mut reactor = Reactor::new(&out.analysis, &out.guid_map, cfg);
     let mut target = AppTarget {
-        module: instrumented,
-        log: log.clone(),
+        reads_everything,
+        ..AppTarget::new(instrumented, log.clone())
     };
     let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target, None);
     (outcome, pool)
@@ -395,6 +426,27 @@ fn heals_by_attempt(
     flip: Option<u64>,
     cfg: ReactorConfig,
 ) -> (u64, SharedLog, Vec<(u64, u64)>) {
+    let run = mitigate_heal_app(calls, flip, cfg, false);
+    (run.root, run.log, run.heals)
+}
+
+/// One mitigation of the heal app, as [`mitigate_heal_app`] runs it.
+struct HealRun {
+    root: u64,
+    log: SharedLog,
+    heals: Vec<(u64, u64)>,
+    outcome: arthas::MitigationOutcome,
+    pool: PmPool,
+}
+
+/// [`heals_by_attempt`], also returning the outcome and the pool, against
+/// a target that reads every byte of its pool when `reads_everything`.
+fn mitigate_heal_app(
+    calls: &[(&str, &[u64])],
+    flip: Option<u64>,
+    cfg: ReactorConfig,
+    reads_everything: bool,
+) -> HealRun {
     use obs::{Instrument as _, RingRecorder, Value};
     let module = build_heal_app();
     let out = analyze_and_instrument(&module);
@@ -418,10 +470,10 @@ fn heals_by_attempt(
     let mut reactor = Reactor::new(&out.analysis, &out.guid_map, cfg);
     reactor.instrument(ring.clone());
     let mut target = AppTarget {
-        module: instrumented,
-        log: log.clone(),
+        reads_everything,
+        ..AppTarget::new(instrumented, log.clone())
     };
-    reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target, None);
+    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target, None);
     assert_eq!(ring.dropped(), 0);
     let field = |fields: &[(&str, Value)], name: &str| match fields.iter().find(|f| f.0 == name) {
         Some((_, Value::U64(v))) => *v,
@@ -436,7 +488,13 @@ fn heals_by_attempt(
             _ => {}
         }
     }
-    (root, log, heals)
+    HealRun {
+        root,
+        log,
+        heals,
+        outcome,
+        pool,
+    }
 }
 
 /// The newest logged seq at root offset `off`.
@@ -531,4 +589,111 @@ fn plan_time_divergence_heals_on_the_third_rollback_attempt() {
             "attempt {attempt} heals the flipped word: {heals:?}"
         );
     }
+}
+
+// ---- skipped restarts ------------------------------------------------------
+
+/// Everything but the round count: what skipping must leave alone.
+fn all_but_rounds(out: &arthas::MitigationOutcome, pool: &PmPool) -> (String, PmImage) {
+    let outcome = format!(
+        "recovered={} restart_only={} attempts={} plan_len={} reverted={:?} \
+         discarded={}/{} fellback={} leaks_freed={} failed_over={}",
+        out.recovered,
+        out.via_restart_only,
+        out.attempts,
+        out.plan_len,
+        out.reverted_seqs,
+        out.discarded_updates,
+        out.discarded_entries,
+        out.mode_fellback,
+        out.leaks_freed,
+        out.failed_over,
+    );
+    (outcome, pool.snapshot())
+}
+
+/// A restart the reactor skips because it provably repeats the last
+/// failure moves the round count and nothing else: every configuration
+/// in this file reaches the same outcome, heals and image as against a
+/// target whose restarts read every byte of their pool, and a wave of one
+/// pays one round per attempt it did not skip.
+#[test]
+fn skipped_restarts_change_nothing_but_rounds() {
+    let cfg = |b: arthas::ReactorConfigBuilder| b.build().unwrap();
+    let default = ReactorConfig::builder;
+    let apps: [(fn() -> Module, ReactorConfig); 8] = [
+        (|| build_app(false), ReactorConfig::default()),
+        (
+            || build_app(false),
+            cfg(default().batch(BatchStrategy::Batch(5))),
+        ),
+        (|| build_app(false), cfg(default().mode(Mode::Rollback))),
+        (|| build_app(false), cfg(default().minimize_loss(true))),
+        (|| build_app(false), cfg(default().max_distance(Some(0)))),
+        (|| build_app(true), ReactorConfig::default()),
+        (|| build_app(false), ReactorConfig::serving()),
+        (
+            build_two_flag_app,
+            cfg(default()
+                .mode(Mode::Rollback)
+                .batch(BatchStrategy::Batch(8))
+                .minimize_loss(true)),
+        ),
+    ];
+    let mut rounds_saved = 0;
+    for (app, cfg) in apps {
+        let [(skip, skip_pool), (all, all_pool)] =
+            [false, true].map(|reads| mitigate_over_with(run_to_failure_of(app()), cfg, reads));
+        assert_eq!(
+            all_but_rounds(&skip, &skip_pool),
+            all_but_rounds(&all, &all_pool)
+        );
+        assert_eq!(skip.reexec_rounds + skip.skipped, skip.attempts, "{skip:?}");
+        rounds_saved += all.reexec_rounds - skip.reexec_rounds;
+    }
+    let rollback_serving = ReactorConfig::serving()
+        .to_builder()
+        .mode(Mode::Rollback)
+        .build()
+        .unwrap();
+    type Calls<'a> = &'a [(&'a str, &'a [u64])];
+    let heal_cases: [(Calls, Option<u64>, ReactorConfig); 3] = [
+        (
+            &[("w", &[64, 5]), ("w", &[56, 9]), ("wide", &[64, 7, 56, 16])],
+            None,
+            cumulative_rollback(),
+        ),
+        (
+            &[
+                ("w", &[128, 7]),
+                ("w", &[64, 5]),
+                ("w", &[64, 6]),
+                ("w", &[128, 7]),
+            ],
+            None,
+            cumulative_rollback(),
+        ),
+        (
+            &[
+                ("w", &[200, 3]),
+                ("w", &[64, 5]),
+                ("w", &[72, 5]),
+                ("w", &[96, 5]),
+            ],
+            Some(200),
+            rollback_serving,
+        ),
+    ];
+    for (calls, flip, cfg) in heal_cases {
+        let [skip, all] = [false, true].map(|reads| mitigate_heal_app(calls, flip, cfg, reads));
+        assert_eq!(
+            all_but_rounds(&skip.outcome, &skip.pool),
+            all_but_rounds(&all.outcome, &all.pool)
+        );
+        assert_eq!(skip.heals, all.heals, "{calls:?}");
+        let out = &skip.outcome;
+        assert_eq!(out.reexec_rounds + out.skipped, out.attempts, "{out:?}");
+        rounds_saved += all.outcome.reexec_rounds - out.reexec_rounds;
+    }
+    assert!(rounds_saved > 0, "no configuration skipped a restart");
 }

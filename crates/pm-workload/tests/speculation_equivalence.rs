@@ -4,8 +4,11 @@
 //! same recovery verdict, attempt count, reverted sequence numbers,
 //! discarded-data accounting and final pool image. Only the number of
 //! re-execution rounds (overlapped restart delays) may shrink as the
-//! wave widens. The table was generated from the sequential revert loop
-//! before it was folded into the wave loop; regenerate with:
+//! wave widens. The same holds against a target whose restarts read
+//! every byte of their pool, for which the reactor skips a restart only
+//! on an identical image: skipping moves rounds and nothing else.
+//! The table was generated from the sequential revert loop before it was
+//! folded into the wave loop; regenerate with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p pm-workload --test speculation_equivalence
@@ -16,12 +19,33 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use arthas::{MitigationOutcome, Reactor, ReactorConfig};
+use arthas::{FailureRecord, MitigationOutcome, Reactor, ReactorConfig, Target};
 use obs::{Instrument as _, RingRecorder};
 use pir::vm::VmOpts;
 use pm_workload::{run_production, scenarios, AppSetup, RunConfig, ScenarioTarget};
+use pmemsim::PmPool;
 
 const WIDTHS: [usize; 4] = [1, 2, 4, 8];
+
+/// Wave widths also run against [`ReadsEverything`].
+const UNSKIPPED_WIDTHS: [usize; 2] = [1, 4];
+
+/// Reads every byte of its pool after each real restart. A step can then
+/// take an earlier verdict only when its whole image equals the earlier
+/// one, so the loop runs as if it skipped nothing.
+struct ReadsEverything<'a>(Box<dyn Target + Send + 'a>);
+
+impl Target for ReadsEverything<'_> {
+    fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
+        let verdict = self.0.reexecute(pool);
+        std::hint::black_box(pool.snapshot().to_vec());
+        verdict
+    }
+
+    fn fork_target(&self) -> Option<Box<dyn Target + Send + '_>> {
+        Some(Box::new(ReadsEverything(self.0.fork_target()?)))
+    }
+}
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/mitigation_outcomes.txt")
@@ -41,13 +65,14 @@ fn mitigate_once(
     profile: &str,
     cfg: ReactorConfig,
     recorder: Option<Arc<RingRecorder>>,
+    reads_everything: bool,
 ) -> (String, MitigationOutcome) {
     let run_cfg = RunConfig {
         recorder: recorder.clone().map(|r| r as _),
         ..RunConfig::default()
     };
     let mut prod = run_production(scn, setup, &run_cfg).expect("scenario reaches a hard failure");
-    let mut target = ScenarioTarget::new(
+    let target = ScenarioTarget::new(
         scn,
         setup.instrumented.clone(),
         prod.log.clone(),
@@ -56,6 +81,11 @@ fn mitigate_once(
             ..VmOpts::default()
         },
     );
+    let mut target: Box<dyn Target + Send + '_> = if reads_everything {
+        Box::new(ReadsEverything(Box::new(target)))
+    } else {
+        Box::new(target)
+    };
     let mut reactor = Reactor::new(&setup.analysis, &setup.guid_map, cfg);
     if let Some(r) = recorder {
         reactor.instrument(r);
@@ -65,7 +95,7 @@ fn mitigate_once(
         &prod.log,
         &prod.failure,
         &prod.trace,
-        &mut target,
+        target.as_mut(),
         None,
     );
     let reverted = fnv1a(out.reverted_seqs.iter().flat_map(|s| s.to_le_bytes()));
@@ -99,10 +129,16 @@ fn every_wave_width_reproduces_the_pinned_outcomes() {
             let mut pinned: Option<(String, MitigationOutcome)> = None;
             for k in WIDTHS {
                 let cfg = base.to_builder().speculation(Some(k)).build().unwrap();
-                let (row, out) = mitigate_once(scn.as_ref(), &setup, profile, cfg, None);
+                let (row, out) = mitigate_once(scn.as_ref(), &setup, profile, cfg, None, false);
+                if UNSKIPPED_WIDTHS.contains(&k) {
+                    let (unskipped, _) =
+                        mitigate_once(scn.as_ref(), &setup, profile, cfg, None, true);
+                    assert_eq!(row, unskipped, "k={k}: skipping changed the outcome");
+                }
                 let Some((one_row, one)) = &pinned else {
-                    // A wave of one pays one restart delay per attempt.
-                    assert_eq!(out.reexec_rounds, out.attempts, "{row}");
+                    // A wave of one pays one restart delay per executed
+                    // attempt.
+                    assert_eq!(out.reexec_rounds + out.skipped, out.attempts, "{row}");
                     writeln!(table, "{row} rounds={}", out.reexec_rounds).unwrap();
                     pinned = Some((row, out));
                     continue;
@@ -153,13 +189,30 @@ fn a_wider_wave_reports_the_same_attempts_and_counts_its_forks_writes() {
             .speculation(Some(k))
             .build()
             .unwrap();
-        mitigate_once(scn.as_ref(), &setup, "default", cfg, Some(recorder.clone()));
+        mitigate_once(
+            scn.as_ref(),
+            &setup,
+            "default",
+            cfg,
+            Some(recorder.clone()),
+            false,
+        );
         assert_eq!(recorder.dropped(), 0);
+        // Which attempts were skipped depends on the width; the rest of
+        // each event does not.
         let attempts: Vec<String> = recorder
             .events()
             .iter()
             .filter(|e| e.kind == "reactor.attempt")
-            .map(|e| format!("{:?}", e.fields))
+            .map(|e| {
+                format!(
+                    "{:?}",
+                    e.fields
+                        .iter()
+                        .filter(|f| f.0 != "skipped")
+                        .collect::<Vec<_>>()
+                )
+            })
             .collect();
         (attempts, recorder.counters())
     };

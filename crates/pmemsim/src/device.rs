@@ -142,6 +142,8 @@ impl PmDevice {
     fn load_line(&mut self, line: u64) -> &mut DirtyLine {
         let n = self.line_len(line);
         let media = &self.media;
+        // Not a read a capture records: the copied bytes reach a program
+        // only through a later (captured) read, or go back unchanged.
         self.cache.entry(line).or_insert_with(|| {
             let mut data = [0u8; CACHE_LINE as usize];
             data[..n].copy_from_slice(media.within_page((line * CACHE_LINE) as usize, n));

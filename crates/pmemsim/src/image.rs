@@ -6,6 +6,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use crate::capture;
 use crate::error::{PmError, PmResult};
 
 /// Bytes per image page. A multiple of the cache-line size, so a line
@@ -28,9 +29,13 @@ fn zero_page() -> Arc<Page> {
 /// first, which `Arc<T: Eq>` does on its own).
 ///
 /// Bytes of the last page beyond [`PmImage::len`] are always zero: every
-/// access is bounds-checked against `len`, so derived equality never sees
-/// a stray tail.
-#[derive(Clone, PartialEq, Eq)]
+/// access is bounds-checked against `len`, so page equality never sees a
+/// stray tail.
+///
+/// Every method that hands out bytes — `read`, `read_into`, `to_vec` and
+/// equality — reports what it read to a running
+/// [`capture_reads`](crate::capture_reads).
+#[derive(Clone, Eq)]
 pub struct PmImage {
     pages: Vec<Arc<Page>>,
     len: usize,
@@ -57,6 +62,7 @@ impl PmImage {
 
     /// The image as one contiguous buffer (file boundary, byte-wise diffs).
     pub fn to_vec(&self) -> Vec<u8> {
+        capture::note(0, self.len);
         let mut out = Vec::with_capacity(self.len);
         for page in &self.pages {
             let n = PAGE.min(self.len - out.len());
@@ -97,6 +103,7 @@ impl PmImage {
     #[inline]
     pub fn read_into(&self, offset: u64, buf: &mut [u8]) -> PmResult<()> {
         self.check(offset, buf.len() as u64)?;
+        capture::note(offset, buf.len());
         let mut cur = offset as usize;
         let mut rest = buf;
         while !rest.is_empty() {
@@ -136,6 +143,15 @@ impl PmImage {
         let mut byte = [0];
         self.read_into(offset, &mut byte)?;
         self.write(offset, &[byte[0] ^ (1 << (bit & 7))])
+    }
+}
+
+impl PartialEq for PmImage {
+    /// Content equality, a read of every byte of both sides.
+    fn eq(&self, other: &Self) -> bool {
+        capture::note(0, self.len);
+        capture::note(0, other.len);
+        self.len == other.len && self.pages == other.pages
     }
 }
 

@@ -10,6 +10,9 @@
 //!   non-durable state (configurable via [`CrashPolicy`]);
 //! - [`PmImage`]: the device's media and every snapshot of it, as
 //!   copy-on-write 4 KiB pages, so forks and snapshots cost page pointers;
+//! - [`capture_reads`]: the exact byte ranges a computation reads from
+//!   images on its thread (the reactor's proof that a re-execution would
+//!   repeat an earlier one);
 //! - [`PmPool`]: a PMDK-like pool with a root object, a crash-atomic
 //!   persistent allocator (redo-logged metadata) and undo-log transactions;
 //! - [`PmSink`]: the durability-event interception surface that the Arthas
@@ -40,6 +43,7 @@
 // nothing here may trade one for speed.
 #![forbid(unsafe_code)]
 
+pub mod capture;
 pub mod device;
 pub mod error;
 pub mod group;
@@ -48,6 +52,7 @@ pub mod layout;
 pub mod pool;
 pub mod sink;
 
+pub use capture::{capture_reads, ReadSet};
 pub use device::{CrashPolicy, DeviceStats, PmDevice, CACHE_LINE};
 pub use error::{PmError, PmResult};
 pub use group::{PoolGroup, Replica, ReplicaStatus};

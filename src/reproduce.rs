@@ -420,11 +420,12 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
     values.iter().sum::<f64>() / values.len().max(1) as f64
 }
 
-/// Splits a column list `header=source:kind|…` (the source may itself
-/// hold a colon, as `arthas-spec:4` does).
+/// Splits a column list `header=source:kind|…` (the header may itself
+/// hold an `=`, as `attempts (k=1)` does, and the source a colon, as
+/// `arthas-spec:4` does).
 fn columns(spec: &str) -> Vec<(&str, &str, &str)> {
     fn column(c: &str) -> Option<(&str, &str, &str)> {
-        let (head, rest) = c.split_once('=')?;
+        let (head, rest) = c.rsplit_once('=')?;
         let (source, kind) = rest.rsplit_once(':')?;
         Some((head, source, kind))
     }

@@ -305,16 +305,16 @@ fn a_wave_of_four_changes_nothing_but_the_rounds() {
                 _ => assert_eq!(one, four, "{id}: {key}"),
             }
         }
-        let attempts = spec
-            .iter()
-            .find(|(k, _)| k == "attempts")
-            .map(|(_, v)| v.clone());
-        assert_eq!(
-            attempts,
+        // A wave of one pays at most one round per attempt: fewer when
+        // the reactor skips restarts that provably repeat a failure.
+        let count = |key: &str| {
             seq.iter()
-                .find(|(k, _)| k == "reexec_rounds")
-                .map(|(_, v)| v.clone()),
-            "{id}: a wave of one is one round per attempt"
+                .find(|(k, _)| k == key)
+                .and_then(|(_, v)| v.as_u64())
+        };
+        assert!(
+            count("reexec_rounds") <= count("attempts"),
+            "{id}: more rounds than attempts"
         );
     }
 }
