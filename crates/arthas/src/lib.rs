@@ -33,9 +33,7 @@ pub mod trace;
 pub use analyzer::{
     analyze_and_instrument, analyze_and_instrument_cached, AnalyzerOutput, GuidMap, GuidMeta,
 };
-pub use checkpoint::{
-    Entry, LogStats, LogView, SharedLog, VersionData, DEFAULT_SHARDS, MAX_VERSIONS,
-};
+pub use checkpoint::{Entry, LogStats, LogView, SharedLog, VersionData, MAX_VERSIONS};
 pub use detector::{Detector, FailureKind, FailureRecord, LeakMonitor, Verdict};
 pub use pir_analysis::{AnalysisCache, CacheOutcome};
 pub use reactor::{

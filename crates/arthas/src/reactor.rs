@@ -916,7 +916,7 @@ impl<'a> Reactor<'a> {
 
     /// Computes the candidate sequence list for a fault instruction
     /// (slice → PM filter → trace join → covering checkpoint entries)
-    /// over a merged view of the checkpoint store.
+    /// over a view of the checkpoint store.
     ///
     /// Policy: candidates whose durable pool bytes *diverge* from their
     /// latest checkpointed version are ordered first — divergence means
@@ -1778,8 +1778,7 @@ impl<'a> Reactor<'a> {
                     // every rollback attempt. Heal those plan candidates
                     // to the durable truth *at the cut*. The expectation
                     // must be cut-bounded: an overlapping entry written
-                    // after the cut — on a sharded log, typically owned
-                    // by a different shard — would otherwise be overlaid
+                    // after the cut would otherwise be overlaid
                     // into the heal bytes right after the rollback
                     // reverted it, re-planting post-cut state. Only the
                     // candidates `heal_suspects` names can be owed one.
@@ -1847,8 +1846,7 @@ impl<'a> Reactor<'a> {
         // program writes: restoring the durable truth needs no sibling or
         // forward-dependency expansion.
         let externally_corrupted = facts.diverged(log_rc, pool, ledger, seq).is_some();
-        // Transaction siblings (§4.6) — a transaction's members may span
-        // shards, so the merged view collects them all.
+        // Transaction siblings (§4.6).
         if !externally_corrupted {
             let log = log_rc.view();
             if let Some(tx) = log.tx_of_seq(seq) {

@@ -1,11 +1,9 @@
-//! Regression tests for below-cut healing on sharded logs (ISSUE 10,
-//! satellite 1). PR 9's heal compared diverged media against
-//! `expected_current`, whose overlay pass is bounded only by the entry's
-//! own newest seq — never by the rollback cut. An overlapping entry
-//! written *after* the cut (on a sharded log, routinely owned by a
-//! different shard) was overlaid into the heal bytes immediately after
-//! `rollback_to` reverted it, re-planting post-cut state the reactor had
-//! just reported as discarded. The fix is the cut-bounded
+//! Regression tests for healing below a rollback cut. A heal that compared
+//! diverged media against `expected_current`, whose overlay pass is
+//! bounded only by the entry's own newest seq — never by the rollback cut
+//! — overlaid an entry written *after* the cut into the heal bytes
+//! immediately after `rollback_to` reverted it, re-planting post-cut state
+//! the reactor had just reported as discarded. The fix is the cut-bounded
 //! `expected_before(addr, cut)`.
 
 use std::sync::Arc;
@@ -18,9 +16,10 @@ use pir::ir::Module;
 use pir::vm::{Vm, VmOpts};
 use pmemsim::{PmPool, PmSink};
 
+/// Spacing of the test addresses (one 4 KiB page).
 const GRAIN: u64 = 1 << 12;
 
-// ---- unit level: cut-bounded expectation across shards ----------------------
+// ---- unit level: cut-bounded expectation ------------------------------------
 
 /// Records a persist through the sink interface and returns the global
 /// seq it was assigned.
@@ -29,60 +28,50 @@ fn persist(log: &SharedLog, addr: u64, data: &[u8]) -> u64 {
     log.view().latest_seq()
 }
 
-/// Two entries overlapping across a 4 KiB shard grain boundary: the
-/// diverged address's newest version is below every cut, the overlapping
-/// write is above it. `expected_before` must exclude the post-cut
-/// overlay that `expected_current` includes — on one shard and on eight,
-/// byte-identically.
+/// Two overlapping entries at different start addresses: the diverged
+/// address's newest version is below every cut, the overlapping write is
+/// above it. `expected_before` must exclude the post-cut overlay that
+/// `expected_current` includes.
 #[test]
-fn expected_before_excludes_post_cut_overlays_across_shards() {
-    for shards in [1usize, 8] {
-        let log = SharedLog::sharded(shards);
-        // Entry A starts 4 bytes below a grain boundary and spans it;
-        // entry B starts on the boundary, so A and B hash to different
-        // shards (different grains) yet overlap over [B, A+8).
-        let a = 3 * GRAIN - 4;
-        let b = 3 * GRAIN;
-        let seq_a = persist(&log, a, &[0x11; 8]);
-        let cut = persist(&log, 7 * GRAIN, &[0x33; 8]) + 1;
-        let seq_b = persist(&log, b, &[0x22; 8]);
-        assert!(seq_a < cut && cut <= seq_b);
+fn expected_before_excludes_post_cut_overlays() {
+    let log = SharedLog::new();
+    // Entry A starts 4 bytes below B and overlaps it over [B, A+8).
+    let a = 3 * GRAIN - 4;
+    let b = 3 * GRAIN;
+    let seq_a = persist(&log, a, &[0x11; 8]);
+    let cut = persist(&log, 7 * GRAIN, &[0x33; 8]) + 1;
+    let seq_b = persist(&log, b, &[0x22; 8]);
+    assert!(seq_a < cut && cut <= seq_b);
 
-        let view = log.view();
-        // Live expectation includes B's overlay over A's top 4 bytes.
-        let mut live = vec![0x11u8; 8];
-        live[4..].fill(0x22);
-        assert_eq!(
-            view.expected_current(a).unwrap(),
-            live,
-            "{shards}-shard live expectation"
-        );
-        // Pre-cut expectation is A's own bytes: B did not exist yet.
-        assert_eq!(
-            view.expected_before(a, cut).unwrap(),
-            vec![0x11u8; 8],
-            "{shards}-shard cut-bounded expectation must exclude the \
-             post-cut overlay"
-        );
-        // With the cut above B the overlay is back in.
-        assert_eq!(
-            view.expected_before(a, seq_b + 1).unwrap(),
-            live,
-            "{shards}-shard expectation with cut above the overlay"
-        );
-        // And the degenerate cut matches expected_current exactly.
-        assert_eq!(
-            view.expected_before(a, u64::MAX).unwrap(),
-            view.expected_current(a).unwrap()
-        );
-    }
+    let view = log.view();
+    // Live expectation includes B's overlay over A's top 4 bytes.
+    let mut live = vec![0x11u8; 8];
+    live[4..].fill(0x22);
+    assert_eq!(view.expected_current(a).unwrap(), live, "live expectation");
+    // Pre-cut expectation is A's own bytes: B did not exist yet.
+    assert_eq!(
+        view.expected_before(a, cut).unwrap(),
+        vec![0x11u8; 8],
+        "cut-bounded expectation must exclude the post-cut overlay"
+    );
+    // With the cut above B the overlay is back in.
+    assert_eq!(
+        view.expected_before(a, seq_b + 1).unwrap(),
+        live,
+        "expectation with cut above the overlay"
+    );
+    // And the degenerate cut matches expected_current exactly.
+    assert_eq!(
+        view.expected_before(a, u64::MAX).unwrap(),
+        view.expected_current(a).unwrap()
+    );
 }
 
 /// An address whose every version is above the cut reconstructs to
 /// zeros (it did not exist yet), matching `data_before_seq` semantics.
 #[test]
 fn expected_before_zero_fills_addresses_born_after_the_cut() {
-    let log = SharedLog::sharded(4);
+    let log = SharedLog::new();
     let seq = persist(&log, GRAIN, &[0x55; 16]);
     let view = log.view();
     assert_eq!(view.expected_before(GRAIN, seq).unwrap(), vec![0u8; 16]);
@@ -92,13 +81,11 @@ fn expected_before_zero_fills_addresses_born_after_the_cut() {
     );
 }
 
-// ---- integration level: rollback + below-cut heal under sharding ------------
+// ---- integration level: rollback + below-cut heal ----------------------------
 
-/// App with state spread across shard grains. Root layout: flag @8,
-/// value @16, aux @8192 (a different 4 KiB grain — a different shard),
-/// scratch @8196 (overlapping aux's 8-byte range). `put(666)` poisons
-/// the flag; `get()` crashes through a pointer derived from flag and
-/// aux while the flag is set.
+/// Root layout: flag @8, value @16, aux @8192, scratch @8196 (overlapping
+/// aux's 8-byte range). `put(666)` poisons the flag; `get()` crashes
+/// through a pointer derived from flag and aux while the flag is set.
 fn build_app() -> Module {
     let mut m = ModuleBuilder::new();
     {
@@ -197,15 +184,15 @@ impl Target for AppTarget {
     }
 }
 
-/// Drives the app to a hard fault with a sharded log, corrupts the aux
-/// entry (newest logged version far below any rollback cut, owned by a
-/// non-zero shard when sharded), and mitigates in rollback mode under the
-/// serving profile, which exercises the below-cut heal. Returns the outcome and key post-mitigation bytes.
-fn mitigate_sharded(shards: usize) -> (arthas::MitigationOutcome, [Vec<u8>; 3]) {
+/// Drives the app to a hard fault, corrupts the aux entry (newest logged
+/// version far below any rollback cut), and mitigates in rollback mode
+/// under the serving profile, which exercises the below-cut heal. Returns
+/// the outcome and key post-mitigation bytes.
+fn mitigate() -> (arthas::MitigationOutcome, [Vec<u8>; 3]) {
     let module = build_app();
     let out = analyze_and_instrument(&module);
     let instrumented = Arc::new(out.instrumented.clone());
-    let log = SharedLog::sharded(shards);
+    let log = SharedLog::new();
     let mut trace = PmTrace::new();
     let pool = PmPool::create(pmemsim::layout::HEAP_OFF + (1 << 20)).unwrap();
     let mut vm = Vm::new(instrumented.clone(), pool, VmOpts::default());
@@ -249,35 +236,20 @@ fn mitigate_sharded(shards: usize) -> (arthas::MitigationOutcome, [Vec<u8>; 3]) 
 
 #[test]
 fn below_cut_heal_does_not_replant_post_cut_overlays() {
-    for shards in [1usize, 8] {
-        let (outcome, [flag, aux, scratch]) = mitigate_sharded(shards);
-        assert!(outcome.recovered, "{shards}-shard: {outcome:?}");
-        assert_eq!(flag, vec![0u8; 8], "{shards}-shard: flag rolled back");
-        assert_eq!(
-            aux,
-            vec![0u8; 8],
-            "{shards}-shard: corrupted aux healed to its pre-cut value"
-        );
-        // The decisive assertion: the touch write's seq is above the cut
-        // and was reported discarded by the rollback — its bytes must
-        // actually be gone, not re-planted by the heal's overlay pass.
-        assert_eq!(
-            scratch,
-            vec![0u8; 8],
-            "{shards}-shard: discarded post-cut write must not survive \
-             via the below-cut heal"
-        );
-    }
-}
-
-/// Shard-count independence of the full mitigation: identical outcomes
-/// and identical healed bytes on one shard and eight.
-#[test]
-fn sharded_heal_matches_single_shard_byte_for_byte() {
-    let (o1, b1) = mitigate_sharded(1);
-    let (o8, b8) = mitigate_sharded(8);
-    assert_eq!(o1.recovered, o8.recovered);
-    assert_eq!(o1.attempts, o8.attempts);
-    assert_eq!(o1.discarded_updates, o8.discarded_updates);
-    assert_eq!(b1, b8);
+    let (outcome, [flag, aux, scratch]) = mitigate();
+    assert!(outcome.recovered, "{outcome:?}");
+    assert_eq!(flag, vec![0u8; 8], "flag rolled back");
+    assert_eq!(
+        aux,
+        vec![0u8; 8],
+        "corrupted aux healed to its pre-cut value"
+    );
+    // The decisive assertion: the touch write's seq is above the cut
+    // and was reported discarded by the rollback — its bytes must
+    // actually be gone, not re-planted by the heal's overlay pass.
+    assert_eq!(
+        scratch,
+        vec![0u8; 8],
+        "discarded post-cut write must not survive via the below-cut heal"
+    );
 }

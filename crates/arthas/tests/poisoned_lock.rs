@@ -1,8 +1,7 @@
 //! Regression test: a speculative re-execution fork that panics while
-//! holding the checkpoint log's shard mutexes poisons them. Mitigation is
-//! exactly the code that must keep running after such a panic, so the
-//! store recovers a poisoned shard where it locks it instead of
-//! unwrapping — a later mitigation over the same log must still succeed.
+//! holding the checkpoint log's mutex poisons it. Mitigation is exactly
+//! the code that must keep running after such a panic, so the store
+//! recovers the poisoned mutex where it locks it instead of unwrapping — a later mitigation over the same log must still succeed.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -86,7 +85,7 @@ impl Target for MiniTarget {
             .map_err(|e| FailureRecord::wrong_result(format!("pool reopen failed: {e}")))?;
         let mut vm = Vm::new(self.module.clone(), reopened, VmOpts::default());
         // Recovery reads feed leak mitigation, and every sink event takes
-        // a (possibly poisoned) shard lock, so attaching the log here keeps
+        // the (possibly poisoned) log lock, so attaching the log here keeps
         // the re-execution path realistic.
         vm.pool_mut().set_sink(self.log.as_sink());
         vm.call("recover", &[])
@@ -97,9 +96,9 @@ impl Target for MiniTarget {
     }
 }
 
-/// A target whose speculative forks take a view of the log (every shard
-/// lock) and die — the worst-case re-execution crash, leaving the shard
-/// mutexes poisoned.
+/// A target whose speculative forks take a view of the log (its lock) and
+/// die — the worst-case re-execution crash, leaving the log mutex
+/// poisoned.
 struct PanickingForkTarget {
     log: SharedLog,
 }
@@ -202,7 +201,7 @@ fn mitigate_with_panicking_forks(
 fn mitigation_survives_a_log_mutex_poisoned_by_a_panicking_fork() {
     let (out, instrumented, log, trace, failure, mut pool) = setup();
     mitigate_with_panicking_forks(&out, &log, &trace, &failure, &mut pool);
-    // Every store operation recovers a poisoned shard, so `is_poisoned`
+    // Every store operation recovers the poisoned mutex, so `is_poisoned`
     // is the only place the poisoning is visible.
     assert!(
         log.is_poisoned(),

@@ -1,12 +1,11 @@
 //! Property-based audit of `LogView::covering` and
 //! `LogView::expected_current` — the code the reactor, the baselines and
 //! the invariant oracle read the log through — against brute-force
-//! oracles, at one shard and at three.
+//! oracles.
 //!
 //! Both methods bound their scans with windows derived from the largest
-//! data size ever logged and merge per-shard results; the oracles use no
-//! windows and no shards at all and recompute the answer from a shadow
-//! history. Random persist ranges deliberately include entries far larger
+//! data size ever logged; the oracles use no windows at all and recompute
+//! the answer from a shadow history. Random persist ranges deliberately include entries far larger
 //! than 64 KiB overlapping distant addresses (the old `expected_current`
 //! used a fixed 64 KiB window and missed them), overlapping same-region
 //! updates, and free/realloc cycles that park old incarnations on the
@@ -181,10 +180,6 @@ fn apply(log: &SharedLog, shadow: &mut Shadow, ops: &[Op]) {
     }
 }
 
-/// Shard counts every property runs at: the offline pipeline's one, and
-/// three.
-const SHARD_COUNTS: [usize; 2] = [1, 3];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -192,22 +187,19 @@ proptest! {
     /// address, interior point, boundary, and one-past-the-end.
     #[test]
     fn covering_matches_oracle(ops in proptest::collection::vec(op(), 1..40)) {
-        for shards in SHARD_COUNTS {
-            let log = SharedLog::sharded(shards);
-            let mut shadow = Shadow::default();
-            apply(&log, &mut shadow, &ops);
-            let view = log.view();
-            for q in shadow.query_points() {
-                let mut got = view.covering(q);
-                got.sort_unstable();
-                prop_assert_eq!(
-                    &got,
-                    &shadow.covering(q),
-                    "covering({}) diverged at {} shards",
-                    q,
-                    shards
-                );
-            }
+        let log = SharedLog::new();
+        let mut shadow = Shadow::default();
+        apply(&log, &mut shadow, &ops);
+        let view = log.view();
+        for q in shadow.query_points() {
+            let mut got = view.covering(q);
+            got.sort_unstable();
+            prop_assert_eq!(
+                &got,
+                &shadow.covering(q),
+                "covering({}) diverged",
+                q
+            );
         }
     }
 
@@ -216,23 +208,20 @@ proptest! {
     /// the queried entry, and entries retired by realloc.
     #[test]
     fn expected_current_matches_oracle(ops in proptest::collection::vec(op(), 1..40)) {
-        for shards in SHARD_COUNTS {
-            let log = SharedLog::sharded(shards);
-            let mut shadow = Shadow::default();
-            apply(&log, &mut shadow, &ops);
-            let view = log.view();
-            let addrs: Vec<u64> = shadow.entries.keys().copied().collect();
-            for q in addrs {
-                prop_assert_eq!(
-                    view.expected_current(q),
-                    shadow.expected_current(q),
-                    "expected_current({}) diverged at {} shards",
-                    q,
-                    shards
-                );
-            }
-            // Addresses the log never saw yield None.
-            prop_assert_eq!(view.expected_current(SMALL_BASE - 1), None);
+        let log = SharedLog::new();
+        let mut shadow = Shadow::default();
+        apply(&log, &mut shadow, &ops);
+        let view = log.view();
+        let addrs: Vec<u64> = shadow.entries.keys().copied().collect();
+        for q in addrs {
+            prop_assert_eq!(
+                view.expected_current(q),
+                shadow.expected_current(q),
+                "expected_current({}) diverged",
+                q
+            );
         }
+        // Addresses the log never saw yield None.
+        prop_assert_eq!(view.expected_current(SMALL_BASE - 1), None);
     }
 }

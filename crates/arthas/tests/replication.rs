@@ -18,56 +18,54 @@ use pmemsim::{PmPool, PoolGroup};
 
 /// The replication feed is the pool's own persist stream: pumping
 /// `updates_since(cursor)` converges a replica to the primary's durable
-/// bytes, shard-count-independently.
+/// bytes.
 #[test]
 fn pumped_replica_converges_to_primary_bytes() {
-    for shards in [1usize, 4] {
-        let log = SharedLog::sharded(shards);
-        let mut pool = PmPool::create(pmemsim::layout::HEAP_OFF + (1 << 18)).unwrap();
-        pool.set_sink(log.as_sink());
-        let mut group = PoolGroup::new(&pool, 2, 0);
+    let log = SharedLog::new();
+    let mut pool = PmPool::create(pmemsim::layout::HEAP_OFF + (1 << 18)).unwrap();
+    pool.set_sink(log.as_sink());
+    let mut group = PoolGroup::new(&pool, 2, 0);
 
-        let base = pmemsim::layout::HEAP_OFF;
-        for i in 0..32u64 {
-            let addr = base + (i % 8) * 4096;
-            pool.write(addr, &i.to_le_bytes()).unwrap();
-            pool.persist(addr, 8).unwrap();
-        }
-        // Pump replica 0 fully; leave replica 1 lagging at the first half.
-        {
-            let view = log.view();
-            let all = view.updates_since(0);
-            let latest = view.latest_seq();
-            group.apply_stream(0, all.iter().copied());
-            group.apply_stream(1, all.iter().copied().filter(|&(s, _, _)| s <= latest / 2));
-        }
-        let latest = log.view().latest_seq();
-        let status = group.status(latest);
-        assert_eq!(status[0].lag, 0, "{shards}-shard: replica 0 caught up");
-        assert!(status[1].lag > 0, "{shards}-shard: replica 1 lagging");
-        assert_eq!(group.healthiest(), Some(0));
-
-        // Caught-up replica matches the primary byte-for-byte at every
-        // touched address.
-        for i in 0..8u64 {
-            let addr = base + i * 4096;
-            assert_eq!(
-                group.replica_bytes(0, addr, 8).unwrap(),
-                pool.read(addr, 8).unwrap().as_slice(),
-                "{shards}-shard: replica bytes at {addr:#x}"
-            );
-        }
-        // Idempotent re-delivery: pumping the same stream again applies
-        // nothing.
-        let before = group.replica(0).unwrap().applied();
+    let base = pmemsim::layout::HEAP_OFF;
+    for i in 0..32u64 {
+        let addr = base + (i % 8) * 4096;
+        pool.write(addr, &i.to_le_bytes()).unwrap();
+        pool.persist(addr, 8).unwrap();
+    }
+    // Pump replica 0 fully; leave replica 1 lagging at the first half.
+    {
         let view = log.view();
         let all = view.updates_since(0);
+        let latest = view.latest_seq();
         group.apply_stream(0, all.iter().copied());
-        assert_eq!(group.replica(0).unwrap().applied(), before);
+        group.apply_stream(1, all.iter().copied().filter(|&(s, _, _)| s <= latest / 2));
     }
+    let latest = log.view().latest_seq();
+    let status = group.status(latest);
+    assert_eq!(status[0].lag, 0, "replica 0 caught up");
+    assert!(status[1].lag > 0, "replica 1 lagging");
+    assert_eq!(group.healthiest(), Some(0));
+
+    // Caught-up replica matches the primary byte-for-byte at every
+    // touched address.
+    for i in 0..8u64 {
+        let addr = base + i * 4096;
+        assert_eq!(
+            group.replica_bytes(0, addr, 8).unwrap(),
+            pool.read(addr, 8).unwrap().as_slice(),
+            "replica bytes at {addr:#x}"
+        );
+    }
+    // Idempotent re-delivery: pumping the same stream again applies
+    // nothing.
+    let before = group.replica(0).unwrap().applied();
+    let view = log.view();
+    let all = view.updates_since(0);
+    group.apply_stream(0, all.iter().copied());
+    assert_eq!(group.replica(0).unwrap().applied(), before);
 }
 
-// ---- app harness (shape shared with sharded_heal.rs) ------------------------
+// ---- app harness (shape shared with heal_below_cut.rs) ----------------------
 
 fn build_app() -> Module {
     let mut m = ModuleBuilder::new();
@@ -173,13 +171,13 @@ struct Crashed {
     standby: (pmemsim::PmImage, u64),
 }
 
-/// Runs the app to its hard fault on a 4-shard log, capturing a
-/// pre-fault standby snapshot on the way.
+/// Runs the app to its hard fault, capturing a pre-fault standby snapshot
+/// on the way.
 fn run_to_failure() -> Crashed {
     let module = build_app();
     let out = analyze_and_instrument(&module);
     let instrumented = Arc::new(out.instrumented.clone());
-    let log = SharedLog::sharded(4);
+    let log = SharedLog::new();
     let mut trace = PmTrace::new();
     let pool = PmPool::create(pmemsim::layout::HEAP_OFF + (1 << 20)).unwrap();
     let mut vm = Vm::new(instrumented.clone(), pool, VmOpts::default());

@@ -234,10 +234,6 @@ pub struct RunConfig {
     /// Record the kind of every durability boundary crossed (site
     /// enumeration for crash-injection campaigns).
     pub record_sites: bool,
-    /// Shard count of the checkpoint store. 1 (the default) is the
-    /// classic single-log layout; higher counts exercise the sharded
-    /// store, whose merged view is byte-identical on sequential runs.
-    pub log_shards: usize,
     /// Arm a crash injection before the run starts: the pool crashes at
     /// the given site under the given policy, and the run returns
     /// [`InjectionOutcome::SiteCrash`] with the post-crash image.
@@ -256,7 +252,6 @@ impl Default for RunConfig {
             },
             recorder: None,
             record_sites: false,
-            log_shards: 1,
             injection: None,
         }
     }
@@ -271,7 +266,6 @@ impl std::fmt::Debug for RunConfig {
             .field("vm", &self.vm)
             .field("recorder", &self.recorder.is_some())
             .field("record_sites", &self.record_sites)
-            .field("log_shards", &self.log_shards)
             .field("injection", &self.injection)
             .finish()
     }
@@ -353,7 +347,7 @@ pub fn run_with_injection(
     cfg: &RunConfig,
 ) -> InjectionOutcome {
     let mut pool = Some(PmPool::create(POOL_SIZE).expect("create pool"));
-    let mut log = SharedLog::sharded(cfg.log_shards.max(1));
+    let mut log = SharedLog::new();
     let mut trace = PmTrace::new();
     let mut criu = PmCriu::new(CRIU_INTERVAL);
     let mut detector = Detector::new();

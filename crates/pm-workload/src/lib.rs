@@ -12,9 +12,6 @@
 //! - [`report`]: the `report` CLI subcommand's engine — one scenario run
 //!   with a ring recorder attached to every layer, rendered as a
 //!   schema-stable JSON document and a human-readable recovery timeline;
-//! - [`concurrent`]: the multi-threaded YCSB-style scenario over the
-//!   sharded checkpoint store (writer forks sharing one `SharedLog`),
-//!   with writer-count-independent detection and mitigation outcomes;
 //! - [`ycsb`]: YCSB-style workload generation for the overhead
 //!   experiments;
 //! - [`loadgen`]: the TCP load driver for the `serve` front-end —
@@ -22,7 +19,6 @@
 //!   mitigation-window latency percentiles and exact acked-but-lost
 //!   accounting.
 
-pub mod concurrent;
 pub mod harness;
 pub mod loadgen;
 pub mod report;

@@ -15,10 +15,9 @@
 /// paper's rule that checkpointing "respects the program's persistence
 /// points".
 ///
-/// A sink is a shared handle: every pool forked for a writer thread or a
-/// speculative re-execution holds the same one, so methods take `&self`
-/// and the sink does its own locking (the checkpoint store locks the one
-/// shard an event belongs to).
+/// A sink is a shared handle: every pool feeding one store holds a clone
+/// of it, so methods take `&self` and the sink does its own locking (the
+/// checkpoint store takes its one lock per event).
 pub trait PmSink: Send + Sync {
     /// An explicit persist of `[offset, offset + data.len())` completed;
     /// `data` is the durable contents.

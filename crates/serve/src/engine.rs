@@ -88,7 +88,9 @@ pub struct EngineConfig {
     /// Per-GUID cap on retained trace offsets
     /// ([`PmTrace::retain_recent`]).
     pub trace_cap: usize,
-    /// Checkpoint-log shards.
+    /// Ignored: the checkpoint log is one store. Kept only for its one
+    /// reader, the benchmark's layer probe (`hfbench/src/layers.rs`).
+    #[doc(hidden)]
     pub log_shards: usize,
     /// Per-address checkpoint versions retained. Online detection lags by
     /// up to `health_every` requests, and every request in that window
@@ -219,7 +221,7 @@ pub struct Engine {
 
 impl Engine {
     /// Builds the engine: analyzer pipeline over the scenario's app,
-    /// fresh pool, sharded checkpoint log, canary seed.
+    /// fresh pool, checkpoint log, canary seed.
     pub fn new(
         cfg: EngineConfig,
         cache: Option<&AnalysisCache>,
@@ -239,7 +241,7 @@ impl Engine {
             BackendKind::SegCache => segcache::build(),
         };
         let out = analyze_and_instrument_cached(&module, cache);
-        let mut log = SharedLog::sharded(cfg.log_shards.max(1));
+        let mut log = SharedLog::new();
         log.set_max_versions(cfg.log_versions.max(MAX_VERSIONS));
         let mut detector = Detector::new();
         log.instrument(recorder.clone());

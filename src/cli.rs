@@ -363,33 +363,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         ],
     },
     CommandSpec {
-        name: "concurrent",
-        summary: "multi-writer scenario over the sharded checkpoint store",
-        args: &[],
-        flags: &[
-            FlagSpec {
-                name: "--writers",
-                value: Some("LIST"),
-                help: "comma list of writer-thread counts (default 1,4,8)",
-            },
-            FlagSpec {
-                name: "--shards",
-                value: Some("N"),
-                help: "checkpoint store shard count (default 8)",
-            },
-            FlagSpec {
-                name: "--ops",
-                value: Some("N"),
-                help: "operations per writer (default 200)",
-            },
-            FlagSpec {
-                name: "--seed",
-                value: Some("N"),
-                help: "workload seed (default 1)",
-            },
-        ],
-    },
-    CommandSpec {
         name: "analyze",
         summary: "analyzer summary for an application module",
         args: &[ArgSpec {

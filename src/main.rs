@@ -130,7 +130,6 @@ fn main() {
         Some("serve") => cmd_serve(parse_or_exit("serve", &args[1..])),
         Some("inject") => cmd_inject(parse_or_exit("inject", &args[1..])),
         Some("reproduce") => cmd_reproduce(parse_or_exit("reproduce", &args[1..])),
-        Some("concurrent") => cmd_concurrent(parse_or_exit("concurrent", &args[1..])),
         Some("analyze") => cmd_analyze(parse_or_exit("analyze", &args[1..])),
         Some("lint") => cmd_lint(parse_or_exit("lint", &args[1..])),
         Some("disasm") => cmd_disasm(parse_or_exit("disasm", &args[1..])),
@@ -199,80 +198,6 @@ fn cmd_run(p: Parsed) {
         }
     }
     std::process::exit(if failed > 0 { 1 } else { 0 });
-}
-
-fn cmd_concurrent(p: Parsed) {
-    use pm_workload::concurrent::{run_concurrent, ConcurrentConfig};
-    let writers: Vec<usize> = p
-        .get("--writers")
-        .unwrap_or("1,4,8")
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("bad writer count `{s}` in --writers");
-                std::process::exit(2);
-            })
-        })
-        .collect();
-    if writers.is_empty() {
-        eprintln!("--writers list is empty");
-        std::process::exit(2);
-    }
-    let shards = flag_u64(&p, "--shards", arthas::DEFAULT_SHARDS as u64) as usize;
-    let ops = flag_u64(&p, "--ops", 200);
-    let seed = flag_u64(&p, "--seed", 1);
-
-    println!("== concurrent writers over a {shards}-shard checkpoint store ==");
-    println!(
-        "{:<8} {:>9} {:>10} {:>14} {:>8} {:>18}",
-        "writers", "verdicts", "recovered", "bank0_updates", "attempts", "digest"
-    );
-    let mut baseline = None;
-    let mut diverged = false;
-    for &w in &writers {
-        let out = run_concurrent(&ConcurrentConfig {
-            writers: w,
-            shards,
-            ops_per_writer: ops,
-            seed,
-        });
-        let verdicts: Vec<&str> = out
-            .verdicts
-            .iter()
-            .map(|v| match v {
-                arthas::Verdict::FirstSighting => "first",
-                arthas::Verdict::SuspectedHard => "hard",
-            })
-            .collect();
-        println!(
-            "{:<8} {:>9} {:>10} {:>14} {:>8} {:>#18x}",
-            w,
-            verdicts.join(","),
-            out.recovered,
-            out.bank0_updates,
-            out.attempts,
-            out.digest
-        );
-        match &baseline {
-            None => baseline = Some(out),
-            Some(base) => {
-                if out != *base {
-                    eprintln!(
-                        "outcome with {w} writers diverges from {} writers",
-                        writers[0]
-                    );
-                    diverged = true;
-                }
-            }
-        }
-    }
-    if diverged {
-        std::process::exit(1);
-    }
-    println!("\noutcomes identical across writer counts: verdicts, heal and digest");
-    println!("depend only on each writer's own deterministic stream (DESIGN §8).");
 }
 
 fn cmd_report(p: Parsed) {
