@@ -507,15 +507,6 @@ pub struct CampaignReport {
 // Campaign execution
 // ---------------------------------------------------------------------------
 
-/// Tight step budget for classifier/verification runs (a hang is evident
-/// long before the production limit).
-fn trial_vm_opts() -> VmOpts {
-    VmOpts {
-        step_limit: 500_000,
-        ..VmOpts::default()
-    }
-}
-
 /// Re-execution target for trial mitigation. Unlike the production
 /// `ScenarioTarget`, whose success criterion is the scenario's
 /// end-of-workload `verify`, a trial only demands the *trial-level*
@@ -526,13 +517,14 @@ struct TrialTarget<'a> {
     scn: &'a dyn Scenario,
     setup: &'a AppSetup,
     log: SharedLog,
+    vm: VmOpts,
 }
 
 impl Target for TrialTarget<'_> {
     fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
         // The (disabled) log still tracks recovery reads for the leak
         // mitigation pass.
-        match try_restart(self.scn, self.setup, pool, Some(&self.log)) {
+        match try_restart(self.scn, self.setup, self.vm, pool, Some(&self.log)) {
             RestartResult::Clean => Ok(()),
             RestartResult::Inconsistent(rec) | RestartResult::Failed(rec) => Err(rec),
         }
@@ -547,6 +539,7 @@ impl Target for TrialTarget<'_> {
             scn: self.scn,
             setup: self.setup,
             log,
+            vm: self.vm,
         }))
     }
 }
@@ -571,11 +564,14 @@ enum RestartResult {
 /// end-of-workload `verify` (which expects the complete dataset) does not
 /// apply — only structural integrity and domain invariants do.
 ///
-/// `sink`, when given, observes the restart's PM accesses (the reactor's
-/// re-executions record their recovery reads through it).
+/// Every call runs under `vm`, the trial's production options, so a
+/// restart hangs exactly when production would. `sink`, when given,
+/// observes the restart's PM accesses (the reactor's re-executions record
+/// their recovery reads through it).
 fn try_restart(
     scn: &dyn Scenario,
     setup: &AppSetup,
+    vm: VmOpts,
     image: &PmPool,
     sink: Option<&SharedLog>,
 ) -> RestartResult {
@@ -586,7 +582,7 @@ fn try_restart(
         }
     };
     let issues: Vec<String> = p2.check().iter().map(|i| format!("{i:?}")).collect();
-    let mut vm = Vm::new(setup.instrumented.clone(), p2, trial_vm_opts());
+    let mut vm = Vm::new(setup.instrumented.clone(), p2, vm);
     if let Some(log) = sink {
         vm.pool_mut().set_sink(log.as_sink());
     }
@@ -624,6 +620,7 @@ fn classify(
     scn: &dyn Scenario,
     setup: &AppSetup,
     cfg: &CampaignConfig,
+    vm: VmOpts,
     policy: CrashPolicy,
     mined: &[MinedInvariant],
     capture: CrashCapture,
@@ -642,7 +639,7 @@ fn classify(
     let mut operational = false;
     for _ in 0..MAX_TRIAL_RESTARTS {
         restart_count += 1;
-        let rec = match try_restart(scn, setup, &raw, None) {
+        let rec = match try_restart(scn, setup, vm, &raw, None) {
             RestartResult::Clean => {
                 let image_is_durable = matches!(policy, CrashPolicy::DropStaged);
                 let viols =
@@ -697,6 +694,7 @@ fn classify(
         scn,
         setup,
         log: log.clone(),
+        vm,
     };
     let mut reactor = Reactor::new(&setup.analysis, &setup.guid_map, cfg.reactor);
     // Failover runs only after the primary-image arm is exhausted (the
@@ -715,7 +713,7 @@ fn classify(
     if !out.recovered {
         return (unaided(operational), restart_count, out.attempts);
     }
-    let verdict = match try_restart(scn, setup, &work, None) {
+    let verdict = match try_restart(scn, setup, vm, &work, None) {
         RestartResult::Clean => TrialVerdict::Mitigated,
         RestartResult::Inconsistent(_) => TrialVerdict::InvariantViolated,
         RestartResult::Failed(_) => TrialVerdict::Unrecoverable,
@@ -831,7 +829,8 @@ fn run_trial(
     };
     match run_with_injection(scn, setup, &run_cfg) {
         InjectionOutcome::SiteCrash(capture) => {
-            let (verdict, restarts, attempts) = classify(scn, setup, cfg, policy, mined, *capture);
+            let (verdict, restarts, attempts) =
+                classify(scn, setup, cfg, run_cfg.vm, policy, mined, *capture);
             Trial {
                 site,
                 kind,

@@ -30,6 +30,14 @@ pub const POOL_SIZE: u64 = pmemsim::layout::HEAP_OFF + (8 << 20);
 pub const RUN_TICKS: u64 = 300;
 /// pmCRIU snapshot interval (the paper's 1 minute).
 pub const CRIU_INTERVAL: u64 = 60;
+/// Step budget of every call the offline pipeline interprets: production,
+/// its restarts, mitigation re-executions and campaign trial restarts. A
+/// call that exhausts it is a hang (the paper's timeout, §4.3). The
+/// longest passing call of any scenario, mitigation or campaign trial
+/// takes 7 136 steps (f2's `put`), so the budget leaves 9× headroom;
+/// `tests/hang_budget.rs` checks every scenario reaches the same outcome
+/// at an eighth of it.
+pub const HANG_STEPS: u64 = 1 << 16;
 
 /// Cached per-application analyzer output shared by its scenarios.
 pub struct AppSetup {
@@ -87,6 +95,8 @@ pub struct RunCtx {
     pub restarts: u32,
     /// Scenario scratch counters.
     pub scratch: HashMap<&'static str, u64>,
+    /// Steps interpreted by the run's ended VM lifetimes.
+    steps: u64,
 }
 
 impl RunCtx {
@@ -97,6 +107,7 @@ impl RunCtx {
             seed_read: false,
             restarts: 0,
             scratch: HashMap::new(),
+            steps: 0,
         }
     }
 
@@ -214,6 +225,13 @@ pub struct Production {
     pub recorder: Option<Arc<dyn obs::Recorder>>,
     /// Whether the run read its seed ([`RunCtx::seed`]).
     pub seed_read: bool,
+    /// The VM options production ran under; [`mitigate`] re-executes
+    /// under the same ones, so detection and re-execution share one
+    /// definition of a hang.
+    pub vm: VmOpts,
+    /// Steps interpreted over every VM lifetime of the run, restarts
+    /// included (deterministic for a seed).
+    pub steps: u64,
 }
 
 /// Which auxiliary machinery runs during production.
@@ -247,7 +265,7 @@ impl Default for RunConfig {
             criu: true,
             seed: 1,
             vm: VmOpts {
-                step_limit: 2_000_000,
+                step_limit: HANG_STEPS,
                 ..VmOpts::default()
             },
             recorder: None,
@@ -403,6 +421,7 @@ pub fn run_with_injection(
                 // Recovery itself failing is a failure observation.
                 let rec = FailureRecord::from_vm(&e);
                 let verdict = detector.observe(rec.clone());
+                ctx.steps += vm.steps_total();
                 pool = Some(vm.crash());
                 ctx.restarts += 1;
                 if verdict == Verdict::SuspectedHard {
@@ -416,7 +435,7 @@ pub fn run_with_injection(
                         criu,
                         &ctx,
                         detector,
-                        cfg.recorder.clone(),
+                        cfg,
                     )));
                 }
                 continue 'run;
@@ -437,6 +456,7 @@ pub fn run_with_injection(
                 Ok(Drive::CrashNow) => {
                     t += 1;
                     items_last = scn.count_items(&mut vm);
+                    ctx.steps += vm.steps_total();
                     let mut p = vm.crash();
                     alloc_last = p.allocated_bytes().unwrap_or(0);
                     leakmon.sample(alloc_last);
@@ -454,6 +474,7 @@ pub fn run_with_injection(
                     // An untimely power failure (the trigger), not a
                     // symptom.
                     t += 1;
+                    ctx.steps += vm.steps_total();
                     pool = Some(vm.crash());
                     ctx.restarts += 1;
                     continue 'run;
@@ -461,20 +482,13 @@ pub fn run_with_injection(
                 Err(e) => {
                     let rec = FailureRecord::from_vm(&e);
                     let verdict = detector.observe(rec.clone());
+                    ctx.steps += vm.steps_total();
                     let mut broken = vm.crash();
                     ctx.restarts += 1;
                     if verdict == Verdict::SuspectedHard {
                         return InjectionOutcome::HardFailure(Box::new(finish(
-                            broken,
-                            log,
-                            trace,
-                            rec,
-                            items_last,
-                            alloc_last,
-                            criu,
-                            &ctx,
-                            detector,
-                            cfg.recorder.clone(),
+                            broken, log, trace, rec, items_last, alloc_last, criu, &ctx, detector,
+                            cfg,
                         )));
                     }
                     // First sighting: restart and re-drive the same tick
@@ -487,7 +501,9 @@ pub fn run_with_injection(
                         match PmPool::open(image) {
                             Ok(p2) => {
                                 let mut vm2 = Vm::new(setup.instrumented.clone(), p2, cfg.vm);
-                                scn.count_items(&mut vm2)
+                                let items = scn.count_items(&mut vm2);
+                                ctx.steps += vm2.steps_total();
+                                items
                             }
                             Err(_) => items_last,
                         }
@@ -503,6 +519,7 @@ pub fn run_with_injection(
         }
         // Workload finished without a trap. Leak scenarios detect here.
         items_last = scn.count_items(&mut vm);
+        ctx.steps += vm.steps_total();
         let mut p = vm.into_pool();
         alloc_last = p.allocated_bytes().unwrap_or(0);
         leakmon.sample(alloc_last);
@@ -511,16 +528,7 @@ pub fn run_with_injection(
                 "PM utilisation grew to {alloc_last} bytes across restarts"
             ));
             return InjectionOutcome::HardFailure(Box::new(finish(
-                p,
-                log,
-                trace,
-                rec,
-                items_last,
-                alloc_last,
-                criu,
-                &ctx,
-                detector,
-                cfg.recorder.clone(),
+                p, log, trace, rec, items_last, alloc_last, criu, &ctx, detector, cfg,
             )));
         }
         return InjectionOutcome::Completed(Box::new(CompletedRun {
@@ -543,7 +551,7 @@ fn finish(
     criu: PmCriu,
     ctx: &RunCtx,
     detector: Detector,
-    recorder: Option<Arc<dyn obs::Recorder>>,
+    cfg: &RunConfig,
 ) -> Production {
     Production {
         pool,
@@ -556,8 +564,10 @@ fn finish(
         restarts: ctx.restarts,
         detected_hard: true,
         detector,
-        recorder,
+        recorder: cfg.recorder.clone(),
         seed_read: ctx.seed_read,
+        vm: cfg.vm,
+        steps: ctx.steps,
     }
 }
 
@@ -787,17 +797,13 @@ pub fn mitigate(
 ) -> MitigationResult {
     let total_updates = production.log.total_updates();
     let items_before = production.items_before.max(1);
+    // Re-executions run under production's VM options, so a restart
+    // hangs exactly when production would (`HANG_STEPS` by default).
     let mut target = ScenarioTarget::new(
         scn,
         setup.instrumented.clone(),
         production.log.clone(),
-        // A tighter step budget for verification runs: a hang only needs
-        // a few hundred thousand interpreted steps to be evident, and
-        // baselines re-execute hundreds of times.
-        VmOpts {
-            step_limit: 500_000,
-            ..VmOpts::default()
-        },
+        production.vm,
     );
 
     let (recovered, attempts, rounds, wall, discarded, leaks_freed, fellback, phases) =

@@ -29,6 +29,7 @@ pub use arthas::{AnalysisCache, CacheOutcome};
 pub use harness::{
     check_consistency, mitigate, run_cell, run_production, run_with_injection, AppSetup,
     CompletedRun, CrashCapture, Drive, InjectionOutcome, MitigationResult, Production, RunConfig,
-    RunCtx, Scenario, ScenarioTarget, SiteInjection, Solution, CRIU_INTERVAL, POOL_SIZE, RUN_TICKS,
+    RunCtx, Scenario, ScenarioTarget, SiteInjection, Solution, CRIU_INTERVAL, HANG_STEPS,
+    POOL_SIZE, RUN_TICKS,
 };
 pub use loadgen::{load_report_schema, run_load, LoadConfig, LoadReport};

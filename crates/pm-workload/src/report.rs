@@ -106,6 +106,7 @@ pub fn run_report(
         ("restarts", Json::U64(restarts as u64)),
         ("detected_hard", Json::Bool(detected_hard)),
         ("total_updates", Json::U64(result.total_updates)),
+        ("steps", Json::U64(prod.steps)),
         (
             "failure",
             Json::obj([
@@ -301,6 +302,7 @@ pub fn schema() -> Schema {
                 Field::req("restarts", UInt),
                 Field::req("detected_hard", Bool),
                 Field::req("total_updates", UInt),
+                Field::req("steps", UInt),
                 Field::req(
                     "failure",
                     Obj(vec![

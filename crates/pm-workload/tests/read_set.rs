@@ -24,21 +24,25 @@ use proptest::prelude::*;
 struct Restart {
     id: &'static str,
     setup: AppSetup,
+    /// The VM options production ran under.
+    vm: VmOpts,
     image: PmImage,
     reads: ReadSet,
     verdict: Result<(), FailureRecord>,
 }
 
 /// Restarts `image` the way the reactor's re-executions do: a scenario
-/// target over a disabled log, with the mitigation step budget.
-fn restart(scn: &dyn Scenario, setup: &AppSetup, image: &PmImage) -> Result<(), FailureRecord> {
+/// target over a disabled log, under production's VM options (the step
+/// budget `mitigate` ships).
+fn restart(
+    scn: &dyn Scenario,
+    setup: &AppSetup,
+    vm: VmOpts,
+    image: &PmImage,
+) -> Result<(), FailureRecord> {
     let log = SharedLog::new();
     log.set_enabled(false);
-    let opts = VmOpts {
-        step_limit: 500_000,
-        ..VmOpts::default()
-    };
-    let mut target = ScenarioTarget::new(scn, setup.instrumented.clone(), log, opts);
+    let mut target = ScenarioTarget::new(scn, setup.instrumented.clone(), log, vm);
     match PmPool::open(image.clone()) {
         Ok(mut pool) => target.reexecute(&mut pool),
         Err(e) => Err(FailureRecord::wrong_result(format!("pool reopen: {e}"))),
@@ -59,10 +63,11 @@ fn prepare() -> Vec<Restart> {
             let prod = run_production(scn.as_ref(), &setup, &RunConfig::default())
                 .expect("scenario reaches a hard failure");
             let image = prod.pool.snapshot();
-            let (verdict, reads) = capture_reads(|| restart(scn.as_ref(), &setup, &image));
+            let (verdict, reads) = capture_reads(|| restart(scn.as_ref(), &setup, prod.vm, &image));
             Restart {
                 id: scn.id(),
                 setup,
+                vm: prod.vm,
                 image,
                 reads,
                 verdict,
@@ -120,7 +125,7 @@ proptest! {
         for r in restarts() {
             let scn = scenarios::by_id(r.id).expect("stock scenario");
             let (image, changed) = mutate(&r.image, &r.reads, &picks);
-            let verdict = restart(scn.as_ref(), &r.setup, &image);
+            let verdict = restart(scn.as_ref(), &r.setup, r.vm, &image);
             prop_assert_eq!(
                 render(&verdict),
                 render(&r.verdict),
@@ -164,7 +169,7 @@ fn flipping_f4s_corrupted_pointer_changes_the_failure() {
         scn.as_ref(),
         r.setup.instrumented.clone(),
         prod.log.clone(),
-        VmOpts::default(),
+        prod.vm,
     );
     let mut reactor = Reactor::new(
         &r.setup.analysis,
@@ -198,6 +203,6 @@ fn flipping_f4s_corrupted_pointer_changes_the_failure() {
 
     let mut image = r.image.clone();
     image.write(pointer, &[0x40]).unwrap();
-    let verdict = restart(scn.as_ref(), &r.setup, &image);
+    let verdict = restart(scn.as_ref(), &r.setup, r.vm, &image);
     assert_ne!(render(&verdict), render(&r.verdict));
 }

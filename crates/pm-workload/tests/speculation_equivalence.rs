@@ -21,7 +21,6 @@ use std::sync::Arc;
 
 use arthas::{FailureRecord, MitigationOutcome, Reactor, ReactorConfig, Target};
 use obs::{Instrument as _, RingRecorder};
-use pir::vm::VmOpts;
 use pm_workload::{run_production, scenarios, AppSetup, RunConfig, ScenarioTarget};
 use pmemsim::PmPool;
 
@@ -72,15 +71,7 @@ fn mitigate_once(
         ..RunConfig::default()
     };
     let mut prod = run_production(scn, setup, &run_cfg).expect("scenario reaches a hard failure");
-    let target = ScenarioTarget::new(
-        scn,
-        setup.instrumented.clone(),
-        prod.log.clone(),
-        VmOpts {
-            step_limit: 500_000,
-            ..VmOpts::default()
-        },
-    );
+    let target = ScenarioTarget::new(scn, setup.instrumented.clone(), prod.log.clone(), prod.vm);
     let mut target: Box<dyn Target + Send + '_> = if reads_everything {
         Box::new(ReadsEverything(Box::new(target)))
     } else {

@@ -177,11 +177,12 @@ fn cmd_run(p: Parsed) {
         };
         let cell = run_cell(scn.as_ref(), &setup, solution, &cfg, |prod| {
             println!(
-                "production: {:?} (exit code {}) after {} restart(s); {} updates checkpointed",
+                "production: {:?} (exit code {}) after {} restart(s); {} updates checkpointed; {} steps",
                 prod.failure.kind,
                 prod.failure.exit_code,
                 prod.restarts,
                 prod.log.total_updates(),
+                prod.steps,
             )
         });
         let Some((_, res)) = cell else {
