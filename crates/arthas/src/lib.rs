@@ -37,7 +37,7 @@ pub use checkpoint::{Entry, LogStats, LogView, SharedLog, VersionData, MAX_VERSI
 pub use detector::{Detector, FailureKind, FailureRecord, LeakMonitor, Verdict};
 pub use pir_analysis::{AnalysisCache, CacheOutcome};
 pub use reactor::{
-    BatchStrategy, ConfigError, MitigationOutcome, Mode, PhaseTimes, Plan, Reactor, ReactorConfig,
-    ReactorConfigBuilder, Standbys, Target,
+    reopen, BatchStrategy, ConfigError, MitigationOutcome, Mode, PhaseTimes, Plan, Reactor,
+    ReactorConfig, ReactorConfigBuilder, Restart, Standbys,
 };
 pub use trace::PmTrace;

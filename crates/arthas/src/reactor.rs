@@ -28,7 +28,8 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pir::ir::InstRef;
+use pir::ir::{InstRef, Module};
+use pir::vm::{Vm, VmOpts};
 use pir_analysis::{backward_slice, ModuleAnalysis, Slice};
 use pmemsim::{capture_reads, PmPool, PoolGroup, ReadSet};
 
@@ -98,9 +99,6 @@ pub struct ReactorConfig {
     mode: Mode,
     /// Batching strategy.
     batch: BatchStrategy,
-    /// Re-execution budget before giving up (the paper's 10-minute
-    /// timeout analogue).
-    max_attempts: u32,
     /// Optional cap on slice distance for candidate selection.
     max_distance: Option<u32>,
     /// Purge attempts before falling back to rollback mode.
@@ -115,8 +113,7 @@ pub struct ReactorConfig {
     /// success in candidate order — the outcome is identical at every
     /// width, only the restart delays overlap. `Some(0)` sizes the wave
     /// from [`std::thread::available_parallelism`]; `None` is a width of
-    /// one. A target that cannot fork ([`Target::fork_target`]) always
-    /// gets waves of one.
+    /// one.
     speculation: Option<usize>,
     /// Online mitigation, for a live server with post-fault traffic above
     /// the fault in the candidate list. Two policies change together:
@@ -155,13 +152,6 @@ impl ReactorConfigBuilder {
     /// `Batch(0)` is rejected by [`ReactorConfigBuilder::build`].
     pub fn batch(mut self, batch: BatchStrategy) -> Self {
         self.cfg.batch = batch;
-        self
-    }
-
-    /// Re-execution budget before giving up, ≥ 1 (the paper's 10-minute
-    /// timeout analogue; default 200).
-    pub fn max_attempts(mut self, max_attempts: u32) -> Self {
-        self.cfg.max_attempts = max_attempts;
         self
     }
 
@@ -205,9 +195,6 @@ impl ReactorConfigBuilder {
 
     /// Validates and produces the configuration.
     pub fn build(self) -> Result<ReactorConfig, ConfigError> {
-        if self.cfg.max_attempts == 0 {
-            return Err(ConfigError("max_attempts must be at least 1".into()));
-        }
         if self.cfg.purge_fallback_after == 0 {
             return Err(ConfigError(
                 "purge_fallback_after must be at least 1".into(),
@@ -227,7 +214,6 @@ impl Default for ReactorConfig {
         ReactorConfig {
             mode: Mode::Purge,
             batch: BatchStrategy::OneByOne,
-            max_attempts: 200,
             max_distance: None,
             purge_fallback_after: 60,
             minimize_loss: false,
@@ -292,40 +278,62 @@ impl ReactorConfig {
 /// Bound on slice exploration.
 const MAX_SLICE_NODES: usize = 100_000;
 
-/// The target system under mitigation.
-///
-/// `reexecute` must restart the system over the given pool (running its
-/// recovery function) and drive a verification workload, returning the
-/// failure if the symptom persists. Implementations attach the checkpoint
-/// log sink *disabled* during re-execution so reversion attempts do not
-/// rotate good versions out of the log (recovery reads are still tracked
-/// for leak mitigation). The restart runs on a reopened copy of the pool,
-/// as a real restart would, and leaves the passed pool unmodified: the
-/// reactor knows every byte it wrote, and reuses what it read before.
-///
-/// The outcome must depend only on the bytes the re-execution reads from
-/// the pool's durable image, on the calling thread: the reactor captures
-/// those reads ([`pmemsim::capture_reads`]) and gives a later step whose
-/// image holds the same bytes at every one of them the earlier verdict
-/// without calling `reexecute` again (DESIGN §4.5).
-pub trait Target {
-    /// Restart + verify; `Ok(())` means the system is operational.
-    fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord>;
+/// Re-execution budget of the revert loop before giving up (the paper's
+/// 10-minute timeout analogue).
+const MAX_ATTEMPTS: u32 = 200;
 
-    /// An independent target for one re-execution on another thread, or
-    /// `None` (the default) when the target cannot be cloned — the
-    /// reactor then re-executes one candidate at a time. The box borrows
-    /// from `self` only immutably, so forks can run under
-    /// [`std::thread::scope`] while the parent target waits.
-    ///
-    /// Restarting on a copy of the pool (see [`Target`]) is what makes a
-    /// wave of `k` commutable with `k` waves of one. A fork's observable
-    /// side effects must also be limited to its return value: anything it
-    /// records (e.g. into a private checkpoint log) is dropped unless its
-    /// attempt wins, so recording must not feed back into re-execution
-    /// behaviour.
-    fn fork_target(&self) -> Option<Box<dyn Target + Send + '_>> {
-        None
+/// Reopens a copy of `image`'s durable bytes, as a real restart would,
+/// under a fresh VM over `module` with `sink` attached. A pool that does
+/// not reopen is the restart's failure.
+pub fn reopen(
+    module: &Arc<Module>,
+    vm: VmOpts,
+    image: &PmPool,
+    sink: Option<&SharedLog>,
+) -> Result<Vm, FailureRecord> {
+    let pool = PmPool::open(image.snapshot())
+        .map_err(|e| FailureRecord::wrong_result(format!("pool reopen: {e}")))?;
+    let mut vm = Vm::new(module.clone(), pool, vm);
+    if let Some(log) = sink {
+        vm.pool_mut().set_sink(log.as_sink());
+    }
+    Ok(vm)
+}
+
+/// The system under mitigation, restarted: [`reopen`] the candidate
+/// image, then `probe` runs the application's recovery and the checks
+/// that say it is operational (`Ok(())`), or returns the failure if the
+/// symptom persists.
+///
+/// The reactor attaches its own log as the sink, paused while it
+/// reverts so attempts rotate no good version out of it; recovery reads
+/// are still tracked for leak mitigation (§4.7).
+///
+/// The restart contract (DESIGN §4.5) holds by construction for its
+/// first half: every run is on a copy of the pool, so the image passed
+/// in is never modified; and the reactor gives each concurrent fork a
+/// fresh, disabled log, so a losing attempt records nothing anyone reads.
+/// The probe owes the second half: its verdict must depend only on the
+/// bytes it reads from the reopened image, on the calling thread. The
+/// reactor captures those reads ([`pmemsim::capture_reads`]) and gives a
+/// later step whose image holds the same bytes at every one of them the
+/// earlier verdict without restarting again.
+#[derive(Clone, Copy)]
+pub struct Restart<'a> {
+    /// The module to restart (the trace-instrumented one in production).
+    pub module: &'a Arc<Module>,
+    /// The restarted VM's options; a restart hangs exactly when a call
+    /// under them would.
+    pub vm: VmOpts,
+    /// Recovery plus verification over the reopened VM.
+    pub probe: &'a (dyn Fn(&mut Vm) -> Result<(), FailureRecord> + Sync),
+}
+
+impl Restart<'_> {
+    /// Restarts over a copy of `image` with `sink` attached and probes.
+    pub fn run(&self, image: &PmPool, sink: &SharedLog) -> Result<(), FailureRecord> {
+        let mut vm = reopen(self.module, self.vm, image, Some(sink))?;
+        (self.probe)(&mut vm)
     }
 }
 
@@ -485,7 +493,7 @@ impl RevertLedger {
 
 /// The newest failed re-execution the revert loop paid for: the bytes its
 /// restart read from its start image, and the verdict it reached. A
-/// restart is deterministic in the bytes it reads (see [`Target`]), so a
+/// restart is deterministic in the bytes it reads (see [`Restart`]), so a
 /// step whose image holds the same bytes at every one of those offsets
 /// would read the same values, take the same path and fail the same way.
 struct Basis {
@@ -1006,8 +1014,11 @@ impl<'a> Reactor<'a> {
     /// cross-check — and [`Standbys::AfterReversion`] promotes a standby
     /// when that did not recover the system.
     ///
+    /// Every re-execution is `restart` with `log` attached, except a wide
+    /// wave's forks (see [`Restart`]).
+    ///
     /// A promoted replica adopts its image into `pool` (restore + crash
-    /// recovery) and is verified by `target.reexecute`; a replica that
+    /// recovery) and is verified by `restart`; a replica that
     /// fails verification is marked faulted and the next-best one is
     /// tried. Every checkpoint seq above the promoted cursor is
     /// accounted as discarded — the failover analogue of rollback's
@@ -1018,12 +1029,12 @@ impl<'a> Reactor<'a> {
         log: &SharedLog,
         failure: &FailureRecord,
         trace: &PmTrace,
-        target: &mut dyn Target,
+        restart: &Restart<'_>,
         standbys: Option<Standbys<'_>>,
     ) -> MitigationOutcome {
         let t0 = Instant::now();
         if failure.kind == FailureKind::Leak {
-            return self.mitigate_leak(pool, log, target, t0);
+            return self.mitigate_leak(pool, log, restart, t0);
         }
         let (group, standby_first) = match standbys {
             Some(Standbys::First(g)) if !g.is_empty() => (Some(g), true),
@@ -1048,7 +1059,7 @@ impl<'a> Reactor<'a> {
                 Some(facts) => planned = Some((plan, facts, phases)),
                 None => {
                     // The restart runs with checkpointing on, like any other.
-                    out = self.restart_only(pool, target, t0, 0, phases);
+                    out = self.restart_only(pool, log, restart, t0, 0, phases);
                     if out.recovered || group.is_none() {
                         return out;
                     }
@@ -1058,7 +1069,7 @@ impl<'a> Reactor<'a> {
         let _paused = LogPaused::new(log);
         if let Some((plan, mut facts, phases)) = planned {
             facts.index(&plan);
-            out = self.revert_loop(pool, log, &plan, &mut facts, trace, target, t0, phases);
+            out = self.revert_loop(pool, log, &plan, &mut facts, trace, restart, t0, phases);
             debug_assert_eq!(
                 (log.latest_seq(), log.total_updates()),
                 facts.frontier,
@@ -1066,7 +1077,7 @@ impl<'a> Reactor<'a> {
             );
         }
         match group {
-            Some(group) if !out.recovered => self.failover(pool, log, target, group, out, t0),
+            Some(group) if !out.recovered => self.failover(pool, log, restart, group, out, t0),
             _ => {
                 self.record_outcome(&out);
                 out
@@ -1233,7 +1244,7 @@ impl<'a> Reactor<'a> {
         &mut self,
         pool: &mut PmPool,
         log: &SharedLog,
-        target: &mut dyn Target,
+        restart: &Restart<'_>,
         group: &mut PoolGroup,
         mut out: MitigationOutcome,
         t0: Instant,
@@ -1251,7 +1262,7 @@ impl<'a> Reactor<'a> {
             out.attempts += 1;
             out.reexec_rounds += 1;
             let t_re = Instant::now();
-            let ok = target.reexecute(pool).is_ok();
+            let ok = restart.run(pool, log).is_ok();
             out.phases.reexec += t_re.elapsed();
             self.recorder.event(
                 "reactor.failover",
@@ -1296,14 +1307,15 @@ impl<'a> Reactor<'a> {
 
     fn restart_only(
         &self,
-        pool: &mut PmPool,
-        target: &mut dyn Target,
+        pool: &PmPool,
+        log: &SharedLog,
+        restart: &Restart<'_>,
         t0: Instant,
         plan_len: usize,
         mut phases: PhaseTimes,
     ) -> MitigationOutcome {
         let t_re = Instant::now();
-        let ok = target.reexecute(pool).is_ok();
+        let ok = restart.run(pool, log).is_ok();
         phases.reexec += t_re.elapsed();
         self.recorder
             .observe_duration("reactor.reexec_us", t_re.elapsed());
@@ -1337,7 +1349,7 @@ impl<'a> Reactor<'a> {
     /// The revert loop (§4.4–4.5): revert a batch of candidates,
     /// re-execute, repeat — in *waves* of up to `k` steps whose
     /// re-executions overlap, `k = min(workers, attempts left, candidates
-    /// left)` when the target can fork and 1 when it cannot.
+    /// left)`.
     ///
     /// A wave simulates the next `k` steps of the loop's control state
     /// (candidate cursor, batch sizing, the attempt-count-triggered
@@ -1347,8 +1359,8 @@ impl<'a> Reactor<'a> {
     /// its predecessor; online attempts apply every step to its own fork
     /// of the crashed image, and `pool` is not written until a step wins.
     /// A wave of one re-executes on the caller's thread with the caller's
-    /// target; a wider one forks the target per step under
-    /// [`std::thread::scope`]. Commit then walks the results in candidate
+    /// log; a wider one runs each step on its own thread under
+    /// [`std::thread::scope`], with a fresh disabled log. Commit then walks the results in candidate
     /// order:
     ///
     /// * first success → that step's pool, ledger and attempt count are
@@ -1385,7 +1397,7 @@ impl<'a> Reactor<'a> {
         plan: &Plan,
         facts: &mut LogFacts,
         trace: &PmTrace,
-        target: &mut dyn Target,
+        restart: &Restart<'_>,
         t0: Instant,
         mut phases: PhaseTimes,
     ) -> MitigationOutcome {
@@ -1418,10 +1430,7 @@ impl<'a> Reactor<'a> {
         }
 
         let online = self.cfg.online;
-        let workers = match self.cfg.speculation_workers() {
-            k if k > 1 && target.fork_target().is_some() => k,
-            _ => 1,
-        };
+        let workers = self.cfg.speculation_workers();
         let fwd = match self.cfg.mode {
             Mode::Purge => Some(self.analysis.pdg.forward_index()),
             Mode::Rollback => None,
@@ -1473,14 +1482,14 @@ impl<'a> Reactor<'a> {
         for depth in 1..=MAX_VERSIONS {
             ctl.next = 0;
             ctl.stride = batch_size;
-            while ctl.next < plan.seqs.len() && ctl.attempts < self.cfg.max_attempts {
+            while ctl.next < plan.seqs.len() && ctl.attempts < MAX_ATTEMPTS {
                 // Build the wave.
                 let t_rv = Instant::now();
                 let mut steps: Vec<Step> = Vec::new();
                 let mut sim = ctl;
                 while steps.len() < workers
                     && sim.next < plan.seqs.len()
-                    && sim.attempts < self.cfg.max_attempts
+                    && sim.attempts < MAX_ATTEMPTS
                 {
                     let budget_flip =
                         sim.mode == Mode::Purge && sim.attempts >= self.cfg.purge_fallback_after;
@@ -1548,7 +1557,7 @@ impl<'a> Reactor<'a> {
                 self.recorder
                     .observe_duration("reactor.revert_us", t_rv.elapsed());
                 // Re-execute the steps the basis does not decide: a wave
-                // of one here, a wider one on forks of the target. Each
+                // of one here, a wider one on threads of its own. Each
                 // restart's reads are captured on the thread it runs on.
                 let t_re = Instant::now();
                 let wide = steps.len() > 1;
@@ -1567,19 +1576,22 @@ impl<'a> Reactor<'a> {
                 let ran: Vec<(usize, Option<FailureRecord>, ReadSet)> = if !wide {
                     runs.into_iter()
                         .map(|(i, p)| {
-                            let (r, reads) = capture_reads(|| target.reexecute(p));
+                            let (r, reads) = capture_reads(|| restart.run(p, log_rc));
                             (i, r.err(), reads)
                         })
                         .collect()
                 } else {
-                    let target = &*target;
                     std::thread::scope(|s| {
                         let handles: Vec<_> = runs
                             .into_iter()
                             .map(|(i, p)| {
-                                let mut tgt = target.fork_target().expect("target forked before");
                                 s.spawn(move || {
-                                    let (r, reads) = capture_reads(|| tgt.reexecute(p));
+                                    // A fork records into a throwaway log:
+                                    // the shared one is paused, and a
+                                    // losing attempt leaves no trace.
+                                    let log = SharedLog::new();
+                                    log.set_enabled(false);
+                                    let (r, reads) = capture_reads(|| restart.run(p, &log));
                                     (i, r.err(), reads)
                                 })
                             })
@@ -1665,7 +1677,7 @@ impl<'a> Reactor<'a> {
                         // Minimization is result-dependent at every step;
                         // it stays a wave of one.
                         let t_min = Instant::now();
-                        let used = self.minimize(pool, &mut ledger, target);
+                        let used = self.minimize(pool, log_rc, &mut ledger, restart);
                         phases.reexec += t_min.elapsed();
                         ctl.attempts += used;
                         rounds += used;
@@ -1939,14 +1951,15 @@ impl<'a> Reactor<'a> {
     }
 
     /// Post-recovery minimization: restore each reverted address to its
-    /// pre-reversion bytes and keep the restoration when the target stays
+    /// pre-reversion bytes and keep the restoration when the restart stays
     /// healthy — shrinking the discarded set to the entries that actually
     /// mattered. Bounded by a re-execution budget.
     fn minimize(
         &self,
         pool: &mut PmPool,
+        log: &SharedLog,
         ledger: &mut RevertLedger,
-        target: &mut dyn Target,
+        restart: &Restart<'_>,
     ) -> u32 {
         const BUDGET: u32 = 32;
         let mut used = 0u32;
@@ -1969,7 +1982,7 @@ impl<'a> Reactor<'a> {
             let _ = pool.write(addr, &original);
             let _ = pool.persist(addr, original.len() as u64);
             used += 1;
-            if target.reexecute(pool).is_ok() {
+            if restart.run(pool, log).is_ok() {
                 // Not needed after all.
                 ledger.by_addr.remove(&addr);
             } else {
@@ -2025,7 +2038,7 @@ impl<'a> Reactor<'a> {
         &mut self,
         pool: &mut PmPool,
         log_rc: &SharedLog,
-        target: &mut dyn Target,
+        restart: &Restart<'_>,
         t0: Instant,
     ) -> MitigationOutcome {
         let mut phases = PhaseTimes::default();
@@ -2033,7 +2046,7 @@ impl<'a> Reactor<'a> {
         log_rc.clear_recovery_reads();
         // Run recovery + verification once to populate the recovery reads.
         let t_re = Instant::now();
-        let _ = target.reexecute(pool);
+        let _ = restart.run(pool, log_rc);
         phases.reexec += t_re.elapsed();
         let suspects = log_rc.suspected_leaks();
         let mut freed = 0u64;
@@ -2046,7 +2059,7 @@ impl<'a> Reactor<'a> {
         }
         phases.revert += t_rv.elapsed();
         let t_re = Instant::now();
-        let ok = target.reexecute(pool).is_ok();
+        let ok = restart.run(pool, log_rc).is_ok();
         phases.reexec += t_re.elapsed();
         self.recorder.event(
             "reactor.leak_mitigation",

@@ -11,8 +11,8 @@
 use std::sync::Arc;
 
 use arthas::{
-    analyze_and_instrument, Detector, FailureRecord, PmTrace, Reactor, ReactorConfig, SharedLog,
-    Target, Verdict,
+    analyze_and_instrument, Detector, FailureRecord, PmTrace, Reactor, ReactorConfig, Restart,
+    SharedLog, Verdict,
 };
 use pir::builder::ModuleBuilder;
 use pir::ir::Module;
@@ -91,38 +91,20 @@ fn new_pool() -> PmPool {
     PmPool::create(pmemsim::layout::HEAP_OFF + (1 << 20)).unwrap()
 }
 
-struct MiniTarget {
-    module: Arc<Module>,
-    log: SharedLog,
-}
-
-impl Target for MiniTarget {
-    fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
-        // Restart over the current pool image (the reactor mutated it in
-        // place): recovery + verification workload.
-        let image = pool.snapshot();
-        let reopened = PmPool::open(image)
-            .map_err(|e| FailureRecord::wrong_result(format!("pool reopen failed: {e}")))?;
-        let mut vm = Vm::new(self.module.clone(), reopened, VmOpts::default());
-        // Recovery reads are tracked for leak mitigation; updates are not
-        // recorded (the log is disabled during mitigation).
-        vm.pool_mut().set_sink(self.log.as_sink());
-        vm.call("recover", &[])
-            .map_err(|e| FailureRecord::from_vm(&e))?;
-        vm.call("get", &[])
-            .map_err(|e| FailureRecord::from_vm(&e))?;
-        vm.call("put", &[7])
-            .map_err(|e| FailureRecord::from_vm(&e))?;
-        let got = vm
-            .call("get", &[])
-            .map_err(|e| FailureRecord::from_vm(&e))?;
-        if got != Some(7) {
-            return Err(FailureRecord::wrong_result(format!(
-                "get returned {got:?}, expected 7"
-            )));
-        }
-        Ok(())
+/// The restart probe: recovery + verification workload on the reopened
+/// pool (the reactor mutated the candidate image in place).
+fn recover_and_check(vm: &mut Vm) -> Result<(), FailureRecord> {
+    let mut call = |f: &str, a: &[u64]| vm.call(f, a).map_err(|e| FailureRecord::from_vm(&e));
+    call("recover", &[])?;
+    call("get", &[])?;
+    call("put", &[7])?;
+    let got = call("get", &[])?;
+    if got != Some(7) {
+        return Err(FailureRecord::wrong_result(format!(
+            "get returned {got:?}, expected 7"
+        )));
     }
+    Ok(())
 }
 
 #[test]
@@ -166,11 +148,12 @@ fn full_pipeline_recovers_with_minimal_loss() {
     );
 
     let mut reactor = Reactor::new(&out.analysis, &out.guid_map, ReactorConfig::default());
-    let mut target = MiniTarget {
-        module: instrumented.clone(),
-        log: log.clone(),
+    let restart = Restart {
+        module: &instrumented,
+        vm: VmOpts::default(),
+        probe: &recover_and_check,
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &rec2, &trace, &mut target, None);
+    let outcome = reactor.mitigate(&mut pool, &log, &rec2, &trace, &restart, None);
     assert!(
         outcome.recovered,
         "reactor recovered the system: {outcome:?}"

@@ -9,7 +9,8 @@
 use std::sync::Arc;
 
 use arthas::{
-    analyze_and_instrument, FailureRecord, Mode, PmTrace, Reactor, ReactorConfig, SharedLog, Target,
+    analyze_and_instrument, FailureRecord, Mode, PmTrace, Reactor, ReactorConfig, Restart,
+    SharedLog,
 };
 use pir::builder::ModuleBuilder;
 use pir::ir::Module;
@@ -165,23 +166,14 @@ fn build_app() -> Module {
     m.finish().unwrap()
 }
 
-struct AppTarget {
-    module: Arc<Module>,
-    log: SharedLog,
-}
-
-impl Target for AppTarget {
-    fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
-        let p2 = PmPool::open(pool.snapshot())
-            .map_err(|e| FailureRecord::wrong_result(format!("{e}")))?;
-        let mut vm = Vm::new(self.module.clone(), p2, VmOpts::default());
-        vm.pool_mut().set_sink(self.log.as_sink());
-        vm.call("recover", &[])
-            .map_err(|e| FailureRecord::from_vm(&e))?;
-        vm.call("get", &[])
-            .map_err(|e| FailureRecord::from_vm(&e))?;
-        Ok(())
-    }
+/// The restart probe: recovery, then the `get` that crashes while the
+/// fault is in place.
+fn recover_and_get(vm: &mut Vm) -> Result<(), FailureRecord> {
+    vm.call("recover", &[])
+        .map_err(|e| FailureRecord::from_vm(&e))?;
+    vm.call("get", &[])
+        .map_err(|e| FailureRecord::from_vm(&e))?;
+    Ok(())
 }
 
 /// Drives the app to a hard fault, corrupts the aux entry (newest logged
@@ -221,11 +213,12 @@ fn mitigate() -> (arthas::MitigationOutcome, [Vec<u8>; 3]) {
         .build()
         .unwrap();
     let mut reactor = Reactor::new(&out.analysis, &out.guid_map, cfg);
-    let mut target = AppTarget {
-        module: instrumented,
-        log: log.clone(),
+    let restart = Restart {
+        module: &instrumented,
+        vm: VmOpts::default(),
+        probe: &recover_and_get,
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target, None);
+    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart, None);
     let bytes = [
         pool.read(root + 8, 8).unwrap(),
         pool.read(root + 8192, 8).unwrap(),

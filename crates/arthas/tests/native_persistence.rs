@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use arthas::{
-    analyze_and_instrument, FailureRecord, PmTrace, Reactor, ReactorConfig, SharedLog, Target,
+    analyze_and_instrument, FailureRecord, PmTrace, Reactor, ReactorConfig, Restart, SharedLog,
 };
 use pir::builder::ModuleBuilder;
 use pir::ir::{Intrinsic, Module};
@@ -112,23 +112,14 @@ fn flush_without_fence_is_not_checkpointed_or_durable() {
     assert_eq!(pool.read_u64(root).unwrap(), 0, "in-flight line dropped");
 }
 
-struct NativeTarget {
-    module: Arc<Module>,
-    log: SharedLog,
-}
-
-impl Target for NativeTarget {
-    fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
-        let p2 = PmPool::open(pool.snapshot())
-            .map_err(|e| FailureRecord::wrong_result(format!("{e}")))?;
-        let mut vm = Vm::new(self.module.clone(), p2, VmOpts::default());
-        vm.pool_mut().set_sink(self.log.as_sink());
-        vm.call("recover", &[])
-            .map_err(|e| FailureRecord::from_vm(&e))?;
-        vm.call("get", &[])
-            .map_err(|e| FailureRecord::from_vm(&e))?;
-        Ok(())
-    }
+/// The restart probe: recovery, then the `get` that crashes while the
+/// fault is in place.
+fn recover_and_get(vm: &mut Vm) -> Result<(), FailureRecord> {
+    vm.call("recover", &[])
+        .map_err(|e| FailureRecord::from_vm(&e))?;
+    vm.call("get", &[])
+        .map_err(|e| FailureRecord::from_vm(&e))?;
+    Ok(())
 }
 
 #[test]
@@ -149,11 +140,12 @@ fn reactor_recovers_a_natively_persisted_fault() {
     let mut pool = vm.crash();
 
     let mut reactor = Reactor::new(&out.analysis, &out.guid_map, ReactorConfig::default());
-    let mut target = NativeTarget {
-        module: instrumented,
-        log: log.clone(),
+    let restart = Restart {
+        module: &instrumented,
+        vm: VmOpts::default(),
+        probe: &recover_and_get,
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target, None);
+    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart, None);
     assert!(outcome.recovered, "{outcome:?}");
     // The reverted cell holds the previous natively-persisted value.
     let root = pool.root_offset().unwrap();

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use arthas::{
     analyze_and_instrument, AnalyzerOutput, Detector, FailureRecord, PmTrace, Reactor,
-    ReactorConfig, SharedLog, Target, Verdict,
+    ReactorConfig, Restart, SharedLog, Verdict,
 };
 use pir::builder::ModuleBuilder;
 use pir::ir::Module;
@@ -73,60 +73,16 @@ fn build_app() -> Module {
     m.finish().unwrap()
 }
 
-struct MiniTarget {
-    module: Arc<Module>,
-    log: SharedLog,
-}
-
-impl Target for MiniTarget {
-    fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
-        let image = pool.snapshot();
-        let reopened = PmPool::open(image)
-            .map_err(|e| FailureRecord::wrong_result(format!("pool reopen failed: {e}")))?;
-        let mut vm = Vm::new(self.module.clone(), reopened, VmOpts::default());
-        // Recovery reads feed leak mitigation, and every sink event takes
-        // the (possibly poisoned) log lock, so attaching the log here keeps
-        // the re-execution path realistic.
-        vm.pool_mut().set_sink(self.log.as_sink());
-        vm.call("recover", &[])
-            .map_err(|e| FailureRecord::from_vm(&e))?;
-        vm.call("get", &[])
-            .map_err(|e| FailureRecord::from_vm(&e))?;
-        Ok(())
-    }
-}
-
-/// A target whose speculative forks take a view of the log (its lock) and
-/// die — the worst-case re-execution crash, leaving the log mutex
-/// poisoned.
-struct PanickingForkTarget {
-    log: SharedLog,
-}
-
-struct PanickingFork {
-    log: SharedLog,
-}
-
-impl Target for PanickingFork {
-    fn reexecute(&mut self, _pool: &mut PmPool) -> Result<(), FailureRecord> {
-        let _view = self.log.view();
-        panic!("simulated crash during speculative re-execution");
-    }
-}
-
-impl Target for PanickingForkTarget {
-    fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
-        PanickingFork {
-            log: self.log.clone(),
-        }
-        .reexecute(pool)
-    }
-
-    fn fork_target(&self) -> Option<Box<dyn Target + Send + '_>> {
-        Some(Box::new(PanickingFork {
-            log: self.log.clone(),
-        }))
-    }
+/// The restart probe: recovery, then the `get` that crashes while the
+/// flag is set. Recovery reads reach the attached log's sink, whose every
+/// event takes the (possibly poisoned) log lock, so the re-execution path
+/// stays realistic.
+fn recover_and_get(vm: &mut Vm) -> Result<(), FailureRecord> {
+    vm.call("recover", &[])
+        .map_err(|e| FailureRecord::from_vm(&e))?;
+    vm.call("get", &[])
+        .map_err(|e| FailureRecord::from_vm(&e))?;
+    Ok(())
 }
 
 /// Drives the app into a recurring (hard) failure and returns everything a
@@ -187,9 +143,20 @@ fn mitigate_with_panicking_forks(
         .build()
         .unwrap();
     let mut reactor = Reactor::new(&out.analysis, &out.guid_map, cfg);
-    let mut bad_target = PanickingForkTarget { log: log.clone() };
+    // Every restart takes a view of the log (its lock) and dies — the
+    // worst-case re-execution crash, leaving the log mutex poisoned.
+    let module = Arc::new(out.instrumented.clone());
+    let probe = |_: &mut Vm| -> Result<(), FailureRecord> {
+        let _view = log.view();
+        panic!("simulated crash during speculative re-execution");
+    };
+    let restart = Restart {
+        module: &module,
+        vm: VmOpts::default(),
+        probe: &probe,
+    };
     let crashed = catch_unwind(AssertUnwindSafe(|| {
-        reactor.mitigate(pool, log, failure, trace, &mut bad_target, None)
+        reactor.mitigate(pool, log, failure, trace, &restart, None)
     }));
     assert!(
         crashed.is_err(),
@@ -211,11 +178,12 @@ fn mitigation_survives_a_log_mutex_poisoned_by_a_panicking_fork() {
     // Second mitigation over the same (poisoned) log must still work:
     // every reactor lock site recovers the data instead of unwrapping.
     let mut reactor = Reactor::new(&out.analysis, &out.guid_map, ReactorConfig::default());
-    let mut target = MiniTarget {
-        module: instrumented,
-        log: log.clone(),
+    let restart = Restart {
+        module: &instrumented,
+        vm: VmOpts::default(),
+        probe: &recover_and_get,
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target, None);
+    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart, None);
     assert!(
         outcome.recovered,
         "mitigation over a poisoned log recovered the system: {outcome:?}"

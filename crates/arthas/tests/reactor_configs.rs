@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use arthas::{
     analyze_and_instrument, AnalyzerOutput, BatchStrategy, FailureRecord, Mode, PmTrace, Reactor,
-    ReactorConfig, SharedLog, Target,
+    ReactorConfig, Restart, SharedLog,
 };
 use pir::builder::ModuleBuilder;
 use pir::ir::Module;
@@ -83,41 +83,16 @@ fn new_pool() -> PmPool {
     PmPool::create(pmemsim::layout::HEAP_OFF + (1 << 20)).unwrap()
 }
 
-struct AppTarget {
-    module: Arc<Module>,
-    log: SharedLog,
-    /// Read every byte of the pool after each restart, so the reactor can
-    /// take an earlier verdict only for an identical image.
-    reads_everything: bool,
-}
-
-impl AppTarget {
-    fn new(module: Arc<Module>, log: SharedLog) -> Self {
-        AppTarget {
-            module,
-            log,
-            reads_everything: false,
-        }
-    }
-
-    fn restart(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
-        let p2 = PmPool::open(pool.snapshot())
-            .map_err(|e| FailureRecord::wrong_result(format!("{e}")))?;
-        let mut vm = Vm::new(self.module.clone(), p2, VmOpts::default());
-        vm.pool_mut().set_sink(self.log.as_sink());
-        vm.call("recover", &[])
-            .map_err(|e| FailureRecord::from_vm(&e))?;
-        vm.call("get", &[])
-            .map_err(|e| FailureRecord::from_vm(&e))?;
-        Ok(())
-    }
-}
-
-impl Target for AppTarget {
-    fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
-        let verdict = self.restart(pool);
-        if self.reads_everything {
-            std::hint::black_box(pool.snapshot().to_vec());
+/// The restart probe: recovery, then the `get` that crashes while the
+/// flag is set. When `reads_everything`, it also reads every byte of the
+/// reopened image, so the reactor can take an earlier verdict only for
+/// an identical image.
+fn recover_and_get(reads_everything: bool) -> impl Fn(&mut Vm) -> Result<(), FailureRecord> + Sync {
+    move |vm: &mut Vm| {
+        let mut call = |f: &str| vm.call(f, &[]).map_err(|e| FailureRecord::from_vm(&e));
+        let verdict = call("recover").and_then(|_| call("get")).map(|_| ());
+        if reads_everything {
+            std::hint::black_box(vm.pool().snapshot().to_vec());
         }
         verdict
     }
@@ -174,11 +149,13 @@ fn mitigate_over_with(
 ) -> (arthas::MitigationOutcome, PmPool) {
     let (out, instrumented, log, trace, failure, mut pool) = run;
     let mut reactor = Reactor::new(&out.analysis, &out.guid_map, cfg);
-    let mut target = AppTarget {
-        reads_everything,
-        ..AppTarget::new(instrumented, log.clone())
+    let probe = recover_and_get(reads_everything);
+    let restart = Restart {
+        module: &instrumented,
+        vm: VmOpts::default(),
+        probe: &probe,
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target, None);
+    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart, None);
     (outcome, pool)
 }
 
@@ -469,11 +446,13 @@ fn mitigate_heal_app(
     let ring = Arc::new(RingRecorder::new(4096));
     let mut reactor = Reactor::new(&out.analysis, &out.guid_map, cfg);
     reactor.instrument(ring.clone());
-    let mut target = AppTarget {
-        reads_everything,
-        ..AppTarget::new(instrumented, log.clone())
+    let probe = recover_and_get(reads_everything);
+    let restart = Restart {
+        module: &instrumented,
+        vm: VmOpts::default(),
+        probe: &probe,
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target, None);
+    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart, None);
     assert_eq!(ring.dropped(), 0);
     let field = |fields: &[(&str, Value)], name: &str| match fields.iter().find(|f| f.0 == name) {
         Some((_, Value::U64(v))) => *v,

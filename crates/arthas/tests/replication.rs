@@ -6,8 +6,8 @@
 use std::sync::Arc;
 
 use arthas::{
-    analyze_and_instrument, FailureRecord, PmTrace, Reactor, ReactorConfig, SharedLog, Standbys,
-    Target,
+    analyze_and_instrument, FailureRecord, PmTrace, Reactor, ReactorConfig, Restart, SharedLog,
+    Standbys,
 };
 use pir::builder::ModuleBuilder;
 use pir::ir::Module;
@@ -133,29 +133,20 @@ fn build_app() -> Module {
     m.finish().unwrap()
 }
 
-struct AppTarget {
-    module: Arc<Module>,
-    log: SharedLog,
-}
-
-impl Target for AppTarget {
-    fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
-        let p2 = PmPool::open(pool.snapshot())
-            .map_err(|e| FailureRecord::wrong_result(format!("{e}")))?;
-        let mut vm = Vm::new(self.module.clone(), p2, VmOpts::default());
-        vm.pool_mut().set_sink(self.log.as_sink());
+/// Restarts over a copy of the candidate image: recovery, then the
+/// `get` that crashes while the flag is set.
+fn restart(module: &Arc<Module>) -> Restart<'_> {
+    fn recover_and_get(vm: &mut Vm) -> Result<(), FailureRecord> {
         vm.call("recover", &[])
             .map_err(|e| FailureRecord::from_vm(&e))?;
         vm.call("get", &[])
             .map_err(|e| FailureRecord::from_vm(&e))?;
         Ok(())
     }
-
-    fn fork_target(&self) -> Option<Box<dyn Target + Send + '_>> {
-        Some(Box::new(AppTarget {
-            module: self.module.clone(),
-            log: self.log.clone(),
-        }))
+    Restart {
+        module,
+        vm: VmOpts::default(),
+        probe: &recover_and_get,
     }
 }
 
@@ -296,10 +287,6 @@ fn failover_promotes_pre_fault_standby_and_accounts_discards() {
     let mut group = PoolGroup::new(&standby_pool, 1, cursor);
     let cfg = ReactorConfig::default();
     let mut reactor = Reactor::new(&c.out.analysis, &c.out.guid_map, cfg);
-    let mut target = AppTarget {
-        module: c.module.clone(),
-        log: c.log.clone(),
-    };
     let expected_discards = {
         let view = c.log.view();
         view.all_seqs().into_iter().filter(|&s| s > cursor).count() as u64
@@ -309,7 +296,7 @@ fn failover_promotes_pre_fault_standby_and_accounts_discards() {
         &c.log,
         &c.failure,
         &c.trace,
-        &mut target,
+        &restart(&c.module),
         Some(Standbys::First(&mut group)),
     );
     assert!(outcome.recovered, "{outcome:?}");
@@ -335,16 +322,12 @@ fn failover_with_all_replicas_faulted_fails_cleanly() {
     let before = c.pool.snapshot();
     let cfg = ReactorConfig::default();
     let mut reactor = Reactor::new(&c.out.analysis, &c.out.guid_map, cfg);
-    let mut target = AppTarget {
-        module: c.module.clone(),
-        log: c.log.clone(),
-    };
     let outcome = reactor.mitigate(
         &mut c.pool,
         &c.log,
         &c.failure,
         &c.trace,
-        &mut target,
+        &restart(&c.module),
         Some(Standbys::First(&mut group)),
     );
     assert!(!outcome.recovered);
@@ -361,17 +344,13 @@ fn empty_group_degenerates_to_single_pool_mitigation() {
         let mut c = run_to_failure();
         let cfg = ReactorConfig::default();
         let mut reactor = Reactor::new(&c.out.analysis, &c.out.guid_map, cfg);
-        let mut target = AppTarget {
-            module: c.module.clone(),
-            log: c.log.clone(),
-        };
         let mut group = PoolGroup::default();
         let outcome = reactor.mitigate(
             &mut c.pool,
             &c.log,
             &c.failure,
             &c.trace,
-            &mut target,
+            &restart(&c.module),
             standby_first.map(|first| match first {
                 true => Standbys::First(&mut group),
                 false => Standbys::AfterReversion(&mut group),

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use arthas::{
-    analyze_and_instrument, FailureRecord, PmTrace, Reactor, ReactorConfig, SharedLog, Target,
+    analyze_and_instrument, FailureRecord, PmTrace, Reactor, ReactorConfig, Restart, SharedLog,
 };
 use obs::{Instrument, RingRecorder};
 use pir::builder::ModuleBuilder;
@@ -74,23 +74,14 @@ fn build_app() -> Module {
     m.finish().unwrap()
 }
 
-struct AppTarget {
-    module: Arc<Module>,
-    log: SharedLog,
-}
-
-impl Target for AppTarget {
-    fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
-        let p2 = PmPool::open(pool.snapshot())
-            .map_err(|e| FailureRecord::wrong_result(format!("{e}")))?;
-        let mut vm = Vm::new(self.module.clone(), p2, VmOpts::default());
-        vm.pool_mut().set_sink(self.log.as_sink());
-        vm.call("recover", &[])
-            .map_err(|e| FailureRecord::from_vm(&e))?;
-        vm.call("get", &[])
-            .map_err(|e| FailureRecord::from_vm(&e))?;
-        Ok(())
-    }
+/// The restart probe: recovery, then the `get` that crashes while the
+/// fault is in place.
+fn recover_and_get(vm: &mut Vm) -> Result<(), FailureRecord> {
+    vm.call("recover", &[])
+        .map_err(|e| FailureRecord::from_vm(&e))?;
+    vm.call("get", &[])
+        .map_err(|e| FailureRecord::from_vm(&e))?;
+    Ok(())
 }
 
 #[test]
@@ -127,11 +118,12 @@ fn one_slice_per_fault_and_accumulated_phase_time() {
         let plan = reactor.plan(fault, &trace, &view, &mut pool);
         assert!(!plan.seqs.is_empty(), "the fault must yield candidates");
     }
-    let mut target = AppTarget {
-        module: instrumented,
-        log: log.clone(),
+    let restart = Restart {
+        module: &instrumented,
+        vm: VmOpts::default(),
+        probe: &recover_and_get,
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target, None);
+    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart, None);
     assert!(outcome.recovered, "mitigation must recover the app");
 
     // Exactly one slice computed for the fault location; all later
@@ -151,7 +143,7 @@ fn one_slice_per_fault_and_accumulated_phase_time() {
 
     // A second recovery for the same fault on the same reactor reuses
     // the memo and accounts only its own slice again.
-    let outcome2 = reactor.mitigate(&mut pool, &log, &failure, &trace, &mut target, None);
+    let outcome2 = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart, None);
     assert_eq!(reactor.slice_computes(), 1, "no re-slice on re-mitigation");
     assert!(outcome2.phases.slice <= outcome.phases.slice);
 }

@@ -13,7 +13,7 @@
 use std::time::{Duration, Instant};
 
 use arthas::checkpoint::MAX_VERSIONS;
-use arthas::{SharedLog, Target};
+use arthas::{Restart, SharedLog};
 use pmemsim::{PmImage, PmPool};
 
 /// Outcome of a baseline mitigation.
@@ -88,9 +88,15 @@ impl PmCriu {
         self.snapshots.iter().map(|(t, _)| *t).collect()
     }
 
-    /// Rolls back snapshot-by-snapshot (newest first), re-executing after
-    /// each restore, until the target is operational or snapshots run out.
-    pub fn mitigate(&self, pool: &mut PmPool, target: &mut dyn Target) -> BaselineOutcome {
+    /// Rolls back snapshot-by-snapshot (newest first), restarting with
+    /// `log` attached after each restore, until the system is operational
+    /// or snapshots run out.
+    pub fn mitigate(
+        &self,
+        pool: &mut PmPool,
+        log: &SharedLog,
+        restart: &Restart,
+    ) -> BaselineOutcome {
         let t0 = Instant::now();
         let mut attempts = 0u32;
         for (idx, (_, image)) in self.snapshots.iter().enumerate().rev() {
@@ -98,7 +104,7 @@ impl PmCriu {
                 continue;
             }
             attempts += 1;
-            if target.reexecute(pool).is_ok() {
+            if restart.run(pool, log).is_ok() {
                 return BaselineOutcome {
                     recovered: true,
                     attempts,
@@ -144,7 +150,7 @@ impl ArCkpt {
         &self,
         pool: &mut PmPool,
         log: &SharedLog,
-        target: &mut dyn Target,
+        restart: &Restart,
     ) -> BaselineOutcome {
         let t0 = Instant::now();
         log.set_enabled(false);
@@ -183,7 +189,7 @@ impl ArCkpt {
                 let _ = pool.persist(addr, data.len() as u64);
                 reverted += 1;
                 attempts += 1;
-                if target.reexecute(pool).is_ok() {
+                if restart.run(pool, log).is_ok() {
                     log.set_enabled(true);
                     return BaselineOutcome {
                         recovered: true,
@@ -210,26 +216,27 @@ impl ArCkpt {
 mod tests {
     use super::*;
     use arthas::{FailureRecord, SharedLog};
+    use pir::builder::ModuleBuilder;
+    use pir::vm::{Vm, VmOpts};
+    use std::sync::Arc;
 
     fn new_pool() -> PmPool {
         PmPool::create(pmemsim::layout::HEAP_OFF + (1 << 20)).unwrap()
     }
 
-    /// A target that is healthy iff the given address holds a value below
-    /// a threshold.
-    struct ThresholdTarget {
-        addr: u64,
-        threshold: u64,
-    }
-    impl Target for ThresholdTarget {
-        fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
-            let v = pool.read_u64(self.addr).unwrap_or(u64::MAX);
-            if v < self.threshold {
-                Ok(())
-            } else {
-                Err(FailureRecord::wrong_result("bad value"))
-            }
-        }
+    /// Runs `f` with a restart that is healthy iff the restarted pool
+    /// holds a value below `threshold` at `addr`.
+    fn with_threshold<T>(addr: u64, threshold: u64, f: impl FnOnce(&Restart) -> T) -> T {
+        let module = Arc::new(ModuleBuilder::new().finish().unwrap());
+        let probe = |vm: &mut Vm| match vm.pool_mut().read_u64(addr) {
+            Ok(v) if v < threshold => Ok(()),
+            _ => Err(FailureRecord::wrong_result("bad value")),
+        };
+        f(&Restart {
+            module: &module,
+            vm: VmOpts::default(),
+            probe: &probe,
+        })
     }
 
     #[test]
@@ -246,11 +253,7 @@ mod tests {
         pool.persist(a, 8).unwrap();
         criu.tick(60, &pool); // snapshot with bad state
 
-        let mut target = ThresholdTarget {
-            addr: a,
-            threshold: 100,
-        };
-        let out = criu.mitigate(&mut pool, &mut target);
+        let out = with_threshold(a, 100, |r| criu.mitigate(&mut pool, &SharedLog::new(), r));
         assert!(out.recovered);
         assert_eq!(out.restored_snapshot, Some(1), "second-newest snapshot");
         assert_eq!(pool.read_u64(a).unwrap(), 1, "coarse rollback to t=0");
@@ -264,11 +267,7 @@ mod tests {
         pool.write_u64(a, 500).unwrap();
         pool.persist(a, 8).unwrap();
         criu.tick(0, &pool);
-        let mut target = ThresholdTarget {
-            addr: a,
-            threshold: 100,
-        };
-        let out = criu.mitigate(&mut pool, &mut target);
+        let out = with_threshold(a, 100, |r| criu.mitigate(&mut pool, &SharedLog::new(), r));
         assert!(!out.recovered);
     }
 
@@ -284,11 +283,7 @@ mod tests {
         pool.write_u64(a, 999).unwrap();
         pool.persist(a, 8).unwrap();
         pool.clear_sink();
-        let mut target = ThresholdTarget {
-            addr: a,
-            threshold: 100,
-        };
-        let out = ArCkpt::new(50).mitigate(&mut pool, &log, &mut target);
+        let out = with_threshold(a, 100, |r| ArCkpt::new(50).mitigate(&mut pool, &log, r));
         assert!(out.recovered);
         assert_eq!(out.attempts, 1, "one reversion suffices");
 
@@ -306,11 +301,7 @@ mod tests {
             pool.persist(x, 8).unwrap();
         }
         pool.clear_sink();
-        let mut target = ThresholdTarget {
-            addr: bad,
-            threshold: 100,
-        };
-        let out = ArCkpt::new(10).mitigate(&mut pool, &log, &mut target);
+        let out = with_threshold(bad, 100, |r| ArCkpt::new(10).mitigate(&mut pool, &log, r));
         assert!(!out.recovered, "timeout before reaching the old bad update");
         assert_eq!(out.attempts, 10);
     }

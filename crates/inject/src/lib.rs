@@ -41,8 +41,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use arthas::{
-    AnalysisCache, ConfigError, Detector, FailureRecord, LogView, Reactor, ReactorConfig,
-    SharedLog, Standbys, Target, Verdict,
+    reopen, AnalysisCache, ConfigError, Detector, FailureRecord, LogView, Reactor, ReactorConfig,
+    Restart, SharedLog, Standbys, Verdict,
 };
 use obs::{Field, Json, Schema};
 use pir::vm::{Vm, VmOpts};
@@ -507,43 +507,6 @@ pub struct CampaignReport {
 // Campaign execution
 // ---------------------------------------------------------------------------
 
-/// Re-execution target for trial mitigation. Unlike the production
-/// `ScenarioTarget`, whose success criterion is the scenario's
-/// end-of-workload `verify`, a trial only demands the *trial-level*
-/// operational bar: recovery succeeds and the structural check plus
-/// domain invariants hold. (A mid-run crash legitimately lost
-/// unacknowledged work, so the full dataset cannot be expected.)
-struct TrialTarget<'a> {
-    scn: &'a dyn Scenario,
-    setup: &'a AppSetup,
-    log: SharedLog,
-    vm: VmOpts,
-}
-
-impl Target for TrialTarget<'_> {
-    fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
-        // The (disabled) log still tracks recovery reads for the leak
-        // mitigation pass.
-        match try_restart(self.scn, self.setup, self.vm, pool, Some(&self.log)) {
-            RestartResult::Clean => Ok(()),
-            RestartResult::Inconsistent(rec) | RestartResult::Failed(rec) => Err(rec),
-        }
-    }
-
-    fn fork_target(&self) -> Option<Box<dyn Target + Send + '_>> {
-        // Forks record into a disabled throwaway log so losing attempts
-        // leave no trace (same contract as the production target).
-        let log = SharedLog::new();
-        log.set_enabled(false);
-        Some(Box::new(TrialTarget {
-            scn: self.scn,
-            setup: self.setup,
-            log,
-            vm: self.vm,
-        }))
-    }
-}
-
 /// One attempted restart over a post-crash image.
 enum RestartResult {
     /// Reopen, structural check, recovery and domain invariants all pass.
@@ -555,37 +518,22 @@ enum RestartResult {
     Failed(FailureRecord),
 }
 
-/// Restarts the application over a copy of the post-crash image:
-/// pool-level reopen, the pmempool-check analogue, application recovery,
-/// then the scenario's domain invariants.
+/// The trial-level operational bar over a reopened post-crash image:
+/// the pmempool-check analogue, application recovery, then the
+/// scenario's domain invariants. Both the classifier's restarts and the
+/// reactor's re-executions judge by it.
 ///
 /// Deliberately *not* the production `check_consistency`: a mid-run crash
 /// legitimately loses in-flight, unacknowledged work, so the scenario's
 /// end-of-workload `verify` (which expects the complete dataset) does not
 /// apply — only structural integrity and domain invariants do.
-///
-/// Every call runs under `vm`, the trial's production options, so a
-/// restart hangs exactly when production would. `sink`, when given,
-/// observes the restart's PM accesses (the reactor's re-executions record
-/// their recovery reads through it).
-fn try_restart(
-    scn: &dyn Scenario,
-    setup: &AppSetup,
-    vm: VmOpts,
-    image: &PmPool,
-    sink: Option<&SharedLog>,
-) -> RestartResult {
-    let mut p2 = match PmPool::open(image.snapshot()) {
-        Ok(p) => p,
-        Err(e) => {
-            return RestartResult::Failed(FailureRecord::wrong_result(format!("pool reopen: {e}")))
-        }
-    };
-    let issues: Vec<String> = p2.check().iter().map(|i| format!("{i:?}")).collect();
-    let mut vm = Vm::new(setup.instrumented.clone(), p2, vm);
-    if let Some(log) = sink {
-        vm.pool_mut().set_sink(log.as_sink());
-    }
+fn trial_check(scn: &dyn Scenario, vm: &mut Vm) -> RestartResult {
+    let issues: Vec<String> = vm
+        .pool_mut()
+        .check()
+        .iter()
+        .map(|i| format!("{i:?}"))
+        .collect();
     if let Err(e) = vm.call(scn.recover_call(), &[]) {
         return RestartResult::Failed(FailureRecord::from_vm(&e));
     }
@@ -634,12 +582,18 @@ fn classify(
         detector,
     } = capture;
     let mut detector: Detector = detector;
+    // Every restart runs under `vm`, the trial's production options, so
+    // it hangs exactly when production would.
+    let check_restart = |image: &PmPool| match reopen(&setup.instrumented, vm, image, None) {
+        Ok(mut vm) => trial_check(scn, &mut vm),
+        Err(rec) => RestartResult::Failed(rec),
+    };
 
     let mut hard: Option<FailureRecord> = None;
     let mut operational = false;
     for _ in 0..MAX_TRIAL_RESTARTS {
         restart_count += 1;
-        let rec = match try_restart(scn, setup, vm, &raw, None) {
+        let rec = match check_restart(&raw) {
             RestartResult::Clean => {
                 let image_is_durable = matches!(policy, CrashPolicy::DropStaged);
                 let viols =
@@ -690,11 +644,14 @@ fn classify(
         Ok(p) => p,
         Err(_) => raw,
     };
-    let mut target = TrialTarget {
-        scn,
-        setup,
-        log: log.clone(),
+    let probe = |vm: &mut Vm| match trial_check(scn, vm) {
+        RestartResult::Clean => Ok(()),
+        RestartResult::Inconsistent(rec) | RestartResult::Failed(rec) => Err(rec),
+    };
+    let restart = Restart {
+        module: &setup.instrumented,
         vm,
+        probe: &probe,
     };
     let mut reactor = Reactor::new(&setup.analysis, &setup.guid_map, cfg.reactor);
     // Failover runs only after the primary-image arm is exhausted (the
@@ -707,13 +664,13 @@ fn classify(
         &log,
         &failure,
         &trace,
-        &mut target,
+        &restart,
         group.as_mut().map(Standbys::AfterReversion),
     );
     if !out.recovered {
         return (unaided(operational), restart_count, out.attempts);
     }
-    let verdict = match try_restart(scn, setup, vm, &work, None) {
+    let verdict = match check_restart(&work) {
         RestartResult::Clean => TrialVerdict::Mitigated,
         RestartResult::Inconsistent(_) => TrialVerdict::InvariantViolated,
         RestartResult::Failed(_) => TrialVerdict::Unrecoverable,

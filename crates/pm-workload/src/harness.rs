@@ -13,9 +13,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use arthas::{
-    analyze_and_instrument_cached, AnalysisCache, BatchStrategy, Detector, FailureRecord, GuidMap,
-    LeakMonitor, Mode, PhaseTimes, PmTrace, Reactor, ReactorConfig, ReactorConfigBuilder,
-    SharedLog, Target, Verdict,
+    analyze_and_instrument_cached, reopen, AnalysisCache, BatchStrategy, Detector, FailureRecord,
+    GuidMap, LeakMonitor, Mode, PhaseTimes, PmTrace, Reactor, ReactorConfig, ReactorConfigBuilder,
+    Restart, SharedLog, Verdict,
 };
 use baselines::{ArCkpt, PmCriu};
 use obs::Instrument;
@@ -497,10 +497,8 @@ pub fn run_with_injection(
                         // Count on a throwaway copy (the chain may be
                         // corrupt; count_items implementations use stored
                         // counters, so this is safe).
-                        let image = broken.snapshot();
-                        match PmPool::open(image) {
-                            Ok(p2) => {
-                                let mut vm2 = Vm::new(setup.instrumented.clone(), p2, cfg.vm);
+                        match reopen(&setup.instrumented, cfg.vm, &broken, None) {
+                            Ok(mut vm2) => {
                                 let items = scn.count_items(&mut vm2);
                                 ctx.steps += vm2.steps_total();
                                 items
@@ -571,66 +569,12 @@ fn finish(
     }
 }
 
-/// [`Target`] implementation: restart the scenario's app over a copy of
-/// the candidate pool and run its verification workload.
-pub struct ScenarioTarget<'a> {
-    scn: &'a dyn Scenario,
-    module: Arc<Module>,
-    log: SharedLog,
-    vm_opts: VmOpts,
-    /// Simulated per-re-execution delay (the paper reports 3–5 s per
-    /// restart); accumulated for the Figure 8 model.
-    pub reexecutions: u32,
-}
-
-impl<'a> ScenarioTarget<'a> {
-    /// Creates the target wrapper.
-    pub fn new(
-        scn: &'a dyn Scenario,
-        module: Arc<Module>,
-        log: SharedLog,
-        vm_opts: VmOpts,
-    ) -> Self {
-        ScenarioTarget {
-            scn,
-            module,
-            log,
-            vm_opts,
-            reexecutions: 0,
-        }
-    }
-}
-
-impl Target for ScenarioTarget<'_> {
-    fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
-        self.reexecutions += 1;
-        let image = pool.snapshot();
-        let p2 = PmPool::open(image)
-            .map_err(|e| FailureRecord::wrong_result(format!("pool reopen: {e}")))?;
-        let mut vm = Vm::new(self.module.clone(), p2, self.vm_opts);
-        // The (disabled) log still tracks recovery reads for the leak
-        // mitigation pass.
-        vm.pool_mut().set_sink(self.log.as_sink());
-        vm.call(self.scn.recover_call(), &[])
-            .map_err(|e| FailureRecord::from_vm(&e))?;
-        self.scn.verify(&mut vm)
-    }
-
-    fn fork_target(&self) -> Option<Box<dyn Target + Send + '_>> {
-        // Each fork re-executes against its own throwaway log: the shared
-        // log is disabled during the revert loop, so nothing an attempt
-        // records affects the outcome, and a log that loses the race is
-        // simply dropped.
-        let log = SharedLog::new();
-        log.set_enabled(false);
-        Some(Box::new(ScenarioTarget {
-            scn: self.scn,
-            module: self.module.clone(),
-            log,
-            vm_opts: self.vm_opts,
-            reexecutions: 0,
-        }))
-    }
+/// The restart probe of an offline mitigation: the scenario's recovery
+/// call, then its verification workload.
+pub fn recover_and_verify(scn: &dyn Scenario, vm: &mut Vm) -> Result<(), FailureRecord> {
+    vm.call(scn.recover_call(), &[])
+        .map_err(|e| FailureRecord::from_vm(&e))?;
+    scn.verify(vm)
 }
 
 /// Which solution mitigates.
@@ -742,8 +686,11 @@ pub struct MitigationResult {
     pub recovered: bool,
     /// Re-executions performed.
     pub attempts: u32,
-    /// Re-execution rounds: groups of re-executions whose restart delays
-    /// overlap. Equals `attempts` unless speculative mitigation ran.
+    /// Re-execution rounds: waves of re-executions whose restart delays
+    /// overlap. A wave of one is one round per attempt the reactor did
+    /// not skip (f1 by default: 6 attempts, 3 rounds); a width of `k`
+    /// packs up to `k` attempts into one round. The baselines pay one
+    /// round per attempt.
     pub reexec_rounds: u32,
     /// Host wall time of the mitigation.
     pub wall: Duration,
@@ -799,12 +746,11 @@ pub fn mitigate(
     let items_before = production.items_before.max(1);
     // Re-executions run under production's VM options, so a restart
     // hangs exactly when production would (`HANG_STEPS` by default).
-    let mut target = ScenarioTarget::new(
-        scn,
-        setup.instrumented.clone(),
-        production.log.clone(),
-        production.vm,
-    );
+    let restart = Restart {
+        module: &setup.instrumented,
+        vm: production.vm,
+        probe: &|vm: &mut Vm| recover_and_verify(scn, vm),
+    };
 
     let (recovered, attempts, rounds, wall, discarded, leaks_freed, fellback, phases) =
         match solution {
@@ -818,7 +764,7 @@ pub fn mitigate(
                     &production.log,
                     &production.failure,
                     &production.trace,
-                    &mut target,
+                    &restart,
                     None,
                 );
                 (
@@ -833,7 +779,9 @@ pub fn mitigate(
                 )
             }
             Solution::PmCriu => {
-                let out = production.criu.mitigate(&mut production.pool, &mut target);
+                let out = production
+                    .criu
+                    .mitigate(&mut production.pool, &production.log, &restart);
                 (
                     out.recovered,
                     out.attempts,
@@ -846,11 +794,8 @@ pub fn mitigate(
                 )
             }
             Solution::ArCkpt(budget) => {
-                let out = ArCkpt::new(budget).mitigate(
-                    &mut production.pool,
-                    &production.log,
-                    &mut target,
-                );
+                let out =
+                    ArCkpt::new(budget).mitigate(&mut production.pool, &production.log, &restart);
                 (
                     out.recovered,
                     out.attempts,
@@ -932,10 +877,8 @@ pub fn run_cell(
 }
 
 fn count_on_copy(scn: &dyn Scenario, setup: &AppSetup, pool: &PmPool) -> u64 {
-    let image = pool.snapshot();
-    match PmPool::open(image) {
-        Ok(p2) => {
-            let mut vm = Vm::new(setup.instrumented.clone(), p2, VmOpts::default());
+    match reopen(&setup.instrumented, VmOpts::default(), pool, None) {
+        Ok(mut vm) => {
             let _ = vm.call(scn.recover_call(), &[]);
             scn.count_items(&mut vm)
         }
@@ -947,15 +890,13 @@ fn count_on_copy(scn: &dyn Scenario, setup: &AppSetup, pool: &PmPool) -> u64 {
 /// check, application recovery, an extended benign workload, and the
 /// scenario's domain invariants.
 pub fn check_consistency(scn: &dyn Scenario, setup: &AppSetup, pool: &PmPool) -> bool {
-    let image = pool.snapshot();
-    let Ok(mut p2) = PmPool::open(image) else {
+    let Ok(mut vm) = reopen(&setup.instrumented, VmOpts::default(), pool, None) else {
         return false;
     };
     // (1) pmempool-check analogue.
-    if !p2.check().is_empty() {
+    if !vm.pool_mut().check().is_empty() {
         return false;
     }
-    let mut vm = Vm::new(setup.instrumented.clone(), p2, VmOpts::default());
     // (2) recovery must succeed.
     if vm.call(scn.recover_call(), &[]).is_err() {
         return false;

@@ -27,9 +27,9 @@ pub mod ycsb;
 
 pub use arthas::{AnalysisCache, CacheOutcome};
 pub use harness::{
-    check_consistency, mitigate, run_cell, run_production, run_with_injection, AppSetup,
-    CompletedRun, CrashCapture, Drive, InjectionOutcome, MitigationResult, Production, RunConfig,
-    RunCtx, Scenario, ScenarioTarget, SiteInjection, Solution, CRIU_INTERVAL, HANG_STEPS,
-    POOL_SIZE, RUN_TICKS,
+    check_consistency, mitigate, recover_and_verify, run_cell, run_production, run_with_injection,
+    AppSetup, CompletedRun, CrashCapture, Drive, InjectionOutcome, MitigationResult, Production,
+    RunConfig, RunCtx, Scenario, SiteInjection, Solution, CRIU_INTERVAL, HANG_STEPS, POOL_SIZE,
+    RUN_TICKS,
 };
 pub use loadgen::{load_report_schema, run_load, LoadConfig, LoadReport};

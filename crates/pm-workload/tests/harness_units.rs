@@ -2,10 +2,12 @@
 //! re-execution isolation, production determinism and consistency
 //! checking.
 
-use arthas::Target;
+use arthas::{FailureRecord, Restart, SharedLog};
+use pir::vm::{Vm, VmOpts};
 use pm_workload::{
-    check_consistency, run_production, scenarios, AppSetup, RunConfig, ScenarioTarget,
+    check_consistency, recover_and_verify, run_production, scenarios, AppSetup, RunConfig,
 };
+use pmemsim::PmPool;
 
 #[test]
 fn production_is_deterministic_for_a_fixed_seed() {
@@ -27,23 +29,47 @@ fn reexecution_runs_on_a_copy_of_the_pool() {
     let scn = scenarios::by_id("f4").unwrap();
     let setup = AppSetup::new(scn.build_module());
     let cfg = RunConfig::default();
-    let mut prod = run_production(scn.as_ref(), &setup, &cfg).expect("failure");
+    let prod = run_production(scn.as_ref(), &setup, &cfg).expect("failure");
     let image_before = prod.pool.snapshot();
-    let mut target = ScenarioTarget::new(
-        scn.as_ref(),
-        setup.instrumented.clone(),
-        prod.log.clone(),
-        pir::vm::VmOpts::default(),
-    );
+    let restart = Restart {
+        module: &setup.instrumented,
+        vm: VmOpts::default(),
+        probe: &|vm: &mut Vm| recover_and_verify(scn.as_ref(), vm),
+    };
     // Re-execution fails (the fault is still in place) but must not
     // modify the candidate pool either way.
-    let _ = target.reexecute(&mut prod.pool);
+    let _ = restart.run(&prod.pool, &prod.log);
     assert_eq!(
         prod.pool.snapshot(),
         image_before,
         "verification left the pool untouched"
     );
-    assert_eq!(target.reexecutions, 1);
+}
+
+#[test]
+fn a_pool_that_does_not_reopen_fails_the_restart_before_the_probe() {
+    let scn = scenarios::by_id("f4").unwrap();
+    let setup = AppSetup::new(scn.build_module());
+    let mut pool = PmPool::create(pm_workload::POOL_SIZE).unwrap();
+    // A pool whose header magic is off by one bit does not reopen.
+    pool.corrupt_bit(0, 0).unwrap();
+    let probed = std::sync::atomic::AtomicBool::new(false);
+    let probe = |_: &mut Vm| -> Result<(), FailureRecord> {
+        probed.store(true, std::sync::atomic::Ordering::Relaxed);
+        Ok(())
+    };
+    let restart = Restart {
+        module: &setup.instrumented,
+        vm: VmOpts::default(),
+        probe: &probe,
+    };
+    let failure = restart.run(&pool, &SharedLog::new()).unwrap_err();
+    assert!(
+        failure.detail.starts_with("pool reopen: "),
+        "{}",
+        failure.detail
+    );
+    assert!(!probed.into_inner(), "the probe never ran");
 }
 
 #[test]

@@ -14,9 +14,9 @@
 
 use std::sync::OnceLock;
 
-use arthas::{FailureRecord, Reactor, ReactorConfig, SharedLog, Target};
-use pir::vm::VmOpts;
-use pm_workload::{run_production, scenarios, AppSetup, RunConfig, Scenario, ScenarioTarget};
+use arthas::{FailureRecord, Reactor, ReactorConfig, SharedLog};
+use pir::vm::{Vm, VmOpts};
+use pm_workload::{recover_and_verify, run_production, scenarios, AppSetup, RunConfig, Scenario};
 use pmemsim::{capture_reads, PmImage, PmPool, ReadSet};
 use proptest::prelude::*;
 
@@ -31,9 +31,9 @@ struct Restart {
     verdict: Result<(), FailureRecord>,
 }
 
-/// Restarts `image` the way the reactor's re-executions do: a scenario
-/// target over a disabled log, under production's VM options (the step
-/// budget `mitigate` ships).
+/// Restarts `image` the way the reactor's re-executions do: the
+/// scenario's recovery and verification over a disabled log, under
+/// production's VM options (the step budget `mitigate` ships).
 fn restart(
     scn: &dyn Scenario,
     setup: &AppSetup,
@@ -42,9 +42,13 @@ fn restart(
 ) -> Result<(), FailureRecord> {
     let log = SharedLog::new();
     log.set_enabled(false);
-    let mut target = ScenarioTarget::new(scn, setup.instrumented.clone(), log, vm);
+    let restart = arthas::Restart {
+        module: &setup.instrumented,
+        vm,
+        probe: &|vm: &mut Vm| recover_and_verify(scn, vm),
+    };
     match PmPool::open(image.clone()) {
-        Ok(mut pool) => target.reexecute(&mut pool),
+        Ok(pool) => restart.run(&pool, &log),
         Err(e) => Err(FailureRecord::wrong_result(format!("pool reopen: {e}"))),
     }
 }
@@ -165,12 +169,11 @@ fn flipping_f4s_corrupted_pointer_changes_the_failure() {
     let r = restarts().iter().find(|r| r.id == "f4").expect("f4");
     let scn = scenarios::by_id("f4").unwrap();
     let mut prod = run_production(scn.as_ref(), &r.setup, &RunConfig::default()).unwrap();
-    let mut target = ScenarioTarget::new(
-        scn.as_ref(),
-        r.setup.instrumented.clone(),
-        prod.log.clone(),
-        prod.vm,
-    );
+    let reexec = arthas::Restart {
+        module: &r.setup.instrumented,
+        vm: prod.vm,
+        probe: &|vm: &mut Vm| recover_and_verify(scn.as_ref(), vm),
+    };
     let mut reactor = Reactor::new(
         &r.setup.analysis,
         &r.setup.guid_map,
@@ -181,7 +184,7 @@ fn flipping_f4s_corrupted_pointer_changes_the_failure() {
         &prod.log,
         &prod.failure,
         &prod.trace,
-        &mut target,
+        &reexec,
         None,
     );
     assert!(out.recovered && out.reverted_seqs.len() == 1, "{out:?}");

@@ -19,32 +19,15 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use arthas::{FailureRecord, MitigationOutcome, Reactor, ReactorConfig, Target};
+use arthas::{MitigationOutcome, Reactor, ReactorConfig, Restart};
 use obs::{Instrument as _, RingRecorder};
-use pm_workload::{run_production, scenarios, AppSetup, RunConfig, ScenarioTarget};
-use pmemsim::PmPool;
+use pir::vm::Vm;
+use pm_workload::{recover_and_verify, run_production, scenarios, AppSetup, RunConfig};
 
 const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
-/// Wave widths also run against [`ReadsEverything`].
+/// Wave widths also run against a probe that reads everything.
 const UNSKIPPED_WIDTHS: [usize; 2] = [1, 4];
-
-/// Reads every byte of its pool after each real restart. A step can then
-/// take an earlier verdict only when its whole image equals the earlier
-/// one, so the loop runs as if it skipped nothing.
-struct ReadsEverything<'a>(Box<dyn Target + Send + 'a>);
-
-impl Target for ReadsEverything<'_> {
-    fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
-        let verdict = self.0.reexecute(pool);
-        std::hint::black_box(pool.snapshot().to_vec());
-        verdict
-    }
-
-    fn fork_target(&self) -> Option<Box<dyn Target + Send + '_>> {
-        Some(Box::new(ReadsEverything(self.0.fork_target()?)))
-    }
-}
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/mitigation_outcomes.txt")
@@ -71,11 +54,21 @@ fn mitigate_once(
         ..RunConfig::default()
     };
     let mut prod = run_production(scn, setup, &run_cfg).expect("scenario reaches a hard failure");
-    let target = ScenarioTarget::new(scn, setup.instrumented.clone(), prod.log.clone(), prod.vm);
-    let mut target: Box<dyn Target + Send + '_> = if reads_everything {
-        Box::new(ReadsEverything(Box::new(target)))
-    } else {
-        Box::new(target)
+    // When `reads_everything`, every restart reads every byte of its
+    // reopened image. A step can then take an earlier verdict only when
+    // its whole image equals the earlier one, so the loop runs as if it
+    // skipped nothing.
+    let probe = |vm: &mut Vm| {
+        let verdict = recover_and_verify(scn, vm);
+        if reads_everything {
+            std::hint::black_box(vm.pool().snapshot().to_vec());
+        }
+        verdict
+    };
+    let restart = Restart {
+        module: &setup.instrumented,
+        vm: prod.vm,
+        probe: &probe,
     };
     let mut reactor = Reactor::new(&setup.analysis, &setup.guid_map, cfg);
     if let Some(r) = recorder {
@@ -86,7 +79,7 @@ fn mitigate_once(
         &prod.log,
         &prod.failure,
         &prod.trace,
-        target.as_mut(),
+        &restart,
         None,
     );
     let reverted = fnv1a(out.reverted_seqs.iter().flat_map(|s| s.to_le_bytes()));

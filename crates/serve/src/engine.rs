@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use arthas::{
     analyze_and_instrument_cached, AnalysisCache, Detector, FailureRecord, GuidMap, PmTrace,
-    Reactor, ReactorConfig, SharedLog, Standbys, Target, Verdict,
+    Reactor, ReactorConfig, Restart, SharedLog, Standbys, Verdict,
 };
 use arthas::{MitigationOutcome, MAX_VERSIONS};
 use obs::{Instrument as _, Recorder, RingRecorder};
@@ -533,16 +533,7 @@ impl Engine {
     }
 
     fn health_calls(&mut self) -> Result<(), VmError> {
-        match self.kind {
-            BackendKind::KvCache => {
-                self.raw_call("check_invariant", &[])?;
-                self.raw_call("check_keys", &[CANARY_LO, CANARY_HI])?;
-            }
-            BackendKind::SegCache => {
-                self.raw_call("check_keys", &[CANARY_LO, CANARY_HI])?;
-            }
-        }
-        Ok(())
+        health_probe(self.kind, |f, a| self.raw_call(f, a))
     }
 
     /// The online recovery loop: observe → restart (→ mitigate on
@@ -607,16 +598,24 @@ impl Engine {
             "serve.mitigation_begin",
             vec![("scenario", scenario_field(&self.scenario))],
         );
-        let mut target = ServeTarget {
-            kind: self.kind,
-            module: self.instrumented.clone(),
-            log: self.log.clone(),
-            vm_opts: VmOpts {
+        let (kind, recorder) = (self.kind, &self.recorder);
+        let probe = |vm: &mut Vm| {
+            let verified = verify_restart(kind, vm);
+            if let Err(f) = &verified {
+                recorder.event(
+                    "serve.verify_fail",
+                    vec![("detail", format!("{f:?}").into())],
+                );
+            }
+            verified
+        };
+        let restart = Restart {
+            module: &self.instrumented,
+            vm: VmOpts {
                 step_limit: 500_000,
                 ..VmOpts::default()
             },
-            recover_call: recover_call(self.kind),
-            recorder: self.recorder.clone(),
+            probe: &probe,
         };
         // Hot-standby-first bounds the outage by promote-replica latency.
         // Verification rejects a standby that already replayed the fault
@@ -644,12 +643,11 @@ impl Engine {
                 &self.log,
                 record,
                 &self.trace,
-                &mut target,
+                &restart,
                 standbys,
             );
             if standby_first && !out.recovered {
-                out =
-                    reactor.mitigate(&mut pool, &self.log, record, &self.trace, &mut target, None);
+                out = reactor.mitigate(&mut pool, &self.log, record, &self.trace, &restart, None);
             }
             out
         };
@@ -870,69 +868,42 @@ fn scenario_field(s: &str) -> obs::Value {
     obs::Value::Str(s.to_string())
 }
 
-/// [`Target`] for mitigation verification: restart over a candidate
-/// image, recover, and require (a) the invariant/presence probes the
-/// health check uses and (b) a fresh write round trip. Matching the
-/// health probe exactly is what makes a verified mitigation stick: the
-/// server's next probe re-runs the same checks.
-struct ServeTarget {
+/// The health probe's calls — the invariant check (kvcache) and the
+/// canary presence check — made through `call`: the live VM's traced
+/// call when probing, the restarted VM's when verifying a mitigation.
+fn health_probe<E>(
     kind: BackendKind,
-    module: Arc<Module>,
-    log: SharedLog,
-    vm_opts: VmOpts,
-    recover_call: &'static str,
-    recorder: Arc<RingRecorder>,
+    mut call: impl FnMut(&str, &[u64]) -> Result<Option<u64>, E>,
+) -> Result<(), E> {
+    if kind == BackendKind::KvCache {
+        call("check_invariant", &[])?;
+    }
+    call("check_keys", &[CANARY_LO, CANARY_HI])?;
+    Ok(())
 }
 
-impl ServeTarget {
-    fn verify(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
-        let image = pool.snapshot();
-        let p2 = PmPool::open(image)
-            .map_err(|e| FailureRecord::wrong_result(format!("pool reopen: {e}")))?;
-        let mut vm = Vm::new(self.module.clone(), p2, self.vm_opts);
-        // The (disabled) log still tracks recovery reads for the leak
-        // mitigation pass.
-        vm.pool_mut().set_sink(self.log.as_sink());
-        vm.call(self.recover_call, &[])
-            .map_err(|e| FailureRecord::from_vm(&e))?;
-        let vcall =
-            |vm: &mut Vm, f: &str, a: &[u64]| vm.call(f, a).map_err(|e| FailureRecord::from_vm(&e));
-        match self.kind {
-            BackendKind::KvCache => {
-                vcall(&mut vm, "check_invariant", &[])?;
-                vcall(&mut vm, "check_keys", &[CANARY_LO, CANARY_HI])?;
-                vcall(&mut vm, "put", &[PROBE_KEY, 0x2A, 8])?;
-                let v = vcall(&mut vm, "get", &[PROBE_KEY])?;
-                if v != Some(u64::from_le_bytes([0x2A; 8])) {
-                    return Err(FailureRecord::wrong_result("probe roundtrip failed"));
-                }
-            }
-            BackendKind::SegCache => {
-                vcall(&mut vm, "check_keys", &[CANARY_LO, CANARY_HI])?;
-                vcall(&mut vm, "set", &[PROBE_KEY, 8, 0x2A])?;
-                let v = vcall(&mut vm, "get", &[PROBE_KEY])?;
-                if v != Some(u64::from_le_bytes([0x2A; 8])) {
-                    return Err(FailureRecord::wrong_result("probe roundtrip failed"));
-                }
-            }
+/// Mitigation verification over a restarted candidate image: recover,
+/// then the [`health_probe`] and a fresh write round trip. Sharing the
+/// health probe is what makes a verified mitigation stick: the server's
+/// next probe re-runs the same checks.
+fn verify_restart(kind: BackendKind, vm: &mut Vm) -> Result<(), FailureRecord> {
+    let mut call = |f: &str, a: &[u64]| vm.call(f, a).map_err(|e| FailureRecord::from_vm(&e));
+    call(recover_call(kind), &[])?;
+    health_probe(kind, &mut call)?;
+    let v = match kind {
+        BackendKind::KvCache => {
+            call("put", &[PROBE_KEY, 0x2A, 8])?;
+            call("get", &[PROBE_KEY])?
         }
-        Ok(())
-    }
-}
-
-impl Target for ServeTarget {
-    fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
-        match self.verify(pool) {
-            Ok(()) => Ok(()),
-            Err(f) => {
-                self.recorder.event(
-                    "serve.verify_fail",
-                    vec![("detail", format!("{f:?}").into())],
-                );
-                Err(f)
-            }
+        BackendKind::SegCache => {
+            call("set", &[PROBE_KEY, 8, 0x2A])?;
+            call("get", &[PROBE_KEY])?
         }
+    };
+    if v != Some(u64::from_le_bytes([0x2A; 8])) {
+        return Err(FailureRecord::wrong_result("probe roundtrip failed"));
     }
+    Ok(())
 }
 
 #[cfg(test)]

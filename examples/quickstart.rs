@@ -16,8 +16,8 @@
 use std::sync::Arc;
 
 use arthas::{
-    analyze_and_instrument, Detector, FailureRecord, PmTrace, Reactor, ReactorConfig, SharedLog,
-    Target, Verdict,
+    analyze_and_instrument, Detector, FailureRecord, PmTrace, Reactor, ReactorConfig, Restart,
+    SharedLog, Verdict,
 };
 use pir::builder::ModuleBuilder;
 use pir::ir::Module;
@@ -82,24 +82,13 @@ fn build_app() -> Module {
     m.finish().expect("module verifies")
 }
 
-struct MiniTarget {
-    module: Arc<Module>,
-    log: SharedLog,
-}
-
-impl Target for MiniTarget {
-    fn reexecute(&mut self, pool: &mut PmPool) -> Result<(), FailureRecord> {
-        let image = pool.snapshot();
-        let reopened =
-            PmPool::open(image).map_err(|e| FailureRecord::wrong_result(format!("reopen: {e}")))?;
-        let mut vm = Vm::new(self.module.clone(), reopened, VmOpts::default());
-        vm.pool_mut().set_sink(self.log.as_sink());
-        vm.call("recover", &[])
-            .map_err(|e| FailureRecord::from_vm(&e))?;
-        vm.call("get", &[])
-            .map_err(|e| FailureRecord::from_vm(&e))?;
-        Ok(())
-    }
+/// What a restart must pass: recovery, then the read that crashed.
+fn recover_and_get(vm: &mut Vm) -> Result<(), FailureRecord> {
+    vm.call("recover", &[])
+        .map_err(|e| FailureRecord::from_vm(&e))?;
+    vm.call("get", &[])
+        .map_err(|e| FailureRecord::from_vm(&e))?;
+    Ok(())
 }
 
 fn new_pool() -> PmPool {
@@ -149,11 +138,12 @@ fn main() {
     let mut pool = vm.crash();
     let total = log.total_updates();
     let mut reactor = Reactor::new(&out.analysis, &out.guid_map, ReactorConfig::default());
-    let mut target = MiniTarget {
-        module: instrumented.clone(),
-        log: log.clone(),
+    let restart = Restart {
+        module: &instrumented,
+        vm: VmOpts::default(),
+        probe: &recover_and_get,
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &rec, &trace, &mut target, None);
+    let outcome = reactor.mitigate(&mut pool, &log, &rec, &trace, &restart, None);
     println!(
         "   recovered={} after {} re-execution(s); discarded {}/{} checkpointed updates",
         outcome.recovered, outcome.attempts, outcome.discarded_updates, total
