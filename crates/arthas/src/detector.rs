@@ -184,14 +184,12 @@ impl Detector {
         verdict
     }
 
-    /// Number of failures observed so far.
-    pub fn observations(&self) -> usize {
-        self.history.len()
-    }
-
-    /// The most recent failure.
-    pub fn last(&self) -> Option<&FailureRecord> {
-        self.history.last()
+    /// Forgets every observation (the recorder stays attached): after a
+    /// recovery, the next unrelated fault starts a fresh first-sighting
+    /// cycle instead of matching this one.
+    pub fn reset(&mut self) {
+        self.history.clear();
+        self.verdicts.clear();
     }
 
     /// Every failure observed, oldest first.

@@ -20,6 +20,9 @@
 //!    instruction, the slice–trace–checkpoint join, and the multi-attempt
 //!    purge/rollback reversion loop with re-execution; plus the dedicated
 //!    persistent-leak mitigation.
+//! 5. **Episode** ([`episode`]): one recovery, observe → mitigate →
+//!    verify, with the detector, a round budget and an ordered ladder of
+//!    mitigations (restart, reversion, standby failover).
 //!
 //! See the repository's `DESIGN.md` for the substitution map from the
 //! paper's environment (Optane, PMDK, LLVM, C targets) to this one.
@@ -27,6 +30,7 @@
 pub mod analyzer;
 pub mod checkpoint;
 pub mod detector;
+pub mod episode;
 pub mod reactor;
 pub mod trace;
 
@@ -35,9 +39,10 @@ pub use analyzer::{
 };
 pub use checkpoint::{Entry, LogStats, LogView, SharedLog, VersionData, MAX_VERSIONS};
 pub use detector::{Detector, FailureKind, FailureRecord, LeakMonitor, Verdict};
+pub use episode::{Episode, Ladder, Recovery, Rung, Subject};
 pub use pir_analysis::{AnalysisCache, CacheOutcome};
 pub use reactor::{
     reopen, BatchStrategy, ConfigError, MitigationOutcome, Mode, PhaseTimes, Plan, Reactor,
-    ReactorConfig, ReactorConfigBuilder, Restart, Standbys,
+    ReactorConfig, ReactorConfigBuilder, Restart,
 };
 pub use trace::PmTrace;

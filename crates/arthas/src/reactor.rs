@@ -7,8 +7,7 @@
 //!    and keeps only PM-updating instructions;
 //! 2. joins those instructions, via their GUIDs and the dynamic PM address
 //!    trace, with the checkpoint log to obtain a candidate list of
-//!    sequence numbers (default policy: sort descending, de-duplicate,
-//!    optional distance cap);
+//!    sequence numbers (default policy: sort descending, de-duplicate);
 //! 3. reverts candidates — one by one or in batches, in **purge** mode
 //!    (only dependent entries, plus a forward-dependency second pass and
 //!    transaction-sibling grouping) or **rollback** mode (everything at or
@@ -38,6 +37,7 @@ use obs::Value;
 use crate::analyzer::GuidMap;
 use crate::checkpoint::{LogView, SharedLog, Span, MAX_VERSIONS};
 use crate::detector::{FailureKind, FailureRecord};
+use crate::episode::Rung;
 use crate::trace::PmTrace;
 
 /// An invalid configuration rejected by a builder's `build()`.
@@ -71,21 +71,6 @@ pub enum BatchStrategy {
     Batch(usize),
 }
 
-/// The standby replicas behind the primary, and when [`Reactor::mitigate`]
-/// may promote one. An empty group is the same as no standbys.
-#[derive(Debug)]
-pub enum Standbys<'g> {
-    /// Hot-standby-first: promote before any reversion, so the outage is
-    /// bounded by promote latency. When no standby verifies, the crashed
-    /// image is handed back unrecovered and the caller may mitigate again
-    /// without standbys.
-    First(&'g mut PoolGroup),
-    /// Revert the primary image first (the replicas' quorum bytes
-    /// localize the plan) and promote only when reversion fails: replicas
-    /// can rescue a mitigation but never preempt one that would succeed.
-    AfterReversion(&'g mut PoolGroup),
-}
-
 /// Reactor configuration.
 ///
 /// Construct with [`ReactorConfig::builder`] (validated) or start from
@@ -99,8 +84,6 @@ pub struct ReactorConfig {
     mode: Mode,
     /// Batching strategy.
     batch: BatchStrategy,
-    /// Optional cap on slice distance for candidate selection.
-    max_distance: Option<u32>,
     /// Purge attempts before falling back to rollback mode.
     purge_fallback_after: u32,
     /// After a successful recovery, spend extra re-executions restoring
@@ -152,13 +135,6 @@ impl ReactorConfigBuilder {
     /// `Batch(0)` is rejected by [`ReactorConfigBuilder::build`].
     pub fn batch(mut self, batch: BatchStrategy) -> Self {
         self.cfg.batch = batch;
-        self
-    }
-
-    /// Optional cap on slice distance for candidate selection (default
-    /// none).
-    pub fn max_distance(mut self, max_distance: Option<u32>) -> Self {
-        self.cfg.max_distance = max_distance;
         self
     }
 
@@ -214,7 +190,6 @@ impl Default for ReactorConfig {
         ReactorConfig {
             mode: Mode::Purge,
             batch: BatchStrategy::OneByOne,
-            max_distance: None,
             purge_fallback_after: 60,
             minimize_loss: false,
             speculation: None,
@@ -373,13 +348,14 @@ pub struct PhaseTimes {
     pub reexec: Duration,
 }
 
-/// Result of a mitigation.
+/// Result of a mitigation: what one rung of the recovery ladder did.
 #[derive(Debug, Clone)]
 pub struct MitigationOutcome {
+    /// The rung this outcome comes from: a plain restart (the plan was
+    /// empty: a false alarm), a reversion, or a standby's promotion.
+    pub rung: Rung,
     /// Whether the system was brought back to an operational state.
     pub recovered: bool,
-    /// Whether a plain restart sufficed (empty plan: false alarm).
-    pub via_restart_only: bool,
     /// Number of re-executions performed.
     pub attempts: u32,
     /// Number of re-execution *rounds*: waves of re-executions whose
@@ -405,37 +381,28 @@ pub struct MitigationOutcome {
     pub mode_fellback: bool,
     /// Suspected leak objects freed (leak mitigation only).
     pub leaks_freed: u64,
-    /// Whether recovery came from promoting a replica (pool-group
-    /// failover) instead of reverting the primary's own image.
-    pub failed_over: bool,
     /// Per-phase wall-time breakdown.
     pub phases: PhaseTimes,
 }
 
 impl MitigationOutcome {
-    fn failed(
-        plan_len: usize,
-        attempts: u32,
-        rounds: u32,
-        skipped: u32,
-        wall: Duration,
-        phases: PhaseTimes,
-    ) -> Self {
+    /// What `rung` reports before it has done anything: nothing
+    /// attempted, nothing discarded, not recovered.
+    pub fn new(rung: Rung) -> Self {
         MitigationOutcome {
+            rung,
             recovered: false,
-            via_restart_only: false,
-            attempts,
-            reexec_rounds: rounds,
-            skipped,
-            plan_len,
+            attempts: 0,
+            reexec_rounds: 0,
+            skipped: 0,
+            plan_len: 0,
             reverted_seqs: BTreeSet::new(),
             discarded_updates: 0,
             discarded_entries: 0,
-            wall,
+            wall: Duration::ZERO,
             mode_fellback: false,
             leaks_freed: 0,
-            failed_over: false,
-            phases,
+            phases: PhaseTimes::default(),
         }
     }
 }
@@ -963,11 +930,6 @@ impl<'a> Reactor<'a> {
             if !self.analysis.pm.pm_writes.contains(at) {
                 continue;
             }
-            if let Some(maxd) = self.cfg.max_distance {
-                if slice.distance[at] > maxd {
-                    continue;
-                }
-            }
             let Some(guid) = self.guid_map.guid_of(*at) else {
                 continue;
             };
@@ -1000,29 +962,19 @@ impl<'a> Reactor<'a> {
         (plan, facts)
     }
 
-    /// Mitigates a suspected hard failure — the one pipeline every caller
-    /// goes through. Takes the checkpoint store itself: the plan reads it
+    /// Mitigates a suspected hard failure by reversion: the reversion rung
+    /// of an [`Episode`](crate::Episode), and what offline callers run
+    /// directly. Takes the checkpoint store itself: the plan reads it
     /// through one [`SharedLog::view`], and it stays paused from the plan
     /// to the outcome, so every attempt reuses what the plan learned.
     ///
-    /// A leak takes the dedicated path of §4.7 (not an availability
-    /// event: no failover). [`Standbys::First`] promotes a standby and
-    /// returns. Otherwise the primary image is mitigated — by a plain
-    /// restart when there is no fault instruction to slice from or
-    /// nothing to revert (§4.5: likely a false alarm), else by the revert
-    /// loop over the plan, which a standby group first narrows by
-    /// cross-check — and [`Standbys::AfterReversion`] promotes a standby
-    /// when that did not recover the system.
+    /// A leak takes the dedicated path of §4.7. Otherwise the image is
+    /// mitigated by a plain restart when there is no fault instruction to
+    /// slice from or nothing to revert (§4.5: likely a false alarm), else
+    /// by the revert loop over the plan.
     ///
     /// Every re-execution is `restart` with `log` attached, except a wide
     /// wave's forks (see [`Restart`]).
-    ///
-    /// A promoted replica adopts its image into `pool` (restore + crash
-    /// recovery) and is verified by `restart`; a replica that
-    /// fails verification is marked faulted and the next-best one is
-    /// tried. Every checkpoint seq above the promoted cursor is
-    /// accounted as discarded — the failover analogue of rollback's
-    /// discarded-update accounting.
     pub fn mitigate(
         &mut self,
         pool: &mut PmPool,
@@ -1030,59 +982,49 @@ impl<'a> Reactor<'a> {
         failure: &FailureRecord,
         trace: &PmTrace,
         restart: &Restart<'_>,
-        standbys: Option<Standbys<'_>>,
+    ) -> MitigationOutcome {
+        self.revert(pool, log, failure, trace, restart, None)
+    }
+
+    /// [`Reactor::mitigate`], with the plan first narrowed by
+    /// [`Reactor::cross_check_plan`] against `quorum` when one is given.
+    pub(crate) fn revert(
+        &mut self,
+        pool: &mut PmPool,
+        log: &SharedLog,
+        failure: &FailureRecord,
+        trace: &PmTrace,
+        restart: &Restart<'_>,
+        quorum: Option<&PoolGroup>,
     ) -> MitigationOutcome {
         let t0 = Instant::now();
         if failure.kind == FailureKind::Leak {
             return self.mitigate_leak(pool, log, restart, t0);
         }
-        let (group, standby_first) = match standbys {
-            Some(Standbys::First(g)) if !g.is_empty() => (Some(g), true),
-            Some(Standbys::AfterReversion(g)) if !g.is_empty() => (Some(g), false),
-            _ => (None, false),
+        let (plan, facts, phases) = match failure.fault {
+            Some(fault) => {
+                let (mut plan, facts, phases) = self.timed_plan(fault, trace, log, pool);
+                if let Some(group) = quorum {
+                    plan = self.cross_check_plan(&plan, &log.view(), pool, group);
+                }
+                (plan, Some(facts), phases)
+            }
+            None => (Plan::default(), None, PhaseTimes::default()),
         };
-        // Standby-first hands failover an outcome with nothing attempted.
-        let mut out = MitigationOutcome::failed(0, 0, 0, 0, t0.elapsed(), PhaseTimes::default());
-        let mut planned = None;
-        if !standby_first {
-            let (plan, facts, phases) = match failure.fault {
-                Some(fault) => {
-                    let (mut plan, facts, phases) = self.timed_plan(fault, trace, log, pool);
-                    if let Some(group) = &group {
-                        plan = self.cross_check_plan(&plan, &log.view(), pool, group);
-                    }
-                    (plan, Some(facts), phases)
-                }
-                None => (Plan::default(), None, PhaseTimes::default()),
-            };
-            match facts.filter(|_| !plan.seqs.is_empty()) {
-                Some(facts) => planned = Some((plan, facts, phases)),
-                None => {
-                    // The restart runs with checkpointing on, like any other.
-                    out = self.restart_only(pool, log, restart, t0, 0, phases);
-                    if out.recovered || group.is_none() {
-                        return out;
-                    }
-                }
-            }
-        }
+        let Some(mut facts) = facts.filter(|_| !plan.seqs.is_empty()) else {
+            // The restart runs with checkpointing on, like any other.
+            return self.restart_only(pool, log, restart, t0, phases);
+        };
         let _paused = LogPaused::new(log);
-        if let Some((plan, mut facts, phases)) = planned {
-            facts.index(&plan);
-            out = self.revert_loop(pool, log, &plan, &mut facts, trace, restart, t0, phases);
-            debug_assert_eq!(
-                (log.latest_seq(), log.total_updates()),
-                facts.frontier,
-                "the log recorded during a mitigation"
-            );
-        }
-        match group {
-            Some(group) if !out.recovered => self.failover(pool, log, restart, group, out, t0),
-            _ => {
-                self.record_outcome(&out);
-                out
-            }
-        }
+        facts.index(&plan);
+        let out = self.revert_loop(pool, log, &plan, &mut facts, trace, restart, t0, phases);
+        debug_assert_eq!(
+            (log.latest_seq(), log.total_updates()),
+            facts.frontier,
+            "the log recorded during a mitigation"
+        );
+        self.record_outcome(&out);
+        out
     }
 
     /// Runs [`Reactor::plan`] with phase timing and the `reactor.plan`
@@ -1124,7 +1066,7 @@ impl<'a> Reactor<'a> {
             "reactor.outcome",
             vec![
                 ("recovered", Value::from(out.recovered)),
-                ("restart_only", Value::from(out.via_restart_only)),
+                ("restart_only", Value::from(out.rung == Rung::RestartOnly)),
                 ("attempts", Value::from(out.attempts)),
                 ("rounds", Value::from(out.reexec_rounds)),
                 ("skipped", Value::from(out.skipped)),
@@ -1236,19 +1178,27 @@ impl<'a> Reactor<'a> {
         Plan { seqs, sources }
     }
 
-    /// Promotes replicas best-first until one verifies. The crashed
-    /// image is saved up front and restored after every failed promote
-    /// (and when every replica is exhausted), so a failed failover hands
-    /// back the image it was given.
-    fn failover(
+    /// Promotes `group`'s standbys best-first until one verifies: the
+    /// failover rung of an [`Episode`](crate::Episode). A promoted replica
+    /// adopts its image into `pool` (restore + crash recovery) and is
+    /// verified by `restart`; a replica that fails verification is marked
+    /// faulted and the next-best one is tried. Every checkpoint seq above
+    /// the promoted cursor is accounted as discarded — the failover
+    /// analogue of rollback's discarded-update accounting.
+    ///
+    /// The crashed image is saved up front and restored after every
+    /// failed promote (and when every replica is exhausted), so a failed
+    /// failover hands back the image it was given.
+    pub fn failover(
         &mut self,
         pool: &mut PmPool,
         log: &SharedLog,
         restart: &Restart<'_>,
         group: &mut PoolGroup,
-        mut out: MitigationOutcome,
-        t0: Instant,
     ) -> MitigationOutcome {
+        let t0 = Instant::now();
+        let _paused = LogPaused::new(log);
+        let mut out = MitigationOutcome::new(Rung::Failover);
         let crashed = pool.snapshot();
         for idx in group.failover_order() {
             let cursor = match group.promote_into(idx, pool) {
@@ -1273,29 +1223,21 @@ impl<'a> Reactor<'a> {
                 ],
             );
             if ok {
-                let (seqs, entries) = {
-                    let view = log.view();
-                    let seqs: BTreeSet<u64> = view
-                        .all_seqs()
-                        .into_iter()
-                        .filter(|&s| s > cursor)
-                        .collect();
-                    let entries = seqs
-                        .iter()
-                        .filter_map(|&s| view.addr_of_seq(s))
-                        .collect::<std::collections::HashSet<_>>()
-                        .len() as u64;
-                    (seqs, entries)
-                };
+                let view = log.view();
+                out.reverted_seqs = view
+                    .all_seqs()
+                    .into_iter()
+                    .filter(|&s| s > cursor)
+                    .collect();
+                out.discarded_updates = out.reverted_seqs.len() as u64;
+                out.discarded_entries = out
+                    .reverted_seqs
+                    .iter()
+                    .filter_map(|&s| view.addr_of_seq(s))
+                    .collect::<HashSet<_>>()
+                    .len() as u64;
                 out.recovered = true;
-                out.failed_over = true;
-                out.via_restart_only = false;
-                out.discarded_updates = seqs.len() as u64;
-                out.discarded_entries = entries;
-                out.reverted_seqs = seqs;
-                out.wall = t0.elapsed();
-                self.record_outcome(&out);
-                return out;
+                break;
             }
             group.mark_faulted(idx);
             let _ = pool.restore(&crashed);
@@ -1305,13 +1247,14 @@ impl<'a> Reactor<'a> {
         out
     }
 
-    fn restart_only(
+    /// A plain restart over the image as it is: the restart-only rung,
+    /// and what reversion falls back to with nothing to revert.
+    pub(crate) fn restart_only(
         &self,
         pool: &PmPool,
         log: &SharedLog,
         restart: &Restart<'_>,
         t0: Instant,
-        plan_len: usize,
         mut phases: PhaseTimes,
     ) -> MitigationOutcome {
         let t_re = Instant::now();
@@ -1323,24 +1266,16 @@ impl<'a> Reactor<'a> {
             "reactor.restart_only",
             vec![
                 ("recovered", Value::from(ok)),
-                ("plan_len", Value::from(plan_len)),
+                ("plan_len", Value::from(0usize)),
             ],
         );
         let out = MitigationOutcome {
             recovered: ok,
-            via_restart_only: true,
             attempts: 1,
             reexec_rounds: 1,
-            skipped: 0,
-            plan_len,
-            reverted_seqs: BTreeSet::new(),
-            discarded_updates: 0,
-            discarded_entries: 0,
             wall: t0.elapsed(),
-            mode_fellback: false,
-            leaks_freed: 0,
-            failed_over: false,
             phases,
+            ..MitigationOutcome::new(Rung::RestartOnly)
         };
         self.record_outcome(&out);
         out
@@ -1684,7 +1619,6 @@ impl<'a> Reactor<'a> {
                     }
                     return MitigationOutcome {
                         recovered: true,
-                        via_restart_only: false,
                         attempts: ctl.attempts,
                         reexec_rounds: rounds,
                         skipped,
@@ -1694,9 +1628,8 @@ impl<'a> Reactor<'a> {
                         discarded_entries: ledger.touched(),
                         wall: t0.elapsed(),
                         mode_fellback: ctl.mode_fellback,
-                        leaks_freed: 0,
-                        failed_over: false,
                         phases,
+                        ..MitigationOutcome::new(Rung::Reversion)
                     };
                 }
                 if flipped {
@@ -1714,14 +1647,15 @@ impl<'a> Reactor<'a> {
                 }
             }
         }
-        MitigationOutcome::failed(
-            plan.seqs.len(),
-            ctl.attempts,
-            rounds,
+        MitigationOutcome {
+            attempts: ctl.attempts,
+            reexec_rounds: rounds,
             skipped,
-            t0.elapsed(),
+            plan_len: plan.seqs.len(),
+            wall: t0.elapsed(),
             phases,
-        )
+            ..MitigationOutcome::new(Rung::Reversion)
+        }
     }
 
     /// One reversion step: reverts the plan candidates at positions
@@ -2071,19 +2005,13 @@ impl<'a> Reactor<'a> {
         );
         let out = MitigationOutcome {
             recovered: ok && freed > 0,
-            via_restart_only: false,
             attempts: 2,
             reexec_rounds: 2,
-            skipped: 0,
             plan_len: suspects.len(),
-            reverted_seqs: BTreeSet::new(),
-            discarded_updates: 0,
-            discarded_entries: 0,
             wall: t0.elapsed(),
-            mode_fellback: false,
             leaks_freed: freed,
-            failed_over: false,
             phases,
+            ..MitigationOutcome::new(Rung::Reversion)
         };
         self.record_outcome(&out);
         out

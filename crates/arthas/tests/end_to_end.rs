@@ -7,17 +7,21 @@
 //! to a persistent flag, propagates through volatile arithmetic on a later
 //! request, and crashes the program — deterministically again after every
 //! restart, because the flag is durable.
+//!
+//! The same app, driven through an `arthas::Episode`, covers the
+//! recovery episode: a soft fault, a hard fault, a spent budget, and
+//! each rung order.
 
 use std::sync::Arc;
 
 use arthas::{
-    analyze_and_instrument, Detector, FailureRecord, PmTrace, Reactor, ReactorConfig, Restart,
-    SharedLog, Verdict,
+    analyze_and_instrument, reopen, AnalyzerOutput, Detector, Episode, FailureRecord, Ladder,
+    MitigationOutcome, PmTrace, Reactor, ReactorConfig, Restart, Rung, SharedLog, Subject, Verdict,
 };
 use pir::builder::ModuleBuilder;
 use pir::ir::Module;
 use pir::vm::{Vm, VmOpts};
-use pmemsim::PmPool;
+use pmemsim::{PmImage, PmPool, PoolGroup};
 
 /// Layout of the root object: counter @0, flag @8, value @16.
 fn build_app() -> Module {
@@ -153,12 +157,16 @@ fn full_pipeline_recovers_with_minimal_loss() {
         vm: VmOpts::default(),
         probe: &recover_and_check,
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &rec2, &trace, &restart, None);
+    let outcome = reactor.mitigate(&mut pool, &log, &rec2, &trace, &restart);
     assert!(
         outcome.recovered,
         "reactor recovered the system: {outcome:?}"
     );
-    assert!(!outcome.via_restart_only, "an actual reversion was needed");
+    assert_eq!(
+        outcome.rung,
+        Rung::Reversion,
+        "an actual reversion was needed"
+    );
     assert!(outcome.plan_len > 0);
 
     // Minimal data loss: of the many puts, only the flag (and possibly the
@@ -208,4 +216,207 @@ fn plan_is_empty_for_unrelated_fault() {
     let mut pool = new_pool();
     let plan = reactor.plan(fault, &trace, &log.view(), &mut pool);
     assert!(plan.seqs.is_empty());
+}
+
+// ---- the recovery episode ---------------------------------------------------
+
+/// The toy app after a production run (with the poison put when `bad`),
+/// as a recovery episode's subject: a watch restarts over a copy of the
+/// image and runs [`recover_and_check`]; mitigations climb the ladder
+/// with `standbys` behind the image.
+struct Toy {
+    out: AnalyzerOutput,
+    module: Arc<Module>,
+    log: SharedLog,
+    trace: PmTrace,
+    pool: PmPool,
+    /// The image just before the poison put, with its log frontier.
+    pre_fault: (PmImage, u64),
+    standbys: PoolGroup,
+    /// What production's last `get` showed, when it failed.
+    failure: Option<FailureRecord>,
+}
+
+fn toy(bad: bool) -> Toy {
+    let module = build_app();
+    let out = analyze_and_instrument(&module);
+    let instrumented = Arc::new(out.instrumented.clone());
+    let log = SharedLog::new();
+    let mut trace = PmTrace::new();
+    let mut vm = Vm::new(instrumented.clone(), new_pool(), VmOpts::default());
+    vm.pool_mut().set_sink(log.as_sink());
+    for v in [1u64, 2, 3] {
+        vm.call("put", &[v]).unwrap();
+    }
+    let pre_fault = (vm.pool().snapshot(), log.latest_seq());
+    if bad {
+        vm.call("put", &[666]).unwrap();
+    }
+    let failure = vm
+        .call("get", &[])
+        .err()
+        .map(|e| FailureRecord::from_vm(&e));
+    trace.absorb(vm.take_trace());
+    Toy {
+        out,
+        module: instrumented,
+        log,
+        trace,
+        pool: vm.crash(),
+        pre_fault,
+        standbys: PoolGroup::default(),
+        failure,
+    }
+}
+
+impl Toy {
+    /// One standby at the pre-fault image.
+    fn with_pre_fault_standby(mut self) -> Self {
+        let (image, cursor) = self.pre_fault.clone();
+        self.standbys = PoolGroup::new(&PmPool::open(image).unwrap(), 1, cursor);
+        self
+    }
+}
+
+impl Subject for Toy {
+    fn mitigate(&mut self, ladder: Ladder<'_>) -> MitigationOutcome {
+        let mut reactor = Reactor::new(
+            &self.out.analysis,
+            &self.out.guid_map,
+            ReactorConfig::default(),
+        );
+        let restart = Restart {
+            module: &self.module,
+            vm: VmOpts::default(),
+            probe: &recover_and_check,
+        };
+        let standbys = Some(&mut self.standbys);
+        ladder.run(
+            &mut reactor,
+            &mut self.pool,
+            &self.log,
+            &self.trace,
+            &restart,
+            standbys,
+        )
+    }
+
+    fn watch(&mut self) -> Result<(), FailureRecord> {
+        let mut vm = reopen(&self.module, VmOpts::default(), &self.pool, None)?;
+        recover_and_check(&mut vm)
+    }
+}
+
+#[test]
+fn episode_only_restarts_a_soft_fault() {
+    let mut app = toy(false);
+    let blip = FailureRecord::wrong_result("a request timed out once");
+    let mut episode = Episode::new(Detector::new(), 4, &[Rung::Reversion]);
+    let end = episode.run(Some(blip), &mut app);
+    assert!(end.healthy, "the restart cleared it");
+    assert_eq!(end.rounds, 1, "first sighting, then a clean watch");
+    assert!(end.outcome.is_none(), "no rung ran");
+    assert_eq!(episode.detector().verdicts(), &[Verdict::FirstSighting]);
+}
+
+#[test]
+fn episode_recovers_a_hard_fault_by_reversion() {
+    let mut app = toy(true);
+    let failure = app.failure.clone().expect("the poison crashes get");
+    let mut episode = Episode::new(Detector::new(), 4, &[Rung::Reversion]);
+    let end = episode.run(Some(failure), &mut app);
+    assert!(end.healthy);
+    assert_eq!(end.rounds, 2, "the restart showed the same symptom");
+    let out = end.outcome.expect("mitigated");
+    assert!(out.recovered && out.rung == Rung::Reversion, "{out:?}");
+    assert!(out.discarded_updates > 0);
+    assert!(episode.detector().history().is_empty(), "history reset");
+}
+
+#[test]
+fn episode_ends_unhealthy_when_its_budget_is_spent() {
+    let mut app = toy(true);
+    let failure = app.failure.clone().expect("the poison crashes get");
+    let mut episode = Episode::new(Detector::new(), 3, &[Rung::RestartOnly]);
+    let end = episode.run(Some(failure), &mut app);
+    assert!(!end.healthy);
+    assert_eq!(end.rounds, 3);
+    let out = end.outcome.expect("the hard rounds mitigated");
+    assert!(!out.recovered && out.rung == Rung::RestartOnly, "{out:?}");
+}
+
+#[test]
+fn episode_climbs_to_the_second_rung_when_the_first_fails() {
+    // Restart-only cannot cure the poison; reversion can.
+    let mut app = toy(true);
+    let failure = app.failure.clone().unwrap();
+    let mut episode = Episode::new(Detector::new(), 4, &[Rung::RestartOnly, Rung::Reversion]);
+    let end = episode.run(Some(failure), &mut app);
+    let out = end.outcome.unwrap();
+    assert!(
+        end.healthy && out.recovered && out.rung == Rung::Reversion,
+        "{out:?}"
+    );
+
+    // A standby that already holds the poison fails promote verification;
+    // reversion then repairs the image failover handed back, and the
+    // standbys are re-seeded from it.
+    let mut app = toy(true);
+    let latest = app.log.latest_seq();
+    app.standbys = PoolGroup::new(&app.pool, 1, latest);
+    let failure = app.failure.clone().unwrap();
+    let mut episode = Episode::new(Detector::new(), 4, &[Rung::Failover, Rung::Reversion]);
+    let end = episode.run(Some(failure), &mut app);
+    let out = end.outcome.unwrap();
+    assert!(
+        end.healthy && out.recovered && out.rung == Rung::Reversion,
+        "{out:?}"
+    );
+    assert!(!app.standbys.replica(0).unwrap().faulted(), "re-seeded");
+
+    // An anchor with no PM ancestry leaves reversion nothing to revert:
+    // its restart fails, and the pre-fault standby rescues the episode,
+    // reporting the restart's attempt with its own promotion.
+    let mut app = toy(true).with_pre_fault_standby();
+    let mut failure = app.failure.clone().unwrap();
+    let func = app.module.func_by_name("recover").unwrap();
+    failure.fault = Some(pir::ir::InstRef { func, inst: 0 });
+    let mut seen = Detector::new();
+    seen.observe(failure.clone());
+    let mut episode = Episode::new(seen, 4, &[Rung::Reversion, Rung::Failover]).cross_checked();
+    let end = episode.run(Some(failure), &mut app);
+    let out = end.outcome.unwrap();
+    assert!(
+        end.healthy && out.recovered && out.rung == Rung::Failover,
+        "{out:?}"
+    );
+    assert_eq!(out.attempts, 2, "one plain restart, one promotion");
+}
+
+#[test]
+fn episode_escalates_past_failover_after_a_failover_recovered() {
+    let mut app = toy(true).with_pre_fault_standby();
+    let failure = app.failure.clone().unwrap();
+    let mut episode = Episode::new(Detector::new(), 4, &[Rung::Failover, Rung::Reversion]);
+    let end = episode.run(Some(failure.clone()), &mut app);
+    assert_eq!(end.outcome.unwrap().rung, Rung::Failover);
+
+    // The same poison, planted again over the promoted image, recurs: the
+    // next mitigation reverts instead of promoting again.
+    let mut vm = Vm::new(
+        app.module.clone(),
+        PmPool::open(app.pool.snapshot()).unwrap(),
+        VmOpts::default(),
+    );
+    vm.pool_mut().set_sink(app.log.as_sink());
+    vm.call("put", &[666]).unwrap();
+    let failure = FailureRecord::from_vm(&vm.call("get", &[]).unwrap_err());
+    app.trace.absorb(vm.take_trace());
+    app.pool = vm.crash();
+    let end = episode.run(Some(failure), &mut app);
+    let out = end.outcome.unwrap();
+    assert!(
+        end.healthy && out.recovered && out.rung == Rung::Reversion,
+        "{out:?}"
+    );
 }

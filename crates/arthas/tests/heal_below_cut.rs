@@ -218,7 +218,7 @@ fn mitigate() -> (arthas::MitigationOutcome, [Vec<u8>; 3]) {
         vm: VmOpts::default(),
         probe: &recover_and_get,
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart, None);
+    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart);
     let bytes = [
         pool.read(root + 8, 8).unwrap(),
         pool.read(root + 8192, 8).unwrap(),

@@ -145,7 +145,7 @@ fn reactor_recovers_a_natively_persisted_fault() {
         vm: VmOpts::default(),
         probe: &recover_and_get,
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart, None);
+    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart);
     assert!(outcome.recovered, "{outcome:?}");
     // The reverted cell holds the previous natively-persisted value.
     let root = pool.root_offset().unwrap();

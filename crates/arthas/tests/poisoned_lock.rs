@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use arthas::{
     analyze_and_instrument, AnalyzerOutput, Detector, FailureRecord, PmTrace, Reactor,
-    ReactorConfig, Restart, SharedLog, Verdict,
+    ReactorConfig, Restart, Rung, SharedLog, Verdict,
 };
 use pir::builder::ModuleBuilder;
 use pir::ir::Module;
@@ -156,7 +156,7 @@ fn mitigate_with_panicking_forks(
         probe: &probe,
     };
     let crashed = catch_unwind(AssertUnwindSafe(|| {
-        reactor.mitigate(pool, log, failure, trace, &restart, None)
+        reactor.mitigate(pool, log, failure, trace, &restart)
     }));
     assert!(
         crashed.is_err(),
@@ -183,12 +183,16 @@ fn mitigation_survives_a_log_mutex_poisoned_by_a_panicking_fork() {
         vm: VmOpts::default(),
         probe: &recover_and_get,
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart, None);
+    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart);
     assert!(
         outcome.recovered,
         "mitigation over a poisoned log recovered the system: {outcome:?}"
     );
-    assert!(!outcome.via_restart_only, "a real reversion was applied");
+    assert_eq!(
+        outcome.rung,
+        Rung::Reversion,
+        "a real reversion was applied"
+    );
     // The counters harness code reads recover too.
     assert!(log.total_updates() > 0);
 }

@@ -145,7 +145,7 @@ fn mitigate_with(
         vm: VmOpts::default(),
         probe: &probe,
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart, None);
+    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart);
     (outcome, pool.snapshot())
 }
 
@@ -185,7 +185,7 @@ proptest! {
 
             for out in [&one, &wide] {
                 prop_assert_eq!(out.recovered, reference.recovered);
-                prop_assert_eq!(out.via_restart_only, reference.via_restart_only);
+                prop_assert_eq!(out.rung, reference.rung);
                 prop_assert_eq!(out.attempts, reference.attempts);
                 prop_assert_eq!(out.plan_len, reference.plan_len);
                 prop_assert_eq!(&out.reverted_seqs, &reference.reverted_seqs);

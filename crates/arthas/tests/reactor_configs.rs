@@ -1,11 +1,12 @@
-//! Reactor configuration coverage: batch strategy, rollback mode,
-//! distance cap, loss minimization, and transaction-sibling grouping.
+//! Reactor configuration coverage: batch strategy, rollback mode, loss
+//! minimization, transaction-sibling grouping, and the restart-only
+//! fallback of an empty plan.
 
 use std::sync::Arc;
 
 use arthas::{
     analyze_and_instrument, AnalyzerOutput, BatchStrategy, FailureRecord, Mode, PmTrace, Reactor,
-    ReactorConfig, Restart, SharedLog,
+    ReactorConfig, Restart, Rung, SharedLog,
 };
 use pir::builder::ModuleBuilder;
 use pir::ir::Module;
@@ -132,6 +133,14 @@ fn run_to_failure_of(module: Module) -> FailedRun {
     (out, instrumented, log, trace, failure, pool)
 }
 
+/// Re-anchors a run's failure on the first instruction of `recover`,
+/// which has no PM ancestry, so the plan comes out empty.
+fn unanchored(mut run: FailedRun) -> FailedRun {
+    let func = run.1.func_by_name("recover").unwrap();
+    run.4.fault = Some(pir::ir::InstRef { func, inst: 0 });
+    run
+}
+
 fn mitigate_with(cfg: ReactorConfig, use_tx: bool) -> (arthas::MitigationOutcome, PmPool) {
     mitigate_over(run_to_failure(use_tx), cfg)
 }
@@ -155,7 +164,7 @@ fn mitigate_over_with(
         vm: VmOpts::default(),
         probe: &probe,
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart, None);
+    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart);
     (outcome, pool)
 }
 
@@ -304,18 +313,14 @@ fn minimize_loss_is_deterministic_across_runs() {
 }
 
 #[test]
-fn tiny_distance_cap_yields_an_empty_plan_and_restart_fallback() {
-    // With a zero distance cap nothing qualifies for the candidate list:
-    // the reactor aborts to plain restart, which cannot cure a hard
-    // fault (§4.5's false-alarm pruning, exercised in the negative).
-    let (outcome, _) = mitigate_with(
-        ReactorConfig::builder()
-            .max_distance(Some(0))
-            .build()
-            .unwrap(),
-        false,
-    );
-    assert!(outcome.via_restart_only);
+fn unanchored_fault_yields_an_empty_plan_and_restart_fallback() {
+    // A fault instruction with no PM ancestry puts nothing on the
+    // candidate list: the reactor aborts to plain restart, which cannot
+    // cure a hard fault (§4.5's false-alarm pruning, exercised in the
+    // negative).
+    let (outcome, _) = mitigate_over(unanchored(run_to_failure(false)), ReactorConfig::default());
+    assert_eq!(outcome.rung, Rung::RestartOnly);
+    assert_eq!(outcome.plan_len, 0);
     assert!(!outcome.recovered, "restart alone cannot fix a hard fault");
 }
 
@@ -452,7 +457,7 @@ fn mitigate_heal_app(
         vm: VmOpts::default(),
         probe: &probe,
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart, None);
+    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart);
     assert_eq!(ring.dropped(), 0);
     let field = |fields: &[(&str, Value)], name: &str| match fields.iter().find(|f| f.0 == name) {
         Some((_, Value::U64(v))) => *v,
@@ -575,10 +580,10 @@ fn plan_time_divergence_heals_on_the_third_rollback_attempt() {
 /// Everything but the round count: what skipping must leave alone.
 fn all_but_rounds(out: &arthas::MitigationOutcome, pool: &PmPool) -> (String, PmImage) {
     let outcome = format!(
-        "recovered={} restart_only={} attempts={} plan_len={} reverted={:?} \
-         discarded={}/{} fellback={} leaks_freed={} failed_over={}",
+        "recovered={} rung={:?} attempts={} plan_len={} reverted={:?} \
+         discarded={}/{} fellback={} leaks_freed={}",
         out.recovered,
-        out.via_restart_only,
+        out.rung,
         out.attempts,
         out.plan_len,
         out.reverted_seqs,
@@ -586,7 +591,6 @@ fn all_but_rounds(out: &arthas::MitigationOutcome, pool: &PmPool) -> (String, Pm
         out.discarded_entries,
         out.mode_fellback,
         out.leaks_freed,
-        out.failed_over,
     );
     (outcome, pool.snapshot())
 }
@@ -600,19 +604,25 @@ fn all_but_rounds(out: &arthas::MitigationOutcome, pool: &PmPool) -> (String, Pm
 fn skipped_restarts_change_nothing_but_rounds() {
     let cfg = |b: arthas::ReactorConfigBuilder| b.build().unwrap();
     let default = ReactorConfig::builder;
-    let apps: [(fn() -> Module, ReactorConfig); 8] = [
-        (|| build_app(false), ReactorConfig::default()),
+    let runs: [(fn() -> FailedRun, ReactorConfig); 8] = [
+        (|| run_to_failure(false), ReactorConfig::default()),
         (
-            || build_app(false),
+            || run_to_failure(false),
             cfg(default().batch(BatchStrategy::Batch(5))),
         ),
-        (|| build_app(false), cfg(default().mode(Mode::Rollback))),
-        (|| build_app(false), cfg(default().minimize_loss(true))),
-        (|| build_app(false), cfg(default().max_distance(Some(0)))),
-        (|| build_app(true), ReactorConfig::default()),
-        (|| build_app(false), ReactorConfig::serving()),
         (
-            build_two_flag_app,
+            || run_to_failure(false),
+            cfg(default().mode(Mode::Rollback)),
+        ),
+        (|| run_to_failure(false), cfg(default().minimize_loss(true))),
+        (
+            || unanchored(run_to_failure(false)),
+            ReactorConfig::default(),
+        ),
+        (|| run_to_failure(true), ReactorConfig::default()),
+        (|| run_to_failure(false), ReactorConfig::serving()),
+        (
+            || run_to_failure_of(build_two_flag_app()),
             cfg(default()
                 .mode(Mode::Rollback)
                 .batch(BatchStrategy::Batch(8))
@@ -620,9 +630,9 @@ fn skipped_restarts_change_nothing_but_rounds() {
         ),
     ];
     let mut rounds_saved = 0;
-    for (app, cfg) in apps {
+    for (run, cfg) in runs {
         let [(skip, skip_pool), (all, all_pool)] =
-            [false, true].map(|reads| mitigate_over_with(run_to_failure_of(app()), cfg, reads));
+            [false, true].map(|reads| mitigate_over_with(run(), cfg, reads));
         assert_eq!(
             all_but_rounds(&skip, &skip_pool),
             all_but_rounds(&all, &all_pool)

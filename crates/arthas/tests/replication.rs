@@ -1,13 +1,13 @@
-//! Pool-group replication at the reactor layer (ISSUE 10 tentpole):
-//! checkpoint-stream pumping, quorum cross-check localization, and
-//! hot-standby failover, including the degeneration of an empty group to
-//! the single-pool path.
+//! Pool-group replication at the reactor layer: checkpoint-stream
+//! pumping, quorum cross-check localization, and hot-standby failover,
+//! including the degeneration of an empty group to the single-pool path
+//! in either rung order of a recovery episode.
 
 use std::sync::Arc;
 
 use arthas::{
-    analyze_and_instrument, FailureRecord, PmTrace, Reactor, ReactorConfig, Restart, SharedLog,
-    Standbys,
+    analyze_and_instrument, Detector, Episode, FailureRecord, Ladder, MitigationOutcome, PmTrace,
+    Reactor, ReactorConfig, Restart, Rung, SharedLog, Subject,
 };
 use pir::builder::ModuleBuilder;
 use pir::ir::Module;
@@ -291,16 +291,13 @@ fn failover_promotes_pre_fault_standby_and_accounts_discards() {
         let view = c.log.view();
         view.all_seqs().into_iter().filter(|&s| s > cursor).count() as u64
     };
-    let outcome = reactor.mitigate(
-        &mut c.pool,
-        &c.log,
-        &c.failure,
-        &c.trace,
-        &restart(&c.module),
-        Some(Standbys::First(&mut group)),
-    );
+    let outcome = reactor.failover(&mut c.pool, &c.log, &restart(&c.module), &mut group);
     assert!(outcome.recovered, "{outcome:?}");
-    assert!(outcome.failed_over, "recovery came from the standby");
+    assert_eq!(
+        outcome.rung,
+        Rung::Failover,
+        "recovery came from the standby"
+    );
     assert_eq!(outcome.discarded_updates, expected_discards);
     assert!(expected_discards > 0, "the poisoned put was discarded");
     // The promoted image is the pre-fault state: flag clear, last clean
@@ -322,50 +319,85 @@ fn failover_with_all_replicas_faulted_fails_cleanly() {
     let before = c.pool.snapshot();
     let cfg = ReactorConfig::default();
     let mut reactor = Reactor::new(&c.out.analysis, &c.out.guid_map, cfg);
-    let outcome = reactor.mitigate(
-        &mut c.pool,
-        &c.log,
-        &c.failure,
-        &c.trace,
-        &restart(&c.module),
-        Some(Standbys::First(&mut group)),
-    );
+    let outcome = reactor.failover(&mut c.pool, &c.log, &restart(&c.module), &mut group);
     assert!(!outcome.recovered);
-    assert!(!outcome.failed_over);
+    assert_eq!(outcome.attempts, 0, "a faulted standby is never promoted");
     assert_eq!(c.pool.snapshot(), before, "crashed image handed back");
 }
 
-/// An empty group is no standbys: either order over it produces the same
-/// outcome and the same final pool bytes as a mitigation given none, on
-/// an identical run.
+/// The crashed run as a recovery episode's subject, with `group` as its
+/// standbys: a watch restarts over a copy of the image.
+struct Standing<'c> {
+    c: &'c mut Crashed,
+    group: PoolGroup,
+}
+
+impl Subject for Standing<'_> {
+    fn mitigate(&mut self, ladder: Ladder<'_>) -> MitigationOutcome {
+        let c = &mut *self.c;
+        let mut reactor = Reactor::new(&c.out.analysis, &c.out.guid_map, ReactorConfig::default());
+        let restart = restart(&c.module);
+        ladder.run(
+            &mut reactor,
+            &mut c.pool,
+            &c.log,
+            &c.trace,
+            &restart,
+            Some(&mut self.group),
+        )
+    }
+
+    fn watch(&mut self) -> Result<(), FailureRecord> {
+        restart(&self.c.module).run(&self.c.pool, &SharedLog::new())
+    }
+}
+
+/// An empty group is no standbys: either rung order over it produces the
+/// same outcome and the same final pool bytes as a mitigation given none,
+/// on an identical run.
 #[test]
 fn empty_group_degenerates_to_single_pool_mitigation() {
-    let run = |standby_first: Option<bool>| {
+    let (b, img_b) = {
         let mut c = run_to_failure();
         let cfg = ReactorConfig::default();
         let mut reactor = Reactor::new(&c.out.analysis, &c.out.guid_map, cfg);
-        let mut group = PoolGroup::default();
         let outcome = reactor.mitigate(
             &mut c.pool,
             &c.log,
             &c.failure,
             &c.trace,
             &restart(&c.module),
-            standby_first.map(|first| match first {
-                true => Standbys::First(&mut group),
-                false => Standbys::AfterReversion(&mut group),
-            }),
         );
         (outcome, c.pool.snapshot())
     };
-    let (b, img_b) = run(None);
-    for standby_first in [true, false] {
-        let (a, img_a) = run(Some(standby_first));
+    let ladders: [(&[Rung], bool); 2] = [
+        (&[Rung::Failover, Rung::Reversion], false),
+        (&[Rung::Reversion, Rung::Failover], true),
+    ];
+    for (rungs, cross_checked) in ladders {
+        let mut c = run_to_failure();
+        let failure = c.failure.clone();
+        // Seen once already: the episode's first observation is hard.
+        let mut detector = Detector::new();
+        detector.observe(failure.clone());
+        let mut episode = Episode::new(detector, 1, rungs);
+        if cross_checked {
+            episode = episode.cross_checked();
+        }
+        let end = episode.run(
+            Some(failure),
+            &mut Standing {
+                c: &mut c,
+                group: PoolGroup::default(),
+            },
+        );
+        let a = end.outcome.expect("the hard failure was mitigated");
+        assert!(end.healthy);
         assert_eq!(a.recovered, b.recovered);
-        assert!(!a.failed_over);
+        assert_eq!(a.rung, Rung::Reversion);
         assert_eq!(a.attempts, b.attempts);
         assert_eq!(a.reverted_seqs, b.reverted_seqs);
         assert_eq!(a.discarded_updates, b.discarded_updates);
-        assert_eq!(img_a, img_b, "byte-identical final pool images");
+        assert_eq!(c.pool.snapshot(), img_b, "byte-identical final pool images");
     }
 }

@@ -123,7 +123,7 @@ fn one_slice_per_fault_and_accumulated_phase_time() {
         vm: VmOpts::default(),
         probe: &recover_and_get,
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart, None);
+    let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart);
     assert!(outcome.recovered, "mitigation must recover the app");
 
     // Exactly one slice computed for the fault location; all later
@@ -143,7 +143,7 @@ fn one_slice_per_fault_and_accumulated_phase_time() {
 
     // A second recovery for the same fault on the same reactor reuses
     // the memo and accounts only its own slice again.
-    let outcome2 = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart, None);
+    let outcome2 = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart);
     assert_eq!(reactor.slice_computes(), 1, "no re-slice on re-mitigation");
     assert!(outcome2.phases.slice <= outcome.phases.slice);
 }

@@ -9,27 +9,27 @@
 //!   re-execution, until success or timeout. It is "a facet of Arthas, not
 //!   an alternative" (§6.1), demonstrating that fine-grained checkpoints
 //!   alone do not recover systems whose root cause lies far in the past.
+//!
+//! Both answer in Arthas's own [`MitigationOutcome`] as a
+//! [`Rung::Reversion`], one re-execution round per attempt.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use arthas::checkpoint::MAX_VERSIONS;
-use arthas::{Restart, SharedLog};
+use arthas::{MitigationOutcome, Restart, Rung, SharedLog};
 use pmemsim::{PmImage, PmPool};
 
-/// Outcome of a baseline mitigation.
-#[derive(Debug, Clone)]
-pub struct BaselineOutcome {
-    /// Whether the system became operational again.
-    pub recovered: bool,
-    /// Re-executions performed.
-    pub attempts: u32,
-    /// For pmCRIU: index (0 = newest) of the snapshot that recovered the
-    /// system.
-    pub restored_snapshot: Option<usize>,
-    /// For ArCkpt: checkpoint updates reverted.
-    pub reverted_updates: u64,
-    /// Wall-clock time of the mitigation.
-    pub wall: Duration,
+/// A baseline's outcome: `attempts` re-executions, one round each,
+/// `discarded` checkpoint updates reverted, over the time since `t0`.
+fn outcome(recovered: bool, attempts: u32, discarded: u64, t0: Instant) -> MitigationOutcome {
+    MitigationOutcome {
+        recovered,
+        attempts,
+        reexec_rounds: attempts,
+        discarded_updates: discarded,
+        wall: t0.elapsed(),
+        ..MitigationOutcome::new(Rung::Reversion)
+    }
 }
 
 /// The pmCRIU baseline: periodic whole-pool snapshots.
@@ -90,37 +90,26 @@ impl PmCriu {
 
     /// Rolls back snapshot-by-snapshot (newest first), restarting with
     /// `log` attached after each restore, until the system is operational
-    /// or snapshots run out.
+    /// or snapshots run out. Whole-pool snapshots are not checkpoint
+    /// updates: nothing counts as discarded.
     pub fn mitigate(
         &self,
         pool: &mut PmPool,
         log: &SharedLog,
         restart: &Restart,
-    ) -> BaselineOutcome {
+    ) -> MitigationOutcome {
         let t0 = Instant::now();
         let mut attempts = 0u32;
-        for (idx, (_, image)) in self.snapshots.iter().enumerate().rev() {
+        for (_, image) in self.snapshots.iter().rev() {
             if pool.restore(image).is_err() {
                 continue;
             }
             attempts += 1;
             if restart.run(pool, log).is_ok() {
-                return BaselineOutcome {
-                    recovered: true,
-                    attempts,
-                    restored_snapshot: Some(self.snapshots.len() - 1 - idx),
-                    reverted_updates: 0,
-                    wall: t0.elapsed(),
-                };
+                return outcome(true, attempts, 0, t0);
             }
         }
-        BaselineOutcome {
-            recovered: false,
-            attempts,
-            restored_snapshot: None,
-            reverted_updates: 0,
-            wall: t0.elapsed(),
-        }
+        outcome(false, attempts, 0, t0)
     }
 }
 
@@ -151,7 +140,7 @@ impl ArCkpt {
         pool: &mut PmPool,
         log: &SharedLog,
         restart: &Restart,
-    ) -> BaselineOutcome {
+    ) -> MitigationOutcome {
         let t0 = Instant::now();
         log.set_enabled(false);
         let seqs: Vec<u64> = {
@@ -166,13 +155,7 @@ impl ArCkpt {
             for &s in &seqs {
                 if attempts >= self.max_attempts {
                     log.set_enabled(true);
-                    return BaselineOutcome {
-                        recovered: false,
-                        attempts,
-                        restored_snapshot: None,
-                        reverted_updates: reverted,
-                        wall: t0.elapsed(),
-                    };
+                    return outcome(false, attempts, reverted, t0);
                 }
                 // View dropped before the pool write below re-enters the sink.
                 let (addr, data) = {
@@ -191,24 +174,12 @@ impl ArCkpt {
                 attempts += 1;
                 if restart.run(pool, log).is_ok() {
                     log.set_enabled(true);
-                    return BaselineOutcome {
-                        recovered: true,
-                        attempts,
-                        restored_snapshot: None,
-                        reverted_updates: reverted,
-                        wall: t0.elapsed(),
-                    };
+                    return outcome(true, attempts, reverted, t0);
                 }
             }
         }
         log.set_enabled(true);
-        BaselineOutcome {
-            recovered: false,
-            attempts,
-            restored_snapshot: None,
-            reverted_updates: reverted,
-            wall: t0.elapsed(),
-        }
+        outcome(false, attempts, reverted, t0)
     }
 }
 
@@ -255,7 +226,9 @@ mod tests {
 
         let out = with_threshold(a, 100, |r| criu.mitigate(&mut pool, &SharedLog::new(), r));
         assert!(out.recovered);
-        assert_eq!(out.restored_snapshot, Some(1), "second-newest snapshot");
+        // The newest (bad) snapshot failed its restart; the second-newest
+        // recovered, with its bytes restored.
+        assert_eq!(out.attempts, 2, "second-newest snapshot");
         assert_eq!(pool.read_u64(a).unwrap(), 1, "coarse rollback to t=0");
     }
 

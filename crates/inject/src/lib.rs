@@ -41,8 +41,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use arthas::{
-    reopen, AnalysisCache, ConfigError, Detector, FailureRecord, LogView, Reactor, ReactorConfig,
-    Restart, SharedLog, Standbys, Verdict,
+    reopen, AnalysisCache, ConfigError, Episode, FailureRecord, Ladder, LogView, MitigationOutcome,
+    Reactor, ReactorConfig, Restart, Rung, SharedLog, Subject,
 };
 use obs::{Field, Json, Schema};
 use pir::vm::{Vm, VmOpts};
@@ -65,7 +65,8 @@ pub const SCHEMA_VERSION: u64 = 1;
 
 /// Restart attempts the classifier grants the application before the
 /// detector's verdict decides between clean recovery and mitigation
-/// (mirrors the production harness's restart-based detection).
+/// (mirrors the production harness's restart-based detection): the round
+/// budget of a trial's recovery [`Episode`].
 pub const MAX_TRIAL_RESTARTS: u32 = 3;
 
 // ---------------------------------------------------------------------------
@@ -559,6 +560,13 @@ fn trial_check(scn: &dyn Scenario, vm: &mut Vm) -> RestartResult {
 /// [`TrialVerdict::InvariantViolated`] is the verdict only when
 /// mitigation cannot restore the invariants either.
 ///
+/// One recovery [`Episode`] runs it: up to [`MAX_TRIAL_RESTARTS`] restarts
+/// before a hard verdict, then at most one mitigation, whose recovered
+/// image one more restart verifies. The ladder is the primary-image
+/// reversion (cross-checked against the standbys when the campaign has
+/// any), then failover: replicas can rescue a trial but never preempt a
+/// reversion that would have succeeded.
+///
 /// A clean recovery is additionally re-judged by the mined-invariant
 /// oracle when the campaign promoted any (`--invariants`): a raw image
 /// that breaks a promoted invariant downgrades the trial to
@@ -571,111 +579,133 @@ fn classify(
     vm: VmOpts,
     policy: CrashPolicy,
     mined: &[MinedInvariant],
-    capture: CrashCapture,
+    mut capture: CrashCapture,
 ) -> (TrialVerdict, u32, u32) {
-    let CrashCapture {
-        pool: mut raw,
-        log,
-        trace,
-        site,
-        restarts: mut restart_count,
-        detector,
-    } = capture;
-    let mut detector: Detector = detector;
-    // Every restart runs under `vm`, the trial's production options, so
-    // it hangs exactly when production would.
-    let check_restart = |image: &PmPool| match reopen(&setup.instrumented, vm, image, None) {
-        Ok(mut vm) => trial_check(scn, &mut vm),
-        Err(rec) => RestartResult::Failed(rec),
+    let detector = std::mem::take(&mut capture.detector);
+    let ladder = [Rung::Reversion, Rung::Failover];
+    let mut episode = Episode::new(detector, MAX_TRIAL_RESTARTS, &ladder)
+        .cross_checked()
+        .at_most(1);
+    let mut trial = CrashedTrial {
+        scn,
+        setup,
+        cfg,
+        vm,
+        policy,
+        mined,
+        capture,
+        operational: false,
+        silent: false,
+        mitigated: false,
     };
+    let end = episode.run(None, &mut trial);
+    let verdict = match (end.healthy, &end.outcome) {
+        (true, None) if trial.silent => TrialVerdict::SilentCorruption,
+        (true, None) => TrialVerdict::CleanRecovery,
+        (true, Some(_)) => TrialVerdict::Mitigated,
+        (false, _) if trial.operational => TrialVerdict::InvariantViolated,
+        (false, _) => TrialVerdict::Unrecoverable,
+    };
+    let attempts = end.outcome.map_or(0, |o| o.attempts);
+    (verdict, trial.capture.restarts, attempts)
+}
 
-    let mut hard: Option<FailureRecord> = None;
-    let mut operational = false;
-    for _ in 0..MAX_TRIAL_RESTARTS {
-        restart_count += 1;
-        let rec = match check_restart(&raw) {
+/// A fired injection as the subject of its recovery [`Episode`]: a watch
+/// restarts over a copy of the image and judges it by [`trial_check`].
+struct CrashedTrial<'t> {
+    scn: &'t dyn Scenario,
+    setup: &'t AppSetup,
+    cfg: &'t CampaignConfig,
+    /// The trial's production VM options: every restart runs under them,
+    /// so it hangs exactly when production would.
+    vm: VmOpts,
+    policy: CrashPolicy,
+    mined: &'t [MinedInvariant],
+    /// The machine at the crash. Its pool is the raw post-crash image
+    /// until the mitigation, and the image the reactor worked on after;
+    /// its restarts count the watches before the mitigation too.
+    capture: CrashCapture,
+    /// Whether the last watch found the system running with its
+    /// invariants broken (rather than not running at all).
+    operational: bool,
+    /// Whether a clean restart's raw image broke a mined invariant.
+    silent: bool,
+    mitigated: bool,
+}
+
+impl Subject for CrashedTrial<'_> {
+    fn mitigate(&mut self, ladder: Ladder<'_>) -> MitigationOutcome {
+        let c = &mut self.capture;
+        // The pool-level reopen may itself fail on a torn image; the
+        // reactor then works on the raw image (its reverts re-persist what
+        // they touch).
+        if let Ok(opened) = PmPool::open(c.pool.snapshot()) {
+            c.pool = opened;
+        }
+        self.mitigated = true;
+        let scn = self.scn;
+        let probe = |vm: &mut Vm| match trial_check(scn, vm) {
+            RestartResult::Clean => Ok(()),
+            RestartResult::Inconsistent(rec) | RestartResult::Failed(rec) => Err(rec),
+        };
+        let restart = Restart {
+            module: &self.setup.instrumented,
+            vm: self.vm,
+            probe: &probe,
+        };
+        let mut reactor =
+            Reactor::new(&self.setup.analysis, &self.setup.guid_map, self.cfg.reactor);
+        let mut group =
+            (self.cfg.replicas > 0).then(|| build_trial_group(&c.pool, &c.log, self.cfg, c.site));
+        ladder.run(
+            &mut reactor,
+            &mut c.pool,
+            &c.log,
+            &c.trace,
+            &restart,
+            group.as_mut(),
+        )
+    }
+
+    fn watch(&mut self) -> Result<(), FailureRecord> {
+        let c = &mut self.capture;
+        if !self.mitigated {
+            c.restarts += 1;
+        }
+        let result = match reopen(&self.setup.instrumented, self.vm, &c.pool, None) {
+            Ok(mut vm) => trial_check(self.scn, &mut vm),
+            Err(rec) => RestartResult::Failed(rec),
+        };
+        let rec = match result {
+            RestartResult::Clean if self.mitigated => return Ok(()),
             RestartResult::Clean => {
-                let image_is_durable = matches!(policy, CrashPolicy::DropStaged);
-                let viols =
-                    invariants::check_image(mined, &mut raw, &log, &trace, image_is_durable);
-                let verdict = if viols.is_empty() {
-                    TrialVerdict::CleanRecovery
-                } else {
-                    if std::env::var_os("ARTHAS_INVARIANT_DEBUG").is_some() {
-                        for v in &viols {
-                            eprintln!("[invariant] {}: {v}", scn.id());
-                        }
+                let image_is_durable = matches!(self.policy, CrashPolicy::DropStaged);
+                let viols = invariants::check_image(
+                    self.mined,
+                    &mut c.pool,
+                    &c.log,
+                    &c.trace,
+                    image_is_durable,
+                );
+                if std::env::var_os("ARTHAS_INVARIANT_DEBUG").is_some() {
+                    for v in &viols {
+                        eprintln!("[invariant] {}: {v}", self.scn.id());
                     }
-                    TrialVerdict::SilentCorruption
-                };
-                return (verdict, restart_count, 0);
+                }
+                self.silent = !viols.is_empty();
+                return Ok(());
             }
             RestartResult::Inconsistent(rec) => {
-                operational = true;
+                self.operational = true;
                 rec
             }
             RestartResult::Failed(rec) => {
-                operational = false;
+                self.operational = false;
                 rec
             }
         };
-        if detector.observe(rec.clone()) == Verdict::SuspectedHard {
-            hard = Some(rec);
-            break;
-        }
+        Err(rec)
     }
-    // Without a suspected-hard verdict there is nothing to hand the
-    // reactor; the last restart decides how the trial reads.
-    let unaided = |operational: bool| {
-        if operational {
-            TrialVerdict::InvariantViolated
-        } else {
-            TrialVerdict::Unrecoverable
-        }
-    };
-    let Some(failure) = hard else {
-        return (unaided(operational), restart_count, 0);
-    };
-
-    // Reactor mitigation over the captured checkpoint log and trace. The
-    // pool-level reopen may itself fail on a torn image; the reactor then
-    // works on the raw image (its reverts re-persist what they touch).
-    let mut work = match PmPool::open(raw.snapshot()) {
-        Ok(p) => p,
-        Err(_) => raw,
-    };
-    let probe = |vm: &mut Vm| match trial_check(scn, vm) {
-        RestartResult::Clean => Ok(()),
-        RestartResult::Inconsistent(rec) | RestartResult::Failed(rec) => Err(rec),
-    };
-    let restart = Restart {
-        module: &setup.instrumented,
-        vm,
-        probe: &probe,
-    };
-    let mut reactor = Reactor::new(&setup.analysis, &setup.guid_map, cfg.reactor);
-    // Failover runs only after the primary-image arm is exhausted (the
-    // reactor's own attempt cap governs, exactly as in the single-pool
-    // path), so replicas can rescue a trial but never preempt a reversion
-    // that would have succeeded.
-    let mut group = (cfg.replicas > 0).then(|| build_trial_group(&work, &log, cfg, site));
-    let out = reactor.mitigate(
-        &mut work,
-        &log,
-        &failure,
-        &trace,
-        &restart,
-        group.as_mut().map(Standbys::AfterReversion),
-    );
-    if !out.recovered {
-        return (unaided(operational), restart_count, out.attempts);
-    }
-    let verdict = match check_restart(&work) {
-        RestartResult::Clean => TrialVerdict::Mitigated,
-        RestartResult::Inconsistent(_) => TrialVerdict::InvariantViolated,
-        RestartResult::Failed(_) => TrialVerdict::Unrecoverable,
-    };
-    (verdict, restart_count, out.attempts)
 }
 
 /// Builds a trial's pool group from the crashed image and applies the

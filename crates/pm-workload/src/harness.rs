@@ -752,65 +752,32 @@ pub fn mitigate(
         probe: &|vm: &mut Vm| recover_and_verify(scn, vm),
     };
 
-    let (recovered, attempts, rounds, wall, discarded, leaks_freed, fellback, phases) =
-        match solution {
-            Solution::Arthas(cfg) => {
-                let mut reactor = Reactor::new(&setup.analysis, &setup.guid_map, cfg);
-                if let Some(rec) = &production.recorder {
-                    reactor.instrument(rec.clone());
-                }
-                let out = reactor.mitigate(
-                    &mut production.pool,
-                    &production.log,
-                    &production.failure,
-                    &production.trace,
-                    &restart,
-                    None,
-                );
-                (
-                    out.recovered,
-                    out.attempts,
-                    out.reexec_rounds,
-                    out.wall,
-                    out.discarded_updates,
-                    out.leaks_freed,
-                    out.mode_fellback,
-                    out.phases,
-                )
+    let out = match solution {
+        Solution::Arthas(cfg) => {
+            let mut reactor = Reactor::new(&setup.analysis, &setup.guid_map, cfg);
+            if let Some(rec) = &production.recorder {
+                reactor.instrument(rec.clone());
             }
-            Solution::PmCriu => {
-                let out = production
-                    .criu
-                    .mitigate(&mut production.pool, &production.log, &restart);
-                (
-                    out.recovered,
-                    out.attempts,
-                    out.attempts,
-                    out.wall,
-                    0,
-                    0,
-                    false,
-                    PhaseTimes::default(),
-                )
-            }
-            Solution::ArCkpt(budget) => {
-                let out =
-                    ArCkpt::new(budget).mitigate(&mut production.pool, &production.log, &restart);
-                (
-                    out.recovered,
-                    out.attempts,
-                    out.attempts,
-                    out.wall,
-                    out.reverted_updates,
-                    0,
-                    false,
-                    PhaseTimes::default(),
-                )
-            }
-        };
+            reactor.mitigate(
+                &mut production.pool,
+                &production.log,
+                &production.failure,
+                &production.trace,
+                &restart,
+            )
+        }
+        Solution::PmCriu => {
+            production
+                .criu
+                .mitigate(&mut production.pool, &production.log, &restart)
+        }
+        Solution::ArCkpt(budget) => {
+            ArCkpt::new(budget).mitigate(&mut production.pool, &production.log, &restart)
+        }
+    };
 
     // Recoverability criterion (b): some persistent state must remain.
-    let (items_after, recovered) = if recovered {
+    let (items_after, recovered) = if out.recovered {
         let items_after = count_on_copy(scn, setup, &production.pool);
         let some_state = if scn.is_leak() { true } else { items_after > 0 };
         (items_after, some_state)
@@ -841,19 +808,19 @@ pub fn mitigate(
     MitigationResult {
         id: scn.id(),
         recovered,
-        attempts,
-        reexec_rounds: rounds,
-        wall,
+        attempts: out.attempts,
+        reexec_rounds: out.reexec_rounds,
+        wall: out.wall,
         // One restart delay per *round*: concurrent speculative restarts
         // wait out their 3–5 s delay together.
-        modeled_secs: wall.as_secs_f64() + rounds as f64 * REEXEC_DELAY_SECS,
-        discarded_updates: discarded,
+        modeled_secs: out.wall.as_secs_f64() + out.reexec_rounds as f64 * REEXEC_DELAY_SECS,
+        discarded_updates: out.discarded_updates,
         total_updates,
         item_loss_frac,
         consistent,
-        leaks_freed,
-        mode_fellback: fellback,
-        phases,
+        leaks_freed: out.leaks_freed,
+        mode_fellback: out.mode_fellback,
+        phases: out.phases,
     }
 }
 

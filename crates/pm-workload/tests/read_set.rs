@@ -185,7 +185,6 @@ fn flipping_f4s_corrupted_pointer_changes_the_failure() {
         &prod.failure,
         &prod.trace,
         &reexec,
-        None,
     );
     assert!(out.recovered && out.reverted_seqs.len() == 1, "{out:?}");
     let seq = *out.reverted_seqs.first().unwrap();

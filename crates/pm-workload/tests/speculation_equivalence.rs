@@ -19,7 +19,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use arthas::{MitigationOutcome, Reactor, ReactorConfig, Restart};
+use arthas::{MitigationOutcome, Reactor, ReactorConfig, Restart, Rung};
 use obs::{Instrument as _, RingRecorder};
 use pir::vm::Vm;
 use pm_workload::{recover_and_verify, run_production, scenarios, AppSetup, RunConfig};
@@ -80,7 +80,6 @@ fn mitigate_once(
         &prod.failure,
         &prod.trace,
         &restart,
-        None,
     );
     let reverted = fnv1a(out.reverted_seqs.iter().flat_map(|s| s.to_le_bytes()));
     let image = fnv1a(prod.pool.snapshot().to_vec());
@@ -90,7 +89,7 @@ fn mitigate_once(
          reverted={reverted:016x} image={image:016x}",
         scn.id(),
         out.recovered,
-        out.via_restart_only,
+        out.rung == Rung::RestartOnly,
         out.attempts,
         out.plan_len,
         out.discarded_updates,

@@ -7,18 +7,18 @@
 //! is in flight, so connections observe bounded errors and latency
 //! instead of a dead process.
 //!
-//! Failure path (the paper's pipeline, promoted to a live server):
+//! Failure path (the paper's pipeline, promoted to a live server): a VM
+//! trap during an op (or a periodic health probe) opens an
+//! [`arthas::Episode`], whose [`Detector`] observes it.
 //!
-//! 1. A VM trap during an op (or a periodic health probe) produces a
-//!    [`FailureRecord`]; the [`Detector`] observes it.
-//! 2. `FirstSighting` → in-process restart: crash the VM, reopen the
+//! 1. `FirstSighting` → in-process restart: crash the VM, reopen the
 //!    pool, run the app's recovery handler. A soft fault vanishes here.
-//! 3. An immediate post-restart health probe re-checks; a recurring
-//!    failure is observed again → `SuspectedHard` → the [`Reactor`]
-//!    joins the backward slice with the trace and checkpoint log and
-//!    reverts updates until re-execution verifies, **while the server
+//! 2. An immediate post-restart health probe re-checks; a recurring
+//!    failure is observed again → `SuspectedHard` → the episode climbs
+//!    `LADDER`: promote a standby, else revert the crashed image with
+//!    the [`Reactor`] until re-execution verifies, **while the server
 //!    stays up**.
-//! 4. After a successful mitigation the detector history is reset, so a
+//! 3. After a successful mitigation the detector history is reset, so a
 //!    later unrelated fault starts a fresh first-sighting cycle.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,10 +26,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use arthas::{
-    analyze_and_instrument_cached, AnalysisCache, Detector, FailureRecord, GuidMap, PmTrace,
-    Reactor, ReactorConfig, Restart, SharedLog, Standbys, Verdict,
+    analyze_and_instrument_cached, AnalysisCache, Detector, Episode, FailureRecord, GuidMap,
+    Ladder, MitigationOutcome, PmTrace, Reactor, ReactorConfig, Restart, Rung, SharedLog, Subject,
+    MAX_VERSIONS,
 };
-use arthas::{MitigationOutcome, MAX_VERSIONS};
 use obs::{Instrument as _, Recorder, RingRecorder};
 use pir::ir::Module;
 use pir::vm::{Vm, VmError, VmOpts};
@@ -61,6 +61,15 @@ const PROBE_KEY: u64 = 999_983;
 /// Recovery rounds (restart → probe → escalate) before giving up and
 /// serving degraded.
 const MAX_RECOVERY_ROUNDS: u32 = 4;
+/// The rungs a suspected hard fault climbs. Hot-standby-first bounds the
+/// outage by promote latency; verification rejects a standby that already
+/// replayed the fault through the stream, and then the primary image,
+/// which failover left untouched, is reverted. When the previous
+/// mitigation promoted a standby and a hard fault came back, the episode
+/// skips failover and reverts straight away ([`Ladder::run`]): slicing
+/// from the fault anchor excises the poisoned updates failover carried
+/// along.
+const LADDER: &[Rung] = &[Rung::Failover, Rung::Reversion];
 /// Stored-value byte cap for both backends: under kvcache's
 /// `DATA_CAP` (160) and segcache's 8-bit length field.
 const VALUE_CAP: usize = 160;
@@ -165,32 +174,6 @@ pub struct EngineStats {
     pub armed: bool,
 }
 
-/// Summary of the most recent mitigation.
-#[derive(Debug, Clone)]
-pub struct MitigationSummary {
-    /// Verified recovered.
-    pub recovered: bool,
-    /// Re-executions performed.
-    pub attempts: u32,
-    /// Updates discarded by this mitigation.
-    pub discarded_updates: u64,
-    /// Wall time in microseconds.
-    pub wall_us: u64,
-    /// Recovery came from promoting a replica rather than reverting
-    /// the primary image.
-    pub failed_over: bool,
-    /// The outcome's phase split ([`arthas::PhaseTimes`]) in
-    /// microseconds: slicing, the rest of planning, applying reversions,
-    /// re-executing. Disjoint, so they sum to at most `wall_us`.
-    pub slice_us: u64,
-    /// See `slice_us`.
-    pub plan_us: u64,
-    /// See `slice_us`.
-    pub revert_us: u64,
-    /// See `slice_us`.
-    pub reexec_us: u64,
-}
-
 /// The single-threaded serving engine.
 pub struct Engine {
     kind: BackendKind,
@@ -201,7 +184,8 @@ pub struct Engine {
     vm: Option<Vm>,
     log: SharedLog,
     trace: PmTrace,
-    detector: Detector,
+    /// The recovery episode: the detector's history outlives each one.
+    episode: Episode,
     recorder: Arc<RingRecorder>,
     cfg: EngineConfig,
     group: PoolGroup,
@@ -210,13 +194,8 @@ pub struct Engine {
     ops_since_health: u64,
     ops_since_trim: u64,
     stats: EngineStats,
-    last_mitigation: Option<MitigationSummary>,
+    last_mitigation: Option<MitigationOutcome>,
     last_failover_wall_us: Option<u64>,
-    /// True from the first observed fault until a mitigation recovers:
-    /// while fault history is open, every update since the suspicious
-    /// window may carry the poison, so the pump freezes the standbys
-    /// where they are instead of shipping it to them.
-    stream_quarantined: bool,
 }
 
 impl Engine {
@@ -268,7 +247,7 @@ impl Engine {
             vm: Some(vm),
             log,
             trace: PmTrace::new(),
-            detector,
+            episode: Episode::new(detector, MAX_RECOVERY_ROUNDS, LADDER),
             recorder,
             cfg,
             group: PoolGroup::default(),
@@ -279,11 +258,10 @@ impl Engine {
             stats: EngineStats::default(),
             last_mitigation: None,
             last_failover_wall_us: None,
-            stream_quarantined: false,
         };
         engine.seed_canaries()?;
         if engine.cfg.replicas > 0 {
-            // Standbys start from the post-seed image; the checkpoint
+            // The standbys start from the post-seed image; the checkpoint
             // stream carries everything after this frontier.
             let base = engine.log.view().latest_seq();
             let vm = engine.vm.as_mut().expect("vm present");
@@ -317,7 +295,7 @@ impl Engine {
     }
 
     /// Most recent mitigation, if any.
-    pub fn last_mitigation(&self) -> Option<&MitigationSummary> {
+    pub fn last_mitigation(&self) -> Option<&MitigationOutcome> {
         self.last_mitigation.as_ref()
     }
 
@@ -508,7 +486,11 @@ impl Engine {
     /// manifestation, so continuing to pump during the restart-and-watch
     /// window would eventually walk the horizon over the poison.
     fn pump_replicas(&mut self) {
-        if self.group.is_empty() || self.stream_quarantined {
+        // While the detector holds fault history (from the first observed
+        // fault until a mitigation recovers), every update since the
+        // suspicious window may carry the poison: the standbys stay where
+        // they are instead of receiving it.
+        if self.group.is_empty() || !self.episode.detector().history().is_empty() {
             return;
         }
         let view = self.log.view();
@@ -536,44 +518,26 @@ impl Engine {
         health_probe(self.kind, |f, a| self.raw_call(f, a))
     }
 
-    /// The online recovery loop: observe → restart (→ mitigate on
-    /// recurrence) → probe, escalating until the probe passes or the
-    /// round budget is spent.
+    /// The online recovery episode, opened by `first`: each round
+    /// restarts in process and re-runs the health probe, mitigating on
+    /// recurrence, until the probe passes or the round budget is spent.
     fn recover_from(&mut self, first: VmError) {
         self.degraded.store(true, Ordering::SeqCst);
         let t0 = Instant::now();
-        let mut err = first;
-        let mut healthy = false;
-        for round in 0..MAX_RECOVERY_ROUNDS {
-            self.stats.faults += 1;
-            // Quarantine the checkpoint stream: the standbys stay where
-            // they are until a mitigation clears the fault history.
-            self.stream_quarantined = true;
-            let record = FailureRecord::from_vm(&err);
-            self.recorder.event(
-                "serve.fault",
-                vec![
-                    ("round", u64::from(round).into()),
-                    ("detail", format!("{err:?}").into()),
-                ],
-            );
-            let verdict = self.detector.observe(record.clone());
-            let pool = self.vm.take().expect("vm present").crash();
-            let pool = match verdict {
-                Verdict::FirstSighting => pool,
-                Verdict::SuspectedHard => self.mitigate(pool, &record),
-            };
-            self.restart(pool);
-            // Immediate recurrence probe: a hard fault resurfaces here,
-            // collapsing the paper's restart-and-watch window into the
-            // same degraded period.
-            match self.health_calls() {
-                Ok(()) => {
-                    healthy = true;
-                    break;
-                }
-                Err(e2) => err = e2,
-            }
+        let record = FailureRecord::from_vm(&first);
+        // The engine is the episode's subject, so the episode steps out of
+        // it while it runs; an idle one holds its place meanwhile.
+        let idle = Episode::new(Detector::new(), 0, &[]);
+        let mut episode = std::mem::replace(&mut self.episode, idle);
+        let mut live = Live {
+            engine: self,
+            err: first,
+            crashed: None,
+        };
+        let end = episode.run(Some(record), &mut live);
+        self.episode = episode;
+        if end.outcome.is_some() {
+            self.last_mitigation = end.outcome;
         }
         self.degraded.store(false, Ordering::SeqCst);
         let wall = t0.elapsed();
@@ -581,78 +545,19 @@ impl Engine {
         self.recorder.event(
             "serve.recovered",
             vec![
-                ("healthy", healthy.into()),
-                (
-                    "wall_us",
-                    (wall.as_micros().min(u64::MAX as u128) as u64).into(),
-                ),
+                ("healthy", end.healthy.into()),
+                ("wall_us", micros(wall).into()),
             ],
         );
     }
 
-    /// Runs the reactor over the crashed pool image; returns the
-    /// (possibly reverted) pool to restart over.
-    fn mitigate(&mut self, mut pool: PmPool, record: &FailureRecord) -> PmPool {
-        self.stats.mitigations += 1;
-        self.recorder.event(
-            "serve.mitigation_begin",
-            vec![("scenario", scenario_field(&self.scenario))],
-        );
-        let (kind, recorder) = (self.kind, &self.recorder);
-        let probe = |vm: &mut Vm| {
-            let verified = verify_restart(kind, vm);
-            if let Err(f) = &verified {
-                recorder.event(
-                    "serve.verify_fail",
-                    vec![("detail", format!("{f:?}").into())],
-                );
-            }
-            verified
-        };
-        let restart = Restart {
-            module: &self.instrumented,
-            vm: VmOpts {
-                step_limit: 500_000,
-                ..VmOpts::default()
-            },
-            probe: &probe,
-        };
-        // Hot-standby-first bounds the outage by promote-replica latency.
-        // Verification rejects a standby that already replayed the fault
-        // through the stream; if every standby fails, fall back to
-        // reverting the primary image, which failover left untouched.
-        //
-        // Escalation: when the previous mitigation promoted a standby and
-        // a hard fault came back, revert straight away. A fault whose
-        // poisoned updates replicated through the checkpoint stream
-        // *before* the pump horizon passed them sits in every standby
-        // image, and promote verification cannot see latent damage that
-        // only manifests on access — promoting again would loop forever.
-        // Slicing from the fault anchor excises the poisoned updates that
-        // failover carried along. The next fault episode starts
-        // hot-standby-first again.
-        let standby_first =
-            !self.group.is_empty() && !self.last_mitigation.as_ref().is_some_and(|m| m.failed_over);
-        let out: MitigationOutcome = {
-            let mut reactor =
-                Reactor::new(&self.analysis, &self.guid_map, ReactorConfig::serving());
-            reactor.instrument(self.recorder.clone());
-            let standbys = standby_first.then_some(Standbys::First(&mut self.group));
-            let mut out = reactor.mitigate(
-                &mut pool,
-                &self.log,
-                record,
-                &self.trace,
-                &restart,
-                standbys,
-            );
-            if standby_first && !out.recovered {
-                out = reactor.mitigate(&mut pool, &self.log, record, &self.trace, &restart, None);
-            }
-            out
-        };
+    /// Accounts a finished mitigation: counters, the `serve.failover` and
+    /// `serve.mitigation_end` events.
+    fn mitigated(&mut self, out: &MitigationOutcome) {
+        let failed_over = out.rung == Rung::Failover && out.recovered;
         self.stats.discarded_updates += out.discarded_updates;
-        if out.failed_over {
+        let wall_us = micros(out.wall);
+        if failed_over {
             self.stats.failovers += 1;
             self.recorder.event(
                 "serve.failover",
@@ -661,36 +566,16 @@ impl Engine {
                     ("discarded_updates", out.discarded_updates.into()),
                 ],
             );
-        }
-        if out.recovered {
-            self.stats.mitigations_recovered += 1;
-            self.stats.armed = false;
-            // Fresh history: the next unrelated fault starts a new
-            // first-sighting cycle instead of matching this one, and the
-            // checkpoint stream comes out of quarantine.
-            self.detector = Detector::new();
-            self.detector.instrument(self.recorder.clone());
-            self.stream_quarantined = false;
-            if !self.group.is_empty() {
-                // Re-seed the standbys from the recovered image: the
-                // old replicas' streams straddle the faulty window (and
-                // the best one may just have been promoted), so a fresh
-                // base keeps the next fault's failover target pre-fault.
-                let base = self.log.view().latest_seq();
-                self.group = PoolGroup::new(&pool, self.cfg.replicas, base);
-            }
-        }
-        let us = |d: std::time::Duration| d.as_micros().min(u64::MAX as u128) as u64;
-        let wall_us = us(out.wall);
-        let phases = &out.phases;
-        let (slice_us, plan_us) = (us(phases.slice), us(phases.plan));
-        let (revert_us, reexec_us) = (us(phases.revert), us(phases.reexec));
-        if out.failed_over {
             // Kept separately from `last_mitigation_wall_us`: an
             // escalated reversion may run after this failover, and
             // `stats` reports the promote wall, not whatever ran last.
             self.last_failover_wall_us = Some(wall_us);
         }
+        if out.recovered {
+            self.stats.mitigations_recovered += 1;
+            self.stats.armed = false;
+        }
+        let phases = &out.phases;
         self.recorder.event(
             "serve.mitigation_end",
             vec![
@@ -698,26 +583,14 @@ impl Engine {
                 ("attempts", u64::from(out.attempts).into()),
                 ("discarded_updates", out.discarded_updates.into()),
                 ("wall_us", wall_us.into()),
-                ("failed_over", out.failed_over.into()),
-                ("slice_us", slice_us.into()),
-                ("plan_us", plan_us.into()),
-                ("revert_us", revert_us.into()),
-                ("reexec_us", reexec_us.into()),
+                ("failed_over", failed_over.into()),
+                ("slice_us", micros(phases.slice).into()),
+                ("plan_us", micros(phases.plan).into()),
+                ("revert_us", micros(phases.revert).into()),
+                ("reexec_us", micros(phases.reexec).into()),
             ],
         );
         self.recorder.observe_us("serve.mitigation_us", wall_us);
-        self.last_mitigation = Some(MitigationSummary {
-            recovered: out.recovered,
-            attempts: out.attempts,
-            discarded_updates: out.discarded_updates,
-            wall_us,
-            failed_over: out.failed_over,
-            slice_us,
-            plan_us,
-            revert_us,
-            reexec_us,
-        });
-        pool
     }
 
     /// In-process restart: new VM over the pool, recovery handler run.
@@ -823,18 +696,18 @@ impl Engine {
                 "last_mitigation_discarded".into(),
                 m.discarded_updates.to_string(),
             ));
-            kvs.push(("last_mitigation_wall_us".into(), m.wall_us.to_string()));
+            kvs.push(("last_mitigation_wall_us".into(), micros(m.wall).to_string()));
             kvs.push((
                 "last_mitigation_failed_over".into(),
-                u8::from(m.failed_over).to_string(),
+                u8::from(m.rung == Rung::Failover && m.recovered).to_string(),
             ));
-            for (phase, us) in [
-                ("slice", m.slice_us),
-                ("plan", m.plan_us),
-                ("revert", m.revert_us),
-                ("reexec", m.reexec_us),
+            for (phase, d) in [
+                ("slice", m.phases.slice),
+                ("plan", m.phases.plan),
+                ("revert", m.phases.revert),
+                ("reexec", m.phases.reexec),
             ] {
-                kvs.push((format!("last_mitigation_{phase}_us"), us.to_string()));
+                kvs.push((format!("last_mitigation_{phase}_us"), micros(d).to_string()));
             }
         }
         if let Some(w) = self.last_failover_wall_us {
@@ -866,6 +739,104 @@ fn recover_call(kind: BackendKind) -> &'static str {
 
 fn scenario_field(s: &str) -> obs::Value {
     obs::Value::Str(s.to_string())
+}
+
+/// `d` in whole microseconds, saturating.
+fn micros(d: std::time::Duration) -> u64 {
+    d.as_micros().min(u64::MAX as u128) as u64
+}
+
+/// The live engine as the subject of a recovery [`Episode`]: its watch is
+/// the in-process restart plus the health probe, and its mitigations
+/// verify copies of the crashed image with [`verify_restart`].
+struct Live<'e> {
+    engine: &'e mut Engine,
+    /// The trap the current round opens on, for its `serve.fault` event.
+    err: VmError,
+    /// The image a mitigation left for the next restart.
+    crashed: Option<PmPool>,
+}
+
+impl Live<'_> {
+    /// The crashed image: the one a mitigation left, else the live VM's.
+    fn crash(&mut self) -> PmPool {
+        match self.crashed.take() {
+            Some(pool) => pool,
+            None => self.engine.vm.take().expect("vm present").crash(),
+        }
+    }
+}
+
+impl Subject for Live<'_> {
+    fn fault(&mut self, round: u32, _: &FailureRecord) {
+        let e = &mut *self.engine;
+        e.stats.faults += 1;
+        e.recorder.event(
+            "serve.fault",
+            vec![
+                ("round", u64::from(round).into()),
+                ("detail", format!("{:?}", self.err).into()),
+            ],
+        );
+    }
+
+    fn mitigate(&mut self, ladder: Ladder<'_>) -> MitigationOutcome {
+        let mut pool = self.crash();
+        let e = &mut *self.engine;
+        e.stats.mitigations += 1;
+        e.recorder.event(
+            "serve.mitigation_begin",
+            vec![("scenario", scenario_field(&e.scenario))],
+        );
+        let out = {
+            let (kind, recorder) = (e.kind, &e.recorder);
+            let probe = |vm: &mut Vm| {
+                let verified = verify_restart(kind, vm);
+                if let Err(f) = &verified {
+                    recorder.event(
+                        "serve.verify_fail",
+                        vec![("detail", format!("{f:?}").into())],
+                    );
+                }
+                verified
+            };
+            let restart = Restart {
+                module: &e.instrumented,
+                vm: VmOpts {
+                    step_limit: 500_000,
+                    ..VmOpts::default()
+                },
+                probe: &probe,
+            };
+            let mut reactor = Reactor::new(&e.analysis, &e.guid_map, ReactorConfig::serving());
+            reactor.instrument(e.recorder.clone());
+            let standbys = Some(&mut e.group);
+            ladder.run(
+                &mut reactor,
+                &mut pool,
+                &e.log,
+                &e.trace,
+                &restart,
+                standbys,
+            )
+        };
+        e.mitigated(&out);
+        self.crashed = Some(pool);
+        out
+    }
+
+    fn watch(&mut self) -> Result<(), FailureRecord> {
+        let pool = self.crash();
+        self.engine.restart(pool);
+        // Immediate recurrence probe: a hard fault resurfaces here,
+        // collapsing the paper's restart-and-watch window into the same
+        // degraded period.
+        self.engine.health_calls().map_err(|err| {
+            let record = FailureRecord::from_vm(&err);
+            self.err = err;
+            record
+        })
+    }
 }
 
 /// The health probe's calls — the invariant check (kvcache) and the
@@ -1060,7 +1031,7 @@ mod tests {
         // from promotion, not primary-image reversion.
         assert!(s.failovers >= 1, "failover resolved the fault: {s:?}");
         let m = e.last_mitigation().expect("mitigation ran");
-        assert!(m.failed_over && m.recovered, "{m:?}");
+        assert!(m.rung == Rung::Failover && m.recovered, "{m:?}");
         assert!(!s.armed, "fault disarmed after recovery: {s:?}");
         // Post-failover the server keeps serving writes and reads.
         assert_eq!(e.exec(&cmd_set(b"777777", b"\x22\x22")), Reply::Stored);

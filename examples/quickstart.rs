@@ -143,7 +143,7 @@ fn main() {
         vm: VmOpts::default(),
         probe: &recover_and_get,
     };
-    let outcome = reactor.mitigate(&mut pool, &log, &rec, &trace, &restart, None);
+    let outcome = reactor.mitigate(&mut pool, &log, &rec, &trace, &restart);
     println!(
         "   recovered={} after {} re-execution(s); discarded {}/{} checkpointed updates",
         outcome.recovered, outcome.attempts, outcome.discarded_updates, total
