@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use pir::ir::{InstRef, Module};
 use pir::vm::{Vm, VmOpts};
-use pir_analysis::{backward_slice, ModuleAnalysis, Slice};
+use pir_analysis::{Adjacency, ModuleAnalysis};
 use pmemsim::{capture_reads, PmPool, PoolGroup, ReadSet};
 
 use obs::Value;
@@ -249,9 +249,6 @@ impl ReactorConfig {
         self.batch
     }
 }
-
-/// Bound on slice exploration.
-const MAX_SLICE_NODES: usize = 100_000;
 
 /// Re-execution budget of the revert loop before giving up (the paper's
 /// 10-minute timeout analogue).
@@ -838,10 +835,8 @@ pub struct Reactor<'a> {
     /// multi-attempt recovery that planned several times no longer
     /// reports only the final attempt's slice time.
     pending_slice_time: Duration,
-    /// Backward slices memoized per fault location for the lifetime of
-    /// this reactor: within one recovery, multi-attempt mitigation
-    /// slices each fault location exactly once.
-    slice_memo: HashMap<InstRef, Arc<Slice>>,
+    /// Slices this reactor computed, and those it found already taken,
+    /// in the analysis's per-fault memo.
     slice_computes: u64,
     slice_memo_hits: u64,
     recorder: Arc<dyn obs::Recorder>,
@@ -856,37 +851,39 @@ impl<'a> Reactor<'a> {
             cfg,
             last_slice_time: Duration::ZERO,
             pending_slice_time: Duration::ZERO,
-            slice_memo: HashMap::new(),
             slice_computes: 0,
             slice_memo_hits: 0,
             recorder: Arc::new(obs::NullRecorder),
         }
     }
 
-    /// Backward slices actually computed by this reactor (memo misses).
+    /// Backward slices this reactor computed: its misses in the
+    /// analysis's per-fault memo.
     pub fn slice_computes(&self) -> u64 {
         self.slice_computes
     }
 
-    /// Slice requests served from the per-fault-location memo.
+    /// Slice requests of this reactor that the analysis's per-fault memo
+    /// already held.
     pub fn slice_memo_hits(&self) -> u64 {
         self.slice_memo_hits
     }
 
-    /// The backward slice for `fault`, memoized per fault location. The
-    /// `reactor.slice_compute` / `reactor.slice_memo_hit` counters let
-    /// regression tests assert the exactly-once property.
-    fn slice_for(&mut self, fault: InstRef) -> Arc<Slice> {
-        if let Some(hit) = self.slice_memo.get(&fault) {
+    /// The PM writes of the backward slice for `fault`, from the
+    /// analysis's per-fault memo ([`ModuleAnalysis::slice_pm_writes`]):
+    /// a fault is sliced once per analysis, across reactors and threads.
+    /// The `reactor.slice_compute` / `reactor.slice_memo_hit` counters
+    /// let regression tests assert the exactly-once property.
+    fn slice_for(&mut self, fault: InstRef) -> Arc<[InstRef]> {
+        let (writes, computed) = self.analysis.slice_pm_writes(fault);
+        if computed {
+            self.slice_computes += 1;
+            self.recorder.add("reactor.slice_compute", 1);
+        } else {
             self.slice_memo_hits += 1;
             self.recorder.add("reactor.slice_memo_hit", 1);
-            return hit.clone();
         }
-        let slice = Arc::new(backward_slice(&self.analysis.pdg, fault, MAX_SLICE_NODES));
-        self.slice_computes += 1;
-        self.recorder.add("reactor.slice_compute", 1);
-        self.slice_memo.insert(fault, slice.clone());
-        slice
+        writes
     }
 
     /// Computes the candidate sequence list for a fault instruction
@@ -919,17 +916,14 @@ impl<'a> Reactor<'a> {
         pool: &mut PmPool,
     ) -> (Plan, LogFacts) {
         let t0 = Instant::now();
-        let slice = self.slice_for(fault);
+        let pm_writes = self.slice_for(fault);
         self.last_slice_time = t0.elapsed();
         self.pending_slice_time += self.last_slice_time;
         let mut facts = LogFacts::new(log);
         // Per logged entry, the instructions whose traced offsets it
         // covers: the candidates are the entries with any.
         let mut by_entry: Vec<Vec<InstRef>> = vec![Vec::new(); facts.spans.len()];
-        for at in &slice.insts {
-            if !self.analysis.pm.pm_writes.contains(at) {
-                continue;
-            }
+        for at in pm_writes.iter() {
             let Some(guid) = self.guid_map.guid_of(*at) else {
                 continue;
             };
@@ -1461,7 +1455,7 @@ impl<'a> Reactor<'a> {
                         batch.clone(),
                         depth,
                         sim.mode,
-                        fwd.as_ref(),
+                        fwd,
                         l,
                     );
                     let known = basis.as_ref().and_then(|b| b.verdict_for(p));
@@ -1672,7 +1666,7 @@ impl<'a> Reactor<'a> {
         batch: Range<usize>,
         depth: usize,
         mode: Mode,
-        fwd: Option<&std::collections::HashMap<InstRef, Vec<(InstRef, pir_analysis::DepKind)>>>,
+        fwd: Option<&Adjacency>,
         ledger: &mut RevertLedger,
     ) -> Vec<(u64, u64)> {
         let mut healed = Vec::new();
@@ -1784,7 +1778,7 @@ impl<'a> Reactor<'a> {
         trace: &PmTrace,
         seq: u64,
         depth: usize,
-        fwd: &std::collections::HashMap<InstRef, Vec<(InstRef, pir_analysis::DepKind)>>,
+        fwd: &Adjacency,
         ledger: &mut RevertLedger,
     ) {
         let mut worklist = vec![seq];

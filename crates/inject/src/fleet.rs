@@ -1,11 +1,15 @@
 //! The campaign runtime: one resumable trial queue.
 //!
-//! Every scenario is prepared (enumeration, invariant mining, matrix
-//! construction) once, then all trials from all scenarios merge into one
-//! globally interleaved work queue drained by a fixed worker pool. Long
-//! scenarios do not serialize behind short ones, and the pool stays
-//! saturated until the very last trial. One scenario, one worker and no
-//! journal are this path's degenerate cases, not separate runners.
+//! One pool of workers prepares every scenario (enumeration, invariant
+//! mining, matrix construction) and drains the trials of all of them.
+//! A worker prepares the next unclaimed scenario while one remains;
+//! otherwise it takes the next queued row of any prepared scenario; it
+//! waits only when nothing is queued and a prepare is still running. So
+//! a slow prepare overlaps the trials of the scenarios prepared before
+//! it, long scenarios do not serialize behind short ones, and the pool
+//! stays saturated until the very last trial. One scenario, one worker
+//! and no journal are this path's degenerate cases, not separate
+//! runners.
 //!
 //! Progress is durable. Each completed trial appends one JSON line to a
 //! journal ([`obs::journal`]) keyed by
@@ -28,13 +32,13 @@
 //!   most the in-flight line is torn; [`obs::journal::read_journal`]
 //!   skips it and the trial re-executes deterministically on resume.
 //! - **power loss** — only `fdatasync`'d bytes survive. The writer
-//!   syncs every [`FleetConfig::fsync_batch`] lines, so at most one
+//!   syncs every [`FleetConfigBuilder::fsync_batch`] lines, so at most one
 //!   batch of trials re-executes — idempotently, to identical verdicts.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use arthas::{AnalysisCache, ConfigError};
@@ -459,7 +463,7 @@ struct ResumeState {
     /// in-memory key can omit them. (Duplicate keys can exist when a
     /// prior kill lost an unsynced batch and a resume re-ran it; first
     /// wins, and determinism makes any duplicate identical anyway.)
-    done: BTreeMap<(String, u64, String), Trial>,
+    done: BTreeMap<TrialKey, Trial>,
     /// Parsable lines found (header + trials), for reporting.
     prior_lines: u64,
     /// Torn/unparsable lines skipped by the reader.
@@ -622,29 +626,143 @@ impl FleetReport {
     }
 }
 
-/// One queue entry: scenario index × matrix-row index.
-type QueueItem = (usize, usize);
+/// The key of a journaled trial: `(scenario, site, policy name)`.
+type TrialKey = (String, u64, String);
+
+/// A resume's refusal of a journaled trial this configuration's matrices
+/// do not hold: it would silently vanish from the document.
+fn foreign_trial(key: &TrialKey) -> FleetError {
+    FleetError::Journal(format!(
+        "journaled trial ({}, site {}, {}) is not in the trial matrix this \
+         configuration generates",
+        key.0, key.1, key.2
+    ))
+}
+
+/// Admits a prepared scenario: its journaled verdicts by matrix row, and
+/// the rows left to run. A journaled trial of this scenario that its
+/// matrix does not hold is corruption.
+fn admit(
+    prep: &PreparedScenario<'_>,
+    resume: Option<&ResumeState>,
+) -> Result<(Vec<Option<Trial>>, Vec<usize>), FleetError> {
+    let id = prep.scn.id();
+    let key = |&(site, _, policy): &crate::MatrixRow| (id.to_string(), site, policy_name(policy));
+    let done = |ri: usize| resume.and_then(|r| r.done.get(&key(&prep.matrix[ri])));
+    let results: Vec<Option<Trial>> = (0..prep.matrix.len()).map(|ri| done(ri).cloned()).collect();
+    let fresh = (0..prep.matrix.len())
+        .filter(|&ri| results[ri].is_none())
+        .collect();
+    if let Some(r) = resume {
+        let held: BTreeSet<TrialKey> = prep.matrix.iter().map(key).collect();
+        if let Some(k) = r.done.keys().find(|k| k.0 == id && !held.contains(*k)) {
+            return Err(foreign_trial(k));
+        }
+    }
+    Ok((results, fresh))
+}
+
+/// A scenario once its prepare ended: the preparation, and its verdicts
+/// by matrix row (journaled ones from admission, live ones as their
+/// trials end).
+struct Admitted<'a> {
+    prep: PreparedScenario<'a>,
+    results: Mutex<Vec<Option<Trial>>>,
+}
+
+/// What the workers share, behind one lock.
+#[derive(Default)]
+struct Work {
+    /// The next scenario no worker has claimed to prepare.
+    next_scenario: usize,
+    /// Scenarios admitted; the others below `next_scenario` are being
+    /// prepared.
+    admitted: usize,
+    /// Unclaimed rows of admitted scenarios: (scenario, matrix row).
+    queue: VecDeque<(usize, usize)>,
+    /// Rows of the admitted matrices that were queued, and those
+    /// re-admitted from the journal.
+    queued: u64,
+    skipped: u64,
+    /// Trials claimed for execution.
+    claimed: u64,
+    /// Set on the first error or worker panic: no worker claims more.
+    stop: bool,
+    error: Option<FleetError>,
+}
+
+/// The workers' shared state and the condition variable idle workers
+/// wait on for a prepare to admit rows.
+#[derive(Default)]
+struct Board {
+    work: Mutex<Work>,
+    wake: Condvar,
+}
+
+impl Board {
+    fn lock(&self) -> MutexGuard<'_, Work> {
+        self.work.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Stops every worker, keeping the first error.
+    fn stop(&self, error: Option<FleetError>) {
+        let mut w = self.lock();
+        w.stop = true;
+        if w.error.is_none() {
+            w.error = error;
+        }
+        drop(w);
+        self.wake.notify_all();
+    }
+}
+
+/// Stops the other workers when the worker holding it panics, so none
+/// waits for a prepare that will never be admitted; the panic then
+/// propagates out of the thread scope.
+struct StopOnPanic<'b>(&'b Board);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.stop(None);
+        }
+    }
+}
+
+/// A worker's next piece of work.
+enum Job {
+    /// Prepare and admit this scenario.
+    Prepare(usize),
+    /// Run this (scenario, matrix row); the queue held `remaining`
+    /// unclaimed rows after it was taken.
+    Trial(usize, usize, u64),
+}
 
 /// Runs a campaign over the given scenarios.
 ///
-/// Phases:
+/// One pool of [`CampaignConfig::runners`] workers does all the work.
+/// Each worker repeatedly takes, in this order:
 ///
-/// 1. **prepare** — each scenario's enumeration run, invariant mining
-///    and matrix construction, in parallel across the worker pool (the
-///    analysis cache in the campaign config deduplicates module
-///    analysis across scenarios sharing an application).
-/// 2. **admit** — on resume, journaled verdicts fill their result slots
-///    directly; everything else becomes a queue entry. The queue
-///    round-robins across scenarios so every pool sees progress and no
-///    scenario's tail monopolizes the drain.
-/// 3. **drain** — workers claim queue indices from a shared atomic,
-///    classify the trial, journal the verdict, repeat. An exact
-///    `trial_limit` is enforced by *pre-claiming* an execution slot
-///    before taking a queue index, which is also how tests simulate a
-///    kill at a precise queue depth.
-/// 4. **assemble** — per-scenario canonical sort + census over result
-///    slots indexed by matrix row, so the document does not depend on
-///    which worker classified which row or in what order.
+/// 1. **prepare** — the next scenario nobody has claimed: its
+///    enumeration run, invariant mining and matrix construction (the
+///    analysis cache in the campaign config deduplicates module analysis
+///    across scenarios sharing an application). Then it **admits** the
+///    scenario: on resume, journaled verdicts fill their result slots
+///    directly, and every other row joins the back of the queue. A
+///    journaled trial the matrix does not hold stops the run with
+///    [`FleetError::Journal`]. `fleet.queue_built` fires once, when the
+///    last scenario is admitted.
+/// 2. **trial** — otherwise, the next queued row of any admitted
+///    scenario: classify it, journal the verdict, repeat. An exact
+///    `trial_limit` is enforced by claiming an execution slot with the
+///    row, which is also how tests simulate a kill at a precise queue
+///    depth.
+///
+/// A worker waits only when nothing is queued and a prepare is still
+/// running, so no worker idles while a slow scenario prepares. Finally,
+/// **assemble**: per-scenario canonical sort + census over result slots
+/// indexed by matrix row, so the document does not depend on which
+/// worker classified which row or in what order.
 pub fn run_fleet(
     scenarios: &[Box<dyn Scenario>],
     cfg: &FleetConfig,
@@ -670,174 +788,156 @@ pub fn run_fleet(
         }
         None => (None, None),
     };
+    // A journaled scenario this campaign does not run is refused before
+    // any prepare; one a matrix does not hold, at its admission.
+    if let Some(r) = &resume {
+        if let Some(k) = r
+            .done
+            .keys()
+            .find(|k| !scenario_ids.contains(&k.0.as_str()))
+        {
+            return Err(foreign_trial(k));
+        }
+    }
     // A fresh run just appended the header through this writer;
     // `journal_appended` must report *trial* lines only.
     let base_appended = writer.as_ref().map_or(0, |w| w.appended());
-
-    // -- phase 1: prepare ------------------------------------------------
-    let prep_next = AtomicUsize::new(0);
-    let prep_slots: Vec<Mutex<Option<PreparedScenario<'_>>>> =
-        scenarios.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(scenarios.len().max(1)) {
-            s.spawn(|| loop {
-                let i = prep_next.fetch_add(1, Ordering::Relaxed);
-                let Some(scn) = scenarios.get(i) else { break };
-                let t0 = Instant::now();
-                let prep = prepare_scenario(scn.as_ref(), campaign);
-                rec.event(
-                    "fleet.scenario_ready",
-                    vec![
-                        ("id", Value::Str(scn.id().to_string())),
-                        ("sites", Value::U64(prep.sites_total)),
-                        ("rows", Value::U64(prep.matrix.len() as u64)),
-                        ("prepare_us", Value::U64(t0.elapsed().as_micros() as u64)),
-                        ("replays", Value::U64(u64::from(prep.replays))),
-                    ],
-                );
-                *prep_slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(prep);
-            });
-        }
-    });
-    let preps: Vec<PreparedScenario<'_>> = prep_slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-                .expect("every scenario prepared")
-        })
-        .collect();
-
-    // -- phase 2: admit --------------------------------------------------
-    // Result slots mirror each scenario's matrix; journaled verdicts
-    // land now, live trials land from the drain loop.
-    let results: Vec<Vec<Mutex<Option<Trial>>>> = preps
-        .iter()
-        .map(|p| p.matrix.iter().map(|_| Mutex::new(None)).collect())
-        .collect();
-    let mut skipped = 0u64;
-    let mut done_keys: BTreeSet<(String, u64, String)> = BTreeSet::new();
     let (resume_torn, prior_lines) = match &resume {
         Some(r) => (r.torn, r.prior_lines),
         None => (0, 0),
     };
-    if let Some(r) = &resume {
-        for (si, prep) in preps.iter().enumerate() {
-            for (ri, &(site, _kind, policy)) in prep.matrix.iter().enumerate() {
-                let key = (prep.scn.id().to_string(), site, policy_name(policy));
-                if let Some(trial) = r.done.get(&key) {
-                    *results[si][ri].lock().unwrap_or_else(|p| p.into_inner()) =
-                        Some(trial.clone());
-                    done_keys.insert(key);
-                    skipped += 1;
-                }
-            }
-        }
-        // Journaled trials whose key no longer appears in any matrix
-        // would silently vanish from the diff — treat as corruption.
-        for key in r.done.keys() {
-            if !done_keys.contains(key) {
-                return Err(FleetError::Journal(format!(
-                    "journaled trial ({}, site {}, {}) is not in the trial \
-                     matrix this configuration generates",
-                    key.0, key.1, key.2
-                )));
-            }
-        }
-    }
-    rec.add("fleet.trials_skipped", skipped);
 
-    // Round-robin interleave: one row from each scenario in turn.
-    let mut queue: Vec<QueueItem> = Vec::new();
-    let mut cursors = vec![0usize; preps.len()];
-    loop {
-        let mut any = false;
-        for (si, prep) in preps.iter().enumerate() {
-            while cursors[si] < prep.matrix.len() {
-                let ri = cursors[si];
-                cursors[si] += 1;
-                let occupied = results[si][ri]
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .is_some();
-                if !occupied {
-                    queue.push((si, ri));
-                    any = true;
-                    break;
-                }
-            }
-        }
-        if !any {
-            break;
-        }
-    }
-    let total_rows: usize = preps.iter().map(|p| p.matrix.len()).sum();
-    rec.event(
-        "fleet.queue_built",
-        vec![
-            ("rows", Value::U64(total_rows as u64)),
-            ("queued", Value::U64(queue.len() as u64)),
-            ("resumed", Value::U64(skipped)),
-        ],
-    );
-
-    // -- phase 3: drain --------------------------------------------------
-    let next = AtomicUsize::new(0);
-    let exec_slots = AtomicU64::new(0);
+    let slots: Vec<OnceLock<Admitted<'_>>> = scenarios.iter().map(|_| OnceLock::new()).collect();
+    let board = Board::default();
     let executed_ctr = AtomicU64::new(0);
     let limit = cfg.trial_limit.unwrap_or(u64::MAX);
     let journal: Option<Mutex<JournalWriter>> = writer.map(Mutex::new);
-    let journal_err: Mutex<Option<std::io::Error>> = Mutex::new(None);
     let seed = campaign.seed();
     let stride = campaign.stride();
+    let queue_built = |w: &Work| {
+        rec.add("fleet.trials_skipped", w.skipped);
+        rec.event(
+            "fleet.queue_built",
+            vec![
+                ("rows", Value::U64(w.queued + w.skipped)),
+                ("queued", Value::U64(w.queued)),
+                ("resumed", Value::U64(w.skipped)),
+                (
+                    "trials_done",
+                    Value::U64(executed_ctr.load(Ordering::Relaxed)),
+                ),
+            ],
+        );
+    };
+    if scenarios.is_empty() {
+        queue_built(&Work::default());
+    }
+    let next_job = || {
+        let mut w = board.lock();
+        loop {
+            if w.stop {
+                return None;
+            }
+            if w.next_scenario < scenarios.len() {
+                w.next_scenario += 1;
+                return Some(Job::Prepare(w.next_scenario - 1));
+            }
+            if w.claimed >= limit {
+                return None;
+            }
+            if let Some((si, ri)) = w.queue.pop_front() {
+                w.claimed += 1;
+                return Some(Job::Trial(si, ri, w.queue.len() as u64));
+            }
+            if w.admitted == w.next_scenario {
+                return None;
+            }
+            w = board.wake.wait(w).unwrap_or_else(|p| p.into_inner());
+        }
+    };
+    let prepare = |i: usize| {
+        let scn = scenarios[i].as_ref();
+        let t0 = Instant::now();
+        let prep = prepare_scenario(scn, campaign);
+        rec.event(
+            "fleet.scenario_ready",
+            vec![
+                ("id", Value::Str(scn.id().to_string())),
+                ("sites", Value::U64(prep.sites_total)),
+                ("rows", Value::U64(prep.matrix.len() as u64)),
+                ("prepare_us", Value::U64(t0.elapsed().as_micros() as u64)),
+                ("replays", Value::U64(u64::from(prep.replays))),
+            ],
+        );
+        let (results, fresh) = match admit(&prep, resume.as_ref()) {
+            Ok(admitted) => admitted,
+            Err(e) => return board.stop(Some(e)),
+        };
+        let rows = prep.matrix.len() as u64;
+        let _ = slots[i].set(Admitted {
+            prep,
+            results: Mutex::new(results),
+        });
+        let mut w = board.lock();
+        w.admitted += 1;
+        w.queued += fresh.len() as u64;
+        w.skipped += rows - fresh.len() as u64;
+        w.queue.extend(fresh.into_iter().map(|ri| (i, ri)));
+        if w.admitted == scenarios.len() {
+            queue_built(&w);
+        }
+        drop(w);
+        board.wake.notify_all();
+    };
+    let run_row = |si: usize, ri: usize, remaining: u64| -> Result<(), FleetError> {
+        let a = slots[si]
+            .get()
+            .expect("a queued row's scenario is admitted");
+        let t0 = Instant::now();
+        let (trial, paid) = a.prep.run_row(campaign, a.prep.matrix[ri]);
+        rec.observe_duration("fleet.trial_us", t0.elapsed());
+        rec.add("fleet.trials_executed", 1);
+        rec.add("fleet.restarts_paid", u64::from(paid));
+        executed_ctr.fetch_add(1, Ordering::Relaxed);
+        rec.event(
+            "fleet.trial_done",
+            vec![
+                ("scenario", Value::Str(a.prep.scn.id().to_string())),
+                ("site", Value::U64(trial.site)),
+                ("verdict", Value::Str(trial.verdict.as_str().to_string())),
+                ("paid", Value::U64(u64::from(paid))),
+                ("remaining", Value::U64(remaining)),
+            ],
+        );
+        if let Some(j) = &journal {
+            let line = trial_json(a.prep.scn.id(), seed, stride, &trial);
+            j.lock().unwrap_or_else(|p| p.into_inner()).append(&line)?;
+        }
+        a.results.lock().unwrap_or_else(|p| p.into_inner())[ri] = Some(trial);
+        Ok(())
+    };
     std::thread::scope(|s| {
-        for _ in 0..workers.min(queue.len().max(1)) {
-            s.spawn(|| loop {
-                // Pre-claim an execution slot: once `limit` slots are
-                // out, no worker takes another queue index — the run
-                // stops at exactly `trial_limit` executed trials.
-                if exec_slots.fetch_add(1, Ordering::Relaxed) >= limit {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(si, ri)) = queue.get(i) else { break };
-                let prep = &preps[si];
-                let row = prep.matrix[ri];
-                let t0 = Instant::now();
-                let trial = prep.run_row(campaign, row);
-                rec.observe_duration("fleet.trial_us", t0.elapsed());
-                rec.add("fleet.trials_executed", 1);
-                executed_ctr.fetch_add(1, Ordering::Relaxed);
-                rec.event(
-                    "fleet.trial_done",
-                    vec![
-                        ("scenario", Value::Str(prep.scn.id().to_string())),
-                        ("site", Value::U64(trial.site)),
-                        ("verdict", Value::Str(trial.verdict.as_str().to_string())),
-                        (
-                            "remaining",
-                            Value::U64(
-                                (queue.len() as u64)
-                                    .saturating_sub(next.load(Ordering::Relaxed) as u64),
-                            ),
-                        ),
-                    ],
-                );
-                if let Some(j) = &journal {
-                    let line = trial_json(prep.scn.id(), seed, stride, &trial);
-                    let mut w = j.lock().unwrap_or_else(|p| p.into_inner());
-                    if let Err(e) = w.append(&line) {
-                        *journal_err.lock().unwrap_or_else(|p| p.into_inner()) = Some(e);
-                        break;
+        for _ in 0..workers {
+            s.spawn(|| {
+                let _stop = StopOnPanic(&board);
+                while let Some(job) = next_job() {
+                    match job {
+                        Job::Prepare(i) => prepare(i),
+                        Job::Trial(si, ri, remaining) => {
+                            if let Err(e) = run_row(si, ri, remaining) {
+                                board.stop(Some(e));
+                            }
+                        }
                     }
                 }
-                *results[si][ri].lock().unwrap_or_else(|p| p.into_inner()) = Some(trial);
             });
         }
     });
-    if let Some(e) = journal_err.into_inner().unwrap_or_else(|p| p.into_inner()) {
-        return Err(FleetError::Io(e));
+    let work = board.work.into_inner().unwrap_or_else(|p| p.into_inner());
+    if let Some(e) = work.error {
+        return Err(e);
     }
+    let skipped = work.skipped;
     let (journal_appended, journal_syncs) = match journal {
         Some(j) => {
             let mut w = j.into_inner().unwrap_or_else(|p| p.into_inner());
@@ -847,21 +947,23 @@ pub fn run_fleet(
         None => (0, 0),
     };
 
-    // -- phase 4: assemble -----------------------------------------------
     let executed = executed_ctr.into_inner();
     let mut complete = true;
-    let scenario_reports = preps
+    let scenario_reports = slots
         .into_iter()
-        .zip(results)
-        .map(|(prep, slots)| {
-            let trials: Vec<Trial> = slots
+        .map(|slot| {
+            let a = slot.into_inner().expect("every scenario admitted");
+            let trials: Vec<Trial> = a
+                .results
+                .into_inner()
+                .unwrap_or_else(|p| p.into_inner())
                 .into_iter()
-                .filter_map(|m| m.into_inner().unwrap_or_else(|p| p.into_inner()))
+                .flatten()
                 .collect();
-            if trials.len() < prep.matrix.len() {
+            if trials.len() < a.prep.matrix.len() {
                 complete = false;
             }
-            finish_scenario(prep, trials)
+            finish_scenario(a.prep, trials)
         })
         .collect();
     let report = FleetReport {

@@ -67,6 +67,11 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// detector's verdict decides between clean recovery and mitigation
 /// (mirrors the production harness's restart-based detection): the round
 /// budget of a trial's recovery [`Episode`].
+///
+/// These are the restarts the detector observes, and a trial's
+/// `restarts` counts them; they are not all paid. Until the mitigation
+/// every watch reopens the same unchanged image, so only the first one
+/// restarts and the others take its failure.
 pub const MAX_TRIAL_RESTARTS: u32 = 3;
 
 // ---------------------------------------------------------------------------
@@ -562,7 +567,8 @@ fn trial_check(scn: &dyn Scenario, vm: &mut Vm) -> RestartResult {
 ///
 /// One recovery [`Episode`] runs it: up to [`MAX_TRIAL_RESTARTS`] restarts
 /// before a hard verdict, then at most one mitigation, whose recovered
-/// image one more restart verifies. The ladder is the primary-image
+/// image one more watch verifies ([`CrashedTrial`] says which watches
+/// restart). The ladder is the primary-image
 /// reversion (cross-checked against the standbys when the campaign has
 /// any), then failover: replicas can rescue a trial but never preempt a
 /// reversion that would have succeeded.
@@ -572,6 +578,10 @@ fn trial_check(scn: &dyn Scenario, vm: &mut Vm) -> RestartResult {
 /// that breaks a promoted invariant downgrades the trial to
 /// [`TrialVerdict::SilentCorruption`] — the application recovered onto
 /// state every passing run contradicts.
+///
+/// Returns the verdict, the trial's `restarts` and `attempts`, and the
+/// restarts it paid: the watches that restarted plus the mitigation's
+/// re-execution rounds.
 fn classify(
     scn: &dyn Scenario,
     setup: &AppSetup,
@@ -580,7 +590,7 @@ fn classify(
     policy: CrashPolicy,
     mined: &[MinedInvariant],
     mut capture: CrashCapture,
-) -> (TrialVerdict, u32, u32) {
+) -> (TrialVerdict, u32, u32, u32) {
     let detector = std::mem::take(&mut capture.detector);
     let ladder = [Rung::Reversion, Rung::Failover];
     let mut episode = Episode::new(detector, MAX_TRIAL_RESTARTS, &ladder)
@@ -596,7 +606,10 @@ fn classify(
         capture,
         operational: false,
         silent: false,
+        judged: None,
         mitigated: false,
+        verified: false,
+        paid: 0,
     };
     let end = episode.run(None, &mut trial);
     let verdict = match (end.healthy, &end.outcome) {
@@ -606,12 +619,27 @@ fn classify(
         (false, _) if trial.operational => TrialVerdict::InvariantViolated,
         (false, _) => TrialVerdict::Unrecoverable,
     };
-    let attempts = end.outcome.map_or(0, |o| o.attempts);
-    (verdict, trial.capture.restarts, attempts)
+    let (attempts, rounds) = end
+        .outcome
+        .map_or((0, 0), |o| (o.attempts, o.reexec_rounds));
+    (
+        verdict,
+        trial.capture.restarts,
+        attempts,
+        trial.paid + rounds,
+    )
 }
 
 /// A fired injection as the subject of its recovery [`Episode`]: a watch
 /// restarts over a copy of the image and judges it by [`trial_check`].
+///
+/// A watch restarts only when its answer is not already known. Before
+/// the mitigation every watch reopens the same unchanged image, so the
+/// first one's failure answers the rest (they still count in
+/// `restarts`: the detector observed them). After a mitigation that
+/// recovered, the recovering rung's last re-execution ran this trial's
+/// [`Restart`] over this very image and passed, so the verify watch
+/// passes too. Debug builds restart anyway and require the same answer.
 struct CrashedTrial<'t> {
     scn: &'t dyn Scenario,
     setup: &'t AppSetup,
@@ -630,7 +658,45 @@ struct CrashedTrial<'t> {
     operational: bool,
     /// Whether a clean restart's raw image broke a mined invariant.
     silent: bool,
+    /// The raw image's failure, once a watch has restarted it.
+    judged: Option<FailureRecord>,
     mitigated: bool,
+    /// Whether the mitigation recovered: its last re-execution passed on
+    /// the image the next watch would restart.
+    verified: bool,
+    /// Watches that restarted the image.
+    paid: u32,
+}
+
+impl CrashedTrial<'_> {
+    /// One restart over a copy of the image, judged by [`trial_check`].
+    fn restart(&self) -> RestartResult {
+        match reopen(&self.setup.instrumented, self.vm, &self.capture.pool, None) {
+            Ok(mut vm) => trial_check(self.scn, &mut vm),
+            Err(rec) => RestartResult::Failed(rec),
+        }
+    }
+
+    /// Requires a real restart to agree with `answer`, a watch's answer
+    /// given without one: both `Ok`, or failures of the same kind, fault,
+    /// detail and exit code, with the same `operational` flag.
+    fn assert_known(&self, answer: &Result<(), FailureRecord>) {
+        let (again, operational) = match self.restart() {
+            RestartResult::Clean => (Ok(()), self.operational),
+            RestartResult::Inconsistent(rec) => (Err(rec), true),
+            RestartResult::Failed(rec) => (Err(rec), false),
+        };
+        let key = |r: &Result<(), FailureRecord>| {
+            r.as_ref()
+                .err()
+                .map(|f| (f.kind, f.fault, f.detail.clone(), f.exit_code))
+        };
+        assert!(
+            key(&again) == key(answer) && operational == self.operational,
+            "{}: a watch answered {answer:?} without restarting; a restart says {again:?}",
+            self.scn.id()
+        );
+    }
 }
 
 impl Subject for CrashedTrial<'_> {
@@ -657,29 +723,39 @@ impl Subject for CrashedTrial<'_> {
             Reactor::new(&self.setup.analysis, &self.setup.guid_map, self.cfg.reactor);
         let mut group =
             (self.cfg.replicas > 0).then(|| build_trial_group(&c.pool, &c.log, self.cfg, c.site));
-        ladder.run(
+        let out = ladder.run(
             &mut reactor,
             &mut c.pool,
             &c.log,
             &c.trace,
             &restart,
             group.as_mut(),
-        )
+        );
+        self.verified = out.recovered;
+        out
     }
 
     fn watch(&mut self) -> Result<(), FailureRecord> {
-        let c = &mut self.capture;
-        if !self.mitigated {
-            c.restarts += 1;
-        }
-        let result = match reopen(&self.setup.instrumented, self.vm, &c.pool, None) {
-            Ok(mut vm) => trial_check(self.scn, &mut vm),
-            Err(rec) => RestartResult::Failed(rec),
+        let known = match (self.verified, self.mitigated) {
+            (true, _) => Some(Ok(())),
+            (false, true) => None,
+            (false, false) => self.judged.clone().map(Err),
         };
-        let rec = match result {
+        if !self.mitigated {
+            self.capture.restarts += 1;
+        }
+        if let Some(answer) = known {
+            if cfg!(debug_assertions) {
+                self.assert_known(&answer);
+            }
+            return answer;
+        }
+        self.paid += 1;
+        let rec = match self.restart() {
             RestartResult::Clean if self.mitigated => return Ok(()),
             RestartResult::Clean => {
                 let image_is_durable = matches!(self.policy, CrashPolicy::DropStaged);
+                let c = &mut self.capture;
                 let viols = invariants::check_image(
                     self.mined,
                     &mut c.pool,
@@ -704,6 +780,9 @@ impl Subject for CrashedTrial<'_> {
                 rec
             }
         };
+        if !self.mitigated {
+            self.judged = Some(rec.clone());
+        }
         Err(rec)
     }
 }
@@ -797,7 +876,8 @@ fn unlogged_offset(view: &LogView<'_>, pool: &PmPool, salt: u64) -> (u64, u8) {
 }
 
 /// Runs one trial: replay the workload with the crash armed, classify
-/// the outcome.
+/// the outcome. Also returns the restarts the trial paid: the watches
+/// that restarted the image plus the mitigation's re-execution rounds.
 fn run_trial(
     scn: &dyn Scenario,
     setup: &AppSetup,
@@ -806,7 +886,7 @@ fn run_trial(
     site: u64,
     kind: SiteKind,
     policy: CrashPolicy,
-) -> Trial {
+) -> (Trial, u32) {
     let run_cfg = RunConfig {
         seed: cfg.seed,
         // The capture keeps pool, log and trace; a snapshot would be dropped.
@@ -816,28 +896,32 @@ fn run_trial(
     };
     match run_with_injection(scn, setup, &run_cfg) {
         InjectionOutcome::SiteCrash(capture) => {
-            let (verdict, restarts, attempts) =
+            let (verdict, restarts, attempts, paid) =
                 classify(scn, setup, cfg, run_cfg.vm, policy, mined, *capture);
-            Trial {
+            let trial = Trial {
                 site,
                 kind,
                 policy,
                 verdict,
                 restarts,
                 attempts,
-            }
+            };
+            (trial, paid)
         }
         // The workload finished (or hit its scripted hard fault) without
         // crossing the armed boundary — on a deterministic replay this
         // cannot happen; surface it instead of panicking.
-        InjectionOutcome::HardFailure(_) | InjectionOutcome::Completed(_) => Trial {
-            site,
-            kind,
-            policy,
-            verdict: TrialVerdict::NotReached,
-            restarts: 0,
-            attempts: 0,
-        },
+        InjectionOutcome::HardFailure(_) | InjectionOutcome::Completed(_) => (
+            Trial {
+                site,
+                kind,
+                policy,
+                verdict: TrialVerdict::NotReached,
+                restarts: 0,
+                attempts: 0,
+            },
+            0,
+        ),
     }
 }
 
@@ -882,8 +966,8 @@ pub fn build_matrix(
 
 /// Census of the distinct sites a trial matrix tests: `(sites_tested,
 /// per-kind counts)`. Dedup goes through a keyed map, so the result is
-/// independent of row order — the trial queue interleaves scenarios and
-/// offers no site-sortedness to lean on.
+/// independent of row order — trials finish in whatever order the
+/// workers run them, so there is no site-sortedness to lean on.
 pub fn site_census(matrix: &[MatrixRow]) -> (u64, BTreeMap<&'static str, u64>) {
     let distinct: BTreeMap<u64, SiteKind> = matrix.iter().map(|&(s, k, _)| (s, k)).collect();
     let mut site_kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
@@ -912,8 +996,9 @@ impl PreparedScenario<'_> {
         self.mined.as_ref().map_or(&[], |m| &m.promoted)
     }
 
-    /// Classifies one matrix row.
-    pub fn run_row(&self, cfg: &CampaignConfig, row: MatrixRow) -> Trial {
+    /// Classifies one matrix row, and says how many restarts that paid
+    /// ([`run_trial`]).
+    pub fn run_row(&self, cfg: &CampaignConfig, row: MatrixRow) -> (Trial, u32) {
         let (site, kind, policy) = row;
         run_trial(
             self.scn,

@@ -200,6 +200,74 @@ fn resume_rejects_mismatched_header() {
     ));
 }
 
+/// Appends to the journal under `dir` a copy of its last trial line
+/// with member `key` set to `value`.
+fn append_forged_trial(dir: &std::path::Path, key: &str, value: obs::Json) {
+    let path = dir.join(inject::fleet::JOURNAL_FILE);
+    let read = obs::read_journal(&path).unwrap();
+    let last = read.lines.last().expect("a journaled trial");
+    assert_eq!(last.get("kind").and_then(obs::Json::as_str), Some("trial"));
+    let obs::Json::Obj(members) = last.clone() else {
+        panic!("a trial line is an object");
+    };
+    let forged = obs::Json::Obj(
+        members
+            .into_iter()
+            .map(|(k, v)| if k == key { (k, value.clone()) } else { (k, v) })
+            .collect(),
+    );
+    let mut text = std::fs::read_to_string(&path).unwrap();
+    text.push_str(&forged.render());
+    text.push('\n');
+    std::fs::write(&path, text).unwrap();
+}
+
+/// A resume fed a journal that names a trial no matrix of this
+/// configuration holds refuses it: dropping the line would lose a
+/// verdict the journal says was recorded.
+fn assert_resume_rejects(dir: &std::path::Path, what: &str) {
+    let resume = FleetConfig::builder(small_cfg(2))
+        .journal_dir(dir)
+        .resume(true)
+        .build()
+        .unwrap();
+    match run_fleet(&targets(), &resume) {
+        Err(FleetError::Journal(msg)) => {
+            assert!(msg.contains("not in the trial matrix"), "{what}: {msg}")
+        }
+        Err(e) => panic!("{what}: expected a journal error, got: {e}"),
+        Ok(_) => panic!("{what}: resume must fail"),
+    }
+}
+
+/// Journals a two-trial run, appends a copy of its last trial line with
+/// `key` set to `value`, and requires the resume to refuse it.
+fn forge_and_resume(name: &str, key: &str, value: obs::Json) {
+    let dir = tmp_dir(&format!("foreign-{name}"));
+    let write = FleetConfig::builder(small_cfg(2))
+        .journal_dir(&dir)
+        .trial_limit(Some(2))
+        .build()
+        .unwrap();
+    run_fleet(&targets(), &write).unwrap();
+    append_forged_trial(&dir, key, value);
+    assert_resume_rejects(&dir, name);
+}
+
+/// A journaled (scenario, site, policy) that no matrix holds is
+/// corruption.
+#[test]
+fn resume_rejects_a_journaled_trial_no_matrix_holds() {
+    forge_and_resume("site", "site", obs::Json::U64(1 << 40));
+}
+
+/// A journaled trial of a scenario the campaign does not run is
+/// corruption too.
+#[test]
+fn resume_rejects_a_journaled_trial_of_an_unknown_scenario() {
+    forge_and_resume("scenario", "scenario", obs::Json::Str("f99".into()));
+}
+
 /// `read_header` round-trips the matrix-determining configuration.
 #[test]
 fn journal_header_round_trips() {
@@ -260,6 +328,48 @@ fn fleet_recorder_sees_queue_lifecycle() {
         Some(report.executed)
     );
     assert!(rec.histograms().contains_key("fleet.trial_us"));
+}
+
+/// The `u64` field `name` of `event`.
+fn u64_field(event: &obs::Event, name: &str) -> u64 {
+    match event.fields.iter().find(|(k, _)| *k == name) {
+        Some((_, Value::U64(v))) => *v,
+        other => panic!("{} has no u64 {name}: {other:?}", event.kind),
+    }
+}
+
+/// The restarts a campaign pays count work, not scheduling: the
+/// `fleet.restarts_paid` counter is the sum of every `fleet.trial_done`
+/// event's `paid`, and it is the same at 1 and at 4 workers. One worker
+/// prepares every scenario before it runs a trial, so its
+/// `fleet.queue_built` finds none done.
+#[test]
+fn restarts_paid_do_not_depend_on_the_worker_count() {
+    let paid = |workers: usize| {
+        let rec = Arc::new(RingRecorder::new(4096));
+        let fcfg = FleetConfig::builder(small_cfg(workers))
+            .recorder(rec.clone())
+            .build()
+            .unwrap();
+        run_fleet(&targets(), &fcfg).unwrap();
+        let events = rec.events();
+        let per_trial: u64 = events
+            .iter()
+            .filter(|e| e.kind == "fleet.trial_done")
+            .map(|e| u64_field(e, "paid"))
+            .sum();
+        let total = rec.counters()["fleet.restarts_paid"];
+        assert_eq!(total, per_trial, "{workers} worker(s)");
+        let built = events
+            .iter()
+            .find(|e| e.kind == "fleet.queue_built")
+            .unwrap();
+        (total, u64_field(built, "trials_done"))
+    };
+    let (one, done_before_built) = paid(1);
+    assert!(one > 0);
+    assert_eq!(done_before_built, 0);
+    assert_eq!(paid(4).0, one);
 }
 
 /// `replays` of every `fleet.scenario_ready` event, by scenario id, with

@@ -402,7 +402,7 @@ fn parse_pdg(j: &Json) -> Result<Pdg, String> {
             "edge count mismatch: document says {n_edges}, found {counted}"
         ));
     }
-    Ok(Pdg { deps, n_edges })
+    Ok(Pdg::new(deps, n_edges))
 }
 
 fn ordering_json(ord: &OrderingInfo) -> Json {
@@ -488,6 +488,7 @@ impl ModuleAnalysis {
             pdg_time: Duration::ZERO,
             ordering_time: Duration::ZERO,
             analysis_time: Duration::ZERO,
+            slices: Default::default(),
         })
     }
 

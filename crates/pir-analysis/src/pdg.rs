@@ -17,6 +17,7 @@
 //!   the function's call sites (calling-context dependence).
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::OnceLock;
 
 use pir::ir::{FuncId, InstRef, Intrinsic, Module, Op, Val};
 
@@ -36,11 +37,16 @@ pub enum DepKind {
     Interproc,
 }
 
+/// Adjacency lists of the PDG, keyed by instruction.
+pub type Adjacency = HashMap<InstRef, Vec<(InstRef, DepKind)>>;
+
 /// The PDG, with backward adjacency.
 pub struct Pdg {
-    pub(crate) deps: HashMap<InstRef, Vec<(InstRef, DepKind)>>,
+    pub(crate) deps: Adjacency,
     /// Total number of edges.
     pub n_edges: usize,
+    /// The forward adjacency, inverted from `deps` on first use.
+    forward: OnceLock<Adjacency>,
 }
 
 /// A memory access for dependence computation.
@@ -61,10 +67,29 @@ impl Pdg {
         self.deps.len()
     }
 
-    /// Builds the forward adjacency (dependents of each instruction, with
-    /// edge kinds); used by the reactor's purge-mode second pass.
-    pub fn forward_index(&self) -> HashMap<InstRef, Vec<(InstRef, DepKind)>> {
-        let mut fwd: HashMap<InstRef, Vec<(InstRef, DepKind)>> = HashMap::new();
+    /// A PDG over the backward adjacency `deps` with `n_edges` edges.
+    pub(crate) fn new(deps: Adjacency, n_edges: usize) -> Pdg {
+        Pdg {
+            deps,
+            n_edges,
+            forward: OnceLock::new(),
+        }
+    }
+
+    /// The forward adjacency (dependents of each instruction, with edge
+    /// kinds); used by the reactor's purge-mode second pass. Built on
+    /// first use and kept for the life of the graph, so building a PDG
+    /// costs no more than before and every later caller reads the same
+    /// index. Debug builds invert the graph again on every call and
+    /// require the kept index to equal it.
+    pub fn forward_index(&self) -> &Adjacency {
+        let fwd = self.forward.get_or_init(|| self.invert());
+        debug_assert!(*fwd == self.invert(), "the kept forward index went stale");
+        fwd
+    }
+
+    fn invert(&self) -> Adjacency {
+        let mut fwd = Adjacency::new();
         for (from, tos) in &self.deps {
             for (to, kind) in tos {
                 fwd.entry(*to).or_default().push((*from, *kind));
@@ -270,7 +295,7 @@ impl Pdg {
             }
         }
 
-        Pdg { deps, n_edges }
+        Pdg::new(deps, n_edges)
     }
 }
 

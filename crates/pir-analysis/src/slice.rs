@@ -11,6 +11,10 @@ use pir::ir::InstRef;
 
 use crate::pdg::Pdg;
 
+/// Bound on the instructions one backward slice visits: the bound of
+/// every slice recovery takes ([`crate::ModuleAnalysis::slice_pm_writes`]).
+pub const MAX_SLICE_NODES: usize = 100_000;
+
 /// A backward slice, with BFS distances from the fault instruction.
 pub struct Slice {
     /// Instructions in the slice (BFS order: nearest first).

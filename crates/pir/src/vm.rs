@@ -11,7 +11,7 @@
 //! - fault injection: crash at the n-th execution of an instruction;
 //! - the `trace(guid, addr)` intrinsic feeding the Arthas PM address trace.
 //!
-//! What runs is the module's decoded form (see [`crate::decode`]): one
+//! What runs is the module's decoded form (see `decode.rs`): one
 //! step per IR instruction, with the same traps, step counts and thread
 //! interleaving the IR defines. A call costs what it executes — a thread's
 //! frames share one register stack, loads and stores go through

@@ -3,7 +3,7 @@
 //!
 //! Non-blocking and readiness-driven: the listener round-robins
 //! accepted sockets over worker threads; each worker blocks in one
-//! `poll(2)` ([`crate::sys`], the crate's only FFI) over its
+//! `poll(2)` (the private `sys` module, the crate's only FFI) over its
 //! connections plus a wake channel, and serves whichever are ready
 //! (read → parse → engine → buffered write). Nothing sleeps or spins.
 //! The engine is single-threaded behind a mutex — the interpreter owns
