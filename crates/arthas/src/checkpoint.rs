@@ -503,6 +503,26 @@ impl LogView<'_> {
             .collect()
     }
 
+    /// `(seq, addr)` of every retained version of every entry in
+    /// [`LogView::spans`], previous incarnations included, ascending by
+    /// seq: the addresses whose [`LogView::data_before_seq`] differs
+    /// between two cuts are those with a version between them.
+    pub(crate) fn version_seqs(&self) -> Vec<(u64, u64)> {
+        let mut out: Vec<(u64, u64)> = self
+            .log
+            .entries
+            .iter()
+            .filter(|(_, e)| !e.versions.is_empty())
+            .flat_map(|(&a, e)| {
+                self.chain(e)
+                    .flat_map(|inc| &inc.versions)
+                    .map(move |v| (v.seq, a))
+            })
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
     /// Every retained version as `(seq, addr, bytes)`, ascending by seq —
     /// the whole checkpoint stream.
     pub fn iter_merged(&self) -> Vec<(u64, u64, &[u8])> {

@@ -405,8 +405,9 @@ impl MitigationOutcome {
 }
 
 /// Bookkeeping of what the reversion loop has written where, so the
-/// minimization pass can undo reversions that were not needed.
-#[derive(Default, Clone)]
+/// minimization pass can undo reversions that were not needed, and so a
+/// rollback step can start from where its predecessor left the pool.
+#[derive(Default, Clone, PartialEq, Debug)]
 struct RevertLedger {
     /// First-touch pool bytes per address (what was there before any
     /// reversion).
@@ -419,19 +420,55 @@ struct RevertLedger {
     /// only pool bytes that can differ from the image the plan was made
     /// on (see [`LogFacts::heal_suspects`]).
     written: BTreeMap<u64, u64>,
+    /// The cut this lineage's pool was last rolled back to; `None` before
+    /// its first rollback. A rollback at or below it pays only for the
+    /// difference ([`Reactor::rollback_to`]).
+    cut: Option<u64>,
+    /// The ranges written since the last heal scan, as in `written`.
+    pending: BTreeMap<u64, u64>,
+    /// Plan positions the last heal scan left out as its own batch.
+    unscanned: Range<usize>,
 }
 
 impl RevertLedger {
-    /// Notes a write of `len` bytes at `addr`, keeping the bytes first
-    /// found there; every reversion write goes through here first.
-    fn capture(&mut self, pool: &mut PmPool, addr: u64, len: usize) {
-        let longest = self.written.entry(addr).or_default();
-        *longest = (*longest).max(len as u64);
+    /// Writes `data` at `addr` and persists it, noting the range and
+    /// keeping the bytes first found there: every reversion write goes
+    /// through here.
+    fn write(&mut self, pool: &mut PmPool, addr: u64, data: &[u8], work: &mut StepWork) {
+        for ranges in [&mut self.written, &mut self.pending] {
+            let longest = ranges.entry(addr).or_default();
+            *longest = (*longest).max(data.len() as u64);
+        }
         if let std::collections::btree_map::Entry::Vacant(e) = self.originals.entry(addr) {
-            if let Ok(cur) = pool.read(addr, len as u64) {
+            if let Ok(cur) = pool.read(addr, data.len() as u64) {
                 e.insert(cur);
             }
         }
+        let _ = pool.write(addr, data);
+        let _ = pool.persist(addr, data.len() as u64);
+        work.writes += 1;
+    }
+
+    /// Writes candidate `seq`'s durable truth back over diverged media at
+    /// `addr`.
+    fn heal(&mut self, pool: &mut PmPool, seq: u64, addr: u64, data: &[u8], work: &mut StepWork) {
+        self.write(pool, addr, data, work);
+        self.by_addr.entry(addr).or_default();
+        work.heals.push((seq, addr));
+    }
+
+    /// Every byte this lineage wrote, range after range, as `pool` holds
+    /// it: outside these ranges the pool is the image the plan was made
+    /// on.
+    #[cfg(debug_assertions)]
+    fn written_bytes(&self, pool: &PmPool) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (&a, &n) in &self.written {
+            let at = out.len();
+            out.resize(at + n as usize, 0);
+            let _ = pool.peek_into(a, &mut out[at..]);
+        }
+        out
     }
 
     /// Whether this lineage wrote any byte of `[addr, addr + len)`. Every
@@ -453,6 +490,19 @@ impl RevertLedger {
     fn touched(&self) -> u64 {
         self.by_addr.len() as u64
     }
+}
+
+/// What one reversion step did: the candidates it healed, for its
+/// `reactor.heal` events, and its work, for the `reactor.revert_writes`
+/// and `reactor.heal_checks` counters.
+#[derive(Debug, Default)]
+struct StepWork {
+    /// `(seq, addr)` of every candidate the step healed.
+    heals: Vec<(u64, u64)>,
+    /// Pool writes: rollback, heal and purge.
+    writes: u64,
+    /// Candidates whose bytes the heal below the cut compared.
+    heal_checks: u64,
 }
 
 /// The newest failed re-execution the revert loop paid for: the bytes its
@@ -525,7 +575,8 @@ pub struct Plan {
 /// once, then reused by every attempt. Built by [`Reactor::plan`], owned
 /// by [`Reactor::mitigate`] and dropped with the outcome; sized by
 /// instructions and logged entries (every candidate is one), never by
-/// retained versions or trace records.
+/// trace records, and by retained versions only once a rollback starts
+/// from an earlier one's pool (`versions`).
 ///
 /// Reuse is exact because the log records nothing between the plan and
 /// the outcome: [`LogPaused`] holds through the revert loop, and
@@ -564,6 +615,9 @@ struct LogFacts {
     expected: HashMap<u64, Option<Vec<u8>>>,
     /// `(latest_seq, total_updates)` when the facts were derived.
     frontier: (u64, u64),
+    /// [`LogView::version_seqs`], taken by the first rollback that starts
+    /// from an earlier one's pool.
+    versions: Option<Vec<(u64, u64)>>,
 }
 
 impl LogFacts {
@@ -590,6 +644,7 @@ impl LogFacts {
             addrs: HashMap::new(),
             expected: HashMap::new(),
             frontier: (log.latest_seq(), log.total_updates()),
+            versions: None,
         }
     }
 
@@ -744,23 +799,51 @@ impl LogFacts {
             .expected
             .entry(addr)
             .or_insert_with(|| log.view().expected_current(addr))
-            .as_deref()?;
+            .as_deref();
+        debug_assert_eq!(
+            expected,
+            log.view().expected_current(addr).as_deref(),
+            "kept expected bytes at {addr}"
+        );
+        let expected = expected?;
         let cur = pool.read(addr, expected.len() as u64).ok()?;
         (cur != expected).then_some((addr, expected))
     }
 
-    /// `addrs_touched_since(cut)`: every address with a version at or
-    /// after `cut`, ascending.
-    fn touched_since(&self, cut: u64) -> Vec<u64> {
-        let n = self
-            .by_newest
-            .partition_point(|&i| self.spans[i as usize].seq >= cut);
-        let mut out: Vec<u64> = self.by_newest[..n]
-            .iter()
-            .map(|&i| self.spans[i as usize].addr)
-            .collect();
+    /// The addresses a rollback to `cut` writes other bytes at than one
+    /// to `from` does, ascending: those with a version in `[cut, from)`.
+    /// Without `from` (no earlier rollback to start from), every address
+    /// with a version at or after `cut`: `addrs_touched_since(cut)`.
+    fn moved(&mut self, log: &LogView<'_>, cut: u64, from: Option<u64>) -> Vec<u64> {
+        let mut out: Vec<u64> = match from {
+            None => {
+                let n = self
+                    .by_newest
+                    .partition_point(|&i| self.spans[i as usize].seq >= cut);
+                self.by_newest[..n]
+                    .iter()
+                    .map(|&i| self.spans[i as usize].addr)
+                    .collect()
+            }
+            Some(from) => {
+                let versions = self.versions.get_or_insert_with(|| log.version_seqs());
+                let lo = versions.partition_point(|&(s, _)| s < cut);
+                let hi = versions.partition_point(|&(s, _)| s < from);
+                versions[lo..hi].iter().map(|&(_, a)| a).collect()
+            }
+        };
         out.sort_unstable();
+        out.dedup();
         out
+    }
+
+    /// Whether a rollback to `cut` writes `addr`: its newest version is
+    /// at or after the cut.
+    fn touched_since(&self, addr: u64, cut: u64) -> bool {
+        let k = self.spans.partition_point(|s| s.addr < addr);
+        self.spans
+            .get(k)
+            .is_some_and(|s| s.addr == addr && s.seq >= cut)
     }
 
     /// The candidates, by plan position, with an address in
@@ -774,14 +857,18 @@ impl LogFacts {
         })
     }
 
-    /// The plan positions the heal below `cut` must look at, ascending,
-    /// given the addresses `touched` since the cut and the lineage's
-    /// `ledger`.
+    /// The plan positions the heal below a cut must look at, ascending,
+    /// given the addresses `moved` by the rollback to the cut, the ranges
+    /// `written` since the last heal scan, and the positions that scan
+    /// left out (`unscanned`).
     ///
     /// A candidate at `addr` whose address was not touched since the cut
     /// (its seq, the address's newest, is below it) is owed a heal when
     /// the pool's bytes differ from `expected_before(addr, cut)`. Both
-    /// sides are known from the plan unless something changed since:
+    /// sides are known unless something changed since they were last
+    /// compared. On a lineage's first rollback (`moved` is every address
+    /// touched since the cut, `written` everything the lineage wrote),
+    /// that comparison is the plan's:
     ///
     /// * `expected_before(addr, cut)` is `addr`'s newest version overlaid
     ///   with the newest below-cut version of every newer entry in its
@@ -794,14 +881,28 @@ impl LogFacts {
     ///   those equal `expected_current(addr)` unless the candidate
     ///   diverged at plan time.
     ///
-    /// So only three kinds of candidate can be owed a heal: those that
-    /// diverged at plan time, those with a touched entry in their overlay
-    /// window, and those overlapping a range the lineage wrote. Every
-    /// other candidate's pool bytes equal its heal bytes.
-    fn heal_suspects(&self, touched: &[u64], ledger: &RevertLedger) -> BTreeSet<usize> {
+    /// On a rollback below the lineage's last one, the comparison is the
+    /// last scan's, or was settled by it: after the scan (and its heals)
+    /// every candidate it looked at or passed over holds its heal bytes
+    /// at that cut, unless a heal wrote over it since. Its heal bytes
+    /// change only with a version between the two cuts in its window
+    /// (`moved`), its pool bytes only under a range written since.
+    ///
+    /// So only four kinds of candidate can be owed a heal: those that
+    /// diverged at plan time, those with a moved entry in their overlay
+    /// window, those overlapping a range written since the last scan,
+    /// and those the last scan left out as its batch. Every other
+    /// candidate's pool bytes equal its heal bytes.
+    fn heal_suspects(
+        &self,
+        moved: &[u64],
+        written: &BTreeMap<u64, u64>,
+        unscanned: Range<usize>,
+    ) -> BTreeSet<usize> {
         let w = self.max_len;
         let mut out: BTreeSet<usize> = self.diverged_at.iter().copied().collect();
-        for &t in touched {
+        out.extend(unscanned);
+        for &t in moved {
             // Overlay windows as `expected_before` scans them:
             // `[c - (w - 1), c + len)`.
             let near = self.candidates_in(t.saturating_sub(w), t.saturating_add(w));
@@ -811,7 +912,7 @@ impl LogFacts {
                 }
             }
         }
-        for (&a, &n) in &ledger.written {
+        for (&a, &n) in written {
             for (i, c, len) in self.candidates_in(a.saturating_sub(w), a.saturating_add(n)) {
                 if a < c + len {
                     out.insert(i);
@@ -1349,8 +1450,8 @@ impl<'a> Reactor<'a> {
             batch: std::ops::Range<usize>,
             /// The attempt budget flipped purge to rollback at this step.
             budget_flip: bool,
-            /// `(seq, addr)` of every candidate the batch healed.
-            heals: Vec<(u64, u64)>,
+            /// What the batch healed and wrote.
+            work: StepWork,
             /// The basis verdict, when the step's image holds every byte
             /// the basis restart read: the step is not re-executed.
             known: Option<FailureRecord>,
@@ -1369,6 +1470,12 @@ impl<'a> Reactor<'a> {
             BatchStrategy::Batch(n) => n.max(1),
         };
         let announce = |step: &Step, depth: usize| {
+            self.recorder.add("reactor.revert_writes", step.work.writes);
+            self.recorder
+                .add("reactor.heal_checks", step.work.heal_checks);
+            if !self.recorder.is_enabled() {
+                return;
+            }
             if step.budget_flip {
                 self.recorder.event(
                     "reactor.fallback",
@@ -1391,7 +1498,7 @@ impl<'a> Reactor<'a> {
                     ("skipped", Value::from(step.known.is_some())),
                 ],
             );
-            for &(seq, addr) in &step.heals {
+            for &(seq, addr) in &step.work.heals {
                 self.recorder.event(
                     "reactor.heal",
                     vec![("seq", Value::from(seq)), ("addr", Value::from(addr))],
@@ -1446,7 +1553,7 @@ impl<'a> Reactor<'a> {
                         Some((p, l)) => (p, l),
                         None => (&mut *pool, &mut ledger),
                     };
-                    let heals = self.apply_batch(
+                    let work = self.apply_batch(
                         p,
                         log_rc,
                         plan,
@@ -1468,7 +1575,7 @@ impl<'a> Reactor<'a> {
                         scratch,
                         batch,
                         budget_flip,
-                        heals,
+                        work,
                         known,
                         after: sim,
                     };
@@ -1653,8 +1760,13 @@ impl<'a> Reactor<'a> {
     }
 
     /// One reversion step: reverts the plan candidates at positions
-    /// `batch` under `mode` at version `depth`. Returns `(seq, addr)` of
-    /// every candidate it healed, for the step's `reactor.heal` events.
+    /// `batch` under `mode` at version `depth`, and reports what it
+    /// healed and wrote.
+    ///
+    /// Debug builds check a rollback that starts from an earlier one's
+    /// pool against the same step made from scratch: on a fork of the
+    /// step's predecessor with the remembered cut unset, it must leave
+    /// the same bytes, ledger and heals.
     #[allow(clippy::too_many_arguments)]
     fn apply_batch(
         &self,
@@ -1668,8 +1780,34 @@ impl<'a> Reactor<'a> {
         mode: Mode,
         fwd: Option<&Adjacency>,
         ledger: &mut RevertLedger,
-    ) -> Vec<(u64, u64)> {
-        let mut healed = Vec::new();
+    ) -> StepWork {
+        // The fork is dropped before this step writes the pool, so the
+        // check copies no page of it.
+        #[cfg(debug_assertions)]
+        let from_scratch = ledger.cut.is_some().then(|| {
+            let mut fork = pool.fork();
+            obs::Instrument::uninstrument(&mut fork);
+            let mut full = RevertLedger {
+                cut: None,
+                ..ledger.clone()
+            };
+            let work = self.apply_batch(
+                &mut fork,
+                log_rc,
+                plan,
+                facts,
+                trace,
+                batch.clone(),
+                depth,
+                mode,
+                fwd,
+                &mut full,
+            );
+            // A step that rolls nothing back keeps the remembered cut.
+            full.cut = full.cut.or(ledger.cut);
+            (full.written_bytes(&fork), full, work.heals)
+        });
+        let mut work = StepWork::default();
         match mode {
             Mode::Purge => {
                 for &s in &plan.seqs[batch] {
@@ -1683,6 +1821,7 @@ impl<'a> Reactor<'a> {
                         depth,
                         fwd.expect("purge mode"),
                         ledger,
+                        &mut work,
                     );
                 }
             }
@@ -1699,18 +1838,16 @@ impl<'a> Reactor<'a> {
                         .diverged(log_rc, pool, ledger, s)
                         .map(|(addr, data)| (addr, data.to_vec()));
                     match diverged {
-                        Some((addr, data)) => {
-                            Self::heal(pool, ledger, addr, &data);
-                            healed.push((s, addr));
-                        }
+                        Some((addr, data)) => ledger.heal(pool, s, addr, &data, &mut work),
                         None => normal.push(s),
                     }
                 }
                 // Roll back to just before the oldest remaining
                 // seq in the batch.
                 if let Some(&cut) = normal.iter().min() {
-                    let touched = facts.touched_since(cut);
-                    self.rollback_to(pool, log_rc, &touched, cut, ledger);
+                    let from = ledger.cut.filter(|&last| cut <= last);
+                    let moved = facts.moved(&log_rc.view(), cut, from);
+                    self.rollback_to(pool, log_rc, facts, &moved, cut, from, ledger, &mut work);
                     // Media corruption below the cut is invisible to the
                     // rewind: an address whose newest logged version is
                     // older than the cut is never restored by
@@ -1722,10 +1859,16 @@ impl<'a> Reactor<'a> {
                     // into the heal bytes right after the rollback
                     // reverted it, re-planting post-cut state. Only the
                     // candidates `heal_suspects` names can be owed one.
+                    // From the last cut, that cut's scan settled every
+                    // candidate nothing was written over since.
+                    let written = match from {
+                        Some(_) => &ledger.pending,
+                        None => &ledger.written,
+                    };
+                    let suspects = facts.heal_suspects(&moved, written, ledger.unscanned.clone());
                     let heals: Vec<(u64, u64, Vec<u8>)> = {
                         let log = log_rc.view();
-                        facts
-                            .heal_suspects(&touched, ledger)
+                        suspects
                             .into_iter()
                             .filter(|i| !batch.contains(i))
                             .filter_map(|i| {
@@ -1738,6 +1881,7 @@ impl<'a> Reactor<'a> {
                                 }
                                 let addr = facts.addr(s)?;
                                 let expected = log.expected_before(addr, cut)?;
+                                work.heal_checks += 1;
                                 match pool.read(addr, expected.len() as u64) {
                                     Ok(cur) if cur != expected => Some((s, addr, expected)),
                                     _ => None,
@@ -1745,22 +1889,31 @@ impl<'a> Reactor<'a> {
                             })
                             .collect()
                     };
+                    ledger.cut = Some(cut);
+                    ledger.pending.clear();
+                    ledger.unscanned = batch;
                     for (s, addr, data) in heals {
-                        Self::heal(pool, ledger, addr, &data);
-                        healed.push((s, addr));
+                        ledger.heal(pool, s, addr, &data, &mut work);
                     }
                 }
             }
         }
-        healed
-    }
-
-    /// Writes a candidate's durable truth back over diverged media.
-    fn heal(pool: &mut PmPool, ledger: &mut RevertLedger, addr: u64, data: &[u8]) {
-        ledger.capture(pool, addr, data.len());
-        let _ = pool.write(addr, data);
-        let _ = pool.persist(addr, data.len() as u64);
-        ledger.by_addr.entry(addr).or_default();
+        #[cfg(debug_assertions)]
+        if let Some((bytes, full, heals)) = from_scratch {
+            assert_eq!(
+                *ledger, full,
+                "a rollback from the last cut left another ledger"
+            );
+            assert_eq!(
+                work.heals, heals,
+                "a rollback from the last cut healed otherwise"
+            );
+            assert!(
+                full.written_bytes(pool) == bytes,
+                "a rollback from the last cut left other bytes"
+            );
+        }
+        work
     }
 
     /// Purge one sequence number: revert its entry to `depth` versions
@@ -1780,6 +1933,7 @@ impl<'a> Reactor<'a> {
         depth: usize,
         fwd: &Adjacency,
         ledger: &mut RevertLedger,
+        work: &mut StepWork,
     ) {
         let mut worklist = vec![seq];
         // Externally corrupted entries (divergence) did not propagate via
@@ -1860,9 +2014,7 @@ impl<'a> Reactor<'a> {
             let Some(data) = data else {
                 continue;
             };
-            ledger.capture(pool, addr, data.len());
-            let _ = pool.write(addr, &data);
-            let _ = pool.persist(addr, data.len() as u64);
+            ledger.write(pool, addr, &data, work);
             // Versions discarded: the newest `depth` versions of the entry.
             let log = log_rc.view();
             let slot = ledger.by_addr.entry(addr).or_default();
@@ -1928,34 +2080,90 @@ impl<'a> Reactor<'a> {
         used
     }
 
-    /// Time-ordered rollback: restore every address `touched` at or after
-    /// `cut` (ascending) to its state just before `cut`, and account each
-    /// one's versions from `cut` on as discarded.
+    /// Time-ordered rollback: leaves every address touched at or after
+    /// `cut` holding its bytes just before `cut`, as writing each one's in
+    /// ascending address order does, and accounts each one's versions
+    /// from `cut` on as discarded.
+    ///
+    /// A lineage whose pool was last rolled back to a cut `from` at or
+    /// above this one pays only for the difference. Its pool holds that
+    /// rollback's bytes except under the ranges written since (the
+    /// ledger's `pending`), and the two rollbacks write other bytes only
+    /// at the addresses `moved` between the cuts. So the step rewrites,
+    /// ascending:
+    ///
+    /// * every moved address;
+    /// * every address the last rollback wrote whose range meets a moved
+    ///   address's new range or a range written since;
+    /// * every address the last rollback wrote above a rewritten one and
+    ///   within its range: its bytes are the later write there.
+    ///
+    /// Every other byte is what a rewrite of all touched addresses leaves.
+    /// That holds also where a moved address's write got shorter: an
+    /// address below it that reaches the bytes it gave up meets its new
+    /// range too, one above it wrote there later both times, and where
+    /// neither is, the full rewrite leaves the bytes alone as well.
+    /// Without `from`, `moved` is every touched address and the step is
+    /// that rewrite. The ranges of the last rollback's writes are taken
+    /// from the ledger's `written`, which holds each at its longest.
+    #[allow(clippy::too_many_arguments)]
     fn rollback_to(
         &self,
         pool: &mut PmPool,
         log_rc: &SharedLog,
-        touched: &[u64],
+        facts: &LogFacts,
+        moved: &[u64],
         cut: u64,
+        from: Option<u64>,
         ledger: &mut RevertLedger,
+        work: &mut StepWork,
     ) {
         let victims: Vec<(u64, Vec<u8>)> = {
             let log = log_rc.view();
-            touched
+            let mut fresh: BTreeMap<u64, Vec<u8>> = moved
                 .iter()
                 .filter_map(|&a| log.data_before_seq(a, cut).map(|d| (a, d)))
-                .collect()
+                .collect();
+            let mut queue: BTreeSet<u64> = fresh.keys().copied().collect();
+            // The addresses the last rollback wrote in `[lo, hi)`, with
+            // the end of their range; none without a last rollback.
+            let last = |lo: u64, hi: u64| {
+                let span = if from.is_some() { lo..hi } else { 0..0 };
+                ledger
+                    .written
+                    .range(span)
+                    .filter(move |&(&a, _)| from.is_some_and(|f| facts.touched_since(a, f)))
+                    .map(|(&a, &n)| (a, a + n))
+            };
+            let w = facts.max_len;
+            let dirty = ledger
+                .pending
+                .iter()
+                .map(|(&a, &n)| (a, a + n))
+                .chain(fresh.iter().map(|(&a, d)| (a, a + d.len() as u64)));
+            for (lo, hi) in dirty {
+                let meets = last(lo.saturating_sub(w), hi).filter(|&(_, e)| e > lo);
+                queue.extend(meets.map(|(a, _)| a));
+            }
+            let mut victims = Vec::new();
+            while let Some(a) = queue.pop_first() {
+                let Some(data) = fresh.remove(&a).or_else(|| log.data_before_seq(a, cut)) else {
+                    continue;
+                };
+                queue.extend(last(a + 1, a + data.len() as u64).map(|(b, _)| b));
+                victims.push((a, data));
+            }
+            victims
         };
         for (addr, data) in victims {
-            ledger.capture(pool, addr, data.len());
-            let _ = pool.write(addr, &data);
-            let _ = pool.persist(addr, data.len() as u64);
+            ledger.write(pool, addr, &data, work);
         }
         let log = log_rc.view();
-        for &addr in touched {
-            let since = log.entry(addr).into_iter().flat_map(|e| &e.versions);
+        let since = cut..from.unwrap_or(u64::MAX);
+        for &addr in moved {
+            let versions = log.entry(addr).into_iter().flat_map(|e| &e.versions);
             let slot = ledger.by_addr.entry(addr).or_default();
-            slot.extend(since.map(|v| v.seq).filter(|&s| s >= cut));
+            slot.extend(versions.map(|v| v.seq).filter(|s| since.contains(s)));
         }
     }
 

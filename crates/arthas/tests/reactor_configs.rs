@@ -575,6 +575,72 @@ fn plan_time_divergence_heals_on_the_third_rollback_attempt() {
     }
 }
 
+/// Cumulative rollbacks over persists that overlap and change length at
+/// one address: each step after the first starts from its predecessor's
+/// cut, so it rewrites only what moved between the two cuts and what
+/// overlaps it. Every attempt fails, so the loop walks all candidates at
+/// every depth, and debug builds redo each such step from scratch and
+/// assert the same bytes, ledger and heals. Across widths the outcome,
+/// heals and image agree.
+///
+/// The fixed case shrinks an entry under a longer one below it. The
+/// entry at 56 holds 8 bytes, then 16 (carrying 9 over 64), then 8; the
+/// entry at 48 spans `[48, 72)` throughout. The fourth attempt cuts below
+/// the 16-byte version: the entry at 56 goes back to 8 bytes, and the
+/// entry at 48, which the rollback before left alone, must be rewritten
+/// too, or `[64, 72)` keeps the 9.
+#[test]
+fn rollbacks_from_the_last_cut_over_overlapping_persists() {
+    let shrink: &[(&str, &[u64])] = &[
+        ("wide", &[48, 1, 48, 24]),
+        ("w", &[56, 2]),
+        ("w", &[136, 3]),
+        ("wide", &[64, 9, 56, 16]),
+        ("w", &[128, 5]),
+        ("w", &[56, 6]),
+        ("wide", &[48, 7, 48, 24]),
+    ];
+    let widths = |calls: &[(&str, &[u64])]| {
+        [1, 2].map(|k| {
+            let cfg = cumulative_rollback()
+                .to_builder()
+                .speculation(Some(k))
+                .build()
+                .unwrap();
+            let run = mitigate_heal_app(calls, None, cfg, false);
+            assert!(run.outcome.attempts > 2, "{:?}", run.outcome);
+            (all_but_rounds(&run.outcome, &run.pool), run.heals)
+        })
+    };
+    let [one, two] = widths(shrink);
+    assert_eq!(one, two, "width 2 differs from width 1");
+    for seed in 1..=12u64 {
+        let mut x = seed;
+        let mut next = |n: u64| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) % n
+        };
+        let args: Vec<Vec<u64>> = (0..24)
+            .map(|_| {
+                let off = 40 + 8 * next(6);
+                let v = 1 + next(200);
+                match next(3) {
+                    0 => vec![off, v],
+                    _ => vec![off, v, 40 + 8 * next(5), 8 * (1 + next(3))],
+                }
+            })
+            .collect();
+        let calls: Vec<(&str, &[u64])> = args
+            .iter()
+            .map(|a| (if a.len() == 2 { "w" } else { "wide" }, a.as_slice()))
+            .collect();
+        let [one, two] = widths(&calls);
+        assert_eq!(one, two, "seed {seed}: width 2 differs from width 1");
+    }
+}
+
 // ---- skipped restarts ------------------------------------------------------
 
 /// Everything but the round count: what skipping must leave alone.

@@ -372,6 +372,13 @@ impl Vm {
         std::mem::take(&mut self.trace)
     }
 
+    /// Drains the PM address trace in place: the buffer keeps its
+    /// capacity, so a caller that drains after every call stops
+    /// reallocating it.
+    pub fn drain_trace(&mut self) -> std::vec::Drain<'_, (u64, u64)> {
+        self.trace.drain(..)
+    }
+
     /// Number of buffered trace records.
     pub fn trace_len(&self) -> usize {
         self.trace.len()

@@ -357,6 +357,13 @@ fn trace_intrinsic_collects_records() {
     vm.call("t", &[]).unwrap();
     assert_eq!(vm.take_trace(), vec![(99, 0xAB)]);
     assert!(vm.take_trace().is_empty());
+    // Draining yields the same records and leaves the buffer empty.
+    vm.call("t", &[]).unwrap();
+    vm.call("t", &[]).unwrap();
+    assert_eq!(vm.drain_trace().collect::<Vec<_>>(), vec![(99, 0xAB); 2]);
+    assert_eq!(vm.trace_len(), 0);
+    vm.call("t", &[]).unwrap();
+    assert_eq!(vm.take_trace(), vec![(99, 0xAB)]);
 }
 
 #[test]

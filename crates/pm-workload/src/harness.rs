@@ -414,7 +414,7 @@ pub fn run_with_injection(
         if ctx.restarts > 0 {
             // Application recovery on restart.
             if let Err(e) = vm.call(scn.recover_call(), &[]) {
-                trace.absorb(vm.take_trace());
+                trace.absorb(vm.drain_trace());
                 if let Trap::SiteCrash { site } = e.trap {
                     return capture(vm, site, trace, log, ctx.restarts, detector);
                 }
@@ -448,7 +448,7 @@ pub fn run_with_injection(
                 criu.tick(t, vm.pool());
             }
             let step = scn.drive(&mut vm, t, &mut ctx);
-            trace.absorb(vm.take_trace());
+            trace.absorb(vm.drain_trace());
             match step {
                 Ok(Drive::Continue) => {
                     t += 1;

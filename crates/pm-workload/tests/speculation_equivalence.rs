@@ -14,6 +14,7 @@
 //! UPDATE_GOLDEN=1 cargo test -p pm-workload --test speculation_equivalence
 //! ```
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
@@ -160,8 +161,10 @@ fn every_wave_width_reproduces_the_pinned_outcomes() {
 }
 
 /// What the recorder sees must not depend on where the work was done:
-/// f3's 89 attempts are reported at every width, and reversion writes
-/// made on a fork are counted like those made on the live pool.
+/// f3's 89 attempts are reported at every width, reversion writes made
+/// on a fork are counted like those made on the live pool, and the
+/// committed steps' revert work (`reactor.revert_writes`,
+/// `reactor.heal_checks`) is the same at widths 1, 2 and 4.
 #[test]
 fn a_wider_wave_reports_the_same_attempts_and_counts_its_forks_writes() {
     let scn = scenarios::by_id("f3").unwrap();
@@ -201,13 +204,22 @@ fn a_wider_wave_reports_the_same_attempts_and_counts_its_forks_writes() {
     };
     let (one, one_counters) = observe(1);
     assert_eq!(one.len(), 89);
-    // The sequential loop's figures before it became a wave of one.
-    assert_eq!(one_counters["pool.persists"], 4568);
-    assert_eq!(one_counters["pool.bytes_persisted"], 67848);
+    // Production's 325 persists, then the revert loop's: each rollback
+    // step rewrites only what changed since its predecessor's cut (4 243
+    // reversion writes when every step rewrote all it touched).
+    assert_eq!(one_counters["pool.persists"], 938);
+    assert_eq!(one_counters["pool.bytes_persisted"], 37208);
     assert_eq!(one_counters["pool.pages_copied"], 4);
+    let revert_work =
+        |c: &BTreeMap<&str, u64>| (c["reactor.revert_writes"], c["reactor.heal_checks"]);
+    assert_eq!(revert_work(&one_counters), (613, 780));
 
+    let (two, two_counters) = observe(2);
+    assert_eq!(two, one, "reactor.attempt sequence at k=2");
+    assert_eq!(revert_work(&two_counters), (613, 780), "k=2");
     let (wide, wide_counters) = observe(4);
     assert_eq!(wide, one, "reactor.attempt sequence at k=4");
+    assert_eq!(revert_work(&wide_counters), (613, 780), "k=4");
     assert!(wide_counters["pool.persists"] >= one_counters["pool.persists"]);
     assert!(wide_counters["pool.bytes_persisted"] >= one_counters["pool.bytes_persisted"]);
 }

@@ -438,8 +438,7 @@ impl Engine {
     fn raw_call(&mut self, func: &str, args: &[u64]) -> Result<Option<u64>, VmError> {
         let vm = self.vm.as_mut().expect("vm present");
         let r = vm.call(func, args);
-        let records = vm.take_trace();
-        self.trace.absorb(records);
+        self.trace.absorb(vm.drain_trace());
         self.ops_since_trim += 1;
         if self.ops_since_trim >= 1024 {
             self.ops_since_trim = 0;
@@ -608,8 +607,7 @@ impl Engine {
         vm.pool_mut().set_sink(self.log.as_sink());
         let recover = recover_call(self.kind);
         let recover_result = vm.call(recover, &[]);
-        let records = vm.take_trace();
-        self.trace.absorb(records);
+        self.trace.absorb(vm.drain_trace());
         self.vm = Some(vm);
         self.recorder.event(
             "serve.restart",
