@@ -280,8 +280,8 @@ pub(crate) struct Span {
 /// Cloning is shallow: clones (and every [`SharedLog::as_sink`] handle)
 /// share the one log.
 ///
-/// Poisoning: a panic on another thread while the lock is held — e.g. a
-/// speculative re-execution fork dying mid-attempt — poisons it.
+/// Poisoning: a panic while the lock is held — e.g. a re-execution's
+/// probe dying mid-attempt with a view open — poisons it.
 /// Mitigation is precisely the code that must keep running after such a
 /// panic, and every mutation completes before its guard drops, so the data
 /// behind a poisoned lock is still coherent. The one place the mutex is

@@ -109,7 +109,6 @@ impl Ladder<'_> {
                     let mut out = reactor.failover(pool, log, restart, group);
                     if let Some(before) = &last {
                         out.attempts += before.attempts;
-                        out.reexec_rounds += before.reexec_rounds;
                         out.skipped += before.skipped;
                         out.plan_len = before.plan_len;
                         out.wall += before.wall;

@@ -91,13 +91,6 @@ pub struct ReactorConfig {
     /// report's reduction of the reverted sequence-number set). Lowers
     /// discarded data at the cost of more attempts.
     minimize_loss: bool,
-    /// Wave width: `Some(k)` re-executes the next `k` candidate
-    /// reversions concurrently on pool forks and commits the first
-    /// success in candidate order — the outcome is identical at every
-    /// width, only the restart delays overlap. `Some(0)` sizes the wave
-    /// from [`std::thread::available_parallelism`]; `None` is a width of
-    /// one.
-    speculation: Option<usize>,
     /// Online mitigation, for a live server with post-fault traffic above
     /// the fault in the candidate list. Two policies change together:
     ///
@@ -152,15 +145,6 @@ impl ReactorConfigBuilder {
         self
     }
 
-    /// Wave width: `Some(k)` re-executes the next `k` candidate
-    /// reversions concurrently on pool forks, `Some(0)` sizes the wave
-    /// from [`std::thread::available_parallelism`], `None` (the default)
-    /// is a width of one.
-    pub fn speculation(mut self, speculation: Option<usize>) -> Self {
-        self.cfg.speculation = speculation;
-        self
-    }
-
     /// Online mitigation (default off — the cumulative, minimal-discard
     /// offline semantics): isolated attempts and a geometric rollback
     /// stride. See [`ReactorConfig`]'s field docs for the trade-off.
@@ -192,7 +176,6 @@ impl Default for ReactorConfig {
             batch: BatchStrategy::OneByOne,
             purge_fallback_after: 60,
             minimize_loss: false,
-            speculation: None,
             online: false,
         }
     }
@@ -224,24 +207,6 @@ impl ReactorConfig {
             purge_fallback_after: 8,
             ..ReactorConfig::default()
         }
-    }
-
-    /// Widest wave of concurrent re-executions this configuration asks
-    /// for.
-    pub fn speculation_workers(&self) -> usize {
-        match self.speculation {
-            None => 1,
-            Some(0) => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            Some(k) => k.max(1),
-        }
-    }
-
-    /// The wave width as configured (`None` when none was set) — what
-    /// names the `arthas-spec:k` solution.
-    pub fn speculation(&self) -> Option<usize> {
-        self.speculation
     }
 
     /// The batching strategy — what names the `arthas-batch:n` solution.
@@ -283,12 +248,12 @@ pub fn reopen(
 ///
 /// The restart contract (DESIGN §4.5) holds by construction for its
 /// first half: every run is on a copy of the pool, so the image passed
-/// in is never modified; and the reactor gives each concurrent fork a
-/// fresh, disabled log, so a losing attempt records nothing anyone reads.
-/// The probe owes the second half: its verdict must depend only on the
-/// bytes it reads from the reopened image, on the calling thread. The
-/// reactor captures those reads ([`pmemsim::capture_reads`]) and gives a
-/// later step whose image holds the same bytes at every one of them the
+/// in is never modified; and the reactor's log stays paused through its
+/// revert loop, so a failed attempt records nothing anyone reads. The
+/// probe owes the second half: its verdict must depend only on the bytes
+/// it reads from the reopened image, on the calling thread. The reactor
+/// captures those reads ([`pmemsim::capture_reads`]) and gives a later
+/// step whose image holds the same bytes at every one of them the
 /// earlier verdict without restarting again.
 #[derive(Clone, Copy)]
 pub struct Restart<'a> {
@@ -298,7 +263,7 @@ pub struct Restart<'a> {
     /// under them would.
     pub vm: VmOpts,
     /// Recovery plus verification over the reopened VM.
-    pub probe: &'a (dyn Fn(&mut Vm) -> Result<(), FailureRecord> + Sync),
+    pub probe: &'a dyn Fn(&mut Vm) -> Result<(), FailureRecord>,
 }
 
 impl Restart<'_> {
@@ -340,8 +305,7 @@ pub struct PhaseTimes {
     pub plan: Duration,
     /// Applying reversion batches to the pool.
     pub revert: Duration,
-    /// Re-executing the target (wall time; a wave's concurrent
-    /// re-executions count once, not per fork).
+    /// Re-executing the target (wall time).
     pub reexec: Duration,
 }
 
@@ -355,11 +319,6 @@ pub struct MitigationOutcome {
     pub recovered: bool,
     /// Number of re-executions performed.
     pub attempts: u32,
-    /// Number of re-execution *rounds*: waves of re-executions whose
-    /// restart delays overlap. A wave of one is one round per attempt it
-    /// did not skip (`reexec_rounds + skipped == attempts`); a width of
-    /// `k` packs up to `k` attempts into one round.
-    pub reexec_rounds: u32,
     /// Attempts that took the verdict of an earlier failed re-execution
     /// instead of restarting: the earlier run read no byte their image
     /// changes.
@@ -390,7 +349,6 @@ impl MitigationOutcome {
             rung,
             recovered: false,
             attempts: 0,
-            reexec_rounds: 0,
             skipped: 0,
             plan_len: 0,
             reverted_seqs: BTreeSet::new(),
@@ -401,6 +359,12 @@ impl MitigationOutcome {
             leaks_freed: 0,
             phases: PhaseTimes::default(),
         }
+    }
+
+    /// Restarts actually paid: one per attempt that did not take an
+    /// earlier verdict. Each costs one restart delay (the paper's 3–5 s).
+    pub fn reexec_rounds(&self) -> u32 {
+        self.attempts - self.skipped
     }
 }
 
@@ -1068,8 +1032,8 @@ impl<'a> Reactor<'a> {
     /// slice from or nothing to revert (§4.5: likely a false alarm), else
     /// by the revert loop over the plan.
     ///
-    /// Every re-execution is `restart` with `log` attached, except a wide
-    /// wave's forks (see [`Restart`]).
+    /// Every re-execution the outcome counts is `restart` with `log`
+    /// attached.
     pub fn mitigate(
         &mut self,
         pool: &mut PmPool,
@@ -1163,7 +1127,7 @@ impl<'a> Reactor<'a> {
                 ("recovered", Value::from(out.recovered)),
                 ("restart_only", Value::from(out.rung == Rung::RestartOnly)),
                 ("attempts", Value::from(out.attempts)),
-                ("rounds", Value::from(out.reexec_rounds)),
+                ("rounds", Value::from(out.reexec_rounds())),
                 ("skipped", Value::from(out.skipped)),
                 ("discarded_updates", Value::from(out.discarded_updates)),
                 ("mode_fellback", Value::from(out.mode_fellback)),
@@ -1178,7 +1142,7 @@ impl<'a> Reactor<'a> {
     }
 
     /// Cross-checks the crashed image against quorum replica bytes to
-    /// *localize* corruption before the speculation engine judges
+    /// *localize* corruption before the revert loop judges
     /// candidates. For each candidate address, replicas that have
     /// applied the address's newest logged write vote with their image
     /// bytes; when a strict majority of eligible voters agree and the
@@ -1305,7 +1269,6 @@ impl<'a> Reactor<'a> {
                 }
             };
             out.attempts += 1;
-            out.reexec_rounds += 1;
             let t_re = Instant::now();
             let ok = restart.run(pool, log).is_ok();
             out.phases.reexec += t_re.elapsed();
@@ -1367,7 +1330,6 @@ impl<'a> Reactor<'a> {
         let out = MitigationOutcome {
             recovered: ok,
             attempts: 1,
-            reexec_rounds: 1,
             wall: t0.elapsed(),
             phases,
             ..MitigationOutcome::new(Rung::RestartOnly)
@@ -1377,43 +1339,27 @@ impl<'a> Reactor<'a> {
     }
 
     /// The revert loop (§4.4–4.5): revert a batch of candidates,
-    /// re-execute, repeat — in *waves* of up to `k` steps whose
-    /// re-executions overlap, `k = min(workers, attempts left, candidates
-    /// left)`.
+    /// re-execute, repeat, one step at a time.
     ///
-    /// A wave simulates the next `k` steps of the loop's control state
-    /// (candidate cursor, batch sizing, the attempt-count-triggered
-    /// purge→rollback fallback) assuming each step fails. Cumulative
-    /// attempts apply the first step to the live pool in place — it is
-    /// committed whatever its verdict — and each later step to a fork of
-    /// its predecessor; online attempts apply every step to its own fork
-    /// of the crashed image, and `pool` is not written until a step wins.
-    /// A wave of one re-executes on the caller's thread with the caller's
-    /// log; a wider one runs each step on its own thread under
-    /// [`std::thread::scope`], with a fresh disabled log. Commit then walks the results in candidate
-    /// order:
-    ///
-    /// * first success → that step's pool, ledger and attempt count are
-    ///   the outcome;
-    /// * a panic under purge mode → the loop flips to rollback *here*, so
-    ///   later steps (simulated assuming purge) are discarded: commit up
-    ///   to the flipping step, flip, and continue with the next wave;
-    /// * all failed → commit the last step's state and continue.
-    ///
-    /// Every committed step emits `reactor.attempt`, then a
-    /// `reactor.heal` per candidate it healed; the outcome is the same at
-    /// every width, only `reexec_rounds` (waves) shrinks. Waves never
-    /// cross a version-depth boundary: the candidate cursor resets per
-    /// depth.
+    /// Each step takes its batch from the loop's control state (candidate
+    /// cursor, batch size, the attempt-count-triggered purge→rollback
+    /// fallback, the online stride). Cumulative attempts apply it to the
+    /// live pool in place and keep it whatever its verdict; online
+    /// attempts apply it to a fork of the crashed image, and `pool` is
+    /// not written until a step wins. The step emits `reactor.attempt`,
+    /// then a `reactor.heal` per candidate it healed, and re-executes on
+    /// the caller's thread with the caller's log. A panic under purge
+    /// mode flips the loop to rollback. The candidate cursor resets per
+    /// version depth.
     ///
     /// A step is re-executed only when it can differ (DESIGN §4.5). The
-    /// loop keeps the newest committed failure it paid a restart for as
-    /// its [`Basis`]: the bytes that restart read and its verdict. A step
-    /// built while its image holds those bytes takes that verdict without
-    /// restarting (`skipped`); a wave whose steps are all decided so pays
-    /// no round. Only `reexec_rounds` moves: attempts, the fallback order,
-    /// what is reverted and the final image are those of re-executing
-    /// every step.
+    /// loop keeps the newest failure it paid a restart for as its
+    /// [`Basis`]: the bytes that restart read and its verdict. A step
+    /// whose image holds those bytes takes that verdict without
+    /// restarting (`skipped`). Only the restarts paid move: attempts, the
+    /// fallback order, what is reverted and the final image are those of
+    /// re-executing every step. Debug builds restart a skipped step
+    /// anyway, outside every count, and require the basis verdict.
     ///
     /// What a step costs besides its re-execution is bounded by what it
     /// changes: its batch, the addresses touched since its cut, and the
@@ -1431,8 +1377,7 @@ impl<'a> Reactor<'a> {
         t0: Instant,
         mut phases: PhaseTimes,
     ) -> MitigationOutcome {
-        /// What the loop decides with; every step snapshots it.
-        #[derive(Clone, Copy)]
+        /// What the loop decides each step with.
         struct Control {
             /// Candidates `plan.seqs[..next]` are consumed at this depth.
             next: usize,
@@ -1443,24 +1388,8 @@ impl<'a> Reactor<'a> {
             /// failed rollback attempt, resets per depth.
             stride: usize,
         }
-        struct Step {
-            /// Pool and ledger after this step's batch; `None` when the
-            /// batch went to the live pool and ledger in place.
-            scratch: Option<(PmPool, RevertLedger)>,
-            batch: std::ops::Range<usize>,
-            /// The attempt budget flipped purge to rollback at this step.
-            budget_flip: bool,
-            /// What the batch healed and wrote.
-            work: StepWork,
-            /// The basis verdict, when the step's image holds every byte
-            /// the basis restart read: the step is not re-executed.
-            known: Option<FailureRecord>,
-            /// Control state after this step, assuming it fails.
-            after: Control,
-        }
 
         let online = self.cfg.online;
-        let workers = self.cfg.speculation_workers();
         let fwd = match self.cfg.mode {
             Mode::Purge => Some(self.analysis.pdg.forward_index()),
             Mode::Rollback => None,
@@ -1469,42 +1398,6 @@ impl<'a> Reactor<'a> {
             BatchStrategy::OneByOne => 1,
             BatchStrategy::Batch(n) => n.max(1),
         };
-        let announce = |step: &Step, depth: usize| {
-            self.recorder.add("reactor.revert_writes", step.work.writes);
-            self.recorder
-                .add("reactor.heal_checks", step.work.heal_checks);
-            if !self.recorder.is_enabled() {
-                return;
-            }
-            if step.budget_flip {
-                self.recorder.event(
-                    "reactor.fallback",
-                    vec![
-                        ("attempt", Value::from(step.after.attempts - 1)),
-                        ("reason", Value::from("attempt_budget")),
-                    ],
-                );
-            }
-            self.recorder.event(
-                "reactor.attempt",
-                vec![
-                    ("attempt", Value::from(step.after.attempts)),
-                    ("depth", Value::from(depth)),
-                    ("mode", Value::from(mode_name(step.after.mode))),
-                    (
-                        "batch_seqs",
-                        Value::from(seq_list(&plan.seqs[step.batch.clone()])),
-                    ),
-                    ("skipped", Value::from(step.known.is_some())),
-                ],
-            );
-            for &(seq, addr) in &step.work.heals {
-                self.recorder.event(
-                    "reactor.heal",
-                    vec![("seq", Value::from(seq)), ("addr", Value::from(addr))],
-                );
-            }
-        };
         let mut ctl = Control {
             next: 0,
             attempts: 0,
@@ -1512,216 +1405,112 @@ impl<'a> Reactor<'a> {
             mode_fellback: false,
             stride: batch_size,
         };
-        let (mut rounds, mut skipped) = (0u32, 0u32);
+        let mut skipped = 0u32;
         let mut ledger = RevertLedger::default();
         let mut basis: Option<Basis> = None;
         for depth in 1..=MAX_VERSIONS {
             ctl.next = 0;
             ctl.stride = batch_size;
             while ctl.next < plan.seqs.len() && ctl.attempts < MAX_ATTEMPTS {
-                // Build the wave.
                 let t_rv = Instant::now();
-                let mut steps: Vec<Step> = Vec::new();
-                let mut sim = ctl;
-                while steps.len() < workers
-                    && sim.next < plan.seqs.len()
-                    && sim.attempts < MAX_ATTEMPTS
-                {
-                    let budget_flip =
-                        sim.mode == Mode::Purge && sim.attempts >= self.cfg.purge_fallback_after;
+                let budget_flip =
+                    ctl.mode == Mode::Purge && ctl.attempts >= self.cfg.purge_fallback_after;
+                if budget_flip {
+                    ctl.mode = Mode::Rollback;
+                    ctl.mode_fellback = true;
+                }
+                let accelerate = online && ctl.mode == Mode::Rollback;
+                let take = if accelerate { ctl.stride } else { batch_size };
+                let batch = ctl.next..plan.seqs.len().min(ctl.next + take);
+                ctl.next = batch.end;
+                ctl.attempts += 1;
+                if accelerate {
+                    ctl.stride = ctl.stride.saturating_mul(2);
+                }
+                let mut fork = online.then(|| (pool.fork(), RevertLedger::default()));
+                let (p, l) = match &mut fork {
+                    Some((p, l)) => (p, l),
+                    None => (&mut *pool, &mut ledger),
+                };
+                let work = self.apply_batch(
+                    p,
+                    log_rc,
+                    plan,
+                    facts,
+                    trace,
+                    batch.clone(),
+                    depth,
+                    ctl.mode,
+                    fwd,
+                    l,
+                );
+                let known = basis.as_ref().and_then(|b| b.verdict_for(p));
+                self.recorder.add("reactor.revert_writes", work.writes);
+                self.recorder.add("reactor.heal_checks", work.heal_checks);
+                if self.recorder.is_enabled() {
                     if budget_flip {
-                        sim.mode = Mode::Rollback;
-                        sim.mode_fellback = true;
+                        self.recorder.event(
+                            "reactor.fallback",
+                            vec![
+                                ("attempt", Value::from(ctl.attempts - 1)),
+                                ("reason", Value::from("attempt_budget")),
+                            ],
+                        );
                     }
-                    let accelerate = online && sim.mode == Mode::Rollback;
-                    let take = if accelerate { sim.stride } else { batch_size };
-                    let batch = sim.next..plan.seqs.len().min(sim.next + take);
-                    sim.next = batch.end;
-                    sim.attempts += 1;
-                    if accelerate {
-                        sim.stride = sim.stride.saturating_mul(2);
-                    }
-                    let mut scratch = if online {
-                        Some((pool.fork(), RevertLedger::default()))
-                    } else {
-                        steps.last().map(|prev| match &prev.scratch {
-                            Some((p, l)) => (p.fork(), l.clone()),
-                            None => (pool.fork(), ledger.clone()),
-                        })
-                    };
-                    let (p, l) = match &mut scratch {
-                        Some((p, l)) => (p, l),
-                        None => (&mut *pool, &mut ledger),
-                    };
-                    let work = self.apply_batch(
-                        p,
-                        log_rc,
-                        plan,
-                        facts,
-                        trace,
-                        batch.clone(),
-                        depth,
-                        sim.mode,
-                        fwd,
-                        l,
+                    self.recorder.event(
+                        "reactor.attempt",
+                        vec![
+                            ("attempt", Value::from(ctl.attempts)),
+                            ("depth", Value::from(depth)),
+                            ("mode", Value::from(mode_name(ctl.mode))),
+                            ("batch_seqs", Value::from(seq_list(&plan.seqs[batch]))),
+                            ("skipped", Value::from(known.is_some())),
+                        ],
                     );
-                    let known = basis.as_ref().and_then(|b| b.verdict_for(p));
-                    // A known purge panic flips the mode here: steps built
-                    // past it would be discarded, so none is.
-                    let flips = known
-                        .as_ref()
-                        .is_some_and(|f| sim.mode == Mode::Purge && f.kind == FailureKind::Panic);
-                    let step = Step {
-                        scratch,
-                        batch,
-                        budget_flip,
-                        work,
-                        known,
-                        after: sim,
-                    };
-                    if steps.is_empty() {
-                        // The first step is committed whatever its
-                        // verdict, so its events go out now.
-                        announce(&step, depth);
-                    }
-                    steps.push(step);
-                    if flips {
-                        break;
+                    for &(seq, addr) in &work.heals {
+                        self.recorder.event(
+                            "reactor.heal",
+                            vec![("seq", Value::from(seq)), ("addr", Value::from(addr))],
+                        );
                     }
                 }
                 phases.revert += t_rv.elapsed();
                 self.recorder
                     .observe_duration("reactor.revert_us", t_rv.elapsed());
-                // Re-execute the steps the basis does not decide: a wave
-                // of one here, a wider one on threads of its own. Each
-                // restart's reads are captured on the thread it runs on.
-                let t_re = Instant::now();
-                let wide = steps.len() > 1;
-                let mut live = Some(&mut *pool);
-                let runs: Vec<(usize, &mut PmPool)> = steps
-                    .iter_mut()
-                    .enumerate()
-                    .filter_map(|(i, step)| {
-                        let p = match &mut step.scratch {
-                            Some((p, _)) => p,
-                            None => live.take().expect("only a wave's first step is in place"),
-                        };
-                        step.known.is_none().then_some((i, p))
-                    })
-                    .collect();
-                let ran: Vec<(usize, Option<FailureRecord>, ReadSet)> = if !wide {
-                    runs.into_iter()
-                        .map(|(i, p)| {
-                            let (r, reads) = capture_reads(|| restart.run(p, log_rc));
-                            (i, r.err(), reads)
-                        })
-                        .collect()
-                } else {
-                    std::thread::scope(|s| {
-                        let handles: Vec<_> = runs
-                            .into_iter()
-                            .map(|(i, p)| {
-                                s.spawn(move || {
-                                    // A fork records into a throwaway log:
-                                    // the shared one is paused, and a
-                                    // losing attempt leaves no trace.
-                                    let log = SharedLog::new();
-                                    log.set_enabled(false);
-                                    let (r, reads) = capture_reads(|| restart.run(p, &log));
-                                    (i, r.err(), reads)
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                            .collect()
-                    })
+                let failure = match known {
+                    Some(failure) => {
+                        skipped += 1;
+                        #[cfg(debug_assertions)]
+                        assert_repeats(restart, p, &failure);
+                        Some(failure)
+                    }
+                    None => {
+                        let t_re = Instant::now();
+                        let (verdict, reads) = capture_reads(|| restart.run(p, log_rc));
+                        phases.reexec += t_re.elapsed();
+                        self.recorder
+                            .observe_duration("reactor.reexec_us", t_re.elapsed());
+                        let failure = verdict.err();
+                        if let Some(f) = &failure {
+                            // The newest failure paid for becomes the basis.
+                            basis = Basis::new(p, reads, f.clone()).or(basis.take());
+                        }
+                        failure
+                    }
                 };
-                if !ran.is_empty() {
-                    rounds += 1;
-                    phases.reexec += t_re.elapsed();
-                    self.recorder
-                        .observe_duration("reactor.reexec_us", t_re.elapsed());
-                }
-                let mut results: Vec<Option<FailureRecord>> =
-                    steps.iter().map(|step| step.known.clone()).collect();
-                let mut reads: Vec<Option<ReadSet>> = vec![None; steps.len()];
-                for (i, r, rs) in ran {
-                    results[i] = r;
-                    reads[i] = Some(rs);
-                }
-                // Commit in candidate order.
-                let mut last = 0usize;
-                let mut won = false;
-                let mut flipped = false;
-                for (i, r) in results.iter().enumerate() {
-                    last = i;
-                    match r {
-                        None => won = true,
-                        Some(f) => {
-                            flipped =
-                                steps[i].after.mode == Mode::Purge && f.kind == FailureKind::Panic;
-                        }
+                let Some(failure) = failure else {
+                    if let Some((p, l)) = fork {
+                        pool.reabsorb(p);
+                        ledger = l;
                     }
-                    if won || flipped {
-                        break;
-                    }
-                }
-                if wide {
-                    self.recorder.event(
-                        "reactor.wave",
-                        vec![
-                            ("round", Value::from(rounds)),
-                            ("steps", Value::from(steps.len())),
-                            (
-                                "outcome",
-                                Value::from(match (won, flipped) {
-                                    (true, _) => "success",
-                                    (false, true) => "purge_flip",
-                                    (false, false) => "all_failed",
-                                }),
-                            ),
-                        ],
-                    );
-                }
-                if !won {
-                    // The newest failure a committed step paid a restart
-                    // for becomes the basis.
-                    if let Some(j) = (0..=last).rev().find(|&j| reads[j].is_some()) {
-                        let p = match &steps[j].scratch {
-                            Some((p, _)) => p,
-                            None => &*pool,
-                        };
-                        if let (Some(rs), Some(failure)) = (reads[j].take(), results[j].take()) {
-                            basis = Basis::new(p, rs, failure).or(basis.take());
-                        }
-                    }
-                }
-                skipped += steps[..=last].iter().filter(|s| s.known.is_some()).count() as u32;
-                for step in &steps[1..=last] {
-                    announce(step, depth);
-                }
-                let step = steps.swap_remove(last);
-                ctl = step.after;
-                if let Some((p, l)) = step.scratch.filter(|_| won || !online) {
-                    pool.reabsorb(p);
-                    ledger = l;
-                }
-                if won {
                     if self.cfg.minimize_loss {
-                        // Minimization is result-dependent at every step;
-                        // it stays a wave of one.
                         let t_min = Instant::now();
-                        let used = self.minimize(pool, log_rc, &mut ledger, restart);
+                        ctl.attempts += self.minimize(pool, log_rc, &mut ledger, restart);
                         phases.reexec += t_min.elapsed();
-                        ctl.attempts += used;
-                        rounds += used;
                     }
                     return MitigationOutcome {
                         recovered: true,
                         attempts: ctl.attempts,
-                        reexec_rounds: rounds,
                         skipped,
                         plan_len: plan.seqs.len(),
                         reverted_seqs: ledger.reverted_seqs(),
@@ -1732,8 +1521,8 @@ impl<'a> Reactor<'a> {
                         phases,
                         ..MitigationOutcome::new(Rung::Reversion)
                     };
-                }
-                if flipped {
+                };
+                if ctl.mode == Mode::Purge && failure.kind == FailureKind::Panic {
                     // An assertion in recovery under purge mode means the
                     // purge introduced an inconsistency: fall back.
                     ctl.mode = Mode::Rollback;
@@ -1750,7 +1539,6 @@ impl<'a> Reactor<'a> {
         }
         MitigationOutcome {
             attempts: ctl.attempts,
-            reexec_rounds: rounds,
             skipped,
             plan_len: plan.seqs.len(),
             wall: t0.elapsed(),
@@ -2208,7 +1996,6 @@ impl<'a> Reactor<'a> {
         let out = MitigationOutcome {
             recovered: ok && freed > 0,
             attempts: 2,
-            reexec_rounds: 2,
             plan_len: suspects.len(),
             wall: t0.elapsed(),
             leaks_freed: freed,
@@ -2222,7 +2009,7 @@ impl<'a> Reactor<'a> {
 
 impl obs::Instrument for Reactor<'_> {
     /// Attaches a recorder; the reactor emits a `reactor.*` event timeline
-    /// (plan, per-attempt, fallbacks, waves, outcome) and phase-duration
+    /// (plan, per-attempt, fallbacks, outcome) and phase-duration
     /// histograms while mitigating.
     fn instrument(&mut self, recorder: Arc<dyn obs::Recorder>) {
         self.recorder = recorder;
@@ -2231,6 +2018,22 @@ impl obs::Instrument for Reactor<'_> {
     fn uninstrument(&mut self) {
         self.recorder = Arc::new(obs::NullRecorder);
     }
+}
+
+/// Requires a real restart of `pool`'s image to fail as `known`, the
+/// basis verdict a step took without restarting: the same kind, fault,
+/// detail and exit code. The restart records into a throwaway log and
+/// counts nowhere.
+#[cfg(debug_assertions)]
+fn assert_repeats(restart: &Restart<'_>, pool: &PmPool, known: &FailureRecord) {
+    let log = SharedLog::new();
+    log.set_enabled(false);
+    let again = restart.run(pool, &log);
+    let key = |f: &FailureRecord| (f.kind, f.fault, f.detail.clone(), f.exit_code);
+    assert!(
+        again.as_ref().err().map(key) == Some(key(known)),
+        "a step took the verdict {known:?} without restarting; a restart says {again:?}"
+    );
 }
 
 fn mode_name(mode: Mode) -> &'static str {

@@ -1,7 +1,8 @@
-//! Regression test: a speculative re-execution fork that panics while
-//! holding the checkpoint log's mutex poisons it. Mitigation is exactly
-//! the code that must keep running after such a panic, so the store
-//! recovers the poisoned mutex where it locks it instead of unwrapping — a later mitigation over the same log must still succeed.
+//! Regression test: a re-execution that panics while holding the
+//! checkpoint log's mutex poisons it. Mitigation is exactly the code that
+//! must keep running after such a panic, so the store recovers the
+//! poisoned mutex where it locks it instead of unwrapping — a later
+//! mitigation over the same log must still succeed.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -128,27 +129,23 @@ fn setup() -> (
     (out, instrumented, log, trace, rec2, pool)
 }
 
-/// A mitigation whose every speculative fork grabs the log lock and
-/// panics. The panic propagates out of the reactor (re-execution died;
-/// there is no outcome to report) and leaves the mutex poisoned.
-fn mitigate_with_panicking_forks(
+/// A mitigation whose every re-execution grabs the log lock and panics.
+/// The panic propagates out of the reactor (re-execution died; there is
+/// no outcome to report) and leaves the mutex poisoned.
+fn mitigate_with_panicking_restarts(
     out: &AnalyzerOutput,
     log: &SharedLog,
     trace: &PmTrace,
     failure: &FailureRecord,
     pool: &mut PmPool,
 ) {
-    let cfg = ReactorConfig::builder()
-        .speculation(Some(2))
-        .build()
-        .unwrap();
-    let mut reactor = Reactor::new(&out.analysis, &out.guid_map, cfg);
+    let mut reactor = Reactor::new(&out.analysis, &out.guid_map, ReactorConfig::default());
     // Every restart takes a view of the log (its lock) and dies — the
     // worst-case re-execution crash, leaving the log mutex poisoned.
     let module = Arc::new(out.instrumented.clone());
     let probe = |_: &mut Vm| -> Result<(), FailureRecord> {
         let _view = log.view();
-        panic!("simulated crash during speculative re-execution");
+        panic!("simulated crash during re-execution");
     };
     let restart = Restart {
         module: &module,
@@ -160,19 +157,19 @@ fn mitigate_with_panicking_forks(
     }));
     assert!(
         crashed.is_err(),
-        "the panicking fork brings mitigation down"
+        "the panicking re-execution brings mitigation down"
     );
 }
 
 #[test]
 fn mitigation_survives_a_log_mutex_poisoned_by_a_panicking_fork() {
     let (out, instrumented, log, trace, failure, mut pool) = setup();
-    mitigate_with_panicking_forks(&out, &log, &trace, &failure, &mut pool);
+    mitigate_with_panicking_restarts(&out, &log, &trace, &failure, &mut pool);
     // Every store operation recovers the poisoned mutex, so `is_poisoned`
     // is the only place the poisoning is visible.
     assert!(
         log.is_poisoned(),
-        "the shared log mutex is poisoned by the fork's panic"
+        "the shared log mutex is poisoned by the re-execution's panic"
     );
 
     // Second mitigation over the same (poisoned) log must still work:
@@ -202,7 +199,7 @@ fn mitigation_survives_a_log_mutex_poisoned_by_a_panicking_fork() {
 #[test]
 fn checkpointing_resumes_after_a_caught_reexecution_panic() {
     let (out, instrumented, log, trace, failure, mut pool) = setup();
-    mitigate_with_panicking_forks(&out, &log, &trace, &failure, &mut pool);
+    mitigate_with_panicking_restarts(&out, &log, &trace, &failure, &mut pool);
 
     let before = log.stats().updates;
     pool.set_sink(log.as_sink());

@@ -88,7 +88,7 @@ fn new_pool() -> PmPool {
 /// flag is set. When `reads_everything`, it also reads every byte of the
 /// reopened image, so the reactor can take an earlier verdict only for
 /// an identical image.
-fn recover_and_get(reads_everything: bool) -> impl Fn(&mut Vm) -> Result<(), FailureRecord> + Sync {
+fn recover_and_get(reads_everything: bool) -> impl Fn(&mut Vm) -> Result<(), FailureRecord> {
     move |vm: &mut Vm| {
         let mut call = |f: &str| vm.call(f, &[]).map_err(|e| FailureRecord::from_vm(&e));
         let verdict = call("recover").and_then(|_| call("get")).map(|_| ());
@@ -580,8 +580,7 @@ fn plan_time_divergence_heals_on_the_third_rollback_attempt() {
 /// cut, so it rewrites only what moved between the two cuts and what
 /// overlaps it. Every attempt fails, so the loop walks all candidates at
 /// every depth, and debug builds redo each such step from scratch and
-/// assert the same bytes, ledger and heals. Across widths the outcome,
-/// heals and image agree.
+/// assert the same bytes, ledger and heals.
 ///
 /// The fixed case shrinks an entry under a longer one below it. The
 /// entry at 56 holds 8 bytes, then 16 (carrying 9 over 64), then 8; the
@@ -600,20 +599,11 @@ fn rollbacks_from_the_last_cut_over_overlapping_persists() {
         ("w", &[56, 6]),
         ("wide", &[48, 7, 48, 24]),
     ];
-    let widths = |calls: &[(&str, &[u64])]| {
-        [1, 2].map(|k| {
-            let cfg = cumulative_rollback()
-                .to_builder()
-                .speculation(Some(k))
-                .build()
-                .unwrap();
-            let run = mitigate_heal_app(calls, None, cfg, false);
-            assert!(run.outcome.attempts > 2, "{:?}", run.outcome);
-            (all_but_rounds(&run.outcome, &run.pool), run.heals)
-        })
+    let mitigate = |calls: &[(&str, &[u64])]| {
+        let run = mitigate_heal_app(calls, None, cumulative_rollback(), false);
+        assert!(run.outcome.attempts > 2, "{:?}", run.outcome);
     };
-    let [one, two] = widths(shrink);
-    assert_eq!(one, two, "width 2 differs from width 1");
+    mitigate(shrink);
     for seed in 1..=12u64 {
         let mut x = seed;
         let mut next = |n: u64| {
@@ -636,8 +626,7 @@ fn rollbacks_from_the_last_cut_over_overlapping_persists() {
             .iter()
             .map(|a| (if a.len() == 2 { "w" } else { "wide" }, a.as_slice()))
             .collect();
-        let [one, two] = widths(&calls);
-        assert_eq!(one, two, "seed {seed}: width 2 differs from width 1");
+        mitigate(&calls);
     }
 }
 
@@ -664,8 +653,7 @@ fn all_but_rounds(out: &arthas::MitigationOutcome, pool: &PmPool) -> (String, Pm
 /// A restart the reactor skips because it provably repeats the last
 /// failure moves the round count and nothing else: every configuration
 /// in this file reaches the same outcome, heals and image as against a
-/// target whose restarts read every byte of their pool, and a wave of one
-/// pays one round per attempt it did not skip.
+/// target whose restarts read every byte of their pool.
 #[test]
 fn skipped_restarts_change_nothing_but_rounds() {
     let cfg = |b: arthas::ReactorConfigBuilder| b.build().unwrap();
@@ -703,8 +691,7 @@ fn skipped_restarts_change_nothing_but_rounds() {
             all_but_rounds(&skip, &skip_pool),
             all_but_rounds(&all, &all_pool)
         );
-        assert_eq!(skip.reexec_rounds + skip.skipped, skip.attempts, "{skip:?}");
-        rounds_saved += all.reexec_rounds - skip.reexec_rounds;
+        rounds_saved += all.reexec_rounds() - skip.reexec_rounds();
     }
     let rollback_serving = ReactorConfig::serving()
         .to_builder()
@@ -746,9 +733,7 @@ fn skipped_restarts_change_nothing_but_rounds() {
             all_but_rounds(&all.outcome, &all.pool)
         );
         assert_eq!(skip.heals, all.heals, "{calls:?}");
-        let out = &skip.outcome;
-        assert_eq!(out.reexec_rounds + out.skipped, out.attempts, "{out:?}");
-        rounds_saved += all.outcome.reexec_rounds - out.reexec_rounds;
+        rounds_saved += all.outcome.reexec_rounds() - skip.outcome.reexec_rounds();
     }
     assert!(rounds_saved > 0, "no configuration skipped a restart");
 }

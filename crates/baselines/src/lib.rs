@@ -11,7 +11,8 @@
 //!   alone do not recover systems whose root cause lies far in the past.
 //!
 //! Both answer in Arthas's own [`MitigationOutcome`] as a
-//! [`Rung::Reversion`], one re-execution round per attempt.
+//! [`Rung::Reversion`] that skips no restart: one re-execution round per
+//! attempt.
 
 use std::time::Instant;
 
@@ -25,7 +26,6 @@ fn outcome(recovered: bool, attempts: u32, discarded: u64, t0: Instant) -> Mitig
     MitigationOutcome {
         recovered,
         attempts,
-        reexec_rounds: attempts,
         discarded_updates: discarded,
         wall: t0.elapsed(),
         ..MitigationOutcome::new(Rung::Reversion)

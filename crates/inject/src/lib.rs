@@ -621,7 +621,7 @@ fn classify(
     };
     let (attempts, rounds) = end
         .outcome
-        .map_or((0, 0), |o| (o.attempts, o.reexec_rounds));
+        .map_or((0, 0), |o| (o.attempts, o.reexec_rounds()));
     (
         verdict,
         trial.capture.restarts,

@@ -128,8 +128,8 @@ impl Event {
 
 /// The recording surface held by every instrumented layer.
 ///
-/// All methods take `&self`: recorders are shared across threads (the
-/// speculative reactor re-executes forks concurrently) and use interior
+/// All methods take `&self`: recorders are shared across threads (a
+/// campaign's runner threads record into one) and use interior
 /// mutability.
 pub trait Recorder: Send + Sync {
     /// Records a structured event.

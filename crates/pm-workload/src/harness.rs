@@ -134,9 +134,9 @@ impl RunCtx {
 
 /// A fault scenario: one row of the paper's Table 2.
 ///
-/// `Sync` so that speculative mitigation can re-execute scenario forks on
-/// worker threads (scenarios are stateless descriptions; per-run state
-/// lives in [`RunCtx`]).
+/// `Sync` so that a campaign's runner threads can share the scenario
+/// table (scenarios are stateless descriptions; per-run state lives in
+/// [`RunCtx`]).
 pub trait Scenario: Sync {
     /// Scenario id, e.g. "f1".
     fn id(&self) -> &'static str;
@@ -594,11 +594,8 @@ type Tune = fn(ReactorConfigBuilder, usize) -> ReactorConfigBuilder;
 /// accept exactly these names and the two of [`BASELINES`]): name, the
 /// default of the `:k` suffix for the variants that take one, and what
 /// the variant changes in the default reactor configuration.
-const ARTHAS: [(&str, Option<usize>, Tune); 7] = [
+const ARTHAS: [(&str, Option<usize>, Tune); 6] = [
     ("arthas", None, |b, _| b),
-    // Waves of `k` concurrent re-executions: outcome-identical to
-    // `arthas`, only the restart delays overlap.
-    ("arthas-spec", Some(4), |b, k| b.speculation(Some(k))),
     ("arthas-rollback", None, |b, _| b.mode(Mode::Rollback)),
     // Pure purge: never falls back to rollback.
     ("arthas-purge", None, |b, _| {
@@ -620,7 +617,7 @@ const BASELINES: [(&str, Solution); 2] = [
 
 impl Solution {
     /// Every accepted name, the parametrised ones at their default count
-    /// (`arthas-spec:4`, `arthas-batch:5`; any count may follow the colon).
+    /// (`arthas-batch:5`; any count may follow the colon).
     pub fn variants() -> impl Iterator<Item = String> {
         let arthas = ARTHAS.iter().map(|&(name, k, _)| match k {
             Some(k) => format!("{name}:{k}"),
@@ -662,9 +659,9 @@ impl Solution {
     /// (`arthas-custom` for a reactor configuration outside the table).
     pub fn name(&self) -> String {
         let k = match self {
-            Solution::Arthas(cfg) => match (cfg.speculation(), cfg.batch()) {
-                (Some(k), _) | (None, BatchStrategy::Batch(k)) => k,
-                (None, BatchStrategy::OneByOne) => 0,
+            Solution::Arthas(cfg) => match cfg.batch() {
+                BatchStrategy::Batch(k) => k,
+                BatchStrategy::OneByOne => 0,
             },
             _ => 0,
         };
@@ -686,11 +683,8 @@ pub struct MitigationResult {
     pub recovered: bool,
     /// Re-executions performed.
     pub attempts: u32,
-    /// Re-execution rounds: waves of re-executions whose restart delays
-    /// overlap. A wave of one is one round per attempt the reactor did
-    /// not skip (f1 by default: 6 attempts, 3 rounds); a width of `k`
-    /// packs up to `k` attempts into one round. The baselines pay one
-    /// round per attempt.
+    /// Restarts paid: one per attempt the reactor did not skip (f1 by
+    /// default: 6 attempts, 3 rounds). The baselines pay one per attempt.
     pub reexec_rounds: u32,
     /// Host wall time of the mitigation.
     pub wall: Duration,
@@ -809,11 +803,11 @@ pub fn mitigate(
         id: scn.id(),
         recovered,
         attempts: out.attempts,
-        reexec_rounds: out.reexec_rounds,
+        reexec_rounds: out.reexec_rounds(),
         wall: out.wall,
-        // One restart delay per *round*: concurrent speculative restarts
-        // wait out their 3–5 s delay together.
-        modeled_secs: out.wall.as_secs_f64() + out.reexec_rounds as f64 * REEXEC_DELAY_SECS,
+        // One restart delay per restart paid: a skipped attempt waits for
+        // none.
+        modeled_secs: out.wall.as_secs_f64() + out.reexec_rounds() as f64 * REEXEC_DELAY_SECS,
         discarded_updates: out.discarded_updates,
         total_updates,
         item_loss_frac,

@@ -124,15 +124,15 @@ fn solution_names_round_trip_through_the_one_table() {
     use arthas::ReactorConfig;
     use pm_workload::Solution;
     let names: Vec<String> = Solution::variants().collect();
-    assert_eq!(names.len(), 9);
+    assert_eq!(names.len(), 8);
     for name in &names {
         let solution = Solution::parse(name).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(&solution.name(), name);
     }
     // A bare parametrised name takes its default count; any count parses.
     assert_eq!(
-        Solution::parse("arthas-spec").unwrap().name(),
-        "arthas-spec:4"
+        Solution::parse("arthas-batch").unwrap().name(),
+        "arthas-batch:5"
     );
     assert_eq!(
         Solution::parse("arthas-batch:8").unwrap().name(),
@@ -150,7 +150,7 @@ fn solution_names_round_trip_through_the_one_table() {
         "",
         "arthas:2",
         "arckpt:200",
-        "arthas-spec:",
+        "arthas-batch:",
         "arthas-batch:0",
         "Arthas",
     ] {

@@ -237,8 +237,8 @@ impl PmPool {
     /// Attaches a durability-event sink (checkpointing library).
     ///
     /// The handle is shared with every other pool feeding the same sink
-    /// (writer forks, speculative re-execution forks); the pool takes no
-    /// lock of its own to deliver an event.
+    /// (writer forks, restarted images); the pool takes no lock of its own
+    /// to deliver an event.
     pub fn set_sink(&mut self, sink: Arc<dyn PmSink + Send + Sync>) {
         self.sink = Some(sink);
     }
@@ -307,8 +307,8 @@ impl PmPool {
     /// [`PmError::InjectedCrash`]. The armed state survives
     /// [`PmPool::crash_and_reopen`] (a scenario's own scripted crashes must
     /// not disarm a campaign injection at a later site) but is dropped by
-    /// [`PmPool::fork`], since speculative forks re-execute history that
-    /// already happened.
+    /// [`PmPool::fork`], since a fork replays history that already
+    /// happened.
     pub fn arm_crash_at_site(&mut self, site: u64, policy: CrashPolicy) {
         self.armed = Some((site, policy));
     }
@@ -920,10 +920,9 @@ impl PmPool {
     /// `pool.*` counters cover reversion work wherever it is done. The
     /// copy shares every media page with this
     /// pool until one of them writes it, so a fork costs page pointers, not
-    /// bytes. Forks are the substrate for speculative
-    /// mitigation: each candidate reversion is applied to its own fork and
-    /// re-executed there, leaving this pool untouched until a winner is
-    /// chosen and [`PmPool::reabsorb`]ed.
+    /// bytes. Online mitigation applies each candidate reversion to its
+    /// own fork and re-executes there, leaving this pool untouched until a
+    /// step wins and is [`PmPool::reabsorb`]ed.
     pub fn fork(&self) -> PmPool {
         PmPool {
             dev: self.dev.clone(),
@@ -938,7 +937,7 @@ impl PmPool {
             recorder: self.recorder.clone(),
             pending_flush: self.pending_flush.clone(),
             // The counter continues (site numbers stay comparable across
-            // speculation), but armed injections and enumeration logs
+            // forks), but armed injections and enumeration logs
             // belong to the parent's timeline, not the fork's replay.
             site_counter: self.site_counter,
             armed: None,
@@ -946,7 +945,7 @@ impl PmPool {
         }
     }
 
-    /// Adopts a fork's device state, committing a speculative attempt.
+    /// Adopts a fork's device state, committing the attempt made on it.
     /// Counters merge delta-based: only the activity the fork's lineage
     /// performed since it diverged is added, so work the receiving pool did
     /// between `fork()` and `reabsorb()` is never discarded. The receiving
@@ -1423,7 +1422,8 @@ mod tests {
 
     #[test]
     fn reabsorb_fork_of_fork_counts_lineage_delta_once() {
-        // Mirrors a reactor wave: each step forks its predecessor's pool.
+        // A chain of forks, each of its predecessor's pool, reabsorbed
+        // into the root.
         let mut pool = PmPool::create(CAP).unwrap();
         let a = pool.alloc(64).unwrap();
         pool.persist(a, 8).unwrap();

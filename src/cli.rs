@@ -74,7 +74,7 @@ pub const NO_ANALYSIS_CACHE_FLAG: FlagSpec = FlagSpec {
 
 /// Help text of the `solution` positional; `pm_workload::Solution::parse`
 /// owns the names and lists them when it rejects one.
-const SOLUTION_HELP: &str = "arthas (default) | arthas-spec[:k] | arckpt | pmcriu | ...";
+const SOLUTION_HELP: &str = "arthas (default) | arthas-batch[:n] | arckpt | pmcriu | ...";
 
 /// One subcommand's full argument declaration.
 #[derive(Debug, Clone, Copy)]

@@ -420,9 +420,8 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
     values.iter().sum::<f64>() / values.len().max(1) as f64
 }
 
-/// Splits a column list `header=source:kind|…` (the header may itself
-/// hold an `=`, as `attempts (k=1)` does, and the source a colon, as
-/// `arthas-spec:4` does).
+/// Splits a column list `header=source:kind|…` (the source may itself
+/// hold a colon, as `arthas-batch:5` does).
 fn columns(spec: &str) -> Vec<(&str, &str, &str)> {
     fn column(c: &str) -> Option<(&str, &str, &str)> {
         let (head, rest) = c.rsplit_once('=')?;
@@ -585,9 +584,6 @@ pub fn render(name: &str, doc: &Json) -> String {
         "table5" => {
             "id=id:text|pmCRIU=pmcriu:attempts|ArCkpt=arckpt:attempts|Arthas=arthas:attempts"
         }
-        "fig8-spec" => {
-            "id=id:text|attempts (k=1)=arthas:attempts|rounds (k=4)=arthas-spec:4:reexec_rounds"
-        }
         "fig9" => {
             "id=id:text|Arthas (updates)=arthas:discarded_pct|\
              ArCkpt (updates)=arckpt:discarded_pct|pmCRIU (items)=pmcriu:items_lost_pct"
@@ -656,19 +652,6 @@ pub fn render(name: &str, doc: &Json) -> String {
                 let spec = format!("{head}=name:text|Bugs=count:count|Share=count:share");
                 grid(doc, out, study(key), &spec);
             }
-        }
-        "fig8-spec" => {
-            // Leak mitigation is two inherently serial re-executions (the
-            // second depends on the frees the first chose).
-            let pairs = both(doc, "arthas", "arthas-spec:4");
-            let multi = pairs
-                .iter()
-                .filter(|p| num(p[1], "attempts") >= 2 && !flag(p[0], "leak"));
-            let overlap = mean(multi.map(|p| ratio(p[1], "attempts", p[2], "reexec_rounds")));
-            let _ = writeln!(
-                out,
-                "\nover the multi-attempt reversion faults, attempts / rounds is {overlap:.2} on average"
-            );
         }
         "fig9" => {
             let pairs = both(doc, "arthas", "pmcriu");
