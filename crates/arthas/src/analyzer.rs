@@ -282,7 +282,7 @@ mod tests {
         let pool = pmemsim::PmPool::create(pmemsim::layout::HEAP_OFF + (1 << 20)).unwrap();
         let mut vm = Vm::new(Arc::new(out.instrumented), pool, VmOpts::default());
         vm.call("put", &[42]).unwrap();
-        let trace = vm.take_trace();
+        let trace: Vec<_> = vm.drain_trace().collect();
         assert_eq!(trace.len(), 3, "one record per PM update");
         // Every record's GUID resolves in the metadata map.
         for (guid, addr) in trace {

@@ -62,13 +62,36 @@ pub enum Mode {
     Purge,
 }
 
-/// How many candidates to revert between re-executions.
+/// How the revert loop walks the plan: how many candidates each step
+/// reverts, and whether it continues the last step's lineage (`OneByOne`,
+/// `Batch`) or starts over from the crashed image (`Gallop`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchStrategy {
-    /// One candidate per re-execution (minimises discarded data).
+pub enum Search {
+    /// One candidate per step (minimises discarded data): the paper's.
     OneByOne,
-    /// Up to `n` candidates per re-execution (fewer re-executions).
+    /// Up to `n` candidates per step (fewer re-executions).
     Batch(usize),
+    /// For a live server, whose plan tops out with post-fault traffic:
+    /// each step starts over, so a wrong guess leaves nothing behind. A
+    /// purge step reverts one candidate; rollback steps take 1, 2, 4, …,
+    /// reset per depth: depth `d` in O(log d) re-executions, overshooting
+    /// the minimal cut by up to the last stride.
+    Gallop,
+}
+
+impl Search {
+    /// The next step under `mode`, after `streak` steps at this version
+    /// depth in that mode: how many candidates it takes, and whether it
+    /// starts from the crashed image instead of continuing the lineage.
+    fn step(self, mode: Mode, streak: u32) -> (usize, bool) {
+        match (self, mode) {
+            (Search::OneByOne, _) => (1, false),
+            (Search::Batch(n), _) => (n.max(1), false),
+            (Search::Gallop, Mode::Purge) => (1, true),
+            // `streak` steps took 2^streak - 1 candidates: no overflow.
+            (Search::Gallop, Mode::Rollback) => (1 << streak, true),
+        }
+    }
 }
 
 /// Reactor configuration.
@@ -82,8 +105,8 @@ pub enum BatchStrategy {
 pub struct ReactorConfig {
     /// Reversion mode.
     mode: Mode,
-    /// Batching strategy.
-    batch: BatchStrategy,
+    /// How the loop walks the plan.
+    search: Search,
     /// Purge attempts before falling back to rollback mode.
     purge_fallback_after: u32,
     /// After a successful recovery, spend extra re-executions restoring
@@ -91,23 +114,6 @@ pub struct ReactorConfig {
     /// report's reduction of the reverted sequence-number set). Lowers
     /// discarded data at the cost of more attempts.
     minimize_loss: bool,
-    /// Online mitigation, for a live server with post-fault traffic above
-    /// the fault in the candidate list. Two policies change together:
-    ///
-    /// * every attempt is judged on a fork of the *crashed* image instead
-    ///   of accumulating reversions, and a failed mitigation hands that
-    ///   image back untouched. Cumulative attempts (the default, the
-    ///   paper's offline semantics) can poison the pool: a failed purge's
-    ///   writes are not checkpointed (the log is disabled during
-    ///   mitigation), so later attempts inherit damage that neither
-    ///   healing nor rollback can see;
-    /// * in rollback mode the number of candidates consumed per attempt
-    ///   doubles after every failed attempt (1, 2, 4, …), so the cut
-    ///   reaches a depth of `d` candidates in O(log d) re-executions
-    ///   rather than `d`, overshooting the minimal cut by up to the last
-    ///   stride. Offline campaigns favour minimal discard; a server
-    ///   favours time-to-recover and accounts the extra discard honestly.
-    online: bool,
 }
 
 /// Validating builder for [`ReactorConfig`]; see the field setters for
@@ -124,10 +130,10 @@ impl ReactorConfigBuilder {
         self
     }
 
-    /// Batching strategy (default [`BatchStrategy::OneByOne`]).
+    /// How the loop walks the plan (default [`Search::OneByOne`]).
     /// `Batch(0)` is rejected by [`ReactorConfigBuilder::build`].
-    pub fn batch(mut self, batch: BatchStrategy) -> Self {
-        self.cfg.batch = batch;
+    pub fn search(mut self, search: Search) -> Self {
+        self.cfg.search = search;
         self
     }
 
@@ -145,14 +151,6 @@ impl ReactorConfigBuilder {
         self
     }
 
-    /// Online mitigation (default off — the cumulative, minimal-discard
-    /// offline semantics): isolated attempts and a geometric rollback
-    /// stride. See [`ReactorConfig`]'s field docs for the trade-off.
-    pub fn online(mut self, online: bool) -> Self {
-        self.cfg.online = online;
-        self
-    }
-
     /// Validates and produces the configuration.
     pub fn build(self) -> Result<ReactorConfig, ConfigError> {
         if self.cfg.purge_fallback_after == 0 {
@@ -160,7 +158,7 @@ impl ReactorConfigBuilder {
                 "purge_fallback_after must be at least 1".into(),
             ));
         }
-        if self.cfg.batch == BatchStrategy::Batch(0) {
+        if self.cfg.search == Search::Batch(0) {
             return Err(ConfigError(
                 "batch size 0 would revert nothing per attempt; use OneByOne".into(),
             ));
@@ -173,10 +171,9 @@ impl Default for ReactorConfig {
     fn default() -> Self {
         ReactorConfig {
             mode: Mode::Purge,
-            batch: BatchStrategy::OneByOne,
+            search: Search::OneByOne,
             purge_fallback_after: 60,
             minimize_loss: false,
-            online: false,
         }
     }
 }
@@ -194,24 +191,22 @@ impl ReactorConfig {
         ReactorConfigBuilder { cfg: self }
     }
 
-    /// The profile a live server mitigates under: [`online`] attempts,
-    /// and a quick fall-back to rollback — under traffic each failed
-    /// attempt is a full re-execution with connections stalling, so
+    /// The profile a live server mitigates under: [`Search::Gallop`], and
+    /// a quick fall-back to rollback — under traffic each failed attempt
+    /// is a full re-execution with connections stalling, so
     /// time-to-recover outweighs the smaller discard a long purge crawl
     /// might eventually find.
-    ///
-    /// [`online`]: ReactorConfigBuilder::online
     pub fn serving() -> Self {
         ReactorConfig {
-            online: true,
+            search: Search::Gallop,
             purge_fallback_after: 8,
             ..ReactorConfig::default()
         }
     }
 
-    /// The batching strategy — what names the `arthas-batch:n` solution.
-    pub fn batch(&self) -> BatchStrategy {
-        self.batch
+    /// How the loop walks the plan (what names `arthas-batch:n`).
+    pub fn search(&self) -> Search {
+        self.search
     }
 }
 
@@ -1030,7 +1025,8 @@ impl<'a> Reactor<'a> {
     /// A leak takes the dedicated path of §4.7. Otherwise the image is
     /// mitigated by a plain restart when there is no fault instruction to
     /// slice from or nothing to revert (§4.5: likely a false alarm), else
-    /// by the revert loop over the plan.
+    /// by the revert loop over the plan, which writes `pool` only if it
+    /// recovers.
     ///
     /// Every re-execution the outcome counts is `restart` with `log`
     /// attached.
@@ -1341,16 +1337,15 @@ impl<'a> Reactor<'a> {
     /// The revert loop (§4.4–4.5): revert a batch of candidates,
     /// re-execute, repeat, one step at a time.
     ///
-    /// Each step takes its batch from the loop's control state (candidate
-    /// cursor, batch size, the attempt-count-triggered purge→rollback
-    /// fallback, the online stride). Cumulative attempts apply it to the
-    /// live pool in place and keep it whatever its verdict; online
-    /// attempts apply it to a fork of the crashed image, and `pool` is
-    /// not written until a step wins. The step emits `reactor.attempt`,
-    /// then a `reactor.heal` per candidate it healed, and re-executes on
-    /// the caller's thread with the caller's log. A panic under purge
-    /// mode flips the loop to rollback. The candidate cursor resets per
-    /// version depth.
+    /// Every step writes one lineage: a fork of the crashed image and its
+    /// [`RevertLedger`]. The configured [`Search`] sizes each step from
+    /// the loop's control state and says whether it continues the lineage
+    /// or starts a fresh one. `pool` is written once, by reabsorbing the
+    /// lineage when a step wins. The step emits `reactor.attempt`, then a
+    /// `reactor.heal` per candidate it healed, and re-executes on the
+    /// caller's thread with the caller's log. The attempt-count fallback
+    /// and a panic under purge mode flip the loop to rollback. The
+    /// candidate cursor resets per version depth.
     ///
     /// A step is re-executed only when it can differ (DESIGN §4.5). The
     /// loop keeps the newest failure it paid a restart for as its
@@ -1384,33 +1379,28 @@ impl<'a> Reactor<'a> {
             attempts: u32,
             mode: Mode,
             mode_fellback: bool,
-            /// Geometric rollback stride (online): doubles after every
-            /// failed rollback attempt, resets per depth.
-            stride: usize,
+            /// Steps taken at this depth since the mode last changed.
+            streak: u32,
         }
 
-        let online = self.cfg.online;
         let fwd = match self.cfg.mode {
             Mode::Purge => Some(self.analysis.pdg.forward_index()),
             Mode::Rollback => None,
-        };
-        let batch_size = match self.cfg.batch {
-            BatchStrategy::OneByOne => 1,
-            BatchStrategy::Batch(n) => n.max(1),
         };
         let mut ctl = Control {
             next: 0,
             attempts: 0,
             mode: self.cfg.mode,
             mode_fellback: false,
-            stride: batch_size,
+            streak: 0,
         };
         let mut skipped = 0u32;
+        let mut lineage = pool.fork();
         let mut ledger = RevertLedger::default();
         let mut basis: Option<Basis> = None;
         for depth in 1..=MAX_VERSIONS {
             ctl.next = 0;
-            ctl.stride = batch_size;
+            ctl.streak = 0;
             while ctl.next < plan.seqs.len() && ctl.attempts < MAX_ATTEMPTS {
                 let t_rv = Instant::now();
                 let budget_flip =
@@ -1418,22 +1408,19 @@ impl<'a> Reactor<'a> {
                 if budget_flip {
                     ctl.mode = Mode::Rollback;
                     ctl.mode_fellback = true;
+                    ctl.streak = 0;
                 }
-                let accelerate = online && ctl.mode == Mode::Rollback;
-                let take = if accelerate { ctl.stride } else { batch_size };
+                let (take, fresh) = self.cfg.search.step(ctl.mode, ctl.streak);
+                if fresh && ctl.attempts > 0 {
+                    lineage = pool.fork();
+                    ledger = RevertLedger::default();
+                }
                 let batch = ctl.next..plan.seqs.len().min(ctl.next + take);
                 ctl.next = batch.end;
                 ctl.attempts += 1;
-                if accelerate {
-                    ctl.stride = ctl.stride.saturating_mul(2);
-                }
-                let mut fork = online.then(|| (pool.fork(), RevertLedger::default()));
-                let (p, l) = match &mut fork {
-                    Some((p, l)) => (p, l),
-                    None => (&mut *pool, &mut ledger),
-                };
+                ctl.streak += 1;
                 let work = self.apply_batch(
-                    p,
+                    &mut lineage,
                     log_rc,
                     plan,
                     facts,
@@ -1442,9 +1429,9 @@ impl<'a> Reactor<'a> {
                     depth,
                     ctl.mode,
                     fwd,
-                    l,
+                    &mut ledger,
                 );
-                let known = basis.as_ref().and_then(|b| b.verdict_for(p));
+                let known = basis.as_ref().and_then(|b| b.verdict_for(&lineage));
                 self.recorder.add("reactor.revert_writes", work.writes);
                 self.recorder.add("reactor.heal_checks", work.heal_checks);
                 if self.recorder.is_enabled() {
@@ -1481,33 +1468,30 @@ impl<'a> Reactor<'a> {
                     Some(failure) => {
                         skipped += 1;
                         #[cfg(debug_assertions)]
-                        assert_repeats(restart, p, &failure);
+                        assert_repeats(restart, &lineage, &failure);
                         Some(failure)
                     }
                     None => {
                         let t_re = Instant::now();
-                        let (verdict, reads) = capture_reads(|| restart.run(p, log_rc));
+                        let (verdict, reads) = capture_reads(|| restart.run(&lineage, log_rc));
                         phases.reexec += t_re.elapsed();
                         self.recorder
                             .observe_duration("reactor.reexec_us", t_re.elapsed());
                         let failure = verdict.err();
                         if let Some(f) = &failure {
                             // The newest failure paid for becomes the basis.
-                            basis = Basis::new(p, reads, f.clone()).or(basis.take());
+                            basis = Basis::new(&lineage, reads, f.clone()).or(basis.take());
                         }
                         failure
                     }
                 };
                 let Some(failure) = failure else {
-                    if let Some((p, l)) = fork {
-                        pool.reabsorb(p);
-                        ledger = l;
-                    }
                     if self.cfg.minimize_loss {
                         let t_min = Instant::now();
-                        ctl.attempts += self.minimize(pool, log_rc, &mut ledger, restart);
+                        ctl.attempts += self.minimize(&mut lineage, log_rc, &mut ledger, restart);
                         phases.reexec += t_min.elapsed();
                     }
+                    pool.reabsorb(lineage);
                     return MitigationOutcome {
                         recovered: true,
                         attempts: ctl.attempts,
@@ -1527,6 +1511,7 @@ impl<'a> Reactor<'a> {
                     // purge introduced an inconsistency: fall back.
                     ctl.mode = Mode::Rollback;
                     ctl.mode_fellback = true;
+                    ctl.streak = 0;
                     self.recorder.event(
                         "reactor.fallback",
                         vec![

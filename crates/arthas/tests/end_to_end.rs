@@ -128,7 +128,7 @@ fn full_pipeline_recovers_with_minimal_loss() {
     }
     vm.call("put", &[666]).unwrap(); // plants the bad persistent flag
     let err = vm.call("get", &[]).unwrap_err();
-    trace.absorb(vm.take_trace());
+    trace.absorb(vm.drain_trace());
     let rec1 = FailureRecord::from_vm(&err);
     assert_eq!(detector.observe(rec1), Verdict::FirstSighting);
 
@@ -138,7 +138,7 @@ fn full_pipeline_recovers_with_minimal_loss() {
     let mut vm = Vm::new(instrumented.clone(), pool, VmOpts::default());
     vm.call("recover", &[]).unwrap();
     let err2 = vm.call("get", &[]).unwrap_err();
-    trace.absorb(vm.take_trace());
+    trace.absorb(vm.drain_trace());
     let rec2 = FailureRecord::from_vm(&err2);
     let verdict = detector.observe(rec2.clone());
     assert_eq!(verdict, Verdict::SuspectedHard, "recurring symptom");
@@ -256,7 +256,7 @@ fn toy(bad: bool) -> Toy {
         .call("get", &[])
         .err()
         .map(|e| FailureRecord::from_vm(&e));
-    trace.absorb(vm.take_trace());
+    trace.absorb(vm.drain_trace());
     Toy {
         out,
         module: instrumented,
@@ -411,7 +411,7 @@ fn episode_escalates_past_failover_after_a_failover_recovered() {
     vm.pool_mut().set_sink(app.log.as_sink());
     vm.call("put", &[666]).unwrap();
     let failure = FailureRecord::from_vm(&vm.call("get", &[]).unwrap_err());
-    app.trace.absorb(vm.take_trace());
+    app.trace.absorb(vm.drain_trace());
     app.pool = vm.crash();
     let end = episode.run(Some(failure), &mut app);
     let out = end.outcome.unwrap();

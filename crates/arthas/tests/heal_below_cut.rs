@@ -198,7 +198,7 @@ fn mitigate() -> (arthas::MitigationOutcome, [Vec<u8>; 3]) {
     // above the rollback cut, so a cut-blind heal would re-plant it.
     vm.call("touch", &[0xAB]).unwrap();
     let err = vm.call("get", &[]).unwrap_err();
-    trace.absorb(vm.take_trace());
+    trace.absorb(vm.drain_trace());
     let failure = FailureRecord::from_vm(&err);
     let mut pool = vm.crash();
 

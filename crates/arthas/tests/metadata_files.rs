@@ -72,9 +72,9 @@ fn trace_file_round_trips_and_tolerates_truncation() {
         VmOpts::default(),
     );
     vm.call("put", &[1]).unwrap();
-    PmTrace::append_records_to_file(&path, vm.take_trace()).unwrap();
+    PmTrace::append_records_to_file(&path, vm.drain_trace()).unwrap();
     vm.call("put", &[2]).unwrap();
-    PmTrace::append_records_to_file(&path, vm.take_trace()).unwrap();
+    PmTrace::append_records_to_file(&path, vm.drain_trace()).unwrap();
 
     // Simulate a writer dying mid-record.
     {
@@ -97,7 +97,7 @@ fn trace_file_round_trips_and_tolerates_truncation() {
         vm2.call("put", &[1]).unwrap();
         vm2.call("put", &[2]).unwrap();
         let mut t = PmTrace::new();
-        t.absorb(vm2.take_trace());
+        t.absorb(vm2.drain_trace());
         t
     };
     let loaded = PmTrace::load_from(&path).unwrap();

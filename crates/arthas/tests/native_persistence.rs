@@ -135,7 +135,7 @@ fn reactor_recovers_a_natively_persisted_fault() {
     vm.call("put", &[5]).unwrap();
     vm.call("put", &[99]).unwrap(); // the poison, flushed + fenced
     let err = vm.call("get", &[]).unwrap_err();
-    trace.absorb(vm.take_trace());
+    trace.absorb(vm.drain_trace());
     let failure = FailureRecord::from_vm(&err);
     let mut pool = vm.crash();
 

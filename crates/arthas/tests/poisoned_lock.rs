@@ -111,7 +111,7 @@ fn setup() -> (
     }
     vm.call("put", &[666]).unwrap();
     let err = vm.call("get", &[]).unwrap_err();
-    trace.absorb(vm.take_trace());
+    trace.absorb(vm.drain_trace());
     assert_eq!(
         detector.observe(FailureRecord::from_vm(&err)),
         Verdict::FirstSighting
@@ -122,7 +122,7 @@ fn setup() -> (
     let mut vm = Vm::new(instrumented.clone(), pool, VmOpts::default());
     vm.call("recover", &[]).unwrap();
     let err2 = vm.call("get", &[]).unwrap_err();
-    trace.absorb(vm.take_trace());
+    trace.absorb(vm.drain_trace());
     let rec2 = FailureRecord::from_vm(&err2);
     assert_eq!(detector.observe(rec2.clone()), Verdict::SuspectedHard);
     let pool = vm.crash();

@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use arthas::{
-    analyze_and_instrument, AnalyzerOutput, BatchStrategy, FailureRecord, Mode, PmTrace, Reactor,
-    ReactorConfig, Restart, SharedLog,
+    analyze_and_instrument, AnalyzerOutput, FailureRecord, Mode, PmTrace, Reactor, ReactorConfig,
+    Restart, Search, SharedLog,
 };
 use pir::builder::ModuleBuilder;
 use pir::ir::Module;
@@ -126,7 +126,7 @@ fn run_to_failure(
     }
     vm.call("put", &[666]).unwrap();
     let err = vm.call("get", &[]).unwrap_err();
-    trace.absorb(vm.take_trace());
+    trace.absorb(vm.drain_trace());
     let failure = FailureRecord::from_vm(&err);
     let pool = vm.crash();
     (out, instrumented, log, trace, failure, pool)
@@ -158,21 +158,19 @@ proptest! {
         puts in proptest::collection::vec(1u64..600, 1..10),
         use_tx in proptest::arbitrary::any::<bool>(),
         mode_sel in 0u8..2,
-        batch_n in 1usize..5,
-        fallback in 1u32..8,
-        online in proptest::arbitrary::any::<bool>()
+        search in prop_oneof![
+            Just(Search::OneByOne),
+            Just(Search::Gallop),
+            (2usize..5).prop_map(Search::Batch),
+        ],
+        fallback in 1u32..8
     ) {
         let cfg = ReactorConfig::builder()
             .mode(if mode_sel == 0 { Mode::Purge } else { Mode::Rollback })
-            .batch(if batch_n == 1 {
-                BatchStrategy::OneByOne
-            } else {
-                BatchStrategy::Batch(batch_n)
-            })
+            .search(search)
             // A small fallback threshold exercises the attempt-triggered
             // purge-to-rollback flip.
             .purge_fallback_after(fallback)
-            .online(online)
             .build()
             .unwrap();
         let puts: Vec<u64> = puts.iter().map(|v| if *v == 666 { 667 } else { *v }).collect();

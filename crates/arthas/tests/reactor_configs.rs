@@ -1,12 +1,12 @@
-//! Reactor configuration coverage: batch strategy, rollback mode, loss
-//! minimization, transaction-sibling grouping, and the restart-only
-//! fallback of an empty plan.
+//! Reactor configuration coverage: search, rollback mode, loss
+//! minimization, transaction-sibling grouping, the restart-only fallback
+//! of an empty plan, and the image a failed mitigation hands back.
 
 use std::sync::Arc;
 
 use arthas::{
-    analyze_and_instrument, AnalyzerOutput, BatchStrategy, FailureRecord, Mode, PmTrace, Reactor,
-    ReactorConfig, Restart, Rung, SharedLog,
+    analyze_and_instrument, AnalyzerOutput, FailureRecord, Mode, PmTrace, Reactor, ReactorConfig,
+    Restart, Rung, Search, SharedLog,
 };
 use pir::builder::ModuleBuilder;
 use pir::ir::Module;
@@ -127,7 +127,7 @@ fn run_to_failure_of(module: Module) -> FailedRun {
     }
     vm.call("put", &[666]).unwrap();
     let err = vm.call("get", &[]).unwrap_err();
-    trace.absorb(vm.take_trace());
+    trace.absorb(vm.drain_trace());
     let failure = FailureRecord::from_vm(&err);
     let pool = vm.crash();
     (out, instrumented, log, trace, failure, pool)
@@ -173,7 +173,7 @@ fn batch_reversion_recovers_with_fewer_attempts() {
     let (single, _) = mitigate_with(ReactorConfig::default(), false);
     let (batched, _) = mitigate_with(
         ReactorConfig::builder()
-            .batch(BatchStrategy::Batch(5))
+            .search(Search::Batch(5))
             .build()
             .unwrap(),
         false,
@@ -291,7 +291,7 @@ fn minimize_loss_is_deterministic_across_runs() {
     // Rollback over one batch rewinds both flags in a single attempt.
     let cfg = ReactorConfig::builder()
         .mode(Mode::Rollback)
-        .batch(BatchStrategy::Batch(8))
+        .search(Search::Batch(8))
         .minimize_loss(true)
         .build()
         .unwrap();
@@ -322,6 +322,44 @@ fn unanchored_fault_yields_an_empty_plan_and_restart_fallback() {
     assert_eq!(outcome.rung, Rung::RestartOnly);
     assert_eq!(outcome.plan_len, 0);
     assert!(!outcome.recovered, "restart alone cannot fix a hard fault");
+}
+
+/// A mitigation that does not recover hands back the crashed image
+/// untouched, in every profile: its steps write a fork of the image, and
+/// the caller's pool is written only when a step wins. Here no step can
+/// win, since the probe fails even a healthy restart.
+#[test]
+fn a_failed_mitigation_leaves_the_crashed_image() {
+    let cfg = |b: arthas::ReactorConfigBuilder| b.build().unwrap();
+    for cfg in [
+        ReactorConfig::default(),
+        cumulative_rollback(),
+        cfg(ReactorConfig::builder().search(Search::Batch(5))),
+        ReactorConfig::serving(),
+    ] {
+        let (out, instrumented, log, trace, failure, mut pool) = run_to_failure(false);
+        let crashed = pool.snapshot();
+        let recover_and_get = recover_and_get(false);
+        let probe = |vm: &mut Vm| {
+            recover_and_get(vm)?;
+            Err(FailureRecord::wrong_result("the probe never passes"))
+        };
+        let restart = Restart {
+            module: &instrumented,
+            vm: VmOpts::default(),
+            probe: &probe,
+        };
+        let mut reactor = Reactor::new(&out.analysis, &out.guid_map, cfg);
+        let outcome = reactor.mitigate(&mut pool, &log, &failure, &trace, &restart);
+        assert!(
+            !outcome.recovered && outcome.attempts > 1,
+            "{cfg:?}: {outcome:?}"
+        );
+        assert!(
+            pool.snapshot() == crashed,
+            "{cfg:?} wrote the caller's pool"
+        );
+    }
 }
 
 #[test]
@@ -441,7 +479,7 @@ fn mitigate_heal_app(
         vm.call(func, args).unwrap();
     }
     let err = vm.call("get", &[]).unwrap_err();
-    trace.absorb(vm.take_trace());
+    trace.absorb(vm.drain_trace());
     let failure = FailureRecord::from_vm(&err);
     let mut pool = vm.crash();
     let root = pool.root_offset().unwrap();
@@ -547,7 +585,7 @@ fn below_cut_heal_is_owed_to_the_lineages_own_rollback() {
 }
 
 /// A candidate that diverged on the crashed image (a bit flip after its
-/// last persist) is healed on every online rollback attempt, not only the
+/// last persist) is healed on every `Gallop` rollback attempt, not only the
 /// one whose batch holds it: each attempt starts over from the crashed
 /// image, and on the third the rollback writes nothing near it.
 #[test]
@@ -662,7 +700,7 @@ fn skipped_restarts_change_nothing_but_rounds() {
         (|| run_to_failure(false), ReactorConfig::default()),
         (
             || run_to_failure(false),
-            cfg(default().batch(BatchStrategy::Batch(5))),
+            cfg(default().search(Search::Batch(5))),
         ),
         (
             || run_to_failure(false),
@@ -679,7 +717,7 @@ fn skipped_restarts_change_nothing_but_rounds() {
             || run_to_failure_of(build_two_flag_app()),
             cfg(default()
                 .mode(Mode::Rollback)
-                .batch(BatchStrategy::Batch(8))
+                .search(Search::Batch(8))
                 .minimize_loss(true)),
         ),
     ];

@@ -180,7 +180,7 @@ fn run_to_failure() -> Crashed {
     let standby = (vm.pool_mut().snapshot(), log.view().latest_seq());
     vm.call("put", &[666]).unwrap();
     let err = vm.call("get", &[]).unwrap_err();
-    trace.absorb(vm.take_trace());
+    trace.absorb(vm.drain_trace());
     let failure = FailureRecord::from_vm(&err);
     let pool = vm.crash();
     Crashed {

@@ -102,7 +102,7 @@ fn one_slice_per_fault_and_accumulated_phase_time() {
     }
     vm.call("put", &[666]).unwrap();
     let err = vm.call("get", &[]).unwrap_err();
-    trace.absorb(vm.take_trace());
+    trace.absorb(vm.drain_trace());
     let failure = FailureRecord::from_vm(&err);
     let mut pool = vm.crash();
     let fault = failure.fault.expect("crash carries a fault instruction");

@@ -348,7 +348,8 @@ impl PassingRun {
 ///
 /// A first run that never read its seed is the run of every seed (the
 /// replay contract), so the other seeds are not replayed: promotion over
-/// copies of one run is promotion over that run.
+/// copies of one run is promotion over that run. Debug builds replay them
+/// anyway and require the same image bytes, log seqs and trace.
 pub fn mine(
     scn: &dyn Scenario,
     setup: &AppSetup,
@@ -371,11 +372,22 @@ pub(crate) fn mine_from(
     recorder: Option<&dyn Recorder>,
 ) -> (MinedInvariants, u32) {
     let replays = if first.seed_read { MINING_SEEDS } else { 1 };
+    // Debug builds replay every seed; a seed-free run's replays must be it.
+    let seeds = if cfg!(debug_assertions) {
+        MINING_SEEDS
+    } else {
+        replays
+    };
     let mut runs = vec![first];
     let mut seed = base_seed;
-    for _ in 1..replays {
+    for _ in 1..seeds {
         seed = splitmix(seed);
         runs.push(PassingRun::replay(scn, setup, seed));
+    }
+    let key = |r: &PassingRun| (r.pool.snapshot(), r.log.view().all_seqs());
+    for again in runs.split_off(replays as usize) {
+        let same = key(&again) == key(&runs[0]) && again.trace == runs[0].trace;
+        assert!(same, "{}: a seed-free run replays otherwise", scn.id());
     }
 
     // Candidate generation. Persist-order candidates come from the

@@ -367,7 +367,9 @@ impl Vm {
         false
     }
 
-    /// Drains the PM address trace collected via the `trace` intrinsic.
+    /// Moves the PM address trace out, leaving no capacity behind; the
+    /// workspace drains in place with [`Vm::drain_trace`] (`hfbench`, a
+    /// package of its own, still calls this).
     pub fn take_trace(&mut self) -> Vec<(u64, u64)> {
         std::mem::take(&mut self.trace)
     }

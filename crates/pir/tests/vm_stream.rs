@@ -48,7 +48,7 @@ fn fmt_err(e: &VmError) -> String {
 /// The VM-side half of every line: lifetime steps, the trace records
 /// drained since the previous line, and any `print` output.
 fn vm_state(vm: &mut Vm) -> String {
-    let trace = vm.take_trace();
+    let trace: Vec<_> = vm.drain_trace().collect();
     let mut h = FNV_SEED;
     for (guid, addr) in &trace {
         h = fnv(h, &guid.to_le_bytes());

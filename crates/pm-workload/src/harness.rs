@@ -13,9 +13,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use arthas::{
-    analyze_and_instrument_cached, reopen, AnalysisCache, BatchStrategy, Detector, FailureRecord,
-    GuidMap, LeakMonitor, Mode, PhaseTimes, PmTrace, Reactor, ReactorConfig, ReactorConfigBuilder,
-    Restart, SharedLog, Verdict,
+    analyze_and_instrument_cached, reopen, AnalysisCache, Detector, FailureRecord, GuidMap,
+    LeakMonitor, Mode, PhaseTimes, PmTrace, Reactor, ReactorConfig, ReactorConfigBuilder, Restart,
+    Search, SharedLog, Verdict,
 };
 use baselines::{ArCkpt, PmCriu};
 use obs::Instrument;
@@ -601,9 +601,7 @@ const ARTHAS: [(&str, Option<usize>, Tune); 6] = [
     ("arthas-purge", None, |b, _| {
         b.mode(Mode::Purge).purge_fallback_after(u32::MAX)
     }),
-    ("arthas-batch", Some(5), |b, k| {
-        b.batch(BatchStrategy::Batch(k))
-    }),
+    ("arthas-batch", Some(5), |b, k| b.search(Search::Batch(k))),
     ("arthas-minimize", None, |b, _| b.minimize_loss(true)),
     ("arthas-rollback-minimize", None, |b, _| {
         b.mode(Mode::Rollback).minimize_loss(true)
@@ -659,9 +657,9 @@ impl Solution {
     /// (`arthas-custom` for a reactor configuration outside the table).
     pub fn name(&self) -> String {
         let k = match self {
-            Solution::Arthas(cfg) => match cfg.batch() {
-                BatchStrategy::Batch(k) => k,
-                BatchStrategy::OneByOne => 0,
+            Solution::Arthas(cfg) => match cfg.search() {
+                Search::Batch(k) => k,
+                Search::OneByOne | Search::Gallop => 0,
             },
             _ => 0,
         };

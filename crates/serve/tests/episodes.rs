@@ -1,10 +1,11 @@
 //! The live engine's recoveries pinned as data. `serve::Engine`
 //! mitigates over its own checkpoint log — 512 retained versions, the
-//! serving profile, isolated attempts — and every episode
-//! below must reproduce `golden/episodes.txt` byte for byte: the engine's
-//! recovery counters, the reactor's attempt / heal / failover timeline,
-//! and a hash of every key's `get` reply after recovery. Regenerate only
-//! for a deliberate change of recovery behaviour:
+//! serving profile, steps that start over from the crashed image — and
+//! every episode below must reproduce `golden/episodes.txt` byte for
+//! byte: the engine's recovery counters, the reactor's attempt / heal /
+//! failover timeline, and a hash of every key's `get` reply after
+//! recovery. Regenerate only for a deliberate change of recovery
+//! behaviour:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p serve --test episodes

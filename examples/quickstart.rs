@@ -117,7 +117,7 @@ fn main() {
     }
     vm.call("put", &[666]).unwrap(); // plants the bad persistent flag
     let err = vm.call("get", &[]).unwrap_err();
-    trace.absorb(vm.take_trace());
+    trace.absorb(vm.drain_trace());
     println!("   failure: {err}");
 
     println!("3. Restart: the soft-fault hypothesis fails");
@@ -128,7 +128,7 @@ fn main() {
     let mut vm = Vm::new(instrumented.clone(), pool, VmOpts::default());
     vm.call("recover", &[]).unwrap();
     let err2 = vm.call("get", &[]).unwrap_err();
-    trace.absorb(vm.take_trace());
+    trace.absorb(vm.drain_trace());
     let rec = FailureRecord::from_vm(&err2);
     let verdict = detector.observe(rec.clone());
     println!("   recurrence after restart -> detector verdict: {verdict:?}");

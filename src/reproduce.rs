@@ -248,7 +248,7 @@ fn overhead() -> (Vec<Json>, Vec<Json>) {
                 };
                 done.expect("overhead workload runs clean");
                 if vm.trace_len() >= 4096 {
-                    let _ = vm.take_trace(); // the asynchronous trace-buffer flush
+                    let _ = vm.drain_trace(); // the asynchronous trace-buffer flush
                 }
                 if criu && (i + 1).is_multiple_of(OVERHEAD_OPS / 5) {
                     snapshotter.tick(i, vm.pool());

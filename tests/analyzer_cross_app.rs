@@ -81,7 +81,7 @@ fn instrumented_apps_trace_pm_addresses_only() {
             vm.call(f, args)
                 .unwrap_or_else(|e| panic!("{name}.{f}: {e}"));
         }
-        let trace = vm.take_trace();
+        let trace: Vec<_> = vm.drain_trace().collect();
         assert!(!trace.is_empty(), "{name}: PM updates were traced");
         for (guid, addr) in trace {
             assert!(
