@@ -354,6 +354,16 @@ impl SharedLog {
         self.lock().enabled = enabled;
     }
 
+    /// Disables recording until the returned guard drops, which re-enables
+    /// it — also when a re-execution panics through the holder, so a
+    /// supervisor that catches the panic does not go on serving with
+    /// checkpointing silently off.
+    #[must_use = "recording resumes as soon as the guard drops"]
+    pub fn pause(&self) -> LogPaused<'_> {
+        self.set_enabled(false);
+        LogPaused(self)
+    }
+
     /// Sets the per-address version retention cap (clamped to at least
     /// 1). Already-rotated versions are gone; raise the cap before the
     /// workload runs. Online servers should keep at least a couple of
@@ -393,6 +403,16 @@ impl SharedLog {
     /// Lifetime counters.
     pub fn stats(&self) -> LogStats {
         self.lock().stats
+    }
+}
+
+/// A pause in a [`SharedLog`]'s recording, from [`SharedLog::pause`]; its
+/// drop resumes it.
+pub struct LogPaused<'l>(&'l SharedLog);
+
+impl Drop for LogPaused<'_> {
+    fn drop(&mut self) {
+        self.0.set_enabled(true);
     }
 }
 
@@ -698,17 +718,6 @@ impl LogView<'_> {
         out
     }
 
-    /// All addresses with at least one version at `seq >= cut` (rollback
-    /// victims for a time-based rollback to `cut`), ascending.
-    pub fn addrs_touched_since(&self, cut: u64) -> Vec<u64> {
-        self.log
-            .entries
-            .iter()
-            .filter(|(_, e)| e.versions.back().is_some_and(|v| v.seq >= cut))
-            .map(|(&a, _)| a)
-            .collect()
-    }
-
     /// Live (never freed) allocations recorded by the log as `(address,
     /// size)`, ascending by address.
     pub fn live_allocs(&self) -> Vec<(u64, u64)> {
@@ -748,11 +757,6 @@ impl LogView<'_> {
     /// Total checkpointed PM updates.
     pub fn total_updates(&self) -> u64 {
         self.log.stats.updates
-    }
-
-    /// Number of distinct checkpointed addresses.
-    pub fn n_entries(&self) -> usize {
-        self.log.entries.len()
     }
 
     /// Lifetime counters.
@@ -826,7 +830,7 @@ mod tests {
         log.on_persist(0, &[1]);
         log.on_alloc(10, 20);
         let view = log.view();
-        assert_eq!(view.n_entries(), 0);
+        assert!(view.entry(0).is_none());
         assert!(view.live_allocs().is_empty());
     }
 
@@ -944,7 +948,7 @@ mod tests {
         assert_eq!(s.bytes_logged, 40);
         assert_eq!(s.versions_rotated, 2);
         assert_eq!(s.entries_retired, 1);
-        assert_eq!(log.view().n_entries(), 1);
+        assert!(log.view().entry(100).is_some());
     }
 
     #[test]
@@ -953,7 +957,10 @@ mod tests {
         log.on_persist(10, &[1]); // seq 1
         log.on_persist(20, &[2]); // seq 2
         log.on_persist(30, &[3]); // seq 3
-        assert_eq!(log.view().addrs_touched_since(2), vec![20, 30]);
+        let view = log.view();
+        let spans = view.spans();
+        let victims = spans.iter().filter(|s| s.seq >= 2).map(|s| s.addr);
+        assert_eq!(victims.collect::<Vec<_>>(), vec![20, 30]);
     }
 
     /// Addresses spread over several 4 KiB pages, in ascending order.

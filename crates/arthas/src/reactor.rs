@@ -269,25 +269,6 @@ impl Restart<'_> {
     }
 }
 
-/// Keeps the checkpoint log disabled while reversions are applied and
-/// re-executed, and re-enables it on drop — also when a re-execution
-/// panics through the reactor, so a supervisor that catches the panic
-/// does not go on serving with checkpointing silently off.
-struct LogPaused<'l>(&'l SharedLog);
-
-impl<'l> LogPaused<'l> {
-    fn new(log: &'l SharedLog) -> Self {
-        log.set_enabled(false);
-        LogPaused(log)
-    }
-}
-
-impl Drop for LogPaused<'_> {
-    fn drop(&mut self) {
-        self.0.set_enabled(true);
-    }
-}
-
 /// Wall time spent in each mitigation phase (the per-phase breakdown
 /// behind the paper's Fig. 8/Table 9 timing discussion). The phases are
 /// disjoint: `slice` is carved out of planning, and time outside all four
@@ -538,7 +519,7 @@ pub struct Plan {
 /// from an earlier one's pool (`versions`).
 ///
 /// Reuse is exact because the log records nothing between the plan and
-/// the outcome: [`LogPaused`] holds through the revert loop, and
+/// the outcome: [`SharedLog::pause`] holds through the revert loop, and
 /// `restart_only`, the one path that restarts with recording on, never
 /// reaches it. `frontier` is asserted unchanged at the outcome.
 struct LogFacts {
@@ -552,8 +533,8 @@ struct LogFacts {
     /// candidate.
     pos: Vec<Option<u32>>,
     /// Indices into `spans`, newest seq first: the prefix at or above a
-    /// cut is `addrs_touched_since(cut)`, and a seq's entry is a binary
-    /// search away.
+    /// cut is every entry a rollback to it writes, and a seq's entry is a
+    /// binary search away.
     by_newest: Vec<u32>,
     /// The store-wide largest data size, which bounds every covering and
     /// overlay window.
@@ -772,7 +753,7 @@ impl LogFacts {
     /// The addresses a rollback to `cut` writes other bytes at than one
     /// to `from` does, ascending: those with a version in `[cut, from)`.
     /// Without `from` (no earlier rollback to start from), every address
-    /// with a version at or after `cut`: `addrs_touched_since(cut)`.
+    /// whose newest version is at or after `cut`.
     fn moved(&mut self, log: &LogView<'_>, cut: u64, from: Option<u64>) -> Vec<u64> {
         let mut out: Vec<u64> = match from {
             None => {
@@ -1070,7 +1051,7 @@ impl<'a> Reactor<'a> {
             // The restart runs with checkpointing on, like any other.
             return self.restart_only(pool, log, restart, t0, phases);
         };
-        let _paused = LogPaused::new(log);
+        let _paused = log.pause();
         facts.index(&plan);
         let out = self.revert_loop(pool, log, &plan, &mut facts, trace, restart, t0, phases);
         debug_assert_eq!(
@@ -1252,7 +1233,7 @@ impl<'a> Reactor<'a> {
         group: &mut PoolGroup,
     ) -> MitigationOutcome {
         let t0 = Instant::now();
-        let _paused = LogPaused::new(log);
+        let _paused = log.pause();
         let mut out = MitigationOutcome::new(Rung::Failover);
         let crashed = pool.snapshot();
         for idx in group.failover_order() {
@@ -1951,7 +1932,7 @@ impl<'a> Reactor<'a> {
         t0: Instant,
     ) -> MitigationOutcome {
         let mut phases = PhaseTimes::default();
-        let _paused = LogPaused::new(log_rc);
+        let _paused = log_rc.pause();
         log_rc.clear_recovery_reads();
         // Run recovery + verification once to populate the recovery reads.
         let t_re = Instant::now();

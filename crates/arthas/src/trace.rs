@@ -59,11 +59,6 @@ impl PmTrace {
         self.total
     }
 
-    /// Number of distinct GUIDs seen.
-    pub fn n_guids(&self) -> usize {
-        self.by_guid.len()
-    }
-
     /// Clears the trace.
     pub fn clear(&mut self) {
         self.by_guid.clear();

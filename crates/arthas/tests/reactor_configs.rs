@@ -468,20 +468,7 @@ fn mitigate_heal_app(
     reads_everything: bool,
 ) -> HealRun {
     use obs::{Instrument as _, RingRecorder, Value};
-    let module = build_heal_app();
-    let out = analyze_and_instrument(&module);
-    let instrumented = Arc::new(out.instrumented.clone());
-    let log = SharedLog::new();
-    let mut trace = PmTrace::new();
-    let mut vm = Vm::new(instrumented.clone(), new_pool(), VmOpts::default());
-    vm.pool_mut().set_sink(log.as_sink());
-    for (func, args) in calls {
-        vm.call(func, args).unwrap();
-    }
-    let err = vm.call("get", &[]).unwrap_err();
-    trace.absorb(vm.drain_trace());
-    let failure = FailureRecord::from_vm(&err);
-    let mut pool = vm.crash();
+    let (out, instrumented, log, trace, failure, mut pool) = heal_app_to_failure(calls);
     let root = pool.root_offset().unwrap();
     if let Some(off) = flip {
         pool.corrupt_bit(root + off, 0).unwrap();
@@ -517,6 +504,24 @@ fn mitigate_heal_app(
         outcome,
         pool,
     }
+}
+
+/// Runs `calls` on the heal app, then the faulting `get`.
+fn heal_app_to_failure(calls: &[(&str, &[u64])]) -> FailedRun {
+    let module = build_heal_app();
+    let out = analyze_and_instrument(&module);
+    let instrumented = Arc::new(out.instrumented.clone());
+    let log = SharedLog::new();
+    let mut trace = PmTrace::new();
+    let mut vm = Vm::new(instrumented.clone(), new_pool(), VmOpts::default());
+    vm.pool_mut().set_sink(log.as_sink());
+    for (func, args) in calls {
+        vm.call(func, args).unwrap();
+    }
+    let err = vm.call("get", &[]).unwrap_err();
+    trace.absorb(vm.drain_trace());
+    let failure = FailureRecord::from_vm(&err);
+    (out, instrumented, log, trace, failure, vm.crash())
 }
 
 /// The newest logged seq at root offset `off`.
@@ -666,6 +671,88 @@ fn rollbacks_from_the_last_cut_over_overlapping_persists() {
             .collect();
         mitigate(&calls);
     }
+}
+
+/// Root: flag @8, value @16, each added to every `put`'s transaction as
+/// its own range, so each is its own logged entry. The poison input 666
+/// also sets the flag; `get()` dereferences `flag - value` while the flag
+/// is set, so after the poison put it faults on address 0. Both entries
+/// are in the fault's slice.
+fn build_tx_pair_app() -> Module {
+    let mut m = ModuleBuilder::new();
+    {
+        let mut f = m.func("put", 1, false);
+        let size = f.konst(64);
+        let root = f.pm_root(size);
+        let v = f.param(0);
+        let eight = f.konst(8);
+        let valp = f.gep(root, 16);
+        let flagp = f.gep(root, 8);
+        f.tx_begin();
+        f.tx_add(valp, eight);
+        f.tx_add(flagp, eight);
+        f.store8(valp, v);
+        let bad = f.konst(666);
+        let is_bad = f.eq(v, bad);
+        f.if_(is_bad, |f| f.store8(flagp, v));
+        f.tx_commit();
+        f.ret(None);
+        f.finish();
+    }
+    {
+        let mut f = m.func("get", 0, true);
+        let size = f.konst(64);
+        let root = f.pm_root(size);
+        let flagp = f.gep(root, 8);
+        let flag = f.load8(flagp);
+        let valp = f.gep(root, 16);
+        let v = f.load8(valp);
+        let zero = f.konst(0);
+        let tainted = f.ne(flag, zero);
+        f.if_(tainted, |f| {
+            let p = f.sub(flag, v);
+            let w = f.load8(p);
+            f.ret(Some(w));
+        });
+        f.ret(Some(v));
+        f.finish();
+    }
+    {
+        let mut f = m.func("recover", 0, false);
+        f.recover_begin();
+        let size = f.konst(64);
+        let root = f.pm_root(size);
+        f.load8(root);
+        f.recover_end();
+        f.ret(None);
+        f.finish();
+    }
+    m.finish().unwrap()
+}
+
+/// Pins ROADMAP item 1b as it stands, so that its fix shows up as this
+/// test's diff: a purge step undoes its own reversion. The poison put's
+/// transaction wrote the value and then the flag, so the plan is the
+/// flag's seq, then the value's, and one `Batch(8)` step takes both.
+/// Purging the flag reverts its transaction sibling, the value, too
+/// (§4.6). The value's own purge then finds it unlike its
+/// `expected_current`, calls that divergence, and writes the crashed
+/// image's 666 back over the reversion. The restart passes with the flag
+/// cleared, so the pool keeps the poisoned value where the reversion
+/// wrote the older 4.
+#[test]
+fn a_purge_batch_undoes_its_own_reversion() {
+    let cfg = ReactorConfig::builder()
+        .search(Search::Batch(8))
+        .build()
+        .unwrap();
+    let (outcome, mut pool) = mitigate_over(run_to_failure_of(build_tx_pair_app()), cfg);
+    assert!(outcome.recovered && outcome.attempts == 1, "{outcome:?}");
+    assert_eq!(outcome.discarded_updates, 2, "both seqs count as discarded");
+    let root = pool.root_offset().unwrap();
+    let flag = pool.read_u64(root + 8).unwrap();
+    let value = pool.read_u64(root + 16).unwrap();
+    assert_eq!((flag, value), (0, 666), "the value's reversion was undone");
 }
 
 // ---- skipped restarts ------------------------------------------------------

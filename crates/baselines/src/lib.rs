@@ -78,11 +78,6 @@ impl PmCriu {
         }
     }
 
-    /// Number of snapshots taken.
-    pub fn n_snapshots(&self) -> usize {
-        self.snapshots.len()
-    }
-
     /// Logical timestamps of the snapshots.
     pub fn snapshot_times(&self) -> Vec<u64> {
         self.snapshots.iter().map(|(t, _)| *t).collect()
@@ -142,7 +137,7 @@ impl ArCkpt {
         restart: &Restart,
     ) -> MitigationOutcome {
         let t0 = Instant::now();
-        log.set_enabled(false);
+        let _paused = log.pause();
         let seqs: Vec<u64> = {
             let l = log.view();
             let mut s = l.all_seqs();
@@ -154,7 +149,6 @@ impl ArCkpt {
         for depth in 1..=MAX_VERSIONS {
             for &s in &seqs {
                 if attempts >= self.max_attempts {
-                    log.set_enabled(true);
                     return outcome(false, attempts, reverted, t0);
                 }
                 // View dropped before the pool write below re-enters the sink.
@@ -173,12 +167,10 @@ impl ArCkpt {
                 reverted += 1;
                 attempts += 1;
                 if restart.run(pool, log).is_ok() {
-                    log.set_enabled(true);
                     return outcome(true, attempts, reverted, t0);
                 }
             }
         }
-        log.set_enabled(true);
         outcome(false, attempts, reverted, t0)
     }
 }
@@ -277,5 +269,33 @@ mod tests {
         let out = with_threshold(bad, 100, |r| ArCkpt::new(10).mitigate(&mut pool, &log, r));
         assert!(!out.recovered, "timeout before reaching the old bad update");
         assert_eq!(out.attempts, 10);
+    }
+
+    #[test]
+    fn arckpt_resumes_checkpointing_when_a_probe_panics() {
+        let mut pool = new_pool();
+        let a = pool.alloc(64).unwrap();
+        let log = SharedLog::new();
+        pool.set_sink(log.as_sink());
+        pool.write_u64(a, 999).unwrap();
+        pool.persist(a, 8).unwrap();
+        pool.clear_sink();
+        let module = Arc::new(ModuleBuilder::new().finish().unwrap());
+        let probe = |_: &mut Vm| -> Result<(), FailureRecord> { panic!("probe panics") };
+        let restart = Restart {
+            module: &module,
+            vm: VmOpts::default(),
+            probe: &probe,
+        };
+        let mitigate = || ArCkpt::new(5).mitigate(&mut pool, &log, &restart);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(mitigate));
+        assert!(caught.is_err(), "the probe's panic reaches the caller");
+
+        let before = log.total_updates();
+        let mut served = new_pool();
+        served.set_sink(log.as_sink());
+        served.write_u64(a, 1).unwrap();
+        served.persist(a, 8).unwrap();
+        assert_eq!(log.total_updates(), before + 1, "checkpointing is back on");
     }
 }

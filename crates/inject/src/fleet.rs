@@ -556,51 +556,6 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// The aggregated cross-scenario fleet summary: per-verdict totals,
-    /// per-scenario coverage, and this run's execution accounting.
-    pub fn summary_json(&self) -> Json {
-        let mut totals: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for s in &self.campaign.scenarios {
-            for t in &s.trials {
-                *totals.entry(t.verdict.as_str()).or_insert(0) += 1;
-            }
-        }
-        Json::obj([
-            ("workers", Json::U64(self.workers as u64)),
-            ("executed", Json::U64(self.executed)),
-            ("skipped", Json::U64(self.skipped)),
-            ("complete", Json::Bool(self.complete)),
-            ("wall_ms", Json::U64(self.wall_ms)),
-            ("journal_appended", Json::U64(self.journal_appended)),
-            ("journal_syncs", Json::U64(self.journal_syncs)),
-            (
-                "verdict_totals",
-                Json::obj(
-                    totals
-                        .into_iter()
-                        .map(|(k, n)| (k.to_string(), Json::U64(n))),
-                ),
-            ),
-            (
-                "coverage",
-                Json::Arr(
-                    self.campaign
-                        .scenarios
-                        .iter()
-                        .map(|s| {
-                            Json::obj([
-                                ("id", Json::Str(s.id.to_string())),
-                                ("sites_total", Json::U64(s.sites_total)),
-                                ("sites_tested", Json::U64(s.sites_tested)),
-                                ("trials", Json::U64(s.trials.len() as u64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
     /// Human-readable one-screen fleet summary.
     pub fn render_summary(&self) -> String {
         use std::fmt::Write as _;

@@ -4,7 +4,7 @@
 //!
 //! [`PmDevice`]: crate::PmDevice
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::capture;
 use crate::error::{PmError, PmResult};
@@ -15,18 +15,23 @@ pub(crate) const PAGE: usize = 4096;
 
 type Page = [u8; PAGE];
 
-/// The page every fresh image starts from, shared process-wide.
-fn zero_page() -> Arc<Page> {
-    static ZERO: OnceLock<Arc<Page>> = OnceLock::new();
-    ZERO.get_or_init(|| Arc::new([0; PAGE])).clone()
+/// What every page no image has written reads as.
+static ZERO: Page = [0; PAGE];
+
+/// The bytes a page slot holds.
+fn bytes(page: &Option<Arc<Page>>) -> &Page {
+    page.as_deref().unwrap_or(&ZERO)
 }
 
 /// A byte image held as reference-counted 4 KiB pages.
 ///
 /// Cloning copies page pointers, not bytes; a clone and its original share
 /// every page until one of them writes it, and a write copies only the page
-/// it lands on. Equality is by content (shared pages compare by pointer
-/// first, which `Arc<T: Eq>` does on its own).
+/// it lands on. A page never written is no page at all (`None`), so a fresh
+/// image and a copy of its untouched pages touch no reference count.
+/// Equality is by content: an unwritten page equals a written page of
+/// zeros, and shared pages compare by pointer first, which `Arc<T: Eq>`
+/// does on its own.
 ///
 /// Bytes of the last page beyond [`PmImage::len`] are always zero: every
 /// access is bounds-checked against `len`, so page equality never sees a
@@ -35,9 +40,10 @@ fn zero_page() -> Arc<Page> {
 /// Every method that hands out bytes — `read`, `read_into`, `to_vec` and
 /// equality — reports what it read to a running
 /// [`capture_reads`](crate::capture_reads).
-#[derive(Clone, Eq)]
+#[derive(Clone)]
 pub struct PmImage {
-    pages: Vec<Arc<Page>>,
+    /// `None` for a page never written, which reads as [`ZERO`].
+    pages: Vec<Option<Arc<Page>>>,
     len: usize,
 }
 
@@ -45,7 +51,7 @@ impl PmImage {
     /// A zero-filled image of `len` bytes; allocates no page.
     pub fn zeroed(len: usize) -> Self {
         PmImage {
-            pages: vec![zero_page(); len.div_ceil(PAGE)],
+            pages: vec![None; len.div_ceil(PAGE)],
             len,
         }
     }
@@ -66,7 +72,7 @@ impl PmImage {
         let mut out = Vec::with_capacity(self.len);
         for page in &self.pages {
             let n = PAGE.min(self.len - out.len());
-            out.extend_from_slice(&page[..n]);
+            out.extend_from_slice(&bytes(page)[..n]);
         }
         out
     }
@@ -88,7 +94,7 @@ impl PmImage {
 
     /// `n` bytes at `start`; the range must lie inside one page.
     pub(crate) fn within_page(&self, start: usize, n: usize) -> &[u8] {
-        &self.pages[start / PAGE][start % PAGE..][..n]
+        &bytes(&self.pages[start / PAGE])[start % PAGE..][..n]
     }
 
     /// Reads `len` bytes at `offset`.
@@ -126,10 +132,9 @@ impl PmImage {
         while !rest.is_empty() {
             let at = cur % PAGE;
             let n = rest.len().min(PAGE - at);
-            let page = &mut self.pages[cur / PAGE];
-            if Arc::get_mut(page).is_none() {
-                copied += 1;
-            }
+            let slot = &mut self.pages[cur / PAGE];
+            copied += usize::from(slot.as_mut().is_none_or(|p| Arc::get_mut(p).is_none()));
+            let page = slot.get_or_insert_with(|| Arc::new(ZERO));
             Arc::make_mut(page)[at..at + n].copy_from_slice(&rest[..n]);
             cur += n;
             rest = &rest[n..];
@@ -151,9 +156,16 @@ impl PartialEq for PmImage {
     fn eq(&self, other: &Self) -> bool {
         capture::note(0, self.len);
         capture::note(0, other.len);
-        self.len == other.len && self.pages == other.pages
+        self.len == other.len
+            && (self.pages.iter().zip(&other.pages)).all(|pair| match pair {
+                (None, None) => true,
+                (Some(a), Some(b)) => a == b,
+                (a, b) => bytes(a) == bytes(b),
+            })
     }
 }
+
+impl Eq for PmImage {}
 
 impl From<Vec<u8>> for PmImage {
     fn from(bytes: Vec<u8>) -> Self {
@@ -162,7 +174,7 @@ impl From<Vec<u8>> for PmImage {
             .map(|chunk| {
                 let mut page = [0; PAGE];
                 page[..chunk.len()].copy_from_slice(chunk);
-                Arc::new(page)
+                Some(Arc::new(page))
             })
             .collect();
         PmImage {
@@ -234,6 +246,18 @@ mod tests {
 
         assert_ne!(PmImage::zeroed(PAGE), PmImage::zeroed(PAGE + 1));
         assert_eq!(PmImage::zeroed(PAGE + 1), PmImage::from(vec![0; PAGE + 1]));
+    }
+
+    #[test]
+    fn an_unwritten_page_equals_a_page_written_back_to_zeros() {
+        let fresh = PmImage::zeroed(2 * PAGE);
+        let mut written = fresh.clone();
+        assert_eq!(written.write(PAGE as u64 + 7, &[0xAB; 3]).unwrap(), 1);
+        assert_ne!(fresh, written);
+        assert_eq!(written.write(PAGE as u64 + 7, &[0; 3]).unwrap(), 0);
+        assert_eq!(fresh, written, "a zeroed page equals no page");
+        assert_eq!(written, fresh, "in either order");
+        assert_eq!(written.to_vec(), vec![0; 2 * PAGE]);
     }
 
     #[test]

@@ -313,11 +313,6 @@ impl PmPool {
         self.armed = Some((site, policy));
     }
 
-    /// Disarms a pending [`PmPool::arm_crash_at_site`] injection.
-    pub fn disarm_site_crash(&mut self) {
-        self.armed = None;
-    }
-
     /// Enables or disables site-kind recording. While enabled, every
     /// boundary crossed appends its [`SiteKind`] to a log retrievable via
     /// [`PmPool::site_kinds`]. Enumeration runs turn this on; trial runs
@@ -888,11 +883,6 @@ impl PmPool {
         if let Some(sink) = &self.sink {
             sink.on_recover_end();
         }
-    }
-
-    /// Whether the recovery annotation is currently active.
-    pub fn is_recovering(&self) -> bool {
-        self.recovering
     }
 
     /// Flips one durable bit, bypassing the sink. Fault-injection helper

@@ -294,11 +294,6 @@ impl Engine {
         s
     }
 
-    /// Most recent mitigation, if any.
-    pub fn last_mitigation(&self) -> Option<&MitigationOutcome> {
-        self.last_mitigation.as_ref()
-    }
-
     fn seed_canaries(&mut self) -> Result<(), String> {
         for k in CANARY_LO..CANARY_HI {
             let r = match self.kind {
@@ -1028,7 +1023,7 @@ mod tests {
         // The standby lags behind the armed fault, so recovery comes
         // from promotion, not primary-image reversion.
         assert!(s.failovers >= 1, "failover resolved the fault: {s:?}");
-        let m = e.last_mitigation().expect("mitigation ran");
+        let m = e.last_mitigation.as_ref().expect("mitigation ran");
         assert!(m.rung == Rung::Failover && m.recovered, "{m:?}");
         assert!(!s.armed, "fault disarmed after recovery: {s:?}");
         // Post-failover the server keeps serving writes and reads.

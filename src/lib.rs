@@ -8,6 +8,5 @@ pub use inject;
 pub use pir;
 pub use pir_analysis;
 pub use pm_apps;
-pub use pm_study;
 pub use pm_workload;
 pub use pmemsim;
