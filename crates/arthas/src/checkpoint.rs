@@ -36,7 +36,7 @@ use pmemsim::PmSink;
 pub const MAX_VERSIONS: usize = 3;
 
 /// One retained version of an address's data.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VersionData {
     /// Global logical sequence number of the update.
     pub seq: u64,
@@ -47,7 +47,7 @@ pub struct VersionData {
 }
 
 /// The per-address checkpoint entry (paper Figure 5).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Entry {
     /// Retained versions, oldest first, newest last.
     pub versions: VecDeque<VersionData>,
@@ -75,6 +75,7 @@ pub struct LogStats {
 }
 
 /// Allocation record for the leak-mitigation pass (§4.7).
+#[derive(Clone, PartialEq, Eq)]
 struct AllocRecord {
     /// Payload size.
     size: u64,
@@ -85,6 +86,7 @@ struct AllocRecord {
 /// The log behind a [`SharedLog`]'s mutex: entries, allocation records and
 /// recovery reads. It records, rotates and retires; every query lives on
 /// [`LogView`].
+#[derive(Clone)]
 struct CheckpointLog {
     entries: BTreeMap<u64, Entry>,
     /// Entries of freed-then-reallocated blocks, parked here so
@@ -133,6 +135,30 @@ impl CheckpointLog {
         if let Some(r) = &self.recorder {
             r.add(counter, delta);
         }
+    }
+
+    /// Whether `other` holds the same state: entries, retired arena,
+    /// sequence maps, allocation records, recovery reads (as a set),
+    /// flags and counters. The recorder is not state.
+    fn same_state(&self, other: &CheckpointLog) -> bool {
+        let reads = |l: &CheckpointLog| {
+            let mut r = l.recovery_reads.ranges.clone();
+            r.sort_unstable();
+            r.dedup();
+            r
+        };
+        self.entries == other.entries
+            && self.retired == other.retired
+            && self.seq == other.seq
+            && self.seq_to_addr == other.seq_to_addr
+            && self.tx_members == other.tx_members
+            && self.allocs == other.allocs
+            && reads(self) == reads(other)
+            && self.recovering == other.recovering
+            && self.enabled == other.enabled
+            && self.max_versions == other.max_versions
+            && self.max_len == other.max_len
+            && self.stats == other.stats
     }
 
     /// Appends one version under the next sequence number, so per-address
@@ -221,6 +247,15 @@ impl CheckpointLog {
 #[derive(Default)]
 struct ReadSet {
     ranges: Vec<(u64, u64)>,
+}
+
+impl Clone for ReadSet {
+    /// Keeps the capacity, which decides when the copy compacts next.
+    fn clone(&self) -> Self {
+        let mut ranges = Vec::with_capacity(self.ranges.capacity());
+        ranges.extend_from_slice(&self.ranges);
+        ReadSet { ranges }
+    }
 }
 
 impl ReadSet {
@@ -343,6 +378,21 @@ impl SharedLog {
         LogView { log: self.lock() }
     }
 
+    /// A new store holding a copy of this one's state (entries, allocation
+    /// records, recovery reads, flags, counters and recorder): a deep
+    /// clone, which the two then never share.
+    pub fn fork(&self) -> SharedLog {
+        SharedLog {
+            log: Arc::new(Mutex::new(self.lock().clone())),
+        }
+    }
+
+    /// Whether `other` holds the same state as this store (the recorder
+    /// aside). Takes both locks, this store's first.
+    pub fn same_state(&self, other: &SharedLog) -> bool {
+        Arc::ptr_eq(&self.log, &other.log) || self.lock().same_state(&other.lock())
+    }
+
     /// The store as a sink handle for [`pmemsim::PmPool::set_sink`]: a
     /// shallow clone, so every pool it is attached to feeds this log.
     pub fn as_sink(&self) -> Arc<dyn PmSink + Send + Sync> {
@@ -458,6 +508,11 @@ impl PmSink for SharedLog {
         if log.recovering {
             log.recovery_reads.insert((offset, len));
         }
+    }
+
+    /// A crash capture's log is this one as it stands at the boundary.
+    fn on_capture(&self) -> Option<Box<dyn std::any::Any + Send>> {
+        Some(Box::new(self.fork()))
     }
 }
 

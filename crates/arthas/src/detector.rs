@@ -41,7 +41,7 @@ impl FailureKind {
 }
 
 /// One observed failure.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailureRecord {
     /// Category.
     pub kind: FailureKind,
@@ -65,7 +65,7 @@ impl FailureRecord {
             }
             StepLimit | Deadlock => FailureKind::Hang,
             AssertFail { .. } | Abort { .. } => FailureKind::Panic,
-            InjectedCrash | SiteCrash { .. } => FailureKind::Crash,
+            InjectedCrash => FailureKind::Crash,
         };
         FailureRecord {
             kind,
@@ -141,7 +141,7 @@ pub enum Verdict {
 /// // The same symptom after a restart marks the fault as hard.
 /// assert_eq!(d.observe(symptom), Verdict::SuspectedHard);
 /// ```
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct Detector {
     history: Vec<FailureRecord>,
     verdicts: Vec<Verdict>,
@@ -163,8 +163,7 @@ impl Detector {
             Verdict::FirstSighting
         };
         if let Some(r) = &self.recorder {
-            r.event(
-                "detector.observe",
+            r.event("detector.observe", &|| {
                 vec![
                     ("kind", obs::Value::from(rec.kind.as_str())),
                     ("exit_code", obs::Value::from(rec.exit_code)),
@@ -175,8 +174,8 @@ impl Detector {
                             Verdict::SuspectedHard => "suspected_hard",
                         }),
                     ),
-                ],
-            );
+                ]
+            });
             r.add("detector.observations", 1);
         }
         self.history.push(rec);

@@ -1085,21 +1085,19 @@ impl<'a> Reactor<'a> {
             ..Default::default()
         };
         phases.plan = t_plan.elapsed().saturating_sub(self.last_slice_time);
-        self.recorder.event(
-            "reactor.plan",
+        self.recorder.event("reactor.plan", &|| {
             vec![
                 ("plan_len", Value::from(plan.seqs.len())),
                 ("slice_us", Value::from(phases.slice.as_micros() as u64)),
                 ("plan_us", Value::from(phases.plan.as_micros() as u64)),
                 ("candidate_seqs", Value::from(seq_list(&plan.seqs))),
-            ],
-        );
+            ]
+        });
         (plan, facts, phases)
     }
 
     fn record_outcome(&self, out: &MitigationOutcome) {
-        self.recorder.event(
-            "reactor.outcome",
+        self.recorder.event("reactor.outcome", &|| {
             vec![
                 ("recovered", Value::from(out.recovered)),
                 ("restart_only", Value::from(out.rung == Rung::RestartOnly)),
@@ -1110,8 +1108,8 @@ impl<'a> Reactor<'a> {
                 ("mode_fellback", Value::from(out.mode_fellback)),
                 ("leaks_freed", Value::from(out.leaks_freed)),
                 ("wall_us", Value::from(out.wall.as_micros() as u64)),
-            ],
-        );
+            ]
+        });
         self.recorder.add("reactor.mitigations", 1);
         if out.recovered {
             self.recorder.add("reactor.recoveries", 1);
@@ -1174,15 +1172,14 @@ impl<'a> Reactor<'a> {
             }
         }
         if corrupted.is_empty() {
-            self.recorder.event(
-                "reactor.cross_check",
+            self.recorder.event("reactor.cross_check", &|| {
                 vec![
                     ("plan_len", Value::from(plan.seqs.len())),
                     ("filtered_len", Value::from(plan.seqs.len())),
                     ("corrupted_addrs", Value::from(0u64)),
                     ("replicas", Value::from(group.n())),
-                ],
-            );
+                ]
+            });
             return plan.clone();
         }
         let seqs: Vec<u64> = plan
@@ -1202,15 +1199,14 @@ impl<'a> Reactor<'a> {
             .filter(|(s, _)| seqs.contains(s))
             .map(|(s, v)| (*s, v.clone()))
             .collect();
-        self.recorder.event(
-            "reactor.cross_check",
+        self.recorder.event("reactor.cross_check", &|| {
             vec![
                 ("plan_len", Value::from(plan.seqs.len())),
                 ("filtered_len", Value::from(seqs.len())),
                 ("corrupted_addrs", Value::from(corrupted.len())),
                 ("replicas", Value::from(group.n())),
-            ],
-        );
+            ]
+        });
         Plan { seqs, sources }
     }
 
@@ -1249,14 +1245,13 @@ impl<'a> Reactor<'a> {
             let t_re = Instant::now();
             let ok = restart.run(pool, log).is_ok();
             out.phases.reexec += t_re.elapsed();
-            self.recorder.event(
-                "reactor.failover",
+            self.recorder.event("reactor.failover", &|| {
                 vec![
                     ("replica", Value::from(idx)),
                     ("cursor", Value::from(cursor)),
                     ("verified", Value::from(ok)),
-                ],
-            );
+                ]
+            });
             if ok {
                 let view = log.view();
                 out.reverted_seqs = view
@@ -1297,13 +1292,12 @@ impl<'a> Reactor<'a> {
         phases.reexec += t_re.elapsed();
         self.recorder
             .observe_duration("reactor.reexec_us", t_re.elapsed());
-        self.recorder.event(
-            "reactor.restart_only",
+        self.recorder.event("reactor.restart_only", &|| {
             vec![
                 ("recovered", Value::from(ok)),
                 ("plan_len", Value::from(0usize)),
-            ],
-        );
+            ]
+        });
         let out = MitigationOutcome {
             recovered: ok,
             attempts: 1,
@@ -1415,32 +1409,30 @@ impl<'a> Reactor<'a> {
                 let known = basis.as_ref().and_then(|b| b.verdict_for(&lineage));
                 self.recorder.add("reactor.revert_writes", work.writes);
                 self.recorder.add("reactor.heal_checks", work.heal_checks);
-                if self.recorder.is_enabled() {
-                    if budget_flip {
-                        self.recorder.event(
-                            "reactor.fallback",
-                            vec![
-                                ("attempt", Value::from(ctl.attempts - 1)),
-                                ("reason", Value::from("attempt_budget")),
-                            ],
-                        );
-                    }
-                    self.recorder.event(
-                        "reactor.attempt",
+                if budget_flip {
+                    self.recorder.event("reactor.fallback", &|| {
                         vec![
-                            ("attempt", Value::from(ctl.attempts)),
-                            ("depth", Value::from(depth)),
-                            ("mode", Value::from(mode_name(ctl.mode))),
-                            ("batch_seqs", Value::from(seq_list(&plan.seqs[batch]))),
-                            ("skipped", Value::from(known.is_some())),
-                        ],
-                    );
-                    for &(seq, addr) in &work.heals {
-                        self.recorder.event(
-                            "reactor.heal",
-                            vec![("seq", Value::from(seq)), ("addr", Value::from(addr))],
-                        );
-                    }
+                            ("attempt", Value::from(ctl.attempts - 1)),
+                            ("reason", Value::from("attempt_budget")),
+                        ]
+                    });
+                }
+                self.recorder.event("reactor.attempt", &|| {
+                    vec![
+                        ("attempt", Value::from(ctl.attempts)),
+                        ("depth", Value::from(depth)),
+                        ("mode", Value::from(mode_name(ctl.mode))),
+                        (
+                            "batch_seqs",
+                            Value::from(seq_list(&plan.seqs[batch.clone()])),
+                        ),
+                        ("skipped", Value::from(known.is_some())),
+                    ]
+                });
+                for &(seq, addr) in &work.heals {
+                    self.recorder.event("reactor.heal", &|| {
+                        vec![("seq", Value::from(seq)), ("addr", Value::from(addr))]
+                    });
                 }
                 phases.revert += t_rv.elapsed();
                 self.recorder
@@ -1493,13 +1485,12 @@ impl<'a> Reactor<'a> {
                     ctl.mode = Mode::Rollback;
                     ctl.mode_fellback = true;
                     ctl.streak = 0;
-                    self.recorder.event(
-                        "reactor.fallback",
+                    self.recorder.event("reactor.fallback", &|| {
                         vec![
                             ("attempt", Value::from(ctl.attempts)),
                             ("reason", Value::from("recovery_panic")),
-                        ],
-                    );
+                        ]
+                    });
                 }
             }
         }
@@ -1826,10 +1817,9 @@ impl<'a> Reactor<'a> {
             }
         }
         if used > 0 {
-            self.recorder.event(
-                "reactor.minimize",
-                vec![("reexecutions", Value::from(used))],
-            );
+            self.recorder.event("reactor.minimize", &|| {
+                vec![("reexecutions", Value::from(used))]
+            });
         }
         used
     }
@@ -1951,14 +1941,13 @@ impl<'a> Reactor<'a> {
         let t_re = Instant::now();
         let ok = restart.run(pool, log_rc).is_ok();
         phases.reexec += t_re.elapsed();
-        self.recorder.event(
-            "reactor.leak_mitigation",
+        self.recorder.event("reactor.leak_mitigation", &|| {
             vec![
                 ("suspects", Value::from(suspects.len())),
                 ("freed", Value::from(freed)),
                 ("recovered", Value::from(ok && freed > 0)),
-            ],
-        );
+            ]
+        });
         let out = MitigationOutcome {
             recovered: ok && freed > 0,
             attempts: 2,

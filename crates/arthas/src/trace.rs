@@ -18,7 +18,7 @@ use std::collections::HashMap;
 /// trace.absorb([(1, pir::mem::pm_addr(4096)), (1, pir::mem::pm_addr(4104))]);
 /// assert_eq!(trace.offsets(1), &[4096, 4104]);
 /// ```
-#[derive(Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PmTrace {
     by_guid: HashMap<u64, Vec<u64>>,
     total: usize,

@@ -44,7 +44,7 @@ use std::time::Instant;
 use arthas::{AnalysisCache, ConfigError};
 use obs::journal::{read_journal, JournalWriter};
 use obs::{Field, Json, NullRecorder, Recorder, Schema, Value};
-use pm_workload::Scenario;
+use pm_workload::{CrashCapture, Scenario};
 use pmemsim::SiteKind;
 
 use crate::{
@@ -553,6 +553,9 @@ pub struct FleetReport {
     pub journal_syncs: u64,
     /// Torn lines skipped while loading the resume journal.
     pub resume_torn: u64,
+    /// Capture passes run: at most one per scenario with a row to run
+    /// (`fleet.capture_passes`).
+    pub capture_passes: u64,
 }
 
 impl FleetReport {
@@ -563,10 +566,11 @@ impl FleetReport {
         let _ = writeln!(
             out,
             "fleet: {} worker(s), {} trial(s) executed, {} resumed from journal, \
-             {:.1}s wall{}",
+             {} capture pass(es), {:.1}s wall{}",
             self.workers,
             self.executed,
             self.skipped,
+            self.capture_passes,
             self.wall_ms as f64 / 1000.0,
             if self.complete { "" } else { " [INCOMPLETE]" },
         );
@@ -617,12 +621,17 @@ fn admit(
     Ok((results, fresh))
 }
 
-/// A scenario once its prepare ended: the preparation, and its verdicts
-/// by matrix row (journaled ones from admission, live ones as their
-/// trials end).
+/// A scenario once its prepare ended: the preparation, its verdicts by
+/// matrix row (journaled ones from admission, live ones as their trials
+/// end), and the crash captures of the rows left to run.
 struct Admitted<'a> {
     prep: PreparedScenario<'a>,
     results: Mutex<Vec<Option<Trial>>>,
+    /// By matrix row, set by the scenario's one capture pass, which the
+    /// worker that claims its first row runs before classifying it. Each
+    /// row takes its own capture out, so a scenario's captures live only
+    /// while its rows are in flight.
+    captures: OnceLock<Mutex<Vec<Option<CrashCapture>>>>,
 }
 
 /// What the workers share, behind one lock.
@@ -641,13 +650,16 @@ struct Work {
     skipped: u64,
     /// Trials claimed for execution.
     claimed: u64,
+    /// Scenarios whose capture pass is running: no other worker claims
+    /// their rows until it ends.
+    capturing: BTreeSet<usize>,
     /// Set on the first error or worker panic: no worker claims more.
     stop: bool,
     error: Option<FleetError>,
 }
 
 /// The workers' shared state and the condition variable idle workers
-/// wait on for a prepare to admit rows.
+/// wait on for a prepare to admit rows or a capture pass to end.
 #[derive(Default)]
 struct Board {
     work: Mutex<Work>,
@@ -671,9 +683,15 @@ impl Board {
     }
 }
 
+/// Locks `m`, recovering from poisoning: a worker that panicked holding
+/// it stopped the run, and the data it guards is only read back.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// Stops the other workers when the worker holding it panics, so none
-/// waits for a prepare that will never be admitted; the panic then
-/// propagates out of the thread scope.
+/// waits for a prepare that will never be admitted or a capture pass that
+/// will never end; the panic then propagates out of the thread scope.
 struct StopOnPanic<'b>(&'b Board);
 
 impl Drop for StopOnPanic<'_> {
@@ -688,9 +706,15 @@ impl Drop for StopOnPanic<'_> {
 enum Job {
     /// Prepare and admit this scenario.
     Prepare(usize),
-    /// Run this (scenario, matrix row); the queue held `remaining`
-    /// unclaimed rows after it was taken.
-    Trial(usize, usize, u64),
+    /// Run matrix row `ri` of scenario `si`, after the scenario's capture
+    /// pass when `pass` (its first row claimed); the queue held
+    /// `remaining` unclaimed rows after it was taken.
+    Trial {
+        si: usize,
+        ri: usize,
+        remaining: u64,
+        pass: bool,
+    },
 }
 
 /// Runs a campaign over the given scenarios.
@@ -708,13 +732,18 @@ enum Job {
 ///    [`FleetError::Journal`]. `fleet.queue_built` fires once, when the
 ///    last scenario is admitted.
 /// 2. **trial** — otherwise, the next queued row of any admitted
-///    scenario: classify it, journal the verdict, repeat. An exact
-///    `trial_limit` is enforced by claiming an execution slot with the
-///    row, which is also how tests simulate a kill at a precise queue
-///    depth.
+///    scenario whose capture pass is not running elsewhere: classify it,
+///    journal the verdict, repeat. The worker that claims a scenario's
+///    first row first runs its **capture pass**: the workload replayed
+///    once with every row left to run armed, which takes each row's
+///    post-crash machine on a fork (`fleet.capture_passes`, one per
+///    scenario). An exact `trial_limit` is enforced by claiming an
+///    execution slot with the row, which is also how tests simulate a
+///    kill at a precise queue depth.
 ///
-/// A worker waits only when nothing is queued and a prepare is still
-/// running, so no worker idles while a slow scenario prepares. Finally,
+/// A worker waits only when every queued row waits on a capture pass, or
+/// nothing is queued and a prepare is still running, so no worker idles
+/// while a slow scenario prepares or captures. Finally,
 /// **assemble**: per-scenario canonical sort + census over result slots
 /// indexed by matrix row, so the document does not depend on which
 /// worker classified which row or in what order.
@@ -765,14 +794,14 @@ pub fn run_fleet(
     let slots: Vec<OnceLock<Admitted<'_>>> = scenarios.iter().map(|_| OnceLock::new()).collect();
     let board = Board::default();
     let executed_ctr = AtomicU64::new(0);
+    let passes_ctr = AtomicU64::new(0);
     let limit = cfg.trial_limit.unwrap_or(u64::MAX);
     let journal: Option<Mutex<JournalWriter>> = writer.map(Mutex::new);
     let seed = campaign.seed();
     let stride = campaign.stride();
     let queue_built = |w: &Work| {
         rec.add("fleet.trials_skipped", w.skipped);
-        rec.event(
-            "fleet.queue_built",
+        rec.event("fleet.queue_built", &|| {
             vec![
                 ("rows", Value::U64(w.queued + w.skipped)),
                 ("queued", Value::U64(w.queued)),
@@ -781,8 +810,8 @@ pub fn run_fleet(
                     "trials_done",
                     Value::U64(executed_ctr.load(Ordering::Relaxed)),
                 ),
-            ],
-        );
+            ]
+        });
     };
     if scenarios.is_empty() {
         queue_built(&Work::default());
@@ -800,11 +829,25 @@ pub fn run_fleet(
             if w.claimed >= limit {
                 return None;
             }
-            if let Some((si, ri)) = w.queue.pop_front() {
+            let open = w.queue.iter().position(|(si, _)| !w.capturing.contains(si));
+            if let Some((si, ri)) = open.and_then(|at| w.queue.remove(at)) {
                 w.claimed += 1;
-                return Some(Job::Trial(si, ri, w.queue.len() as u64));
+                let a = slots[si]
+                    .get()
+                    .expect("a queued row's scenario is admitted");
+                let pass = a.captures.get().is_none();
+                if pass {
+                    w.capturing.insert(si);
+                }
+                let remaining = w.queue.len() as u64;
+                return Some(Job::Trial {
+                    si,
+                    ri,
+                    remaining,
+                    pass,
+                });
             }
-            if w.admitted == w.next_scenario {
+            if w.queue.is_empty() && w.admitted == w.next_scenario {
                 return None;
             }
             w = board.wake.wait(w).unwrap_or_else(|p| p.into_inner());
@@ -814,16 +857,15 @@ pub fn run_fleet(
         let scn = scenarios[i].as_ref();
         let t0 = Instant::now();
         let prep = prepare_scenario(scn, campaign);
-        rec.event(
-            "fleet.scenario_ready",
+        rec.event("fleet.scenario_ready", &|| {
             vec![
                 ("id", Value::Str(scn.id().to_string())),
                 ("sites", Value::U64(prep.sites_total)),
                 ("rows", Value::U64(prep.matrix.len() as u64)),
                 ("prepare_us", Value::U64(t0.elapsed().as_micros() as u64)),
                 ("replays", Value::U64(u64::from(prep.replays))),
-            ],
-        );
+            ]
+        });
         let (results, fresh) = match admit(&prep, resume.as_ref()) {
             Ok(admitted) => admitted,
             Err(e) => return board.stop(Some(e)),
@@ -832,6 +874,7 @@ pub fn run_fleet(
         let _ = slots[i].set(Admitted {
             prep,
             results: Mutex::new(results),
+            captures: OnceLock::new(),
         });
         let mut w = board.lock();
         w.admitted += 1;
@@ -844,31 +887,54 @@ pub fn run_fleet(
         drop(w);
         board.wake.notify_all();
     };
-    let run_row = |si: usize, ri: usize, remaining: u64| -> Result<(), FleetError> {
+    let run_row = |si: usize, ri: usize, remaining: u64, pass: bool| -> Result<(), FleetError> {
         let a = slots[si]
             .get()
             .expect("a queued row's scenario is admitted");
         let t0 = Instant::now();
-        let (trial, paid) = a.prep.run_row(campaign, a.prep.matrix[ri]);
+        if pass {
+            // No other row of the scenario is claimed until the pass
+            // ends, so the rows without a verdict are the ones admission
+            // queued.
+            let rows: Vec<usize> = lock(&a.results)
+                .iter()
+                .enumerate()
+                .filter_map(|(ri, t)| t.is_none().then_some(ri))
+                .collect();
+            let _ = a.captures.set(Mutex::new(a.prep.capture(campaign, &rows)));
+            passes_ctr.fetch_add(1, Ordering::Relaxed);
+            rec.add("fleet.capture_passes", 1);
+            rec.event("fleet.capture_pass", &|| {
+                vec![
+                    ("scenario", Value::Str(a.prep.scn.id().to_string())),
+                    ("rows", Value::U64(rows.len() as u64)),
+                    ("pass_us", Value::U64(t0.elapsed().as_micros() as u64)),
+                ]
+            });
+            board.lock().capturing.remove(&si);
+            board.wake.notify_all();
+        }
+        let captures = a.captures.get().expect("a row runs after its capture pass");
+        let capture = lock(captures)[ri].take();
+        let (trial, paid) = a.prep.run_row(campaign, ri, capture);
         rec.observe_duration("fleet.trial_us", t0.elapsed());
         rec.add("fleet.trials_executed", 1);
         rec.add("fleet.restarts_paid", u64::from(paid));
         executed_ctr.fetch_add(1, Ordering::Relaxed);
-        rec.event(
-            "fleet.trial_done",
+        rec.event("fleet.trial_done", &|| {
             vec![
                 ("scenario", Value::Str(a.prep.scn.id().to_string())),
                 ("site", Value::U64(trial.site)),
                 ("verdict", Value::Str(trial.verdict.as_str().to_string())),
                 ("paid", Value::U64(u64::from(paid))),
                 ("remaining", Value::U64(remaining)),
-            ],
-        );
+            ]
+        });
         if let Some(j) = &journal {
             let line = trial_json(a.prep.scn.id(), seed, stride, &trial);
-            j.lock().unwrap_or_else(|p| p.into_inner()).append(&line)?;
+            lock(j).append(&line)?;
         }
-        a.results.lock().unwrap_or_else(|p| p.into_inner())[ri] = Some(trial);
+        lock(&a.results)[ri] = Some(trial);
         Ok(())
     };
     std::thread::scope(|s| {
@@ -878,8 +944,13 @@ pub fn run_fleet(
                 while let Some(job) = next_job() {
                     match job {
                         Job::Prepare(i) => prepare(i),
-                        Job::Trial(si, ri, remaining) => {
-                            if let Err(e) = run_row(si, ri, remaining) {
+                        Job::Trial {
+                            si,
+                            ri,
+                            remaining,
+                            pass,
+                        } => {
+                            if let Err(e) = run_row(si, ri, remaining, pass) {
                                 board.stop(Some(e));
                             }
                         }
@@ -939,16 +1010,16 @@ pub fn run_fleet(
         journal_appended,
         journal_syncs,
         resume_torn,
+        capture_passes: passes_ctr.into_inner(),
     };
-    rec.event(
-        "fleet.done",
+    rec.event("fleet.done", &|| {
         vec![
             ("executed", Value::U64(report.executed)),
             ("skipped", Value::U64(report.skipped)),
             ("complete", Value::Bool(report.complete)),
             ("wall_ms", Value::U64(report.wall_ms)),
             ("prior_lines", Value::U64(prior_lines)),
-        ],
-    );
+        ]
+    });
     Ok(report)
 }

@@ -332,7 +332,7 @@ impl PassingRun {
                 trace: p.trace,
                 seed_read: p.seed_read,
             },
-            InjectionOutcome::SiteCrash(_) => unreachable!("no injection is armed"),
+            InjectionOutcome::Captured(_) => unreachable!("no injection is armed"),
         }
     }
 }
@@ -484,15 +484,14 @@ pub(crate) fn mine_from(
     if let Some(rec) = recorder {
         rec.add("invariants.candidates_discarded", discarded);
         rec.add("invariants.promoted", promoted.len() as u64);
-        rec.event(
-            "invariants.mined",
+        rec.event("invariants.mined", &|| {
             vec![
                 ("scenario", obs::Value::from(scn.id())),
                 ("promoted", obs::Value::from(promoted.len() as u64)),
                 ("discarded", obs::Value::from(discarded)),
                 ("seeds", obs::Value::from(u64::from(MINING_SEEDS))),
-            ],
-        );
+            ]
+        });
     }
     let mined = MinedInvariants {
         promoted: promoted.into_iter().collect(),

@@ -4,10 +4,11 @@
 //! (WITCHER-style exploration adapted to the Arthas pipeline): enumerate
 //! every durability boundary a scenario run crosses (`pmemsim`'s
 //! monotonic site counter numbers each persist, drain, alloc, free and
-//! transaction boundary), then replay the identical workload once per
-//! *trial* — a (site, [`CrashPolicy`]) pair — crashing the pool exactly
-//! at that boundary and feeding the raw post-crash image through the
-//! detection/mitigation pipeline.
+//! transaction boundary), then replay the identical workload once more
+//! with every *trial* — a (site, [`CrashPolicy`]) pair — armed: at each
+//! armed boundary the pool crashes a fork of itself and runs on, so one
+//! capture pass yields the raw post-crash image of every trial, and each
+//! is fed through the detection/mitigation pipeline.
 //!
 //! Every trial ends in one of six [`TrialVerdict`]s:
 //!
@@ -26,9 +27,9 @@
 //!   checks pass, but the raw post-crash image breaks an invariant the
 //!   [`invariants`] miner promoted from passing runs (the application
 //!   cannot see the damage; the mined oracle can);
-//! - **not-reached** — the armed site never fired on replay, which a
-//!   deterministic workload should make impossible; a nonzero count is a
-//!   determinism bug, and the CI campaign treats it as one.
+//! - **not-reached** — the capture pass never crossed the armed site,
+//!   which a deterministic workload should make impossible; a nonzero
+//!   count is a determinism bug, and the CI campaign treats it as one.
 //!
 //! [`run_fleet`] is the one function that runs trials: every scenario's
 //! rows merge into one queue drained by [`CampaignConfig::runners`]
@@ -411,7 +412,8 @@ pub enum TrialVerdict {
     /// Recovery and the scenario's own checks pass, but the raw
     /// post-crash image breaks a mined invariant ([`invariants`]).
     SilentCorruption,
-    /// The armed site never fired on replay (a determinism bug).
+    /// The capture pass never crossed the armed site (a determinism
+    /// bug).
     NotReached,
 }
 
@@ -875,53 +877,51 @@ fn unlogged_offset(view: &LogView<'_>, pool: &PmPool, salt: u64) -> (u64, u8) {
     (off, (salt % 8) as u8)
 }
 
-/// Runs one trial: replay the workload with the crash armed, classify
-/// the outcome. Also returns the restarts the trial paid: the watches
-/// that restarted the image plus the mitigation's re-execution rounds.
+/// Classifies one trial from its capture. Also returns the restarts the
+/// trial paid: the watches that restarted the image plus the
+/// mitigation's re-execution rounds.
 fn run_trial(
     scn: &dyn Scenario,
     setup: &AppSetup,
     cfg: &CampaignConfig,
     mined: &[MinedInvariant],
-    site: u64,
-    kind: SiteKind,
-    policy: CrashPolicy,
+    (site, kind, policy): MatrixRow,
+    capture: Option<CrashCapture>,
 ) -> (Trial, u32) {
-    let run_cfg = RunConfig {
-        seed: cfg.seed,
-        // The capture keeps pool, log and trace; a snapshot would be dropped.
-        criu: false,
-        injection: Some(SiteInjection { site, policy }),
-        ..RunConfig::default()
+    let trial = |verdict, restarts, attempts| Trial {
+        site,
+        kind,
+        policy,
+        verdict,
+        restarts,
+        attempts,
     };
-    match run_with_injection(scn, setup, &run_cfg) {
-        InjectionOutcome::SiteCrash(capture) => {
+    match capture {
+        Some(capture) => {
+            // Restarts run under the capture pass's VM options.
+            let vm = RunConfig::default().vm;
             let (verdict, restarts, attempts, paid) =
-                classify(scn, setup, cfg, run_cfg.vm, policy, mined, *capture);
-            let trial = Trial {
-                site,
-                kind,
-                policy,
-                verdict,
-                restarts,
-                attempts,
-            };
-            (trial, paid)
+                classify(scn, setup, cfg, vm, policy, mined, capture);
+            (trial(verdict, restarts, attempts), paid)
         }
         // The workload finished (or hit its scripted hard fault) without
         // crossing the armed boundary — on a deterministic replay this
         // cannot happen; surface it instead of panicking.
-        InjectionOutcome::HardFailure(_) | InjectionOutcome::Completed(_) => (
-            Trial {
-                site,
-                kind,
-                policy,
-                verdict: TrialVerdict::NotReached,
-                restarts: 0,
-                attempts: 0,
-            },
-            0,
-        ),
+        None => (trial(TrialVerdict::NotReached, 0, 0), 0),
+    }
+}
+
+/// The production run of a capture pass armed at `rows`.
+fn capture_run(cfg: &CampaignConfig, rows: &[MatrixRow]) -> RunConfig {
+    RunConfig {
+        seed: cfg.seed,
+        // The capture keeps pool, log and trace; a snapshot would be dropped.
+        criu: false,
+        injections: rows
+            .iter()
+            .map(|&(site, _, policy)| SiteInjection { site, policy })
+            .collect(),
+        ..RunConfig::default()
     }
 }
 
@@ -996,19 +996,55 @@ impl PreparedScenario<'_> {
         self.mined.as_ref().map_or(&[], |m| &m.promoted)
     }
 
-    /// Classifies one matrix row, and says how many restarts that paid
-    /// ([`run_trial`]).
-    pub fn run_row(&self, cfg: &CampaignConfig, row: MatrixRow) -> (Trial, u32) {
-        let (site, kind, policy) = row;
-        run_trial(
-            self.scn,
-            &self.setup,
-            cfg,
-            self.promoted(),
-            site,
-            kind,
-            policy,
-        )
+    /// One capture pass: the workload replayed once with every listed
+    /// matrix row armed. Returns, by matrix row, the capture of each
+    /// listed row the pass reached.
+    pub fn capture(&self, cfg: &CampaignConfig, rows: &[usize]) -> Vec<Option<CrashCapture>> {
+        let armed: Vec<MatrixRow> = rows.iter().map(|&ri| self.matrix[ri]).collect();
+        let InjectionOutcome::Captured(taken) =
+            run_with_injection(self.scn, &self.setup, &capture_run(cfg, &armed))
+        else {
+            unreachable!("an armed run returns its captures");
+        };
+        let mut by_row: Vec<Option<CrashCapture>> = self.matrix.iter().map(|_| None).collect();
+        for c in taken {
+            let ri = rows
+                .iter()
+                .copied()
+                .find(|&ri| (self.matrix[ri].0, self.matrix[ri].2) == (c.site, c.policy))
+                .expect("a capture fires only at an armed row");
+            by_row[ri] = Some(c);
+        }
+        by_row
+    }
+
+    /// Classifies matrix row `ri` from its capture (`None`: the pass never
+    /// reached it), and says how many restarts that paid ([`run_trial`]).
+    ///
+    /// Debug builds first take the row's capture the slow way, from a
+    /// pass armed at that row alone, and require the same machine.
+    pub fn run_row(
+        &self,
+        cfg: &CampaignConfig,
+        ri: usize,
+        capture: Option<CrashCapture>,
+    ) -> (Trial, u32) {
+        let row = self.matrix[ri];
+        if cfg!(debug_assertions) {
+            let alone = self.capture(cfg, &[ri]).swap_remove(ri);
+            let same = match (&capture, &alone) {
+                (Some(a), Some(b)) => a.same_as(b),
+                (a, b) => a.is_none() && b.is_none(),
+            };
+            assert!(
+                same,
+                "{}: site {} under {}: the capture pass took another machine than a pass armed there alone",
+                self.scn.id(),
+                row.0,
+                policy_name(row.2)
+            );
+        }
+        run_trial(self.scn, &self.setup, cfg, self.promoted(), row, capture)
     }
 }
 

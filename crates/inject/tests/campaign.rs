@@ -1,41 +1,107 @@
 //! Campaign determinism guarantees.
 //!
-//! Two contracts keep injection results trustworthy: a trial is a pure
+//! Three contracts keep injection results trustworthy: a trial is a pure
 //! function of (seed, site, policy) — in particular `RandomStaged`
-//! derives every staging decision from its own seed — and the campaign's
-//! verdict list is independent of how many runner threads classified it.
+//! derives every staging decision from its own seed — the one capture
+//! pass a campaign runs per scenario takes every trial's machine exactly
+//! as a pass armed at that trial alone would, and the campaign's verdict
+//! list is independent of how many runner threads classified it.
 
 use inject::{CampaignConfig, TrialVerdict};
 use pm_workload::{
-    run_with_injection, scenarios, AppSetup, InjectionOutcome, RunConfig, SiteInjection,
+    run_with_injection, scenarios, AppSetup, CrashCapture, InjectionOutcome, RunConfig,
+    SiteInjection,
 };
 use pmemsim::CrashPolicy;
 use proptest::prelude::*;
 
 mod common;
 
+/// One capture pass over `scn` armed at `armed`: its captures, in the
+/// order they fired.
+fn capture(
+    scn: &dyn pm_workload::Scenario,
+    setup: &AppSetup,
+    armed: &[SiteInjection],
+) -> Vec<CrashCapture> {
+    let cfg = RunConfig {
+        criu: false,
+        injections: armed.to_vec(),
+        ..RunConfig::default()
+    };
+    match run_with_injection(scn, setup, &cfg) {
+        InjectionOutcome::Captured(taken) => taken,
+        other => panic!("an armed pass ended {}", outcome_name(&other)),
+    }
+}
+
 /// Runs f1 with a crash armed at `site` under `policy` and returns the
 /// raw post-crash image.
 fn crash_image(setup: &AppSetup, site: u64, policy: CrashPolicy) -> pmemsim::PmImage {
     let scn = scenarios::by_id("f1").expect("f1 exists");
-    let cfg = RunConfig {
-        injection: Some(SiteInjection { site, policy }),
-        ..RunConfig::default()
-    };
-    match run_with_injection(scn.as_ref(), setup, &cfg) {
-        InjectionOutcome::SiteCrash(c) => {
-            assert_eq!(c.site, site, "crash fired at the armed site");
-            c.pool.snapshot()
-        }
-        other => panic!("site {site} did not fire: {}", outcome_name(&other)),
-    }
+    let mut taken = capture(scn.as_ref(), setup, &[SiteInjection { site, policy }]);
+    assert_eq!(taken.len(), 1, "site {site} fired once");
+    let c = taken.remove(0);
+    assert_eq!(
+        (c.site, c.policy),
+        (site, policy),
+        "crash fired at the armed site"
+    );
+    c.pool.snapshot()
 }
 
 fn outcome_name(o: &InjectionOutcome) -> &'static str {
     match o {
-        InjectionOutcome::SiteCrash(_) => "site-crash",
+        InjectionOutcome::Captured(_) => "captured",
         InjectionOutcome::HardFailure(_) => "hard-failure",
         InjectionOutcome::Completed(_) => "completed",
+    }
+}
+
+/// One pass takes every row's machine exactly: for every stock scenario
+/// and the fixture, under both default policies, the capture a pass
+/// armed at the whole matrix (hfbench's campaign size: stride 8, 32 rows)
+/// takes at each site is the one a pass armed there alone takes — image
+/// bytes, pool counters, log, trace, restarts and detector history.
+#[test]
+fn one_pass_captures_every_row_as_a_pass_armed_there_alone() {
+    let cfg = CampaignConfig::builder()
+        .stride(8)
+        .budget(32)
+        .build()
+        .unwrap();
+    let mut ids: Vec<&str> = scenarios::all().iter().map(|s| s.id()).collect();
+    ids.push("fx1");
+    for id in ids {
+        let scn = scenarios::by_id(id).expect("known scenario");
+        let setup = AppSetup::new(scn.build_module());
+        let census = common::replay(scn.as_ref(), &setup, cfg.seed()).pool;
+        let matrix = inject::build_matrix(census.site_count(), census.site_kinds(), &cfg).unwrap();
+        let armed: Vec<SiteInjection> = matrix
+            .iter()
+            .map(|&(site, _, policy)| SiteInjection { site, policy })
+            .collect();
+        let pass = capture(scn.as_ref(), &setup, &armed);
+        let fired: Vec<SiteInjection> = pass
+            .iter()
+            .map(|c| SiteInjection {
+                site: c.site,
+                policy: c.policy,
+            })
+            .collect();
+        assert_eq!(
+            fired, armed,
+            "{id}: every armed row fires once, in matrix order"
+        );
+        for (c, &row) in pass.iter().zip(&armed) {
+            let alone = capture(scn.as_ref(), &setup, &[row]);
+            assert!(
+                alone.len() == 1 && c.same_as(&alone[0]),
+                "{id}: site {} under {:?} differs from a pass armed there alone",
+                row.site,
+                row.policy
+            );
+        }
     }
 }
 

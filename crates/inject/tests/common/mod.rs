@@ -57,7 +57,7 @@ pub fn replay(scn: &dyn Scenario, setup: &AppSetup, seed: u64) -> Run {
             trace: p.trace,
             seed_read: p.seed_read,
         },
-        InjectionOutcome::SiteCrash(_) => unreachable!("no injection armed"),
+        InjectionOutcome::Captured(_) => unreachable!("no injection armed"),
     }
 }
 

@@ -3,13 +3,17 @@
 //! correctness, and journal header validation.
 
 use std::collections::BTreeMap;
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use arthas::AnalysisCache;
 use inject::{invariants, run_fleet, CampaignConfig, FleetConfig, FleetError, FleetReport};
 use obs::{RingRecorder, Value};
-use pm_workload::{scenarios, Scenario};
+use pir::vm::{Vm, VmError};
+use pm_workload::{scenarios, Drive, RunCtx, Scenario};
 
 mod common;
 
@@ -340,8 +344,10 @@ fn u64_field(event: &obs::Event, name: &str) -> u64 {
 
 /// The restarts a campaign pays count work, not scheduling: the
 /// `fleet.restarts_paid` counter is the sum of every `fleet.trial_done`
-/// event's `paid`, and it is the same at 1 and at 4 workers. One worker
-/// prepares every scenario before it runs a trial, so its
+/// event's `paid`, and it is the same at 1 and at 4 workers. So is the
+/// replay work: one capture pass per scenario (`fleet.capture_passes`,
+/// also in the report and its summary), not one replay per trial. One
+/// worker prepares every scenario before it runs a trial, so its
 /// `fleet.queue_built` finds none done.
 #[test]
 fn restarts_paid_do_not_depend_on_the_worker_count() {
@@ -351,7 +357,14 @@ fn restarts_paid_do_not_depend_on_the_worker_count() {
             .recorder(rec.clone())
             .build()
             .unwrap();
-        run_fleet(&targets(), &fcfg).unwrap();
+        let report = run_fleet(&targets(), &fcfg).unwrap();
+        assert_eq!(report.capture_passes, 3, "{workers} worker(s)");
+        assert_eq!(rec.counters()["fleet.capture_passes"], 3);
+        assert!(
+            report.render_summary().contains(" 3 capture pass(es)"),
+            "{}",
+            report.render_summary()
+        );
         let events = rec.events();
         let per_trial: u64 = events
             .iter()
@@ -413,10 +426,87 @@ fn scenario_ready_reports_the_replays_prepare_ran() {
         .recorder(rec.clone())
         .build()
         .unwrap();
-    run_fleet(&scenarios::by_ids(&["f1", "f5"]).unwrap(), &fleet).unwrap();
+    let report = run_fleet(&scenarios::by_ids(&["f1", "f5"]).unwrap(), &fleet).unwrap();
     let replays = ready_replays(&rec);
     assert_eq!(replays["f1"], 1);
     assert_eq!(replays["f5"], u64::from(invariants::MINING_SEEDS));
+    // The trials add one replay per scenario, whatever prepare mined.
+    assert_eq!(report.capture_passes, 2);
+    assert_eq!(rec.counters()["fleet.capture_passes"], 2);
+}
+
+/// f4, except that every run after its first panics at its first tick:
+/// prepare's enumeration run passes and the capture pass dies.
+struct DiesInCapturePass {
+    inner: Box<dyn Scenario>,
+    runs: AtomicU32,
+}
+
+impl Scenario for DiesInCapturePass {
+    fn id(&self) -> &'static str {
+        self.inner.id()
+    }
+    fn system(&self) -> &'static str {
+        self.inner.system()
+    }
+    fn fault(&self) -> &'static str {
+        self.inner.fault()
+    }
+    fn consequence(&self) -> &'static str {
+        self.inner.consequence()
+    }
+    fn build_module(&self) -> pir::ir::Module {
+        self.inner.build_module()
+    }
+    fn recover_call(&self) -> &'static str {
+        self.inner.recover_call()
+    }
+    fn on_start(&self, vm: &mut Vm, ctx: &mut RunCtx) {
+        self.inner.on_start(vm, ctx)
+    }
+    fn drive(&self, vm: &mut Vm, t: u64, ctx: &mut RunCtx) -> Result<Drive, VmError> {
+        if t == 0 && ctx.restarts == 0 && self.runs.fetch_add(1, Ordering::SeqCst) > 0 {
+            panic!("the capture pass dies");
+        }
+        self.inner.drive(vm, t, ctx)
+    }
+    fn verify(&self, vm: &mut Vm) -> Result<(), arthas::FailureRecord> {
+        self.inner.verify(vm)
+    }
+    fn consistency(&self, vm: &mut Vm) -> Vec<String> {
+        self.inner.consistency(vm)
+    }
+    fn invariant_call(&self) -> Option<&'static str> {
+        self.inner.invariant_call()
+    }
+    fn count_items(&self, vm: &mut Vm) -> u64 {
+        self.inner.count_items(vm)
+    }
+}
+
+/// A capture pass that panics wedges no worker: the other workers wait
+/// for the scenario's rows while its pass runs, and `StopOnPanic` wakes
+/// them to a stopped queue, so `run_fleet` unwinds with the panic
+/// instead of hanging.
+#[test]
+fn a_capture_pass_that_panics_stops_every_worker() {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let targets: Vec<Box<dyn Scenario>> = vec![
+            Box::new(DiesInCapturePass {
+                inner: scenarios::by_id("f4").unwrap(),
+                runs: AtomicU32::new(0),
+            }),
+            scenarios::by_id("f1").unwrap(),
+        ];
+        let fleet = FleetConfig::builder(small_cfg(4)).build().unwrap();
+        let ran = std::panic::catch_unwind(AssertUnwindSafe(|| run_fleet(&targets, &fleet)));
+        let _ = tx.send(ran.is_err());
+    });
+    let panicked = rx
+        .recv_timeout(Duration::from_secs(600))
+        .expect("a worker still waits for the dead capture pass");
+    assert!(panicked, "the capture pass's panic reaches the caller");
 }
 
 /// A finished campaign does not keep its analysis cache alive: the

@@ -132,20 +132,16 @@ impl Event {
 /// campaign's runner threads record into one) and use interior
 /// mutability.
 pub trait Recorder: Send + Sync {
-    /// Records a structured event.
-    fn event(&self, kind: &'static str, fields: Vec<(&'static str, Value)>);
+    /// Records a structured event. `fields` builds its payload and runs
+    /// only in a recorder that keeps events, so a disabled recorder's
+    /// event builds no `Vec` and no `String`: callers need no guard.
+    fn event(&self, kind: &'static str, fields: &dyn Fn() -> Vec<(&'static str, Value)>);
 
     /// Adds `delta` to a monotonic counter.
     fn add(&self, counter: &'static str, delta: u64);
 
     /// Records one duration observation (microseconds) into a histogram.
     fn observe_us(&self, hist: &'static str, micros: u64);
-
-    /// Whether this recorder retains anything. Producers may skip
-    /// building expensive field payloads when `false`.
-    fn is_enabled(&self) -> bool {
-        true
-    }
 
     /// Convenience: observe a [`Duration`].
     fn observe_duration(&self, hist: &'static str, d: Duration) {
@@ -158,12 +154,9 @@ pub trait Recorder: Send + Sync {
 pub struct NullRecorder;
 
 impl Recorder for NullRecorder {
-    fn event(&self, _kind: &'static str, _fields: Vec<(&'static str, Value)>) {}
+    fn event(&self, _kind: &'static str, _fields: &dyn Fn() -> Vec<(&'static str, Value)>) {}
     fn add(&self, _counter: &'static str, _delta: u64) {}
     fn observe_us(&self, _hist: &'static str, _micros: u64) {}
-    fn is_enabled(&self) -> bool {
-        false
-    }
 }
 
 /// Number of log-scale histogram buckets: bucket `i` holds observations
@@ -289,7 +282,7 @@ struct RingInner {
 ///
 /// let rec = RingRecorder::new(2);
 /// rec.add("pool.persists", 3);
-/// rec.event("pool.crash", vec![("tick", 7u64.into())]);
+/// rec.event("pool.crash", &|| vec![("tick", 7u64.into())]);
 /// rec.observe_us("reactor.reexec_us", 1500);
 /// assert_eq!(rec.counters().get("pool.persists"), Some(&3));
 /// assert_eq!(rec.events().len(), 1);
@@ -391,8 +384,9 @@ impl RingRecorder {
 }
 
 impl Recorder for RingRecorder {
-    fn event(&self, kind: &'static str, fields: Vec<(&'static str, Value)>) {
+    fn event(&self, kind: &'static str, fields: &dyn Fn() -> Vec<(&'static str, Value)>) {
         let t_us = self.now_us();
+        let fields = fields();
         let mut inner = self.lock();
         if inner.ring.len() >= self.capacity {
             inner.ring.pop_front();
@@ -430,7 +424,7 @@ mod tests {
     fn ring_evicts_oldest_and_counts_drops() {
         let rec = RingRecorder::new(3);
         for i in 0..5u64 {
-            rec.event("e", vec![("i", i.into())]);
+            rec.event("e", &|| vec![("i", i.into())]);
         }
         let events = rec.events();
         assert_eq!(events.len(), 3);
@@ -480,8 +474,8 @@ mod tests {
     #[test]
     fn timestamps_are_monotonic() {
         let rec = RingRecorder::new(8);
-        rec.event("a", vec![]);
-        rec.event("b", vec![]);
+        rec.event("a", &|| vec![]);
+        rec.event("b", &|| vec![]);
         let ev = rec.events();
         assert!(ev[0].t_us <= ev[1].t_us);
     }
@@ -489,16 +483,17 @@ mod tests {
     #[test]
     fn null_recorder_is_disabled() {
         let rec = NullRecorder;
-        rec.event("x", vec![]);
+        rec.event("x", &|| {
+            unreachable!("a disabled recorder builds no fields")
+        });
         rec.add("c", 1);
         rec.observe_us("h", 10);
-        assert!(!rec.is_enabled());
     }
 
     #[test]
     fn to_json_has_the_four_sections() {
         let rec = RingRecorder::new(4);
-        rec.event("k", vec![("f", "v".into())]);
+        rec.event("k", &|| vec![("f", "v".into())]);
         rec.add("c", 2);
         rec.observe_us("h", 7);
         let j = rec.to_json();

@@ -639,13 +639,12 @@ impl AnalysisCache {
         if let Some(hit) = self.mem.lock().unwrap().get(&fingerprint) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.recorder.add("analysis.cache_hit", 1);
-            self.recorder.event(
-                "analysis.cache_hit",
+            self.recorder.event("analysis.cache_hit", &|| {
                 vec![
                     ("tier", Value::from("memory")),
                     ("fingerprint", Value::from(fingerprint)),
-                ],
-            );
+                ]
+            });
             return (hit.clone(), CacheOutcome::HitMemory);
         }
 
@@ -655,8 +654,7 @@ impl AnalysisCache {
                 Ok(Some(analysis)) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     self.recorder.add("analysis.cache_hit", 1);
-                    self.recorder.event(
-                        "analysis.cache_hit",
+                    self.recorder.event("analysis.cache_hit", &|| {
                         vec![
                             ("tier", Value::from("disk")),
                             ("fingerprint", Value::from(fingerprint)),
@@ -664,8 +662,8 @@ impl AnalysisCache {
                                 "load_us",
                                 Value::from(analysis.analysis_time.as_micros() as u64),
                             ),
-                        ],
-                    );
+                        ]
+                    });
                     let analysis = Arc::new(analysis);
                     self.mem
                         .lock()
@@ -677,13 +675,12 @@ impl AnalysisCache {
                 Err(reason) => {
                     self.invalid.fetch_add(1, Ordering::Relaxed);
                     self.recorder.add("analysis.cache_invalid", 1);
-                    self.recorder.event(
-                        "analysis.cache_invalid",
+                    self.recorder.event("analysis.cache_invalid", &|| {
                         vec![
                             ("fingerprint", Value::from(fingerprint)),
                             ("reason", Value::from(reason.clone())),
-                        ],
-                    );
+                        ]
+                    });
                     invalid_reason = Some(reason);
                 }
             }
@@ -692,10 +689,9 @@ impl AnalysisCache {
         if invalid_reason.is_none() {
             self.misses.fetch_add(1, Ordering::Relaxed);
             self.recorder.add("analysis.cache_miss", 1);
-            self.recorder.event(
-                "analysis.cache_miss",
-                vec![("fingerprint", Value::from(fingerprint))],
-            );
+            self.recorder.event("analysis.cache_miss", &|| {
+                vec![("fingerprint", Value::from(fingerprint))]
+            });
         }
         let analysis = Arc::new(ModuleAnalysis::compute(module));
         self.recorder.add("analysis.compute", 1);
@@ -750,19 +746,17 @@ impl AnalysisCache {
             Ok(()) => {
                 self.stores.fetch_add(1, Ordering::Relaxed);
                 self.recorder.add("analysis.cache_store", 1);
-                self.recorder.event(
-                    "analysis.cache_store",
-                    vec![("fingerprint", Value::from(fingerprint))],
-                );
+                self.recorder.event("analysis.cache_store", &|| {
+                    vec![("fingerprint", Value::from(fingerprint))]
+                });
             }
             Err(e) => {
-                self.recorder.event(
-                    "analysis.cache_store_failed",
+                self.recorder.event("analysis.cache_store_failed", &|| {
                     vec![
                         ("fingerprint", Value::from(fingerprint)),
                         ("error", Value::from(e.to_string())),
-                    ],
-                );
+                    ]
+                });
             }
         }
     }

@@ -66,14 +66,6 @@ pub enum Trap {
     },
     /// An injected crash fired (power failure / untimely kill).
     InjectedCrash,
-    /// A campaign crash injection armed at a numbered durability-boundary
-    /// site fired (see `PmPool::arm_crash_at_site`). Distinct from
-    /// [`Trap::InjectedCrash`] so harnesses can tell a scenario's own
-    /// scripted crashes from campaign-driven ones.
-    SiteCrash {
-        /// The durability-boundary site that fired.
-        site: u64,
-    },
     /// `unreachable` executed or another invariant broke.
     Misc(String),
 }
@@ -91,7 +83,6 @@ impl Trap {
             Trap::StackOverflow => 139,
             Trap::BadFree { .. } => 7,
             Trap::InjectedCrash => 137,
-            Trap::SiteCrash { .. } => 138,
             Trap::Misc(_) => 1,
         }
     }
@@ -384,6 +375,11 @@ impl Vm {
     /// Number of buffered trace records.
     pub fn trace_len(&self) -> usize {
         self.trace.len()
+    }
+
+    /// The buffered trace records, oldest first, left in place.
+    pub fn buffered_trace(&self) -> &[(u64, u64)] {
+        &self.trace
     }
 
     /// Drains the debug print log.
@@ -940,6 +936,19 @@ impl Vm {
         }
     }
 
+    /// Runs a pool operation that may cross a durability boundary. A crash
+    /// capture armed there (`PmPool::arm_captures`) is stamped with the
+    /// trace buffer's length, so the capture's trace ends exactly where
+    /// the crash would have stopped the program.
+    #[inline]
+    fn boundary<T>(&mut self, op: impl FnOnce(&mut PmPool) -> T) -> T {
+        let out = op(&mut self.pool);
+        if self.pool.has_unmarked_captures() {
+            self.pool.mark_captures(self.trace.len());
+        }
+        out
+    }
+
     /// Executes intrinsic `intr` for thread `tid`; a result goes to `out`.
     fn intrinsic(
         &mut self,
@@ -948,18 +957,15 @@ impl Vm {
         args: &[u64],
         out: &mut u64,
     ) -> Result<Flow, Trap> {
-        /// The error every pool operation shares: an armed site fired.
+        /// A pool operation's error as a trap.
         fn pm(what: &str, e: PmError) -> Trap {
-            match e {
-                PmError::InjectedCrash { site } => Trap::SiteCrash { site },
-                e => Trap::Misc(format!("{what}: {e}")),
-            }
+            Trap::Misc(format!("{what}: {e}"))
         }
         match intr {
             Intrinsic::PmRoot | Intrinsic::PmAlloc => {
                 let (what, r) = match intr {
-                    Intrinsic::PmRoot => ("pm_root", self.pool.root(args[0])),
-                    _ => ("pm_alloc", self.pool.alloc(args[0])),
+                    Intrinsic::PmRoot => ("pm_root", self.boundary(|p| p.root(args[0]))),
+                    _ => ("pm_alloc", self.boundary(|p| p.alloc(args[0]))),
                 };
                 *out = match r {
                     Ok(off) => pm_addr(off),
@@ -972,7 +978,7 @@ impl Vm {
                 if !is_pm(a) {
                     return Err(Trap::BadFree { addr: a });
                 }
-                match self.pool.free(pm_offset(a)) {
+                match self.boundary(|p| p.free(pm_offset(a))) {
                     Ok(()) => {}
                     Err(PmError::DoubleFree { .. }) | Err(PmError::NotAllocated { .. }) => {
                         return Err(Trap::BadFree { addr: a })
@@ -985,10 +991,8 @@ impl Vm {
                 if !is_pm(a) {
                     return Err(Trap::Segfault { addr: a });
                 }
-                match self.pool.persist(pm_offset(a), len) {
-                    Ok(()) => {}
-                    Err(PmError::InjectedCrash { site }) => return Err(Trap::SiteCrash { site }),
-                    Err(_) => return Err(Trap::Segfault { addr: a }),
+                if self.boundary(|p| p.persist(pm_offset(a), len)).is_err() {
+                    return Err(Trap::Segfault { addr: a });
                 }
             }
             Intrinsic::PmFlush => {
@@ -997,8 +1001,14 @@ impl Vm {
                     return Err(Trap::Segfault { addr: a });
                 }
             }
-            Intrinsic::PmDrain => self.pool.drain_fence().map_err(|e| pm("drain", e))?,
-            Intrinsic::PmTxBegin => *out = self.pool.tx_begin().map_err(|e| pm("tx_begin", e))?,
+            Intrinsic::PmDrain => self
+                .boundary(PmPool::drain_fence)
+                .map_err(|e| pm("drain", e))?,
+            Intrinsic::PmTxBegin => {
+                *out = self
+                    .boundary(PmPool::tx_begin)
+                    .map_err(|e| pm("tx_begin", e))?
+            }
             Intrinsic::PmTxAdd => {
                 let (a, len) = (args[0], args[1]);
                 if !is_pm(a) {
@@ -1008,8 +1018,12 @@ impl Vm {
                     return Err(Trap::Misc(format!("tx_add: {e}")));
                 }
             }
-            Intrinsic::PmTxCommit => self.pool.tx_commit().map_err(|e| pm("tx_commit", e))?,
-            Intrinsic::PmTxAbort => self.pool.tx_abort().map_err(|e| pm("tx_abort", e))?,
+            Intrinsic::PmTxCommit => self
+                .boundary(PmPool::tx_commit)
+                .map_err(|e| pm("tx_commit", e))?,
+            Intrinsic::PmTxAbort => self
+                .boundary(PmPool::tx_abort)
+                .map_err(|e| pm("tx_abort", e))?,
             Intrinsic::RecoverBegin => self.pool.recover_begin(),
             Intrinsic::RecoverEnd => self.pool.recover_end(),
             Intrinsic::Malloc => *out = self.mem.malloc(args[0]),

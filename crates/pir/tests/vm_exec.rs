@@ -366,6 +366,41 @@ fn trace_intrinsic_collects_records() {
     assert_eq!(vm.drain_trace().collect::<Vec<_>>(), vec![(99, 0xAB)]);
 }
 
+/// A crash capture is stamped with the trace records emitted before its
+/// boundary, mid-call: the persist at site 1 (the root's allocation is
+/// site 0) follows one record, the persist at site 2 follows two, and the
+/// call runs on to its end.
+#[test]
+fn a_capture_is_stamped_with_the_trace_before_its_boundary() {
+    use pir::ir::Intrinsic;
+    use pmemsim::CrashPolicy;
+    let mut m = ModuleBuilder::new();
+    let mut f = m.func("t", 0, false);
+    let size = f.konst(64);
+    let root = f.pm_root(size);
+    let one = f.konst(1);
+    f.intr(Intrinsic::Trace, &[one, root]);
+    f.pm_persist_c(root, 8);
+    let two = f.konst(2);
+    f.intr(Intrinsic::Trace, &[two, root]);
+    f.pm_persist_c(root, 8);
+    f.intr(Intrinsic::Trace, &[two, root]);
+    f.ret(None);
+    f.finish();
+    let mut vm = vm_for(m);
+    vm.pool_mut()
+        .arm_captures(&[(1, CrashPolicy::DropStaged), (2, CrashPolicy::KeepStaged)]);
+    vm.call("t", &[]).unwrap();
+    let marks: Vec<(u64, Option<usize>)> = vm
+        .pool_mut()
+        .take_captures()
+        .iter()
+        .map(|c| (c.site, c.trace_len))
+        .collect();
+    assert_eq!(marks, [(1, Some(1)), (2, Some(2))]);
+    assert_eq!(vm.trace_len(), 3);
+}
+
 #[test]
 fn clock_is_driver_controlled() {
     let mut m = ModuleBuilder::new();

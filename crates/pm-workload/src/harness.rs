@@ -252,10 +252,11 @@ pub struct RunConfig {
     /// Record the kind of every durability boundary crossed (site
     /// enumeration for crash-injection campaigns).
     pub record_sites: bool,
-    /// Arm a crash injection before the run starts: the pool crashes at
-    /// the given site under the given policy, and the run returns
-    /// [`InjectionOutcome::SiteCrash`] with the post-crash image.
-    pub injection: Option<SiteInjection>,
+    /// Crash captures to arm before the run starts. At each listed site
+    /// the pool crashes a fork of itself under the listed policy and the
+    /// run goes on; it stops once the last one has fired and returns
+    /// [`InjectionOutcome::Captured`]. Empty runs production unarmed.
+    pub injections: Vec<SiteInjection>,
 }
 
 impl Default for RunConfig {
@@ -270,7 +271,7 @@ impl Default for RunConfig {
             },
             recorder: None,
             record_sites: false,
-            injection: None,
+            injections: Vec::new(),
         }
     }
 }
@@ -284,22 +285,23 @@ impl std::fmt::Debug for RunConfig {
             .field("vm", &self.vm)
             .field("recorder", &self.recorder.is_some())
             .field("record_sites", &self.record_sites)
-            .field("injection", &self.injection)
+            .field("injections", &self.injections)
             .finish()
     }
 }
 
-/// A crash injection to arm for one production run.
-#[derive(Debug, Clone, Copy)]
+/// A crash capture to arm for one production run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SiteInjection {
     /// The durability-boundary site to crash at (see
-    /// [`pmemsim::PmPool::arm_crash_at_site`]).
+    /// [`pmemsim::PmPool::arm_captures`]).
     pub site: u64,
     /// The crash policy for in-flight lines at the injected crash.
     pub policy: CrashPolicy,
 }
 
-/// The post-crash state captured when an armed injection fired.
+/// The machine a crash at an armed site leaves: exactly what a run that
+/// crashed there and stopped would hand back.
 pub struct CrashCapture {
     /// The pool holding the raw post-crash image. The device has crashed
     /// but the pool has *not* been reopened: recovery belongs to the
@@ -312,10 +314,29 @@ pub struct CrashCapture {
     pub trace: PmTrace,
     /// The site that fired.
     pub site: u64,
+    /// The crash policy the pool crashed under.
+    pub policy: CrashPolicy,
     /// Restarts performed before the injection fired.
     pub restarts: u32,
     /// The detector with any pre-injection observation history.
     pub detector: Detector,
+}
+
+impl CrashCapture {
+    /// Whether `other` is the same machine: image bytes, log state,
+    /// trace, site, policy, restarts and detector history.
+    pub fn same_as(&self, other: &CrashCapture) -> bool {
+        self.site == other.site
+            && self.policy == other.policy
+            && self.restarts == other.restarts
+            && self.trace == other.trace
+            && self.pool.snapshot() == other.pool.snapshot()
+            && self.pool.stats() == other.pool.stats()
+            && self.pool.site_count() == other.pool.site_count()
+            && self.log.same_state(&other.log)
+            && self.detector.history() == other.detector.history()
+            && self.detector.verdicts() == other.detector.verdicts()
+    }
 }
 
 /// The machine state of a run that completed without a detected failure:
@@ -335,12 +356,15 @@ pub struct CompletedRun {
 
 /// How a production run under [`run_with_injection`] ended.
 pub enum InjectionOutcome {
-    /// The armed injection fired; here is the machine state at the crash.
-    SiteCrash(Box<CrashCapture>),
-    /// The scenario reached its own detected hard failure (the armed
-    /// site — if any — was never crossed first).
+    /// Captures were armed: the machine at each armed site the run
+    /// crossed, in the order they fired. An armed site the run never
+    /// crossed has none.
+    Captured(Vec<CrashCapture>),
+    /// Nothing was armed, and the scenario reached its own detected
+    /// hard failure.
     HardFailure(Box<Production>),
-    /// The workload ran to completion without a detected failure.
+    /// Nothing was armed, and the workload ran to completion without a
+    /// detected failure.
     Completed(Box<CompletedRun>),
 }
 
@@ -351,14 +375,76 @@ pub enum InjectionOutcome {
 pub fn run_production(scn: &dyn Scenario, setup: &AppSetup, cfg: &RunConfig) -> Option<Production> {
     match run_with_injection(scn, setup, cfg) {
         InjectionOutcome::HardFailure(p) => Some(*p),
-        InjectionOutcome::SiteCrash(_) | InjectionOutcome::Completed(_) => None,
+        InjectionOutcome::Captured(_) | InjectionOutcome::Completed(_) => None,
+    }
+}
+
+/// The captures of an armed run, as they are taken.
+struct Captures {
+    armed: bool,
+    taken: Vec<CrashCapture>,
+}
+
+impl Captures {
+    /// Takes the captures `vm`'s pool fired since the last call. Each
+    /// gets the trace as absorbed so far plus the prefix of `vm`'s trace
+    /// buffer its mark names, so this must run before the buffer drains.
+    /// Says whether every armed capture has fired.
+    fn collect(
+        &mut self,
+        vm: &mut Vm,
+        trace: &PmTrace,
+        log: &SharedLog,
+        restarts: u32,
+        detector: &Detector,
+    ) -> bool {
+        if !self.armed {
+            return false;
+        }
+        let pending = vm.trace_len();
+        for c in vm.pool_mut().take_captures() {
+            let mut prefix = trace.clone();
+            let buffered = c.trace_len.unwrap_or(pending);
+            prefix.absorb(vm.buffered_trace()[..buffered].iter().copied());
+            let log = match c.sink_state {
+                Some(state) => *state
+                    .downcast::<SharedLog>()
+                    .expect("the run's sink is its checkpoint log"),
+                None => log.fork(),
+            };
+            self.taken.push(CrashCapture {
+                pool: c.pool,
+                log,
+                trace: prefix,
+                site: c.site,
+                policy: c.policy,
+                restarts,
+                detector: detector.clone(),
+            });
+        }
+        vm.pool().captures_armed() == 0
+    }
+
+    /// The outcome of a run that ended on its own: the captures taken,
+    /// when any were armed.
+    fn ended(self, outcome: InjectionOutcome) -> InjectionOutcome {
+        if self.armed {
+            InjectionOutcome::Captured(self.taken)
+        } else {
+            outcome
+        }
     }
 }
 
 /// Runs a scenario's production phase as a *replayable* trial: the run is
-/// deterministic in `cfg`, so re-running with [`RunConfig::injection`]
-/// armed crashes at exactly the numbered boundary a prior
-/// [`RunConfig::record_sites`] enumeration run crossed.
+/// deterministic in `cfg`, so every site a prior [`RunConfig::record_sites`]
+/// enumeration run crossed is crossed again, at the same boundary.
+///
+/// With [`RunConfig::injections`] armed, the pool crashes a fork of
+/// itself at each armed site and runs on, so one pass yields the machine
+/// of every crash it arms: each [`CrashCapture`] is what a run armed at
+/// that site alone, crashed there and stopped, would hand back. The pass
+/// stops at the end of the call or tick in which the last one fired.
 pub fn run_with_injection(
     scn: &dyn Scenario,
     setup: &AppSetup,
@@ -371,6 +457,10 @@ pub fn run_with_injection(
     let mut detector = Detector::new();
     let mut leakmon = LeakMonitor::new();
     let mut ctx = RunCtx::new(cfg.seed);
+    let mut caps = Captures {
+        armed: !cfg.injections.is_empty(),
+        taken: Vec::new(),
+    };
     {
         let p = pool.as_mut().expect("pool present");
         if let Some(rec) = &cfg.recorder {
@@ -381,23 +471,9 @@ pub fn run_with_injection(
         if cfg.record_sites {
             p.record_site_kinds(true);
         }
-        if let Some(inj) = cfg.injection {
-            p.arm_crash_at_site(inj.site, inj.policy);
-        }
+        let sites: Vec<_> = cfg.injections.iter().map(|i| (i.site, i.policy)).collect();
+        p.arm_captures(&sites);
     }
-
-    // Wraps up a fired injection: the pool keeps the raw post-crash image
-    // (no recovery has run), and the trial's classifier takes over.
-    let capture = |vm: Vm, site: u64, trace: PmTrace, log: SharedLog, restarts, detector| {
-        InjectionOutcome::SiteCrash(Box::new(CrashCapture {
-            pool: vm.into_pool(),
-            log,
-            trace,
-            site,
-            restarts,
-            detector,
-        }))
-    };
 
     let mut t = 0u64;
     let mut items_last = 0u64;
@@ -413,11 +489,12 @@ pub fn run_with_injection(
         }
         if ctx.restarts > 0 {
             // Application recovery on restart.
-            if let Err(e) = vm.call(scn.recover_call(), &[]) {
+            let recovered = vm.call(scn.recover_call(), &[]);
+            if caps.collect(&mut vm, &trace, &log, ctx.restarts, &detector) {
+                return InjectionOutcome::Captured(caps.taken);
+            }
+            if let Err(e) = recovered {
                 trace.absorb(vm.drain_trace());
-                if let Trap::SiteCrash { site } = e.trap {
-                    return capture(vm, site, trace, log, ctx.restarts, detector);
-                }
                 // Recovery itself failing is a failure observation.
                 let rec = FailureRecord::from_vm(&e);
                 let verdict = detector.observe(rec.clone());
@@ -425,7 +502,7 @@ pub fn run_with_injection(
                 pool = Some(vm.crash());
                 ctx.restarts += 1;
                 if verdict == Verdict::SuspectedHard {
-                    return InjectionOutcome::HardFailure(Box::new(finish(
+                    return caps.ended(InjectionOutcome::HardFailure(Box::new(finish(
                         pool.take().expect("pool"),
                         log,
                         trace,
@@ -436,7 +513,7 @@ pub fn run_with_injection(
                         &ctx,
                         detector,
                         cfg,
-                    )));
+                    ))));
                 }
                 continue 'run;
             }
@@ -448,6 +525,9 @@ pub fn run_with_injection(
                 criu.tick(t, vm.pool());
             }
             let step = scn.drive(&mut vm, t, &mut ctx);
+            if caps.collect(&mut vm, &trace, &log, ctx.restarts, &detector) {
+                return InjectionOutcome::Captured(caps.taken);
+            }
             trace.absorb(vm.drain_trace());
             match step {
                 Ok(Drive::Continue) => {
@@ -456,6 +536,9 @@ pub fn run_with_injection(
                 Ok(Drive::CrashNow) => {
                     t += 1;
                     items_last = scn.count_items(&mut vm);
+                    if caps.collect(&mut vm, &trace, &log, ctx.restarts, &detector) {
+                        return InjectionOutcome::Captured(caps.taken);
+                    }
                     ctx.steps += vm.steps_total();
                     let mut p = vm.crash();
                     alloc_last = p.allocated_bytes().unwrap_or(0);
@@ -463,12 +546,6 @@ pub fn run_with_injection(
                     pool = Some(p);
                     ctx.restarts += 1;
                     continue 'run;
-                }
-                Err(e) if matches!(e.trap, Trap::SiteCrash { .. }) => {
-                    let Trap::SiteCrash { site } = e.trap else {
-                        unreachable!("matched above");
-                    };
-                    return capture(vm, site, trace, log, ctx.restarts, detector);
                 }
                 Err(e) if e.trap == Trap::InjectedCrash => {
                     // An untimely power failure (the trigger), not a
@@ -486,10 +563,10 @@ pub fn run_with_injection(
                     let mut broken = vm.crash();
                     ctx.restarts += 1;
                     if verdict == Verdict::SuspectedHard {
-                        return InjectionOutcome::HardFailure(Box::new(finish(
+                        return caps.ended(InjectionOutcome::HardFailure(Box::new(finish(
                             broken, log, trace, rec, items_last, alloc_last, criu, &ctx, detector,
                             cfg,
-                        )));
+                        ))));
                     }
                     // First sighting: restart and re-drive the same tick
                     // (the soft-fault hypothesis).
@@ -517,6 +594,9 @@ pub fn run_with_injection(
         }
         // Workload finished without a trap. Leak scenarios detect here.
         items_last = scn.count_items(&mut vm);
+        if caps.collect(&mut vm, &trace, &log, ctx.restarts, &detector) {
+            return InjectionOutcome::Captured(caps.taken);
+        }
         ctx.steps += vm.steps_total();
         let mut p = vm.into_pool();
         alloc_last = p.allocated_bytes().unwrap_or(0);
@@ -525,16 +605,16 @@ pub fn run_with_injection(
             let rec = FailureRecord::leak(format!(
                 "PM utilisation grew to {alloc_last} bytes across restarts"
             ));
-            return InjectionOutcome::HardFailure(Box::new(finish(
+            return caps.ended(InjectionOutcome::HardFailure(Box::new(finish(
                 p, log, trace, rec, items_last, alloc_last, criu, &ctx, detector, cfg,
-            )));
+            ))));
         }
-        return InjectionOutcome::Completed(Box::new(CompletedRun {
+        return caps.ended(InjectionOutcome::Completed(Box::new(CompletedRun {
             pool: p,
             log,
             trace,
             seed_read: ctx.seed_read,
-        }));
+        })));
     }
 }
 

@@ -3,6 +3,10 @@
 use std::fmt;
 
 /// Errors returned by the PM device, pool, allocator and transaction layers.
+///
+/// A crash at an armed injection site is not among them: the pool crashes
+/// a fork of itself there and the operation goes on
+/// (`PmPool::arm_captures`), so the program under test never sees it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PmError {
     /// An access touched bytes outside the device capacity.
@@ -40,15 +44,6 @@ pub enum PmError {
     },
     /// Pool integrity check failed.
     Corruption(String),
-    /// An armed crash-point injection fired: the device crashed at the
-    /// given zero-based durability-boundary index (see
-    /// `PmPool::arm_crash_at_site`). Not a fault of the program under
-    /// test — the campaign harness catches this and captures the
-    /// post-crash image.
-    InjectedCrash {
-        /// The durability-boundary index that fired.
-        site: u64,
-    },
 }
 
 impl fmt::Display for PmError {
@@ -76,9 +71,6 @@ impl fmt::Display for PmError {
             PmError::TxState(msg) => write!(f, "transaction state error: {msg}"),
             PmError::LogFull { log } => write!(f, "{log} log is full"),
             PmError::Corruption(msg) => write!(f, "pool corruption: {msg}"),
-            PmError::InjectedCrash { site } => {
-                write!(f, "injected crash at durability site {site}")
-            }
         }
     }
 }

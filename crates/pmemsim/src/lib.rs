@@ -19,8 +19,10 @@
 //!   checkpoint library and the baselines attach to;
 //! - a `pmempool-check`-style integrity checker ([`PmPool::check`]);
 //! - numbered crash-injection sites at every durability boundary
-//!   ([`PmPool::arm_crash_at_site`], [`SiteKind`]), the substrate of the
-//!   `inject` campaign engine.
+//!   ([`SiteKind`]): a pool armed with sites × crash policies
+//!   ([`PmPool::arm_captures`]) crashes a fork of itself at each and runs
+//!   on, so one pass of a workload yields every post-crash image an
+//!   `inject` campaign classifies ([`SiteCapture`]).
 //!
 //! What matters for hard-fault reproduction is *which values survive a
 //! restart*, and the simulator gives exact, deterministic answers to that
@@ -57,5 +59,5 @@ pub use device::{CrashPolicy, DeviceStats, PmDevice, CACHE_LINE};
 pub use error::{PmError, PmResult};
 pub use group::{PoolGroup, Replica, ReplicaStatus};
 pub use image::PmImage;
-pub use pool::{CheckIssue, PmPool, PoolStats, SiteKind};
+pub use pool::{CheckIssue, PmPool, PoolStats, SiteCapture, SiteKind};
 pub use sink::PmSink;

@@ -7,6 +7,8 @@
 //! object. A [`PmSink`] can be attached to observe durability events; this
 //! is the interception surface the Arthas checkpoint library uses.
 
+use std::any::Any;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::device::{CrashPolicy, PmDevice};
@@ -71,8 +73,8 @@ impl PoolStats {
 /// fence of a flush+fence pair, allocator entry points and transaction
 /// boundaries — is one *site*, numbered by a monotonic counter over the
 /// pool's lifetime (restarts included). Campaign drivers enumerate sites
-/// with [`PmPool::record_site_kinds`] and crash at one with
-/// [`PmPool::arm_crash_at_site`].
+/// with [`PmPool::record_site_kinds`] and take the crashed image at any
+/// of them with [`PmPool::arm_captures`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SiteKind {
     /// An explicit `persist` call.
@@ -134,6 +136,28 @@ struct OpenTx {
     undo_cursor: u64,
 }
 
+/// The machine a crash at an armed site leaves, taken on a fork while the
+/// pool runs on ([`PmPool::arm_captures`]).
+pub struct SiteCapture {
+    /// The durability-boundary site it was taken at.
+    pub site: u64,
+    /// The policy the fork crashed under.
+    pub policy: CrashPolicy,
+    /// A fork of the pool crashed at the site, in the state the pool
+    /// itself would be in had it crashed there: no open transaction, no
+    /// sink, no staged flush ranges, `crashes` one higher and not
+    /// reopened. Recovery belongs to whoever restarts it.
+    pub pool: PmPool,
+    /// What the sink answered when told of the capture
+    /// ([`PmSink::on_capture`]): its own state at that instant. `None`
+    /// without a sink.
+    pub sink_state: Option<Box<dyn Any + Send>>,
+    /// Length of the interpreter's trace buffer at the capture, set by
+    /// the interpreter whose PM operation crossed the site
+    /// ([`PmPool::mark_captures`]); `None` when none did.
+    pub trace_len: Option<usize>,
+}
+
 /// A persistent-memory pool with allocator and transactions.
 pub struct PmPool {
     dev: PmDevice,
@@ -153,9 +177,16 @@ pub struct PmPool {
     /// crash, so site N names the same boundary in every deterministic
     /// replay of a workload.
     site_counter: u64,
-    /// An armed crash injection: crash with the given policy when the
-    /// counter reaches the given site.
-    armed: Option<(u64, CrashPolicy)>,
+    /// Armed crash captures, ascending by site, in arming order within a
+    /// site.
+    armed: VecDeque<(u64, CrashPolicy)>,
+    /// The site of `armed`'s front, `u64::MAX` when nothing is armed, so
+    /// a boundary tests one number.
+    next_armed: u64,
+    /// Captures taken and not yet handed out.
+    captured: Vec<SiteCapture>,
+    /// Whether a capture still waits for its trace mark.
+    unmarked: bool,
     /// When enumerating, the kind of every boundary crossed so far.
     site_log: Option<Vec<SiteKind>>,
 }
@@ -181,7 +212,10 @@ impl PmPool {
             recorder: None,
             pending_flush: Vec::new(),
             site_counter: 0,
-            armed: None,
+            armed: VecDeque::new(),
+            next_armed: u64::MAX,
+            captured: Vec::new(),
+            unmarked: false,
             site_log: None,
         };
         pool.write_u64(hdr::MAGIC, layout::MAGIC)?;
@@ -218,7 +252,10 @@ impl PmPool {
             recorder: None,
             pending_flush: Vec::new(),
             site_counter: 0,
-            armed: None,
+            armed: VecDeque::new(),
+            next_armed: u64::MAX,
+            captured: Vec::new(),
+            unmarked: false,
             site_log: None,
         };
         if pool.read_u64(hdr::MAGIC)? != layout::MAGIC {
@@ -267,7 +304,7 @@ impl PmPool {
         out
     }
 
-    fn rec_event(&self, kind: &'static str, fields: Vec<(&'static str, obs::Value)>) {
+    fn rec_event(&self, kind: &'static str, fields: &dyn Fn() -> Vec<(&'static str, obs::Value)>) {
         if let Some(r) = &self.recorder {
             r.event(kind, fields);
         }
@@ -301,16 +338,58 @@ impl PmPool {
         self.site_counter
     }
 
-    /// Arms a crash injection: when the site counter reaches `site`, the
-    /// device crashes under `policy` (the pool's configured policy is
-    /// untouched) and the triggering operation returns
-    /// [`PmError::InjectedCrash`]. The armed state survives
-    /// [`PmPool::crash_and_reopen`] (a scenario's own scripted crashes must
-    /// not disarm a campaign injection at a later site) but is dropped by
-    /// [`PmPool::fork`], since a fork replays history that already
-    /// happened.
-    pub fn arm_crash_at_site(&mut self, site: u64, policy: CrashPolicy) {
-        self.armed = Some((site, policy));
+    /// Arms crash captures, replacing any armed before: when the site
+    /// counter reaches one of the listed sites, the pool forks its device
+    /// once per policy listed for that site (in list order), crashes each
+    /// fork under its policy, tells the sink ([`PmSink::on_capture`]) and
+    /// runs on unharmed. Sites already crossed never fire and are dropped.
+    /// The armed set survives [`PmPool::crash_and_reopen`] (a scenario's
+    /// own scripted crashes must not disarm a campaign at a later site)
+    /// but not [`PmPool::fork`], since a fork replays history that already
+    /// happened. [`PmPool::take_captures`] hands the captures out.
+    pub fn arm_captures(&mut self, sites: &[(u64, CrashPolicy)]) {
+        let mut armed: Vec<(u64, CrashPolicy)> = sites
+            .iter()
+            .copied()
+            .filter(|&(site, _)| site >= self.site_counter)
+            .collect();
+        armed.sort_by_key(|&(site, _)| site);
+        self.armed = armed.into();
+        self.next_armed = self.armed.front().map_or(u64::MAX, |&(site, _)| site);
+    }
+
+    /// Armed captures that have not fired yet.
+    pub fn captures_armed(&self) -> usize {
+        self.armed.len()
+    }
+
+    /// Moves out the captures taken since the last call, in the order
+    /// they fired.
+    pub fn take_captures(&mut self) -> Vec<SiteCapture> {
+        self.unmarked = false;
+        std::mem::take(&mut self.captured)
+    }
+
+    /// Whether a capture taken at the last boundary still lacks its trace
+    /// mark: the one test an interpreter makes after each PM operation
+    /// that can cross a boundary.
+    #[inline]
+    pub fn has_unmarked_captures(&self) -> bool {
+        self.unmarked
+    }
+
+    /// Stamps every unmarked capture with `trace_len`, the length of the
+    /// caller's trace buffer when the operation that took it returned (a
+    /// boundary emits no trace record, so it is the length at the
+    /// boundary itself).
+    pub fn mark_captures(&mut self, trace_len: usize) {
+        for c in self.captured.iter_mut().rev() {
+            if c.trace_len.is_some() {
+                break;
+            }
+            c.trace_len = Some(trace_len);
+        }
+        self.unmarked = false;
     }
 
     /// Enables or disables site-kind recording. While enabled, every
@@ -332,42 +411,67 @@ impl PmPool {
     }
 
     /// Crosses one durability boundary: bumps the counter, logs the kind,
-    /// and fires an armed injection if this is its site. On fire the
-    /// device crashes under the armed policy exactly as
-    /// [`PmPool::crash_and_reopen`] would crash it — volatile state
-    /// (open transaction, sink, staged flush ranges) is dropped — but the
-    /// pool is *not* reopened: the caller owns the post-crash image and
-    /// decides when recovery runs.
-    fn site_boundary(&mut self, kind: SiteKind) -> PmResult<()> {
+    /// and takes the captures armed at this site.
+    fn site_boundary(&mut self, kind: SiteKind) {
         let site = self.site_counter;
         self.site_counter += 1;
         if let Some(log) = &mut self.site_log {
             log.push(kind);
         }
-        if let Some((target, policy)) = self.armed {
-            if site == target {
-                self.armed = None;
-                let configured = self.dev.crash_policy();
-                self.dev.set_crash_policy(policy);
-                self.media_op(PmDevice::crash);
-                self.dev.set_crash_policy(configured);
-                self.tx = None;
-                self.sink = None;
-                self.recovering = false;
-                self.pending_flush.clear();
-                self.stats.crashes += 1;
-                self.rec_add("pool.crashes", 1);
-                self.rec_event(
-                    "pool.site_crash",
-                    vec![
-                        ("site", obs::Value::from(site)),
-                        ("kind", obs::Value::from(kind.as_str())),
-                    ],
-                );
-                return Err(PmError::InjectedCrash { site });
-            }
+        if site == self.next_armed {
+            self.capture(site, kind);
         }
-        Ok(())
+    }
+
+    /// Takes every capture armed at `site`: per policy, a fork of the
+    /// device crashed exactly as [`PmPool::crash_and_reopen`] would crash
+    /// it, with the volatile pool state a crash drops (open transaction,
+    /// sink, staged flush ranges) left behind and no recovery run.
+    #[cold]
+    fn capture(&mut self, site: u64, kind: SiteKind) {
+        while let Some(&(at, policy)) = self.armed.front() {
+            if at != site {
+                break;
+            }
+            self.armed.pop_front();
+            let mut fork = PmPool {
+                dev: self.dev.clone(),
+                sink: None,
+                tx: None,
+                recovering: false,
+                stats: self.stats,
+                fork_base: self.fork_base,
+                recorder: self.recorder.clone(),
+                pending_flush: Vec::new(),
+                site_counter: self.site_counter,
+                armed: VecDeque::new(),
+                next_armed: u64::MAX,
+                captured: Vec::new(),
+                unmarked: false,
+                site_log: None,
+            };
+            let configured = fork.dev.crash_policy();
+            fork.dev.set_crash_policy(policy);
+            fork.media_op(PmDevice::crash);
+            fork.dev.set_crash_policy(configured);
+            fork.stats.crashes += 1;
+            fork.rec_add("pool.crashes", 1);
+            fork.rec_event("pool.site_crash", &|| {
+                vec![
+                    ("site", obs::Value::from(site)),
+                    ("kind", obs::Value::from(kind.as_str())),
+                ]
+            });
+            self.captured.push(SiteCapture {
+                site,
+                policy,
+                pool: fork,
+                sink_state: self.sink.as_ref().and_then(|s| s.on_capture()),
+                trace_len: None,
+            });
+            self.unmarked = true;
+        }
+        self.next_armed = self.armed.front().map_or(u64::MAX, |&(at, _)| at);
     }
 
     // ---- raw access -----------------------------------------------------
@@ -450,7 +554,7 @@ impl PmPool {
     /// Explicitly persists `[offset, offset + len)` (the `pmem_persist`
     /// primitive) and notifies the sink with the durable bytes.
     pub fn persist(&mut self, offset: u64, len: u64) -> PmResult<()> {
-        self.site_boundary(SiteKind::Persist)?;
+        self.site_boundary(SiteKind::Persist);
         self.persist_internal(offset, len)?;
         self.stats.persists += 1;
         self.rec_add("pool.persists", 1);
@@ -475,11 +579,9 @@ impl PmPool {
 
     /// Fence (the `sfence` analogue): commits staged lines, then notifies
     /// the sink once per range flushed since the previous fence, in flush
-    /// order, each with its durable bytes.
-    ///
-    /// Errs only when an armed crash injection fires at this boundary.
+    /// order, each with its durable bytes. Never errs.
     pub fn drain_fence(&mut self) -> PmResult<()> {
-        self.site_boundary(SiteKind::Drain)?;
+        self.site_boundary(SiteKind::Drain);
         self.media_op(PmDevice::drain);
         self.stats.drains += 1;
         self.rec_add("pool.drains", 1);
@@ -515,10 +617,9 @@ impl PmPool {
         self.pending_flush.clear();
         self.stats.crashes += 1;
         self.rec_add("pool.crashes", 1);
-        self.rec_event(
-            "pool.crash",
-            vec![("crash_no", obs::Value::from(self.stats.crashes))],
-        );
+        self.rec_event("pool.crash", &|| {
+            vec![("crash_no", obs::Value::from(self.stats.crashes))]
+        });
         self.recover()
     }
 
@@ -613,7 +714,7 @@ impl PmPool {
         if size == 0 {
             return Err(PmError::OutOfPmSpace { requested: 0 });
         }
-        self.site_boundary(SiteKind::Alloc)?;
+        self.site_boundary(SiteKind::Alloc);
         let need = (layout::align_up(size) + layout::BLOCK_HDR).max(layout::MIN_BLOCK);
         // First-fit walk of the free list.
         let mut prev: Option<u64> = None;
@@ -672,7 +773,7 @@ impl PmPool {
         if offset < layout::HEAP_OFF + layout::BLOCK_HDR || offset >= self.capacity() {
             return Err(PmError::NotAllocated { offset });
         }
-        self.site_boundary(SiteKind::Free)?;
+        self.site_boundary(SiteKind::Free);
         let block = offset - layout::BLOCK_HDR;
         let bsize = self.read_u64(block)?;
         if bsize & 1 == 0 {
@@ -756,7 +857,7 @@ impl PmPool {
         if self.tx.is_some() {
             return Err(PmError::TxState("transaction already open".into()));
         }
-        self.site_boundary(SiteKind::TxBegin)?;
+        self.site_boundary(SiteKind::TxBegin);
         let id = self.read_u64(hdr::TX_NEXT_ID)?;
         self.write_u64(hdr::TX_NEXT_ID, id + 1)?;
         self.write_u64(hdr::TX_COUNT, 0)?;
@@ -804,7 +905,7 @@ impl PmPool {
         if self.tx.is_none() {
             return Err(PmError::TxState("commit without transaction".into()));
         }
-        self.site_boundary(SiteKind::TxCommit)?;
+        self.site_boundary(SiteKind::TxCommit);
         let tx = self.tx.take().expect("tx checked above");
         for &(off, len) in &tx.ranges {
             self.dev.flush(off, len)?;
@@ -829,7 +930,7 @@ impl PmPool {
         if self.tx.is_none() {
             return Err(PmError::TxState("abort without transaction".into()));
         }
-        self.site_boundary(SiteKind::TxAbort)?;
+        self.site_boundary(SiteKind::TxAbort);
         self.tx = None;
         self.undo_replay()?;
         self.write_u64(hdr::TX_ACTIVE, 0)?;
@@ -870,7 +971,7 @@ impl PmPool {
     /// (`pmem_recover_begin`, §4.7 of the paper).
     pub fn recover_begin(&mut self) {
         self.recovering = true;
-        self.rec_event("pool.recover_begin", Vec::new());
+        self.rec_event("pool.recover_begin", &|| Vec::new());
         if let Some(sink) = &self.sink {
             sink.on_recover_begin();
         }
@@ -879,7 +980,7 @@ impl PmPool {
     /// Marks the end of the application's recovery function.
     pub fn recover_end(&mut self) {
         self.recovering = false;
-        self.rec_event("pool.recover_end", Vec::new());
+        self.rec_event("pool.recover_end", &|| Vec::new());
         if let Some(sink) = &self.sink {
             sink.on_recover_end();
         }
@@ -894,10 +995,9 @@ impl PmPool {
         // a serving front-end reports time-to-detect / time-to-mitigate
         // relative to this event.
         if let Some(r) = &self.recorder {
-            r.event(
-                "pool.corrupt_bit",
-                vec![("offset", offset.into()), ("bit", u64::from(bit).into())],
-            );
+            r.event("pool.corrupt_bit", &|| {
+                vec![("offset", offset.into()), ("bit", u64::from(bit).into())]
+            });
         }
         Ok(())
     }
@@ -927,10 +1027,13 @@ impl PmPool {
             recorder: self.recorder.clone(),
             pending_flush: self.pending_flush.clone(),
             // The counter continues (site numbers stay comparable across
-            // forks), but armed injections and enumeration logs
+            // forks), but armed captures and enumeration logs
             // belong to the parent's timeline, not the fork's replay.
             site_counter: self.site_counter,
-            armed: None,
+            armed: VecDeque::new(),
+            next_armed: u64::MAX,
+            captured: Vec::new(),
+            unmarked: false,
             site_log: None,
         }
     }
@@ -1503,39 +1606,66 @@ mod tests {
         );
     }
 
+    /// The one capture armed at `site`, taken by `op` (which crosses it).
+    fn captured(pool: &mut PmPool) -> SiteCapture {
+        let mut taken = pool.take_captures();
+        assert_eq!(taken.len(), 1, "exactly one capture fired");
+        taken.remove(0)
+    }
+
     #[test]
     fn armed_site_crash_fires_once_and_loses_unpersisted_data() {
         let mut pool = PmPool::create(CAP).unwrap();
         let a = pool.alloc(64).unwrap(); // site 0
         pool.write_u64(a, 1).unwrap();
         pool.persist(a, 8).unwrap(); // site 1
-        pool.arm_crash_at_site(2, CrashPolicy::DropStaged);
+        pool.arm_captures(&[(2, CrashPolicy::DropStaged)]);
         pool.write_u64(a + 8, 2).unwrap();
-        let err = pool.persist(a + 8, 8).unwrap_err(); // site 2: boom
-        assert_eq!(err, PmError::InjectedCrash { site: 2 });
-        // The caller owns the image; reopen it like a restart would.
-        let mut reopened = PmPool::open(pool.snapshot()).unwrap();
+        pool.persist(a + 8, 8).unwrap(); // site 2: captured on a fork
+        assert!(pool.has_unmarked_captures());
+        pool.mark_captures(7);
+        assert!(!pool.has_unmarked_captures());
+        let c = captured(&mut pool);
+        assert_eq!(
+            (c.site, c.policy, c.trace_len),
+            (2, CrashPolicy::DropStaged, Some(7))
+        );
+        assert_eq!(c.pool.stats().crashes, 1);
+        assert_eq!(c.pool.site_count(), 3);
+        // The capture owns the crashed image; reopen it like a restart would.
+        let mut reopened = PmPool::open(c.pool.snapshot()).unwrap();
         assert_eq!(reopened.read_u64(a).unwrap(), 1, "persisted data kept");
         assert_eq!(reopened.read_u64(a + 8).unwrap(), 0, "in-flight data lost");
-        // Disarmed after firing: the same pool keeps working.
+        // The pool itself never crashed, and the capture fired once.
+        assert_eq!(pool.stats().crashes, 0);
+        assert_eq!(pool.read_u64(a + 8).unwrap(), 2);
+        assert_eq!(pool.captures_armed(), 0);
         pool.persist(a, 8).unwrap();
+        assert!(pool.take_captures().is_empty());
     }
 
     #[test]
     fn armed_site_crash_survives_scripted_crash_and_fork_drops_it() {
         let mut pool = PmPool::create(CAP).unwrap();
         let a = pool.alloc(64).unwrap(); // site 0
-        pool.arm_crash_at_site(3, CrashPolicy::DropStaged);
+        pool.arm_captures(&[(3, CrashPolicy::DropStaged), (0, CrashPolicy::KeepStaged)]);
+        assert_eq!(
+            pool.captures_armed(),
+            1,
+            "an already-crossed site never fires"
+        );
         pool.crash_and_reopen().unwrap(); // scenario's own crash
         pool.persist(a, 8).unwrap(); // site 1
         let mut fork = pool.fork();
-        fork.persist(a, 8).unwrap(); // fork site 2: injection dropped
-        fork.persist(a, 8).unwrap(); // fork site 3: still no injection
+        fork.persist(a, 8).unwrap(); // fork site 2: capture dropped
+        fork.persist(a, 8).unwrap(); // fork site 3: still no capture
+        assert!(fork.take_captures().is_empty());
         pool.persist(a, 8).unwrap(); // site 2
+        pool.persist(a, 8).unwrap(); // site 3
         assert_eq!(
-            pool.persist(a, 8).unwrap_err(), // site 3
-            PmError::InjectedCrash { site: 3 },
-            "armed injection survives an intervening scripted crash"
+            captured(&mut pool).site,
+            3,
+            "armed capture survives an intervening scripted crash"
         );
     }
 
@@ -1544,17 +1674,55 @@ mod tests {
         let mut pool = PmPool::create(CAP).unwrap();
         let a = pool.alloc(64).unwrap();
         pool.set_crash_policy(CrashPolicy::KeepStaged);
-        pool.arm_crash_at_site(1, CrashPolicy::DropStaged);
+        pool.arm_captures(&[(1, CrashPolicy::DropStaged), (1, CrashPolicy::KeepStaged)]);
         pool.write_u64(a, 7).unwrap();
         pool.flush_range(a, 8).unwrap();
-        assert!(pool.drain_fence().is_err()); // fires under DropStaged
-        assert_eq!(
-            pool.device().crash_policy(),
-            CrashPolicy::KeepStaged,
-            "injection policy does not leak into the configured policy"
-        );
-        let mut reopened = PmPool::open(pool.snapshot()).unwrap();
-        assert_eq!(reopened.read_u64(a).unwrap(), 0, "staged line dropped");
+        pool.drain_fence().unwrap(); // site 1: one fork per policy
+        let taken = pool.take_captures();
+        let policies: Vec<CrashPolicy> = taken.iter().map(|c| c.policy).collect();
+        assert_eq!(policies, [CrashPolicy::DropStaged, CrashPolicy::KeepStaged]);
+        for c in &taken {
+            assert_eq!(
+                c.pool.device().crash_policy(),
+                CrashPolicy::KeepStaged,
+                "capture policy does not leak into the configured policy"
+            );
+        }
+        let value = |c: &SiteCapture| {
+            PmPool::open(c.pool.snapshot())
+                .unwrap()
+                .read_u64(a)
+                .unwrap()
+        };
+        assert_eq!(value(&taken[0]), 0, "staged line dropped");
+        assert_eq!(value(&taken[1]), 7, "staged line kept");
+        assert_eq!(pool.device().crash_policy(), CrashPolicy::KeepStaged);
+    }
+
+    /// The sink is told at the boundary, before the boundary's own
+    /// operation reaches it, and its answer rides on the capture.
+    #[test]
+    fn a_capture_carries_the_sink_state_at_the_boundary() {
+        #[derive(Default)]
+        struct Count(std::sync::atomic::AtomicU64);
+        impl PmSink for Count {
+            fn on_persist(&self, _offset: u64, _data: &[u8]) {
+                self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            fn on_capture(&self) -> Option<Box<dyn Any + Send>> {
+                Some(Box::new(self.0.load(std::sync::atomic::Ordering::Relaxed)))
+            }
+        }
+        let sink = Arc::new(Count::default());
+        let mut pool = PmPool::create(CAP).unwrap();
+        pool.set_sink(sink.clone());
+        let a = pool.alloc(64).unwrap(); // site 0
+        pool.arm_captures(&[(2, CrashPolicy::DropStaged)]);
+        pool.persist(a, 8).unwrap(); // site 1
+        pool.persist(a, 8).unwrap(); // site 2
+        let state = captured(&mut pool).sink_state.expect("the sink answered");
+        assert_eq!(*state.downcast::<u64>().unwrap(), 1);
+        assert_eq!(sink.0.load(std::sync::atomic::Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -48,6 +48,15 @@ pub trait PmSink: Send + Sync {
     /// The application's recovery function finished (`pmem_recover_end`).
     fn on_recover_end(&self) {}
 
+    /// An armed crash capture fired at the current durability boundary
+    /// (`PmPool::arm_captures`), before the boundary's own operation: the
+    /// sink's state at that instant, handed out with the capture as
+    /// `SiteCapture::sink_state`. `None` (the default) keeps nothing. The
+    /// checkpoint log answers with a deep copy of itself.
+    fn on_capture(&self) -> Option<Box<dyn std::any::Any + Send>> {
+        None
+    }
+
     /// A PM address was read while recovery is active. Used by the
     /// persistent-leak mitigation to learn which objects the recovery
     /// function reaches.

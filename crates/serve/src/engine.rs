@@ -267,13 +267,12 @@ impl Engine {
             let vm = engine.vm.as_mut().expect("vm present");
             engine.group = PoolGroup::new(vm.pool_mut(), engine.cfg.replicas, base);
         }
-        engine.recorder.event(
-            "serve.start",
+        engine.recorder.event("serve.start", &|| {
             vec![
                 ("scenario", scenario_field(&engine.scenario)),
                 ("replicas", (engine.cfg.replicas as u64).into()),
-            ],
-        );
+            ]
+        });
         Ok(engine)
     }
 
@@ -418,10 +417,9 @@ impl Engine {
         match r {
             Ok(_) => {
                 self.stats.armed = true;
-                self.recorder.event(
-                    "serve.fault_armed",
-                    vec![("scenario", scenario_field(&self.scenario))],
-                );
+                self.recorder.event("serve.fault_armed", &|| {
+                    vec![("scenario", scenario_field(&self.scenario))]
+                });
                 Reply::Ok
             }
             Err(e) => Reply::ServerError(format!("fault arm failed: {e:?}")),
@@ -536,13 +534,12 @@ impl Engine {
         self.degraded.store(false, Ordering::SeqCst);
         let wall = t0.elapsed();
         self.recorder.observe_duration("serve.degraded_us", wall);
-        self.recorder.event(
-            "serve.recovered",
+        self.recorder.event("serve.recovered", &|| {
             vec![
                 ("healthy", end.healthy.into()),
                 ("wall_us", micros(wall).into()),
-            ],
-        );
+            ]
+        });
     }
 
     /// Accounts a finished mitigation: counters, the `serve.failover` and
@@ -553,13 +550,12 @@ impl Engine {
         let wall_us = micros(out.wall);
         if failed_over {
             self.stats.failovers += 1;
-            self.recorder.event(
-                "serve.failover",
+            self.recorder.event("serve.failover", &|| {
                 vec![
                     ("scenario", scenario_field(&self.scenario)),
                     ("discarded_updates", out.discarded_updates.into()),
-                ],
-            );
+                ]
+            });
             // Kept separately from `last_mitigation_wall_us`: an
             // escalated reversion may run after this failover, and
             // `stats` reports the promote wall, not whatever ran last.
@@ -570,8 +566,7 @@ impl Engine {
             self.stats.armed = false;
         }
         let phases = &out.phases;
-        self.recorder.event(
-            "serve.mitigation_end",
+        self.recorder.event("serve.mitigation_end", &|| {
             vec![
                 ("recovered", out.recovered.into()),
                 ("attempts", u64::from(out.attempts).into()),
@@ -582,8 +577,8 @@ impl Engine {
                 ("plan_us", micros(phases.plan).into()),
                 ("revert_us", micros(phases.revert).into()),
                 ("reexec_us", micros(phases.reexec).into()),
-            ],
-        );
+            ]
+        });
         self.recorder.observe_us("serve.mitigation_us", wall_us);
     }
 
@@ -604,10 +599,9 @@ impl Engine {
         let recover_result = vm.call(recover, &[]);
         self.trace.absorb(vm.drain_trace());
         self.vm = Some(vm);
-        self.recorder.event(
-            "serve.restart",
-            vec![("recover_ok", recover_result.is_ok().into())],
-        );
+        self.recorder.event("serve.restart", &|| {
+            vec![("recover_ok", recover_result.is_ok().into())]
+        });
     }
 
     /// Builds the `stats` reply; the server merges its own counters in
@@ -764,32 +758,29 @@ impl Subject for Live<'_> {
     fn fault(&mut self, round: u32, _: &FailureRecord) {
         let e = &mut *self.engine;
         e.stats.faults += 1;
-        e.recorder.event(
-            "serve.fault",
+        e.recorder.event("serve.fault", &|| {
             vec![
                 ("round", u64::from(round).into()),
                 ("detail", format!("{:?}", self.err).into()),
-            ],
-        );
+            ]
+        });
     }
 
     fn mitigate(&mut self, ladder: Ladder<'_>) -> MitigationOutcome {
         let mut pool = self.crash();
         let e = &mut *self.engine;
         e.stats.mitigations += 1;
-        e.recorder.event(
-            "serve.mitigation_begin",
-            vec![("scenario", scenario_field(&e.scenario))],
-        );
+        e.recorder.event("serve.mitigation_begin", &|| {
+            vec![("scenario", scenario_field(&e.scenario))]
+        });
         let out = {
             let (kind, recorder) = (e.kind, &e.recorder);
             let probe = |vm: &mut Vm| {
                 let verified = verify_restart(kind, vm);
                 if let Err(f) = &verified {
-                    recorder.event(
-                        "serve.verify_fail",
-                        vec![("detail", format!("{f:?}").into())],
-                    );
+                    recorder.event("serve.verify_fail", &|| {
+                        vec![("detail", format!("{f:?}").into())]
+                    });
                 }
                 verified
             };
