@@ -652,9 +652,8 @@ impl LogView<'_> {
     /// the live one) that is newer than `my_seq`, so the result is the
     /// byte state as of the cut. Entries start at persist range starts; an
     /// overlapping entry below `addr` starts within `max_len - 1` bytes of
-    /// it — the same exact bound `covering` uses. (A fixed 64 KiB window
-    /// here used to miss newer entries larger than 64 KiB that start below
-    /// the window.)
+    /// it — the same exact bound `covering` uses; a fixed window would
+    /// miss newer entries larger than it that start below the window.
     fn overlaid(&self, addr: u64, my_seq: u64, mut base: Vec<u8>, cut: u64) -> Vec<u8> {
         let len = base.len() as u64;
         let lo = addr.saturating_sub(self.log.max_len.saturating_sub(1));

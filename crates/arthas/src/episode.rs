@@ -33,8 +33,7 @@ pub enum Rung {
     /// A repair of the image from recorded history:
     /// [`Reactor::mitigate`]'s revert loop (or its leak path, §4.7), or
     /// the baselines' snapshot restore (pmCRIU) and time-order reversion
-    /// (ArCkpt). In a ladder built with [`Episode::cross_checked`], the
-    /// plan is first narrowed against the standbys' quorum.
+    /// (ArCkpt).
     Reversion,
     /// The promotion of a standby replica ([`Reactor::failover`]).
     Failover,
@@ -62,7 +61,6 @@ pub trait Subject {
 pub struct Ladder<'l> {
     rungs: &'l [Rung],
     failure: &'l FailureRecord,
-    cross_check: bool,
     after_failover: bool,
 }
 
@@ -93,10 +91,7 @@ impl Ladder<'_> {
                 Rung::RestartOnly => {
                     reactor.restart_only(pool, log, restart, Instant::now(), PhaseTimes::default())
                 }
-                Rung::Reversion => {
-                    let quorum = standbys.as_deref().filter(|_| self.cross_check);
-                    reactor.revert(pool, log, self.failure, trace, restart, quorum)
-                }
+                Rung::Reversion => reactor.mitigate(pool, log, self.failure, trace, restart),
                 Rung::Failover => {
                     let promotable = |g: &&mut PoolGroup| {
                         !g.is_empty()
@@ -153,7 +148,6 @@ pub struct Episode {
     detector: Detector,
     rounds: u32,
     rungs: Vec<Rung>,
-    cross_check: bool,
     mitigations: u32,
     /// Whether the most recent mitigation recovered by failover.
     after_failover: bool,
@@ -168,17 +162,9 @@ impl Episode {
             detector,
             rounds,
             rungs: rungs.to_vec(),
-            cross_check: false,
             mitigations: u32::MAX,
             after_failover: false,
         }
-    }
-
-    /// Narrows every reversion plan against the standbys' quorum first
-    /// ([`Reactor::cross_check_plan`]).
-    pub fn cross_checked(mut self) -> Self {
-        self.cross_check = true;
-        self
     }
 
     /// Ends each episode at its `n`-th mitigation: a recovered image is
@@ -224,7 +210,6 @@ impl Episode {
                 let out = subject.mitigate(Ladder {
                     rungs: &self.rungs,
                     failure: &failure,
-                    cross_check: self.cross_check,
                     after_failover: self.after_failover,
                 });
                 mitigations += 1;

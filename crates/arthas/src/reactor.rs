@@ -98,9 +98,7 @@ impl Search {
 ///
 /// Construct with [`ReactorConfig::builder`] (validated) or start from
 /// [`ReactorConfig::default`]; derive variants with
-/// [`ReactorConfig::to_builder`]. The builder is the only construction
-/// path — the struct-literal fields deprecated in 0.4.0 have been
-/// removed.
+/// [`ReactorConfig::to_builder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReactorConfig {
     /// Reversion mode.
@@ -626,9 +624,10 @@ impl LogFacts {
     }
 
     /// Records entry `k`'s newest seq as a candidate and returns whether
-    /// its bytes on the crashed image `pool` diverge from the log's
-    /// ([`seq_diverged`]), keeping the expected bytes only when they
-    /// differ from the pool's.
+    /// its bytes on the crashed image `pool` diverge from the log's (the
+    /// newest version overlaid with newer overlapping entries: the
+    /// signature of corruption that bypassed every durability point),
+    /// keeping the expected bytes only when they differ from the pool's.
     fn plan_candidate(&mut self, log: &LogView<'_>, pool: &mut PmPool, k: usize) -> bool {
         let Span { addr, seq, .. } = self.spans[k];
         // With no newer entry overlapping it, an entry's expected bytes
@@ -712,7 +711,7 @@ impl LogFacts {
     }
 
     /// When `pool`'s bytes at a candidate's or learned seq differ from
-    /// what the log says they should be ([`seq_diverged`]), the seq's
+    /// what the log says they should be, the seq's
     /// address and those bytes. `pool` is the crashed image plus what
     /// `ledger`'s lineage wrote, so a candidate that matched the log on
     /// the crashed image and lies outside every written range still
@@ -872,9 +871,8 @@ pub struct Reactor<'a> {
     pub last_slice_time: Duration,
     /// Slicing wall time accrued since the last reported outcome.
     /// [`Reactor::timed_plan`] drains it into `PhaseTimes.slice`, so an
-    /// outcome accounts *every* slice taken on its behalf — a
-    /// multi-attempt recovery that planned several times no longer
-    /// reports only the final attempt's slice time.
+    /// outcome accounts *every* slice taken on its behalf, including
+    /// those of a multi-attempt recovery that planned several times.
     pending_slice_time: Duration,
     /// Slices this reactor computed, and those it found already taken,
     /// in the analysis's per-fault memo.
@@ -1019,30 +1017,13 @@ impl<'a> Reactor<'a> {
         trace: &PmTrace,
         restart: &Restart<'_>,
     ) -> MitigationOutcome {
-        self.revert(pool, log, failure, trace, restart, None)
-    }
-
-    /// [`Reactor::mitigate`], with the plan first narrowed by
-    /// [`Reactor::cross_check_plan`] against `quorum` when one is given.
-    pub(crate) fn revert(
-        &mut self,
-        pool: &mut PmPool,
-        log: &SharedLog,
-        failure: &FailureRecord,
-        trace: &PmTrace,
-        restart: &Restart<'_>,
-        quorum: Option<&PoolGroup>,
-    ) -> MitigationOutcome {
         let t0 = Instant::now();
         if failure.kind == FailureKind::Leak {
             return self.mitigate_leak(pool, log, restart, t0);
         }
         let (plan, facts, phases) = match failure.fault {
             Some(fault) => {
-                let (mut plan, facts, phases) = self.timed_plan(fault, trace, log, pool);
-                if let Some(group) = quorum {
-                    plan = self.cross_check_plan(&plan, &log.view(), pool, group);
-                }
+                let (plan, facts, phases) = self.timed_plan(fault, trace, log, pool);
                 (plan, Some(facts), phases)
             }
             None => (Plan::default(), None, PhaseTimes::default()),
@@ -1114,100 +1095,6 @@ impl<'a> Reactor<'a> {
         if out.recovered {
             self.recorder.add("reactor.recoveries", 1);
         }
-    }
-
-    /// Cross-checks the crashed image against quorum replica bytes to
-    /// *localize* corruption before the revert loop judges
-    /// candidates. For each candidate address, replicas that have
-    /// applied the address's newest logged write vote with their image
-    /// bytes; when a strict majority of eligible voters agree and the
-    /// primary's durable bytes differ, the address is corrupted. A
-    /// non-empty corrupted set restricts the plan to candidates at
-    /// corrupted or log-diverged addresses; an empty one (software
-    /// faults replicate faithfully — pool and replicas match) leaves
-    /// the plan untouched. The result is always a subset of the input
-    /// plan: cross-checking never grows the candidate set.
-    pub fn cross_check_plan(
-        &self,
-        plan: &Plan,
-        log: &LogView<'_>,
-        pool: &mut PmPool,
-        group: &PoolGroup,
-    ) -> Plan {
-        if group.is_empty() || plan.seqs.is_empty() {
-            return plan.clone();
-        }
-        let mut corrupted: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let mut judged: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        for &s in &plan.seqs {
-            let Some(addr) = log.addr_of_seq(s) else {
-                continue;
-            };
-            if !judged.insert(addr) {
-                continue;
-            }
-            let Some(newest) = log.entry(addr).and_then(|e| e.versions.back()) else {
-                continue;
-            };
-            let (newest_seq, len) = (newest.seq, newest.data.len());
-            let votes: Vec<Vec<u8>> = (0..group.n())
-                .filter(|&i| {
-                    group
-                        .replica(i)
-                        .map(|r| !r.faulted() && r.cursor() >= newest_seq)
-                        .unwrap_or(false)
-                })
-                .filter_map(|i| group.replica_bytes(i, addr, len))
-                .collect();
-            let Some(quorum) = majority(&votes) else {
-                // No quorum (lagging or failed replicas): conservative —
-                // the address cannot be judged, so it is not localized.
-                continue;
-            };
-            match pool.read(addr, len as u64) {
-                Ok(cur) if cur != quorum => {
-                    corrupted.insert(addr);
-                }
-                _ => {}
-            }
-        }
-        if corrupted.is_empty() {
-            self.recorder.event("reactor.cross_check", &|| {
-                vec![
-                    ("plan_len", Value::from(plan.seqs.len())),
-                    ("filtered_len", Value::from(plan.seqs.len())),
-                    ("corrupted_addrs", Value::from(0u64)),
-                    ("replicas", Value::from(group.n())),
-                ]
-            });
-            return plan.clone();
-        }
-        let seqs: Vec<u64> = plan
-            .seqs
-            .iter()
-            .copied()
-            .filter(|&s| {
-                log.addr_of_seq(s)
-                    .map(|a| corrupted.contains(&a))
-                    .unwrap_or(false)
-                    || seq_diverged(log, pool, s)
-            })
-            .collect();
-        let sources = plan
-            .sources
-            .iter()
-            .filter(|(s, _)| seqs.contains(s))
-            .map(|(s, v)| (*s, v.clone()))
-            .collect();
-        self.recorder.event("reactor.cross_check", &|| {
-            vec![
-                ("plan_len", Value::from(plan.seqs.len())),
-                ("filtered_len", Value::from(seqs.len())),
-                ("corrupted_addrs", Value::from(corrupted.len())),
-                ("replicas", Value::from(group.n())),
-            ]
-        });
-        Plan { seqs, sources }
     }
 
     /// Promotes `group`'s standbys best-first until one verifies: the
@@ -1998,17 +1885,6 @@ fn mode_name(mode: Mode) -> &'static str {
     }
 }
 
-/// The byte string a strict majority of voters agree on, if any.
-fn majority(votes: &[Vec<u8>]) -> Option<&[u8]> {
-    for candidate in votes {
-        let agree = votes.iter().filter(|&v| v == candidate).count();
-        if agree * 2 > votes.len() {
-            return Some(candidate);
-        }
-    }
-    None
-}
-
 /// Renders up to 16 sequence numbers for event fields; longer lists end
 /// with `…(+n)`.
 fn seq_list(seqs: &[u64]) -> String {
@@ -2023,21 +1899,4 @@ fn seq_list(seqs: &[u64]) -> String {
         s.push_str(&format!("…(+{})", seqs.len() - SHOWN));
     }
     s
-}
-
-/// Whether the pool's durable bytes at a logged sequence number differ
-/// from what the checkpoint log says they should be (the newest version
-/// overlaid with newer overlapping entries) — the signature of corruption
-/// that bypassed every durability point (hardware faults).
-fn seq_diverged(log: &LogView<'_>, pool: &mut PmPool, seq: u64) -> bool {
-    let Some(addr) = log.addr_of_seq(seq) else {
-        return false;
-    };
-    let Some(expected) = log.expected_current(addr) else {
-        return false;
-    };
-    match pool.read(addr, expected.len() as u64) {
-        Ok(cur) => cur != expected,
-        Err(_) => false,
-    }
 }

@@ -383,7 +383,7 @@ fn episode_climbs_to_the_second_rung_when_the_first_fails() {
     failure.fault = Some(pir::ir::InstRef { func, inst: 0 });
     let mut seen = Detector::new();
     seen.observe(failure.clone());
-    let mut episode = Episode::new(seen, 4, &[Rung::Reversion, Rung::Failover]).cross_checked();
+    let mut episode = Episode::new(seen, 4, &[Rung::Reversion, Rung::Failover]);
     let end = episode.run(Some(failure), &mut app);
     let out = end.outcome.unwrap();
     assert!(

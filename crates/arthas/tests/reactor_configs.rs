@@ -625,12 +625,20 @@ fn plan_time_divergence_heals_on_the_third_rollback_attempt() {
 /// every depth, and debug builds redo each such step from scratch and
 /// assert the same bytes, ledger and heals.
 ///
-/// The fixed case shrinks an entry under a longer one below it. The
-/// entry at 56 holds 8 bytes, then 16 (carrying 9 over 64), then 8; the
-/// entry at 48 spans `[48, 72)` throughout. The fourth attempt cuts below
-/// the 16-byte version: the entry at 56 goes back to 8 bytes, and the
-/// entry at 48, which the rollback before left alone, must be rewritten
-/// too, or `[64, 72)` keeps the 9.
+/// The first fixed case shrinks an entry under a longer one below it.
+/// The entry at 56 holds 8 bytes, then 16 (carrying 9 over 64), then 8;
+/// the entry at 48 spans `[48, 72)` throughout. The fourth attempt cuts
+/// below the 16-byte version: the entry at 56 goes back to 8 bytes, and
+/// the entry at 48, which the rollback before left alone, must be
+/// rewritten too, or `[64, 72)` keeps the 9.
+///
+/// The second takes two candidates a step. Stores outside the persisted
+/// ranges leave the entry at 64 (seq 2) diverged on the crashed image, so
+/// it heads the plan `2, 6, 5, 4, 3, 1`. The third attempt heals seq 1 as
+/// part of its batch and cuts at 3; the next depth's first attempt finds
+/// seq 2 matching the log and cuts at 2, below that. Its scan starts from
+/// cut 3, and only the last scan's batch names seq 1, which is owed a
+/// heal there.
 #[test]
 fn rollbacks_from_the_last_cut_over_overlapping_persists() {
     let shrink: &[(&str, &[u64])] = &[
@@ -642,11 +650,32 @@ fn rollbacks_from_the_last_cut_over_overlapping_persists() {
         ("w", &[56, 6]),
         ("wide", &[48, 7, 48, 24]),
     ];
-    let mitigate = |calls: &[(&str, &[u64])]| {
-        let run = mitigate_heal_app(calls, None, cumulative_rollback(), false);
+    let below_the_last_cut: &[(&str, &[u64])] = &[
+        ("wide", &[56, 2, 40, 24]),
+        ("wide", &[56, 2, 64, 24]),
+        ("wide", &[56, 1, 56, 8]),
+        ("wide", &[64, 3, 72, 24]),
+        ("w", &[48, 3]),
+        ("w", &[88, 3]),
+    ];
+    let mitigate_with = |calls: &[(&str, &[u64])], cfg: ReactorConfig| {
+        let run = mitigate_heal_app(calls, None, cfg, false);
         assert!(run.outcome.attempts > 2, "{:?}", run.outcome);
+        run
     };
+    let mitigate = |calls: &[(&str, &[u64])]| mitigate_with(calls, cumulative_rollback());
     mitigate(shrink);
+    let pairs = cumulative_rollback()
+        .to_builder()
+        .search(Search::Batch(2))
+        .build()
+        .unwrap();
+    let run = mitigate_with(below_the_last_cut, pairs);
+    assert!(
+        run.heals.contains(&(4, 1)),
+        "the next depth's first attempt heals seq 1: {:?}",
+        run.heals
+    );
     for seed in 1..=12u64 {
         let mut x = seed;
         let mut next = |n: u64| {

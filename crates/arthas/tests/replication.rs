@@ -1,6 +1,5 @@
 //! Pool-group replication at the reactor layer: checkpoint-stream
-//! pumping, quorum cross-check localization, and hot-standby failover,
-//! including the degeneration of an empty group to the single-pool path
+//! pumping and hot-standby failover, including the degeneration of an empty group to the single-pool path
 //! in either rung order of a recovery episode.
 
 use std::sync::Arc;
@@ -18,7 +17,7 @@ use pmemsim::{PmPool, PoolGroup};
 
 /// The replication feed is the pool's own persist stream: pumping
 /// `updates_since(cursor)` converges a replica to the primary's durable
-/// bytes.
+/// bytes, as a promotion onto a fork of the primary shows.
 #[test]
 fn pumped_replica_converges_to_primary_bytes() {
     let log = SharedLog::new();
@@ -44,15 +43,17 @@ fn pumped_replica_converges_to_primary_bytes() {
     let status = group.status(latest);
     assert_eq!(status[0].lag, 0, "replica 0 caught up");
     assert!(status[1].lag > 0, "replica 1 lagging");
-    assert_eq!(group.healthiest(), Some(0));
+    assert_eq!(group.failover_order(), vec![0, 1], "caught-up first");
 
     // Caught-up replica matches the primary byte-for-byte at every
     // touched address.
+    let mut promoted = pool.fork();
+    assert_eq!(group.promote_into(0, &mut promoted).unwrap(), latest);
     for i in 0..8u64 {
         let addr = base + i * 4096;
         assert_eq!(
-            group.replica_bytes(0, addr, 8).unwrap(),
-            pool.read(addr, 8).unwrap().as_slice(),
+            promoted.read(addr, 8).unwrap(),
+            pool.read(addr, 8).unwrap(),
             "replica bytes at {addr:#x}"
         );
     }
@@ -194,87 +195,6 @@ fn run_to_failure() -> Crashed {
     }
 }
 
-// ---- cross-check localization -----------------------------------------------
-
-/// Software faults replicate faithfully: pool and caught-up replicas
-/// agree everywhere, the corrupted set is empty, and the plan passes
-/// through unchanged. External corruption on the primary disagrees with
-/// the replica quorum and restricts the plan to the corrupted address —
-/// a strict subset, never a grown set.
-#[test]
-fn cross_check_shrinks_on_corruption_and_passes_software_faults() {
-    let mut c = run_to_failure();
-    // Caught-up replicas: built from the crashed image itself.
-    let group = PoolGroup::new(&c.pool, 3, c.log.view().latest_seq());
-    let cfg = ReactorConfig::default();
-    let mut reactor = Reactor::new(&c.out.analysis, &c.out.guid_map, cfg);
-    let fault = c.failure.fault.unwrap();
-
-    // Software fault only: plan unchanged.
-    let (plan, filtered) = {
-        let view = c.log.view();
-        let plan = reactor.plan(fault, &c.trace, &view, &mut c.pool);
-        let filtered = reactor.cross_check_plan(&plan, &view, &mut c.pool, &group);
-        (plan, filtered)
-    };
-    assert!(!plan.seqs.is_empty());
-    assert_eq!(
-        filtered.seqs, plan.seqs,
-        "faithfully replicated state must not be localized"
-    );
-
-    // External corruption on the aux address: the quorum disagrees with
-    // the primary there, and the plan collapses to that address.
-    let root = c.pool.root_offset().unwrap();
-    c.pool.corrupt_bit(root + 8192, 0).unwrap();
-    let (plan, filtered) = {
-        let view = c.log.view();
-        let plan = reactor.plan(fault, &c.trace, &view, &mut c.pool);
-        let filtered = reactor.cross_check_plan(&plan, &view, &mut c.pool, &group);
-        (plan, filtered)
-    };
-    assert!(
-        filtered.seqs.len() < plan.seqs.len(),
-        "cross-check must shrink the plan under external corruption \
-         ({} vs {})",
-        filtered.seqs.len(),
-        plan.seqs.len()
-    );
-    assert!(
-        filtered.seqs.iter().all(|s| plan.seqs.contains(s)),
-        "the filtered plan is a subset of the original"
-    );
-    let view = c.log.view();
-    for &s in &filtered.seqs {
-        assert_eq!(view.addr_of_seq(s), Some(root + 8192));
-    }
-}
-
-/// Lagging replicas cannot vote on addresses they have not applied: no
-/// quorum means no localization, and the plan passes through unchanged
-/// even with a corrupted primary.
-#[test]
-fn cross_check_without_quorum_is_conservative() {
-    let mut c = run_to_failure();
-    let (image, cursor) = c.standby.clone();
-    // The single replica is the lagging pre-fault standby.
-    let standby_pool = PmPool::open(image).unwrap();
-    let group = PoolGroup::new(&standby_pool, 1, cursor);
-    let root = c.pool.root_offset().unwrap();
-    c.pool.corrupt_bit(root + 8192, 0).unwrap();
-    let cfg = ReactorConfig::default();
-    let mut reactor = Reactor::new(&c.out.analysis, &c.out.guid_map, cfg);
-    let fault = c.failure.fault.unwrap();
-    let view = c.log.view();
-    let plan = reactor.plan(fault, &c.trace, &view, &mut c.pool);
-    let filtered = reactor.cross_check_plan(&plan, &view, &mut c.pool, &group);
-    // aux's newest logged seq predates the standby cursor, so the
-    // standby *can* vote on aux; flag/value's newest seqs are above the
-    // cursor, so those cannot be localized. Either way: a subset.
-    assert!(filtered.seqs.len() <= plan.seqs.len());
-    assert!(filtered.seqs.iter().all(|s| plan.seqs.contains(s)));
-}
-
 // ---- failover ---------------------------------------------------------------
 
 /// Hot-standby-first failover: a pre-fault standby promotes, verifies,
@@ -370,20 +290,17 @@ fn empty_group_degenerates_to_single_pool_mitigation() {
         );
         (outcome, c.pool.snapshot())
     };
-    let ladders: [(&[Rung], bool); 2] = [
-        (&[Rung::Failover, Rung::Reversion], false),
-        (&[Rung::Reversion, Rung::Failover], true),
+    let ladders: [&[Rung]; 2] = [
+        &[Rung::Failover, Rung::Reversion],
+        &[Rung::Reversion, Rung::Failover],
     ];
-    for (rungs, cross_checked) in ladders {
+    for rungs in ladders {
         let mut c = run_to_failure();
         let failure = c.failure.clone();
         // Seen once already: the episode's first observation is hard.
         let mut detector = Detector::new();
         detector.observe(failure.clone());
         let mut episode = Episode::new(detector, 1, rungs);
-        if cross_checked {
-            episode = episode.cross_checked();
-        }
         let end = episode.run(
             Some(failure),
             &mut Standing {

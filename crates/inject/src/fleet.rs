@@ -209,7 +209,7 @@ impl From<std::io::Error> for FleetError {
 /// resume refuses to run unless its reconstructed configuration renders
 /// this exact document.
 fn header_json(cfg: &CampaignConfig, scenario_ids: &[&'static str]) -> Json {
-    let mut members = vec![
+    Json::obj([
         ("kind", Json::Str("header".into())),
         ("schema_version", Json::U64(JOURNAL_SCHEMA_VERSION)),
         ("seed", Json::U64(cfg.seed())),
@@ -235,17 +235,7 @@ fn header_json(cfg: &CampaignConfig, scenario_ids: &[&'static str]) -> Json {
                     .collect(),
             ),
         ),
-    ];
-    // The replication dimension determines trial outcomes, so it is
-    // header material; absent members keep pre-replication journals
-    // resumable (they decode as the n = 0 configuration).
-    if cfg.replicas() > 0 {
-        members.push(("replicas", Json::U64(cfg.replicas() as u64)));
-        if let Some(f) = cfg.replica_fault() {
-            members.push(("replica_fault", Json::Str(f.as_str().to_string())));
-        }
-    }
-    Json::obj(members)
+    ])
 }
 
 /// One completed trial. `seed`/`stride` repeat the header so every line
@@ -304,11 +294,6 @@ pub struct JournalHeader {
     pub invariants: bool,
     /// Scenario ids, in campaign order.
     pub scenarios: Vec<String>,
-    /// Hot-standby replicas per trial (0 = single-pool campaign; absent
-    /// in pre-replication journals).
-    pub replicas: usize,
-    /// Replica-side fault mode, when one was configured.
-    pub replica_fault: Option<crate::ReplicaFault>,
 }
 
 impl JournalHeader {
@@ -327,8 +312,6 @@ impl JournalHeader {
             .seed(self.seed)
             .policies(self.policies.clone())
             .invariants(self.invariants)
-            .replicas(self.replicas)
-            .replica_fault(self.replica_fault)
             .analysis_cache(cache)
             .build()
     }
@@ -377,13 +360,6 @@ pub fn read_header(dir: &Path) -> Result<JournalHeader, FleetError> {
                 .ok_or_else(|| FleetError::Journal(format!("bad header scenario {}", j.render())))
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let replica_fault = match doc.get("replica_fault").and_then(Json::as_str) {
-        Some(s) => Some(
-            crate::ReplicaFault::parse(s)
-                .ok_or_else(|| FleetError::Journal(format!("unknown replica fault `{s}`")))?,
-        ),
-        None => None,
-    };
     Ok(JournalHeader {
         seed: get_u64(doc, "seed")?,
         stride: get_u64(doc, "stride")?,
@@ -395,8 +371,6 @@ pub fn read_header(dir: &Path) -> Result<JournalHeader, FleetError> {
             .ok_or_else(|| FleetError::Journal("header missing bool `invariants`".into()))?,
         policies,
         scenarios,
-        replicas: doc.get("replicas").and_then(Json::as_u64).unwrap_or(0) as usize,
-        replica_fault,
     })
 }
 

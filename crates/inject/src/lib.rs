@@ -42,8 +42,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use arthas::{
-    reopen, AnalysisCache, ConfigError, Episode, FailureRecord, Ladder, LogView, MitigationOutcome,
-    Reactor, ReactorConfig, Restart, Rung, SharedLog, Subject,
+    reopen, AnalysisCache, ConfigError, Episode, FailureRecord, Ladder, MitigationOutcome, Reactor,
+    ReactorConfig, Restart, Rung, Subject,
 };
 use obs::{Field, Json, Schema};
 use pir::vm::{Vm, VmOpts};
@@ -51,7 +51,7 @@ use pm_workload::{
     run_with_injection, AppSetup, CrashCapture, InjectionOutcome, RunConfig, Scenario,
     SiteInjection,
 };
-use pmemsim::{CrashPolicy, PmPool, PoolGroup, SiteKind};
+use pmemsim::{CrashPolicy, PmPool, SiteKind};
 
 pub mod fleet;
 pub mod invariants;
@@ -81,8 +81,8 @@ pub const MAX_TRIAL_RESTARTS: u32 = 3;
 
 /// Parameters of one injection campaign.
 ///
-/// The builder is the only construction path — the struct-literal
-/// fields deprecated in 0.4.0 have been removed.
+/// The builder is the only construction path, so every value it holds
+/// has been validated.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Maximum trials per scenario (site × policy pairs), ≥ 1.
@@ -110,14 +110,6 @@ pub struct CampaignConfig {
     /// trial of a scenario already shares its scenario's analysis;
     /// verdicts are cache-independent.
     cache: Option<Arc<AnalysisCache>>,
-    /// Hot-standby replicas behind every trial's crashed pool, fed from
-    /// the checkpoint stream. `0` (the default) takes exactly the
-    /// single-pool mitigation path — the campaign matrix is
-    /// byte-identical to a pre-replication build.
-    replicas: usize,
-    /// Replica-side fault injected into each trial's group (requires
-    /// `replicas >= 1`).
-    replica_fault: Option<ReplicaFault>,
 }
 
 impl Default for CampaignConfig {
@@ -131,8 +123,6 @@ impl Default for CampaignConfig {
             reactor: ReactorConfig::default(),
             invariants: false,
             cache: None,
-            replicas: 0,
-            replica_fault: None,
         }
     }
 }
@@ -173,16 +163,6 @@ impl CampaignConfig {
     /// Whether the mined-invariant oracle is on.
     pub fn invariants(&self) -> bool {
         self.invariants
-    }
-
-    /// Hot-standby replicas per trial.
-    pub fn replicas(&self) -> usize {
-        self.replicas
-    }
-
-    /// Replica-side fault mode, when configured.
-    pub fn replica_fault(&self) -> Option<ReplicaFault> {
-        self.replica_fault
     }
 }
 
@@ -245,20 +225,6 @@ impl CampaignConfigBuilder {
         self
     }
 
-    /// Hot-standby replicas behind every trial's pool (default 0 — the
-    /// single-pool path, byte-identical matrices).
-    pub fn replicas(mut self, replicas: usize) -> Self {
-        self.cfg.replicas = replicas;
-        self
-    }
-
-    /// Replica-side fault injected into every trial's group (default
-    /// none; requires at least one replica).
-    pub fn replica_fault(mut self, fault: Option<ReplicaFault>) -> Self {
-        self.cfg.replica_fault = fault;
-        self
-    }
-
     /// Validates and produces the configuration.
     pub fn build(self) -> Result<CampaignConfig, ConfigError> {
         if self.cfg.budget == 0 {
@@ -272,11 +238,6 @@ impl CampaignConfigBuilder {
         }
         if self.cfg.policies.is_empty() {
             return Err(ConfigError("at least one crash policy is required".into()));
-        }
-        if self.cfg.replica_fault.is_some() && self.cfg.replicas == 0 {
-            return Err(ConfigError(
-                "a replica fault requires at least one replica".into(),
-            ));
         }
         // The matrix only admits whole sites (every policy at a site, or
         // none — partially-tested sites would skew the census), so the
@@ -348,48 +309,6 @@ pub fn policy_from_name(name: &str) -> Option<CrashPolicy> {
             .parse()
             .ok()
             .map(CrashPolicy::RandomStaged),
-    }
-}
-
-/// The replica-side fault mode of a replicated campaign (the
-/// `--replica-fault` dimension): every trial's pool group takes this
-/// fault before mitigation runs, and the gate is that replica damage is
-/// *contained* — a corrupted or torn standby may be rejected at
-/// promote-verification time, but it must never worsen a verdict the
-/// single-pool pipeline would have produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicaFault {
-    /// The same image bit flipped in every replica (one bad batch of
-    /// DIMMs): failover must reject the whole standby set and fall back
-    /// to the primary-image verdict.
-    Correlated,
-    /// A different bit flipped per replica (independent media faults).
-    Independent,
-    /// Replica 0 crashes mid-apply of a checkpoint record (torn
-    /// replication): half the record's bytes land, the replica faults,
-    /// and the survivors lag at the rewound cursor.
-    TornApply,
-}
-
-impl ReplicaFault {
-    /// Stable document/CLI name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ReplicaFault::Correlated => "correlated",
-            ReplicaFault::Independent => "independent",
-            ReplicaFault::TornApply => "torn",
-        }
-    }
-
-    /// Inverse of [`ReplicaFault::as_str`].
-    pub fn parse(s: &str) -> Option<ReplicaFault> {
-        [
-            ReplicaFault::Correlated,
-            ReplicaFault::Independent,
-            ReplicaFault::TornApply,
-        ]
-        .into_iter()
-        .find(|f| f.as_str() == s)
     }
 }
 
@@ -570,10 +489,8 @@ fn trial_check(scn: &dyn Scenario, vm: &mut Vm) -> RestartResult {
 /// One recovery [`Episode`] runs it: up to [`MAX_TRIAL_RESTARTS`] restarts
 /// before a hard verdict, then at most one mitigation, whose recovered
 /// image one more watch verifies ([`CrashedTrial`] says which watches
-/// restart). The ladder is the primary-image
-/// reversion (cross-checked against the standbys when the campaign has
-/// any), then failover: replicas can rescue a trial but never preempt a
-/// reversion that would have succeeded.
+/// restart). Its ladder is reversion alone: a trial has one image and
+/// no standby.
 ///
 /// A clean recovery is additionally re-judged by the mined-invariant
 /// oracle when the campaign promoted any (`--invariants`): a raw image
@@ -594,10 +511,7 @@ fn classify(
     mut capture: CrashCapture,
 ) -> (TrialVerdict, u32, u32, u32) {
     let detector = std::mem::take(&mut capture.detector);
-    let ladder = [Rung::Reversion, Rung::Failover];
-    let mut episode = Episode::new(detector, MAX_TRIAL_RESTARTS, &ladder)
-        .cross_checked()
-        .at_most(1);
+    let mut episode = Episode::new(detector, MAX_TRIAL_RESTARTS, &[Rung::Reversion]).at_most(1);
     let mut trial = CrashedTrial {
         scn,
         setup,
@@ -723,16 +637,7 @@ impl Subject for CrashedTrial<'_> {
         };
         let mut reactor =
             Reactor::new(&self.setup.analysis, &self.setup.guid_map, self.cfg.reactor);
-        let mut group =
-            (self.cfg.replicas > 0).then(|| build_trial_group(&c.pool, &c.log, self.cfg, c.site));
-        let out = ladder.run(
-            &mut reactor,
-            &mut c.pool,
-            &c.log,
-            &c.trace,
-            &restart,
-            group.as_mut(),
-        );
+        let out = ladder.run(&mut reactor, &mut c.pool, &c.log, &c.trace, &restart, None);
         self.verified = out.recovered;
         out
     }
@@ -787,94 +692,6 @@ impl Subject for CrashedTrial<'_> {
         }
         Err(rec)
     }
-}
-
-/// Builds a trial's pool group from the crashed image and applies the
-/// configured replica fault.
-///
-/// Replicas are seeded from the crashed snapshot itself with cursors at
-/// the log frontier: a caught-up standby set is byte-identical to the
-/// primary, so the reactor's cross-check localizes nothing and the
-/// primary-image arm runs exactly the single-pool pipeline — replica
-/// faults can only *rescue* a trial at failover time, never worsen it.
-/// The injected faults exercise the containment machinery:
-///
-/// - [`ReplicaFault::Correlated`] / [`ReplicaFault::Independent`] flip
-///   image bits at offsets outside every logged address range, so the
-///   damage is invisible to the cross-check quorum (no logged bytes
-///   differ) and must be caught — if the trial fails over — by promote
-///   verification;
-/// - [`ReplicaFault::TornApply`] rewinds the group to half the log
-///   frontier and replays the tail into replica 0 with a torn apply
-///   armed at the three-quarter mark: the record splices halfway, the
-///   replica faults, and the survivors stay byte-identical at the
-///   rewound cursor (lagging voters abstain from the cross-check).
-fn build_trial_group(pool: &PmPool, log: &SharedLog, cfg: &CampaignConfig, site: u64) -> PoolGroup {
-    let view = log.view();
-    let latest = view.latest_seq();
-    let mut group = match cfg.replica_fault {
-        Some(ReplicaFault::TornApply) => PoolGroup::new(pool, cfg.replicas, latest / 2),
-        _ => PoolGroup::new(pool, cfg.replicas, latest),
-    };
-    match cfg.replica_fault {
-        None => {}
-        Some(ReplicaFault::Correlated) => {
-            let (off, bit) = unlogged_offset(&view, pool, site);
-            for idx in 0..group.n() {
-                let _ = group.corrupt_bit(idx, off, bit);
-            }
-        }
-        Some(ReplicaFault::Independent) => {
-            for idx in 0..group.n() {
-                let salt = site ^ ((idx as u64 + 1) << 32);
-                let (off, bit) = unlogged_offset(&view, pool, salt);
-                let _ = group.corrupt_bit(idx, off, bit);
-            }
-        }
-        Some(ReplicaFault::TornApply) => {
-            let mid = latest / 2;
-            group.arm_torn_apply(0, mid + (latest - mid) / 2);
-            group.apply_stream(0, view.updates_since(mid));
-        }
-    }
-    group
-}
-
-/// A deterministic pool offset outside the header and every logged
-/// address range. Replica corruption there cannot masquerade as primary
-/// corruption in the cross-check (whose quorum reads cover exactly the
-/// logged addresses), so a corrupted standby is discovered the way a
-/// real deployment would discover it: at promote-verification time.
-fn unlogged_offset(view: &LogView<'_>, pool: &PmPool, salt: u64) -> (u64, u8) {
-    let ranges: Vec<(u64, u64)> = {
-        let addrs: std::collections::BTreeSet<u64> = view
-            .all_seqs()
-            .into_iter()
-            .filter_map(|s| view.addr_of_seq(s))
-            .collect();
-        addrs
-            .into_iter()
-            .filter_map(|a| {
-                let len = view
-                    .entry(a)?
-                    .versions
-                    .iter()
-                    .map(|v| v.data.len() as u64)
-                    .max()?;
-                Some((a, len))
-            })
-            .collect()
-    };
-    let heap = pmemsim::layout::HEAP_OFF;
-    let span = pool.capacity().saturating_sub(heap).max(1);
-    let mut off = heap + salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) % span;
-    for _ in 0..1024 {
-        if !ranges.iter().any(|&(a, l)| off >= a && off < a + l) {
-            break;
-        }
-        off = heap + (off - heap + 257) % span;
-    }
-    (off, (salt % 8) as u8)
 }
 
 /// Classifies one trial from its capture. Also returns the restarts the
@@ -932,7 +749,7 @@ pub type MatrixRow = (u64, SiteKind, CrashPolicy);
 ///
 /// Every enumerated site must carry a recorded kind: a `kinds` slice
 /// shorter than `sites_total` is a hard error, never a silent `Persist`
-/// fallback (which used to skew the per-kind census for every site past
+/// fallback (which would skew the per-kind census for every site past
 /// the recorded prefix). The budget admits only *whole* sites — when the
 /// remaining budget cannot fit a site's full policy row, that site is
 /// dropped rather than partially tested, so per-policy trial counts and
@@ -1221,10 +1038,7 @@ impl CampaignReport {
                 ])
             })
             .collect();
-        // The replication dimension appears only when enabled: an
-        // `n = 0` campaign renders byte-identically to a
-        // pre-replication build's document.
-        let mut config = vec![
+        let config = [
             ("seed", Json::U64(self.config.seed)),
             ("stride", Json::U64(self.config.stride)),
             ("budget", Json::U64(self.config.budget as u64)),
@@ -1240,12 +1054,6 @@ impl CampaignReport {
                 ),
             ),
         ];
-        if self.config.replicas > 0 {
-            config.push(("replicas", Json::U64(self.config.replicas as u64)));
-            if let Some(f) = self.config.replica_fault {
-                config.push(("replica_fault", Json::Str(f.as_str().to_string())));
-            }
-        }
         Json::obj([
             ("schema_version", Json::U64(SCHEMA_VERSION)),
             ("config", Json::obj(config)),
@@ -1373,8 +1181,6 @@ pub fn schema() -> Schema {
                 Field::req("budget", UInt),
                 Field::req("runners", UInt),
                 Field::req("policies", Schema::arr(Str)),
-                Field::opt("replicas", UInt),
-                Field::opt("replica_fault", Str),
             ]),
         ),
         Field::req("scenarios", Schema::arr(scenario)),

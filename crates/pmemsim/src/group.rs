@@ -32,15 +32,9 @@ pub struct Replica {
     cursor: u64,
     /// Total updates applied (lag/throughput accounting).
     applied: u64,
-    /// Marked failed: by injection (a replica crash) or by a promote
-    /// that did not verify. Faulted replicas never apply and are never
-    /// chosen for failover.
+    /// Marked failed by a promote that did not verify. Faulted replicas
+    /// never apply and are never chosen for failover.
     faulted: bool,
-    /// Armed torn-apply fault: the apply of this seq stops after a
-    /// partial byte splice, models a replica crash mid-apply.
-    torn_at: Option<u64>,
-    /// A torn apply happened (the image holds a partial record).
-    torn: bool,
 }
 
 impl Replica {
@@ -54,14 +48,9 @@ impl Replica {
         self.applied
     }
 
-    /// Whether the replica is failed (crashed, torn, or rejected).
+    /// Whether the replica is failed (rejected by promote verification).
     pub fn faulted(&self) -> bool {
         self.faulted
-    }
-
-    /// Whether a torn apply left a partial record in the image.
-    pub fn torn(&self) -> bool {
-        self.torn
     }
 }
 
@@ -76,7 +65,7 @@ pub struct ReplicaStatus {
     pub applied: u64,
     /// Seq distance behind the primary's frontier at observation time.
     pub lag: u64,
-    /// Failed (crashed / torn / rejected by promote verification).
+    /// Failed (rejected by promote verification).
     pub faulted: bool,
 }
 
@@ -106,8 +95,6 @@ impl PoolGroup {
                 cursor: base_seq,
                 applied: 0,
                 faulted: false,
-                torn_at: None,
-                torn: false,
             })
             .collect();
         PoolGroup { replicas }
@@ -140,18 +127,6 @@ impl PoolGroup {
         if r.faulted || seq <= r.cursor {
             return false;
         }
-        if let Some(torn_at) = r.torn_at {
-            if seq >= torn_at {
-                // Crash mid-apply: half the record's bytes land, the
-                // cursor does not advance, the replica is failed.
-                let half = bytes.len() / 2;
-                let _ = r.image.write(addr, &bytes[..half]);
-                r.torn = true;
-                r.faulted = true;
-                r.torn_at = None;
-                return false;
-            }
-        }
         if r.image.write(addr, bytes).is_err() {
             return false;
         }
@@ -161,8 +136,8 @@ impl PoolGroup {
     }
 
     /// Applies a seq-ascending stream of records to replica `idx`,
-    /// returning how many were applied. Stops early on a torn-apply
-    /// fault.
+    /// returning how many were applied. Stops early once the replica is
+    /// faulted.
     pub fn apply_stream<'a, I>(&mut self, idx: usize, updates: I) -> u64
     where
         I: IntoIterator<Item = (u64, u64, &'a [u8])>,
@@ -206,18 +181,6 @@ impl PoolGroup {
             .collect()
     }
 
-    /// The healthiest replica: the live one with the largest apply
-    /// cursor (ties to the lowest index). `None` when every replica is
-    /// faulted or the group is empty.
-    pub fn healthiest(&self) -> Option<usize> {
-        self.replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.faulted)
-            .max_by(|(ia, a), (ib, b)| a.cursor.cmp(&b.cursor).then(ib.cmp(ia)))
-            .map(|(i, _)| i)
-    }
-
     /// Live replicas ordered best-first (descending cursor, ascending
     /// index) — the failover candidate order.
     pub fn failover_order(&self) -> Vec<usize> {
@@ -226,12 +189,6 @@ impl PoolGroup {
             .collect();
         order.sort_by_key(|&i| (std::cmp::Reverse(self.replicas[i].cursor), i));
         order
-    }
-
-    /// Replica `idx`'s bytes over `[addr, addr + len)` — the
-    /// cross-check read used to localize corruption on the primary.
-    pub fn replica_bytes(&self, idx: usize, addr: u64, len: usize) -> Option<Vec<u8>> {
-        self.replicas.get(idx)?.image.read(addr, len).ok()
     }
 
     /// Promotes replica `idx` into `pool`: the primary's device adopts
@@ -251,31 +208,10 @@ impl PoolGroup {
         Ok(r.cursor)
     }
 
-    /// Marks replica `idx` failed (a replica crash, or a promote whose
-    /// verification failed).
+    /// Marks replica `idx` failed (a promote whose verification failed).
     pub fn mark_faulted(&mut self, idx: usize) {
         if let Some(r) = self.replicas.get_mut(idx) {
             r.faulted = true;
-        }
-    }
-
-    /// Flips one bit of replica `idx`'s image — an independent replica
-    /// media fault (the replica-side analogue of
-    /// [`PmPool::corrupt_bit`]).
-    pub fn corrupt_bit(&mut self, idx: usize, offset: u64, bit: u8) -> PmResult<()> {
-        let r = self
-            .replicas
-            .get_mut(idx)
-            .ok_or_else(|| PmError::BadHeader(format!("no replica {idx}")))?;
-        r.image.flip_bit(offset, bit)?;
-        Ok(())
-    }
-
-    /// Arms a torn-apply fault on replica `idx`: the first record with
-    /// `seq >= at_seq` is applied halfway and the replica fails there.
-    pub fn arm_torn_apply(&mut self, idx: usize, at_seq: u64) {
-        if let Some(r) = self.replicas.get_mut(idx) {
-            r.torn_at = Some(at_seq);
         }
     }
 }
@@ -289,12 +225,16 @@ mod tests {
         PmPool::create(layout::HEAP_OFF + (1 << 16)).unwrap()
     }
 
+    fn bytes(g: &PoolGroup, idx: usize, addr: u64, len: usize) -> Vec<u8> {
+        g.replicas[idx].image.read(addr, len).unwrap()
+    }
+
     #[test]
     fn empty_group_is_free_and_inert() {
         let p = pool();
         let mut g = PoolGroup::new(&p, 0, 0);
         assert!(g.is_empty());
-        assert_eq!(g.healthiest(), None);
+        assert_eq!(g.failover_order(), Vec::<usize>::new());
         assert_eq!(g.status(100), vec![]);
         g.pump([(1u64, 0u64, &[0xFFu8; 8][..])]);
     }
@@ -309,7 +249,7 @@ mod tests {
         assert!(!g.apply(0, 3, addr, &[2; 8]), "stale seq skipped");
         assert_eq!(g.replica(0).unwrap().cursor(), 5);
         assert_eq!(g.replica(1).unwrap().cursor(), 0, "replicas independent");
-        assert_eq!(g.replica_bytes(0, addr, 8).unwrap(), &[1; 8]);
+        assert_eq!(bytes(&g, 0, addr, 8), &[1; 8]);
     }
 
     #[test]
@@ -323,14 +263,11 @@ mod tests {
         p.write(addr, &[0xCD; 16]).unwrap();
         p.persist(addr, 16).unwrap();
         g.pump([(1u64, addr, &[0xCDu8; 16][..])]);
-        assert_eq!(
-            g.replica_bytes(0, addr, 16).unwrap(),
-            p.read(addr, 16).unwrap().as_slice()
-        );
+        assert_eq!(bytes(&g, 0, addr, 16), p.read(addr, 16).unwrap());
     }
 
     #[test]
-    fn healthiest_prefers_highest_cursor_live_replica() {
+    fn failover_order_prefers_highest_cursor_live_replica() {
         let p = pool();
         let mut g = PoolGroup::new(&p, 3, 0);
         let addr = layout::HEAP_OFF;
@@ -338,33 +275,17 @@ mod tests {
         g.apply(1, 1, addr, &[1; 8]);
         g.apply(1, 2, addr, &[2; 8]);
         g.apply(2, 1, addr, &[1; 8]);
-        assert_eq!(g.healthiest(), Some(1));
+        assert_eq!(g.failover_order(), vec![1, 0, 2]);
         g.mark_faulted(1);
-        assert_eq!(g.healthiest(), Some(0), "ties break to the lowest index");
-        assert_eq!(g.failover_order(), vec![0, 2]);
-    }
-
-    #[test]
-    fn torn_apply_fails_the_replica_with_a_partial_record() {
-        let p = pool();
-        let mut g = PoolGroup::new(&p, 1, 0);
-        let addr = layout::HEAP_OFF;
-        g.apply(0, 1, addr, &[0x11; 8]);
-        g.arm_torn_apply(0, 2);
-        let applied = g.apply_stream(
-            0,
-            [(2u64, addr, &[0x22u8; 8][..]), (3, addr + 8, &[0x33; 8])],
-        );
-        assert_eq!(applied, 0, "torn record does not count as applied");
-        let r = g.replica(0).unwrap();
-        assert!(r.faulted() && r.torn());
-        assert_eq!(r.cursor(), 1, "cursor did not advance past the tear");
-        // Half the bytes landed — the torn-record signature.
         assert_eq!(
-            g.replica_bytes(0, addr, 8).unwrap(),
-            &[0x22, 0x22, 0x22, 0x22, 0x11, 0x11, 0x11, 0x11]
+            g.failover_order(),
+            vec![0, 2],
+            "faulted replicas drop out; ties break to the lowest index"
         );
-        assert_eq!(g.healthiest(), None);
+        assert!(
+            !g.apply(1, 3, addr, &[3; 8]),
+            "a faulted replica applies nothing"
+        );
     }
 
     #[test]
@@ -389,17 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn replica_corrupt_bit_is_independent_of_the_primary() {
-        let p = pool();
-        let mut g = PoolGroup::new(&p, 2, 0);
-        let addr = layout::HEAP_OFF + 32;
-        g.corrupt_bit(0, addr, 3).unwrap();
-        assert_eq!(g.replica_bytes(0, addr, 1).unwrap(), &[0x08]);
-        assert_eq!(g.replica_bytes(1, addr, 1).unwrap(), &[0x00]);
-        assert!(g.corrupt_bit(0, u64::MAX, 0).is_err());
-    }
-
-    #[test]
     fn seeding_replicas_copies_no_page_until_a_record_lands() {
         let mut p = pool();
         let addr = layout::HEAP_OFF + 64;
@@ -421,6 +331,6 @@ mod tests {
         p.write(addr, &[0xEF; 16]).unwrap();
         p.persist(addr, 16).unwrap();
         assert_eq!(p.device().stats().pages_copied, before + 1);
-        assert_eq!(g.replica_bytes(0, addr, 16).unwrap(), vec![0xAB; 16]);
+        assert_eq!(bytes(&g, 0, addr, 16), vec![0xAB; 16]);
     }
 }

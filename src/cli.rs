@@ -2,8 +2,7 @@
 //!
 //! Each subcommand declares its positional arguments and flags once as a
 //! [`CommandSpec`]; parsing, validation, and `--help` text all derive
-//! from that declaration, replacing the previous per-command hand-rolled
-//! loops. No external dependencies.
+//! from that declaration. No external dependencies.
 //!
 //! ```
 //! use arthas_repro::cli::{ArgSpec, CommandSpec, FlagSpec};
@@ -292,19 +291,6 @@ pub const COMMANDS: &[CommandSpec] = &[
                        images that break them (silent_corruption verdicts)",
             },
             FlagSpec {
-                name: "--replicas",
-                value: Some("N"),
-                help: "hot-standby replica pools behind every trial, fed from the \
-                       checkpoint stream (default 0 = single-pool campaign; the matrix \
-                       is byte-identical at 0)",
-            },
-            FlagSpec {
-                name: "--replica-fault",
-                value: Some("MODE"),
-                help: "replica-side fault per trial: correlated, independent or torn \
-                       (requires --replicas >= 1)",
-            },
-            FlagSpec {
                 name: "--json",
                 value: None,
                 help: "print the matrix JSON instead of the coverage table",
@@ -448,8 +434,6 @@ impl Parsed {
 
 /// Per-invocation context shared by every analyzer-driven subcommand:
 /// the resolved analysis cache and a ring recorder for observability.
-/// Replaces the per-command `resolve_cache` + recorder boilerplate that
-/// used to live in each `cmd_*` function.
 pub struct CliContext {
     cache: Option<Arc<AnalysisCache>>,
     recorder: Arc<RingRecorder>,
@@ -463,7 +447,7 @@ impl CliContext {
     /// Resolves the shared flags of a parsed invocation:
     /// `--no-analysis-cache` wins, then `--analysis-cache DIR`, then the
     /// `ARTHAS_ANALYSIS_CACHE` environment variable; with none of them
-    /// the analysis is recomputed every run (the pre-cache behaviour).
+    /// the analysis is recomputed every run.
     /// `Err` carries a user-facing message (unopenable cache directory).
     pub fn from_parsed(p: &Parsed) -> Result<CliContext, String> {
         Self::with_env(p, std::env::var("ARTHAS_ANALYSIS_CACHE").ok())

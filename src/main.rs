@@ -452,8 +452,6 @@ fn resume_campaign(
         "--seeds",
         "--seed",
         "--invariants",
-        "--replicas",
-        "--replica-fault",
     ];
     for f in MATRIX_FLAGS {
         if p.get(f).is_some() || p.has(f) {
@@ -498,18 +496,6 @@ fn cmd_inject(p: Parsed) {
                     eprintln!("{e}");
                     std::process::exit(2);
                 });
-        let replica_fault = match p.get("--replica-fault") {
-            None => None,
-            Some(s) => match inject::ReplicaFault::parse(s) {
-                Some(f) => Some(f),
-                None => {
-                    eprintln!(
-                        "unknown replica fault `{s}` (expected correlated, independent or torn)"
-                    );
-                    std::process::exit(2);
-                }
-            },
-        };
         let cfg = inject::CampaignConfig::builder()
             .stride(flag_u64(&p, "--stride", 1))
             .budget(flag_u64(&p, "--budget", 400) as usize)
@@ -517,8 +503,6 @@ fn cmd_inject(p: Parsed) {
             .seed(seed)
             .policies(policies)
             .invariants(p.has("--invariants"))
-            .replicas(flag_u64(&p, "--replicas", 0) as usize)
-            .replica_fault(replica_fault)
             .analysis_cache(ctx.cache_arc())
             .build()
             .unwrap_or_else(|e| {
