@@ -239,6 +239,15 @@ impl CampaignConfigBuilder {
         if self.cfg.policies.is_empty() {
             return Err(ConfigError("at least one crash policy is required".into()));
         }
+        // A trial is keyed by (site, policy): a repeated policy would name
+        // two rows with one key, and only the first would get a capture.
+        let ps = &self.cfg.policies;
+        if let Some(i) = (1..ps.len()).find(|&i| ps[..i].contains(&ps[i])) {
+            let name = policy_name(ps[i]);
+            return Err(ConfigError(format!(
+                "crash policy `{name}` is listed twice"
+            )));
+        }
         // The matrix only admits whole sites (every policy at a site, or
         // none — partially-tested sites would skew the census), so the
         // budget must fit at least one full policy row.

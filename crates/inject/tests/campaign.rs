@@ -146,6 +146,42 @@ fn verdicts_independent_of_runner_count() {
         .all(|t| t.verdict != TrialVerdict::NotReached));
 }
 
+/// Pins ROADMAP item 21a as it stands, so that its fix shows up as this
+/// test's diff. f2's crash at site 0 recovers by restart. At site 1494,
+/// under both policies, every restart fails kvcache's `check_invariant`,
+/// and the offline reactor's one-by-one walk down the plan spends its
+/// whole attempt budget without recovering. Raising `MAX_ATTEMPTS` is not
+/// the fix: the budget is the paper's timeout analogue, and a bigger one
+/// only pays for the linear walk.
+#[test]
+fn f2_site_1494_spends_the_attempt_budget() {
+    let cfg = CampaignConfig::builder()
+        .stride(1494)
+        .budget(4)
+        .build()
+        .unwrap();
+    let c = common::scenario("f2", &cfg);
+    let rows: Vec<_> = c
+        .trials
+        .iter()
+        .map(|t| (t.site, inject::policy_name(t.policy), t.verdict))
+        .collect();
+    let clean = TrialVerdict::CleanRecovery;
+    let violated = TrialVerdict::InvariantViolated;
+    assert_eq!(
+        rows,
+        [
+            (0, "drop".to_string(), clean),
+            (0, "keep".to_string(), clean),
+            (1494, "drop".to_string(), violated),
+            (1494, "keep".to_string(), violated),
+        ]
+    );
+    for t in c.trials.iter().filter(|t| t.site == 1494) {
+        assert_eq!((t.restarts, t.attempts), (2, 200), "{t:?}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Trial-matrix accounting
 // ---------------------------------------------------------------------------
@@ -275,4 +311,21 @@ fn budget_below_policy_count_is_rejected() {
         .build()
         .unwrap_err();
     assert!(err.0.contains("budget"), "unhelpful error: {}", err.0);
+}
+
+/// A policy listed twice would give two matrix rows one (site, policy)
+/// key, and the second row would never get a crash capture: it is
+/// rejected at build time.
+#[test]
+fn repeated_policy_is_rejected() {
+    let err = CampaignConfig::builder()
+        .policies(vec![CrashPolicy::DropStaged, CrashPolicy::DropStaged])
+        .budget(4)
+        .build()
+        .unwrap_err();
+    assert!(
+        err.0.contains("`drop` is listed twice"),
+        "unhelpful error: {}",
+        err.0
+    );
 }

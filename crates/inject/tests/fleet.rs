@@ -14,6 +14,7 @@ use inject::{invariants, run_fleet, CampaignConfig, FleetConfig, FleetError, Fle
 use obs::{RingRecorder, Value};
 use pir::vm::{Vm, VmError};
 use pm_workload::{scenarios, Drive, RunCtx, Scenario};
+use pmemsim::CrashPolicy;
 
 mod common;
 
@@ -244,6 +245,34 @@ fn resume_refuses_a_replicated_campaign_header() {
         Err(e) => panic!("expected a journal header mismatch, got: {e}"),
         Ok(_) => panic!("a replicated campaign's journal must not resume"),
     }
+}
+
+/// A journal header that lists one policy twice rebuilds no
+/// configuration: `inject --resume` fails where a fresh run with the same
+/// policies would.
+#[test]
+fn resume_refuses_a_header_with_a_repeated_policy() {
+    let dir = tmp_dir("repeated-policy");
+    let write = FleetConfig::builder(small_cfg(2))
+        .journal_dir(&dir)
+        .trial_limit(Some(1))
+        .build()
+        .unwrap();
+    run_fleet(&targets(), &write).unwrap();
+    let path = dir.join(inject::fleet::JOURNAL_FILE);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let forged = text.replacen(
+        r#""policies":["drop","keep"]"#,
+        r#""policies":["drop","drop"]"#,
+        1,
+    );
+    assert_ne!(forged, text, "the header lists the default policies");
+    std::fs::write(&path, forged).unwrap();
+
+    let header = inject::read_header(&dir).unwrap();
+    assert_eq!(header.policies, [CrashPolicy::DropStaged; 2]);
+    let err = header.campaign_config(None).unwrap_err();
+    assert!(err.0.contains("listed twice"), "unhelpful error: {}", err.0);
 }
 
 /// Appends to the journal under `dir` a copy of its last trial line

@@ -1,5 +1,6 @@
-//! Control-flow utilities: generic dominator computation, post-dominators
-//! and control-dependence (Ferrante-Ottenstein-Warren construction).
+//! Control-flow utilities: generic dominator computation, forward
+//! dominator trees and control dependence (Ferrante-Ottenstein-Warren
+//! construction over post-dominators).
 
 use std::collections::HashMap;
 
@@ -103,14 +104,11 @@ fn reverse_cfg(f: &Function) -> (Vec<Vec<u32>>, u32) {
     (rev, exit)
 }
 
-/// A dominator or post-dominator tree over one function's basic blocks,
-/// with an ancestor query. Built once per function and reused by clients
-/// that need many queries (e.g. the `pir-lint` checks).
+/// A dominator tree over one function's basic blocks, with an ancestor
+/// query. Built once per function and reused for many queries (the
+/// persist-ordering pass asks one per candidate pair).
 pub struct DomTree {
     idom: Vec<Option<u32>>,
-    /// `Some(exit)` for post-dominator trees (the virtual exit node id);
-    /// `None` for forward dominator trees.
-    virtual_exit: Option<u32>,
 }
 
 impl DomTree {
@@ -127,21 +125,10 @@ impl DomTree {
             .collect();
         DomTree {
             idom: idoms(n, 0, &succs),
-            virtual_exit: None,
         }
     }
 
-    /// Post-dominators, computed over the reverse CFG with a virtual exit
-    /// collecting every `ret`/`unreachable` block.
-    pub fn post_dominators(f: &Function) -> DomTree {
-        let (rev, exit) = reverse_cfg(f);
-        DomTree {
-            idom: idoms(rev.len(), exit, &rev),
-            virtual_exit: Some(exit),
-        }
-    }
-
-    /// Whether `a` (post-)dominates `b` (reflexively): walks `b`'s
+    /// Whether `a` dominates `b` (reflexively): walks `b`'s
     /// immediate-dominator chain. Unreachable blocks dominate nothing and
     /// are dominated by nothing but themselves.
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
@@ -155,17 +142,6 @@ impl DomTree {
                 _ => return false,
             }
         }
-    }
-
-    /// The immediate (post-)dominator of `b`, when `b` is reachable and
-    /// not the tree root. The virtual exit of a post-dominator tree is
-    /// never returned.
-    pub fn idom(&self, b: BlockId) -> Option<BlockId> {
-        let d = self.idom.get(b.0 as usize).copied().flatten()?;
-        if d == b.0 || Some(d) == self.virtual_exit {
-            return None;
-        }
-        Some(BlockId(d))
     }
 }
 
@@ -301,10 +277,9 @@ mod tests {
     }
 
     #[test]
-    fn dominators_and_post_dominators_of_a_diamond() {
+    fn dominators_of_a_diamond() {
         // entry(0) -> then(1) / else(2) -> merge(3): entry dominates all,
-        // merge post-dominates all, branches dominate/post-dominate only
-        // themselves.
+        // branches dominate only themselves.
         let mut m = ModuleBuilder::new();
         let mut f = m.func("f", 1, true);
         let p = f.param(0);
@@ -328,18 +303,11 @@ mod tests {
         let module = m.finish().unwrap();
         let func = module.func(module.func_by_name("f").unwrap());
         let dom = DomTree::dominators(func);
-        let pdom = DomTree::post_dominators(func);
         let (entry, then_, merge) = (BlockId(0), BlockId(1), BlockId(3));
         assert!(dom.dominates(entry, merge));
         assert!(dom.dominates(entry, then_));
         assert!(!dom.dominates(then_, merge));
         assert!(dom.dominates(merge, merge), "reflexive");
-        assert!(pdom.dominates(merge, entry));
-        assert!(pdom.dominates(merge, then_));
-        assert!(!pdom.dominates(then_, entry));
-        assert_eq!(dom.idom(merge), Some(entry));
-        assert_eq!(pdom.idom(entry), Some(merge));
-        assert_eq!(pdom.idom(merge), None, "virtual exit is hidden");
     }
 
     #[test]

@@ -1,17 +1,12 @@
 //! Durability-point summaries ("flush covers").
 //!
-//! The lint engine's crash-consistency checks all reduce to the same
-//! question: *which durability operations may execute between a PM update
-//! and the next function exit, and which addresses do they cover?*
-//! [`FlushCover`] pre-computes, for every function, its own durability
-//! points (`pm_flush` / `pm_persist` / `pm_drain` / `pm_tx_commit` /
-//! `pm_tx_add`) with the points-to set of their address argument, plus the
-//! transitive set of durability points reachable through calls — so a call
-//! to a helper that persists the range counts as a cover at the call site.
-//!
-//! [`covered_to_exit`] is the path query: it walks the CFG forward from an
-//! instruction and reports whether *every* path to a `ret` passes an
-//! instruction the caller recognises as a cover.
+//! Persist-ordering inference ([`crate::ordering`]) asks which durability
+//! operations may execute between two PM stores and which addresses they
+//! cover. [`FlushCover`] pre-computes, for every function, its own
+//! durability points (`pm_flush` / `pm_persist` / `pm_tx_commit`) with
+//! the points-to set of their address argument, plus the transitive set
+//! of durability points reachable through calls — so a call to a helper
+//! that persists the range counts as a cover at the call site.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -26,23 +21,17 @@ pub enum DurKind {
     Flush,
     /// `pm_persist(addr, len)`: flush + drain, a full durability point.
     Persist,
-    /// `pm_drain()`: fence committing previously staged lines.
-    Drain,
     /// `pm_tx_commit()`: durability point for all snapshotted ranges.
     TxCommit,
-    /// `pm_tx_add(addr, len)`: undo-log snapshot of a range.
-    TxAdd,
 }
 
 /// One durability instruction with its resolved address range.
 #[derive(Debug, Clone)]
 pub struct DurPoint {
-    /// The instruction.
-    pub at: InstRef,
     /// What it does.
     pub kind: DurKind,
-    /// Points-to set of the address argument (empty for `Drain` /
-    /// `TxCommit`, which take none).
+    /// Points-to set of the address argument (empty for `TxCommit`,
+    /// which takes none).
     pub addr: LocSet,
     /// Covered byte length when the length operand is a constant;
     /// [`FIELD_MAX`] otherwise (conservatively "the whole object").
@@ -53,7 +42,6 @@ pub struct DurPoint {
 pub struct FlushCover {
     points: Vec<DurPoint>,
     by_inst: HashMap<InstRef, usize>,
-    own: HashMap<FuncId, Vec<usize>>,
     reachable: HashMap<FuncId, BTreeSet<usize>>,
 }
 
@@ -63,7 +51,7 @@ impl FlushCover {
     pub fn compute(module: &Module, pt: &PointsTo) -> FlushCover {
         let mut points = Vec::new();
         let mut by_inst = HashMap::new();
-        let mut own: HashMap<FuncId, Vec<usize>> = HashMap::new();
+        let mut reachable: HashMap<FuncId, BTreeSet<usize>> = HashMap::new();
         for (fi, f) in module.funcs.iter().enumerate() {
             let fid = FuncId(fi as u32);
             for (ii, inst) in f.insts.iter().enumerate() {
@@ -73,9 +61,7 @@ impl FlushCover {
                 let kind = match intr {
                     Intrinsic::PmFlush => DurKind::Flush,
                     Intrinsic::PmPersist => DurKind::Persist,
-                    Intrinsic::PmDrain => DurKind::Drain,
                     Intrinsic::PmTxCommit => DurKind::TxCommit,
-                    Intrinsic::PmTxAdd => DurKind::TxAdd,
                     _ => continue,
                 };
                 let at = InstRef {
@@ -83,7 +69,7 @@ impl FlushCover {
                     inst: ii as u32,
                 };
                 let (addr, len) = match kind {
-                    DurKind::Drain | DurKind::TxCommit => (LocSet::new(), 0),
+                    DurKind::TxCommit => (LocSet::new(), 0),
                     _ => (
                         pt.pts(fid, args[0]),
                         const_operand(f, args.get(1).copied())
@@ -92,18 +78,13 @@ impl FlushCover {
                     ),
                 };
                 by_inst.insert(at, points.len());
-                own.entry(fid).or_default().push(points.len());
-                points.push(DurPoint {
-                    at,
-                    kind,
-                    addr,
-                    len,
-                });
+                reachable.entry(fid).or_default().insert(points.len());
+                points.push(DurPoint { kind, addr, len });
             }
         }
 
-        // Close over the call graph: reachable(f) = own(f) ∪ reachable of
-        // every possible callee of every call site in f.
+        // Close over the call graph: reachable(f) = f's own points ∪
+        // reachable of every possible callee of every call site in f.
         let mut static_callees: HashMap<FuncId, BTreeSet<FuncId>> = HashMap::new();
         for (at, targets) in &pt.callees {
             static_callees
@@ -111,10 +92,6 @@ impl FlushCover {
                 .or_default()
                 .extend(targets.iter().copied());
         }
-        let mut reachable: HashMap<FuncId, BTreeSet<usize>> = own
-            .iter()
-            .map(|(f, idxs)| (*f, idxs.iter().copied().collect()))
-            .collect();
         loop {
             let mut changed = false;
             for fi in 0..module.funcs.len() {
@@ -140,7 +117,6 @@ impl FlushCover {
         FlushCover {
             points,
             by_inst,
-            own,
             reachable,
         }
     }
@@ -148,15 +124,6 @@ impl FlushCover {
     /// The durability point at an instruction, if it is one.
     pub fn point_at(&self, at: InstRef) -> Option<&DurPoint> {
         self.by_inst.get(&at).map(|&i| &self.points[i])
-    }
-
-    /// The function's own durability points, in program order.
-    pub fn own_points(&self, f: FuncId) -> impl Iterator<Item = &DurPoint> {
-        self.own
-            .get(&f)
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.points[i])
     }
 
     /// Durability points that may execute while a call instruction at `at`
@@ -177,91 +144,11 @@ impl FlushCover {
 
 /// Resolves a value operand to its constant when its defining instruction
 /// is `const` (SSA makes this a direct arena lookup).
-pub fn const_operand(f: &Function, v: Option<Val>) -> Option<u64> {
+pub(crate) fn const_operand(f: &Function, v: Option<Val>) -> Option<u64> {
     match f.insts.get(v?.0 as usize).map(|i| &i.op) {
         Some(Op::Const(c)) => Some(*c),
         _ => None,
     }
-}
-
-/// Whether every path from (just after) instruction `at` to a `ret` of
-/// `f` passes an instruction for which `is_cover` returns true.
-///
-/// Paths ending in `unreachable` (and pure cycles, which never exit) are
-/// not counted as escapes: the check is about state that survives to a
-/// *normal* exit. Returns `false` when `at`'s own block reaches a `ret`
-/// with no cover on some path.
-pub fn covered_to_exit(f: &Function, at: u32, is_cover: &mut dyn FnMut(u32) -> bool) -> bool {
-    let Some(start) = f.block_of(at) else {
-        return false;
-    };
-    let insts = &f.blocks[start.0 as usize].insts;
-    let pos = insts
-        .iter()
-        .position(|&i| i == at)
-        .expect("block_of is consistent");
-    for &j in &insts[pos + 1..] {
-        if is_cover(j) {
-            return true;
-        }
-    }
-    let succs = f.successors(start);
-    if succs.is_empty() {
-        // The block falls off the function with no cover after `at`:
-        // covered only when it never reaches a normal `ret`.
-        return matches!(
-            f.blocks[start.0 as usize]
-                .insts
-                .last()
-                .map(|&i| &f.insts[i as usize].op),
-            Some(Op::Unreachable)
-        );
-    }
-    // leaky(b): entered at its start, can some path from b reach a ret
-    // without passing a cover? Least fixpoint: in-progress blocks count as
-    // non-leaky (a pure cycle never exits); any actually leaky path is
-    // found from the branch-out point itself.
-    #[derive(Clone, Copy, PartialEq)]
-    enum St {
-        Unvisited,
-        InProgress,
-        Leaky,
-        Safe,
-    }
-    fn leaky(f: &Function, b: u32, memo: &mut [St], is_cover: &mut dyn FnMut(u32) -> bool) -> bool {
-        match memo[b as usize] {
-            St::Leaky => return true,
-            St::Safe | St::InProgress => return false,
-            St::Unvisited => {}
-        }
-        memo[b as usize] = St::InProgress;
-        let mut result = false;
-        let mut covered = false;
-        for &j in &f.blocks[b as usize].insts {
-            if is_cover(j) {
-                covered = true;
-                break;
-            }
-        }
-        if !covered {
-            let succs = f.successors(pir::ir::BlockId(b));
-            if succs.is_empty() {
-                result = !matches!(
-                    f.blocks[b as usize]
-                        .insts
-                        .last()
-                        .map(|&i| &f.insts[i as usize].op),
-                    Some(Op::Unreachable)
-                );
-            } else {
-                result = succs.iter().any(|s| leaky(f, s.0, memo, is_cover));
-            }
-        }
-        memo[b as usize] = if result { St::Leaky } else { St::Safe };
-        result
-    }
-    let mut memo = vec![St::Unvisited; f.blocks.len()];
-    !succs.iter().any(|s| leaky(f, s.0, &mut memo, is_cover))
 }
 
 #[cfg(test)]
@@ -340,113 +227,5 @@ mod tests {
         let through = cover.points_through_call(&pt, call);
         assert_eq!(through.len(), 1);
         assert_eq!(through[0].kind, DurKind::Persist);
-    }
-
-    #[test]
-    fn covered_to_exit_requires_every_path() {
-        // store; if (c) { persist } ret — the else path escapes.
-        let mut m = ModuleBuilder::new();
-        let mut f = m.func("partial", 1, false);
-        let c0 = f.param(0);
-        let sz = f.konst(64);
-        let p = f.pm_alloc(sz);
-        let one = f.konst(1);
-        f.store8(p, one);
-        f.if_(c0, |f| f.pm_persist_c(p, 8));
-        f.ret(None);
-        f.finish();
-        let module = m.finish().unwrap();
-        let fid = module.func_by_name("partial").unwrap();
-        let func = module.func(fid);
-        let store = inst_of(&module, "partial", |op| matches!(op, Op::Store { .. }));
-        let mut is_persist = |j: u32| {
-            matches!(
-                func.insts[j as usize].op,
-                Op::Intr {
-                    intr: Intrinsic::PmPersist,
-                    ..
-                }
-            )
-        };
-        assert!(!covered_to_exit(func, store.inst, &mut is_persist));
-    }
-
-    #[test]
-    fn covered_to_exit_straight_line() {
-        // store; ret in one block is uncovered; store; persist; ret is not.
-        for (persist, expect) in [(false, false), (true, true)] {
-            let mut m = ModuleBuilder::new();
-            let mut f = m.func("f", 0, false);
-            let sz = f.konst(64);
-            let p = f.pm_alloc(sz);
-            let one = f.konst(1);
-            f.store8(p, one);
-            if persist {
-                f.pm_persist_c(p, 8);
-            }
-            f.ret(None);
-            f.finish();
-            let module = m.finish().unwrap();
-            let fid = module.func_by_name("f").unwrap();
-            let func = module.func(fid);
-            let store = inst_of(&module, "f", |op| matches!(op, Op::Store { .. }));
-            let mut is_persist = |j: u32| {
-                matches!(
-                    func.insts[j as usize].op,
-                    Op::Intr {
-                        intr: Intrinsic::PmPersist,
-                        ..
-                    }
-                )
-            };
-            assert_eq!(
-                covered_to_exit(func, store.inst, &mut is_persist),
-                expect,
-                "persist={persist}"
-            );
-        }
-    }
-
-    #[test]
-    fn covered_to_exit_accepts_full_coverage_and_loops() {
-        // store inside a loop; persist after the loop covers every exit.
-        let mut m = ModuleBuilder::new();
-        let mut f = m.func("full", 1, false);
-        let n = f.param(0);
-        let sz = f.konst(64);
-        let p = f.pm_alloc(sz);
-        let zero = f.konst(0);
-        f.for_range(zero, n, |f, islot| {
-            let iv = f.load8(islot);
-            f.store8(p, iv);
-        });
-        f.pm_persist_c(p, 8);
-        f.ret(None);
-        f.finish();
-        let module = m.finish().unwrap();
-        let fid = module.func_by_name("full").unwrap();
-        let func = module.func(fid);
-        // The PM store is the one whose address operand is the pm_alloc.
-        let store = func
-            .insts
-            .iter()
-            .enumerate()
-            .filter(|(_, i)| matches!(i.op, Op::Store { .. }))
-            .find(|(_, i)| match &i.op {
-                Op::Store { addr, .. } => *addr == p,
-                _ => false,
-            })
-            .map(|(ii, _)| ii as u32)
-            .expect("PM store present");
-        let mut is_persist = |j: u32| {
-            matches!(
-                func.insts[j as usize].op,
-                Op::Intr {
-                    intr: Intrinsic::PmPersist,
-                    ..
-                }
-            )
-        };
-        assert!(covered_to_exit(func, store, &mut is_persist));
     }
 }

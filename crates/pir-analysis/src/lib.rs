@@ -3,7 +3,7 @@
 //! The analysis half of the Arthas analyzer (§4.1 of "Understanding and
 //! Dealing with Hard Faults in Persistent Memory Systems", EuroSys '21):
 //!
-//! - [`mod@cfg`]: dominators, post-dominators and control dependence
+//! - [`mod@cfg`]: dominators and control dependence
 //!   (Ferrante-Ottenstein-Warren);
 //! - [`pointsto`]: Andersen-style inclusion-based, field-sensitive,
 //!   inter-procedural points-to analysis;
@@ -31,7 +31,7 @@ pub mod slice;
 
 pub use cache::{AnalysisCache, CacheOutcome, CACHE_FORMAT_VERSION, CACHE_MAGIC};
 pub use cfg::DomTree;
-pub use cover::{covered_to_exit, DurKind, DurPoint, FlushCover};
+pub use cover::{DurKind, DurPoint, FlushCover};
 pub use ordering::{OrderingInfo, OrderingPair};
 pub use pdg::{Adjacency, DepKind, Pdg};
 pub use pm::PmInfo;
@@ -39,21 +39,10 @@ pub use pointsto::{AbsObj, Field, PointsTo};
 pub use slice::{backward_slice, Slice, MAX_SLICE_NODES};
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use pir::ir::{InstRef, Module};
-
-/// Process-wide count of full [`ModuleAnalysis::compute`] runs.
-static COMPUTES: AtomicU64 = AtomicU64::new(0);
-
-/// How many times this process has run the full analysis pipeline.
-/// Dedup regressions (a layer recomputing an analysis the caller already
-/// holds) assert on deltas of this counter.
-pub fn compute_count() -> u64 {
-    COMPUTES.load(Ordering::Relaxed)
-}
 
 /// The complete static-analysis result for one module.
 pub struct ModuleAnalysis {
@@ -87,7 +76,6 @@ impl ModuleAnalysis {
     /// Runs points-to, PM classification, PDG construction and
     /// persist-ordering inference.
     pub fn compute(module: &Module) -> ModuleAnalysis {
-        COMPUTES.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
         let pointsto = PointsTo::compute(module);
         let pointsto_time = t0.elapsed();

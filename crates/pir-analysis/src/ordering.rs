@@ -10,11 +10,11 @@
 //!
 //! Each pair also carries a static verdict: a same-function pair is
 //! `covered` when some durability point aliasing A's range must execute
-//! between A and B on every path (the same cover/dominator reasoning as
-//! the L1–L3 lints). Uncovered same-function pairs are *statically
-//! decidable* persist-order violations — surfaced by `pir-lint`'s L6
-//! check — while cross-function pairs are conservatively marked covered
-//! (the caller may order the persists) and left to the dynamic oracle.
+//! between A and B on every path (A dominates it, it dominates B).
+//! Uncovered same-function pairs are *statically decidable* persist-order
+//! violations, the invariant miner's persist-order candidates, while
+//! cross-function pairs are conservatively marked covered (the caller may
+//! order the persists) and left to the dynamic oracle.
 
 use std::collections::BTreeSet;
 
@@ -213,7 +213,6 @@ fn is_range_cover(
     let covers = |kind: DurKind, p_addr: &crate::pointsto::LocSet, p_len: u32| match kind {
         DurKind::Flush | DurKind::Persist => PointsTo::sets_may_alias(addr, len, p_addr, p_len),
         DurKind::TxCommit => true,
-        DurKind::Drain | DurKind::TxAdd => false,
     };
     if let Some(p) = cover.point_at(jr) {
         return covers(p.kind, &p.addr, p.len);

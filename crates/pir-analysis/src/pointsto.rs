@@ -100,13 +100,6 @@ impl PointsTo {
         self.heap_pts.get(&loc).cloned().unwrap_or_default()
     }
 
-    /// Iterates over every heap location with a non-empty contents set —
-    /// the whole may-point-to heap graph (used by reachability-style
-    /// clients such as the lint engine's leak check).
-    pub fn heap_iter(&self) -> impl Iterator<Item = (Loc, &LocSet)> {
-        self.heap_pts.iter().map(|(l, s)| (*l, s))
-    }
-
     /// Whether the value may point into persistent memory.
     pub fn may_be_pm(&self, func: FuncId, v: Val) -> bool {
         self.val_pts

@@ -42,7 +42,8 @@ fn every_app_yields_canonically_sorted_candidates() {
 /// decidable: `ob_put` persists the tag (which embeds the payload's
 /// value) before the payload itself, with no durability point covering
 /// the payload store in between. The pass must report that pair as an
-/// uncovered `Data` violation — the same finding `pir-lint` L6 surfaces.
+/// uncovered `Data` violation: the pair the invariant miner takes as
+/// fx1's persist-order candidate.
 #[test]
 fn fixture_seeded_bug_is_an_uncovered_data_pair() {
     let module = pm_apps::fixture::build();

@@ -490,10 +490,6 @@ pub fn build() -> Module {
     m.finish().expect("cceh module verifies")
 }
 
-/// Expected `pir-lint` findings (seeded bugs / known idioms); see
-/// [`crate::lint_allow`].
-pub const LINT_ALLOW: &[(&str, &str, &str)] = &[];
-
 #[cfg(test)]
 mod tests {
     use super::*;

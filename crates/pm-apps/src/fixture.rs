@@ -228,16 +228,6 @@ pub fn build() -> Module {
     m.finish().expect("fixture module")
 }
 
-/// The seeded persist-order bug is deliberate: `pir-lint`'s L6 check is
-/// expected to flag the dependent tag store in `ob_put`, and the
-/// crash-injection campaign's mined oracle is expected to convict it.
-pub const LINT_ALLOW: &[(&str, &str, &str)] = &[(
-    "L6",
-    "obuf.c:put",
-    "seeded bug: the tag store is published before its source payload \
-     persists — the invariant-oracle regression fixture",
-)];
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1091,15 +1091,6 @@ pub fn build() -> Module {
     m.finish().expect("kvcache module verifies")
 }
 
-/// Expected `pir-lint` findings (seeded bugs / known idioms); see
-/// [`crate::lint_allow`].
-pub const LINT_ALLOW: &[(&str, &str, &str)] = &[(
-    "L1",
-    "memcached.c:get-refcount",
-    "item refcount is transient runtime state that memcached never persists; \
-     a leaked count is exactly the f1 scenario, handled by the reactor",
-)];
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,23 +23,3 @@ pub mod pmkv;
 pub mod segcache;
 pub mod stress;
 pub mod util;
-
-/// Documented `pir-lint` allowances for one app, as
-/// `(check, loc_substring, reason)` tuples.
-///
-/// The apps deliberately contain the Table 2 bug patterns (f1–f12) so the
-/// fault scenarios have something to trigger; the linter is expected to
-/// find them. Each entry keeps such a finding visible in reports (as
-/// "allowed") without failing the lint gate. Kept as plain tuples so this
-/// crate does not depend on `pir-lint`.
-pub fn lint_allow(name: &str) -> &'static [(&'static str, &'static str, &'static str)] {
-    match name {
-        "kvcache" | "memcached" => kvcache::LINT_ALLOW,
-        "listdb" | "redis" => listdb::LINT_ALLOW,
-        "cceh" => cceh::LINT_ALLOW,
-        "segcache" | "pelikan" => segcache::LINT_ALLOW,
-        "pmkv" | "pmemkv" => pmkv::LINT_ALLOW,
-        "fixture" | "obuf" => fixture::LINT_ALLOW,
-        _ => &[],
-    }
-}

@@ -354,27 +354,9 @@ pub const COMMANDS: &[CommandSpec] = &[
         args: &[ArgSpec {
             name: "app",
             required: true,
-            help: "kvcache | listdb | cceh | segcache | pmkv",
-        }],
-        flags: &[ANALYSIS_CACHE_FLAG, NO_ANALYSIS_CACHE_FLAG],
-    },
-    CommandSpec {
-        name: "lint",
-        summary: "crash-consistency lint checks (L1-L6); exits 1 on errors",
-        args: &[ArgSpec {
-            name: "app",
-            required: true,
             help: "kvcache | listdb | cceh | segcache | pmkv | fixture",
         }],
-        flags: &[
-            FlagSpec {
-                name: "--json",
-                value: None,
-                help: "machine-readable report",
-            },
-            ANALYSIS_CACHE_FLAG,
-            NO_ANALYSIS_CACHE_FLAG,
-        ],
+        flags: &[ANALYSIS_CACHE_FLAG, NO_ANALYSIS_CACHE_FLAG],
     },
     CommandSpec {
         name: "disasm",
@@ -383,7 +365,7 @@ pub const COMMANDS: &[CommandSpec] = &[
             ArgSpec {
                 name: "app",
                 required: true,
-                help: "kvcache | listdb | cceh | segcache | pmkv",
+                help: "kvcache | listdb | cceh | segcache | pmkv | fixture",
             },
             ArgSpec {
                 name: "function",

@@ -12,7 +12,6 @@
 //! arthas-repro inject fx1 --invariants   # campaign with the mined-invariant oracle
 //! arthas-repro study                     # the S2 empirical-study stats
 //! arthas-repro analyze kvcache           # analyzer summary for an app
-//! arthas-repro lint kvcache [--json]     # crash-consistency lint report
 //! arthas-repro disasm cceh [insert]      # IR disassembly
 //! ```
 //!
@@ -131,7 +130,6 @@ fn main() {
         Some("inject") => cmd_inject(parse_or_exit("inject", &args[1..])),
         Some("reproduce") => cmd_reproduce(parse_or_exit("reproduce", &args[1..])),
         Some("analyze") => cmd_analyze(parse_or_exit("analyze", &args[1..])),
-        Some("lint") => cmd_lint(parse_or_exit("lint", &args[1..])),
         Some("disasm") => cmd_disasm(parse_or_exit("disasm", &args[1..])),
         _ => usage(),
     }
@@ -636,40 +634,6 @@ fn cmd_analyze(p: Parsed) {
     for (f, n) in per_fn {
         println!("  {f:<24} {n}");
     }
-}
-
-fn cmd_lint(p: Parsed) {
-    let name = p.pos(0).expect("required");
-    let json = p.has("--json");
-    let Some(module) = build_app(name) else {
-        eprintln!("unknown app {name}");
-        std::process::exit(1);
-    };
-    let ctx = context_or_exit(&p);
-    let setup = AppSetup::new_with_cache(module, ctx.cache());
-    let mut guids = std::collections::HashMap::new();
-    for meta in setup.guid_map.iter() {
-        guids.insert(meta.at, meta.guid);
-    }
-    // Seeded Table 2 bugs are intentional lint findings: keep them visible
-    // as "allowed" instead of failing the gate.
-    let suppressions = pm_apps::lint_allow(name)
-        .iter()
-        .map(|(check, loc, reason)| {
-            pir_lint::Suppression::new(pir_lint::Check::parse(check), loc, reason)
-        })
-        .collect();
-    let opts = pir_lint::LintOptions {
-        suppressions,
-        guids,
-    };
-    let report = pir_lint::lint_module(&setup.module, &setup.analysis, &opts);
-    if json {
-        print!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_text());
-    }
-    std::process::exit(if report.error_count() > 0 { 1 } else { 0 });
 }
 
 fn cmd_disasm(p: Parsed) {
