@@ -19,10 +19,11 @@
 //! host-side structure owned by the driver, which survives simulated
 //! restarts of the target exactly like a separate pool would.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use pmemsim::PmSink;
+use pmemsim::{PmPool, PmSink};
 
 /// Default number of retained versions per address (the paper's default).
 /// A store can retain more via [`SharedLog::set_max_versions`]:
@@ -305,6 +306,61 @@ pub(crate) struct Span {
     pub(crate) len: u64,
 }
 
+/// A sweep over the address line for [`LogView::spans`]: the bytes below
+/// `at` are compared, and `live` holds the newest version of every entry
+/// started at or below `at`, as `(seq, addr, bytes)`, newest on top: the
+/// newest covering version owns a byte. Some may have ended; they leave
+/// when they surface.
+#[derive(Default)]
+struct OwnerSweep<'a> {
+    at: u64,
+    live: BinaryHeap<(u64, u64, &'a [u8])>,
+    /// The pool's bytes of the piece being compared, reused.
+    buf: Vec<u8>,
+}
+
+impl OwnerSweep<'_> {
+    /// Compares every byte in `[at, upto)` with its owner's, appending
+    /// the runs that differ, and moves `at` to `upto`. No version starts
+    /// inside the range, so its owner changes only where one ends.
+    fn settle(&mut self, upto: u64, pool: &PmPool, runs: &mut Vec<Range<u64>>) {
+        while self.at < upto {
+            while self
+                .live
+                .peek()
+                .is_some_and(|&(_, a, d)| a + d.len() as u64 <= self.at)
+            {
+                self.live.pop();
+            }
+            let Some(&(_, addr, data)) = self.live.peek() else {
+                self.at = upto;
+                return;
+            };
+            let (from, to) = (self.at, (addr + data.len() as u64).min(upto));
+            let want = &data[(from - addr) as usize..(to - addr) as usize];
+            self.buf.resize(want.len(), 0);
+            if pool.peek_into(from, &mut self.buf).is_err() {
+                runs.push(from..to);
+            } else if self.buf != want {
+                let differ = self
+                    .buf
+                    .iter()
+                    .zip(want)
+                    .enumerate()
+                    .filter(|(_, (a, b))| a != b);
+                for (i, _) in differ {
+                    let p = from + i as u64;
+                    match runs.last_mut() {
+                        Some(run) if run.end == p => run.end += 1,
+                        _ => runs.push(p..p + 1),
+                    }
+                }
+            }
+            self.at = to;
+        }
+    }
+}
+
 /// The checkpoint store: one seq-ordered log behind one mutex, shared.
 ///
 /// Every durability event takes the lock, draws the next sequence number
@@ -560,22 +616,40 @@ impl LogView<'_> {
 
     /// Every entry with a retained version, ascending by address: the
     /// entries [`LogView::covering`] scans, flattened once for a caller
-    /// that asks many questions of a log that does not change.
-    pub(crate) fn spans(&self) -> Vec<Span> {
-        self.log
-            .entries
-            .iter()
-            .filter_map(|(&addr, e)| {
-                let newest = e.versions.back()?;
-                let size = e.versions.iter().map(|v| v.data.len() as u64).max()?;
-                Some(Span {
-                    addr,
-                    end: addr + size,
-                    seq: newest.seq,
-                    len: newest.data.len() as u64,
-                })
-            })
-            .collect()
+    /// that asks many questions of a log that does not change. With them,
+    /// the byte runs where `pool` disagrees with the log, ascending.
+    ///
+    /// The log says what byte `p` should hold: the byte of the newest
+    /// version of whichever entry with the largest newest seq covers `p`
+    /// with that version — exactly what [`LogView::expected_current`]
+    /// overlays at `p`. So an entry's `expected_current` differs from the
+    /// pool iff its newest range meets a run this returns, and the sweep
+    /// compares each byte once, against its one owner, instead of each
+    /// entry against all of its overlays. The comparison peeks at the
+    /// pool uncounted. A range that cannot be read is returned as a run,
+    /// so the caller settles the entries over it the long way.
+    pub(crate) fn spans(&self, pool: &PmPool) -> (Vec<Span>, Vec<Range<u64>>) {
+        let mut spans = Vec::with_capacity(self.log.entries.len());
+        let mut runs = Vec::new();
+        let mut sweep = OwnerSweep::default();
+        for (&addr, e) in &self.log.entries {
+            let (Some(newest), Some(size)) = (
+                e.versions.back(),
+                e.versions.iter().map(|v| v.data.len() as u64).max(),
+            ) else {
+                continue;
+            };
+            sweep.settle(addr, pool, &mut runs);
+            sweep.live.push((newest.seq, addr, &newest.data));
+            spans.push(Span {
+                addr,
+                end: addr + size,
+                seq: newest.seq,
+                len: newest.data.len() as u64,
+            });
+        }
+        sweep.settle(u64::MAX, pool, &mut runs);
+        (spans, runs)
     }
 
     /// `(seq, addr)` of every retained version of every entry in
@@ -1012,7 +1086,8 @@ mod tests {
         log.on_persist(20, &[2]); // seq 2
         log.on_persist(30, &[3]); // seq 3
         let view = log.view();
-        let spans = view.spans();
+        let pool = PmPool::create(pmemsim::layout::HEAP_OFF + 4096).unwrap();
+        let (spans, _) = view.spans(&pool);
         let victims = spans.iter().filter(|s| s.seq >= 2).map(|s| s.addr);
         assert_eq!(victims.collect::<Vec<_>>(), vec![20, 30]);
     }

@@ -106,6 +106,7 @@ impl Ladder<'_> {
                         out.attempts += before.attempts;
                         out.skipped += before.skipped;
                         out.plan_len = before.plan_len;
+                        out.plan_work = before.plan_work;
                         out.wall += before.wall;
                         out.phases.slice += before.phases.slice;
                         out.phases.plan += before.phases.plan;

@@ -42,7 +42,7 @@ pub use detector::{Detector, FailureKind, FailureRecord, LeakMonitor, Verdict};
 pub use episode::{Episode, Ladder, Recovery, Rung, Subject};
 pub use pir_analysis::{AnalysisCache, CacheOutcome};
 pub use reactor::{
-    reopen, ConfigError, MitigationOutcome, Mode, PhaseTimes, Plan, Reactor, ReactorConfig,
-    ReactorConfigBuilder, Restart, Search,
+    reopen, ConfigError, MitigationOutcome, Mode, PhaseTimes, Plan, PlanWork, Reactor,
+    ReactorConfig, ReactorConfigBuilder, Restart, Search,
 };
 pub use trace::PmTrace;

@@ -21,7 +21,6 @@
 //! allocations in the checkpoint log that the application's recovery
 //! function never touched are freed.
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
@@ -275,7 +274,8 @@ impl Restart<'_> {
 pub struct PhaseTimes {
     /// Backward slicing of the fault instruction.
     pub slice: Duration,
-    /// The rest of candidate planning (trace join, covering lookup, sort).
+    /// The rest of candidate planning (flattening the log, the trace
+    /// join, the divergence check).
     pub plan: Duration,
     /// Applying reversion batches to the pool.
     pub revert: Duration,
@@ -313,6 +313,8 @@ pub struct MitigationOutcome {
     pub leaks_freed: u64,
     /// Per-phase wall-time breakdown.
     pub phases: PhaseTimes,
+    /// What the plan did, when the rung planned.
+    pub plan_work: PlanWork,
 }
 
 impl MitigationOutcome {
@@ -332,6 +334,7 @@ impl MitigationOutcome {
             mode_fellback: false,
             leaks_freed: 0,
             phases: PhaseTimes::default(),
+            plan_work: PlanWork::default(),
         }
     }
 
@@ -498,15 +501,30 @@ impl Basis {
     }
 }
 
-/// A reversion plan: candidate sequence numbers (most recent first) and,
-/// for the purge-mode consistency pass, the slice instructions each
-/// candidate came from.
+/// A reversion plan: candidate sequence numbers, diverged ones first,
+/// each part most recent first.
 #[derive(Debug, Clone, Default)]
 pub struct Plan {
-    /// Candidate checkpoint sequence numbers, most recent first.
+    /// Candidate checkpoint sequence numbers.
     pub seqs: Vec<u64>,
-    /// Which PM instructions contributed each candidate.
-    pub sources: std::collections::HashMap<u64, Vec<InstRef>>,
+    /// How many of `seqs`, from the front, diverged on the image.
+    pub diverged: usize,
+}
+
+/// What one plan did, in units of work: the `reactor.plan_*` counters and
+/// the same fields of the `reactor.plan` event. A plan is a function of
+/// its log, trace and image, and so is its work.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanWork {
+    /// Log entries flattened (`reactor.plan_entries`).
+    pub entries: u64,
+    /// Distinct traced offsets of the slice's PM writes joined with them
+    /// (`reactor.plan_offsets`).
+    pub offsets: u64,
+    /// `expected_current` calls (`reactor.plan_expected`): one per
+    /// candidate over a byte the image does not hold as logged, so none
+    /// on an image that matches the log.
+    pub expected: u64,
 }
 
 /// What one mitigation knows about the checkpoint log: each fact derived
@@ -537,14 +555,19 @@ struct LogFacts {
     /// The store-wide largest data size, which bounds every covering and
     /// overlay window.
     max_len: u64,
-    /// Per PM-write instruction, the slice × trace × log join: a bit per
-    /// entry of `spans` that covers one of its traced offsets.
-    joins: HashMap<InstRef, Vec<u64>>,
-    /// Candidates whose bytes on the crashed image diverged from
-    /// `expected_current` (the plan's divergence sort).
-    diverged_seqs: HashSet<u64>,
-    /// Plan positions of the `diverged_seqs` candidates.
-    diverged_at: Vec<usize>,
+    /// The slice's PM writes, in slice order: a candidate's sources are
+    /// those whose join holds its entry.
+    slice: Arc<[InstRef]>,
+    /// Per PM-write instruction, its slice × trace × log join, as an
+    /// index into `bitsets`.
+    joins: HashMap<InstRef, usize>,
+    /// Every distinct join: a bit per entry of `spans` that covers one of
+    /// the instruction's traced offsets.
+    bitsets: Vec<Vec<u64>>,
+    /// The candidates whose bytes on the crashed image diverged from
+    /// `expected_current` are the plan's first `diverged` (its
+    /// divergence sort).
+    diverged: usize,
     /// The address of every seq asked about that is no entry's newest
     /// (`None`: rotated out).
     addrs: HashMap<u64, Option<u64>>,
@@ -556,13 +579,17 @@ struct LogFacts {
     /// [`LogView::version_seqs`], taken by the first rollback that starts
     /// from an earlier one's pool.
     versions: Option<Vec<(u64, u64)>>,
+    /// What the plan cost.
+    work: PlanWork,
 }
 
 impl LogFacts {
-    fn new(log: &LogView<'_>) -> Self {
-        let spans = log.spans();
-        let mut by_newest: Vec<u32> = (0..spans.len() as u32).collect();
-        by_newest.sort_unstable_by_key(|&i| std::cmp::Reverse(spans[i as usize].seq));
+    fn new(log: &LogView<'_>, spans: Vec<Span>, slice: Arc<[InstRef]>) -> Self {
+        let mut newest: Vec<(u64, u32)> = (0..spans.len() as u32)
+            .map(|i| (spans[i as usize].seq, i))
+            .collect();
+        newest.sort_unstable_by(|a, b| b.cmp(a));
+        let by_newest = newest.into_iter().map(|(_, i)| i).collect();
         let reach = spans
             .iter()
             .scan(0, |top, s| {
@@ -573,12 +600,17 @@ impl LogFacts {
         LogFacts {
             pos: vec![None; spans.len()],
             reach,
+            work: PlanWork {
+                entries: spans.len() as u64,
+                ..PlanWork::default()
+            },
             spans,
             by_newest,
             max_len: log.max_len(),
+            slice,
             joins: HashMap::new(),
-            diverged_seqs: HashSet::new(),
-            diverged_at: Vec::new(),
+            bitsets: Vec::new(),
+            diverged: 0,
             addrs: HashMap::new(),
             expected: HashMap::new(),
             frontier: (log.latest_seq(), log.total_updates()),
@@ -586,33 +618,60 @@ impl LogFacts {
         }
     }
 
-    /// The entries [`LogView::covering`] reports for any of `offsets`, as
-    /// distinct `(index into spans, seq)`; joined once per instruction.
-    fn join(&mut self, at: InstRef, offsets: &[u64]) -> impl Iterator<Item = (usize, u64)> + '_ {
+    /// The join of instruction `at`, traced at `offsets`, as an index
+    /// into `bitsets`; made once per instruction.
+    fn join(&mut self, at: InstRef, offsets: &[u64]) -> usize {
+        if let Some(&j) = self.joins.get(&at) {
+            return j;
+        }
+        let words = self.covering(offsets);
+        self.bitsets.push(words);
+        self.joins.insert(at, self.bitsets.len() - 1);
+        self.bitsets.len() - 1
+    }
+
+    /// The entries [`LogView::covering`] reports for any of `offsets`: a
+    /// bit per entry of `spans`.
+    ///
+    /// One merge of the sorted offsets with the spans. The entries that
+    /// cover an offset and not the one before it all start between the
+    /// two: an entry starting lower that reaches the later offset reached
+    /// the earlier one. So each offset scans back only over the entries
+    /// that started since, and only while their `reach` passes it.
+    fn covering(&mut self, offsets: &[u64]) -> Vec<u64> {
         let (spans, reach) = (&self.spans, &self.reach);
-        let words = self.joins.entry(at).or_insert_with(|| {
-            let mut offsets = offsets.to_vec();
-            offsets.sort_unstable();
-            offsets.dedup();
-            let mut words = vec![0u64; spans.len().div_ceil(64)];
-            let mut upto = 0;
-            for off in offsets {
-                // Every entry starting at or below `off` whose range
-                // reaches past it.
-                upto += spans[upto..].partition_point(|s| s.addr <= off);
-                for i in (0..upto).rev().take_while(|&i| reach[i] > off) {
-                    if spans[i].end > off {
-                        words[i / 64] |= 1 << (i % 64);
-                    }
+        let mut offsets = offsets.to_vec();
+        offsets.sort_unstable();
+        offsets.dedup();
+        self.work.offsets += offsets.len() as u64;
+        let mut words = vec![0u64; spans.len().div_ceil(64)];
+        let mut upto = 0;
+        for off in offsets {
+            let from = upto;
+            upto = gallop(spans, upto, off);
+            for i in (from..upto).rev().take_while(|&i| reach[i] > off) {
+                if spans[i].end > off {
+                    words[i / 64] |= 1 << (i % 64);
                 }
             }
-            words
-        });
-        words.iter().enumerate().flat_map(move |(w, &word)| {
-            (0..64)
-                .filter(move |b| word >> b & 1 == 1)
-                .map(move |b| (w * 64 + b, spans[w * 64 + b].seq))
-        })
+        }
+        words
+    }
+
+    /// The entries of join `j`, as distinct `(index into spans, seq)`.
+    fn joined(&self, j: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        ones(&self.bitsets[j]).map(|k| (k, self.spans[k].seq))
+    }
+
+    /// The slice's PM writes whose join holds entry `k`, in slice order:
+    /// the instructions candidate `k` came from.
+    fn sources(&self, k: usize) -> Vec<InstRef> {
+        let holds = |at: &&InstRef| {
+            self.joins
+                .get(*at)
+                .is_some_and(|&j| self.bitsets[j][k / 64] >> (k % 64) & 1 == 1)
+        };
+        self.slice.iter().filter(holds).copied().collect()
     }
 
     /// The index into `spans` of the entry whose newest version is `seq`.
@@ -623,61 +682,38 @@ impl LogFacts {
         found.ok().map(|k| self.by_newest[k] as usize)
     }
 
-    /// Records entry `k`'s newest seq as a candidate and returns whether
-    /// its bytes on the crashed image `pool` diverge from the log's (the
-    /// newest version overlaid with newer overlapping entries: the
-    /// signature of corruption that bypassed every durability point),
-    /// keeping the expected bytes only when they differ from the pool's.
-    fn plan_candidate(&mut self, log: &LogView<'_>, pool: &mut PmPool, k: usize) -> bool {
-        let Span { addr, seq, .. } = self.spans[k];
-        // With no newer entry overlapping it, an entry's expected bytes
-        // are its newest version's.
-        let expected = if self.overlaid(k) {
-            log.expected_current(addr).map(Cow::Owned)
-        } else {
-            let newest = log.entry(addr).and_then(|e| e.versions.back());
-            newest.map(|v| Cow::Borrowed(&v.data[..]))
-        };
-        debug_assert_eq!(expected.as_deref(), log.expected_current(addr).as_deref());
-        let Some(expected) = expected else {
+    /// The entries whose newest range meets one of `runs`, the byte runs
+    /// where the image disagrees with the log ([`LogView::spans`]): every
+    /// other entry's `expected_current` is what the image holds.
+    fn suspects(&self, runs: &[Range<u64>]) -> Vec<bool> {
+        let mut out = vec![false; self.spans.len()];
+        for run in runs {
+            let upto = self.spans.partition_point(|s| s.addr < run.end);
+            for k in (0..upto).rev().take_while(|&k| self.reach[k] > run.start) {
+                let s = self.spans[k];
+                out[k] |= s.addr + s.len > run.start;
+            }
+        }
+        out
+    }
+
+    /// Whether candidate `k`'s bytes on the crashed image `pool` diverge
+    /// from the log's (the newest version overlaid with newer overlapping
+    /// entries: the signature of corruption that bypassed every
+    /// durability point), keeping the expected bytes when they do. Only
+    /// asked of a suspect whose range the image can read.
+    fn diverged_on_image(&mut self, log: &LogView<'_>, pool: &PmPool, k: usize) -> bool {
+        let addr = self.spans[k].addr;
+        self.work.expected += 1;
+        let Some(expected) = log.expected_current(addr) else {
             return false;
         };
-        let diverged = pool
-            .read(addr, expected.len() as u64)
-            .is_ok_and(|cur| cur != *expected);
+        let mut cur = vec![0; expected.len()];
+        let diverged = pool.peek_into(addr, &mut cur).is_ok() && cur != expected;
         if diverged {
-            self.diverged_seqs.insert(seq);
-            self.expected.insert(addr, Some(expected.into_owned()));
+            self.expected.insert(addr, Some(expected));
         }
         diverged
-    }
-
-    /// Whether a newer entry overlaps entry `k`'s newest bytes, so that
-    /// `expected_current` overlays something on them.
-    fn overlaid(&self, k: usize) -> bool {
-        let s = self.spans[k];
-        let above = self.spans[k + 1..]
-            .iter()
-            .take_while(|t| t.addr < s.addr + s.len)
-            .any(|t| t.seq > s.seq);
-        let below = (0..k)
-            .rev()
-            .take_while(|&j| self.reach[j] > s.addr)
-            .map(|j| self.spans[j])
-            .any(|t| t.addr + t.len > s.addr && t.seq > s.seq);
-        above || below
-    }
-
-    /// Marks the final plan's candidates with their positions.
-    fn index(&mut self, plan: &Plan) {
-        for (i, &s) in plan.seqs.iter().enumerate() {
-            if let Some(k) = self.entry_of(s) {
-                self.pos[k] = Some(i as u32);
-            }
-            if self.diverged_seqs.contains(&s) {
-                self.diverged_at.push(i);
-            }
-        }
     }
 
     /// Learns the address and `expected_current` of a seq that is not a
@@ -725,8 +761,8 @@ impl LogFacts {
     ) -> Option<(u64, &[u8])> {
         let addr = match self.entry_of(seq).map(|k| (self.spans[k], self.pos[k])) {
             Some((s, None)) => s.addr,
-            Some((s, Some(_)))
-                if self.diverged_seqs.contains(&seq)
+            Some((s, Some(i)))
+                if (i as usize) < self.diverged
                     || ledger.wrote_over(s.addr, s.len, self.max_len) =>
             {
                 s.addr
@@ -839,7 +875,7 @@ impl LogFacts {
         unscanned: Range<usize>,
     ) -> BTreeSet<usize> {
         let w = self.max_len;
-        let mut out: BTreeSet<usize> = self.diverged_at.iter().copied().collect();
+        let mut out: BTreeSet<usize> = (0..self.diverged).collect();
         out.extend(unscanned);
         for &t in moved {
             // Overlay windows as `expected_before` scans them:
@@ -958,40 +994,56 @@ impl<'a> Reactor<'a> {
         let pm_writes = self.slice_for(fault);
         self.last_slice_time = t0.elapsed();
         self.pending_slice_time += self.last_slice_time;
-        let mut facts = LogFacts::new(log);
-        // Per logged entry, the instructions whose traced offsets it
-        // covers: the candidates are the entries with any.
-        let mut by_entry: Vec<Vec<InstRef>> = vec![Vec::new(); facts.spans.len()];
-        for at in pm_writes.iter() {
-            let Some(guid) = self.guid_map.guid_of(*at) else {
+        let (spans, runs) = log.spans(pool);
+        let mut facts = LogFacts::new(log, spans, pm_writes.clone());
+        // The candidates are the entries any slice instruction's join
+        // holds; `by_newest` lists them most recent first. Instructions
+        // traced at the same offsets share one join.
+        let mut joined = vec![0u64; facts.spans.len().div_ceil(64)];
+        let mut traced: Vec<(&[u64], usize)> = Vec::new();
+        for &at in pm_writes.iter() {
+            let Some(guid) = self.guid_map.guid_of(at) else {
                 continue;
             };
-            for (k, _) in facts.join(*at, trace.offsets(guid)) {
-                by_entry[k].push(*at);
+            let offsets = trace.offsets(guid);
+            if let Some(&(_, j)) = traced.iter().find(|(o, _)| *o == offsets) {
+                facts.joins.insert(at, j);
+                continue;
+            }
+            let j = facts.join(at, offsets);
+            traced.push((offsets, j));
+            for (all, &word) in joined.iter_mut().zip(&facts.bitsets[j]) {
+                *all |= word;
             }
         }
-        let mut cands: Vec<usize> = (0..by_entry.len())
-            .filter(|&k| !by_entry[k].is_empty())
-            .collect();
-        cands.sort_unstable_by_key(|&k| std::cmp::Reverse(facts.spans[k].seq));
-        let (mut diverged, mut rest): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
-        for &k in &cands {
-            let seq = facts.spans[k].seq;
-            if facts.plan_candidate(log, pool, k) {
-                diverged.push(seq);
+        let suspects = facts.suspects(&runs);
+        let (mut diverged, mut rest): (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
+        for n in 0..facts.by_newest.len() {
+            let k = facts.by_newest[n] as usize;
+            if joined[k / 64] >> (k % 64) & 1 == 0 {
+                continue;
+            }
+            // The walk compared the candidate's bytes with the log
+            // uncounted; they count as read here.
+            let Span { addr, len, .. } = facts.spans[k];
+            let readable = pool.note_read(addr, len).is_ok();
+            if suspects[k] && readable && facts.diverged_on_image(log, pool, k) {
+                diverged.push(k);
             } else {
-                rest.push(seq);
+                rest.push(k);
             }
         }
+        facts.diverged = diverged.len();
         diverged.extend(rest);
-        let sources = cands
-            .into_iter()
-            .map(|k| (facts.spans[k].seq, std::mem::take(&mut by_entry[k])))
-            .collect();
+        for (i, &k) in diverged.iter().enumerate() {
+            facts.pos[k] = Some(i as u32);
+        }
         let plan = Plan {
-            seqs: diverged,
-            sources,
+            seqs: diverged.iter().map(|&k| facts.spans[k].seq).collect(),
+            diverged: facts.diverged,
         };
+        #[cfg(debug_assertions)]
+        assert_plan_as_before(self.guid_map, trace, log, pool, &plan, &facts);
         (plan, facts)
     }
 
@@ -1028,13 +1080,17 @@ impl<'a> Reactor<'a> {
             }
             None => (Plan::default(), None, PhaseTimes::default()),
         };
+        let plan_work = facts.as_ref().map_or_else(PlanWork::default, |f| f.work);
         let Some(mut facts) = facts.filter(|_| !plan.seqs.is_empty()) else {
             // The restart runs with checkpointing on, like any other.
-            return self.restart_only(pool, log, restart, t0, phases);
+            return MitigationOutcome {
+                plan_work,
+                ..self.restart_only(pool, log, restart, t0, phases)
+            };
         };
         let _paused = log.pause();
-        facts.index(&plan);
-        let out = self.revert_loop(pool, log, &plan, &mut facts, trace, restart, t0, phases);
+        let mut out = self.revert_loop(pool, log, &plan, &mut facts, trace, restart, t0, phases);
+        out.plan_work = plan_work;
         debug_assert_eq!(
             (log.latest_seq(), log.total_updates()),
             facts.frontier,
@@ -1066,12 +1122,19 @@ impl<'a> Reactor<'a> {
             ..Default::default()
         };
         phases.plan = t_plan.elapsed().saturating_sub(self.last_slice_time);
+        let work = facts.work;
+        self.recorder.add("reactor.plan_entries", work.entries);
+        self.recorder.add("reactor.plan_offsets", work.offsets);
+        self.recorder.add("reactor.plan_expected", work.expected);
         self.recorder.event("reactor.plan", &|| {
             vec![
                 ("plan_len", Value::from(plan.seqs.len())),
                 ("slice_us", Value::from(phases.slice.as_micros() as u64)),
                 ("plan_us", Value::from(phases.plan.as_micros() as u64)),
                 ("candidate_seqs", Value::from(seq_list(&plan.seqs))),
+                ("plan_entries", Value::from(work.entries)),
+                ("plan_offsets", Value::from(work.offsets)),
+                ("plan_expected", Value::from(work.expected)),
             ]
         });
         (plan, facts, phases)
@@ -1446,7 +1509,6 @@ impl<'a> Reactor<'a> {
                     self.purge_seq(
                         pool,
                         log_rc,
-                        plan,
                         facts,
                         trace,
                         s,
@@ -1558,7 +1620,6 @@ impl<'a> Reactor<'a> {
         &self,
         pool: &mut PmPool,
         log_rc: &SharedLog,
-        plan: &Plan,
         facts: &mut LogFacts,
         trace: &PmTrace,
         seq: u64,
@@ -1585,10 +1646,11 @@ impl<'a> Reactor<'a> {
         // after it. Control/context edges are excluded — following them
         // would sweep in every later operation and collapse purging into
         // rollback.
-        if let Some(sources) = plan.sources.get(&seq).filter(|_| !externally_corrupted) {
+        let candidate = facts.entry_of(seq).filter(|_| !externally_corrupted);
+        if let Some(sources) = candidate.map(|k| facts.sources(k)) {
             const MAX_HOPS: u32 = 2;
             let mut seen: BTreeSet<InstRef> = BTreeSet::new();
-            let mut frontier: Vec<InstRef> = sources.clone();
+            let mut frontier: Vec<InstRef> = sources;
             for _ in 0..MAX_HOPS {
                 let mut next = Vec::new();
                 for cur in frontier.drain(..) {
@@ -1618,7 +1680,8 @@ impl<'a> Reactor<'a> {
                 let Some(guid) = self.guid_map.guid_of(at) else {
                     continue;
                 };
-                let later = facts.join(at, trace.offsets(guid)).map(|(_, s2)| s2);
+                let j = facts.join(at, trace.offsets(guid));
+                let later = facts.joined(j).map(|(_, s2)| s2);
                 worklist.extend(later.filter(|&s2| s2 > seq));
             }
         }
@@ -1878,11 +1941,100 @@ fn assert_repeats(restart: &Restart<'_>, pool: &PmPool, known: &FailureRecord) {
     );
 }
 
+/// Requires `plan` to be the plan made the long way: each slice
+/// instruction's offsets joined one by one with a binary search, the
+/// candidates collected with their sources per entry and sorted by seq,
+/// and each compared in full with its `expected_current`. The same seqs
+/// in the same order, the same diverged set, and the same sources per
+/// candidate.
+#[cfg(debug_assertions)]
+fn assert_plan_as_before(
+    guid_map: &GuidMap,
+    trace: &PmTrace,
+    log: &LogView<'_>,
+    pool: &PmPool,
+    plan: &Plan,
+    facts: &LogFacts,
+) {
+    let spans = &facts.spans;
+    let mut by_entry: Vec<Vec<InstRef>> = vec![Vec::new(); spans.len()];
+    for &at in facts.slice.iter() {
+        let Some(guid) = guid_map.guid_of(at) else {
+            continue;
+        };
+        let mut offsets = trace.offsets(guid).to_vec();
+        offsets.sort_unstable();
+        offsets.dedup();
+        let mut covered = BTreeSet::new();
+        for off in offsets {
+            let upto = spans.partition_point(|s| s.addr <= off);
+            let reaching = (0..upto).rev().take_while(|&k| facts.reach[k] > off);
+            covered.extend(reaching.filter(|&k| spans[k].end > off));
+        }
+        for k in covered {
+            by_entry[k].push(at);
+        }
+    }
+    let mut cands: Vec<usize> = (0..spans.len())
+        .filter(|&k| !by_entry[k].is_empty())
+        .collect();
+    cands.sort_unstable_by_key(|&k| std::cmp::Reverse(spans[k].seq));
+    let diverged = |k: usize| {
+        let expected = log
+            .expected_current(spans[k].addr)
+            .expect("a span has a version");
+        let mut cur = vec![0; expected.len()];
+        pool.peek_into(spans[k].addr, &mut cur).is_ok() && cur != expected
+    };
+    let (mut seqs, rest): (Vec<usize>, Vec<usize>) = cands.iter().partition(|&&k| diverged(k));
+    let n_diverged = seqs.len();
+    seqs.extend(rest);
+    let seqs: Vec<u64> = seqs.iter().map(|&k| spans[k].seq).collect();
+    assert_eq!(
+        (&plan.seqs, plan.diverged, facts.diverged),
+        (&seqs, n_diverged, n_diverged),
+        "the one-pass plan ordered other candidates, or found others diverged"
+    );
+    for k in cands {
+        assert_eq!(
+            facts.sources(k),
+            by_entry[k],
+            "the one-pass plan gave seq {} other sources",
+            spans[k].seq
+        );
+    }
+}
+
 fn mode_name(mode: Mode) -> &'static str {
     match mode {
         Mode::Purge => "purge",
         Mode::Rollback => "rollback",
     }
+}
+
+/// `lo` plus the number of `spans[lo..]` that start at or below `off`:
+/// steps that double from `lo`, then a binary search inside the last one.
+/// A join's offsets ascend, so a dense run of them takes short steps.
+fn gallop(spans: &[Span], mut lo: usize, off: u64) -> usize {
+    let mut step = 1;
+    while lo + step <= spans.len() && spans[lo + step - 1].addr <= off {
+        lo += step;
+        step *= 2;
+    }
+    let hi = spans.len().min(lo + step);
+    lo + spans[lo..hi].partition_point(|s| s.addr <= off)
+}
+
+/// The positions of the set bits of `words`, ascending.
+fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let first = (word != 0).then_some(word);
+        std::iter::successors(first, |&rest| {
+            let next = rest & (rest - 1);
+            (next != 0).then_some(next)
+        })
+        .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
+    })
 }
 
 /// Renders up to 16 sequence numbers for event fields; longer lists end

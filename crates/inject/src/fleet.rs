@@ -890,17 +890,20 @@ pub fn run_fleet(
         }
         let captures = a.captures.get().expect("a row runs after its capture pass");
         let capture = lock(captures)[ri].take();
-        let (trial, paid) = a.prep.run_row(campaign, ri, capture);
+        let (trial, work) = a.prep.run_row(campaign, ri, capture);
         rec.observe_duration("fleet.trial_us", t0.elapsed());
         rec.add("fleet.trials_executed", 1);
-        rec.add("fleet.restarts_paid", u64::from(paid));
+        rec.add("fleet.restarts_paid", u64::from(work.paid));
+        rec.add("reactor.plan_entries", work.plan.entries);
+        rec.add("reactor.plan_offsets", work.plan.offsets);
+        rec.add("reactor.plan_expected", work.plan.expected);
         executed_ctr.fetch_add(1, Ordering::Relaxed);
         rec.event("fleet.trial_done", &|| {
             vec![
                 ("scenario", Value::Str(a.prep.scn.id().to_string())),
                 ("site", Value::U64(trial.site)),
                 ("verdict", Value::Str(trial.verdict.as_str().to_string())),
-                ("paid", Value::U64(u64::from(paid))),
+                ("paid", Value::U64(u64::from(work.paid))),
                 ("remaining", Value::U64(remaining)),
             ]
         });

@@ -42,8 +42,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use arthas::{
-    reopen, AnalysisCache, ConfigError, Episode, FailureRecord, Ladder, MitigationOutcome, Reactor,
-    ReactorConfig, Restart, Rung, Subject,
+    reopen, AnalysisCache, ConfigError, Episode, FailureRecord, Ladder, MitigationOutcome,
+    PlanWork, Reactor, ReactorConfig, Restart, Rung, Subject,
 };
 use obs::{Field, Json, Schema};
 use pir::vm::{Vm, VmOpts};
@@ -508,8 +508,7 @@ fn trial_check(scn: &dyn Scenario, vm: &mut Vm) -> RestartResult {
 /// state every passing run contradicts.
 ///
 /// Returns the verdict, the trial's `restarts` and `attempts`, and the
-/// restarts it paid: the watches that restarted plus the mitigation's
-/// re-execution rounds.
+/// work it did.
 fn classify(
     scn: &dyn Scenario,
     setup: &AppSetup,
@@ -518,7 +517,7 @@ fn classify(
     policy: CrashPolicy,
     mined: &[MinedInvariant],
     mut capture: CrashCapture,
-) -> (TrialVerdict, u32, u32, u32) {
+) -> (TrialVerdict, u32, u32, TrialWork) {
     let detector = std::mem::take(&mut capture.detector);
     let mut episode = Episode::new(detector, MAX_TRIAL_RESTARTS, &[Rung::Reversion]).at_most(1);
     let mut trial = CrashedTrial {
@@ -544,15 +543,25 @@ fn classify(
         (false, _) if trial.operational => TrialVerdict::InvariantViolated,
         (false, _) => TrialVerdict::Unrecoverable,
     };
-    let (attempts, rounds) = end
-        .outcome
-        .map_or((0, 0), |o| (o.attempts, o.reexec_rounds()));
-    (
-        verdict,
-        trial.capture.restarts,
-        attempts,
-        trial.paid + rounds,
-    )
+    let (attempts, rounds, plan) = end.outcome.map_or((0, 0, PlanWork::default()), |o| {
+        (o.attempts, o.reexec_rounds(), o.plan_work)
+    });
+    let work = TrialWork {
+        paid: trial.paid + rounds,
+        plan,
+    };
+    (verdict, trial.capture.restarts, attempts, work)
+}
+
+/// What classifying one trial cost: the fleet's `fleet.restarts_paid`
+/// and `reactor.plan_*` counters add it up.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TrialWork {
+    /// Restarts paid: the watches that restarted the image plus the
+    /// mitigation's re-execution rounds.
+    pub(crate) paid: u32,
+    /// What the mitigation's plan did.
+    pub(crate) plan: PlanWork,
 }
 
 /// A fired injection as the subject of its recovery [`Episode`]: a watch
@@ -703,9 +712,8 @@ impl Subject for CrashedTrial<'_> {
     }
 }
 
-/// Classifies one trial from its capture. Also returns the restarts the
-/// trial paid: the watches that restarted the image plus the
-/// mitigation's re-execution rounds.
+/// Classifies one trial from its capture. Also returns the work that
+/// took.
 fn run_trial(
     scn: &dyn Scenario,
     setup: &AppSetup,
@@ -713,7 +721,7 @@ fn run_trial(
     mined: &[MinedInvariant],
     (site, kind, policy): MatrixRow,
     capture: Option<CrashCapture>,
-) -> (Trial, u32) {
+) -> (Trial, TrialWork) {
     let trial = |verdict, restarts, attempts| Trial {
         site,
         kind,
@@ -726,14 +734,14 @@ fn run_trial(
         Some(capture) => {
             // Restarts run under the capture pass's VM options.
             let vm = RunConfig::default().vm;
-            let (verdict, restarts, attempts, paid) =
+            let (verdict, restarts, attempts, work) =
                 classify(scn, setup, cfg, vm, policy, mined, capture);
-            (trial(verdict, restarts, attempts), paid)
+            (trial(verdict, restarts, attempts), work)
         }
         // The workload finished (or hit its scripted hard fault) without
         // crossing the armed boundary — on a deterministic replay this
         // cannot happen; surface it instead of panicking.
-        None => (trial(TrialVerdict::NotReached, 0, 0), 0),
+        None => (trial(TrialVerdict::NotReached, 0, 0), TrialWork::default()),
     }
 }
 
@@ -845,7 +853,7 @@ impl PreparedScenario<'_> {
     }
 
     /// Classifies matrix row `ri` from its capture (`None`: the pass never
-    /// reached it), and says how many restarts that paid ([`run_trial`]).
+    /// reached it), and says what work that took ([`run_trial`]).
     ///
     /// Debug builds first take the row's capture the slow way, from a
     /// pass armed at that row alone, and require the same machine.
@@ -854,7 +862,7 @@ impl PreparedScenario<'_> {
         cfg: &CampaignConfig,
         ri: usize,
         capture: Option<CrashCapture>,
-    ) -> (Trial, u32) {
+    ) -> (Trial, TrialWork) {
         let row = self.matrix[ri];
         if cfg!(debug_assertions) {
             let alone = self.capture(cfg, &[ri]).swap_remove(ri);

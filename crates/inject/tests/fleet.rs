@@ -416,8 +416,9 @@ fn u64_field(event: &obs::Event, name: &str) -> u64 {
 /// `fleet.restarts_paid` counter is the sum of every `fleet.trial_done`
 /// event's `paid`, and it is the same at 1 and at 4 workers. So is the
 /// replay work: one capture pass per scenario (`fleet.capture_passes`,
-/// also in the report and its summary), not one replay per trial. One
-/// worker prepares every scenario before it runs a trial, so its
+/// also in the report and its summary), not one replay per trial, and so
+/// is the planning work of the trials' mitigations (`reactor.plan_*`).
+/// One worker prepares every scenario before it runs a trial, so its
 /// `fleet.queue_built` finds none done.
 #[test]
 fn restarts_paid_do_not_depend_on_the_worker_count() {
@@ -447,10 +448,22 @@ fn restarts_paid_do_not_depend_on_the_worker_count() {
             .iter()
             .find(|e| e.kind == "fleet.queue_built")
             .unwrap();
-        (total, u64_field(built, "trials_done"))
+        let counters = rec.counters();
+        let plan = [
+            "reactor.plan_entries",
+            "reactor.plan_offsets",
+            "reactor.plan_expected",
+        ]
+        .map(|c| counters[c]);
+        ((total, plan), u64_field(built, "trials_done"))
     };
     let (one, done_before_built) = paid(1);
-    assert!(one > 0);
+    assert!(one.0 > 0);
+    assert!(
+        one.1[0] > 0 && one.1[1] > 0,
+        "the trials planned: {:?}",
+        one.1
+    );
     assert_eq!(done_before_built, 0);
     assert_eq!(paid(4).0, one);
 }

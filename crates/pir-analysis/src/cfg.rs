@@ -9,7 +9,7 @@ use pir::ir::{BlockId, Function, Op};
 /// Computes immediate dominators for a generic graph with `n` nodes,
 /// `entry`, and a successor function, using the Cooper-Harvey-Kennedy
 /// iterative algorithm. Unreachable nodes get `None`.
-pub fn idoms(n: usize, entry: u32, succs: &[Vec<u32>]) -> Vec<Option<u32>> {
+fn idoms(n: usize, entry: u32, succs: &[Vec<u32>]) -> Vec<Option<u32>> {
     // Reverse postorder from entry.
     let mut visited = vec![false; n];
     let mut post = Vec::with_capacity(n);

@@ -95,11 +95,6 @@ impl PointsTo {
         self.val_pts.get(&(func, v)).cloned().unwrap_or_default()
     }
 
-    /// What the memory location may contain (diagnostics).
-    pub fn heap(&self, loc: Loc) -> LocSet {
-        self.heap_pts.get(&loc).cloned().unwrap_or_default()
-    }
-
     /// Whether the value may point into persistent memory.
     pub fn may_be_pm(&self, func: FuncId, v: Val) -> bool {
         self.val_pts
